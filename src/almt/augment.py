@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
 from .corpus import ParallelCorpus, Phrase
 from .embed import EmbeddingStore, RatioScorer
+from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
 
 
@@ -53,16 +54,28 @@ def contextualize(x_star, p):
     return tuple(x_star) + p
 
 
-def phrases_in_sentence(tokens, phrase_pairs):
-    """Annotated (p_x, p_y) pairs whose source side occurs in tokens."""
+class PhraseIndex:
+    """Annotated (p_x, p_y) pairs keyed by source tuple, for window lookups."""
+
+    def __init__(self, phrase_pairs):
+        self.pairs = [(tuple(p_x), tuple(p_y)) for p_x, p_y in phrase_pairs]
+        self.positions = {}
+        for i, (p_x, _) in enumerate(self.pairs):
+            self.positions.setdefault(p_x, []).append(i)
+        self.lengths = sorted({len(p_x) for p_x in self.positions})
+
+
+def phrases_in_sentence(tokens, index: PhraseIndex):
+    """Annotated (p_x, p_y) pairs whose source side occurs in tokens.
+
+    Pairs come back in their annotation order, duplicates included.
+    """
     tokens = tuple(tokens)
-    found = []
-    for p_x, p_y in phrase_pairs:
-        p_x = tuple(p_x)
-        n = len(p_x)
-        if any(tokens[s:s + n] == p_x for s in range(len(tokens) - n + 1)):
-            found.append((p_x, tuple(p_y)))
-    return found
+    hits = set()
+    for n in index.lengths:
+        for s in range(len(tokens) - n + 1):
+            hits.update(index.positions.get(tokens[s:s + n], ()))
+    return [index.pairs[i] for i in sorted(hits)]
 
 
 def retrieve_context(x_id, store_U: EmbeddingStore, parallel: ParallelCorpus,
@@ -128,24 +141,25 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
 
 def augment_corpus(U, phrase_pairs, store_U: EmbeddingStore, parallel: ParallelCorpus,
                    store_L: EmbeddingStore, lm: NGramLM, table: TranslationTable,
-                   k: int = 4, recipe: str = "switch", workers: int = 1):
+                   k: int = 4, recipe: str = "switch"):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
     Returns (pairs, report) where report counts sentences dropped per reason.
     """
-    scorer = RatioScorer(store_U, store_L, k, workers=workers)
+    scorer = RatioScorer(store_U, store_L, k)
+    index = PhraseIndex(phrase_pairs)
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     pairs = []
     for sent in U:
-        annotated = phrases_in_sentence(sent.tokens, phrase_pairs)
+        annotated = phrases_in_sentence(sent.tokens, index)
         if not annotated:
             report["no-annotated-phrase"] += 1
             continue
         try:
             pair_id, x_star, y_star, _ = retrieve_context(sent.id, store_U, parallel,
                                                           store_L, k, scorer)
-        except Exception:
+        except DegenerateNeighborhoodError:
             report["retrieval-degenerate"] += 1
             continue
         if recipe == "switch":

@@ -1,4 +1,4 @@
-"""Embedding ingestion, kNN, and ratio-based similarity scores.
+"""Embedding ingestion and batch ratio-based similarity scores.
 
 Vectors are ingested from files, never computed here. The ratio score divides
 the cosine of a pair by the average cosine of each side's k nearest
@@ -6,7 +6,7 @@ neighbors; by default neighborhoods are drawn from the opposing corpus
 (margin-scoring convention), switchable to same-pool.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 
@@ -84,210 +84,127 @@ class EmbeddingStore:
                 fh.write(f"{sid}\t{' '.join(repr(float(v)) for v in self.vector(sid))}\n")
 
 
-def cosine(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateVectorError("cosine of zero-norm vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+# Default product block: rows * columns stays within this many float64 cells
+# (512 KB), so scorer memory does not grow with |A| and grows with |B| only
+# through O(|B|) per-point vectors.
+BLOCK_CELLS = 1 << 16
 
 
-def _topk_mean(cosines: np.ndarray, k: int) -> float:
-    """Mean of the k largest entries (truncated when fewer are available)."""
-    if cosines.size == 0:
-        raise DegenerateNeighborhoodError("empty neighbor pool")
-    k = min(k, cosines.size)
-    top = np.partition(cosines, cosines.size - k)[cosines.size - k:]
-    return float(top.mean())
-
-
-def _pool_cosines(query_unit, pool: EmbeddingStore, exclude_id=None):
-    cos = pool.unit @ query_unit
-    keep = np.ones(len(pool), dtype=bool)
-    for sid in pool.degenerate_ids:
-        keep[pool.row[sid]] = False
-    if exclude_id is not None and exclude_id in pool:
-        keep[pool.row[exclude_id]] = False
-    return cos, keep
-
-
-def knn(query, pool: EmbeddingStore, k: int, query_store: EmbeddingStore = None):
-    """Top-k pool entries by cosine to the query, ties by ascending id.
-
-    The query is excluded from its own neighbor list when it lives in `pool`
-    (the default when query_store is omitted).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    store = query_store or pool
-    if query not in store:
-        raise KeyError(f"query id {query} not in store {store.tag!r}")
-    q = store.unit_vector(query)
-    exclude = query if store is pool else None
-    cos, keep = _pool_cosines(q, pool, exclude_id=exclude)
-    cand = [(float(np.clip(cos[i], -1.0, 1.0)), pool.ids[i]) for i in np.nonzero(keep)[0]]
-    cand.sort(key=lambda t: (-t[0], t[1]))
-    return [(sid, c) for c, sid in cand[:k]]
-
-
-def _neighborhood_mean(query, query_store, pool, k):
-    q = query_store.unit_vector(query)
-    exclude = query if query_store is pool else None
-    cos, keep = _pool_cosines(q, pool, exclude_id=exclude)
-    return _topk_mean(cos[keep], k)
-
-
-def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore,
-                k: int, neighbor_mode: str = "cross") -> float:
-    """cos(x, x') normalized by the mean of both points' k-NN cosines.
-
-    neighbor_mode "cross" (default): x's neighbors come from pool_x_prime and
-    x's neighbors from pool_x; "same": each point's neighbors come from its
-    own pool, excluding itself.
-    """
-    c = cosine(pool_x.vector(x), pool_x_prime.vector(x_prime))
-    if neighbor_mode == "cross":
-        m_x = _neighborhood_mean(x, pool_x, pool_x_prime, k)
-        m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x, k)
-    elif neighbor_mode == "same":
-        m_x = _neighborhood_mean(x, pool_x, pool_x, k)
-        m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x_prime, k)
-    else:
-        raise ValueError(f"unknown neighbor_mode {neighbor_mode!r}")
-    denom = (m_x + m_xp) / 2.0
-    if denom <= 0.0:
-        raise DegenerateNeighborhoodError(f"non-positive denominator {denom} for pair ({x}, {x_prime})")
-    return c / denom
-
-
-def dist_to_labeled(x, pool_x: EmbeddingStore, labeled: EmbeddingStore, k: int,
-                    mode: str = "literal", neighbor_mode: str = "cross") -> float:
-    """Distance of x from a labeled pool.
-
-    "literal" takes the minimum ratio over the labeled pool; "nn" takes the
-    maximum (similarity to the nearest labeled neighbor).
-    """
-    if len(labeled) == 0:
-        raise ValueError("labeled pool is empty")
-    scores = [ratio_score(x, xp, pool_x, labeled, k, neighbor_mode) for xp in labeled.ids]
-    return min(scores) if mode == "literal" else max(scores)
-
-
-def nearest_similarity(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int,
-                       neighbor_mode: str = "cross") -> float:
-    """Corpus-level similarity: max ratio of x against every pool member."""
-    if len(pool) == 0:
-        raise ValueError("pool is empty")
-    return max(ratio_score(x, z, pool_x, pool, k, neighbor_mode) for z in pool.ids)
+def _usable(store: EmbeddingStore):
+    keep = np.ones(len(store), dtype=bool)
+    keep[[store.row[sid] for sid in store.degenerate_ids]] = False
+    return keep
 
 
 class RatioScorer:
-    """Batch all-pairs ratio scores between two stores.
+    """All-pairs ratio scores between two stores, reduced per A row.
 
-    Precomputes the cosine matrix and per-point neighborhood means once;
-    row/column reductions then give CSSE scores and retrieval rankings.
-    Chunked matmul keeps results bit-identical for any worker count.
+    Construction (pass 1) computes every point's mean cosine to its k nearest
+    neighbours. The first reduction call (pass 2, cached) streams row blocks
+    of the A x B ratio matrix and keeps per-row min, max, usability and
+    argmax. Cosines are computed one block of rows at a time, so no |A| x |B|
+    array is ever held. Every per-row result depends only on that row's
+    products, so the block size reaches results only through the rounding of
+    the BLAS products, whose summation order can depend on their shape.
     """
 
     def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int,
-                 neighbor_mode: str = "cross", workers: int = 1):
-        self.a, self.b, self.k = store_a, store_b, k
-        self.cos = self._matmul_chunked(store_a.unit, store_b.unit.T, workers)
-        bad_a = [store_a.row[i] for i in store_a.degenerate_ids]
-        bad_b = [store_b.row[i] for i in store_b.degenerate_ids]
-        valid_a = np.ones(len(store_a), dtype=bool)
-        valid_a[bad_a] = False
-        valid_b = np.ones(len(store_b), dtype=bool)
-        valid_b[bad_b] = False
-        self.valid_a, self.valid_b = valid_a, valid_b
-
+                 neighbor_mode: str = "cross", block: int = None):
+        """block: rows per product block; by default a block holds BLOCK_CELLS cells."""
+        self.a, self.b, self.k, self.block = store_a, store_b, k, block
+        self.valid_a, self.valid_b = _usable(store_a), _usable(store_b)
         if neighbor_mode == "cross":
-            cos_aa = self.cos
-            cos_bb = self.cos.T
-            mask_a, mask_b = valid_b, valid_a
-            excl_a = excl_b = None
+            self.mean_a = self._neighbor_means(store_a.unit, store_b.unit, self.valid_b, False)
+            self.mean_b = self._neighbor_means(store_b.unit, store_a.unit, self.valid_a, False)
         elif neighbor_mode == "same":
-            cos_aa = self._matmul_chunked(store_a.unit, store_a.unit.T, workers)
-            cos_bb = self._matmul_chunked(store_b.unit, store_b.unit.T, workers)
-            mask_a, mask_b = valid_a, valid_b
-            excl_a, excl_b = True, True
+            self.mean_a = self._neighbor_means(store_a.unit, store_a.unit, self.valid_a, True)
+            self.mean_b = self._neighbor_means(store_b.unit, store_b.unit, self.valid_b, True)
         else:
             raise ValueError(f"unknown neighbor_mode {neighbor_mode!r}")
-        self.mean_a = self._row_topk_means(cos_aa, mask_a, k, self_exclude=excl_a)
-        self.mean_b = self._row_topk_means(cos_bb, mask_b, k, self_exclude=excl_b)
-        denom = (self.mean_a[:, None] + self.mean_b[None, :]) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.ratios = np.where(denom > 0.0, self.cos / denom, np.nan)
-        self.ratios[~valid_a, :] = np.nan
-        self.ratios[:, ~valid_b] = np.nan
 
-    @staticmethod
-    def _matmul_chunked(left, right, workers, chunk=512):
-        out = np.empty((left.shape[0], right.shape[1]))
-        spans = [(s, min(s + chunk, left.shape[0])) for s in range(0, left.shape[0], chunk)]
-        if workers <= 1 or len(spans) <= 1:
-            for s, e in spans:
-                out[s:e] = left[s:e] @ right
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(lambda se: out.__setitem__(slice(*se), left[se[0]:se[1]] @ right), spans))
-        return out
+    def _products(self, left, right):
+        """(start, left[start:stop] @ right.T) for each row block of left."""
+        rows = self.block or max(1, BLOCK_CELLS // max(1, right.shape[0]))
+        for start in range(0, left.shape[0], rows):
+            yield start, left[start:start + rows] @ right.T
 
-    @staticmethod
-    def _row_topk_means(cos, col_mask, k, self_exclude=None):
-        means = np.full(cos.shape[0], np.nan)
-        for i in range(cos.shape[0]):
-            row = cos[i]
-            keep = col_mask.copy()
-            if self_exclude and i < keep.size:
-                keep[i] = False
-            vals = row[keep]
-            if vals.size == 0:
-                continue
-            kk = min(k, vals.size)
-            means[i] = np.partition(vals, vals.size - kk)[vals.size - kk:].mean()
+    def _neighbor_means(self, left, right, keep, exclude_self):
+        """Mean of each left row's k largest cosines to the kept right rows.
+
+        With exclude_self (left is right) a row is never its own neighbour.
+        A row with fewer than k candidates averages those it has; a row with
+        none gets NaN.
+        """
+        means = np.full(left.shape[0], np.nan)
+        for start, sims in self._products(left, right):
+            mask = np.broadcast_to(keep, sims.shape)
+            if exclude_self:
+                mask = mask.copy()
+                mask[np.arange(len(sims)), np.arange(start, start + len(sims))] = False
+            counts = mask.sum(axis=1)
+            for n in np.unique(counts[counts > 0]):
+                rows = np.nonzero(counts == n)[0]
+                lanes = sims[rows][mask[rows]].reshape(rows.size, n)
+                kk = min(self.k, n)
+                means[start + rows] = np.partition(lanes, n - kk, axis=1)[:, n - kk:].mean(axis=1)
         return means
 
-    def _reduce_rows(self, reducer):
-        """Per-A-id reduction over usable B columns.
+    @cached_property
+    def _rows(self):
+        """Pass 2: per-A-row (usable, min, max, argmax column, argmax value).
 
-        Degenerate B columns are dropped from the pool; a row is skipped when
-        it is itself degenerate or any usable pair has a non-positive
-        denominator (the reduction would be ill-defined).
+        A row is usable when it is not degenerate, B has a usable column, and
+        no usable column has a non-positive denominator. min and max run over
+        usable columns; argmax runs over every finite ratio, ties to the
+        lowest B id, and is -1 when the row has none.
         """
-        out = {}
-        skipped = []
-        cols = np.nonzero(self.valid_b)[0]
-        for i, sid in enumerate(self.a.ids):
-            if not self.valid_a[i] or cols.size == 0:
+        n_a = len(self.a)
+        usable = np.zeros(n_a, dtype=bool)
+        mins, maxs, best_val = np.full(n_a, np.nan), np.full(n_a, np.nan), np.full(n_a, np.nan)
+        best = np.full(n_a, -1)
+        if not self.valid_b.any():
+            return usable, mins, maxs, best, best_val
+        # Columns in ascending id order, so the first maximum is the tie-break
+        # winner. A NaN mean makes every ratio of a degenerate point NaN.
+        by_id = np.argsort(np.asarray(self.b.ids), kind="stable")
+        mean_a = np.where(self.valid_a, self.mean_a, np.nan)[:, None]
+        mean_b = np.where(self.valid_b, self.mean_b, np.nan)[by_id]
+        unusable_cols = np.count_nonzero(~self.valid_b)
+        for start, cos in self._products(self.a.unit, self.b.unit[by_id]):
+            rows = slice(start, start + len(cos))
+            denom = (mean_a[rows] + mean_b) / 2.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(denom > 0.0, cos / denom, np.nan)
+            usable[rows] = np.count_nonzero(np.isnan(ratios), axis=1) == unusable_cols
+            mins[rows], maxs[rows] = np.fmin.reduce(ratios, axis=1), np.fmax.reduce(ratios, axis=1)
+            finite = np.isfinite(ratios)
+            pick = np.argmax(np.where(finite, ratios, -np.inf), axis=1)
+            best[rows] = np.where(finite.any(axis=1), by_id[pick], -1)
+            best_val[rows] = ratios[np.arange(len(ratios)), pick]
+        return usable, mins, maxs, best, best_val
+
+    def _reduce_rows(self, values):
+        """id in A -> values[row] for usable rows, plus the skipped ids."""
+        out, skipped = {}, []
+        for sid, ok, v in zip(self.a.ids, self._rows[0].tolist(), values.tolist()):
+            if ok:
+                out[sid] = v
+            else:
                 skipped.append(sid)
-                continue
-            vals = self.ratios[i, cols]
-            if np.isnan(vals).any():
-                skipped.append(sid)
-                continue
-            out[sid] = float(reducer(vals))
         return out, skipped
 
     def min_over_b(self):
         """id in A -> min ratio over B (literal distance-to-labeled)."""
-        return self._reduce_rows(np.min)
+        return self._reduce_rows(self._rows[1])
 
     def max_over_b(self):
         """id in A -> max ratio over any B member (nearest similarity)."""
-        return self._reduce_rows(np.max)
+        return self._reduce_rows(self._rows[2])
 
     def argmax_over_b(self, a_id):
         """Best B id for one A id, ties by ascending B id."""
-        row = self.ratios[self.a.row[a_id]]
-        best = None
-        for j, b_id in enumerate(self.b.ids):
-            v = row[j]
-            if not np.isfinite(v):
-                continue
-            if best is None or v > best[0] or (v == best[0] and b_id < best[1]):
-                best = (float(v), b_id)
-        if best is None:
+        _, _, _, best, best_val = self._rows
+        i = self.a.row[a_id]
+        if best[i] < 0:
             raise DegenerateNeighborhoodError(f"no usable retrieval target for id {a_id}")
-        return best[1], best[0]
+        return self.b.ids[best[i]], float(best_val[i])

@@ -49,13 +49,13 @@ def sample_random(parallel: ParallelCorpus, M: int, seed: int):
 
 
 def retrieve_similar(parallel: ParallelCorpus, store_L: EmbeddingStore, store_U: EmbeddingStore,
-                     k: int, M: int, workers: int = 1):
+                     k: int, M: int):
     """Top-M out-of-domain pairs by corpus-level ratio similarity to U.
 
     Ranking is by max ratio against any U sentence, descending, ties by
     ascending id. Pairs with degenerate embeddings are skipped and reported.
     """
-    scorer = RatioScorer(store_L, store_U, k, workers=workers)
+    scorer = RatioScorer(store_L, store_U, k)
     scores, skipped = scorer.max_over_b()
     usable = [sid for sid in parallel.ids() if sid in scores]
     if M > len(usable):

@@ -49,7 +49,7 @@ class RunConfig:
     ibm1_iterations: int = 5
     lm_order: int = 3
     output_dir: str = "runs"
-    workers: int = 1
+    workers: int = 1  # ignored: the scorer is single-threaded; kept so saved configs load
     simulate_only: bool = False
 
     @classmethod
@@ -187,8 +187,7 @@ def _select_sentences(config, strategy, U, store_U, store_Lsub, b):
     if strategy == "random-sent":
         return select.select_random_sentences(U, b, config.seed)
     if strategy == "csse":
-        return select.select_csse(U, store_U, store_Lsub, b, config.k,
-                                  config.dist_mode, workers=config.workers)
+        return select.select_csse(U, store_U, store_Lsub, b, config.k, config.dist_mode)
     if strategy == "rttl":
         scores = select.load_rttl_scores(config.rttl_scores)
         return select.select_rttl(U, scores, b, config.rttl_score_kind)
@@ -287,7 +286,7 @@ def _run_one(config: RunConfig, b: int, run_dir: Path) -> RunReport:
             l_r = mix.sample_random(L, min(m, len(L)), config.seed)
         else:
             l_r, skipped = mix.retrieve_similar(L, store_L, store_U, config.k,
-                                                min(m, len(L)), config.workers)
+                                                min(m, len(L)))
             if skipped:
                 report.dropped["mix:degenerate"] = len(skipped)
         mix.write_freeze(l_r, run_dir / "retrieved.freeze.jsonl")
@@ -301,7 +300,7 @@ def _run_one(config: RunConfig, b: int, run_dir: Path) -> RunReport:
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
                 U, phrase_pairs, store_U, L, store_L, lm, table,
-                config.k, config.augment_recipe, config.workers)
+                config.k, config.augment_recipe)
             augment.write_synthetic(synthetic, run_dir / "synthetic.tsv",
                                     run_dir / "synthetic.recipes.jsonl")
             emit("synthetic", run_dir / "synthetic.tsv")

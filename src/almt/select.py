@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 from .corpus import Corpus, Phrase, cost
 from .embed import EmbeddingStore, RatioScorer
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
 
@@ -108,26 +108,26 @@ def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResul
 
 
 def csse_scores(store_U: EmbeddingStore, store_L: EmbeddingStore, k: int,
-                dist_mode="literal", neighbor_mode="cross", workers=1):
+                dist_mode="literal", neighbor_mode="cross"):
     """Distance-from-labeled score for every U sentence, computed once.
 
     Returns (scores, skipped ids). "literal" is the min ratio over the labeled
     subset; "nn" is the max ratio (similarity to the nearest labeled point).
     """
-    scorer = RatioScorer(store_U, store_L, k, neighbor_mode=neighbor_mode, workers=workers)
+    scorer = RatioScorer(store_U, store_L, k, neighbor_mode=neighbor_mode)
     return scorer.min_over_b() if dist_mode == "literal" else scorer.max_over_b()
 
 
 def select_csse(U: Corpus, store_U: EmbeddingStore, store_L: EmbeddingStore, budget: int,
-                k: int = 4, dist_mode: str = "literal", neighbor_mode: str = "cross",
-                workers: int = 1) -> SelectionResult:
+                k: int = 4, dist_mode: str = "literal",
+                neighbor_mode: str = "cross") -> SelectionResult:
     """Embedding-distance sentence selection.
 
     In literal mode we take sentences with the largest distance first; in the
     nn variant we take the smallest nearest-neighbor similarity first. Ties
     break by ascending id. Scores are not refreshed between picks.
     """
-    scores, skipped = csse_scores(store_U, store_L, k, dist_mode, neighbor_mode, workers)
+    scores, skipped = csse_scores(store_U, store_L, k, dist_mode, neighbor_mode)
     missing = [sid for sid in U.ids() if sid not in scores and sid not in skipped]
     if missing:
         raise ConfigError(f"embeddings missing for {len(missing)} U sentences, e.g. {missing[:5]}")
@@ -160,11 +160,14 @@ def load_rttl_scores(path) -> dict:
     """TSV "sentence-id TAB score"."""
     scores = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            sid, val = line.rstrip("\n").split("\t")
-            scores[int(sid)] = float(val)
+            try:
+                sid, val = line.rstrip("\n").split("\t")
+                scores[int(sid)] = float(val)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: expected 'id TAB score', got {line.rstrip()!r}")
     return scores
 
 

@@ -1,0 +1,109 @@
+"""Scalar ratio-score reference for the blocked `RatioScorer` kernel.
+
+One pair at a time, straight from the definition: the cosine of a pair over
+the mean of both points' k-nearest-neighbour cosines. Slow, and used only by
+tests, which compare the kernel against it.
+"""
+
+import numpy as np
+
+from almt.embed import EmbeddingStore
+from almt.errors import DegenerateNeighborhoodError, DegenerateVectorError
+
+
+def cosine(u, v) -> float:
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise DegenerateVectorError("cosine of zero-norm vector")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def _topk_mean(cosines: np.ndarray, k: int) -> float:
+    """Mean of the k largest entries (truncated when fewer are available)."""
+    if cosines.size == 0:
+        raise DegenerateNeighborhoodError("empty neighbor pool")
+    k = min(k, cosines.size)
+    top = np.partition(cosines, cosines.size - k)[cosines.size - k:]
+    return float(top.mean())
+
+
+def _pool_cosines(query_unit, pool: EmbeddingStore, exclude_id=None):
+    cos = pool.unit @ query_unit
+    keep = np.ones(len(pool), dtype=bool)
+    for sid in pool.degenerate_ids:
+        keep[pool.row[sid]] = False
+    if exclude_id is not None and exclude_id in pool:
+        keep[pool.row[exclude_id]] = False
+    return cos, keep
+
+
+def knn(query, pool: EmbeddingStore, k: int, query_store: EmbeddingStore = None):
+    """Top-k pool entries by cosine to the query, ties by ascending id.
+
+    The query is excluded from its own neighbor list when it lives in `pool`
+    (the default when query_store is omitted).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    store = query_store or pool
+    if query not in store:
+        raise KeyError(f"query id {query} not in store {store.tag!r}")
+    q = store.unit_vector(query)
+    exclude = query if store is pool else None
+    cos, keep = _pool_cosines(q, pool, exclude_id=exclude)
+    cand = [(float(np.clip(cos[i], -1.0, 1.0)), pool.ids[i]) for i in np.nonzero(keep)[0]]
+    cand.sort(key=lambda t: (-t[0], t[1]))
+    return [(sid, c) for c, sid in cand[:k]]
+
+
+def _neighborhood_mean(query, query_store, pool, k):
+    q = query_store.unit_vector(query)
+    exclude = query if query_store is pool else None
+    cos, keep = _pool_cosines(q, pool, exclude_id=exclude)
+    return _topk_mean(cos[keep], k)
+
+
+def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore,
+                k: int, neighbor_mode: str = "cross") -> float:
+    """cos(x, x') normalized by the mean of both points' k-NN cosines.
+
+    neighbor_mode "cross" (default): x's neighbors come from pool_x_prime and
+    x's neighbors from pool_x; "same": each point's neighbors come from its
+    own pool, excluding itself.
+    """
+    c = cosine(pool_x.vector(x), pool_x_prime.vector(x_prime))
+    if neighbor_mode == "cross":
+        m_x = _neighborhood_mean(x, pool_x, pool_x_prime, k)
+        m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x, k)
+    elif neighbor_mode == "same":
+        m_x = _neighborhood_mean(x, pool_x, pool_x, k)
+        m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x_prime, k)
+    else:
+        raise ValueError(f"unknown neighbor_mode {neighbor_mode!r}")
+    denom = (m_x + m_xp) / 2.0
+    if denom <= 0.0:
+        raise DegenerateNeighborhoodError(f"non-positive denominator {denom} for pair ({x}, {x_prime})")
+    return c / denom
+
+
+def dist_to_labeled(x, pool_x: EmbeddingStore, labeled: EmbeddingStore, k: int,
+                    mode: str = "literal", neighbor_mode: str = "cross") -> float:
+    """Distance of x from a labeled pool.
+
+    "literal" takes the minimum ratio over the labeled pool; "nn" takes the
+    maximum (similarity to the nearest labeled neighbor).
+    """
+    if len(labeled) == 0:
+        raise ValueError("labeled pool is empty")
+    scores = [ratio_score(x, xp, pool_x, labeled, k, neighbor_mode) for xp in labeled.ids]
+    return min(scores) if mode == "literal" else max(scores)
+
+
+def nearest_similarity(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int,
+                       neighbor_mode: str = "cross") -> float:
+    """Corpus-level similarity: max ratio of x against every pool member."""
+    if len(pool) == 0:
+        raise ValueError("pool is empty")
+    return max(ratio_score(x, z, pool_x, pool, k, neighbor_mode) for z in pool.ids)

@@ -19,13 +19,14 @@ from almt.align import train_ibm1
 from almt.augment import contextualize, switch
 from almt.cli import main as cli_main
 from almt.corpus import Corpus, ParallelCorpus, Sentence
-from almt.embed import EmbeddingStore, RatioScorer, ratio_score
+from almt.embed import EmbeddingStore, RatioScorer
 from almt.mix import retrieve_similar
 from almt.ngrams import OccurrenceIndex, extract_ngrams, semi_maximal_set
 from almt.pipeline import RunConfig, run_pipeline
 from almt.select import (select_csse, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences,
                          select_rttl)
+from ratio_reference import ratio_score
 
 
 def verdict(num, name, ok, detail=""):

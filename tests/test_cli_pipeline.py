@@ -146,6 +146,15 @@ def test_cli_select_ngf(toy_dir, tmp_path, capsys):
     assert recs and all(r["kind"] == "phrase" for r in recs)
 
 
+def test_cli_select_rttl_malformed_score_line_exits_3(toy_dir, tmp_path, capsys):
+    scores = tmp_path / "rttl.tsv"
+    scores.write_text("0\t-1.5\n1 -2.0\n")
+    assert main(["select", "--strategy", "rttl", "--unlabeled", str(toy_dir / "U.txt"),
+                 "--rttl-scores", str(scores), "--budget-words", "20",
+                 "--output", str(tmp_path / "sel.jsonl")]) == 3
+    assert f"{scores}:2:" in capsys.readouterr().err
+
+
 def test_cli_analyze_correlation(tmp_path, capsys):
     data = tmp_path / "cols.tsv"
     # two coverage columns + score column; col1 = score (r=1), col2 = -score (r=-1)

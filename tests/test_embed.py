@@ -1,11 +1,11 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from almt.embed import (EmbeddingStore, RatioScorer, cosine, dist_to_labeled, knn,
-                        nearest_similarity, ratio_score)
-from almt.errors import DegenerateVectorError, ParseError
+from almt.embed import EmbeddingStore, RatioScorer
+from almt.errors import DegenerateNeighborhoodError, DegenerateVectorError, ParseError
+from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score
 
 
 def store(vectors, tag="s"):
@@ -115,26 +115,128 @@ def test_nearest_similarity_is_max_of_ratios():
     assert nearest_similarity(0, a, pool, k=1) == pytest.approx(expected)
 
 
-def test_ratio_scorer_matches_pairwise():
-    rng = np.random.default_rng(3)
-    a = store(rng.normal(size=(6, 4)), "a")
-    b = store(rng.normal(size=(5, 4)), "b")
-    scorer = RatioScorer(a, b, k=2)
-    for i in range(6):
-        for j in range(5):
-            assert scorer.ratios[i, j] == pytest.approx(ratio_score(i, j, a, b, k=2))
-    mins, skipped = scorer.min_over_b()
-    assert not skipped
-    assert mins[0] == pytest.approx(dist_to_labeled(0, a, b, k=2))
+def _reference_rows(a, b, k, mode):
+    """A id -> (min, max) or None when skipped, and A id -> (best B id, ratio) or None.
+
+    Built pair by pair from the scalar reference, with the scorer's rules:
+    degenerate B members leave the pool, a degenerate A row or a
+    non-positive denominator against any usable B member skips the row, and
+    the argmax takes every pair that has a ratio, ties to the lowest B id.
+    """
+    pool = [y for y in b.ids if y not in b.degenerate_ids]
+    rows, best = {}, {}
+    for x in a.ids:
+        if x in a.degenerate_ids:
+            rows[x] = best[x] = None
+            continue
+        ratios, complete = {}, bool(pool)
+        for y in pool:
+            try:
+                ratios[y] = ratio_score(x, y, a, b, k, mode)
+            except DegenerateNeighborhoodError:
+                complete = False
+        rows[x] = (min(ratios.values()), max(ratios.values())) if complete else None
+        top = max(ratios, key=lambda y: (ratios[y], -y)) if ratios else None
+        best[x] = (top, ratios[top]) if ratios else None
+    return rows, best
 
 
-def test_ratio_scorer_worker_count_is_bit_identical():
+def _edge_case_stores():
+    """Stores that hold every case the kernel must get right.
+
+    Most vectors sit in a cone around e1. A row 9 and B row 7 point the other
+    way, so their neighbourhood means are negative and the pair's
+    denominator is not positive: A row 9 is skipped although it is not
+    degenerate. A row 10 and B row 8 are zero vectors. B row 9 is B row 2
+    doubled, so the two tie for every A row; B ids are not ascending and the
+    later column has the lower id (5 < 31). A row 11 is nearest that pair.
+    """
+    rng = np.random.default_rng(23)
+    e1 = np.eye(5)[0]
+    mat_a = np.vstack([e1 + 0.1 * rng.normal(size=(9, 5)), -e1 + 0.1 * rng.normal(size=5),
+                       np.zeros(5), np.zeros(5)])
+    mat_b = np.vstack([e1 + 0.1 * rng.normal(size=(7, 5)), -e1 + 0.1 * rng.normal(size=5),
+                       np.zeros(5), np.zeros(5)])
+    mat_b[9] = 2.0 * mat_b[2]
+    mat_a[11] = mat_b[2] + 0.01 * rng.normal(size=5)
+    a = EmbeddingStore([70, 11, 42, 3, 98, 25, 61, 14, 87, 36, 50, 9], mat_a, "a")
+    b = EmbeddingStore([50, 12, 31, 44, 8, 27, 39, 16, 61, 5], mat_b, "b")
+    return a, b
+
+
+def test_ratio_scorer_matches_scalar_reference():
+    a, b = _edge_case_stores()
+    for mode, k in (("cross", 3), ("same", 3), ("cross", 20), ("same", 20)):  # 20: truncated
+        rows, best = _reference_rows(a, b, k, mode)
+        scorer = RatioScorer(a, b, k=k, neighbor_mode=mode)
+        mins, skipped = scorer.min_over_b()
+        maxs, skipped_max = scorer.max_over_b()
+        assert skipped == skipped_max == [x for x in a.ids if rows[x] is None], mode
+        assert 36 in skipped and 36 not in a.degenerate_ids, (mode, k)
+        for x, row in rows.items():
+            if row is not None:
+                assert mins[x] == pytest.approx(row[0]) and maxs[x] == pytest.approx(row[1])
+            if best[x] is None:
+                with pytest.raises(DegenerateNeighborhoodError):
+                    scorer.argmax_over_b(x)
+            else:
+                b_id, value = scorer.argmax_over_b(x)
+                assert b_id == best[x][0] and value == pytest.approx(best[x][1]), (mode, k, x)
+        assert best[9][0] == 5, (mode, k)
+
+
+def _lattice_store(rng, n, ids, tag):
+    """Vectors with 1 or 4 entries of +-1, scaled by powers of two, plus zero rows.
+
+    Unit components are 0, +-1/2 or +-1, so every cosine is exact and no
+    result depends on the order in which a BLAS product sums.
+    """
+    mat = np.zeros((n, 8))
+    for row in mat[:-2]:
+        nonzero = rng.choice(8, size=rng.choice([1, 4]), replace=False)
+        row[nonzero] = rng.choice([-1.0, 1.0], size=nonzero.size) * 2.0 ** rng.integers(-3, 4)
+    return EmbeddingStore(ids, mat, tag)
+
+
+def _scorer_outputs(scorer):
+    argmax = {}
+    for x in scorer.a.ids:
+        try:
+            argmax[x] = scorer.argmax_over_b(x)
+        except DegenerateNeighborhoodError:
+            argmax[x] = None
+    return (scorer.min_over_b(), scorer.max_over_b(), argmax,
+            scorer.mean_a.tolist(), scorer.mean_b.tolist())
+
+
+def test_ratio_scorer_block_size_is_bit_identical():
+    # BLAS sums a product in an order that depends on its shape (a one-row
+    # block is a matrix-vector product), so the stores have exact cosines:
+    # equality then checks the kernel's block boundaries, masks,
+    # self-exclusion offsets and tie-breaks.
     rng = np.random.default_rng(11)
-    a = store(rng.normal(size=(40, 6)), "a")
-    b = store(rng.normal(size=(30, 6)), "b")
-    r1 = RatioScorer(a, b, k=3, workers=1).ratios
-    r4 = RatioScorer(a, b, k=3, workers=4).ratios
-    assert np.array_equal(r1, r4)
+    a = _lattice_store(rng, 40, [int(i) for i in rng.permutation(1000)[:40]], "a")
+    b = _lattice_store(rng, 30, [int(i) for i in rng.permutation(1000)[:30]], "b")
+    for mode in ("cross", "same"):
+        outputs = [_scorer_outputs(RatioScorer(a, b, k=3, neighbor_mode=mode, block=block))
+                   for block in (1, 7, 512, len(a) + 1)]
+        (mins, skipped), _, argmax, _, _ = outputs[0]
+        assert mins and skipped and None in argmax.values(), mode
+        for other in outputs[1:]:
+            assert repr(other) == repr(outputs[0]), mode
+
+
+def test_ratio_scorer_memory_is_bounded():
+    rng = np.random.default_rng(5)
+    a = store(rng.normal(size=(2000, 8)), "a")
+    b = store(rng.normal(size=(1500, 8)), "b")
+    tracemalloc.start()
+    try:
+        RatioScorer(a, b, k=4).min_over_b()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 1500 * 8 / 4
 
 
 def test_degenerate_rows_skipped():
@@ -142,6 +244,13 @@ def test_degenerate_rows_skipped():
     b = store([[0.5, 0.5], [1, 0]], "b")
     scores, skipped = RatioScorer(a, b, k=1).min_over_b()
     assert skipped == [1] and 0 in scores
+
+
+def test_pool_without_usable_members_skips_every_row():
+    scorer = RatioScorer(store([[1, 0], [0, 1]], "a"), store([[0, 0]], "b"), k=1)
+    assert scorer.min_over_b() == scorer.max_over_b() == ({}, [0, 1])
+    with pytest.raises(DegenerateNeighborhoodError):
+        scorer.argmax_over_b(0)
 
 
 def test_store_roundtrip(tmp_path):

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from almt.align import TranslationTable, NULL_TOKEN
-from almt.corpus import Corpus, Sentence
+from almt.corpus import Corpus, ParallelCorpus, Sentence
+from almt.embed import EmbeddingStore
 from almt.lm import NGramLM, train_lm, EOS, UNK
-from almt.augment import (best_contextualize, best_switch, contextualize,
-                          phrases_in_sentence, switch)
+from almt.augment import (PhraseIndex, augment_corpus, best_contextualize, best_switch,
+                          contextualize, phrases_in_sentence, switch)
 
 
 def corpus_of(*lines):
@@ -107,8 +109,39 @@ def test_contextualize_empty_phrase_rejected():
 
 def test_phrases_in_sentence():
     pairs = [(("cat", "sat"), ("T_cat", "T_sat")), (("dog",), ("T_dog",))]
-    found = phrases_in_sentence(("the", "cat", "sat"), pairs)
+    found = phrases_in_sentence(("the", "cat", "sat"), PhraseIndex(pairs))
     assert found == [(("cat", "sat"), ("T_cat", "T_sat"))]
+
+
+def test_phrases_in_sentence_keeps_annotation_order_and_duplicates():
+    pairs = [(["sat"], ["T_sat"]), (["the", "cat"], ["T_the", "T_cat"]), (["dog"], ["T_dog"]),
+             (["sat"], ["T_sat2"]), (["cat"], ["T_cat"]), (["sat"], ["T_sat"])]
+    found = phrases_in_sentence(["the", "cat", "sat", "cat"], PhraseIndex(pairs))
+    assert found == [(("sat",), ("T_sat",)), (("the", "cat"), ("T_the", "T_cat")),
+                     (("sat",), ("T_sat2",)), (("cat",), ("T_cat",)), (("sat",), ("T_sat",))]
+
+
+# --- augment_corpus ---
+
+def _augment(u_ids, u_vectors):
+    U = corpus_of("x cat sat y", "x cat ran y")
+    L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(f"T_{w}" for w in s.split())))
+                        for i, s in enumerate(["a b c d", "e f g h"])])
+    store_U = EmbeddingStore(u_ids, np.array(u_vectors, dtype=float), "U")
+    store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
+    return augment_corpus(U, [(("cat",), ("T_cat",))], store_U, L, store_L,
+                          train_lm(U, order=2), identity_table("abcdefgh"), k=1)
+
+
+def test_augment_counts_zero_norm_sentence_as_retrieval_degenerate():
+    pairs, report = _augment([0, 1], [[0.0, 0.0], [1.0, 0.1]])
+    assert report["retrieval-degenerate"] == 1
+    assert [p.origin_id for p in pairs] == [0] and "cat" in pairs[0].source
+
+
+def test_augment_propagates_other_retrieval_errors():
+    with pytest.raises(KeyError):
+        _augment([0, 7], [[1.0, 0.0], [1.0, 0.1]])  # sentence 1 has no embedding
 
 
 # --- best_switch / best_contextualize ---

@@ -57,7 +57,7 @@ def _planted_stores():
 
 
 def test_csse_takes_largest_score_first():
-    from almt.embed import dist_to_labeled
+    from ratio_reference import dist_to_labeled
     U = corpus_of("a", "b")
     store_U, store_L = _planted_stores()
     phis = {sid: dist_to_labeled(sid, store_U, store_L, k=1) for sid in (0, 1)}
