@@ -24,9 +24,6 @@ class TranslationTable:
     def prob(self, target: str, source: str) -> float:
         return self.probs.get(source, {}).get(target, 0.0)
 
-    def source_vocab(self):
-        return self.probs.keys()
-
     def export_tsv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for src in sorted(self.probs):

@@ -13,9 +13,6 @@ class CoverageReport:
     per_n: dict  # n -> percentage of test n-gram types covered
     covering_label: str = ""
 
-    def as_row(self):
-        return [self.per_n[n] for n in sorted(self.per_n)]
-
 
 @dataclass
 class InDomainWordStats:
@@ -70,10 +67,6 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False,
             hit = len(test_types & cover_types)
         per_n[n] = 100.0 * hit / total if total else 0.0
     return CoverageReport(per_n, label)
-
-
-def corpus_tokens(corpus: Corpus):
-    return [s.tokens for s in corpus]
 
 
 def pearson(xs, ys) -> float:

@@ -7,12 +7,12 @@ import argparse
 import json
 import sys
 
-from . import align, analyze, mix, oracle, select, toy
-from .corpus import load_corpus, load_parallel, tokenize
+from . import align, analyze, mix, oracle, toy
+from .corpus import load_corpus, load_parallel
 from .embed import EmbeddingStore
 from .errors import AlmtError, ConfigError
 from .ngrams import extract_ngrams
-from .pipeline import RunConfig, run_pipeline, validate_config
+from .pipeline import STRATEGIES, RunConfig, RunContext, run_pipeline, validate_config
 
 
 def _cmd_extract(args):
@@ -24,29 +24,15 @@ def _cmd_extract(args):
 
 
 def _cmd_select(args):
-    U = load_corpus(args.unlabeled, "U")
-    if args.strategy == "random-sent":
-        result = select.select_random_sentences(U, args.budget_words, args.seed)
-    elif args.strategy == "csse":
-        store_U = EmbeddingStore.load(args.embeddings_unlabeled, "U")
-        store_L = EmbeddingStore.load(args.embeddings_labeled, "L")
-        result = select.select_csse(U, store_U, store_L, args.budget_words,
-                                    args.k, args.dist_mode)
-    elif args.strategy == "rttl":
-        if not args.rttl_scores:
-            raise ConfigError("--rttl-scores is required for strategy rttl")
-        result = select.select_rttl(U, select.load_rttl_scores(args.rttl_scores),
-                                    args.budget_words)
-    else:
-        index_U = extract_ngrams(U, args.max_n)
-        L = load_parallel(args.labeled, "L")
-        index_L = extract_ngrams(L.source_corpus(), args.max_n)
-        if args.strategy == "random-phrase":
-            result = select.select_random_phrases(index_U, index_L, args.budget_words, args.seed)
-        elif args.strategy == "ngf":
-            result = select.select_ngf(index_U, index_L, args.budget_words)
-        else:
-            result = select.select_ngf_smp(index_U, index_L, args.budget_words)
+    strategy = STRATEGIES[args.strategy]
+    missing = [f"--{key.replace('_', '-')}" for key in strategy.needs if not getattr(args, key)]
+    if missing:
+        raise ConfigError(f"strategy {args.strategy} requires {', '.join(missing)}")
+    config = RunConfig(args.unlabeled, args.labeled, args.strategy, [args.budget_words],
+                       embeddings_unlabeled=args.embeddings_unlabeled,
+                       embeddings_labeled=args.embeddings_labeled, rttl_scores=args.rttl_scores,
+                       seed=args.seed, k=args.k, max_n=args.max_n, dist_mode=args.dist_mode)
+    result = RunContext(config, args.budget_words).selection
     result.write_jsonl(args.output)
     print(json.dumps(result.summary()))
     return 0
@@ -193,7 +179,7 @@ def build_parser():
 
     p = sub.add_parser("select", help="run one selection strategy")
     p.add_argument("--strategy", required=True,
-                   choices=["random-sent", "csse", "rttl", "random-phrase", "ngf", "ngf-smp"])
+                   choices=list(STRATEGIES))
     p.add_argument("--unlabeled", required=True)
     p.add_argument("--labeled")
     p.add_argument("--budget-words", type=int, required=True)

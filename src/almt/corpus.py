@@ -76,9 +76,6 @@ class Corpus:
     def ids(self):
         return [s.id for s in self.sentences]
 
-    def total_words(self) -> int:
-        return sum(len(s.tokens) for s in self.sentences)
-
 
 class ParallelCorpus:
     """Ordered collection of id-aligned (source, target) sentence pairs."""
@@ -111,9 +108,6 @@ class ParallelCorpus:
 
     def source_corpus(self, name=None) -> Corpus:
         return Corpus([src for src, _ in self.pairs], name or f"{self.name}-src")
-
-    def target_corpus(self, name=None) -> Corpus:
-        return Corpus([tgt for _, tgt in self.pairs], name or f"{self.name}-tgt")
 
 
 def load_corpus(path, name="") -> Corpus:

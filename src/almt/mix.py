@@ -6,7 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, ParallelCorpus
+from .corpus import ParallelCorpus
 from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError
 
@@ -77,6 +77,8 @@ def load_freeze(path, parallel: ParallelCorpus):
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             sid = json.loads(line)["id"]
+            if sid not in parallel:
+                raise ConfigError(f"{path}: freeze id {sid} is not a pair of corpus {parallel.name!r}")
             src, tgt = parallel.get(sid)
             rows.append((sid, src.tokens, tgt.tokens))
     return rows

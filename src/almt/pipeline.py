@@ -5,22 +5,48 @@ intermediate is inspectable. Fine-tuning itself is out of scope: the pipeline
 emits manifests for downstream toolkits.
 """
 
+import functools
 import hashlib
 import json
+import os
 import random
 import time
+import traceback
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 
 from . import align, augment, mix, oracle, select
-from .corpus import Corpus, ParallelCorpus, load_corpus, load_parallel
+from .corpus import load_corpus, load_parallel
 from .embed import EmbeddingStore
 from .errors import ConfigError
 from .lm import train_lm
 from .ngrams import extract_ngrams
 
-SENTENCE_STRATEGIES = ("random-sent", "csse", "rttl")
-PHRASE_STRATEGIES = ("random-phrase", "ngf", "ngf-smp")
+
+# kind: the budget pool spent, "sentence" or "phrase"; needs: the config paths
+# read beyond the unlabeled corpus; rank: (RunContext, budget) -> SelectionResult.
+Strategy = namedtuple("Strategy", "kind needs rank")
+_EMBEDDINGS = ("embeddings_unlabeled", "embeddings_labeled")
+
+# Every selection strategy, by name. Rank calls look select.* up at call
+# time, so a rebinding of the module's functions is seen.
+STRATEGIES = {
+    "random-sent": Strategy("sentence", (), lambda ctx, b: select.select_random_sentences(
+        ctx.U, b, ctx.config.seed)),
+    "csse": Strategy("sentence", ("labeled",) + _EMBEDDINGS, lambda ctx, b: select.select_csse(
+        ctx.U, ctx.store_U, ctx.store_Lsub, b, ctx.config.k, ctx.config.dist_mode)),
+    "rttl": Strategy("sentence", ("rttl_scores",), lambda ctx, b: select.select_rttl(
+        ctx.U, select.load_rttl_scores(ctx.config.rttl_scores), b, ctx.config.rttl_score_kind)),
+    "random-phrase": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_random_phrases(
+        ctx.index_U, ctx.index_L, b, ctx.config.seed)),
+    "ngf": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_ngf(
+        ctx.index_U, ctx.index_L, b)),
+    "ngf-smp": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_ngf_smp(
+        ctx.index_U, ctx.index_L, b)),
+}
 
 
 @dataclass
@@ -49,23 +75,32 @@ class RunConfig:
     ibm1_iterations: int = 5
     lm_order: int = 3
     output_dir: str = "runs"
-    workers: int = 1  # ignored: the scorer is single-threaded; kept so saved configs load
     simulate_only: bool = False
 
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(asdict(self), path)
+
+
+def _write_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _pools(config) -> list[tuple]:
+    """(config key, kind) of each strategy a config runs; kind None accepts either."""
+    if config.strategy == "hybrid":
+        return [("sentence_strategy", "sentence"), ("phrase_strategy", "phrase")]
+    return [("strategy", None)]
 
 
 def validate_config(config: RunConfig) -> list[str]:
@@ -77,43 +112,32 @@ def validate_config(config: RunConfig) -> list[str]:
         failures.append(f"k must be >= 1, got {config.k}")
     if not config.budgets or any(b < 1 for b in config.budgets):
         failures.append(f"budgets must be a non-empty list of positive ints, got {config.budgets}")
-    needs_sentences = config.strategy in SENTENCE_STRATEGIES or config.strategy == "hybrid"
-    if config.strategy not in SENTENCE_STRATEGIES + PHRASE_STRATEGIES + ("hybrid",):
-        failures.append(f"unknown strategy {config.strategy!r}")
-    if config.strategy == "hybrid":
-        if config.sentence_strategy not in SENTENCE_STRATEGIES:
-            failures.append(f"unknown sentence_strategy {config.sentence_strategy!r}")
-        if config.phrase_strategy not in PHRASE_STRATEGIES:
-            failures.append(f"unknown phrase_strategy {config.phrase_strategy!r}")
-    for label, path in [("unlabeled", config.unlabeled), ("labeled", config.labeled)]:
-        if not path or not Path(path).exists():
-            failures.append(f"{label} corpus path missing or unreadable: {path}")
-    effective_sentence = config.sentence_strategy if config.strategy == "hybrid" else config.strategy
-    needs_embeddings = (needs_sentences and effective_sentence == "csse") or \
-        (not config.simulate_only and (config.mix_policy == "retrieve" or config.augment_recipe))
-    if needs_embeddings:
-        for label, path in [("embeddings_unlabeled", config.embeddings_unlabeled),
-                            ("embeddings_labeled", config.embeddings_labeled)]:
-            if not path or not Path(path).exists():
-                failures.append(f"{label} path missing or unreadable: {path}")
-    if needs_sentences and effective_sentence == "rttl":
-        if not config.rttl_scores or not Path(config.rttl_scores).exists():
-            failures.append(f"rttl_scores file required for RTTL: {config.rttl_scores}")
+    needs = {"unlabeled", "labeled"}
+    for key, kind in _pools(config):
+        strategy = STRATEGIES.get(getattr(config, key))
+        if strategy is None or kind not in (None, strategy.kind):
+            failures.append(f"unknown {key} {getattr(config, key)!r}")
+        else:
+            needs.update(strategy.needs)
     if not config.simulate_only:
-        if not config.oracle_reference or not Path(config.oracle_reference).exists():
-            failures.append(f"oracle_reference required unless simulate_only: {config.oracle_reference}")
+        needs.add("oracle_reference")
+        if config.mix_policy == "retrieve" or config.augment_recipe:
+            needs.update(_EMBEDDINGS)
+    for key in sorted(needs):
+        path = getattr(config, key)
+        if not path or not Path(path).exists():
+            failures.append(f"{key} path missing or unreadable: {path}")
     if config.mix_policy not in ("retrieve", "sample"):
         failures.append(f"unknown mix_policy {config.mix_policy!r}")
     if config.augment_recipe not in (None, "switch", "contextualize"):
         failures.append(f"unknown augment_recipe {config.augment_recipe!r}")
-    if config.embeddings_unlabeled and config.embeddings_labeled \
-            and Path(config.embeddings_unlabeled).exists() and Path(config.embeddings_labeled).exists():
+    paths = [getattr(config, key) for key in _EMBEDDINGS]
+    if all(path and Path(path).exists() for path in paths):
         try:
-            dim_u = _peek_dim(config.embeddings_unlabeled)
-            dim_l = _peek_dim(config.embeddings_labeled)
+            dim_u, dim_l = map(_peek_dim, paths)
             if dim_u != dim_l:
                 failures.append(f"embedding dimension mismatch: {dim_u} vs {dim_l}")
-        except Exception as exc:
+        except (OSError, ValueError) as exc:
             failures.append(f"embedding header unreadable: {exc}")
     return failures
 
@@ -140,113 +164,129 @@ class RunReport:
     ledger: dict = field(default_factory=dict)
     dropped: dict = field(default_factory=dict)
     digests: dict = field(default_factory=dict)
+    running = None  # the stage in progress, named in ``failed`` if it raises; not saved
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(asdict(self), path)
 
 
-class _Stage:
-    def __init__(self, report, name):
-        self.report, self.name = report, name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.report.stages[self.name] = round(time.perf_counter() - self.t0, 6)
-        return False
+@contextmanager
+def _stage(report, name):
+    report.running, t0 = name, time.perf_counter()
+    yield
+    report.stages[name] = round(time.perf_counter() - t0, 6)
+    report.running = None
 
 
 def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
-    """Run every configured budget (or just the override) in its own directory."""
+    """Run every configured budget (or just the override) in its own directory,
+    sharing one RunContext, so budget-independent work runs once."""
     failures = validate_config(config)
     if failures:
         raise ConfigError("; ".join(failures))
     budgets = [budget] if budget is not None else list(config.budgets)
+    context = RunContext(config, max(budgets))
     reports = []
     for b in budgets:
         run_dir = Path(config.output_dir) / f"budget-{b}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        lock = run_dir / "lock"
-        if lock.exists():
-            raise ConfigError(f"run directory {run_dir} is locked by another process")
-        lock.write_text(str(time.time()))
+        report = RunReport(asdict(config), b)
+        lock = _lock(run_dir)
         try:
-            reports.append(_run_one(config, b, run_dir))
-        except Exception as exc:
-            (run_dir / "failed").write_text(f"{type(exc).__name__}: {exc}\n")
+            reports.append(_run_budget(context, report, run_dir))
+        except Exception:
+            (run_dir / "failed").write_text(f"stage: {report.running}\n{traceback.format_exc()}")
             raise
         finally:
             lock.unlink(missing_ok=True)
     return reports
 
 
-def _select_sentences(config, strategy, U, store_U, store_Lsub, b):
-    if strategy == "random-sent":
-        return select.select_random_sentences(U, b, config.seed)
-    if strategy == "csse":
-        return select.select_csse(U, store_U, store_Lsub, b, config.k, config.dist_mode)
-    if strategy == "rttl":
-        scores = select.load_rttl_scores(config.rttl_scores)
-        return select.select_rttl(U, scores, b, config.rttl_score_kind)
-    raise ConfigError(f"unknown sentence strategy {strategy!r}")
+def _lock(run_dir):
+    """Create ``run_dir/lock`` holding this process's pid, or refuse if it exists."""
+    lock = run_dir / "lock"
+    try:
+        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        owner = lock.read_text().strip()
+        stale = "" if _alive(owner) else f", which is not running; remove {lock} to run again"
+        raise ConfigError(f"run directory {run_dir} is locked by process {owner!r}{stale}") from None
+    with os.fdopen(fd, "w") as fh:
+        fh.write(str(os.getpid()))
+    return lock
 
 
-def _select_phrases(config, strategy, index_U, index_L, b):
-    if strategy == "random-phrase":
-        return select.select_random_phrases(index_U, index_L, b, config.seed)
-    if strategy == "ngf":
-        return select.select_ngf(index_U, index_L, b)
-    if strategy == "ngf-smp":
-        return select.select_ngf_smp(index_U, index_L, b)
-    raise ConfigError(f"unknown phrase strategy {strategy!r}")
+def _alive(owner):
+    """Whether a lock's content is the pid of a live process."""
+    if not owner.isdigit() or int(owner) == 0:
+        return False
+    try:
+        os.kill(int(owner), 0)  # signal 0 sends nothing: it only checks the pid
+    except OSError as exc:
+        return isinstance(exc, PermissionError)  # alive, but another user's
+    return True
 
 
-def _run_one(config: RunConfig, b: int, run_dir: Path) -> RunReport:
-    report = RunReport(asdict(config), b)
+class RunContext:
+    """The budget-independent inputs of one run, each built once, on first use.
+    ``selection`` ranks once, at the run's largest budget; every budget cuts it."""
+
+    def __init__(self, config: RunConfig, top_budget: int):
+        self.config, self.top_budget = config, top_budget
+        self.strategies = [STRATEGIES[getattr(config, key)] for key, _ in _pools(config)]
+
+    U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
+    L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
+    store_U = cached_property(lambda self: _store(self.config.embeddings_unlabeled, "U"))
+    store_L = cached_property(lambda self: _store(self.config.embeddings_labeled, "L"))
+    index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
+    index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
+    table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
+    reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
+    lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
+
+    @cached_property
+    def store_Lsub(self):
+        """L′, the labeled pool CSSE scores against: a seeded sample of L ids."""
+        l_ids = self.L.ids()
+        if len(l_ids) > self.config.labeled_subset_size:
+            l_ids = sorted(random.Random(self.config.seed).sample(l_ids, self.config.labeled_subset_size))
+        return self.store_L.subset([i for i in l_ids if i in self.store_L], "L-sub")
+
+    @cached_property
+    def selection(self):
+        ranks = [functools.partial(strategy.rank, self) for strategy in self.strategies]
+        if len(ranks) == 2:
+            return select.select_hybrid(self.top_budget, *ranks)
+        return ranks[0](self.top_budget)
+
+
+def _store(path, tag):
+    return EmbeddingStore.load(path, tag) if path else None
+
+
+def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunReport:
+    config = context.config
     outputs = {}
 
-    def emit(name, path):
-        outputs[name] = path
+    def out(name, filename):
+        """Path of an artifact of this budget, whose digest the report carries."""
+        outputs[name] = run_dir / filename
+        return outputs[name]
 
-    with _Stage(report, "load"):
-        U = load_corpus(config.unlabeled, "U")
-        L = load_parallel(config.labeled, "L")
-        store_U = EmbeddingStore.load(config.embeddings_unlabeled, "U") \
-            if config.embeddings_unlabeled else None
-        store_L = EmbeddingStore.load(config.embeddings_labeled, "L") \
-            if config.embeddings_labeled else None
-        # L' subset used for CSSE scoring, seeded for reproducibility
-        rng = random.Random(config.seed)
-        l_ids = L.ids()
-        if len(l_ids) > config.labeled_subset_size:
-            l_ids = sorted(rng.sample(l_ids, config.labeled_subset_size))
-        store_Lsub = store_L.subset([i for i in l_ids if i in store_L], "L-sub") \
-            if store_L else None
+    # A context property is built the first time a stage touches it, so build
+    # time lands in the first budget's report under that stage.
+    with _stage(report, "load"):
+        context.U, context.L, context.store_U, context.store_L
 
-    with _Stage(report, "extract"):
-        needs_phrases = config.strategy in PHRASE_STRATEGIES or config.strategy == "hybrid"
-        index_U = index_L = None
-        if needs_phrases:
-            index_U = extract_ngrams(U, config.max_n)
-            index_L = extract_ngrams(L.source_corpus(), config.max_n)
-            index_U.export_tsv(run_dir / "index_U.tsv")
-            emit("index_U", run_dir / "index_U.tsv")
+    with _stage(report, "extract"):
+        if any(strategy.kind == "phrase" for strategy in context.strategies):
+            context.index_L
+            context.index_U.export_tsv(out("index_U", "index_U.tsv"))
 
-    with _Stage(report, "select"):
-        if config.strategy == "hybrid":
-            result = select.select_hybrid(
-                b,
-                lambda bs: _select_sentences(config, config.sentence_strategy, U, store_U, store_Lsub, bs),
-                lambda bp: _select_phrases(config, config.phrase_strategy, index_U, index_L, bp))
-        elif config.strategy in SENTENCE_STRATEGIES:
-            result = _select_sentences(config, config.strategy, U, store_U, store_Lsub, b)
-        else:
-            result = _select_phrases(config, config.strategy, index_U, index_L, b)
-        result.write_jsonl(run_dir / "selection.jsonl")
-        emit("selection", run_dir / "selection.jsonl")
+    with _stage(report, "select"):
+        result = context.selection.cut(report.budget)
+        result.write_jsonl(out("selection", "selection.jsonl"))
         report.counts["selected_sentences"] = len(result.sentences)
         report.counts["selected_phrases"] = len(result.phrases)
         report.ledger = asdict(result.budget)
@@ -257,65 +297,56 @@ def _run_one(config: RunConfig, b: int, run_dir: Path) -> RunReport:
         _finish(report, run_dir, outputs)
         return report
 
-    with _Stage(report, "align"):
-        table = align.train_ibm1(L, config.ibm1_iterations)
+    with _stage(report, "align"):
+        table = context.table
 
-    with _Stage(report, "oracle"):
-        reference = load_parallel(config.oracle_reference, "ref")
+    with _stage(report, "oracle"):
+        reference = context.reference
         l_s_resp = oracle.translate_sentences([s.id for s in result.sentences], reference)
         l_p_resp, phrase_drops = oracle.translate_phrases(
             [p.tokens for p in result.phrases], reference, table)
-        oracle.write_responses(l_s_resp, run_dir / "sentences.tsv",
-                               run_dir / "sentences.provenance.jsonl", reference)
-        oracle.write_responses(l_p_resp, run_dir / "phrases.tsv",
-                               run_dir / "phrases.provenance.jsonl")
-        emit("sentences", run_dir / "sentences.tsv")
-        emit("sentences_provenance", run_dir / "sentences.provenance.jsonl")
-        emit("phrases", run_dir / "phrases.tsv")
-        emit("phrases_provenance", run_dir / "phrases.provenance.jsonl")
+        oracle.write_responses(l_s_resp, out("sentences", "sentences.tsv"),
+                               out("sentences_provenance", "sentences.provenance.jsonl"), reference)
+        oracle.write_responses(l_p_resp, out("phrases", "phrases.tsv"),
+                               out("phrases_provenance", "phrases.provenance.jsonl"))
         report.counts["translated_sentences"] = len(l_s_resp)
         report.counts["translated_phrases"] = len(l_p_resp)
         if phrase_drops:
             report.dropped["oracle:phrases"] = {" ".join(p): r for p, r in phrase_drops.items()}
 
-    with _Stage(report, "mix"):
+    with _stage(report, "mix"):
+        L = context.L
         m = config.mix_size if config.mix_size is not None else len(l_p_resp)
         if config.freeze_file and Path(config.freeze_file).exists():
             l_r = mix.load_freeze(config.freeze_file, L)
         elif config.mix_policy == "sample":
             l_r = mix.sample_random(L, min(m, len(L)), config.seed)
         else:
-            l_r, skipped = mix.retrieve_similar(L, store_L, store_U, config.k,
+            l_r, skipped = mix.retrieve_similar(L, context.store_L, context.store_U, config.k,
                                                 min(m, len(L)))
             if skipped:
                 report.dropped["mix:degenerate"] = len(skipped)
-        mix.write_freeze(l_r, run_dir / "retrieved.freeze.jsonl")
-        emit("freeze", run_dir / "retrieved.freeze.jsonl")
+        mix.write_freeze(l_r, out("freeze", "retrieved.freeze.jsonl"))
         report.counts["mixed_pairs"] = len(l_r)
 
     synthetic = []
     if config.augment_recipe:
-        with _Stage(report, "augment"):
-            lm = train_lm(U, config.lm_order)
+        with _stage(report, "augment"):
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
-                U, phrase_pairs, store_U, L, store_L, lm, table,
+                context.U, phrase_pairs, context.store_U, L, context.store_L, context.lm, table,
                 config.k, config.augment_recipe)
-            augment.write_synthetic(synthetic, run_dir / "synthetic.tsv",
-                                    run_dir / "synthetic.recipes.jsonl")
-            emit("synthetic", run_dir / "synthetic.tsv")
-            emit("synthetic_recipes", run_dir / "synthetic.recipes.jsonl")
+            augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
+                                    out("synthetic_recipes", "synthetic.recipes.jsonl"))
             report.counts["synthetic_pairs"] = len(synthetic)
             report.dropped.update({f"augment:{k}": v for k, v in aug_report.items() if v})
 
-    with _Stage(report, "assemble"):
+    with _stage(report, "assemble"):
         l_s_rows = [(reference.get(r.source)[0].tokens, r.target, r.source) for r in l_s_resp]
         manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
                                 retrieved=config.mix_policy == "retrieve")
-        manifest.write_jsonl(run_dir / "manifest.jsonl")
-        manifest.write_tsv(run_dir / "manifest.tsv")
-        emit("manifest_jsonl", run_dir / "manifest.jsonl")
-        emit("manifest_tsv", run_dir / "manifest.tsv")
+        manifest.write_jsonl(out("manifest_jsonl", "manifest.jsonl"))
+        manifest.write_tsv(out("manifest_tsv", "manifest.tsv"))
         report.counts["manifest_entries"] = len(manifest.entries)
         report.counts.update({f"manifest:{k}": v for k, v in manifest.counts.items()})
 

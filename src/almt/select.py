@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 
-from .corpus import Corpus, Phrase, cost
+from .corpus import Corpus, Phrase
 from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError, ParseError
 from .ngrams import OccurrenceIndex, semi_maximal_set
@@ -50,16 +50,37 @@ class SelectionResult:
     skipped: dict = field(default_factory=dict)
 
     def write_jsonl(self, path):
+        records = [{"kind": "sentence", "id": s.id, "score": s.score, "cost": s.cost}
+                   for s in self.sentences] + \
+            [{"kind": "phrase", "tokens": list(p.tokens), "score": p.score, "cost": p.cost}
+             for p in self.phrases]
         with open(path, "w", encoding="utf-8") as fh:
-            rank = 0
-            for s in self.sentences:
-                fh.write(json.dumps({"kind": "sentence", "id": s.id, "score": s.score,
-                                     "cost": s.cost, "rank": rank}) + "\n")
-                rank += 1
-            for p in self.phrases:
-                fh.write(json.dumps({"kind": "phrase", "tokens": list(p.tokens), "score": p.score,
-                                     "cost": p.cost, "rank": rank}) + "\n")
-                rank += 1
+            for rank, rec in enumerate(records):
+                fh.write(json.dumps({**rec, "rank": rank}) + "\n")
+
+    def cut(self, budget):
+        """What this result's strategy selects at a budget no larger than its own.
+
+        Greedy selection takes a prefix of a fixed ranking, so cutting the
+        kept picks again gives exactly what a direct run at ``budget`` picks,
+        pool by pool. A pool whose spend stayed below its share was ranked
+        whole, so running out of its picks at the smaller share exhausts it.
+        """
+        ledger = self.budget
+        if budget > ledger.total:
+            raise ValueError(f"cannot cut a selection made at {ledger.total} words to {budget}")
+        if budget == ledger.total:
+            return self
+        if ledger.sentence_share and ledger.phrase_share:
+            b_s, b_p = split_budget(budget)
+        else:
+            b_s, b_p = (budget, 0) if ledger.sentence_share else (0, budget)
+        sentences, spent_s, out_s = _greedy(self.sentences, b_s,
+                                            ledger.spent_sentences < ledger.sentence_share)
+        phrases, spent_p, out_p = _greedy(self.phrases, b_p, ledger.spent_phrases < ledger.phrase_share)
+        return SelectionResult(self.strategy, self.seed,
+                               BudgetLedger(budget, b_s, b_p, spent_s, spent_p),
+                               sentences, phrases, out_s or out_p, dict(self.skipped))
 
     def summary(self):
         d = asdict(self)
@@ -68,31 +89,33 @@ class SelectionResult:
         return d
 
 
-def _greedy_sentences(ordered, budget, result: SelectionResult):
-    """ordered: iterable of (id, score, cost) in selection order."""
-    spent = 0
-    took_all = True
-    for sid, score, c in ordered:
+def _greedy(ranked, budget, whole=True):
+    """Take picks in ranked order while spend is strictly below the budget.
+
+    Returns (picks, spent, exhausted). The pool is exhausted when every pick
+    was taken and spend stayed below the budget or there was nothing to take;
+    ``whole`` says whether ``ranked`` is the strategy's entire ranking.
+    """
+    picks, spent = [], 0
+    for pick in ranked:
         if spent >= budget:
-            took_all = False
-            break
-        result.sentences.append(SelectedSentence(sid, score, c))
-        spent += c
-    result.budget.spent_sentences += spent
-    result.exhausted = result.exhausted or (took_all and spent < budget)
+            return picks, spent, False
+        picks.append(pick)
+        spent += pick.cost
+    return picks, spent, whole and (spent < budget or not picks)
 
 
-def _greedy_phrases(ordered, budget, result: SelectionResult):
-    spent = 0
-    took_all = True
-    for tokens, score, c in ordered:
-        if spent >= budget:
-            took_all = False
-            break
-        result.phrases.append(SelectedPhrase(tokens, score, c))
-        spent += c
-    result.budget.spent_phrases += spent
-    result.exhausted = result.exhausted or (took_all and spent < budget)
+def _sentences(strategy, seed, U, order, score, budget, skipped=None) -> SelectionResult:
+    picks, spent, exhausted = _greedy(
+        (SelectedSentence(sid, score(sid), len(U.get(sid).tokens)) for sid in order), budget)
+    return SelectionResult(strategy, seed, BudgetLedger(budget, budget, 0, spent), picks, [],
+                           exhausted, skipped or {})
+
+
+def _phrases(strategy, seed, pool, score, budget) -> SelectionResult:
+    picks, spent, exhausted = _greedy((SelectedPhrase(p, score(p), len(p)) for p in pool), budget)
+    return SelectionResult(strategy, seed, BudgetLedger(budget, 0, budget, 0, spent), [], picks,
+                           exhausted, {} if pool else {"empty_candidate_pool": 1})
 
 
 def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResult:
@@ -102,9 +125,7 @@ def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResul
     rng = random.Random(seed)
     order = list(U.ids())
     rng.shuffle(order)
-    result = SelectionResult("random-sent", seed, BudgetLedger(budget, budget, 0))
-    _greedy_sentences(((sid, 0.0, len(U.get(sid).tokens)) for sid in order), budget, result)
-    return result
+    return _sentences("random-sent", seed, U, order, lambda sid: 0.0, budget)
 
 
 def csse_scores(store_U: EmbeddingStore, store_L: EmbeddingStore, k: int,
@@ -134,10 +155,8 @@ def select_csse(U: Corpus, store_U: EmbeddingStore, store_L: EmbeddingStore, bud
     reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
     order = sorted((sid for sid in U.ids() if sid in scores),
                    key=lambda sid: (-scores[sid] if reverse else scores[sid], sid))
-    result = SelectionResult(f"csse-{dist_mode}", None, BudgetLedger(budget, budget, 0))
-    result.skipped["degenerate_embeddings"] = len(skipped)
-    _greedy_sentences(((sid, scores[sid], len(U.get(sid).tokens)) for sid in order), budget, result)
-    return result
+    return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, budget,
+                      {"degenerate_embeddings": len(skipped)})
 
 
 def select_rttl(U: Corpus, scores: dict, budget: int, score_kind: str = "loglik") -> SelectionResult:
@@ -151,9 +170,7 @@ def select_rttl(U: Corpus, scores: dict, budget: int, score_kind: str = "loglik"
         raise ConfigError(f"RTTL scores missing for ids {missing[:10]}"
                           f"{'...' if len(missing) > 10 else ''}")
     order = sorted(U.ids(), key=lambda sid: (scores[sid], sid))
-    result = SelectionResult(f"rttl-{score_kind}", None, BudgetLedger(budget, budget, 0))
-    _greedy_sentences(((sid, float(scores[sid]), len(U.get(sid).tokens)) for sid in order), budget, result)
-    return result
+    return _sentences(f"rttl-{score_kind}", None, U, order, lambda sid: float(scores[sid]), budget)
 
 
 def load_rttl_scores(path) -> dict:
@@ -171,23 +188,13 @@ def load_rttl_scores(path) -> dict:
     return scores
 
 
-def _phrase_sort_key(p: Phrase):
-    return (len(p), p)
-
-
 def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex,
                           budget: int, seed: int) -> SelectionResult:
     """Uniform phrase draws from the U index, excluding phrases seen in L."""
     rng = random.Random(seed)
-    pool = sorted((p for p in index_U.phrases() if p not in index_L), key=_phrase_sort_key)
+    pool = sorted((p for p in index_U.phrases() if p not in index_L), key=lambda p: (len(p), p))
     rng.shuffle(pool)
-    result = SelectionResult("random-phrase", seed, BudgetLedger(budget, 0, budget))
-    if not pool:
-        result.skipped["empty_candidate_pool"] = 1
-        result.exhausted = True
-        return result
-    _greedy_phrases(((p, 0.0, len(p)) for p in pool), budget, result)
-    return result
+    return _phrases("random-phrase", seed, pool, lambda p: 0.0, budget)
 
 
 def _ngf_order(candidates, index_U):
@@ -200,13 +207,7 @@ def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int,
     if candidates is None:
         candidates = index_U.phrases()
     pool = _ngf_order((p for p in candidates if p not in index_L), index_U)
-    result = SelectionResult(strategy, None, BudgetLedger(budget, 0, budget))
-    if not pool:
-        result.skipped["empty_candidate_pool"] = 1
-        result.exhausted = True
-        return result
-    _greedy_phrases(((p, float(index_U.occ(p)), len(p)) for p in pool), budget, result)
-    return result
+    return _phrases(strategy, None, pool, lambda p: float(index_U.occ(p)), budget)
 
 
 def select_ngf_smp(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int) -> SelectionResult:
@@ -228,16 +229,11 @@ def select_hybrid(total_budget: int, sentence_select, phrase_select) -> Selectio
     returning a SelectionResult.
     """
     b_s, b_p = split_budget(total_budget)
-    sent = sentence_select(b_s)
-    phr = phrase_select(b_p)
-    result = SelectionResult(f"hybrid({sent.strategy},{phr.strategy})",
-                             sent.seed if sent.seed is not None else phr.seed,
-                             BudgetLedger(total_budget, b_s, b_p,
-                                          sent.budget.spent_sentences, phr.budget.spent_phrases))
-    result.sentences = sent.sentences
-    result.phrases = phr.phrases
-    result.exhausted = sent.exhausted or phr.exhausted
-    for r in (sent, phr):
-        for key, n in r.skipped.items():
-            result.skipped[key] = result.skipped.get(key, 0) + n
-    return result
+    sent, phr = sentence_select(b_s), phrase_select(b_p)
+    return SelectionResult(f"hybrid({sent.strategy},{phr.strategy})",
+                           sent.seed if sent.seed is not None else phr.seed,
+                           BudgetLedger(total_budget, b_s, b_p,
+                                        sent.budget.spent_sentences, phr.budget.spent_phrases),
+                           sent.sentences, phr.phrases, sent.exhausted or phr.exhausted,
+                           {key: sent.skipped.get(key, 0) + phr.skipped.get(key, 0)
+                            for key in sent.skipped | phr.skipped})

@@ -125,7 +125,6 @@ def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 50
         "ibm1_iterations": 5,
         "lm_order": 3,
         "output_dir": str(out / "runs"),
-        "workers": 1,
     }
     with (out / "config.json").open("w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)

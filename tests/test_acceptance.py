@@ -334,20 +334,24 @@ def test_criterion_09_coverage_monotonicity():
 
 
 def test_criterion_10_end_to_end_determinism(toy_dir, tmp_path):
-    def run(tag, workers):
+    def run(tag, **kwargs):
         config = RunConfig.load(toy_dir / "config.json")
         config.output_dir = str(tmp_path / tag)
-        config.workers = workers
+        config.budgets = [80, 200]
         t0 = time.perf_counter()
-        report = run_pipeline(config, budget=200)[0]
-        return report, time.perf_counter() - t0
+        reports = run_pipeline(config, **kwargs)
+        return reports, time.perf_counter() - t0
 
-    r1, t1 = run("run1", workers=1)
-    r2, t2 = run("run2", workers=1)
-    r3, t3 = run("run3", workers=2)
-    assert r1.digests and r1.digests == r2.digests == r3.digests
-    verdict(10, "toy pipeline deterministic across runs and workers",
-            max(t1, t2, t3) < 10.0, f"runs {t1:.2f}/{t2:.2f}/{t3:.2f}s, "
+    (r1,), t1 = run("run1", budget=200)
+    (r2,), t2 = run("run2", budget=200)
+    sweep, t3 = run("sweep")
+    (r80,), _ = run("run80", budget=80)
+    assert r1.digests and r1.digests == r2.digests
+    assert [r.budget for r in sweep] == [80, 200]
+    assert sweep[0].digests == r80.digests and sweep[1].digests == r1.digests
+    verdict(10, "toy pipeline deterministic across runs, and a budget sweep "
+            "matches single-budget runs", max(t1, t2, t3) < 10.0,
+            f"runs {t1:.2f}/{t2:.2f}s, sweep {t3:.2f}s, "
             f"{len(r1.digests)} artifacts digest-identical")
 
 

@@ -196,3 +196,136 @@ def test_cli_make_toy(tmp_path, capsys):
     assert main(["make-toy", "--output-dir", str(tmp_path / "fixture"), "--seed", "3"]) == 0
     assert (tmp_path / "fixture" / "U.txt").exists()
     assert json.loads(capsys.readouterr().out)["seed"] == 3
+
+
+# --- one build per run, run-directory robustness, config errors ---
+
+def test_config_with_removed_workers_key_rejected(toy_dir, tmp_path):
+    raw = json.loads((toy_dir / "config.json").read_text())
+    raw["workers"] = 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    from almt.errors import ConfigError
+    with pytest.raises(ConfigError, match="workers"):
+        RunConfig.load(path)
+
+
+def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeypatch):
+    from almt import align, select
+    calls = {"train_ibm1": 0, "select_hybrid": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(align, "train_ibm1")
+    counting(select, "select_hybrid")
+    config = toy_config(toy_dir, budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
+    reports = run_pipeline(config)
+    assert [r.budget for r in reports] == [40, 120, 80]
+    assert calls == {"train_ibm1": 1, "select_hybrid": 1}
+    # build time is charged to the first budget's report only
+    assert reports[1].stages["align"] < reports[0].stages["align"]
+
+
+def test_pipeline_lock_holds_owner_pid_and_reports_live_owner(toy_dir, tmp_path):
+    import os
+    config = toy_config(toy_dir, simulate_only=True, output_dir=str(tmp_path / "runs"))
+    run_dir = tmp_path / "runs" / "budget-50"
+    run_dir.mkdir(parents=True)
+    (run_dir / "lock").write_text(str(os.getpid()))
+    from almt.errors import ConfigError
+    with pytest.raises(ConfigError, match="locked") as info:
+        run_pipeline(config, budget=50)
+    assert str(os.getpid()) in str(info.value) and "not running" not in str(info.value)
+    assert (run_dir / "lock").read_text() == str(os.getpid())
+
+
+def test_pipeline_stale_lock_names_dead_owner(toy_dir, tmp_path):
+    import subprocess
+    import sys
+    dead = subprocess.Popen([sys.executable, "-c", "pass"])
+    dead.wait()
+    config = toy_config(toy_dir, simulate_only=True, output_dir=str(tmp_path / "runs"))
+    run_dir = tmp_path / "runs" / "budget-50"
+    run_dir.mkdir(parents=True)
+    (run_dir / "lock").write_text(str(dead.pid))
+    from almt.errors import ConfigError
+    with pytest.raises(ConfigError, match="locked") as info:
+        run_pipeline(config, budget=50)
+    assert "not running" in str(info.value) and str(dead.pid) in str(info.value)
+
+
+def test_pipeline_failed_names_stage_and_traceback(toy_dir, tmp_path):
+    bad_ref = tmp_path / "ref.tsv"
+    bad_ref.write_text("only-one-column\n")
+    config = toy_config(toy_dir, oracle_reference=str(bad_ref),
+                        output_dir=str(tmp_path / "runs"))
+    with pytest.raises(Exception):
+        run_pipeline(config, budget=40)
+    run_dir = tmp_path / "runs" / "budget-40"
+    failed = (run_dir / "failed").read_text()
+    assert failed.startswith("stage: oracle\n")
+    assert "Traceback (most recent call last)" in failed and "ParseError" in failed
+    assert not (run_dir / "lock").exists()
+
+
+def test_pipeline_unknown_freeze_id_is_config_error(toy_dir, tmp_path, capsys):
+    freeze = tmp_path / "freeze.jsonl"
+    freeze.write_text('{"id": 999999}\n')
+    raw = json.loads((toy_dir / "config.json").read_text())
+    raw.update(freeze_file=str(freeze), output_dir=str(tmp_path / "runs"))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(path), "--budget", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL:") and "999999" in err and str(freeze) in err
+    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: mix\n")
+
+
+def test_validate_unreadable_embedding_header(toy_dir, tmp_path):
+    bad = tmp_path / "emb_bad.tsv"
+    bad.write_text("dim=eight\n0\t1.0\n")
+    config = toy_config(toy_dir, embeddings_labeled=str(bad))
+    assert any("embedding header unreadable" in f for f in validate_config(config))
+
+
+def test_validate_does_not_swallow_bugs_in_header_check(toy_dir, monkeypatch):
+    from almt import pipeline
+
+    def broken(path):
+        raise RuntimeError("bug")
+    monkeypatch.setattr(pipeline, "_peek_dim", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        validate_config(toy_config(toy_dir))
+
+
+def test_cli_select_ngf_without_labeled_exits_2(toy_dir, tmp_path, capsys):
+    assert main(["select", "--strategy", "ngf", "--unlabeled", str(toy_dir / "U.txt"),
+                 "--budget-words", "20", "--output", str(tmp_path / "sel.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL:") and "--labeled" in err
+
+
+def test_cli_select_csse_without_embeddings_exits_2(toy_dir, tmp_path, capsys):
+    assert main(["select", "--strategy", "csse", "--unlabeled", str(toy_dir / "U.txt"),
+                 "--labeled", str(toy_dir / "L.tsv"), "--budget-words", "20",
+                 "--output", str(tmp_path / "sel.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL:") and "--embeddings-unlabeled" in err \
+        and "--embeddings-labeled" in err
+
+
+def test_cli_select_csse(toy_dir, tmp_path, capsys):
+    out = tmp_path / "sel.jsonl"
+    assert main(["select", "--strategy", "csse", "--unlabeled", str(toy_dir / "U.txt"),
+                 "--labeled", str(toy_dir / "L.tsv"),
+                 "--embeddings-unlabeled", str(toy_dir / "emb_U.tsv"),
+                 "--embeddings-labeled", str(toy_dir / "emb_L.tsv"),
+                 "--budget-words", "30", "--output", str(out)]) == 0
+    recs = [json.loads(l) for l in out.read_text().splitlines()]
+    assert recs and all(r["kind"] == "sentence" for r in recs)

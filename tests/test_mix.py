@@ -128,3 +128,11 @@ def test_manifest_files(tmp_path):
     recs = [json.loads(l) for l in (tmp_path / "mix.jsonl").read_text().splitlines()]
     assert recs[0]["origin"] == "annotated-sentence"
     assert recs[1]["provenance"] == 1
+
+
+def test_load_freeze_unknown_id_is_config_error(tmp_path):
+    path = tmp_path / "freeze.jsonl"
+    path.write_text('{"id": 1}\n{"id": 999999}\n')
+    with pytest.raises(ConfigError, match="999999") as info:
+        load_freeze(path, FOUR)
+    assert str(path) in str(info.value)

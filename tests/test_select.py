@@ -221,3 +221,68 @@ def test_selection_jsonl_output(tmp_path):
     recs = [json.loads(l) for l in out.read_text().splitlines()]
     assert all(r["kind"] == "sentence" for r in recs)
     assert [r["rank"] for r in recs] == list(range(len(recs)))
+
+
+# --- ranking once and cutting per budget ---
+
+def _strategy_runs():
+    """Every registered strategy alone, and every hybrid pairing of them."""
+    from almt.pipeline import STRATEGIES
+    kinds = {kind: [n for n, s in STRATEGIES.items() if s.kind == kind]
+             for kind in ("sentence", "phrase")}
+    return [(name,) for name in STRATEGIES] + \
+        [(s, p) for s in kinds["sentence"] for p in kinds["phrase"]]
+
+
+def _select(context, names, budget):
+    import functools
+    from almt.pipeline import STRATEGIES
+    ranks = [functools.partial(STRATEGIES[n].rank, context) for n in names]
+    return select_hybrid(budget, *ranks) if len(ranks) == 2 else ranks[0](budget)
+
+
+@pytest.fixture(scope="module")
+def toy_run_config(tmp_path_factory):
+    from almt import toy
+    from almt.pipeline import RunConfig
+    out = tmp_path_factory.mktemp("toy")
+    return RunConfig(**toy.generate(out, seed=7, n_unlabeled=60, n_labeled=80, n_test=5))
+
+
+@pytest.mark.parametrize("every_phrase_in_L", [False, True])
+def test_cut_equals_direct_selection(toy_run_config, every_phrase_in_L):
+    from almt.pipeline import RunContext
+    context = RunContext(toy_run_config, 1)
+    if every_phrase_in_L:
+        context.index_L = context.index_U  # every candidate phrase is then known
+    total = sum(len(s.tokens) for s in context.U)
+    rng = random.Random(3)
+    budgets = [1, 2, 3, total - 1, total, total + 5] + rng.sample(range(4, total - 1), 8)
+    top = max(budgets)
+    mismatches = []
+    for names in _strategy_runs():
+        ranked = _select(context, names, top)
+        if every_phrase_in_L and ranked.budget.phrase_share:
+            assert ranked.skipped["empty_candidate_pool"] == 1 and not ranked.phrases
+        for b in budgets:
+            cut, direct = ranked.cut(b), _select(context, names, b)
+            for part in ("strategy", "seed", "sentences", "phrases", "budget", "exhausted",
+                         "skipped"):
+                if getattr(cut, part) != getattr(direct, part):
+                    mismatches.append((names, b, part))
+        with pytest.raises(ValueError):
+            ranked.cut(top + 1)
+        if _select(context, names, 1).cut(1) != _select(context, names, 1):
+            mismatches.append((names, 1, "ranked at 1"))
+    assert mismatches == []
+
+
+def test_empty_phrase_pool_is_exhausted_at_any_budget():
+    index = extract_ngrams(corpus_of("a b", "c"), 2)
+    for budget in (0, 1, 5):
+        result = select_ngf(index, index, budget)
+        assert result.exhausted and result.skipped == {"empty_candidate_pool": 1}
+    U = corpus_of("s t u", "v w")
+    hybrid = select_hybrid(1, lambda b: select_random_sentences(U, b, seed=0),
+                           lambda b: select_ngf(index, index, b))
+    assert hybrid.budget.phrase_share == 0 and hybrid.exhausted
