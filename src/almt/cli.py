@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation failure, 3 stage failure.
+Exit codes: 0 success, 2 validation failure or unreadable path, 3 stage failure.
 """
 
 import argparse
@@ -248,6 +248,10 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input or output path that cannot be opened
+        print(f"FAIL: {exc.filename}: {exc.strerror}" if exc.filename else f"FAIL: {exc}",
+              file=sys.stderr)
         return 2
     except AlmtError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)

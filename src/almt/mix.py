@@ -11,11 +11,16 @@ from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError
 
 
+# Every entry origin, each counted in MixManifest.counts even when absent.
+ORIGINS = ("annotated-sentence", "annotated-phrase", "retrieved", "sampled",
+           "synthetic-switch", "synthetic-context")
+
+
 @dataclass
 class ManifestEntry:
     source: tuple[str, ...]
     target: tuple[str, ...]
-    origin: str  # annotated-sentence | annotated-phrase | retrieved | sampled | synthetic-switch | synthetic-context
+    origin: str  # one of ORIGINS
     provenance: object
 
 
@@ -124,7 +129,6 @@ def assemble(l_s, l_p, l_r, synthetic=None, dedupe: bool = False,
     manifest.M = len(l_r)
     for e in manifest.entries:
         manifest.counts[e.origin] = manifest.counts.get(e.origin, 0) + 1
-    for origin in ("annotated-sentence", "annotated-phrase", "retrieved", "sampled",
-                   "synthetic-switch", "synthetic-context"):
+    for origin in ORIGINS:
         manifest.counts.setdefault(origin, 0)
     return manifest

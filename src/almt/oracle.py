@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
 from .corpus import ParallelCorpus, Phrase
 from .errors import OracleGapError
-from .ngrams import extract_ngrams
+from .ngrams import OccurrenceIndex, extract_ngrams
 
 
 @dataclass
@@ -36,8 +36,14 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     return out
 
 
-def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable):
+def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable,
+                      index: OccurrenceIndex = None, links: dict = None):
     """Alignment-based phrase translation with majority vote over occurrences.
+
+    ``index`` is the reference source side's n-gram index and ``links`` maps a
+    reference pair id to its alignment under ``table``, filled as pairs are
+    first touched; pass both to share them across calls. By default the index
+    is built up to the longest phrase and the links are kept for this call.
 
     Returns (responses, drops) where drops maps phrase -> reason
     ("not-in-reference" or "no-aligned-span").
@@ -46,9 +52,12 @@ def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTabl
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
     max_n = max((len(p) for p in phrases), default=1)
-    index = extract_ngrams(reference.source_corpus(), max_n)
+    if index is None:
+        index = extract_ngrams(reference.source_corpus(), max_n)
+    elif max_n > index.max_n:
+        raise ValueError(f"a {max_n}-word phrase exceeds the reference index's max_n {index.max_n}")
+    links = {} if links is None else links
 
-    align_cache = {}
     responses, drops = [], {}
     for p in phrases:
         occurrences = index.positions.get(p, [])
@@ -58,14 +67,13 @@ def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTabl
         votes = {}
         for sid, start in occurrences:
             src, tgt = reference.get(sid)
-            if sid not in align_cache:
-                align_cache[sid] = align_pair(src.tokens, tgt.tokens, table)
-            links = align_cache[sid]
-            span = aligned_target_span(links, start, start + len(p))
+            if sid not in links:
+                links[sid] = align_pair(src.tokens, tgt.tokens, table)
+            span = aligned_target_span(links[sid], start, start + len(p))
             if span is None:
                 continue
             j_min, j_max = span
-            if span_has_outside_links(links, start, start + len(p), j_min, j_max):
+            if span_has_outside_links(links[sid], start, start + len(p), j_min, j_max):
                 continue
             target = tgt.tokens[j_min:j_max + 1]
             count, prov = votes.get(target, (0, []))

@@ -234,6 +234,9 @@ class RunContext:
     def __init__(self, config: RunConfig, top_budget: int):
         self.config, self.top_budget = config, top_budget
         self.strategies = [STRATEGIES[getattr(config, key)] for key, _ in _pools(config)]
+        # Reference pair id -> its links under ``table``; oracle.translate_phrases
+        # aligns a pair the first time any budget's phrase occurs in it.
+        self.links_ref = {}
 
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
@@ -243,6 +246,8 @@ class RunContext:
     index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
+    index_ref = cached_property(lambda self: extract_ngrams(self.reference.source_corpus(),
+                                                            self.config.max_n))
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
 
     @cached_property
@@ -304,7 +309,8 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         reference = context.reference
         l_s_resp = oracle.translate_sentences([s.id for s in result.sentences], reference)
         l_p_resp, phrase_drops = oracle.translate_phrases(
-            [p.tokens for p in result.phrases], reference, table)
+            [p.tokens for p in result.phrases], reference, table, context.index_ref,
+            context.links_ref)
         oracle.write_responses(l_s_resp, out("sentences", "sentences.tsv"),
                                out("sentences_provenance", "sentences.provenance.jsonl"), reference)
         oracle.write_responses(l_p_resp, out("phrases", "phrases.tsv"),
@@ -343,8 +349,11 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     with _stage(report, "assemble"):
         l_s_rows = [(reference.get(r.source)[0].tokens, r.target, r.source) for r in l_s_resp]
-        manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
-                                retrieved=config.mix_policy == "retrieve")
+        if l_s_rows or l_p_resp or l_r or synthetic:
+            manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
+                                    retrieved=config.mix_policy == "retrieve")
+        else:  # the oracle translated nothing at a tiny budget: record an empty manifest
+            manifest = mix.MixManifest(counts=dict.fromkeys(mix.ORIGINS, 0))
         manifest.write_jsonl(out("manifest_jsonl", "manifest.jsonl"))
         manifest.write_tsv(out("manifest_tsv", "manifest.tsv"))
         report.counts["manifest_entries"] = len(manifest.entries)

@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 
+import ibm1_reference
+from almt import align, toy
 from almt.align import (NULL_TOKEN, align_pair, aligned_target_span, parse_pharaoh,
                         span_has_outside_links, train_ibm1, TranslationTable)
-from almt.corpus import ParallelCorpus, Sentence
+from almt.corpus import ParallelCorpus, Sentence, load_parallel
 from almt.errors import ParseError
 
 
@@ -130,3 +133,90 @@ def test_table_export(tmp_path):
     table.export_tsv(out)
     rows = [l.split("\t") for l in out.read_text().splitlines()]
     assert all(len(r) == 3 for r in rows)
+
+
+def test_zero_iterations_rejected():
+    with pytest.raises(ValueError, match="iterations"):
+        train_ibm1(parallel_of(("a", "x")), 0)
+
+
+# --- the array EM against the loop reference (tests/ibm1_reference.py) ---
+
+@pytest.fixture(scope="module")
+def stock_L(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy")
+    toy.generate(out, seed=7)
+    return load_parallel(out / "L.tsv", "L")
+
+
+def assert_matches_reference(corpus, iterations=5, reverse=False):
+    """Every entry float.hex-equal, the same keys, log-likelihoods within 1e-12 relative."""
+    got = train_ibm1(corpus, iterations, reverse)
+    want = ibm1_reference.train_ibm1(corpus, iterations, reverse)
+    assert got.probs.keys() == want.probs.keys()
+    for src, row in want.probs.items():
+        assert got.probs[src].keys() == row.keys()
+        assert {t: p.hex() for t, p in got.probs[src].items()} == {t: p.hex() for t, p in row.items()}
+    assert len(got.log_likelihoods) == len(want.log_likelihoods) == iterations
+    for g, w in zip(got.log_likelihoods, want.log_likelihoods):
+        assert g == pytest.approx(w, rel=1e-12, abs=0)
+    return got
+
+
+BLOCKS = [1, 7, 1 << 40]  # one sentence pair per block, one or a few, then the whole corpus
+
+
+@pytest.fixture(params=BLOCKS, ids=["block-1", "block-7", "whole"])
+def block(request, monkeypatch):
+    monkeypatch.setattr(align, "BLOCK_TERMS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_ibm1_matches_reference_on_stock_toy(stock_L, block, reverse):
+    assert_matches_reference(stock_L, reverse=reverse)
+
+
+def test_ibm1_matches_reference_on_always_cooccurring_tokens(block):
+    # d02 d03 d04 always appear together, so their rows tie exactly and
+    # align_pair links T_d04 to the lowest index.
+    corpus = parallel_of(("d02 d03 d04 g01", "T_d02 T_d03 T_d04 T_g01"),
+                         ("g02 d02 d03 d04", "T_g02 T_d02 T_d03 T_d04"),
+                         ("g01 g02", "T_g01 T_g02"))
+    table = assert_matches_reference(corpus, iterations=10)
+    assert table.prob("T_d04", "d02") == table.prob("T_d04", "d03") == table.prob("T_d04", "d04")
+    assert align_pair(("d02", "d03", "d04"), ("T_d04",), table) == {(0, 0)}
+
+
+def test_ibm1_matches_reference_with_repeated_tokens(block):
+    corpus = parallel_of(("a a b", "x x y"), ("b a b b", "y x y"), ("a", "x"), ("a b a", "x"))
+    assert_matches_reference(corpus)
+    assert_matches_reference(corpus, reverse=True)
+
+
+def test_ibm1_matches_reference_on_one_pair(block):
+    assert_matches_reference(parallel_of(("hund katze", "dog cat dog")), iterations=3)
+
+
+def test_ibm1_float_temporaries_do_not_grow_with_terms(monkeypatch):
+    # More copies of one bitext add terms but no vocabulary or (source, target)
+    # pairs. Each added term may cost its 12 bytes of int32 codes plus a share
+    # of the per-token and per-target-position arrays; float temporaries that
+    # grew with the terms would add at least 16 more bytes per term.
+    monkeypatch.setattr(align, "BLOCK_TERMS", 1024)
+    rng = random.Random(3)
+    base = []
+    for _ in range(50):
+        src = [f"s{rng.randrange(30)}" for _ in range(rng.randint(4, 9))]
+        base.append((" ".join(src), " ".join("T" + w for w in src)))
+    peaks, terms = [], []
+    for copies in (10, 40):
+        corpus = parallel_of(*(base * copies))
+        terms.append(sum((len(s) + 1) * len(t) for s, t in corpus))
+        tracemalloc.start()
+        try:
+            train_ibm1(corpus, 5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (terms[1] - terms[0]) < 20

@@ -329,3 +329,66 @@ def test_cli_select_csse(toy_dir, tmp_path, capsys):
                  "--budget-words", "30", "--output", str(out)]) == 0
     recs = [json.loads(l) for l in out.read_text().splitlines()]
     assert recs and all(r["kind"] == "sentence" for r in recs)
+
+
+# --- reference index and alignments once per run, tiny budgets, unreadable inputs ---
+
+def test_pipeline_indexes_and_aligns_the_reference_once(toy_dir, tmp_path, monkeypatch):
+    from almt import oracle, pipeline
+    indexed, shared, aligned = [], [], []
+    extract, translate, align_pair = pipeline.extract_ngrams, oracle.translate_phrases, oracle.align_pair
+
+    def counting_extract(corpus, max_n):
+        indexed.append(corpus.name)
+        return extract(corpus, max_n)
+
+    def spy(phrases, reference, table, index, links):
+        shared.append((index, links))
+        return translate(phrases, reference, table, index, links)
+
+    def counting_align(src, tgt, table):
+        aligned.append(src)
+        return align_pair(src, tgt, table)
+    monkeypatch.setattr(pipeline, "extract_ngrams", counting_extract)
+    monkeypatch.setattr(oracle, "translate_phrases", spy)
+    monkeypatch.setattr(oracle, "align_pair", counting_align)
+    config = toy_config(toy_dir, strategy="ngf-smp", budgets=[40, 120, 80],
+                        output_dir=str(tmp_path / "runs"))
+    run_pipeline(config)
+    assert sorted(indexed) == ["L-src", "U", "ref-src"]
+    index, links = shared[0]
+    assert len(shared) == 3 and all(i is index and l is links for i, l in shared)
+    assert index.max_n == config.max_n
+    assert links and len(aligned) == len(links)  # each touched reference pair aligned once
+
+
+def test_pipeline_tiny_budgets_write_empty_manifest(toy_dir, tmp_path):
+    # At budgets 1-3 NGF selects only domain words, which the table trained on
+    # the out-of-domain L cannot align: the oracle drops every phrase, so the
+    # mix size is 0 and every manifest input is empty.
+    import hashlib
+    from almt import mix
+    raw = json.loads((toy_dir / "config.json").read_text())
+    raw.update(strategy="ngf", budgets=[1, 2, 3], output_dir=str(tmp_path / "runs"))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(path)]) == 0
+    for budget in (1, 2, 3):
+        run_dir = tmp_path / "runs" / f"budget-{budget}"
+        report = json.loads((run_dir / "report.json").read_text())
+        assert report["counts"]["selected_phrases"] >= 1
+        assert report["counts"]["translated_phrases"] == 0
+        assert report["counts"]["manifest_entries"] == 0
+        assert all(report["counts"][f"manifest:{origin}"] == 0 for origin in mix.ORIGINS)
+        assert (run_dir / "manifest.jsonl").read_text() == ""
+        assert report["digests"]["manifest_jsonl"] == hashlib.sha256(b"").hexdigest()
+        assert not (run_dir / "failed").exists()
+
+
+def test_cli_missing_input_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.txt"
+    assert main(["select", "--strategy", "ngf", "--unlabeled", str(missing),
+                 "--labeled", str(missing), "--budget-words", "5",
+                 "--output", str(tmp_path / "sel.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"FAIL: {missing}: ") and "Traceback" not in err

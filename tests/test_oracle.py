@@ -3,6 +3,7 @@ import pytest
 from almt.align import TranslationTable, NULL_TOKEN, train_ibm1
 from almt.corpus import ParallelCorpus, Sentence
 from almt.errors import OracleGapError
+from almt.ngrams import extract_ngrams
 from almt.oracle import translate_phrases, translate_sentences, write_responses
 
 
@@ -94,6 +95,32 @@ def test_oracle_deterministic():
     r1, _ = translate_phrases([("b",), ("a", "b")], ref, table)
     r2, _ = translate_phrases([("b",), ("a", "b")], ref, table)
     assert [(r.source, r.target) for r in r1] == [(r.source, r.target) for r in r2]
+
+
+def test_shared_index_and_links_match_per_call_and_align_each_pair_once(monkeypatch):
+    from almt import oracle
+    ref = parallel_of(("a b c", "T_a T_b T_c"), ("b c", "T_b T_c"), ("d", "T_d"), ("c a", "T_c T_a"))
+    table = train_ibm1(ref, 5)
+    aligned = []
+
+    def counting(src, tgt, table):
+        aligned.append(src)
+        return align_pair(src, tgt, table)
+    align_pair = oracle.align_pair
+    monkeypatch.setattr(oracle, "align_pair", counting)
+    index, links = extract_ngrams(ref.source_corpus(), 4), {}
+    batches = ([("b",)], [("b", "c"), ("a",), ("zzz",)], [("c",)])
+    shared = [translate_phrases(phrases, ref, table, index, links) for phrases in batches]
+    assert sorted(links) == [0, 1, 3]  # pair 2 ("d") holds no selected phrase
+    assert len(aligned) == len(links)  # each touched pair aligned once across the calls
+    assert shared == [translate_phrases(phrases, ref, table) for phrases in batches]
+
+
+def test_shared_index_must_cover_the_longest_phrase():
+    ref = parallel_of(("a b c", "T_a T_b T_c"))
+    with pytest.raises(ValueError, match="max_n"):
+        translate_phrases([("a", "b", "c")], ref, identity_table("abc"),
+                          extract_ngrams(ref.source_corpus(), 2), {})
 
 
 def test_write_responses(tmp_path):
