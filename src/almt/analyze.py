@@ -30,12 +30,8 @@ class InDomainWordStats:
         return 100.0 * self.idwc / self.wc if self.wc else 0.0
 
 
-def _ngram_types(sentences, n):
-    types = set()
-    for tokens in sentences:
-        for s in range(len(tokens) - n + 1):
-            types.add(tuple(tokens[s:s + n]))
-    return types
+def _ngrams(sentences, n):
+    return (tuple(tokens[s:s + n]) for tokens in sentences for s in range(len(tokens) - n + 1))
 
 
 def ngram_coverage(covering, test, max_n: int, token_level: bool = False,
@@ -53,16 +49,13 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False,
         raise ValueError("test corpus is empty")
     per_n = {}
     for n in range(1, max_n + 1):
-        cover_types = _ngram_types(covering, n)
+        cover_types = set(_ngrams(covering, n))
         if token_level:
-            counts = Counter()
-            for tokens in test:
-                for s in range(len(tokens) - n + 1):
-                    counts[tuple(tokens[s:s + n])] += 1
+            counts = Counter(_ngrams(test, n))
             total = sum(counts.values())
             hit = sum(c for g, c in counts.items() if g in cover_types)
         else:
-            test_types = _ngram_types(test, n)
+            test_types = set(_ngrams(test, n))
             total = len(test_types)
             hit = len(test_types & cover_types)
         per_n[n] = 100.0 * hit / total if total else 0.0
@@ -120,13 +113,7 @@ def sentence_bleu(hypothesis, reference, max_n: int = 4) -> float:
 
 def in_domain_vocab(test, ood) -> set:
     """Test-set word types absent from the out-of-domain text."""
-    ood_vocab = set()
-    for tokens in ood:
-        ood_vocab.update(tokens)
-    test_vocab = set()
-    for tokens in test:
-        test_vocab.update(tokens)
-    return test_vocab - ood_vocab
+    return set().union(*test) - set().union(*ood)
 
 
 def in_domain_word_stats(selected, ood, test) -> InDomainWordStats:
@@ -152,10 +139,6 @@ def _hyp_tokens(hypotheses, sid):
     return tuple(hypotheses[sid])
 
 
-def _hyp_has(hypotheses, sid):
-    return sid in hypotheses
-
-
 def in_domain_translation_accuracy(test: ParallelCorpus, hypotheses,
                                    alignments: dict, ood_vocab: set) -> float:
     """Fraction of in-domain source tokens whose aligned reference targets all
@@ -166,7 +149,7 @@ def in_domain_translation_accuracy(test: ParallelCorpus, hypotheses,
     """
     total, correct = 0, 0
     for src, ref in test:
-        if not _hyp_has(hypotheses, src.id):
+        if src.id not in hypotheses:
             raise ValueError(f"hypotheses missing id {src.id}")
         hyp_bag = Counter(_hyp_tokens(hypotheses, src.id))
         links = alignments.get(src.id, set())
@@ -188,7 +171,7 @@ def in_domain_translation_accuracy_lexical(test: ParallelCorpus, hypotheses,
     when its top-1 table translation appears in the hypothesis."""
     total, correct = 0, 0
     for src, _ in test:
-        if not _hyp_has(hypotheses, src.id):
+        if src.id not in hypotheses:
             raise ValueError(f"hypotheses missing id {src.id}")
         hyp_bag = Counter(_hyp_tokens(hypotheses, src.id))
         for tok in src.tokens:
@@ -208,7 +191,7 @@ def length_ratio(hypotheses, references: Corpus) -> float:
     """Total hypothesis tokens over total reference tokens, id-aligned."""
     hyp_total = ref_total = 0
     for ref in references:
-        if not _hyp_has(hypotheses, ref.id):
+        if ref.id not in hypotheses:
             raise ValueError(f"hypotheses missing id {ref.id}")
         hyp_total += len(_hyp_tokens(hypotheses, ref.id))
         ref_total += len(ref.tokens)

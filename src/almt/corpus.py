@@ -110,6 +110,19 @@ class ParallelCorpus:
         return Corpus([src for src, _ in self.pairs], name or f"{self.name}-src")
 
 
+def read_lines(path):
+    """Yield the lines of a UTF-8 text file; bytes that are not UTF-8 raise
+    ParseError naming the first line that holds them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:  # decoded in read-ahead chunks: find the line again
+            with open(path, "rb") as raw:
+                lineno = next(n for n, line in enumerate(raw, 1)
+                              if line.decode("utf-8", "replace").encode() != line)
+            raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
 def load_corpus(path, name="") -> Corpus:
     """Load a one-sentence-per-line UTF-8 file; ids are 0-based line indices.
 
@@ -118,13 +131,12 @@ def load_corpus(path, name="") -> Corpus:
     """
     path = Path(path)
     sentences = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            try:
-                tokens = tokenize(line)
-            except BlankLineError:
-                continue
-            sentences.append(Sentence(lineno, tokens))
+    for lineno, line in enumerate(read_lines(path)):
+        try:
+            tokens = tokenize(line)
+        except BlankLineError:
+            continue
+        sentences.append(Sentence(lineno, tokens))
     return Corpus(sentences, name or path.stem)
 
 
@@ -132,17 +144,16 @@ def load_parallel(path, name="") -> ParallelCorpus:
     """Load a two-column TSV (source TAB target), one pair per line."""
     path = Path(path)
     pairs = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 2:
-                raise ParseError(f"{path}:{lineno + 1}: expected 2 TSV columns, got {len(cols)}")
-            try:
-                src = tokenize(cols[0])
-                tgt = tokenize(cols[1])
-            except BlankLineError:
-                raise ParseError(f"{path}:{lineno + 1}: empty source or target column")
-            pairs.append((Sentence(lineno, src), Sentence(lineno, tgt)))
+    for lineno, line in enumerate(read_lines(path)):
+        if not line.strip():
+            continue
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != 2:
+            raise ParseError(f"{path}:{lineno + 1}: expected 2 TSV columns, got {len(cols)}")
+        try:
+            src = tokenize(cols[0])
+            tgt = tokenize(cols[1])
+        except BlankLineError:
+            raise ParseError(f"{path}:{lineno + 1}: empty source or target column")
+        pairs.append((Sentence(lineno, src), Sentence(lineno, tgt)))
     return ParallelCorpus(pairs, name or path.stem)

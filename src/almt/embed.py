@@ -10,6 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .corpus import read_lines
 from .errors import DegenerateNeighborhoodError, DegenerateVectorError, ParseError
 
 
@@ -57,23 +58,23 @@ class EmbeddingStore:
     def load(cls, path, tag=""):
         """Parse the "dim=D" header then "id TAB v1 v2 ... vD" lines."""
         ids, vecs = [], []
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("dim="):
-                raise ParseError(f"{path}:1: expected 'dim=D' header, got {header!r}")
-            dim = int(header[4:])
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    sid_str, vec_str = line.rstrip("\n").split("\t")
-                    vec = np.array([float(v) for v in vec_str.split()])
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: malformed embedding line")
-                if vec.shape[0] != dim:
-                    raise ParseError(f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}")
-                ids.append(int(sid_str))
-                vecs.append(vec)
+        lines = read_lines(path)
+        header = next(lines, "").strip()
+        if not header.startswith("dim="):
+            raise ParseError(f"{path}:1: expected 'dim=D' header, got {header!r}")
+        dim = int(header[4:])
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                continue
+            try:
+                sid_str, vec_str = line.rstrip("\n").split("\t")
+                vec = np.array([float(v) for v in vec_str.split()])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: malformed embedding line")
+            if vec.shape[0] != dim:
+                raise ParseError(f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}")
+            ids.append(int(sid_str))
+            vecs.append(vec)
         matrix = np.array(vecs) if vecs else np.zeros((0, dim))
         return cls(ids, matrix, tag)
 

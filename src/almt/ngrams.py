@@ -4,28 +4,21 @@ Occurrence counting includes overlapping matches ("a a a" contains "a a"
 twice). All count comparisons are exact integer arithmetic.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from functools import cached_property
+from pathlib import Path
 
 from .corpus import Corpus, Phrase
 
 
 class OccurrenceIndex:
-    """Counts and positions of every n-gram (1 <= n <= max_n) in a corpus."""
+    """Counts of every n-gram (1 <= n <= max_n) in a corpus."""
 
     def __init__(self, max_n: int):
         if max_n < 1:
             raise ValueError(f"max_n must be >= 1, got {max_n}")
         self.max_n = max_n
-        self.counts: dict[Phrase, int] = {}
-        self.positions: dict[Phrase, list[tuple[int, int]]] = {}
-
-    def add_sentence(self, sid: int, tokens):
-        tokens = tuple(tokens)
-        for n in range(1, self.max_n + 1):
-            for start in range(len(tokens) - n + 1):
-                p = tokens[start:start + n]
-                self.counts[p] = self.counts.get(p, 0) + 1
-                self.positions.setdefault(p, []).append((sid, start))
+        self.counts: Counter[Phrase] = Counter()
 
     def occ(self, p: Phrase) -> int:
         return self.counts.get(tuple(p), 0)
@@ -39,18 +32,22 @@ class OccurrenceIndex:
     def phrases(self):
         return self.counts.keys()
 
-    def export_tsv(self, path):
-        """Write "phrase TAB count", count descending then lexicographic."""
+    @cached_property
+    def tsv(self) -> bytes:
+        """The index as "phrase TAB count" lines, count descending then
+        lexicographic, serialised once however many times it is written."""
         rows = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        with open(path, "w", encoding="utf-8") as fh:
-            for p, c in rows:
-                fh.write(f"{' '.join(p)}\t{c}\n")
+        return "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode("utf-8")
+
+    def export_tsv(self, path):
+        Path(path).write_bytes(self.tsv)
 
 
 def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
     index = OccurrenceIndex(max_n)
     for sent in corpus:
-        index.add_sentence(sent.id, sent.tokens)
+        for n in range(1, max_n + 1):
+            index.counts.update(zip(*(sent.tokens[i:] for i in range(n))))
     return index
 
 

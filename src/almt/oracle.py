@@ -9,9 +9,8 @@ import json
 from dataclasses import dataclass
 
 from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
-from .corpus import ParallelCorpus, Phrase
+from .corpus import ParallelCorpus
 from .errors import OracleGapError
-from .ngrams import OccurrenceIndex, extract_ngrams
 
 
 @dataclass
@@ -36,36 +35,35 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     return out
 
 
-def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable,
-                      index: OccurrenceIndex = None, links: dict = None):
+def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable):
     """Alignment-based phrase translation with majority vote over occurrences.
 
-    ``index`` is the reference source side's n-gram index and ``links`` maps a
-    reference pair id to its alignment under ``table``, filled as pairs are
-    first touched; pass both to share them across calls. By default the index
-    is built up to the longest phrase and the links are kept for this call.
+    One pass over the reference's source windows of the phrases' lengths finds
+    every occurrence, in sentence order and then by start; each reference pair
+    holding one is aligned once.
 
     Returns (responses, drops) where drops maps phrase -> reason
     ("not-in-reference" or "no-aligned-span").
     """
     phrases = [tuple(p) for p in phrases]
-    if len(set(phrases)) != len(phrases):
+    wanted = set(phrases)
+    if len(wanted) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
-    max_n = max((len(p) for p in phrases), default=1)
-    if index is None:
-        index = extract_ngrams(reference.source_corpus(), max_n)
-    elif max_n > index.max_n:
-        raise ValueError(f"a {max_n}-word phrase exceeds the reference index's max_n {index.max_n}")
-    links = {} if links is None else links
+    lengths = sorted({len(p) for p in wanted})
+    occurrences = {}  # phrase -> [(sid, start)]
+    for src, _ in reference:
+        for n in lengths:
+            for start, window in enumerate(zip(*(src.tokens[i:] for i in range(n)))):
+                if window in wanted:
+                    occurrences.setdefault(window, []).append((src.id, start))
 
-    responses, drops = [], {}
+    links, responses, drops = {}, [], {}  # links: reference pair id -> its alignment
     for p in phrases:
-        occurrences = index.positions.get(p, [])
-        if not occurrences:
+        if p not in occurrences:
             drops[p] = "not-in-reference"
             continue
         votes = {}
-        for sid, start in occurrences:
+        for sid, start in occurrences[p]:
             src, tgt = reference.get(sid)
             if sid not in links:
                 links[sid] = align_pair(src.tokens, tgt.tokens, table)

@@ -197,6 +197,8 @@ def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
         except Exception:
             (run_dir / "failed").write_text(f"stage: {report.running}\n{traceback.format_exc()}")
             raise
+        else:
+            (run_dir / "failed").unlink(missing_ok=True)  # left by an earlier run that failed
         finally:
             lock.unlink(missing_ok=True)
     return reports
@@ -229,14 +231,12 @@ def _alive(owner):
 
 class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
-    ``selection`` ranks once, at the run's largest budget; every budget cuts it."""
+    ``selection`` ranks once, at the run's largest budget; every budget cuts it,
+    and ``translations`` holds the oracle's answer for each of its phrases."""
 
     def __init__(self, config: RunConfig, top_budget: int):
         self.config, self.top_budget = config, top_budget
         self.strategies = [STRATEGIES[getattr(config, key)] for key, _ in _pools(config)]
-        # Reference pair id -> its links under ``table``; oracle.translate_phrases
-        # aligns a pair the first time any budget's phrase occurs in it.
-        self.links_ref = {}
 
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
@@ -246,8 +246,6 @@ class RunContext:
     index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
-    index_ref = cached_property(lambda self: extract_ngrams(self.reference.source_corpus(),
-                                                            self.config.max_n))
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
 
     @cached_property
@@ -264,6 +262,14 @@ class RunContext:
         if len(ranks) == 2:
             return select.select_hybrid(self.top_budget, *ranks)
         return ranks[0](self.top_budget)
+
+    @cached_property
+    def translations(self):
+        """(responses, drops) by phrase for every phrase of ``selection``. A phrase's
+        translation does not depend on the others selected, so one call serves every cut."""
+        responses, drops = oracle.translate_phrases(
+            [p.tokens for p in self.selection.phrases], self.reference, self.table)
+        return {r.source: r for r in responses}, drops
 
 
 def _store(path, tag):
@@ -308,9 +314,9 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
     with _stage(report, "oracle"):
         reference = context.reference
         l_s_resp = oracle.translate_sentences([s.id for s in result.sentences], reference)
-        l_p_resp, phrase_drops = oracle.translate_phrases(
-            [p.tokens for p in result.phrases], reference, table, context.index_ref,
-            context.links_ref)
+        responses, drops = context.translations
+        l_p_resp = [responses[p.tokens] for p in result.phrases if p.tokens in responses]
+        phrase_drops = {p.tokens: drops[p.tokens] for p in result.phrases if p.tokens in drops}
         oracle.write_responses(l_s_resp, out("sentences", "sentences.tsv"),
                                out("sentences_provenance", "sentences.provenance.jsonl"), reference)
         oracle.write_responses(l_p_resp, out("phrases", "phrases.tsv"),

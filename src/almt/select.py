@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 
-from .corpus import Corpus, Phrase
+from .corpus import Corpus, Phrase, read_lines
 from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError, ParseError
 from .ngrams import OccurrenceIndex, semi_maximal_set
@@ -176,15 +176,14 @@ def select_rttl(U: Corpus, scores: dict, budget: int, score_kind: str = "loglik"
 def load_rttl_scores(path) -> dict:
     """TSV "sentence-id TAB score"."""
     scores = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                sid, val = line.rstrip("\n").split("\t")
-                scores[int(sid)] = float(val)
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: expected 'id TAB score', got {line.rstrip()!r}")
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            sid, val = line.rstrip("\n").split("\t")
+            scores[int(sid)] = float(val)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: expected 'id TAB score', got {line.rstrip()!r}")
     return scores
 
 

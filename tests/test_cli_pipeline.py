@@ -331,35 +331,68 @@ def test_cli_select_csse(toy_dir, tmp_path, capsys):
     assert recs and all(r["kind"] == "sentence" for r in recs)
 
 
-# --- reference index and alignments once per run, tiny budgets, unreadable inputs ---
+# --- phrase work once per run, tiny budgets, unreadable inputs ---
 
-def test_pipeline_indexes_and_aligns_the_reference_once(toy_dir, tmp_path, monkeypatch):
-    from almt import oracle, pipeline
-    indexed, shared, aligned = [], [], []
-    extract, translate, align_pair = pipeline.extract_ngrams, oracle.translate_phrases, oracle.align_pair
+def test_pipeline_translates_phrases_once_and_each_budget_matches_a_direct_call(
+        toy_dir, tmp_path, monkeypatch):
+    from almt import align, oracle
+    from almt.corpus import load_parallel
+    calls = []
+    translate = oracle.translate_phrases
 
-    def counting_extract(corpus, max_n):
-        indexed.append(corpus.name)
-        return extract(corpus, max_n)
-
-    def spy(phrases, reference, table, index, links):
-        shared.append((index, links))
-        return translate(phrases, reference, table, index, links)
-
-    def counting_align(src, tgt, table):
-        aligned.append(src)
-        return align_pair(src, tgt, table)
-    monkeypatch.setattr(pipeline, "extract_ngrams", counting_extract)
+    def spy(phrases, reference, table):
+        calls.append(len(phrases))
+        return translate(phrases, reference, table)
     monkeypatch.setattr(oracle, "translate_phrases", spy)
-    monkeypatch.setattr(oracle, "align_pair", counting_align)
-    config = toy_config(toy_dir, strategy="ngf-smp", budgets=[40, 120, 80],
+    # the oracle drops 8 of the phrases selected at 40 and 120, and 1 of those at 3
+    config = toy_config(toy_dir, budgets=[3, 120, 40], output_dir=str(tmp_path / "runs"))
+    reports = run_pipeline(config)
+    assert len(calls) == 1  # the phrases of the ranking made at budget 120
+    monkeypatch.undo()
+    reference = load_parallel(config.oracle_reference, "ref")
+    table = align.train_ibm1(load_parallel(config.labeled, "L"), config.ibm1_iterations)
+    for report in reports:
+        run_dir = tmp_path / "runs" / f"budget-{report.budget}"
+        phrases = [tuple(rec["tokens"]) for rec in map(json.loads, (run_dir / "selection.jsonl")
+                   .read_text().splitlines()) if rec["kind"] == "phrase"]
+        assert phrases and len(phrases) <= calls[0]
+        responses, drops = oracle.translate_phrases(phrases, reference, table)
+        written = [json.loads(l) for l in (run_dir / "phrases.provenance.jsonl").read_text().splitlines()]
+        assert written == [{"source": list(r.source), "target": list(r.target),
+                            "provenance": list(r.provenance), "votes": r.votes} for r in responses]
+        assert report.dropped.get("oracle:phrases", {}) == {" ".join(p): r for p, r in drops.items()}
+
+
+def test_pipeline_serialises_index_U_once_and_writes_it_per_budget(toy_dir, tmp_path, monkeypatch):
+    from almt.ngrams import OccurrenceIndex
+    serialised = []
+    serialise = OccurrenceIndex.tsv.func
+
+    def counting(index):
+        serialised.append(index)
+        return serialise(index)
+    monkeypatch.setattr(OccurrenceIndex.tsv, "func", counting)
+    config = toy_config(toy_dir, budgets=[40, 120, 80], simulate_only=True,
                         output_dir=str(tmp_path / "runs"))
     run_pipeline(config)
-    assert sorted(indexed) == ["L-src", "U", "ref-src"]
-    index, links = shared[0]
-    assert len(shared) == 3 and all(i is index and l is links for i, l in shared)
-    assert index.max_n == config.max_n
-    assert links and len(aligned) == len(links)  # each touched reference pair aligned once
+    assert len(serialised) == 1
+    written = {(tmp_path / "runs" / f"budget-{b}" / "index_U.tsv").read_bytes() for b in (40, 120, 80)}
+    assert written == {serialised[0].tsv}
+
+
+def test_pipeline_success_removes_failed_marker_of_an_earlier_run(toy_dir, tmp_path):
+    reference = tmp_path / "ref.tsv"
+    reference.write_text("only-one-column\n")
+    config = toy_config(toy_dir, oracle_reference=str(reference),
+                        output_dir=str(tmp_path / "runs"))
+    with pytest.raises(Exception):
+        run_pipeline(config, budget=40)
+    failed = tmp_path / "runs" / "budget-40" / "failed"
+    assert failed.exists()
+    reference.write_bytes((toy_dir / "reference.tsv").read_bytes())
+    run_pipeline(config, budget=40)
+    assert not failed.exists()
+    assert (tmp_path / "runs" / "budget-40" / "report.json").exists()
 
 
 def test_pipeline_tiny_budgets_write_empty_manifest(toy_dir, tmp_path):
@@ -392,3 +425,28 @@ def test_cli_missing_input_file_exits_2(tmp_path, capsys):
                  "--output", str(tmp_path / "sel.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"FAIL: {missing}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("loader", ["corpus", "parallel", "embeddings", "rttl"])
+def test_cli_non_utf8_input_is_a_parse_error_naming_the_line(loader, toy_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes({"corpus": b"a b\nc d\n\xff e\n",
+                     "parallel": b"a b\tT_a T_b\n\xff\tx\n",
+                     "embeddings": b"dim=2\n0\t1.0 2.0\n1\t\xff\n",
+                     "rttl": b"0\t-1.5\n\xfe\t-2.0\n"}[loader])
+    argv = {
+        "corpus": ["extract", "--input", str(bad), "--output", str(tmp_path / "index.tsv")],
+        "parallel": ["oracle", "--selection", str(tmp_path / "sel.jsonl"), "--reference", str(bad),
+                     "--labeled", str(toy_dir / "L.tsv"), "--output-prefix", str(tmp_path / "o")],
+        "embeddings": ["mix", "--labeled", str(toy_dir / "L.tsv"), "--policy", "retrieve",
+                       "--size", "5", "--embeddings-labeled", str(bad),
+                       "--embeddings-unlabeled", str(toy_dir / "emb_U.tsv"),
+                       "--output", str(tmp_path / "freeze.jsonl")],
+        "rttl": ["select", "--strategy", "rttl", "--unlabeled", str(toy_dir / "U.txt"),
+                 "--rttl-scores", str(bad), "--budget-words", "5",
+                 "--output", str(tmp_path / "sel.jsonl")],
+    }[loader]
+    line = {"corpus": 3, "parallel": 2, "embeddings": 3, "rttl": 2}[loader]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}: not UTF-8" in err and "Traceback" not in err

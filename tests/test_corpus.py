@@ -87,3 +87,13 @@ def test_load_parallel_malformed_row(tmp_path):
     p.write_text("a\tb\nc only\n")
     with pytest.raises(ParseError, match="2"):
         load_parallel(p)
+
+
+def test_non_utf8_line_is_named_past_the_first_read_chunk(tmp_path):
+    path = tmp_path / "u.txt"
+    path.write_bytes(b"a b c\n" * 5000 + b"ok \xc3\nd\n")  # 0xc3 starts a sequence "\n" cannot end
+    with pytest.raises(ParseError, match=r"u\.txt:5001: not UTF-8"):
+        load_corpus(path)
+    path.write_bytes(b"a\tT_a\n" * 5000 + b"\xff\tx\n")
+    with pytest.raises(ParseError, match=r"u\.txt:5001: not UTF-8"):
+        load_parallel(path)

@@ -61,10 +61,21 @@ def test_occ_absent_is_zero():
     assert index.occ(("a", "b")) == 1
 
 
-def test_positions_reproduce_counts():
-    index = extract_ngrams(corpus_of("a b a", "b a"), 3)
-    for p, c in index.counts.items():
-        assert len(index.positions[p]) == c
+def test_counts_match_brute_force_slicing():
+    rng = random.Random(11)
+    corpora = [corpus_of("a a a a", "a b a b a", "b"), Corpus([])]
+    corpora += [random_corpus(rng, vocab=rng.choice([2, 3, 10])) for _ in range(30)]
+    for corpus in corpora:
+        for max_n in (1, 2, 4, 9):
+            expected = {}
+            for sent in corpus:
+                for n in range(1, max_n + 1):
+                    for start in range(len(sent.tokens) - n + 1):
+                        p = sent.tokens[start:start + n]
+                        expected[p] = expected.get(p, 0) + 1
+            index = extract_ngrams(corpus, max_n)
+            assert dict(index.counts) == expected
+            assert list(index.counts) == list(expected)  # same first-seen key order
 
 
 def test_length_n_count_identity():
@@ -154,3 +165,11 @@ def test_export_tsv_deterministic_order(tmp_path):
     counts = [int(l.split("\t")[1]) for l in lines]
     assert counts == sorted(counts, reverse=True)
     assert lines[0].startswith("a\t")  # lexicographic tie-break among count-3... highest count first
+
+
+def test_tsv_is_serialised_once_and_written_verbatim(tmp_path):
+    index = extract_ngrams(corpus_of("b a", "a b", "a"), 2)
+    assert index.tsv is index.tsv
+    assert index.tsv == b"a\t3\nb\t2\na b\t1\nb a\t1\n"
+    index.export_tsv(tmp_path / "index.tsv")
+    assert (tmp_path / "index.tsv").read_bytes() == index.tsv

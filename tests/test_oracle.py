@@ -3,7 +3,6 @@ import pytest
 from almt.align import TranslationTable, NULL_TOKEN, train_ibm1
 from almt.corpus import ParallelCorpus, Sentence
 from almt.errors import OracleGapError
-from almt.ngrams import extract_ngrams
 from almt.oracle import translate_phrases, translate_sentences, write_responses
 
 
@@ -97,30 +96,74 @@ def test_oracle_deterministic():
     assert [(r.source, r.target) for r in r1] == [(r.source, r.target) for r in r2]
 
 
-def test_shared_index_and_links_match_per_call_and_align_each_pair_once(monkeypatch):
+def brute_force_translate(phrases, ref, table):
+    """The oracle over a list of every source window's occurrences, all lengths."""
+    from almt.align import align_pair, aligned_target_span, span_has_outside_links
+    from almt.oracle import OracleResponse
+    windows = {}
+    for src, _ in ref:
+        for n in range(1, len(src.tokens) + 1):
+            for start in range(len(src.tokens) - n + 1):
+                windows.setdefault(src.tokens[start:start + n], []).append((src.id, start))
+    responses, drops = [], {}
+    for p in phrases:
+        votes = {}
+        for sid, start in windows.get(p, []):
+            src, tgt = ref.get(sid)
+            links = align_pair(src.tokens, tgt.tokens, table)
+            span = aligned_target_span(links, start, start + len(p))
+            if span is None or span_has_outside_links(links, start, start + len(p), *span):
+                continue
+            target = tgt.tokens[span[0]:span[1] + 1]
+            votes.setdefault(target, []).append(sid)
+        if p not in windows:
+            drops[p] = "not-in-reference"
+        elif not votes:
+            drops[p] = "no-aligned-span"
+        else:
+            target, prov = min(votes.items(), key=lambda kv: (-len(kv[1]), len(kv[0]), kv[0]))
+            responses.append(OracleResponse(p, target, tuple(sorted(set(prov))), votes=len(prov)))
+    return responses, drops
+
+
+def test_translate_phrases_matches_brute_force_reference(monkeypatch):
+    import random
     from almt import oracle
-    ref = parallel_of(("a b c", "T_a T_b T_c"), ("b c", "T_b T_c"), ("d", "T_d"), ("c a", "T_c T_a"))
-    table = train_ibm1(ref, 5)
+    rng = random.Random(3)
     aligned = []
+    align_pair = oracle.align_pair
 
     def counting(src, tgt, table):
         aligned.append(src)
         return align_pair(src, tgt, table)
-    align_pair = oracle.align_pair
     monkeypatch.setattr(oracle, "align_pair", counting)
-    index, links = extract_ngrams(ref.source_corpus(), 4), {}
-    batches = ([("b",)], [("b", "c"), ("a",), ("zzz",)], [("c",)])
-    shared = [translate_phrases(phrases, ref, table, index, links) for phrases in batches]
-    assert sorted(links) == [0, 1, 3]  # pair 2 ("d") holds no selected phrase
-    assert len(aligned) == len(links)  # each touched pair aligned once across the calls
-    assert shared == [translate_phrases(phrases, ref, table) for phrases in batches]
-
-
-def test_shared_index_must_cover_the_longest_phrase():
-    ref = parallel_of(("a b c", "T_a T_b T_c"))
-    with pytest.raises(ValueError, match="max_n"):
-        translate_phrases([("a", "b", "c")], ref, identity_table("abc"),
-                          extract_ngrams(ref.source_corpus(), 2), {})
+    for _ in range(40):
+        words = "abcd"[:rng.randint(1, 4)]
+        pairs = []
+        for _ in range(rng.randint(1, 8)):
+            src = [rng.choice(words) for _ in range(rng.randint(1, 7))]
+            tgt = [f"T_{w}" for w in src if rng.random() < 0.9] or ["T_x"]
+            pairs.append((" ".join(src), " ".join(tgt)))
+        ref = parallel_of(*pairs)
+        table = train_ibm1(ref, 3)
+        candidates = set()
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.7:  # a window of the reference, else most likely absent
+                src = rng.choice(pairs)[0].split()
+                start = rng.randrange(len(src))
+                candidates.add(tuple(src[start:start + rng.randint(1, 4)]))
+            else:
+                candidates.add(tuple(rng.choice(words + "z") for _ in range(rng.randint(1, 5))))
+        phrases = sorted(candidates)
+        rng.shuffle(phrases)
+        del aligned[:]
+        responses, drops = translate_phrases(phrases, ref, table)
+        touched = len(aligned)
+        assert (responses, drops) == brute_force_translate(phrases, ref, table)
+        assert list(drops) == [p for p in phrases if p in drops]  # drops in phrase order
+        # each reference pair holding a selected phrase is aligned once
+        assert touched == sum(1 for src, _ in ref if any(
+            src.tokens[i:i + len(p)] == p for p in phrases for i in range(len(src.tokens))))
 
 
 def test_write_responses(tmp_path):
