@@ -8,9 +8,9 @@ import json
 import sys
 
 from . import align, analyze, mix, oracle, toy
-from .corpus import load_corpus, load_parallel
+from .corpus import load_corpus, load_parallel, read_lines
 from .embed import EmbeddingStore
-from .errors import AlmtError, ConfigError
+from .errors import AlmtError, ConfigError, ParseError
 from .ngrams import extract_ngrams
 from .pipeline import STRATEGIES, RunConfig, RunContext, run_pipeline, validate_config
 
@@ -40,13 +40,15 @@ def _cmd_select(args):
 
 def _load_selection(path):
     sentence_ids, phrases = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    for lineno, line in enumerate(read_lines(path), start=1):
+        try:
             rec = json.loads(line)
             if rec["kind"] == "sentence":
                 sentence_ids.append(rec["id"])
             else:
                 phrases.append(tuple(rec["tokens"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed selection record ({exc!r})") from None
     return sentence_ids, phrases
 
 
@@ -87,15 +89,18 @@ def _cmd_mix(args):
 def _cmd_analyze(args):
     if args.mode == "correlation":
         columns = []
-        with open(args.input, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        for lineno, line in enumerate(read_lines(args.input), start=1):
+            if not line.strip():
+                continue
+            try:
                 vals = [float(v) for v in line.rstrip("\n").split("\t")]
-                if not columns:
-                    columns = [[] for _ in vals]
-                for col, v in zip(columns, vals):
-                    col.append(v)
+            except ValueError:
+                raise ParseError(f"{args.input}:{lineno}: non-numeric cell in {line.rstrip()!r}") from None
+            columns = columns or [[] for _ in vals]
+            if len(vals) != len(columns):
+                raise ParseError(f"{args.input}:{lineno}: expected {len(columns)} columns, got {len(vals)}")
+            for col, v in zip(columns, vals):
+                col.append(v)
         *coverage_cols, score_col = columns
         rs = [analyze.pearson(col, score_col) for col in coverage_cols]
         print("\t".join(f"{r:.6f}" for r in rs))

@@ -2,8 +2,7 @@
 
 Vectors are ingested from files, never computed here. The ratio score divides
 the cosine of a pair by the average cosine of each side's k nearest
-neighbors; by default neighborhoods are drawn from the opposing corpus
-(margin-scoring convention), switchable to same-pool.
+neighbors, drawn from the opposing corpus (margin-scoring convention).
 """
 
 from functools import cached_property
@@ -11,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import read_lines
-from .errors import DegenerateNeighborhoodError, DegenerateVectorError, ParseError
+from .errors import DegenerateNeighborhoodError, ParseError
 
 
 class EmbeddingStore:
@@ -42,14 +41,6 @@ class EmbeddingStore:
     def __contains__(self, sid):
         return sid in self.row
 
-    def vector(self, sid):
-        return self.matrix[self.row[sid]]
-
-    def unit_vector(self, sid):
-        if sid in self.degenerate_ids:
-            raise DegenerateVectorError(f"zero-norm vector for id {sid} in store {self.tag!r}")
-        return self.unit[self.row[sid]]
-
     def subset(self, ids, tag=None):
         rows = [self.row[sid] for sid in ids]
         return EmbeddingStore(list(ids), self.matrix[rows], tag or self.tag)
@@ -78,12 +69,6 @@ class EmbeddingStore:
         matrix = np.array(vecs) if vecs else np.zeros((0, dim))
         return cls(ids, matrix, tag)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"dim={self.dim}\n")
-            for sid in self.ids:
-                fh.write(f"{sid}\t{' '.join(repr(float(v)) for v in self.vector(sid))}\n")
-
 
 # Default product block: rows * columns stays within this many float64 cells
 # (512 KB), so scorer memory does not grow with |A| and grows with |B| only
@@ -100,55 +85,48 @@ def _usable(store: EmbeddingStore):
 class RatioScorer:
     """All-pairs ratio scores between two stores, reduced per A row.
 
-    Construction (pass 1) computes every point's mean cosine to its k nearest
-    neighbours. The first reduction call (pass 2, cached) streams row blocks
-    of the A x B ratio matrix and keeps per-row min, max, usability and
-    argmax. Cosines are computed one block of rows at a time, so no |A| x |B|
-    array is ever held. Every per-row result depends only on that row's
-    products, so the block size reaches results only through the rounding of
-    the BLAS products, whose summation order can depend on their shape.
+    Construction (pass 1) makes one sweep over row blocks of A x B cosines
+    and takes every point's mean cosine to its k nearest neighbours in the
+    other store: A's from each block's rows, B's from a running top-k per
+    column. A mean averages the k largest cosines to the other store's
+    non-degenerate points (fewer when fewer exist), sorted ascending, with
+    one reduction over a contiguous last axis for rows and columns alike. It
+    is NaN for a degenerate point and for a point with no neighbours. The
+    first reduction call (pass 2, cached) sweeps the blocks again as ratios
+    and keeps per-row min, max, usability and argmax. No |A| x |B| array is
+    ever held. Every per-row result depends only on that row's products, so
+    the block size reaches results only through the rounding of the BLAS
+    products, whose summation order can depend on their shape.
     """
 
-    def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int,
-                 neighbor_mode: str = "cross", block: int = None):
+    def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int, block: int = None):
         """block: rows per product block; by default a block holds BLOCK_CELLS cells."""
         self.a, self.b, self.k, self.block = store_a, store_b, k, block
         self.valid_a, self.valid_b = _usable(store_a), _usable(store_b)
-        if neighbor_mode == "cross":
-            self.mean_a = self._neighbor_means(store_a.unit, store_b.unit, self.valid_b, False)
-            self.mean_b = self._neighbor_means(store_b.unit, store_a.unit, self.valid_a, False)
-        elif neighbor_mode == "same":
-            self.mean_a = self._neighbor_means(store_a.unit, store_a.unit, self.valid_a, True)
-            self.mean_b = self._neighbor_means(store_b.unit, store_b.unit, self.valid_b, True)
-        else:
-            raise ValueError(f"unknown neighbor_mode {neighbor_mode!r}")
+        all_a, all_b, n = self.valid_a.all(), self.valid_b.all(), np.count_nonzero(self.valid_b)
+        kk = min(k, n)
+        self.mean_a = np.full(len(store_a), np.nan)
+        top = np.empty((0, len(store_b)))  # per column, its largest cosines ascending
+        for start, sims in self._products(store_a.unit, store_b.unit):
+            rows = slice(start, start + len(sims))
+            if n:
+                tail = np.partition(sims if all_b else sims[:, self.valid_b], n - kk, axis=1)[:, n - kk:]
+                self.mean_a[rows] = np.sort(tail, axis=1).mean(axis=1)
+            cand = sims if all_a else sims[self.valid_a[rows]]
+            if len(top) < k:
+                top = np.sort(np.vstack([top, cand]), axis=0)[-k:].copy()  # frees the sorted block
+            elif len(cand):
+                beat = np.nonzero(cand.max(axis=0) > top[0])[0]
+                top[:, beat] = np.sort(np.vstack([top[:, beat], cand[:, beat]]), axis=0)[-k:]
+        self.mean_b = (np.ascontiguousarray(top.T).mean(axis=1) if len(top)
+                       else np.full(len(store_b), np.nan))
+        self.mean_a[~self.valid_a] = self.mean_b[~self.valid_b] = np.nan
 
     def _products(self, left, right):
         """(start, left[start:stop] @ right.T) for each row block of left."""
         rows = self.block or max(1, BLOCK_CELLS // max(1, right.shape[0]))
         for start in range(0, left.shape[0], rows):
             yield start, left[start:start + rows] @ right.T
-
-    def _neighbor_means(self, left, right, keep, exclude_self):
-        """Mean of each left row's k largest cosines to the kept right rows.
-
-        With exclude_self (left is right) a row is never its own neighbour.
-        A row with fewer than k candidates averages those it has; a row with
-        none gets NaN.
-        """
-        means = np.full(left.shape[0], np.nan)
-        for start, sims in self._products(left, right):
-            mask = np.broadcast_to(keep, sims.shape)
-            if exclude_self:
-                mask = mask.copy()
-                mask[np.arange(len(sims)), np.arange(start, start + len(sims))] = False
-            counts = mask.sum(axis=1)
-            for n in np.unique(counts[counts > 0]):
-                rows = np.nonzero(counts == n)[0]
-                lanes = sims[rows][mask[rows]].reshape(rows.size, n)
-                kk = min(self.k, n)
-                means[start + rows] = np.partition(lanes, n - kk, axis=1)[:, n - kk:].mean(axis=1)
-        return means
 
     @cached_property
     def _rows(self):
@@ -168,19 +146,30 @@ class RatioScorer:
         # Columns in ascending id order, so the first maximum is the tie-break
         # winner. A NaN mean makes every ratio of a degenerate point NaN.
         by_id = np.argsort(np.asarray(self.b.ids), kind="stable")
-        mean_a = np.where(self.valid_a, self.mean_a, np.nan)[:, None]
-        mean_b = np.where(self.valid_b, self.mean_b, np.nan)[by_id]
+        mean_b = self.mean_b[by_id]
         unusable_cols = np.count_nonzero(~self.valid_b)
-        for start, cos in self._products(self.a.unit, self.b.unit[by_id]):
-            rows = slice(start, start + len(cos))
-            denom = (mean_a[rows] + mean_b) / 2.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(denom > 0.0, cos / denom, np.nan)
-            usable[rows] = np.count_nonzero(np.isnan(ratios), axis=1) == unusable_cols
+        # Addition and halving round monotonically, so a row's denominators
+        # are all positive when the one with B's lowest mean is.
+        positive = (self.mean_a + self.mean_b[self.valid_b].min()) / 2.0 > 0.0
+        for start, ratios in self._products(self.a.unit, self.b.unit[by_id]):
+            rows = slice(start, start + len(ratios))
+            denom = self.mean_a[rows, None] + mean_b
+            denom /= 2.0
+            with np.errstate(all="ignore"):  # a zero, NaN or subnormal denominator
+                ratios /= denom
+            fast = not unusable_cols and positive[rows].all()  # then no ratio is NaN
+            if not fast:
+                ratios[~(denom > 0.0)] = np.nan
             mins[rows], maxs[rows] = np.fmin.reduce(ratios, axis=1), np.fmax.reduce(ratios, axis=1)
-            finite = np.isfinite(ratios)
-            pick = np.argmax(np.where(finite, ratios, -np.inf), axis=1)
-            best[rows] = np.where(finite.any(axis=1), by_id[pick], -1)
+            if fast and np.isfinite(maxs[rows]).all():
+                usable[rows] = True
+                pick = ratios.argmax(axis=1)
+                best[rows] = by_id[pick]
+            else:  # the argmax skips infinite ratios
+                usable[rows] = np.count_nonzero(np.isnan(ratios), axis=1) == unusable_cols
+                finite = np.isfinite(ratios)
+                pick = np.argmax(np.where(finite, ratios, -np.inf), axis=1)
+                best[rows] = np.where(finite.any(axis=1), by_id[pick], -1)
             best_val[rows] = ratios[np.arange(len(ratios)), pick]
         return usable, mins, maxs, best, best_val
 
@@ -201,6 +190,13 @@ class RatioScorer:
     def max_over_b(self):
         """id in A -> max ratio over any B member (nearest similarity)."""
         return self._reduce_rows(self._rows[2])
+
+    def skip_counts(self):
+        """Skipped A rows by cause: "zero-norm" when the row's vector, or every
+        B vector, has zero norm, else "non-positive-margin" (some usable
+        column's denominator is not positive)."""
+        zero = len(self.a) if not self.valid_b.any() else int(np.count_nonzero(~self.valid_a))
+        return {"zero-norm": zero, "non-positive-margin": int(np.count_nonzero(~self._rows[0])) - zero}
 
     def argmax_over_b(self, a_id):
         """Best B id for one A id, ties by ascending B id."""

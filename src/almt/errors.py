@@ -9,10 +9,6 @@ class ParseError(AlmtError):
     """Malformed input file (carries line/offset context in the message)."""
 
 
-class DegenerateVectorError(AlmtError):
-    """Zero-norm embedding vector."""
-
-
 class DegenerateNeighborhoodError(AlmtError):
     """Ratio-score denominator is not positive."""
 

@@ -6,9 +6,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, read_lines
 from .embed import EmbeddingStore, RatioScorer
-from .errors import ConfigError
+from .errors import ConfigError, ParseError
 
 
 # Every entry origin, each counted in MixManifest.counts even when absent.
@@ -79,13 +79,15 @@ def write_freeze(rows, path):
 
 def load_freeze(path, parallel: ParallelCorpus):
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    for lineno, line in enumerate(read_lines(path), start=1):
+        try:
             sid = json.loads(line)["id"]
-            if sid not in parallel:
-                raise ConfigError(f"{path}: freeze id {sid} is not a pair of corpus {parallel.name!r}")
-            src, tgt = parallel.get(sid)
-            rows.append((sid, src.tokens, tgt.tokens))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed freeze record ({exc!r})") from None
+        if sid not in parallel:
+            raise ConfigError(f"{path}: freeze id {sid} is not a pair of corpus {parallel.name!r}")
+        src, tgt = parallel.get(sid)
+        rows.append((sid, src.tokens, tgt.tokens))
     return rows
 
 

@@ -128,35 +128,34 @@ def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResul
     return _sentences("random-sent", seed, U, order, lambda sid: 0.0, budget)
 
 
-def csse_scores(store_U: EmbeddingStore, store_L: EmbeddingStore, k: int,
-                dist_mode="literal", neighbor_mode="cross"):
+def csse_scores(store_U: EmbeddingStore, store_L: EmbeddingStore, k: int, dist_mode="literal"):
     """Distance-from-labeled score for every U sentence, computed once.
 
-    Returns (scores, skipped ids). "literal" is the min ratio over the labeled
-    subset; "nn" is the max ratio (similarity to the nearest labeled point).
+    Returns (scores, skipped rows by cause). "literal" is the min ratio over
+    the labeled subset; "nn" is the max ratio (similarity to the nearest
+    labeled point).
     """
-    scorer = RatioScorer(store_U, store_L, k, neighbor_mode=neighbor_mode)
-    return scorer.min_over_b() if dist_mode == "literal" else scorer.max_over_b()
+    scorer = RatioScorer(store_U, store_L, k)
+    scores, _ = scorer.min_over_b() if dist_mode == "literal" else scorer.max_over_b()
+    return scores, scorer.skip_counts()
 
 
 def select_csse(U: Corpus, store_U: EmbeddingStore, store_L: EmbeddingStore, budget: int,
-                k: int = 4, dist_mode: str = "literal",
-                neighbor_mode: str = "cross") -> SelectionResult:
+                k: int = 4, dist_mode: str = "literal") -> SelectionResult:
     """Embedding-distance sentence selection.
 
     In literal mode we take sentences with the largest distance first; in the
     nn variant we take the smallest nearest-neighbor similarity first. Ties
     break by ascending id. Scores are not refreshed between picks.
     """
-    scores, skipped = csse_scores(store_U, store_L, k, dist_mode, neighbor_mode)
-    missing = [sid for sid in U.ids() if sid not in scores and sid not in skipped]
+    missing = [sid for sid in U.ids() if sid not in store_U]
     if missing:
         raise ConfigError(f"embeddings missing for {len(missing)} U sentences, e.g. {missing[:5]}")
+    scores, skipped = csse_scores(store_U, store_L, k, dist_mode)
     reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
     order = sorted((sid for sid in U.ids() if sid in scores),
                    key=lambda sid: (-scores[sid] if reverse else scores[sid], sid))
-    return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, budget,
-                      {"degenerate_embeddings": len(skipped)})
+    return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, budget, skipped)
 
 
 def select_rttl(U: Corpus, scores: dict, budget: int, score_kind: str = "loglik") -> SelectionResult:

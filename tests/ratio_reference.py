@@ -8,7 +8,7 @@ tests, which compare the kernel against it.
 import numpy as np
 
 from almt.embed import EmbeddingStore
-from almt.errors import DegenerateNeighborhoodError, DegenerateVectorError
+from almt.errors import DegenerateNeighborhoodError
 
 
 def cosine(u, v) -> float:
@@ -16,7 +16,7 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise DegenerateVectorError("cosine of zero-norm vector")
+        raise ValueError("cosine of zero-norm vector")
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
@@ -27,6 +27,12 @@ def _topk_mean(cosines: np.ndarray, k: int) -> float:
     k = min(k, cosines.size)
     top = np.partition(cosines, cosines.size - k)[cosines.size - k:]
     return float(top.mean())
+
+
+def _unit(store: EmbeddingStore, sid):
+    if sid in store.degenerate_ids:
+        raise ValueError(f"zero-norm vector for id {sid} in store {store.tag!r}")
+    return store.unit[store.row[sid]]
 
 
 def _pool_cosines(query_unit, pool: EmbeddingStore, exclude_id=None):
@@ -50,7 +56,7 @@ def knn(query, pool: EmbeddingStore, k: int, query_store: EmbeddingStore = None)
     store = query_store or pool
     if query not in store:
         raise KeyError(f"query id {query} not in store {store.tag!r}")
-    q = store.unit_vector(query)
+    q = _unit(store, query)
     exclude = query if store is pool else None
     cos, keep = _pool_cosines(q, pool, exclude_id=exclude)
     cand = [(float(np.clip(cos[i], -1.0, 1.0)), pool.ids[i]) for i in np.nonzero(keep)[0]]
@@ -59,29 +65,18 @@ def knn(query, pool: EmbeddingStore, k: int, query_store: EmbeddingStore = None)
 
 
 def _neighborhood_mean(query, query_store, pool, k):
-    q = query_store.unit_vector(query)
-    exclude = query if query_store is pool else None
-    cos, keep = _pool_cosines(q, pool, exclude_id=exclude)
+    cos, keep = _pool_cosines(_unit(query_store, query), pool)
     return _topk_mean(cos[keep], k)
 
 
-def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore,
-                k: int, neighbor_mode: str = "cross") -> float:
+def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore, k: int) -> float:
     """cos(x, x') normalized by the mean of both points' k-NN cosines.
 
-    neighbor_mode "cross" (default): x's neighbors come from pool_x_prime and
-    x's neighbors from pool_x; "same": each point's neighbors come from its
-    own pool, excluding itself.
+    x's neighbors come from pool_x_prime and x_prime's neighbors from pool_x.
     """
-    c = cosine(pool_x.vector(x), pool_x_prime.vector(x_prime))
-    if neighbor_mode == "cross":
-        m_x = _neighborhood_mean(x, pool_x, pool_x_prime, k)
-        m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x, k)
-    elif neighbor_mode == "same":
-        m_x = _neighborhood_mean(x, pool_x, pool_x, k)
-        m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x_prime, k)
-    else:
-        raise ValueError(f"unknown neighbor_mode {neighbor_mode!r}")
+    c = cosine(pool_x.matrix[pool_x.row[x]], pool_x_prime.matrix[pool_x_prime.row[x_prime]])
+    m_x = _neighborhood_mean(x, pool_x, pool_x_prime, k)
+    m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x, k)
     denom = (m_x + m_xp) / 2.0
     if denom <= 0.0:
         raise DegenerateNeighborhoodError(f"non-positive denominator {denom} for pair ({x}, {x_prime})")
@@ -89,7 +84,7 @@ def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore
 
 
 def dist_to_labeled(x, pool_x: EmbeddingStore, labeled: EmbeddingStore, k: int,
-                    mode: str = "literal", neighbor_mode: str = "cross") -> float:
+                    mode: str = "literal") -> float:
     """Distance of x from a labeled pool.
 
     "literal" takes the minimum ratio over the labeled pool; "nn" takes the
@@ -97,13 +92,12 @@ def dist_to_labeled(x, pool_x: EmbeddingStore, labeled: EmbeddingStore, k: int,
     """
     if len(labeled) == 0:
         raise ValueError("labeled pool is empty")
-    scores = [ratio_score(x, xp, pool_x, labeled, k, neighbor_mode) for xp in labeled.ids]
+    scores = [ratio_score(x, xp, pool_x, labeled, k) for xp in labeled.ids]
     return min(scores) if mode == "literal" else max(scores)
 
 
-def nearest_similarity(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int,
-                       neighbor_mode: str = "cross") -> float:
+def nearest_similarity(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int) -> float:
     """Corpus-level similarity: max ratio of x against every pool member."""
     if len(pool) == 0:
         raise ValueError("pool is empty")
-    return max(ratio_score(x, z, pool_x, pool, k, neighbor_mode) for z in pool.ids)
+    return max(ratio_score(x, z, pool_x, pool, k) for z in pool.ids)

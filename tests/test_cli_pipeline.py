@@ -450,3 +450,38 @@ def test_cli_non_utf8_input_is_a_parse_error_naming_the_line(loader, toy_dir, tm
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert f"{bad}:{line}: not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", ["not json", '{"id": 3}', '{"kind": "phrase"}', "[1]"])
+def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record, toy_dir, tmp_path,
+                                                                         capsys):
+    selection = tmp_path / "sel.jsonl"
+    selection.write_text('{"kind": "sentence", "id": 0}\n' + record + "\n")
+    assert main(["oracle", "--selection", str(selection), "--reference",
+                 str(toy_dir / "reference.tsv"), "--labeled", str(toy_dir / "L.tsv"),
+                 "--output-prefix", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"{selection}:2: malformed selection record" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, problem", [("1\tx\t0.5", "non-numeric cell"),
+                                          ("1\t0.5", "expected 3 columns, got 2")])
+def test_cli_analyze_correlation_malformed_row_is_a_parse_error(row, problem, tmp_path, capsys):
+    data = tmp_path / "cols.tsv"
+    data.write_text(f"0.1\t0.2\t0.3\n\n{row}\n0.3\t0.1\t0.2\n")
+    assert main(["analyze", "correlation", "--input", str(data)]) == 3
+    err = capsys.readouterr().err
+    assert f"{data}:3: {problem}" in err and "Traceback" not in err
+
+
+def test_pipeline_freeze_line_without_id_is_a_parse_error(toy_dir, tmp_path, capsys):
+    freeze = tmp_path / "freeze.jsonl"
+    freeze.write_text('{"id": 1}\n{"pair": 2}\n')
+    raw = json.loads((toy_dir / "config.json").read_text())
+    raw.update(freeze_file=str(freeze), output_dir=str(tmp_path / "runs"))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(path), "--budget", "40"]) == 3
+    err = capsys.readouterr().err
+    assert f"{freeze}:2: malformed freeze record" in err and "Traceback" not in err
+    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: mix\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from almt.embed import EmbeddingStore, RatioScorer
-from almt.errors import DegenerateNeighborhoodError, DegenerateVectorError, ParseError
+from almt.errors import DegenerateNeighborhoodError, ParseError
 from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score
 
 
@@ -25,7 +25,7 @@ def test_cosine_scale_invariant():
 
 
 def test_cosine_zero_vector_raises():
-    with pytest.raises(DegenerateVectorError):
+    with pytest.raises(ValueError, match="zero-norm"):
         cosine([0.0, 0.0], [1.0, 0.0])
 
 
@@ -115,7 +115,7 @@ def test_nearest_similarity_is_max_of_ratios():
     assert nearest_similarity(0, a, pool, k=1) == pytest.approx(expected)
 
 
-def _reference_rows(a, b, k, mode):
+def _reference_rows(a, b, k):
     """A id -> (min, max) or None when skipped, and A id -> (best B id, ratio) or None.
 
     Built pair by pair from the scalar reference, with the scorer's rules:
@@ -132,7 +132,7 @@ def _reference_rows(a, b, k, mode):
         ratios, complete = {}, bool(pool)
         for y in pool:
             try:
-                ratios[y] = ratio_score(x, y, a, b, k, mode)
+                ratios[y] = ratio_score(x, y, a, b, k)
             except DegenerateNeighborhoodError:
                 complete = False
         rows[x] = (min(ratios.values()), max(ratios.values())) if complete else None
@@ -164,25 +164,44 @@ def _edge_case_stores():
     return a, b
 
 
+def _assert_matches_reference(scorer, k):
+    a, b = scorer.a, scorer.b
+    rows, best = _reference_rows(a, b, k)
+    mins, skipped = scorer.min_over_b()
+    maxs, skipped_max = scorer.max_over_b()
+    assert skipped == skipped_max == [x for x in a.ids if rows[x] is None], k
+    for x, row in rows.items():
+        if row is not None:
+            assert mins[x] == pytest.approx(row[0]) and maxs[x] == pytest.approx(row[1])
+        if best[x] is None:
+            with pytest.raises(DegenerateNeighborhoodError):
+                scorer.argmax_over_b(x)
+        else:
+            b_id, value = scorer.argmax_over_b(x)
+            assert b_id == best[x][0] and value == pytest.approx(best[x][1]), (k, x)
+    return skipped, best
+
+
 def test_ratio_scorer_matches_scalar_reference():
     a, b = _edge_case_stores()
-    for mode, k in (("cross", 3), ("same", 3), ("cross", 20), ("same", 20)):  # 20: truncated
-        rows, best = _reference_rows(a, b, k, mode)
-        scorer = RatioScorer(a, b, k=k, neighbor_mode=mode)
-        mins, skipped = scorer.min_over_b()
-        maxs, skipped_max = scorer.max_over_b()
-        assert skipped == skipped_max == [x for x in a.ids if rows[x] is None], mode
-        assert 36 in skipped and 36 not in a.degenerate_ids, (mode, k)
-        for x, row in rows.items():
-            if row is not None:
-                assert mins[x] == pytest.approx(row[0]) and maxs[x] == pytest.approx(row[1])
-            if best[x] is None:
-                with pytest.raises(DegenerateNeighborhoodError):
-                    scorer.argmax_over_b(x)
-            else:
-                b_id, value = scorer.argmax_over_b(x)
-                assert b_id == best[x][0] and value == pytest.approx(best[x][1]), (mode, k, x)
-        assert best[9][0] == 5, (mode, k)
+    for k in (3, 20):  # 20: truncated
+        scorer = RatioScorer(a, b, k=k)
+        skipped, best = _assert_matches_reference(scorer, k)
+        assert 36 in skipped and 36 not in a.degenerate_ids, k
+        assert scorer.skip_counts() == {"zero-norm": 1, "non-positive-margin": len(skipped) - 1}
+        assert best[9][0] == 5, k
+
+
+def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference():
+    # Without degenerate B columns, a block whose ratios are all finite takes
+    # one min, max and argmax; A row 9 (id 36, non-positive margin) and the
+    # zero A row put their blocks on the NaN-aware fallback. Two-row blocks
+    # mix a finite row with each of them.
+    a, full_b = _edge_case_stores()
+    b = full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])
+    for block in (1, 2, len(a) + 1):
+        skipped, _ = _assert_matches_reference(RatioScorer(a, b, k=3, block=block), 3)
+        assert skipped == [36, 50], block
 
 
 def _lattice_store(rng, n, ids, tag):
@@ -209,21 +228,98 @@ def _scorer_outputs(scorer):
             scorer.mean_a.tolist(), scorer.mean_b.tolist())
 
 
+def _lattice_stores(seed=11):
+    rng = np.random.default_rng(seed)
+    a = _lattice_store(rng, 40, [int(i) for i in rng.permutation(1000)[:40]], "a")
+    b = _lattice_store(rng, 30, [int(i) for i in rng.permutation(1000)[:30]], "b")
+    return a, b
+
+
 def test_ratio_scorer_block_size_is_bit_identical():
     # BLAS sums a product in an order that depends on its shape (a one-row
     # block is a matrix-vector product), so the stores have exact cosines:
-    # equality then checks the kernel's block boundaries, masks,
-    # self-exclusion offsets and tie-breaks.
-    rng = np.random.default_rng(11)
-    a = _lattice_store(rng, 40, [int(i) for i in rng.permutation(1000)[:40]], "a")
-    b = _lattice_store(rng, 30, [int(i) for i in rng.permutation(1000)[:30]], "b")
-    for mode in ("cross", "same"):
-        outputs = [_scorer_outputs(RatioScorer(a, b, k=3, neighbor_mode=mode, block=block))
+    # equality then checks the kernel's block boundaries, masks, running
+    # top-k merge and tie-breaks. Without degenerate B columns, one-row
+    # blocks of usable rows take the finite-block path while the whole-A
+    # block takes the NaN-aware fallback, so both must agree bit for bit.
+    a, full_b = _lattice_stores()
+    for b in (full_b, full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])):
+        outputs = [_scorer_outputs(RatioScorer(a, b, k=3, block=block))
                    for block in (1, 7, 512, len(a) + 1)]
         (mins, skipped), _, argmax, _, _ = outputs[0]
-        assert mins and skipped and None in argmax.values(), mode
+        assert mins and skipped and None in argmax.values(), len(b)
         for other in outputs[1:]:
-            assert repr(other) == repr(outputs[0]), mode
+            assert repr(other) == repr(outputs[0]), len(b)
+
+
+def _reference_means(query, pool, k, cos=None):
+    """Each query point's mean cosine to its k nearest usable pool points.
+
+    The top k of a partition of query x pool cosines, sorted ascending and
+    averaged; NaN for a degenerate query point or an empty pool. By default
+    the cosines are computed in the orientation the scorer does not use for
+    B (B x A), which exact cosines make safe to compare.
+    """
+    keep = [i for i, sid in enumerate(pool.ids) if sid not in pool.degenerate_ids]
+    cos = (query.unit @ pool.unit.T if cos is None else cos)[:, keep]
+    n = len(keep)
+    means = []
+    for sid, row in zip(query.ids, cos):
+        if sid in query.degenerate_ids or not n:
+            means.append(float("nan"))
+            continue
+        kk = min(k, n)
+        means.append(float(np.sort(np.partition(row, n - kk)[n - kk:]).mean()))
+    return means
+
+
+def test_one_sweep_means_match_partitioned_reference():
+    rng = np.random.default_rng(4)
+    a, b = _lattice_stores()
+    small = _lattice_store(rng, 5, [3, 1, 4, 15, 9], "small")  # 3 usable points
+    zero = EmbeddingStore([8, 2], np.zeros((2, 8)), "zero")
+    for left, right in ((a, b), (b, a), (a, small), (small, b), (zero, b), (a, zero)):
+        for k in (1, 3, 4, 40):  # 4 and 40: fewer usable points than k
+            for block in (1, 7, len(left) + 1):
+                scorer = RatioScorer(left, right, k=k, block=block)
+                assert repr(scorer.mean_a.tolist()) == repr(_reference_means(left, right, k)), \
+                    (left.tag, right.tag, k, block)
+                assert repr(scorer.mean_b.tolist()) == repr(_reference_means(right, left, k)), \
+                    (left.tag, right.tag, k, block)
+
+
+def test_means_average_the_top_k_in_ascending_order():
+    # Random cosines, taken from the scorer's own product blocks so that both
+    # sides see the same floats: equality pins the summation order of the
+    # mean, for A's rows and B's columns alike. With k = 50 over 3,000
+    # columns, np.partition leaves some of A's tails unsorted.
+    rng = np.random.default_rng(9)
+    a = store(rng.normal(size=(60, 6)), "a")
+    narrow, wide = store(rng.normal(size=(45, 6)), "b"), store(rng.normal(size=(3000, 6)), "wide")
+    cases = [(narrow, k, block) for k in (3, 5, 9) for block in (1, 7, None)] + [(wide, 50, None)]
+    for b, k, block in cases:
+        scorer = RatioScorer(a, b, k=k, block=block)
+        cos = np.vstack([sims for _, sims in scorer._products(a.unit, b.unit)])
+        assert repr(scorer.mean_a.tolist()) == repr(_reference_means(a, b, k, cos)), (k, block)
+        assert repr(scorer.mean_b.tolist()) == repr(_reference_means(b, a, k, cos.T)), (k, block)
+
+
+def test_build_and_reductions_run_two_product_sweeps(monkeypatch):
+    rows_per_sweep = []
+    products = RatioScorer._products
+
+    def spy(self, left, right):
+        rows_per_sweep.append(0)
+        for start, block in products(self, left, right):
+            rows_per_sweep[-1] += len(block)
+            yield start, block
+
+    monkeypatch.setattr(RatioScorer, "_products", spy)
+    a, b = _lattice_stores()
+    for block in (1, 7, None, len(a) + 1):
+        rows_per_sweep.clear()
+        _scorer_outputs(RatioScorer(a, b, k=3, block=block))
+        assert rows_per_sweep == [len(a), len(a)], block
 
 
 def test_ratio_scorer_memory_is_bounded():
@@ -239,6 +335,16 @@ def test_ratio_scorer_memory_is_bounded():
     assert peak < 2000 * 1500 * 8 / 4
 
 
+def test_infinite_ratio_is_kept_by_max_and_skipped_by_argmax():
+    # Real cosines cannot give a denominator this small, so the means are set
+    # directly: the ratio to b id 0 overflows, and the all-finite fast path
+    # must hand the block to the fallback, whose argmax skips it.
+    scorer = RatioScorer(store([[1.0, 0.0]], "a"), store([[1.0, 0.0], [0.6, 0.8]], "b"), k=1)
+    scorer.mean_a, scorer.mean_b = np.array([1e-320]), np.array([1e-320, 0.5])
+    assert scorer.max_over_b() == ({0: np.inf}, [])
+    assert scorer.argmax_over_b(0) == (1, 0.6 / ((1e-320 + 0.5) / 2.0))
+
+
 def test_degenerate_rows_skipped():
     a = store([[1, 0], [0, 0]], "a")
     b = store([[0.5, 0.5], [1, 0]], "b")
@@ -251,15 +357,16 @@ def test_pool_without_usable_members_skips_every_row():
     assert scorer.min_over_b() == scorer.max_over_b() == ({}, [0, 1])
     with pytest.raises(DegenerateNeighborhoodError):
         scorer.argmax_over_b(0)
+    assert scorer.skip_counts() == {"zero-norm": 2, "non-positive-margin": 0}
 
 
-def test_store_roundtrip(tmp_path):
-    s = store([[1.25, -0.5], [0.0, 3.0]], "t")
+def test_store_load(tmp_path):
     path = tmp_path / "emb.tsv"
-    s.save(path)
+    path.write_text("dim=2\n4\t1.25 -0.5\n\n1\t0.0 3.0\n", encoding="utf-8")
     loaded = EmbeddingStore.load(path, "t")
-    assert loaded.ids == s.ids
-    assert np.array_equal(loaded.matrix, s.matrix)
+    assert loaded.ids == [4, 1] and loaded.dim == 2
+    assert np.array_equal(loaded.matrix, [[1.25, -0.5], [0.0, 3.0]])
+    assert loaded.degenerate_ids == set()
 
 
 def test_store_bad_header(tmp_path):

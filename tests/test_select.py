@@ -87,6 +87,17 @@ def test_csse_scale_invariant_order():
     assert [s.id for s in r1.sentences] == [s.id for s in r2.sentences]
 
 
+def test_csse_names_skips_by_cause():
+    # U row 1 has zero norm. U row 2 points away from L: its mean cosine to
+    # L is about -1 and L row 0's mean is 0, so their denominator is negative.
+    U = corpus_of("a", "b", "c")
+    store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), "U")
+    store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.9, 0.1]]), "L")
+    result = select_csse(U, store_U, store_L, budget=10, k=2)
+    assert [s.id for s in result.sentences] == [0]
+    assert result.skipped == {"zero-norm": 1, "non-positive-margin": 1}
+
+
 def test_rttl_lowest_likelihood_first():
     U = corpus_of("a", "b")
     result = select_rttl(U, {0: -1.0, 1: -5.0}, budget=1)
