@@ -1,4 +1,4 @@
-"""Word alignment: IBM Model 1 EM training plus Pharaoh-format ingestion.
+"""Word alignment: IBM Model 1 EM training and Viterbi-style linking.
 
 The table direction is t(target | source) with a NULL source token; pass
 reverse=True to train the other direction.
@@ -7,7 +7,6 @@ reverse=True to train the other direction.
 import numpy as np
 
 from .corpus import ParallelCorpus
-from .errors import ParseError
 
 NULL_TOKEN = "<NULL>"
 
@@ -27,12 +26,6 @@ class TranslationTable:
 
     def prob(self, target: str, source: str) -> float:
         return self.probs.get(source, {}).get(target, 0.0)
-
-    def export_tsv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for src in sorted(self.probs):
-                for tgt in sorted(self.probs[src]):
-                    fh.write(f"{src}\t{tgt}\t{self.probs[src][tgt]!r}\n")
 
 
 def _code_bitext(parallel: ParallelCorpus, reverse: bool):
@@ -156,23 +149,6 @@ def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int
         if table.prob(tgt_tok, NULL_TOKEN) > best_p:
             continue
         links.add((best_i, j))
-    return links
-
-
-def parse_pharaoh(line: str, src_len: int, tgt_len: int) -> set[tuple[int, int]]:
-    """Parse space-separated "i-j" pairs, validating index bounds."""
-    links = set()
-    for offset, chunk in enumerate(line.split()):
-        parts = chunk.split("-")
-        if len(parts) != 2:
-            raise ParseError(f"malformed alignment token {chunk!r} at position {offset}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed alignment token {chunk!r} at position {offset}")
-        if not (0 <= i < src_len and 0 <= j < tgt_len):
-            raise ParseError(f"alignment {chunk!r} out of bounds for {src_len}x{tgt_len}")
-        links.add((i, j))
     return links
 
 

@@ -1,17 +1,16 @@
 """Diagnostics: n-gram coverage, Pearson correlation, smoothed sentence BLEU,
-in-domain word statistics, in-domain translation accuracy, length ratio."""
+in-domain word statistics, length ratio."""
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, ParallelCorpus
+from .corpus import Corpus
 
 
 @dataclass
 class CoverageReport:
     per_n: dict  # n -> percentage of test n-gram types covered
-    covering_label: str = ""
 
 
 @dataclass
@@ -34,8 +33,7 @@ def _ngrams(sentences, n):
     return (tuple(tokens[s:s + n]) for tokens in sentences for s in range(len(tokens) - n + 1))
 
 
-def ngram_coverage(covering, test, max_n: int, token_level: bool = False,
-                   label: str = "") -> CoverageReport:
+def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> CoverageReport:
     """Percentage of test n-grams present in the covering text, per n.
 
     covering/test are iterables of token sequences. Default counts n-gram
@@ -59,7 +57,7 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False,
             total = len(test_types)
             hit = len(test_types & cover_types)
         per_n[n] = 100.0 * hit / total if total else 0.0
-    return CoverageReport(per_n, label)
+    return CoverageReport(per_n)
 
 
 def pearson(xs, ys) -> float:
@@ -137,54 +135,6 @@ def _hyp_tokens(hypotheses, sid):
     if isinstance(hypotheses, Corpus):
         return hypotheses.get(sid).tokens
     return tuple(hypotheses[sid])
-
-
-def in_domain_translation_accuracy(test: ParallelCorpus, hypotheses,
-                                   alignments: dict, ood_vocab: set) -> float:
-    """Fraction of in-domain source tokens whose aligned reference targets all
-    appear in the hypothesis (bag-of-words containment).
-
-    hypotheses is a Corpus or a dict id -> tokens (empty hypotheses allowed);
-    alignments maps pair id -> link set over (source idx, target idx).
-    """
-    total, correct = 0, 0
-    for src, ref in test:
-        if src.id not in hypotheses:
-            raise ValueError(f"hypotheses missing id {src.id}")
-        hyp_bag = Counter(_hyp_tokens(hypotheses, src.id))
-        links = alignments.get(src.id, set())
-        for i, tok in enumerate(src.tokens):
-            if tok in ood_vocab:
-                continue
-            targets = [ref.tokens[j] for si, j in links if si == i]
-            if not targets:
-                continue
-            total += 1
-            if all(hyp_bag[t] > 0 for t in targets):
-                correct += 1
-    return correct / total if total else 0.0
-
-
-def in_domain_translation_accuracy_lexical(test: ParallelCorpus, hypotheses,
-                                           table, ood_vocab: set) -> float:
-    """Alignment-free fallback: an in-domain source token counts as correct
-    when its top-1 table translation appears in the hypothesis."""
-    total, correct = 0, 0
-    for src, _ in test:
-        if src.id not in hypotheses:
-            raise ValueError(f"hypotheses missing id {src.id}")
-        hyp_bag = Counter(_hyp_tokens(hypotheses, src.id))
-        for tok in src.tokens:
-            if tok in ood_vocab:
-                continue
-            row = table.probs.get(tok)
-            if not row:
-                continue
-            top = min(row.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            total += 1
-            if hyp_bag[top] > 0:
-                correct += 1
-    return correct / total if total else 0.0
 
 
 def length_ratio(hypotheses, references: Corpus) -> float:

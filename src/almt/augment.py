@@ -78,16 +78,6 @@ def phrases_in_sentence(tokens, index: PhraseIndex):
     return [index.pairs[i] for i in sorted(hits)]
 
 
-def retrieve_context(x_id, store_U: EmbeddingStore, parallel: ParallelCorpus,
-                     store_L: EmbeddingStore, k: int, scorer: RatioScorer = None):
-    """Most ratio-similar L' pair for a U sentence, ties by ascending id."""
-    if scorer is None:
-        scorer = RatioScorer(store_U, store_L, k)
-    pair_id, score = scorer.argmax_over_b(x_id)
-    src, tgt = parallel.get(pair_id)
-    return pair_id, src.tokens, tgt.tokens, score
-
-
 def best_switch(annotated, x_star, y_star, lm: NGramLM, table: TranslationTable,
                 origin_id: int = -1):
     """LM-argmax over all (annotated phrase, position) switch candidates.
@@ -156,12 +146,12 @@ def augment_corpus(U, phrase_pairs, store_U: EmbeddingStore, parallel: ParallelC
         if not annotated:
             report["no-annotated-phrase"] += 1
             continue
-        try:
-            pair_id, x_star, y_star, _ = retrieve_context(sent.id, store_U, parallel,
-                                                          store_L, k, scorer)
+        try:  # the most ratio-similar L' pair, ties by ascending id
+            pair_id, _ = scorer.argmax_over_b(sent.id)
         except DegenerateNeighborhoodError:
             report["retrieval-degenerate"] += 1
             continue
+        x_star, y_star = (side.tokens for side in parallel.get(pair_id))
         if recipe == "switch":
             best, reasons = best_switch(annotated, x_star, y_star, lm, table, origin_id=pair_id)
             if best is None:

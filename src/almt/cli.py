@@ -7,12 +7,13 @@ import argparse
 import json
 import sys
 
-from . import align, analyze, mix, oracle, toy
-from .corpus import load_corpus, load_parallel, read_lines
-from .embed import EmbeddingStore
+from . import analyze, mix, toy
+from .corpus import load_corpus, read_lines
 from .errors import AlmtError, ConfigError, ParseError
 from .ngrams import extract_ngrams
-from .pipeline import STRATEGIES, RunConfig, RunContext, run_pipeline, validate_config
+from .pipeline import (STRATEGIES, RunConfig, RunContext, mix_pairs, respond, run_pipeline,
+                       validate_config)
+from .select import SelectedPhrase, SelectedSentence, SelectionResult
 
 
 def _cmd_extract(args):
@@ -39,45 +40,39 @@ def _cmd_select(args):
 
 
 def _load_selection(path):
-    sentence_ids, phrases = [], []
+    """A selection.jsonl file as a SelectionResult of its sentence ids and phrases."""
+    result = SelectionResult(None, None, None)
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
             rec = json.loads(line)
             if rec["kind"] == "sentence":
-                sentence_ids.append(rec["id"])
+                result.sentences.append(SelectedSentence(rec["id"], None, None))
             else:
-                phrases.append(tuple(rec["tokens"]))
+                result.phrases.append(SelectedPhrase(tuple(rec["tokens"]), None, None))
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed selection record ({exc!r})") from None
-    return sentence_ids, phrases
+    return result
 
 
 def _cmd_oracle(args):
-    reference = load_parallel(args.reference, "ref")
-    L = load_parallel(args.labeled, "L")
-    table = align.train_ibm1(L, args.iterations)
-    sentence_ids, phrases = _load_selection(args.selection)
-    l_s = oracle.translate_sentences(sentence_ids, reference)
-    l_p, drops = oracle.translate_phrases(phrases, reference, table)
-    oracle.write_responses(l_s, f"{args.output_prefix}.sentences.tsv",
-                           f"{args.output_prefix}.sentences.provenance.jsonl", reference)
-    oracle.write_responses(l_p, f"{args.output_prefix}.phrases.tsv",
-                           f"{args.output_prefix}.phrases.provenance.jsonl")
+    context = RunContext(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference,
+                                   ibm1_iterations=args.iterations))
+    context.reference  # read first: a malformed reference is reported before the selection
+    context.selection = _load_selection(args.selection)
+    l_s, l_p, drops = respond(context, context.selection,
+                              lambda _, filename: f"{args.output_prefix}.{filename}")
     print(json.dumps({"sentences": len(l_s), "phrases": len(l_p),
                       "dropped": {" ".join(p): r for p, r in drops.items()}}))
     return 0
 
 
 def _cmd_mix(args):
-    L = load_parallel(args.labeled, "L")
-    if args.policy == "sample":
-        rows = mix.sample_random(L, args.size, args.seed)
-    else:
-        store_L = EmbeddingStore.load(args.embeddings_labeled, "L")
-        store_U = EmbeddingStore.load(args.embeddings_unlabeled, "U")
-        rows, skipped = mix.retrieve_similar(L, store_L, store_U, args.k, args.size)
-        if skipped:
-            print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
+    config = RunConfig(None, args.labeled, None, [], embeddings_unlabeled=args.embeddings_unlabeled,
+                       embeddings_labeled=args.embeddings_labeled, seed=args.seed, k=args.k,
+                       mix_policy=args.policy)
+    rows, skipped = mix_pairs(RunContext(config), args.size)
+    if skipped:
+        print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
     mix.write_freeze(rows, args.output)
     with open(args.output + ".tsv", "w", encoding="utf-8") as fh:
         for _, src, tgt in rows:
@@ -101,8 +96,13 @@ def _cmd_analyze(args):
                 raise ParseError(f"{args.input}:{lineno}: expected {len(columns)} columns, got {len(vals)}")
             for col, v in zip(columns, vals):
                 col.append(v)
+        if not columns:
+            raise ParseError(f"{args.input}: no rows")
         *coverage_cols, score_col = columns
-        rs = [analyze.pearson(col, score_col) for col in coverage_cols]
+        try:
+            rs = [analyze.pearson(col, score_col) for col in coverage_cols]
+        except ValueError as exc:  # fewer than 2 rows, or a constant column
+            raise ParseError(f"{args.input}: {exc}") from None
         print("\t".join(f"{r:.6f}" for r in rs))
     elif args.mode == "coverage":
         covering = [s.tokens for s in load_corpus(args.covering)]

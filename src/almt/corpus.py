@@ -1,4 +1,4 @@
-"""Corpus data model, tokenization, IO, and the word-count cost model.
+"""Corpus data model, tokenization and IO.
 
 All budgets are charged in whitespace tokens; punctuation counts (corpora are
 assumed pre-tokenized upstream). Token identity is case-sensitive.
@@ -36,13 +36,6 @@ def tokenize(raw_line: str) -> tuple[str, ...]:
     if not tokens:
         raise BlankLineError("line is empty after trimming")
     return tuple(tokens)
-
-
-def cost(unit) -> int:
-    """Annotation cost of a Sentence or Phrase, in words."""
-    if isinstance(unit, Sentence):
-        return len(unit.tokens)
-    return len(unit)
 
 
 class Corpus:

@@ -13,14 +13,14 @@ from .corpus import Corpus
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+ADD_K = 0.1  # the pseudo-count added to every event
 
 
 class NGramLM:
-    def __init__(self, order: int = 3, add_k: float = 0.1):
+    def __init__(self, order: int = 3):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.order = order
-        self.add_k = add_k
         self.vocab = set()
         # counts[m][history][word] with |history| = m-1
         self.counts = [None] + [defaultdict(lambda: defaultdict(int)) for _ in range(order)]
@@ -56,8 +56,8 @@ class NGramLM:
         total = 0.0
         for m in range(1, self.order + 1):
             h = history[len(history) - (m - 1):] if m > 1 else ()
-            num = self.counts[m][h][word] + self.add_k
-            den = self.totals[m][h] + self.add_k * v
+            num = self.counts[m][h][word] + ADD_K
+            den = self.totals[m][h] + ADD_K * v
             total += num / den
         return total / self.order
 
@@ -70,7 +70,7 @@ class NGramLM:
         return lp
 
 
-def train_lm(U: Corpus, order: int = 3, add_k: float = 0.1) -> NGramLM:
+def train_lm(U: Corpus, order: int = 3) -> NGramLM:
     if len(U) == 0:
         raise ValueError("training corpus is empty")
-    return NGramLM(order, add_k).train(U)
+    return NGramLM(order).train(U)

@@ -28,8 +28,6 @@ class ManifestEntry:
 class MixManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
     counts: dict = field(default_factory=dict)
-    M: int = 0
-    removed_duplicates: int = 0
 
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -91,17 +89,18 @@ def load_freeze(path, parallel: ParallelCorpus):
     return rows
 
 
-def assemble(l_s, l_p, l_r, synthetic=None, dedupe: bool = False,
-             retrieved: bool = True) -> MixManifest:
+def assemble(l_s, l_p, l_r, synthetic=None, retrieved: bool = True) -> MixManifest:
     """Concatenate the pools in fixed order: L_s, L_p, L_r, synthetic.
 
     l_s / l_p are OracleResponse lists (l_s sources resolved upstream to
-    (tokens, id)); l_r is a list of (pair id, src, tgt).
+    (tokens, id)); l_r is a list of (pair id, src, tgt). Every origin is
+    counted, so empty inputs give an empty manifest with zero counts.
     """
-    manifest = MixManifest()
+    manifest = MixManifest(counts=dict.fromkeys(ORIGINS, 0))
 
     def add(source, target, origin, provenance):
         manifest.entries.append(ManifestEntry(tuple(source), tuple(target), origin, provenance))
+        manifest.counts[origin] += 1
 
     for tokens, target, sid in l_s:
         add(tokens, target, "annotated-sentence", sid)
@@ -113,24 +112,4 @@ def assemble(l_s, l_p, l_r, synthetic=None, dedupe: bool = False,
     for pair in synthetic or []:
         add(pair.source, pair.target, f"synthetic-{'switch' if pair.recipe == 'switch' else 'context'}",
             pair.origin_id)
-
-    if not manifest.entries:
-        raise ValueError("all manifest inputs are empty")
-    if dedupe:
-        seen = set()
-        kept = []
-        for e in manifest.entries:
-            key = (e.source, e.target)
-            if key in seen:
-                manifest.removed_duplicates += 1
-                continue
-            seen.add(key)
-            kept.append(e)
-        manifest.entries = kept
-
-    manifest.M = len(l_r)
-    for e in manifest.entries:
-        manifest.counts[e.origin] = manifest.counts.get(e.origin, 0) + 1
-    for origin in ORIGINS:
-        manifest.counts.setdefault(origin, 0)
     return manifest

@@ -1,10 +1,10 @@
-"""Phrase extraction/indexing, the semi-order relation, and semi-maximal sets.
+"""Phrase extraction/indexing and semi-maximal sets.
 
 Occurrence counting includes overlapping matches ("a a a" contains "a a"
 twice). All count comparisons are exact integer arithmetic.
 """
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -51,25 +51,9 @@ def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
     return index
 
 
-def is_strict_substring(p: Phrase, p_prime: Phrase) -> bool:
-    """True iff p is a contiguous substring of p_prime and p != p_prime."""
-    p, p_prime = tuple(p), tuple(p_prime)
-    if len(p) >= len(p_prime):
-        return False
-    n = len(p)
-    return any(p_prime[i:i + n] == p for i in range(len(p_prime) - n + 1))
-
-
-def semi_order(p: Phrase, p_prime: Phrase, index: OccurrenceIndex) -> bool:
-    """p precedes p_prime iff p is a strict substring and p_prime occurs more
-    than half as often as p (2*occ(p') > occ(p), exact integers)."""
-    if not is_strict_substring(p, p_prime):
-        return False
-    return 2 * index.occ(p_prime) > index.occ(p)
-
-
 def semi_maximal_set(index: OccurrenceIndex) -> set[Phrase]:
-    """Phrases with no semi-order superstring in the index.
+    """Phrases p with no strict superstring p' in the index that occurs more
+    than half as often (2*occ(p') > occ(p), exact integers).
 
     Instead of testing all phrase pairs, walk every stored phrase p' and mark
     each of its strict substrings p excluded when 2*occ(p') > occ(p). Every
@@ -92,15 +76,3 @@ def semi_maximal_set(index: OccurrenceIndex) -> set[Phrase]:
                     excluded.add(p)
     return {p for p in index.counts if p not in excluded}
 
-
-def semi_order_witness(p: Phrase, index: OccurrenceIndex):
-    """A superstring excluding p from the semi-maximal set, or None."""
-    p = tuple(p)
-    by_len = defaultdict(list)
-    for q in index.counts:
-        by_len[len(q)].append(q)
-    for n in range(len(p) + 1, index.max_n + 1):
-        for q in sorted(by_len.get(n, ())):
-            if semi_order(p, q, index):
-                return q
-    return None

@@ -232,12 +232,15 @@ def _alive(owner):
 class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
     ``selection`` ranks once, at the run's largest budget; every budget cuts it,
-    and ``translations`` holds the oracle's answer for each of its phrases."""
+    and ``translations`` holds the oracle's answer for each of its phrases.
+    ``almt select``, ``oracle`` and ``mix`` build one from their flags, so a
+    stage run alone takes the pipeline's code path."""
 
-    def __init__(self, config: RunConfig, top_budget: int):
+    def __init__(self, config: RunConfig, top_budget: int = None):
         self.config, self.top_budget = config, top_budget
-        self.strategies = [STRATEGIES[getattr(config, key)] for key, _ in _pools(config)]
 
+    strategies = cached_property(lambda self: [STRATEGIES[getattr(self.config, key)]
+                                               for key, _ in _pools(self.config)])
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
     store_U = cached_property(lambda self: _store(self.config.embeddings_unlabeled, "U"))
@@ -312,32 +315,17 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         table = context.table
 
     with _stage(report, "oracle"):
-        reference = context.reference
-        l_s_resp = oracle.translate_sentences([s.id for s in result.sentences], reference)
-        responses, drops = context.translations
-        l_p_resp = [responses[p.tokens] for p in result.phrases if p.tokens in responses]
-        phrase_drops = {p.tokens: drops[p.tokens] for p in result.phrases if p.tokens in drops}
-        oracle.write_responses(l_s_resp, out("sentences", "sentences.tsv"),
-                               out("sentences_provenance", "sentences.provenance.jsonl"), reference)
-        oracle.write_responses(l_p_resp, out("phrases", "phrases.tsv"),
-                               out("phrases_provenance", "phrases.provenance.jsonl"))
+        l_s_resp, l_p_resp, phrase_drops = respond(context, result, out)
         report.counts["translated_sentences"] = len(l_s_resp)
         report.counts["translated_phrases"] = len(l_p_resp)
         if phrase_drops:
             report.dropped["oracle:phrases"] = {" ".join(p): r for p, r in phrase_drops.items()}
 
     with _stage(report, "mix"):
-        L = context.L
         m = config.mix_size if config.mix_size is not None else len(l_p_resp)
-        if config.freeze_file and Path(config.freeze_file).exists():
-            l_r = mix.load_freeze(config.freeze_file, L)
-        elif config.mix_policy == "sample":
-            l_r = mix.sample_random(L, min(m, len(L)), config.seed)
-        else:
-            l_r, skipped = mix.retrieve_similar(L, context.store_L, context.store_U, config.k,
-                                                min(m, len(L)))
-            if skipped:
-                report.dropped["mix:degenerate"] = len(skipped)
+        l_r, skipped = mix_pairs(context, min(m, len(context.L)))
+        if skipped:
+            report.dropped["mix:degenerate"] = len(skipped)
         mix.write_freeze(l_r, out("freeze", "retrieved.freeze.jsonl"))
         report.counts["mixed_pairs"] = len(l_r)
 
@@ -346,20 +334,18 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         with _stage(report, "augment"):
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
-                context.U, phrase_pairs, context.store_U, L, context.store_L, context.lm, table,
-                config.k, config.augment_recipe)
+                context.U, phrase_pairs, context.store_U, context.L, context.store_L, context.lm,
+                table, config.k, config.augment_recipe)
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))
             report.counts["synthetic_pairs"] = len(synthetic)
             report.dropped.update({f"augment:{k}": v for k, v in aug_report.items() if v})
 
     with _stage(report, "assemble"):
-        l_s_rows = [(reference.get(r.source)[0].tokens, r.target, r.source) for r in l_s_resp]
-        if l_s_rows or l_p_resp or l_r or synthetic:
-            manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
-                                    retrieved=config.mix_policy == "retrieve")
-        else:  # the oracle translated nothing at a tiny budget: record an empty manifest
-            manifest = mix.MixManifest(counts=dict.fromkeys(mix.ORIGINS, 0))
+        l_s_rows = [(context.reference.get(r.source)[0].tokens, r.target, r.source)
+                    for r in l_s_resp]
+        manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
+                                retrieved=config.mix_policy == "retrieve")
         manifest.write_jsonl(out("manifest_jsonl", "manifest.jsonl"))
         manifest.write_tsv(out("manifest_tsv", "manifest.tsv"))
         report.counts["manifest_entries"] = len(manifest.entries)
@@ -367,6 +353,32 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     _finish(report, run_dir, outputs)
     return report
+
+
+def respond(context: RunContext, cut, out):
+    """The oracle stage: translate the sentences and phrases of ``cut``, a cut of
+    ``context.selection``, and write them to the files ``out(name, filename)``
+    names. Returns (sentence responses, phrase responses, drops by phrase)."""
+    l_s = oracle.translate_sentences([s.id for s in cut.sentences], context.reference)
+    responses, drops = context.translations
+    l_p = [responses[p.tokens] for p in cut.phrases if p.tokens in responses]
+    oracle.write_responses(l_s, out("sentences", "sentences.tsv"),
+                           out("sentences_provenance", "sentences.provenance.jsonl"),
+                           context.reference)
+    oracle.write_responses(l_p, out("phrases", "phrases.tsv"),
+                           out("phrases_provenance", "phrases.provenance.jsonl"))
+    return l_s, l_p, {p.tokens: drops[p.tokens] for p in cut.phrases if p.tokens in drops}
+
+
+def mix_pairs(context: RunContext, m: int):
+    """The mix stage: the freeze file's out-of-domain pairs if it exists, else m
+    sampled or retrieved ones. Returns (rows, ids that retrieval skipped)."""
+    config, L = context.config, context.L
+    if config.freeze_file and Path(config.freeze_file).exists():
+        return mix.load_freeze(config.freeze_file, L), []
+    if config.mix_policy == "sample":
+        return mix.sample_random(L, m, config.seed), []
+    return mix.retrieve_similar(L, context.store_L, context.store_U, config.k, m)
 
 
 def _finish(report, run_dir, outputs):

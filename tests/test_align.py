@@ -5,10 +5,9 @@ import pytest
 
 import ibm1_reference
 from almt import align, toy
-from almt.align import (NULL_TOKEN, align_pair, aligned_target_span, parse_pharaoh,
-                        span_has_outside_links, train_ibm1, TranslationTable)
+from almt.align import (NULL_TOKEN, align_pair, aligned_target_span, span_has_outside_links,
+                        train_ibm1, TranslationTable)
 from almt.corpus import ParallelCorpus, Sentence, load_parallel
-from almt.errors import ParseError
 
 
 def parallel_of(*pairs):
@@ -90,18 +89,6 @@ def test_align_null_needs_strict_win():
     assert align_pair(("a",), ("x",), table) == set()
 
 
-def test_parse_pharaoh():
-    assert parse_pharaoh("0-0 1-2", 2, 3) == {(0, 0), (1, 2)}
-    assert parse_pharaoh("", 2, 3) == set()
-
-
-def test_parse_pharaoh_bounds():
-    with pytest.raises(ParseError):
-        parse_pharaoh("3-0", 2, 2)
-    with pytest.raises(ParseError):
-        parse_pharaoh("0-0 junk", 2, 2)
-
-
 def test_aligned_target_span_direct():
     assert aligned_target_span({(1, 2), (2, 3)}, 1, 3) == (2, 3)
 
@@ -124,15 +111,6 @@ def test_reverse_direction():
     corpus = parallel_of(*([("hund", "dog")] * 3))
     table = train_ibm1(corpus, iterations=5, reverse=True)
     assert table.prob("hund", "dog") == pytest.approx(1.0, abs=1e-6)
-
-
-def test_table_export(tmp_path):
-    corpus = parallel_of(("hund", "dog"))
-    table = train_ibm1(corpus, iterations=2)
-    out = tmp_path / "table.tsv"
-    table.export_tsv(out)
-    rows = [l.split("\t") for l in out.read_text().splitlines()]
-    assert all(len(r) == 3 for r in rows)
 
 
 def test_zero_iterations_rejected():

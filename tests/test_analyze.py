@@ -4,21 +4,13 @@ from collections import Counter
 
 import pytest
 
-from almt.align import TranslationTable
-from almt.analyze import (in_domain_translation_accuracy,
-                          in_domain_translation_accuracy_lexical,
-                          in_domain_vocab, in_domain_word_stats, length_ratio,
+from almt.analyze import (in_domain_vocab, in_domain_word_stats, length_ratio,
                           ngram_coverage, pearson, sentence_bleu)
-from almt.corpus import Corpus, ParallelCorpus, Sentence
+from almt.corpus import Corpus, Sentence
 
 
 def corpus_of(*lines):
     return Corpus([Sentence(i, tuple(l.split())) for i, l in enumerate(lines)])
-
-
-def parallel_of(*pairs):
-    return ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(t.split())))
-                           for i, (s, t) in enumerate(pairs)])
 
 
 def oracle_coverage(covering, test, n):
@@ -170,53 +162,6 @@ def test_in_domain_word_stats_values():
     assert (stats.idwt, stats.wt, stats.idwc, stats.wc) == (1, 3, 2, 5)
     assert stats.type_ratio == pytest.approx(100.0 / 3)
     assert stats.count_ratio == pytest.approx(40.0)
-
-
-# --- translation accuracy ---
-
-def test_accuracy_perfect():
-    test = parallel_of(("d1 g1", "T_d1 T_g1"))
-    hyp = {0: ("T_d1", "T_g1")}
-    align = {0: {(0, 0), (1, 1)}}
-    assert in_domain_translation_accuracy(test, hyp, align, ood_vocab={"g1"}) == 1.0
-
-
-def test_accuracy_zero():
-    test = parallel_of(("d1", "T_d1"))
-    assert in_domain_translation_accuracy(test, {0: ("wrong",)}, {0: {(0, 0)}}, set()) == 0.0
-
-
-def test_accuracy_planted_half():
-    test = parallel_of(("d1 d2", "T_d1 T_d2"))
-    hyp = {0: ("T_d1", "junk")}
-    align = {0: {(0, 0), (1, 1)}}
-    assert in_domain_translation_accuracy(test, hyp, align, set()) == 0.5
-
-
-def test_accuracy_ignores_ood_and_unaligned():
-    test = parallel_of(("g1 d1 d2", "T_g1 T_d1 T_d2"))
-    hyp = {0: ("T_d1",)}
-    align = {0: {(0, 0), (1, 1)}}  # d2 unaligned, g1 out-of-domain
-    assert in_domain_translation_accuracy(test, hyp, align, ood_vocab={"g1"}) == 1.0
-
-
-def test_accuracy_empty_hypothesis_allowed():
-    test = parallel_of(("d1", "T_d1"))
-    assert in_domain_translation_accuracy(test, {0: ()}, {0: {(0, 0)}}, set()) == 0.0
-
-
-def test_accuracy_missing_hypothesis_rejected():
-    test = parallel_of(("d1", "T_d1"))
-    with pytest.raises(ValueError):
-        in_domain_translation_accuracy(test, {}, {}, set())
-
-
-def test_accuracy_lexical_fallback():
-    test = parallel_of(("d1 d2", "T_d1 T_d2"))
-    table = TranslationTable({"d1": {"T_d1": 0.9, "z": 0.1}, "d2": {"T_d2": 1.0}})
-    assert in_domain_translation_accuracy_lexical(test, {0: ("T_d1",)}, table, set()) == 0.5
-    assert in_domain_translation_accuracy_lexical(
-        test, {0: ("T_d1", "T_d2")}, table, set()) == 1.0
 
 
 # --- length ratio ---

@@ -464,14 +464,21 @@ def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record,
     assert f"{selection}:2: malformed selection record" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("row, problem", [("1\tx\t0.5", "non-numeric cell"),
-                                          ("1\t0.5", "expected 3 columns, got 2")])
-def test_cli_analyze_correlation_malformed_row_is_a_parse_error(row, problem, tmp_path, capsys):
+@pytest.mark.parametrize("text, where, problem", [
+    # a malformed row between two good ones, named by its line
+    *(pytest.param(f"0.1\t0.2\t0.3\n\n{row}\n0.3\t0.1\t0.2\n", ":3", problem, id=f"{row}-{problem}")
+      for row, problem in [("1\tx\t0.5", "non-numeric cell"), ("1\t0.5", "expected 3 columns, got 2")]),
+    # a table no correlation can be computed from, named by its file
+    pytest.param("", "", "no rows", id="empty-file"),
+    pytest.param("1\t2\n", "", "need at least 2 points", id="one-row"),
+    pytest.param("1\t2\n1\t3\n", "", "zero variance", id="constant-column"),
+])
+def test_cli_analyze_correlation_malformed_row_is_a_parse_error(text, where, problem, tmp_path, capsys):
     data = tmp_path / "cols.tsv"
-    data.write_text(f"0.1\t0.2\t0.3\n\n{row}\n0.3\t0.1\t0.2\n")
+    data.write_text(text)
     assert main(["analyze", "correlation", "--input", str(data)]) == 3
     err = capsys.readouterr().err
-    assert f"{data}:3: {problem}" in err and "Traceback" not in err
+    assert f"{data}{where}: {problem}" in err and "Traceback" not in err
 
 
 def test_pipeline_freeze_line_without_id_is_a_parse_error(toy_dir, tmp_path, capsys):
@@ -485,3 +492,28 @@ def test_pipeline_freeze_line_without_id_is_a_parse_error(toy_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert f"{freeze}:2: malformed freeze record" in err and "Traceback" not in err
     assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: mix\n")
+
+
+def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
+    toy_dir = tmp_path / "toy"
+    config = RunConfig(**toy.generate(toy_dir, seed=7))  # the stock toy
+    config.output_dir = str(tmp_path / "runs")
+    [report] = run_pipeline(config)
+    run_dir = tmp_path / "runs" / f"budget-{report.budget}"
+    assert report.counts["translated_sentences"] and report.counts["translated_phrases"]
+
+    prefix = tmp_path / "cli"
+    assert main(["oracle", "--selection", str(run_dir / "selection.jsonl"),
+                 "--reference", config.oracle_reference, "--labeled", config.labeled,
+                 "--iterations", str(config.ibm1_iterations), "--output-prefix", str(prefix)]) == 0
+    for name in ("sentences.tsv", "sentences.provenance.jsonl", "phrases.tsv",
+                 "phrases.provenance.jsonl"):
+        assert Path(f"{prefix}.{name}").read_bytes() == (run_dir / name).read_bytes(), name
+
+    freeze = tmp_path / "cli.freeze.jsonl"
+    assert main(["mix", "--labeled", config.labeled, "--policy", "retrieve",
+                 "--size", str(report.counts["mixed_pairs"]), "--seed", str(config.seed),
+                 "--k", str(config.k), "--embeddings-labeled", config.embeddings_labeled,
+                 "--embeddings-unlabeled", config.embeddings_unlabeled,
+                 "--output", str(freeze)]) == 0
+    assert freeze.read_bytes() == (run_dir / "retrieved.freeze.jsonl").read_bytes()

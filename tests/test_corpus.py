@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from almt.corpus import (BlankLineError, Sentence, cost, load_corpus, load_parallel,
-                         tokenize)
+from almt.corpus import BlankLineError, load_corpus, load_parallel, tokenize
 from almt.errors import ParseError
 
 
@@ -31,16 +30,6 @@ tokens_st = st.lists(st.text(alphabet="abcXYZ0", min_size=1, max_size=5), min_si
 def test_tokenize_join_roundtrip(tokens):
     joined = " ".join(tokens)
     assert tokenize(joined) == tokenize(" ".join(tokenize(joined)))
-
-
-def test_cost_counts_tokens():
-    assert cost(Sentence(0, ("Jedoch", "ist", "Vorsicht"))) == 3
-    assert cost(("x",)) == 1
-
-
-def test_cost_additive():
-    sents = [Sentence(i, ("a", "b", "c", "d")) for i in range(5)]
-    assert sum(cost(s) for s in sents) == 20
 
 
 def test_load_corpus_basic(tmp_path):

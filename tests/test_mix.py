@@ -4,7 +4,7 @@ import pytest
 from almt.corpus import ParallelCorpus, Sentence
 from almt.embed import EmbeddingStore
 from almt.errors import ConfigError
-from almt.mix import (assemble, load_freeze, retrieve_similar, sample_random,
+from almt.mix import (ORIGINS, assemble, load_freeze, retrieve_similar, sample_random,
                       write_freeze)
 from almt.oracle import OracleResponse
 
@@ -91,7 +91,6 @@ def test_assemble_order_and_counts():
     manifest = assemble(l_s, l_p, l_r)
     assert [e.origin for e in manifest.entries] == [
         "annotated-sentence", "annotated-phrase", "retrieved"]
-    assert manifest.M == 1
     assert manifest.counts["annotated-sentence"] == 1
     assert manifest.counts["sampled"] == 0  # absent origins still reported
 
@@ -101,22 +100,16 @@ def test_assemble_sampled_flag():
     assert manifest.entries[0].origin == "sampled"
 
 
-def test_assemble_dedupe():
-    l_s = [(("a",), ("x",), 0), (("a",), ("x",), 1)]
-    manifest = assemble(l_s, [], [], dedupe=True)
-    assert len(manifest.entries) == 1
-    assert manifest.removed_duplicates == 1
-
-
 def test_assemble_keeps_same_source_different_target():
     l_s = [(("a",), ("x",), 0), (("a",), ("y",), 1)]
-    manifest = assemble(l_s, [], [], dedupe=True)
+    manifest = assemble(l_s, [], [])
     assert len(manifest.entries) == 2
 
 
-def test_assemble_empty_rejected():
-    with pytest.raises(ValueError):
-        assemble([], [], [])
+def test_assemble_empty_inputs_give_zero_counts():
+    manifest = assemble([], [], [], [])
+    assert manifest.entries == []
+    assert manifest.counts == dict.fromkeys(ORIGINS, 0)
 
 
 def test_manifest_files(tmp_path):
