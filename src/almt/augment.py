@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
 from .corpus import ParallelCorpus, Phrase
-from .embed import EmbeddingStore, RatioScorer
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
 
@@ -129,14 +128,13 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
     return best
 
 
-def augment_corpus(U, phrase_pairs, store_U: EmbeddingStore, parallel: ParallelCorpus,
-                   store_L: EmbeddingStore, lm: NGramLM, table: TranslationTable,
-                   k: int = 4, recipe: str = "switch"):
+def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramLM,
+                   table: TranslationTable, recipe: str = "switch"):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
-    Returns (pairs, report) where report counts sentences dropped per reason.
+    ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. Returns (pairs,
+    report) where report counts sentences dropped per reason.
     """
-    scorer = RatioScorer(store_U, store_L, k)
     index = PhraseIndex(phrase_pairs)
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}

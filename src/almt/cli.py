@@ -11,8 +11,8 @@ from . import analyze, mix, toy
 from .corpus import load_corpus, read_lines
 from .errors import AlmtError, ConfigError, ParseError
 from .ngrams import extract_ngrams
-from .pipeline import (STRATEGIES, RunConfig, RunContext, mix_pairs, respond, run_pipeline,
-                       validate_config)
+from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
+                       respond, run_pipeline, validate_config)
 from .select import SelectedPhrase, SelectedSentence, SelectionResult
 
 
@@ -24,16 +24,30 @@ def _cmd_extract(args):
     return 0
 
 
-def _cmd_select(args):
-    strategy = STRATEGIES[args.strategy]
-    missing = [f"--{key.replace('_', '-')}" for key in strategy.needs if not getattr(args, key)]
+def _require(args, keys, what):
+    """Refuse a command whose flags for ``keys`` are not all given."""
+    missing = [f"--{key.replace('_', '-')}" for key in keys if not getattr(args, key)]
     if missing:
-        raise ConfigError(f"strategy {args.strategy} requires {', '.join(missing)}")
+        raise ConfigError(f"{what} requires {', '.join(missing)}")
+
+
+def _context(config, flags, top_budget):
+    """The RunContext of a stage command's config. ``flags`` maps each config key
+    that the command's flags set to the flag, which a failure names."""
+    failures = [f"{flag}: {f}" for key, flag in flags.items() for f in check_values(config, [key])]
+    if failures:
+        raise ConfigError("; ".join(failures))
+    return RunContext(config, top_budget)
+
+
+def _cmd_select(args):
+    _require(args, STRATEGIES[args.strategy].needs, f"strategy {args.strategy}")
     config = RunConfig(args.unlabeled, args.labeled, args.strategy, [args.budget_words],
                        embeddings_unlabeled=args.embeddings_unlabeled,
                        embeddings_labeled=args.embeddings_labeled, rttl_scores=args.rttl_scores,
                        seed=args.seed, k=args.k, max_n=args.max_n, dist_mode=args.dist_mode)
-    result = RunContext(config, args.budget_words).selection
+    flags = {"budgets": "--budget-words", "k": "--k", "max_n": "--max-n"}
+    result = _context(config, flags, args.budget_words).selection
     result.write_jsonl(args.output)
     print(json.dumps(result.summary()))
     return 0
@@ -55,8 +69,8 @@ def _load_selection(path):
 
 
 def _cmd_oracle(args):
-    context = RunContext(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference,
-                                   ibm1_iterations=args.iterations))
+    context = _context(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference,
+                                 ibm1_iterations=args.iterations), {"ibm1_iterations": "--iterations"}, None)
     context.reference  # read first: a malformed reference is reported before the selection
     context.selection = _load_selection(args.selection)
     l_s, l_p, drops = respond(context, context.selection,
@@ -67,10 +81,15 @@ def _cmd_oracle(args):
 
 
 def _cmd_mix(args):
+    _require(args, _EMBEDDINGS if args.policy == "retrieve" else (), f"policy {args.policy}")
     config = RunConfig(None, args.labeled, None, [], embeddings_unlabeled=args.embeddings_unlabeled,
                        embeddings_labeled=args.embeddings_labeled, seed=args.seed, k=args.k,
                        mix_policy=args.policy)
-    rows, skipped = mix_pairs(RunContext(config), args.size)
+    context = _context(config, {"k": "--k"}, None)
+    if not 0 <= args.size <= len(context.L):
+        raise ConfigError(f"--size {args.size} is not between 0 and the {len(context.L)} pairs "
+                          f"of {args.labeled}")
+    rows, skipped = mix_pairs(context, args.size)
     if skipped:
         print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
     mix.write_freeze(rows, args.output)
@@ -81,53 +100,52 @@ def _cmd_mix(args):
     return 0
 
 
+# analyze mode -> the files it reads: correlation's table, every other mode's corpora
+_ANALYZE_NEEDS = {"correlation": ("input",), "coverage": ("covering", "test"),
+                  "bleu": ("hypotheses", "references"), "wordstats": ("selected", "ood", "test"),
+                  "length-ratio": ("hypotheses", "references")}
+
+
 def _cmd_analyze(args):
+    _require(args, _ANALYZE_NEEDS[args.mode], f"analyze {args.mode}")
     if args.mode == "correlation":
-        columns = []
+        rows = []
         for lineno, line in enumerate(read_lines(args.input), start=1):
             if not line.strip():
                 continue
             try:
-                vals = [float(v) for v in line.rstrip("\n").split("\t")]
+                rows.append([float(v) for v in line.rstrip("\n").split("\t")])
             except ValueError:
                 raise ParseError(f"{args.input}:{lineno}: non-numeric cell in {line.rstrip()!r}") from None
-            columns = columns or [[] for _ in vals]
-            if len(vals) != len(columns):
-                raise ParseError(f"{args.input}:{lineno}: expected {len(columns)} columns, got {len(vals)}")
-            for col, v in zip(columns, vals):
-                col.append(v)
-        if not columns:
+            if len(rows[-1]) != len(rows[0]):
+                raise ParseError(f"{args.input}:{lineno}: expected {len(rows[0])} columns, "
+                                 f"got {len(rows[-1])}")
+        if not rows:
             raise ParseError(f"{args.input}: no rows")
-        *coverage_cols, score_col = columns
+        *coverage_cols, score_col = zip(*rows)
         try:
             rs = [analyze.pearson(col, score_col) for col in coverage_cols]
         except ValueError as exc:  # fewer than 2 rows, or a constant column
             raise ParseError(f"{args.input}: {exc}") from None
         print("\t".join(f"{r:.6f}" for r in rs))
-    elif args.mode == "coverage":
-        covering = [s.tokens for s in load_corpus(args.covering)]
-        test = [s.tokens for s in load_corpus(args.test)]
-        report = analyze.ngram_coverage(covering, test, args.max_n,
-                                        token_level=args.token_level)
+        return 0
+    corpora = [load_corpus(getattr(args, key)) for key in _ANALYZE_NEEDS[args.mode]]
+    tokens = [[s.tokens for s in corpus] for corpus in corpora]
+    if args.mode == "coverage":
+        report = analyze.ngram_coverage(*tokens, args.max_n, token_level=args.token_level)
         print(json.dumps({str(n): round(v, 4) for n, v in report.per_n.items()}))
     elif args.mode == "bleu":
-        hyp = load_corpus(args.hypotheses)
-        ref = load_corpus(args.references)
+        hyp, ref = corpora
         for r in ref:
             score = analyze.sentence_bleu(hyp.get(r.id).tokens, r.tokens) if r.id in hyp else 0.0
             print(f"{r.id}\t{score:.4f}")
     elif args.mode == "wordstats":
-        stats = analyze.in_domain_word_stats(
-            [s.tokens for s in load_corpus(args.selected)],
-            [s.tokens for s in load_corpus(args.ood)],
-            [s.tokens for s in load_corpus(args.test)])
+        stats = analyze.in_domain_word_stats(*tokens)
         print(json.dumps({"IDWT": stats.idwt, "WT": stats.wt, "IDWC": stats.idwc,
                           "WC": stats.wc, "IDWT/WT": round(stats.type_ratio, 2),
                           "IDWC/WC": round(stats.count_ratio, 2)}))
     elif args.mode == "length-ratio":
-        hyp = load_corpus(args.hypotheses)
-        ref = load_corpus(args.references)
-        print(f"{analyze.length_ratio(hyp, ref):.6f}")
+        print(f"{analyze.length_ratio(*corpora):.6f}")
     return 0
 
 
@@ -146,16 +164,10 @@ def _cmd_pipeline(args):
     config = RunConfig.load(args.config)
     if args.simulate_only:
         config.simulate_only = True
-    failures = validate_config(config)
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 2
     try:
-        reports = run_pipeline(config, budget=args.budget)
-    except ConfigError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 2
+        reports = run_pipeline(config, budget=args.budget)  # refuses an invalid config
+    except ConfigError:
+        raise  # main reports it, with exit 2
     except Exception as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
         return 3
@@ -218,16 +230,12 @@ def build_parser():
     p.set_defaults(func=_cmd_mix)
 
     p = sub.add_parser("analyze", help="diagnostic metrics")
-    p.add_argument("mode", choices=["coverage", "correlation", "bleu", "wordstats", "length-ratio"])
-    p.add_argument("--input", help="TSV of coverage columns + score column (correlation)")
-    p.add_argument("--covering")
-    p.add_argument("--test")
+    p.add_argument("mode", choices=list(_ANALYZE_NEEDS),
+                   help="correlation reads --input, a TSV of coverage columns + a score column")
+    for key in dict.fromkeys(key for keys in _ANALYZE_NEEDS.values() for key in keys):
+        p.add_argument(f"--{key}")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--token-level", action="store_true")
-    p.add_argument("--hypotheses")
-    p.add_argument("--references")
-    p.add_argument("--selected")
-    p.add_argument("--ood")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")

@@ -7,7 +7,6 @@ import random
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, read_lines
-from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError, ParseError
 
 
@@ -51,14 +50,13 @@ def sample_random(parallel: ParallelCorpus, M: int, seed: int):
     return [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ids[:M]]
 
 
-def retrieve_similar(parallel: ParallelCorpus, store_L: EmbeddingStore, store_U: EmbeddingStore,
-                     k: int, M: int):
+def retrieve_similar(parallel: ParallelCorpus, scorer, M: int):
     """Top-M out-of-domain pairs by corpus-level ratio similarity to U.
 
-    Ranking is by max ratio against any U sentence, descending, ties by
-    ascending id. Pairs with degenerate embeddings are skipped and reported.
+    ``scorer`` is an L × U RatioScorer. Ranking is by max ratio against any U
+    sentence, descending, ties by ascending id. Pairs with degenerate
+    embeddings are skipped and reported.
     """
-    scorer = RatioScorer(store_L, store_U, k)
     scores, skipped = scorer.max_over_b()
     usable = [sid for sid in parallel.ids() if sid in scores]
     if M > len(usable):

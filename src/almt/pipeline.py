@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import align, augment, mix, oracle, select
 from .corpus import load_corpus, load_parallel
-from .embed import EmbeddingStore
+from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError
 from .lm import train_lm
 from .ngrams import extract_ngrams
@@ -37,9 +37,9 @@ STRATEGIES = {
     "random-sent": Strategy("sentence", (), lambda ctx, b: select.select_random_sentences(
         ctx.U, b, ctx.config.seed)),
     "csse": Strategy("sentence", ("labeled",) + _EMBEDDINGS, lambda ctx, b: select.select_csse(
-        ctx.U, ctx.store_U, ctx.store_Lsub, b, ctx.config.k, ctx.config.dist_mode)),
+        ctx.U, ctx.csse_scorer, b, ctx.config.dist_mode)),
     "rttl": Strategy("sentence", ("rttl_scores",), lambda ctx, b: select.select_rttl(
-        ctx.U, select.load_rttl_scores(ctx.config.rttl_scores), b, ctx.config.rttl_score_kind)),
+        ctx.U, select.load_rttl_scores(ctx.config.rttl_scores), b)),
     "random-phrase": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_random_phrases(
         ctx.index_U, ctx.index_L, b, ctx.config.seed)),
     "ngf": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_ngf(
@@ -66,7 +66,6 @@ class RunConfig:
     k: int = 4
     max_n: int = 4
     dist_mode: str = "literal"
-    rttl_score_kind: str = "loglik"
     labeled_subset_size: int = 10000
     mix_policy: str = "retrieve"  # retrieve | sample
     mix_size: int = None  # default: |L_p|
@@ -103,15 +102,27 @@ def _pools(config) -> list[tuple]:
     return [("strategy", None)]
 
 
+# key -> (whether a value is valid, what a valid value is), for the keys whose
+# valid values do not depend on the rest of the config.
+_VALUES = {
+    "budgets": (lambda v: bool(v) and all(b >= 1 for b in v), "a non-empty list of positive ints"),
+    **{key: (lambda v: v >= 1, ">= 1") for key in ("max_n", "k", "ibm1_iterations", "lm_order")},
+    "dist_mode": (lambda v: v in ("literal", "nn"), "'literal' or 'nn'"),
+    "mix_policy": (lambda v: v in ("retrieve", "sample"), "'retrieve' or 'sample'"),
+    "augment_recipe": (lambda v: v in (None, "switch", "contextualize"),
+                       "null, 'switch' or 'contextualize'"),
+}
+
+
+def check_values(config: RunConfig, keys) -> list[str]:
+    """Failure messages for the listed keys whose value is not valid."""
+    return [f"{key} must be {_VALUES[key][1]}, got {getattr(config, key)!r}"
+            for key in keys if not _VALUES[key][0](getattr(config, key))]
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """Returns a list of failure messages; empty means valid."""
-    failures = []
-    if config.max_n < 1:
-        failures.append(f"max_n must be >= 1, got {config.max_n}")
-    if config.k < 1:
-        failures.append(f"k must be >= 1, got {config.k}")
-    if not config.budgets or any(b < 1 for b in config.budgets):
-        failures.append(f"budgets must be a non-empty list of positive ints, got {config.budgets}")
+    failures = check_values(config, _VALUES)
     needs = {"unlabeled", "labeled"}
     for key, kind in _pools(config):
         strategy = STRATEGIES.get(getattr(config, key))
@@ -127,10 +138,6 @@ def validate_config(config: RunConfig) -> list[str]:
         path = getattr(config, key)
         if not path or not Path(path).exists():
             failures.append(f"{key} path missing or unreadable: {path}")
-    if config.mix_policy not in ("retrieve", "sample"):
-        failures.append(f"unknown mix_policy {config.mix_policy!r}")
-    if config.augment_recipe not in (None, "switch", "contextualize"):
-        failures.append(f"unknown augment_recipe {config.augment_recipe!r}")
     paths = [getattr(config, key) for key in _EMBEDDINGS]
     if all(path and Path(path).exists() for path in paths):
         try:
@@ -229,6 +236,11 @@ def _alive(owner):
     return True
 
 
+def _scorer(a, b):
+    """A RunContext property: the RatioScorer of its stores ``a`` × ``b`` at the config's k."""
+    return cached_property(lambda self: RatioScorer(getattr(self, a), getattr(self, b), self.config.k))
+
+
 class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
     ``selection`` ranks once, at the run's largest budget; every budget cuts it,
@@ -250,6 +262,9 @@ class RunContext:
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
+    csse_scorer = _scorer("store_U", "store_Lsub")  # CSSE's distance of U from L′
+    mix_scorer = _scorer("store_L", "store_U")  # mix's similarity of L to U
+    augment_scorer = _scorer("store_U", "store_L")  # augment's retrieval from L for U
 
     @cached_property
     def store_Lsub(self):
@@ -334,8 +349,8 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         with _stage(report, "augment"):
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
-                context.U, phrase_pairs, context.store_U, context.L, context.store_L, context.lm,
-                table, config.k, config.augment_recipe)
+                context.U, phrase_pairs, context.augment_scorer, context.L, context.lm, table,
+                config.augment_recipe)
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))
             report.counts["synthetic_pairs"] = len(synthetic)
@@ -378,7 +393,7 @@ def mix_pairs(context: RunContext, m: int):
         return mix.load_freeze(config.freeze_file, L), []
     if config.mix_policy == "sample":
         return mix.sample_random(L, m, config.seed), []
-    return mix.retrieve_similar(L, context.store_L, context.store_U, config.k, m)
+    return mix.retrieve_similar(L, context.mix_scorer, m)
 
 
 def _finish(report, run_dir, outputs):

@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass, field, asdict
 
 from .corpus import Corpus, Phrase, read_lines
-from .embed import EmbeddingStore, RatioScorer
 from .errors import ConfigError, ParseError
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
@@ -128,37 +127,35 @@ def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResul
     return _sentences("random-sent", seed, U, order, lambda sid: 0.0, budget)
 
 
-def csse_scores(store_U: EmbeddingStore, store_L: EmbeddingStore, k: int, dist_mode="literal"):
-    """Distance-from-labeled score for every U sentence, computed once.
+def csse_scores(scorer, dist_mode="literal"):
+    """Distance-from-labeled score for every U sentence, from a U × L′ RatioScorer.
 
     Returns (scores, skipped rows by cause). "literal" is the min ratio over
     the labeled subset; "nn" is the max ratio (similarity to the nearest
     labeled point).
     """
-    scorer = RatioScorer(store_U, store_L, k)
     scores, _ = scorer.min_over_b() if dist_mode == "literal" else scorer.max_over_b()
     return scores, scorer.skip_counts()
 
 
-def select_csse(U: Corpus, store_U: EmbeddingStore, store_L: EmbeddingStore, budget: int,
-                k: int = 4, dist_mode: str = "literal") -> SelectionResult:
+def select_csse(U: Corpus, scorer, budget: int, dist_mode: str = "literal") -> SelectionResult:
     """Embedding-distance sentence selection.
 
     In literal mode we take sentences with the largest distance first; in the
     nn variant we take the smallest nearest-neighbor similarity first. Ties
     break by ascending id. Scores are not refreshed between picks.
     """
-    missing = [sid for sid in U.ids() if sid not in store_U]
+    missing = [sid for sid in U.ids() if sid not in scorer.a]
     if missing:
         raise ConfigError(f"embeddings missing for {len(missing)} U sentences, e.g. {missing[:5]}")
-    scores, skipped = csse_scores(store_U, store_L, k, dist_mode)
+    scores, skipped = csse_scores(scorer, dist_mode)
     reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
     order = sorted((sid for sid in U.ids() if sid in scores),
                    key=lambda sid: (-scores[sid] if reverse else scores[sid], sid))
     return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, budget, skipped)
 
 
-def select_rttl(U: Corpus, scores: dict, budget: int, score_kind: str = "loglik") -> SelectionResult:
+def select_rttl(U: Corpus, scores: dict, budget: int) -> SelectionResult:
     """Round-trip uncertainty selection from an external score file.
 
     Lowest score first (lowest round-trip likelihood or sentence BLEU = most
@@ -169,7 +166,7 @@ def select_rttl(U: Corpus, scores: dict, budget: int, score_kind: str = "loglik"
         raise ConfigError(f"RTTL scores missing for ids {missing[:10]}"
                           f"{'...' if len(missing) > 10 else ''}")
     order = sorted(U.ids(), key=lambda sid: (scores[sid], sid))
-    return _sentences(f"rttl-{score_kind}", None, U, order, lambda sid: float(scores[sid]), budget)
+    return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]), budget)
 
 
 def load_rttl_scores(path) -> dict:

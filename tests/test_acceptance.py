@@ -172,7 +172,7 @@ def test_criterion_04_budget_ledger_invariant():
 
     strategies = {
         "random-sent": lambda b: select_random_sentences(U, b, seed=1),
-        "csse": lambda b: select_csse(U, store_U, store_L, b, k=2),
+        "csse": lambda b: select_csse(U, RatioScorer(store_U, store_L, 2), b),
         "rttl": lambda b: select_rttl(U, rttl, b),
         "random-phrase": lambda b: select_random_phrases(index_U, index_L, b, seed=1),
         "ngf": lambda b: select_ngf(index_U, index_L, b),
@@ -225,15 +225,16 @@ def test_criterion_05_ratio_score_algebra():
     mat_L = rng.normal(size=(12, 6))
     L = parallel_of(*((f"l{i}", f"T_l{i}") for i in range(12)))
     lam = float(rng.uniform(0.01, 250.0))
-    base_csse = select_csse(U, EmbeddingStore(range(25), mat_U, "U"),
-                            EmbeddingStore(range(12), mat_L, "L"), 30, k=3)
-    scaled_csse = select_csse(U, EmbeddingStore(range(25), mat_U * lam, "U"),
-                              EmbeddingStore(range(12), mat_L * lam, "L"), 30, k=3)
+    base_csse = select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U, "U"),
+                                           EmbeddingStore(range(12), mat_L, "L"), 3), 30)
+    scaled_csse = select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U * lam, "U"),
+                                             EmbeddingStore(range(12), mat_L * lam, "L"), 3), 30)
     assert [s.id for s in base_csse.sentences] == [s.id for s in scaled_csse.sentences]
-    base_ret, _ = retrieve_similar(L, EmbeddingStore(range(12), mat_L, "L"),
-                                   EmbeddingStore(range(25), mat_U, "U"), k=3, M=12)
-    scaled_ret, _ = retrieve_similar(L, EmbeddingStore(range(12), mat_L * lam, "L"),
-                                     EmbeddingStore(range(25), mat_U * lam, "U"), k=3, M=12)
+    base_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L, "L"),
+                                                  EmbeddingStore(range(25), mat_U, "U"), 3), M=12)
+    scaled_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L * lam, "L"),
+                                                    EmbeddingStore(range(25), mat_U * lam, "U"), 3),
+                                     M=12)
     assert [r[0] for r in base_ret] == [r[0] for r in scaled_ret]
     verdict(5, "equal-cosine ratio is 1.0; scaling leaves orders intact", True,
             f"lambda={lam:.3f}")

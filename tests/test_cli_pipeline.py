@@ -33,6 +33,14 @@ def test_validate_bad_budgets(toy_dir):
     assert validate_config(toy_config(toy_dir, budgets=[0]))
 
 
+@pytest.mark.parametrize("key, value", [("max_n", 0), ("k", 0), ("ibm1_iterations", 0), ("lm_order", 0),
+                                        ("dist_mode", "Literal"), ("mix_policy", "all"),
+                                        ("augment_recipe", "swap")])
+def test_validate_out_of_range_value(toy_dir, key, value):
+    [failure] = validate_config(toy_config(toy_dir, **{key: value}))
+    assert failure.startswith(f"{key} must be ") and failure.endswith(f"got {value!r}")
+
+
 def test_validate_missing_rttl_file(toy_dir):
     config = toy_config(toy_dir, sentence_strategy="rttl",
                         rttl_scores=str(toy_dir / "nope.tsv"))
@@ -212,22 +220,25 @@ def test_config_with_removed_workers_key_rejected(toy_dir, tmp_path):
 
 def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeypatch):
     from almt import align, select
-    calls = {"train_ibm1": 0, "select_hybrid": 0}
+    from almt.embed import RatioScorer
+    calls = {"train_ibm1": 0, "select_hybrid": 0, "RatioScorer": 0}
 
-    def counting(module, name):
-        original = getattr(module, name)
+    def counting(owner, name, key=None):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
     counting(align, "train_ibm1")
     counting(select, "select_hybrid")
+    counting(RatioScorer, "__init__", "RatioScorer")
     config = toy_config(toy_dir, budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
     reports = run_pipeline(config)
     assert [r.budget for r in reports] == [40, 120, 80]
-    assert calls == {"train_ibm1": 1, "select_hybrid": 1}
+    # one scorer each for CSSE, mix and augment, not one per budget for the last two
+    assert calls == {"train_ibm1": 1, "select_hybrid": 1, "RatioScorer": 3}
     # build time is charged to the first budget's report only
     assert reports[1].stages["align"] < reports[0].stages["align"]
 
@@ -517,3 +528,31 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
                  "--embeddings-unlabeled", config.embeddings_unlabeled,
                  "--output", str(freeze)]) == 0
     assert freeze.read_bytes() == (run_dir / "retrieved.freeze.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["mix", "--policy", "sample", "--size", "100000"], "--size"),
+    (["mix", "--policy", "retrieve", "--size", "5"], "--embeddings-unlabeled, --embeddings-labeled"),
+    (["oracle", "--iterations", "0"], "--iterations"),
+    (["select", "--k", "0"], "--k"),
+    (["select", "--max-n", "0"], "--max-n"),
+    (["select", "--budget-words", "0"], "--budget-words"),
+    (["analyze", "coverage", "--test", "test.txt"], "requires --covering"),
+    (["analyze", "bleu"], "requires --hypotheses, --references"),
+], ids=["mix-size", "mix-retrieve-embeddings", "oracle-iterations", "select-k", "select-max-n",
+        "select-budget-words", "analyze-coverage", "analyze-bleu"])
+def test_cli_stage_command_with_a_bad_flag_exits_2(argv, named, toy_dir, tmp_path, capsys):
+    selection = tmp_path / "sel.jsonl"
+    selection.write_text('{"kind": "sentence", "id": 0}\n')
+    valid = {  # every other flag the command needs; a later flag overrides an earlier one
+        "mix": ["--labeled", str(toy_dir / "L.tsv"), "--output", str(tmp_path / "freeze.jsonl")],
+        "oracle": ["--selection", str(selection), "--reference", str(toy_dir / "reference.tsv"),
+                   "--labeled", str(toy_dir / "L.tsv"), "--output-prefix", str(tmp_path / "o")],
+        "select": ["--strategy", "ngf", "--unlabeled", str(toy_dir / "U.txt"),
+                   "--labeled", str(toy_dir / "L.tsv"), "--budget-words", "20",
+                   "--output", str(tmp_path / "sel.out.jsonl")],
+        "analyze": [],
+    }[argv[0]]
+    assert main(argv[:1] + valid + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL:") and named in err and "Traceback" not in err

@@ -5,7 +5,7 @@ import pytest
 
 from almt.align import TranslationTable, NULL_TOKEN
 from almt.corpus import Corpus, ParallelCorpus, Sentence
-from almt.embed import EmbeddingStore
+from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
 from almt.augment import (PhraseIndex, augment_corpus, best_contextualize, best_switch,
                           contextualize, phrases_in_sentence, switch)
@@ -129,8 +129,8 @@ def _augment(u_ids, u_vectors):
                         for i, s in enumerate(["a b c d", "e f g h"])])
     store_U = EmbeddingStore(u_ids, np.array(u_vectors, dtype=float), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
-    return augment_corpus(U, [(("cat",), ("T_cat",))], store_U, L, store_L,
-                          train_lm(U, order=2), identity_table("abcdefgh"), k=1)
+    return augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), L,
+                          train_lm(U, order=2), identity_table("abcdefgh"))
 
 
 def test_augment_counts_zero_norm_sentence_as_retrieval_degenerate():

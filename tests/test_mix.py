@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from almt.corpus import ParallelCorpus, Sentence
-from almt.embed import EmbeddingStore
+from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError
 from almt.mix import (ORIGINS, assemble, load_freeze, retrieve_similar, sample_random,
                       write_freeze)
@@ -35,16 +35,15 @@ def test_sample_random_too_large():
         sample_random(FOUR, 5, seed=0)
 
 
-def _stores():
+def _scorer():
     # L pair 2 duplicates a U vector exactly; pair 1 is close, 0/3 are far
     mat_U = np.array([[0.0, 1.0], [0.1, 1.0]])
     mat_L = np.array([[1.0, 0.0], [0.3, 1.0], [0.0, 1.0], [1.0, -0.2]])
-    return EmbeddingStore([0, 1, 2, 3], mat_L, "L"), EmbeddingStore([0, 1], mat_U, "U")
+    return RatioScorer(EmbeddingStore([0, 1, 2, 3], mat_L, "L"), EmbeddingStore([0, 1], mat_U, "U"), 1)
 
 
 def test_retrieve_similar_ranking():
-    store_L, store_U = _stores()
-    rows, skipped = retrieve_similar(FOUR, store_L, store_U, k=1, M=4)
+    rows, skipped = retrieve_similar(FOUR, _scorer(), M=4)
     assert not skipped
     got = [r[0] for r in rows]
     # exact duplicate of a U vector must rank first, then the near one
@@ -53,23 +52,21 @@ def test_retrieve_similar_ranking():
 
 
 def test_retrieve_similar_prefix_stability():
-    store_L, store_U = _stores()
-    top2, _ = retrieve_similar(FOUR, store_L, store_U, k=1, M=2)
-    top4, _ = retrieve_similar(FOUR, store_L, store_U, k=1, M=4)
+    top2, _ = retrieve_similar(FOUR, _scorer(), M=2)
+    top4, _ = retrieve_similar(FOUR, _scorer(), M=4)
     assert [r[0] for r in top4[:2]] == [r[0] for r in top2]
 
 
 def test_retrieve_similar_m_too_large():
-    store_L, store_U = _stores()
     with pytest.raises(ConfigError):
-        retrieve_similar(FOUR, store_L, store_U, k=1, M=5)
+        retrieve_similar(FOUR, _scorer(), M=5)
 
 
 def test_retrieve_similar_skips_degenerate():
     mat_L = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     store_L = EmbeddingStore([0, 1, 2, 3], mat_L, "L")
     store_U = EmbeddingStore([0], np.array([[0.0, 1.0]]), "U")
-    rows, skipped = retrieve_similar(FOUR, store_L, store_U, k=1, M=3)
+    rows, skipped = retrieve_similar(FOUR, RatioScorer(store_L, store_U, 1), M=3)
     assert skipped == [1]
     assert 1 not in [r[0] for r in rows]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from almt.corpus import Corpus, Sentence
-from almt.embed import EmbeddingStore
+from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError
 from almt.ngrams import extract_ngrams, semi_maximal_set
 from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
@@ -62,7 +62,7 @@ def test_csse_takes_largest_score_first():
     store_U, store_L = _planted_stores()
     phis = {sid: dist_to_labeled(sid, store_U, store_L, k=1) for sid in (0, 1)}
     expected_first = max(phis, key=lambda sid: (phis[sid], -sid))
-    result = select_csse(U, store_U, store_L, budget=1, k=1)
+    result = select_csse(U, RatioScorer(store_U, store_L, 1), budget=1)
     assert [s.id for s in result.sentences] == [expected_first]
     assert result.sentences[0].score == pytest.approx(phis[expected_first])
 
@@ -72,7 +72,7 @@ def test_csse_tie_breaks_ascending_id():
     vecs = np.array([[1.0, 0.0]] * 3)
     store_U = EmbeddingStore([0, 1, 2], vecs, "U")
     store_L = EmbeddingStore([0, 1], np.array([[0.5, 0.5], [0.4, 0.6]]), "L")
-    result = select_csse(U, store_U, store_L, budget=10, k=1)
+    result = select_csse(U, RatioScorer(store_U, store_L, 1), budget=10)
     assert [s.id for s in result.sentences] == [0, 1, 2]
 
 
@@ -80,10 +80,10 @@ def test_csse_scale_invariant_order():
     rng = np.random.default_rng(8)
     U = corpus_of(*(f"t{i}" for i in range(12)))
     mu, ml = rng.normal(size=(12, 4)), rng.normal(size=(6, 4))
-    r1 = select_csse(U, EmbeddingStore(range(12), mu, "U"),
-                     EmbeddingStore(range(6), ml, "L"), budget=6, k=2)
-    r2 = select_csse(U, EmbeddingStore(range(12), mu * 17.5, "U"),
-                     EmbeddingStore(range(6), ml * 0.03, "L"), budget=6, k=2)
+    r1 = select_csse(U, RatioScorer(EmbeddingStore(range(12), mu, "U"),
+                                    EmbeddingStore(range(6), ml, "L"), 2), budget=6)
+    r2 = select_csse(U, RatioScorer(EmbeddingStore(range(12), mu * 17.5, "U"),
+                                    EmbeddingStore(range(6), ml * 0.03, "L"), 2), budget=6)
     assert [s.id for s in r1.sentences] == [s.id for s in r2.sentences]
 
 
@@ -93,7 +93,7 @@ def test_csse_names_skips_by_cause():
     U = corpus_of("a", "b", "c")
     store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.9, 0.1]]), "L")
-    result = select_csse(U, store_U, store_L, budget=10, k=2)
+    result = select_csse(U, RatioScorer(store_U, store_L, 2), budget=10)
     assert [s.id for s in result.sentences] == [0]
     assert result.skipped == {"zero-norm": 1, "non-positive-margin": 1}
 
