@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 
 from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
-from .corpus import ParallelCorpus, Phrase
+from .corpus import ParallelCorpus, Phrase, write_text
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
 
@@ -165,9 +165,5 @@ def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramL
 
 
 def write_synthetic(pairs, tsv_path, recipe_path):
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(f"{' '.join(p.source)}\t{' '.join(p.target)}\n")
-    with open(recipe_path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(p.to_json() + "\n")
+    write_text(tsv_path, "".join(f"{' '.join(p.source)}\t{' '.join(p.target)}\n" for p in pairs))
+    write_text(recipe_path, "".join(p.to_json() + "\n" for p in pairs))

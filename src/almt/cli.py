@@ -17,6 +17,7 @@ from .select import SelectedPhrase, SelectedSentence, SelectionResult
 
 
 def _cmd_extract(args):
+    _check(args, {"max_n": "--max-n"})
     corpus = load_corpus(args.input)
     index = extract_ngrams(corpus, args.max_n)
     index.export_tsv(args.output)
@@ -31,13 +32,13 @@ def _require(args, keys, what):
         raise ConfigError(f"{what} requires {', '.join(missing)}")
 
 
-def _context(config, flags, top_budget):
-    """The RunContext of a stage command's config. ``flags`` maps each config key
-    that the command's flags set to the flag, which a failure names."""
-    failures = [f"{flag}: {f}" for key, flag in flags.items() for f in check_values(config, [key])]
+def _check(values, flags):
+    """Refuse ``values``, a stage command's RunConfig or its parsed flags, when the
+    value of a key of ``flags`` is not valid. ``flags`` maps each key to the flag
+    that sets it, which a failure names."""
+    failures = [f"{flag}: {f}" for key, flag in flags.items() for f in check_values(values, [key])]
     if failures:
         raise ConfigError("; ".join(failures))
-    return RunContext(config, top_budget)
 
 
 def _cmd_select(args):
@@ -46,8 +47,8 @@ def _cmd_select(args):
                        embeddings_unlabeled=args.embeddings_unlabeled,
                        embeddings_labeled=args.embeddings_labeled, rttl_scores=args.rttl_scores,
                        seed=args.seed, k=args.k, max_n=args.max_n, dist_mode=args.dist_mode)
-    flags = {"budgets": "--budget-words", "k": "--k", "max_n": "--max-n"}
-    result = _context(config, flags, args.budget_words).selection
+    _check(config, {"budgets": "--budget-words", "k": "--k", "max_n": "--max-n"})
+    result = RunContext(config, args.budget_words).selection
     result.write_jsonl(args.output)
     print(json.dumps(result.summary()))
     return 0
@@ -69,8 +70,10 @@ def _load_selection(path):
 
 
 def _cmd_oracle(args):
-    context = _context(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference,
-                                 ibm1_iterations=args.iterations), {"ibm1_iterations": "--iterations"}, None)
+    config = RunConfig(None, args.labeled, None, [], oracle_reference=args.reference,
+                       ibm1_iterations=args.iterations)
+    _check(config, {"ibm1_iterations": "--iterations"})
+    context = RunContext(config)
     context.reference  # read first: a malformed reference is reported before the selection
     context.selection = _load_selection(args.selection)
     l_s, l_p, drops = respond(context, context.selection,
@@ -85,7 +88,8 @@ def _cmd_mix(args):
     config = RunConfig(None, args.labeled, None, [], embeddings_unlabeled=args.embeddings_unlabeled,
                        embeddings_labeled=args.embeddings_labeled, seed=args.seed, k=args.k,
                        mix_policy=args.policy)
-    context = _context(config, {"k": "--k"}, None)
+    _check(config, {"k": "--k"})
+    context = RunContext(config)
     if not 0 <= args.size <= len(context.L):
         raise ConfigError(f"--size {args.size} is not between 0 and the {len(context.L)} pairs "
                           f"of {args.labeled}")
@@ -93,9 +97,7 @@ def _cmd_mix(args):
     if skipped:
         print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
     mix.write_freeze(rows, args.output)
-    with open(args.output + ".tsv", "w", encoding="utf-8") as fh:
-        for _, src, tgt in rows:
-            fh.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
+    mix.assemble([], [], rows).write_tsv(args.output + ".tsv")  # "source TAB target" lines
     print(f"{len(rows)} pairs -> {args.output}")
     return 0
 
@@ -132,6 +134,7 @@ def _cmd_analyze(args):
     corpora = [load_corpus(getattr(args, key)) for key in _ANALYZE_NEEDS[args.mode]]
     tokens = [[s.tokens for s in corpus] for corpus in corpora]
     if args.mode == "coverage":
+        _check(args, {"max_n": "--max-n"})
         report = analyze.ngram_coverage(*tokens, args.max_n, token_level=args.token_level)
         print(json.dumps({str(n): round(v, 4) for n, v in report.per_n.items()}))
     elif args.mode == "bleu":
@@ -145,7 +148,11 @@ def _cmd_analyze(args):
                           "WC": stats.wc, "IDWT/WT": round(stats.type_ratio, 2),
                           "IDWC/WC": round(stats.count_ratio, 2)}))
     elif args.mode == "length-ratio":
-        print(f"{analyze.length_ratio(*corpora):.6f}")
+        try:
+            ratio = analyze.length_ratio(*corpora)
+        except ValueError as exc:  # a reference id with no hypothesis, or no reference tokens
+            raise ParseError(f"{args.hypotheses} against {args.references}: {exc}") from None
+        print(f"{ratio:.6f}")
     return 0
 
 

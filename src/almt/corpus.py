@@ -4,6 +4,7 @@ All budgets are charged in whitespace tokens; punctuation counts (corpora are
 assumed pre-tokenized upstream). Token identity is case-sensitive.
 """
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -114,6 +115,21 @@ def read_lines(path):
                 lineno = next(n for n, line in enumerate(raw, 1)
                               if line.decode("utf-8", "replace").encode() != line)
             raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def write_text(path, text):
+    """Write ``text``, a str or its UTF-8 bytes, to ``path``: into a temporary
+    file of this process beside it, then os.replace onto it, so that ``path``
+    holds either its old bytes or all of the new ones, even when the writer is
+    killed midway."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_corpus(path, name="") -> Corpus:

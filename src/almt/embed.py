@@ -50,24 +50,30 @@ class EmbeddingStore:
         """Parse the "dim=D" header then "id TAB v1 v2 ... vD" lines."""
         ids, vecs = [], []
         lines = read_lines(path)
-        header = next(lines, "").strip()
-        if not header.startswith("dim="):
-            raise ParseError(f"{path}:1: expected 'dim=D' header, got {header!r}")
-        dim = int(header[4:])
+        dim = parse_dim(path, next(lines, ""))
         for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             try:
                 sid_str, vec_str = line.rstrip("\n").split("\t")
-                vec = np.array([float(v) for v in vec_str.split()])
+                sid, vec = int(sid_str), np.array([float(v) for v in vec_str.split()])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: malformed embedding line")
             if vec.shape[0] != dim:
                 raise ParseError(f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}")
-            ids.append(int(sid_str))
+            ids.append(sid)
             vecs.append(vec)
         matrix = np.array(vecs) if vecs else np.zeros((0, dim))
         return cls(ids, matrix, tag)
+
+
+def parse_dim(path, header):
+    """D of an embedding file's first line ``header``, "dim=D" with D a positive integer."""
+    key, _, dim = header.strip().partition("=")
+    if key != "dim" or not (dim.isascii() and dim.isdigit() and int(dim) > 0):
+        raise ParseError(f"{path}:1: expected 'dim=D' header with D a positive integer, "
+                         f"got {header.strip()!r}")
+    return int(dim)
 
 
 # Default product block: rows * columns stays within this many float64 cells
@@ -93,8 +99,8 @@ class RatioScorer:
     one reduction over a contiguous last axis for rows and columns alike. It
     is NaN for a degenerate point and for a point with no neighbours. The
     first reduction call (pass 2, cached) sweeps the blocks again as ratios
-    and keeps per-row min, max, usability and argmax. No |A| x |B| array is
-    ever held. Every per-row result depends only on that row's products, so
+    and keeps per-row min, max, usability and argmax; ``T``, the B x A scorer,
+    shares pass 1 and makes its own pass 2. No |A| x |B| array is ever held. Every per-row result depends only on that row's products, so
     the block size reaches results only through the rounding of the BLAS
     products, whose summation order can depend on their shape.
     """
@@ -121,6 +127,16 @@ class RatioScorer:
         self.mean_b = (np.ascontiguousarray(top.T).mean(axis=1) if len(top)
                        else np.full(len(store_b), np.nan))
         self.mean_a[~self.valid_a] = self.mean_b[~self.valid_b] = np.nan
+
+    @cached_property
+    def T(self):
+        """The B x A scorer: it shares this one's pass 1 (stores, usability and
+        means, swapped) and makes its own pass 2 over B x A cosines."""
+        t = object.__new__(RatioScorer)
+        t.a, t.b, t.k, t.block = self.b, self.a, self.k, self.block
+        t.valid_a, t.valid_b, t.mean_a, t.mean_b = self.valid_b, self.valid_a, self.mean_b, self.mean_a
+        t.__dict__["T"] = self
+        return t
 
     def _products(self, left, right):
         """(start, left[start:stop] @ right.T) for each row block of left."""

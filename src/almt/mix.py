@@ -6,7 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus, read_lines
+from .corpus import ParallelCorpus, read_lines, write_text
 from .errors import ConfigError, ParseError
 
 
@@ -29,15 +29,12 @@ class MixManifest:
     counts: dict = field(default_factory=dict)
 
     def write_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(json.dumps({"source": list(e.source), "target": list(e.target),
-                                     "origin": e.origin, "provenance": e.provenance}) + "\n")
+        write_text(path, "".join(json.dumps({"source": list(e.source), "target": list(e.target),
+                                             "origin": e.origin, "provenance": e.provenance}) + "\n"
+                                 for e in self.entries))
 
     def write_tsv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(f"{' '.join(e.source)}\t{' '.join(e.target)}\n")
+        write_text(path, "".join(f"{' '.join(e.source)}\t{' '.join(e.target)}\n" for e in self.entries))
 
 
 def sample_random(parallel: ParallelCorpus, M: int, seed: int):
@@ -68,9 +65,7 @@ def retrieve_similar(parallel: ParallelCorpus, scorer, M: int):
 
 
 def write_freeze(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, _, _ in rows:
-            fh.write(json.dumps({"id": sid}) + "\n")
+    write_text(path, "".join(json.dumps({"id": sid}) + "\n" for sid, _, _ in rows))
 
 
 def load_freeze(path, parallel: ParallelCorpus):

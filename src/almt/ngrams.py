@@ -6,9 +6,8 @@ twice). All count comparisons are exact integer arithmetic.
 
 from collections import Counter
 from functools import cached_property
-from pathlib import Path
 
-from .corpus import Corpus, Phrase
+from .corpus import Corpus, Phrase, write_text
 
 
 class OccurrenceIndex:
@@ -40,7 +39,7 @@ class OccurrenceIndex:
         return "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode("utf-8")
 
     def export_tsv(self, path):
-        Path(path).write_bytes(self.tsv)
+        write_text(path, self.tsv)
 
 
 def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:

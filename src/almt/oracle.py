@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 
 from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
-from .corpus import ParallelCorpus
+from .corpus import ParallelCorpus, write_text
 from .errors import OracleGapError
 
 
@@ -88,23 +88,16 @@ def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTabl
 def write_responses(responses, tsv_path, provenance_path, reference: ParallelCorpus = None):
     """TSV "source TAB target" plus a JSONL provenance sidecar.
 
-    Sentence responses carry an id as their source unit; pass the reference
-    corpus to resolve it to text for the TSV.
+    Sentence responses carry an id as their source unit, which ``reference``
+    resolves to text for the TSV.
     """
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        for r in responses:
-            if isinstance(r.source, tuple):
-                src = " ".join(r.source)
-            elif reference is not None:
-                src = " ".join(reference.get(r.source)[0].tokens)
-            else:
-                src = str(r.source)
-            fh.write(f"{src}\t{' '.join(r.target)}\n")
-    with open(provenance_path, "w", encoding="utf-8") as fh:
-        for r in responses:
-            fh.write(json.dumps({
-                "source": list(r.source) if isinstance(r.source, tuple) else r.source,
-                "target": list(r.target),
-                "provenance": list(r.provenance),
-                "votes": r.votes,
-            }) + "\n")
+    def text(source):
+        return source if isinstance(source, tuple) else reference.get(source)[0].tokens
+    write_text(tsv_path, "".join(f"{' '.join(text(r.source))}\t{' '.join(r.target)}\n"
+                                 for r in responses))
+    write_text(provenance_path, "".join(json.dumps({
+        "source": list(r.source) if isinstance(r.source, tuple) else r.source,
+        "target": list(r.target),
+        "provenance": list(r.provenance),
+        "votes": r.votes,
+    }) + "\n" for r in responses))

@@ -19,9 +19,9 @@ from functools import cached_property
 from pathlib import Path
 
 from . import align, augment, mix, oracle, select
-from .corpus import load_corpus, load_parallel
-from .embed import EmbeddingStore, RatioScorer
-from .errors import ConfigError
+from .corpus import load_corpus, load_parallel, read_lines, write_text
+from .embed import EmbeddingStore, RatioScorer, parse_dim
+from .errors import ConfigError, ParseError
 from .lm import train_lm
 from .ngrams import extract_ngrams
 
@@ -90,9 +90,7 @@ class RunConfig:
 
 
 def _write_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _pools(config) -> list[tuple]:
@@ -114,8 +112,9 @@ _VALUES = {
 }
 
 
-def check_values(config: RunConfig, keys) -> list[str]:
-    """Failure messages for the listed keys whose value is not valid."""
+def check_values(config, keys) -> list[str]:
+    """Failure messages for the listed keys whose value in ``config``, a RunConfig
+    or parsed flags of the same names, is not valid."""
     return [f"{key} must be {_VALUES[key][1]}, got {getattr(config, key)!r}"
             for key in keys if not _VALUES[key][0](getattr(config, key))]
 
@@ -144,22 +143,13 @@ def validate_config(config: RunConfig) -> list[str]:
             dim_u, dim_l = map(_peek_dim, paths)
             if dim_u != dim_l:
                 failures.append(f"embedding dimension mismatch: {dim_u} vs {dim_l}")
-        except (OSError, ValueError) as exc:
+        except (OSError, ParseError) as exc:
             failures.append(f"embedding header unreadable: {exc}")
     return failures
 
 
 def _peek_dim(path):
-    with open(path, encoding="utf-8") as fh:
-        return int(fh.readline().strip()[4:])
-
-
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return parse_dim(path, next(read_lines(path), ""))
 
 
 @dataclass
@@ -202,7 +192,7 @@ def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
         try:
             reports.append(_run_budget(context, report, run_dir))
         except Exception:
-            (run_dir / "failed").write_text(f"stage: {report.running}\n{traceback.format_exc()}")
+            write_text(run_dir / "failed", f"stage: {report.running}\n{traceback.format_exc()}")
             raise
         else:
             (run_dir / "failed").unlink(missing_ok=True)  # left by an earlier run that failed
@@ -236,11 +226,6 @@ def _alive(owner):
     return True
 
 
-def _scorer(a, b):
-    """A RunContext property: the RatioScorer of its stores ``a`` × ``b`` at the config's k."""
-    return cached_property(lambda self: RatioScorer(getattr(self, a), getattr(self, b), self.config.k))
-
-
 class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
     ``selection`` ranks once, at the run's largest budget; every budget cuts it,
@@ -262,17 +247,21 @@ class RunContext:
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
-    csse_scorer = _scorer("store_U", "store_Lsub")  # CSSE's distance of U from L′
-    mix_scorer = _scorer("store_L", "store_U")  # mix's similarity of L to U
-    augment_scorer = _scorer("store_U", "store_L")  # augment's retrieval from L for U
+    # The U × L ratio scorer: augment retrieves from L with it, mix ranks L by
+    # its transpose, and CSSE reads it when L′ = L.
+    scorer = cached_property(lambda self: RatioScorer(self.store_U, self.store_L, self.config.k))
 
     @cached_property
-    def store_Lsub(self):
-        """L′, the labeled pool CSSE scores against: a seeded sample of L ids."""
+    def csse_scorer(self):
+        """CSSE's U × L′ scorer, L′ a seeded sample of L ids: ``scorer`` when L′ is
+        all of ``store_L`` in its order, else one of its own."""
         l_ids = self.L.ids()
         if len(l_ids) > self.config.labeled_subset_size:
             l_ids = sorted(random.Random(self.config.seed).sample(l_ids, self.config.labeled_subset_size))
-        return self.store_L.subset([i for i in l_ids if i in self.store_L], "L-sub")
+        l_ids = [i for i in l_ids if i in self.store_L]
+        if l_ids == self.store_L.ids:
+            return self.scorer
+        return RatioScorer(self.store_U, self.store_L.subset(l_ids, "L-sub"), self.config.k)
 
     @cached_property
     def selection(self):
@@ -349,7 +338,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         with _stage(report, "augment"):
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
-                context.U, phrase_pairs, context.augment_scorer, context.L, context.lm, table,
+                context.U, phrase_pairs, context.scorer, context.L, context.lm, table,
                 config.augment_recipe)
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))
@@ -393,10 +382,10 @@ def mix_pairs(context: RunContext, m: int):
         return mix.load_freeze(config.freeze_file, L), []
     if config.mix_policy == "sample":
         return mix.sample_random(L, m, config.seed), []
-    return mix.retrieve_similar(L, context.mix_scorer, m)
+    return mix.retrieve_similar(L, context.scorer.T, m)
 
 
 def _finish(report, run_dir, outputs):
     for name, path in sorted(outputs.items()):
-        report.digests[name] = _sha256(path)
+        report.digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()  # written whole, read whole
     report.save(run_dir / "report.json")

@@ -10,7 +10,7 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 
-from .corpus import Corpus, Phrase, read_lines
+from .corpus import Corpus, Phrase, read_lines, write_text
 from .errors import ConfigError, ParseError
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
@@ -53,9 +53,8 @@ class SelectionResult:
                    for s in self.sentences] + \
             [{"kind": "phrase", "tokens": list(p.tokens), "score": p.score, "cost": p.cost}
              for p in self.phrases]
-        with open(path, "w", encoding="utf-8") as fh:
-            for rank, rec in enumerate(records):
-                fh.write(json.dumps({**rec, "rank": rank}) + "\n")
+        write_text(path, "".join(json.dumps({**rec, "rank": rank}) + "\n"
+                                 for rank, rec in enumerate(records)))
 
     def cut(self, budget):
         """What this result's strategy selects at a budget no larger than its own.

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import write_text
+
 GENERAL_VOCAB = [f"g{i:02d}" for i in range(40)]
 DOMAIN_VOCAB = [f"d{i:02d}" for i in range(15)]
 DOMAIN_PHRASES = [
@@ -54,11 +56,18 @@ def _sentence_vector(tokens, vecs):
     return np.mean([vecs[t] for t in tokens], axis=0)
 
 
-def _write_embeddings(path, rows, dim):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim={dim}\n")
-        for sid, vec in rows:
-            fh.write(f"{sid}\t{' '.join(f'{v:.8f}' for v in vec)}\n")
+def _translated(src):
+    return src, [translate_token(t) for t in src]
+
+
+def _tsv(pairs):
+    return "".join(f"{' '.join(src)}\t{' '.join(tgt)}\n" for src, tgt in pairs)
+
+
+def _write_embeddings(path, sentences, vecs, dim):
+    """One vector per sentence, its id the sentence's index."""
+    rows = (" ".join(f"{v:.8f}" for v in _sentence_vector(t, vecs)) for t in sentences)
+    write_text(path, f"dim={dim}\n" + "".join(f"{i}\t{row}\n" for i, row in enumerate(rows)))
 
 
 def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 500,
@@ -73,36 +82,18 @@ def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 50
     vecs = _token_vectors(dim, seed)
 
     u_sentences = [_domain_sentence(rng) for _ in range(n_unlabeled)]
-    l_pairs = []
-    for _ in range(n_labeled):
-        src = _general_sentence(rng)
-        l_pairs.append((src, [translate_token(t) for t in src]))
-    test_pairs = []
-    for _ in range(n_test):
-        src = _domain_sentence(rng)
-        test_pairs.append((src, [translate_token(t) for t in src]))
+    l_pairs = [_translated(_general_sentence(rng)) for _ in range(n_labeled)]
+    test_pairs = [_translated(_domain_sentence(rng)) for _ in range(n_test)]
 
-    with (out / "U.txt").open("w", encoding="utf-8") as fh:
-        for tokens in u_sentences:
-            fh.write(" ".join(tokens) + "\n")
-    with (out / "L.tsv").open("w", encoding="utf-8") as fh:
-        for src, tgt in l_pairs:
-            fh.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
+    write_text(out / "U.txt", "".join(" ".join(tokens) + "\n" for tokens in u_sentences))
+    write_text(out / "L.tsv", _tsv(l_pairs))
     # oracle reference: the "professional translator" answer for every U sentence
-    with (out / "reference.tsv").open("w", encoding="utf-8") as fh:
-        for tokens in u_sentences:
-            fh.write(" ".join(tokens) + "\t" + " ".join(translate_token(t) for t in tokens) + "\n")
-    with (out / "test.tsv").open("w", encoding="utf-8") as fh:
-        for src, tgt in test_pairs:
-            fh.write(" ".join(src) + "\t" + " ".join(tgt) + "\n")
-
-    _write_embeddings(out / "emb_U.tsv",
-                      [(i, _sentence_vector(t, vecs)) for i, t in enumerate(u_sentences)], dim)
-    _write_embeddings(out / "emb_L.tsv",
-                      [(i, _sentence_vector(src, vecs)) for i, (src, _) in enumerate(l_pairs)], dim)
-    with (out / "rttl_scores.tsv").open("w", encoding="utf-8") as fh:
-        for i in range(n_unlabeled):
-            fh.write(f"{i}\t{-rng.uniform(0.5, 12.0):.6f}\n")
+    write_text(out / "reference.tsv", _tsv(map(_translated, u_sentences)))
+    write_text(out / "test.tsv", _tsv(test_pairs))
+    _write_embeddings(out / "emb_U.tsv", u_sentences, vecs, dim)
+    _write_embeddings(out / "emb_L.tsv", [src for src, _ in l_pairs], vecs, dim)
+    write_text(out / "rttl_scores.tsv", "".join(f"{i}\t{-rng.uniform(0.5, 12.0):.6f}\n"
+                                                for i in range(n_unlabeled)))
 
     config = {
         "unlabeled": str(out / "U.txt"),
@@ -126,7 +117,5 @@ def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 50
         "lm_order": 3,
         "output_dir": str(out / "runs"),
     }
-    with (out / "config.json").open("w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(out / "config.json", json.dumps(config, indent=2, sort_keys=True) + "\n")
     return config

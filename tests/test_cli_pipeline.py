@@ -237,10 +237,33 @@ def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeyp
     config = toy_config(toy_dir, budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
     reports = run_pipeline(config)
     assert [r.budget for r in reports] == [40, 120, 80]
-    # one scorer each for CSSE, mix and augment, not one per budget for the last two
-    assert calls == {"train_ibm1": 1, "select_hybrid": 1, "RatioScorer": 3}
+    # L′ is 100 of L's 200 ids, so CSSE has its own U × L′ scorer; mix and
+    # augment share the U × L one, not one per budget
+    assert calls == {"train_ibm1": 1, "select_hybrid": 1, "RatioScorer": 2}
     # build time is charged to the first budget's report only
     assert reports[1].stages["align"] < reports[0].stages["align"]
+
+
+def test_pipeline_builds_one_scorer_when_l_prime_is_all_of_l(toy_dir, tmp_path, monkeypatch):
+    from almt import mix
+    from almt.embed import RatioScorer
+    built, ranked_by = [], []
+    init, retrieve = RatioScorer.__init__, mix.retrieve_similar
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def spying(parallel, scorer, m):
+        ranked_by.append(scorer)
+        return retrieve(parallel, scorer, m)
+    monkeypatch.setattr(RatioScorer, "__init__", counting)
+    monkeypatch.setattr(mix, "retrieve_similar", spying)
+    config = toy_config(toy_dir, budgets=[40, 120], labeled_subset_size=200,
+                        output_dir=str(tmp_path / "runs"))
+    run_pipeline(config)
+    # CSSE, mix and augment all read one U × L scorer; mix reads its transposed view
+    assert len(built) == 1 and ranked_by == [built[0].T] * 2
 
 
 def test_pipeline_lock_holds_owner_pid_and_reports_live_owner(toy_dir, tmp_path):
@@ -406,6 +429,32 @@ def test_pipeline_success_removes_failed_marker_of_an_earlier_run(toy_dir, tmp_p
     assert (tmp_path / "runs" / "budget-40" / "report.json").exists()
 
 
+def test_pipeline_rerun_failing_while_writing_manifest_keeps_the_first_run_bytes(
+        toy_dir, tmp_path, monkeypatch):
+    import hashlib
+    config = toy_config(toy_dir, output_dir=str(tmp_path / "runs"))
+    [report] = run_pipeline(config, budget=40)
+    run_dir = tmp_path / "runs" / "budget-40"
+    manifest = run_dir / "manifest.jsonl"
+    first = manifest.read_bytes()
+    assert first and hashlib.sha256(first).hexdigest() == report.digests["manifest_jsonl"]
+
+    write_bytes = Path.write_bytes
+
+    def torn(path, data):  # half of the manifest reaches the disk, then the write fails
+        if "manifest.jsonl" in path.name:
+            write_bytes(path, data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return write_bytes(path, data)
+    monkeypatch.setattr(Path, "write_bytes", torn)
+    with pytest.raises(OSError, match="No space left"):
+        run_pipeline(config, budget=40)
+    monkeypatch.undo()
+    assert manifest.read_bytes() == first
+    assert not [p.name for p in run_dir.iterdir() if p.name.endswith(".tmp")]
+    assert (run_dir / "failed").read_text().startswith("stage: assemble\n")
+
+
 def test_pipeline_tiny_budgets_write_empty_manifest(toy_dir, tmp_path):
     # At budgets 1-3 NGF selects only domain words, which the table trained on
     # the out-of-domain L cannot align: the oracle drops every phrase, so the
@@ -556,3 +605,38 @@ def test_cli_stage_command_with_a_bad_flag_exits_2(argv, named, toy_dir, tmp_pat
     assert main(argv[:1] + valid + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("FAIL:") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, code, named", [
+    ("extract", 2, "--max-n"),
+    ("coverage", 2, "--max-n"),
+    ("length-ratio", 3, "{hyp} against {u}: hypotheses missing id 5"),
+    ("select-csse", 3, "{bad}:1: expected 'dim=D' header"),
+    ("mix-retrieve", 3, "{bad}:1: expected 'dim=D' header"),
+    ("validate", 2, "{bad}:1: expected 'dim=D' header"),
+])
+def test_cli_bad_value_or_embedding_header_exits_without_traceback(command, code, named, toy_dir,
+                                                                    tmp_path, capsys):
+    bad, hyp = tmp_path / "emb_bad.tsv", tmp_path / "hyp.txt"
+    bad.write_text("dim=eight\n0\t1.0\n")
+    hyp.write_text("".join((toy_dir / "U.txt").read_text().splitlines(keepends=True)[:5]))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**json.loads((toy_dir / "config.json").read_text()),
+                                  "embeddings_labeled": str(bad)}))
+    u, l, emb_u = (str(toy_dir / name) for name in ("U.txt", "L.tsv", "emb_U.tsv"))
+    argv = {
+        "extract": ["extract", "--input", u, "--max-n", "0", "--output", str(tmp_path / "i.tsv")],
+        "coverage": ["analyze", "coverage", "--covering", u, "--test", u, "--max-n", "0"],
+        "length-ratio": ["analyze", "length-ratio", "--hypotheses", str(hyp), "--references", u],
+        "select-csse": ["select", "--strategy", "csse", "--unlabeled", u, "--labeled", l,
+                        "--embeddings-unlabeled", emb_u, "--embeddings-labeled", str(bad),
+                        "--budget-words", "20", "--output", str(tmp_path / "sel.jsonl")],
+        "mix-retrieve": ["mix", "--labeled", l, "--size", "5", "--embeddings-unlabeled", emb_u,
+                         "--embeddings-labeled", str(bad), "--output", str(tmp_path / "f.jsonl")],
+        "validate": ["validate", "--config", str(config)],
+    }[command]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    message = out if command == "validate" else err
+    assert message.startswith("FAIL:" if code == 2 else "stage failure:"), message
+    assert named.format(bad=bad, hyp=hyp, u=u) in message and "Traceback" not in out + err

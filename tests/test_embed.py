@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -183,13 +184,14 @@ def _assert_matches_reference(scorer, k):
 
 
 def test_ratio_scorer_matches_scalar_reference():
+    # The transposed view of a B x A scorer shares its means and makes its own pass 2.
     a, b = _edge_case_stores()
     for k in (3, 20):  # 20: truncated
-        scorer = RatioScorer(a, b, k=k)
-        skipped, best = _assert_matches_reference(scorer, k)
-        assert 36 in skipped and 36 not in a.degenerate_ids, k
-        assert scorer.skip_counts() == {"zero-norm": 1, "non-positive-margin": len(skipped) - 1}
-        assert best[9][0] == 5, k
+        for scorer in (RatioScorer(a, b, k=k), RatioScorer(b, a, k=k).T):
+            skipped, best = _assert_matches_reference(scorer, k)
+            assert 36 in skipped and 36 not in a.degenerate_ids, k
+            assert scorer.skip_counts() == {"zero-norm": 1, "non-positive-margin": len(skipped) - 1}
+            assert best[9][0] == 5, k
 
 
 def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference():
@@ -241,11 +243,14 @@ def test_ratio_scorer_block_size_is_bit_identical():
     # equality then checks the kernel's block boundaries, masks, running
     # top-k merge and tie-breaks. Without degenerate B columns, one-row
     # blocks of usable rows take the finite-block path while the whole-A
-    # block takes the NaN-aware fallback, so both must agree bit for bit.
+    # block takes the NaN-aware fallback, so both must agree bit for bit. The
+    # transposed view of a B x A scorer, its means taken in the other
+    # orientation, must agree too.
     a, full_b = _lattice_stores()
     for b in (full_b, full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])):
-        outputs = [_scorer_outputs(RatioScorer(a, b, k=3, block=block))
-                   for block in (1, 7, 512, len(a) + 1)]
+        outputs = [_scorer_outputs(scorer) for block in (1, 7, 512, len(a) + 1)
+                   for scorer in (RatioScorer(a, b, k=3, block=block),
+                                  RatioScorer(b, a, k=3, block=block).T)]
         (mins, skipped), _, argmax, _, _ = outputs[0]
         assert mins and skipped and None in argmax.values(), len(b)
         for other in outputs[1:]:
@@ -318,8 +323,13 @@ def test_build_and_reductions_run_two_product_sweeps(monkeypatch):
     a, b = _lattice_stores()
     for block in (1, 7, None, len(a) + 1):
         rows_per_sweep.clear()
-        _scorer_outputs(RatioScorer(a, b, k=3, block=block))
+        scorer = RatioScorer(a, b, k=3, block=block)
+        _scorer_outputs(scorer)
         assert rows_per_sweep == [len(a), len(a)], block
+        # the transposed view reuses pass 1 and adds only its own pass 2, over B's rows
+        _scorer_outputs(scorer.T)
+        assert rows_per_sweep == [len(a), len(a), len(b)], block
+        assert scorer.T.T is scorer
 
 
 def test_ratio_scorer_memory_is_bounded():
@@ -373,6 +383,21 @@ def test_store_bad_header(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("hello\n")
     with pytest.raises(ParseError):
+        EmbeddingStore.load(p)
+
+
+@pytest.mark.parametrize("text, where", [
+    # a header whose D is not a positive integer
+    *(pytest.param(f"{header}\n0\t1.0 2.0\n", ":1: expected 'dim=D' header", id=header or "empty")
+      for header in ["", "hello", "dim=", "dim=0", "dim=-2", "dim=eight", "dim=2.0", "dim 2", "dims=2"]),
+    # a vector line whose id or components do not parse
+    *(pytest.param(f"dim=2\n{line}\n", ":2: malformed embedding line", id=line)
+      for line in ["abc\t1.0 2.0", "0\t1.0 x", "0 1.0 2.0"]),
+])
+def test_store_malformed_header_or_line_is_a_parse_error_naming_the_line(text, where, tmp_path):
+    p = tmp_path / "bad.tsv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p) + where)}"):
         EmbeddingStore.load(p)
 
 
