@@ -5,6 +5,7 @@ the cosine of a pair by the average cosine of each side's k nearest
 neighbors, drawn from the opposing corpus (margin-scoring convention).
 """
 
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -47,24 +48,71 @@ class EmbeddingStore:
 
     @classmethod
     def load(cls, path, tag=""):
-        """Parse the "dim=D" header then "id TAB v1 v2 ... vD" lines."""
-        ids, vecs = [], []
+        """Parse the "dim=D" header then "id TAB v1 v2 ... vD" lines. A malformed
+        line, a NaN or Inf component or a repeated id raises ParseError naming
+        ``path`` and the first such line (a repeated id's second occurrence).
+        numpy's C reader parses the components as the lines stream past; where
+        it fails or sees another shape, the file is read again by _parse_lines."""
+        ids, linenos = [], []
         lines = read_lines(path)
         dim = parse_dim(path, next(lines, ""))
-        for lineno, line in enumerate(lines, start=2):
-            if not line.strip():
-                continue
-            try:
-                sid_str, vec_str = line.rstrip("\n").split("\t")
-                sid, vec = int(sid_str), np.array([float(v) for v in vec_str.split()])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: malformed embedding line")
-            if vec.shape[0] != dim:
-                raise ParseError(f"{path}:{lineno}: expected {dim} components, got {vec.shape[0]}")
-            ids.append(sid)
-            vecs.append(vec)
-        matrix = np.array(vecs) if vecs else np.zeros((0, dim))
+
+        def fields():
+            for lineno, sid, field in _vector_lines(path, lines):
+                ids.append(sid)
+                linenos.append(lineno)
+                yield field
+        try:
+            with warnings.catch_warnings():  # "input contained no data" when no line has a component
+                warnings.simplefilter("ignore", UserWarning)
+                matrix = np.loadtxt(fields(), dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, ParseError):  # _parse_lines names the first bad line, in file order
+            matrix = None
+        if matrix is None or matrix.shape != (len(ids), dim):
+            ids, linenos, matrix = _parse_lines(path, dim)
+        first = {}  # id -> its first row
+        faults = [(i, f"duplicate id {sid}") for i, sid in enumerate(ids) if first.setdefault(sid, i) != i][:1]
+        faults += [(i, "NaN or Inf component") for i in np.flatnonzero(~np.isfinite(matrix).all(axis=1))[:1]]
+        if faults:
+            i, fault = min(faults)
+            raise ParseError(f"{path}:{linenos[i]}: {fault}")
         return cls(ids, matrix, tag)
+
+
+def _vector_lines(path, lines):
+    """(line number, id, components text) of each non-blank line of ``lines``,
+    an embedding file's lines after its header; a line without exactly one tab
+    or with an id that is not an integer raises ParseError."""
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            sid, field = line.rstrip("\n").split("\t")
+            sid = int(sid)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed embedding line") from None
+        yield lineno, sid, field
+
+
+def _parse_lines(path, dim):
+    """(ids, line numbers, matrix) of an embedding file, each line's components
+    read with float(). It raises the first bad line's ParseError, and it reads
+    what float() reads and numpy's C reader does not, such as "1_0" or
+    non-ASCII digits. Both round correctly, so both give the same bits."""
+    ids, linenos, vecs = [], [], []
+    lines = read_lines(path)
+    next(lines)  # the header, already parsed
+    for lineno, sid, field in _vector_lines(path, lines):
+        try:
+            vec = [float(v) for v in field.split()]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed embedding line") from None
+        if len(vec) != dim:
+            raise ParseError(f"{path}:{lineno}: expected {dim} components, got {len(vec)}")
+        ids.append(sid)
+        linenos.append(lineno)
+        vecs.append(vec)
+    return ids, linenos, np.array(vecs, dtype=np.float64).reshape(len(vecs), dim)
 
 
 def parse_dim(path, header):

@@ -191,7 +191,7 @@ def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
         lock = _lock(run_dir)
         try:
             reports.append(_run_budget(context, report, run_dir))
-        except Exception:
+        except BaseException:  # Ctrl-C too: the budget's files need not match its report.json
             write_text(run_dir / "failed", f"stage: {report.running}\n{traceback.format_exc()}")
             raise
         else:
@@ -202,7 +202,8 @@ def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
 
 
 def _lock(run_dir):
-    """Create ``run_dir/lock`` holding this process's pid, or refuse if it exists."""
+    """Create ``run_dir/lock`` holding this process's pid, or refuse if it exists.
+    Holding it, delete the temporary files of writers killed midway."""
     lock = run_dir / "lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -212,6 +213,8 @@ def _lock(run_dir):
         raise ConfigError(f"run directory {run_dir} is locked by process {owner!r}{stale}") from None
     with os.fdopen(fd, "w") as fh:
         fh.write(str(os.getpid()))
+    for tmp in run_dir.glob(".*.tmp"):  # the lock was free, so their writers are dead
+        tmp.unlink(missing_ok=True)
     return lock
 
 

@@ -455,6 +455,31 @@ def test_pipeline_rerun_failing_while_writing_manifest_keeps_the_first_run_bytes
     assert (run_dir / "failed").read_text().startswith("stage: assemble\n")
 
 
+def test_pipeline_interrupted_while_writing_manifest_leaves_failed(toy_dir, tmp_path, monkeypatch):
+    config = toy_config(toy_dir, output_dir=str(tmp_path / "runs"))
+    write_bytes = Path.write_bytes
+
+    def interrupted(path, data):  # Ctrl-C arrives during the manifest write
+        if "manifest.jsonl" in path.name:
+            raise KeyboardInterrupt
+        return write_bytes(path, data)
+    monkeypatch.setattr(Path, "write_bytes", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(config, budget=40)
+    run_dir = tmp_path / "runs" / "budget-40"
+    assert (run_dir / "failed").read_text().startswith("stage: assemble\n")
+    assert not (run_dir / "lock").exists()
+
+
+def test_pipeline_deletes_temporary_files_of_a_killed_writer(toy_dir, tmp_path):
+    run_dir = tmp_path / "runs" / "budget-40"
+    run_dir.mkdir(parents=True)
+    stale = run_dir / ".manifest.jsonl.99999.tmp"
+    stale.write_text('{"half": ')
+    run_pipeline(toy_config(toy_dir, output_dir=str(tmp_path / "runs")), budget=40)
+    assert not stale.exists() and (run_dir / "manifest.jsonl").exists()
+
+
 def test_pipeline_tiny_budgets_write_empty_manifest(toy_dir, tmp_path):
     # At budgets 1-3 NGF selects only domain words, which the table trained on
     # the out-of-domain L cannot align: the oracle drops every phrase, so the
@@ -605,6 +630,23 @@ def test_cli_stage_command_with_a_bad_flag_exits_2(argv, named, toy_dir, tmp_pat
     assert main(argv[:1] + valid + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("FAIL:") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault, named", [("nan-row", ":4: NaN or Inf component"),
+                                          ("repeated-id", ":4: duplicate id 0")])
+def test_cli_select_csse_on_a_nan_row_or_repeated_id_exits_3_naming_the_line(fault, named, toy_dir,
+                                                                               tmp_path, capsys):
+    lines = (toy_dir / "emb_L.tsv").read_text().splitlines(keepends=True)
+    sid, vec = lines[3].split("\t")  # line 4; line 2 holds id 0
+    lines[3] = f"{sid}\tnan {vec.split(' ', 1)[1]}" if fault == "nan-row" else f"0\t{vec}"
+    bad = tmp_path / "emb_L.tsv"
+    bad.write_text("".join(lines))
+    assert main(["select", "--strategy", "csse", "--unlabeled", str(toy_dir / "U.txt"),
+                 "--labeled", str(toy_dir / "L.tsv"), "--embeddings-unlabeled", str(toy_dir / "emb_U.tsv"),
+                 "--embeddings-labeled", str(bad), "--budget-words", "20",
+                 "--output", str(tmp_path / "sel.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure:") and f"{bad}{named}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, code, named", [

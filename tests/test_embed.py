@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import embed_reference
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import DegenerateNeighborhoodError, ParseError
 from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score
@@ -399,6 +401,99 @@ def test_store_malformed_header_or_line_is_a_parse_error_naming_the_line(text, w
     p.write_text(text)
     with pytest.raises(ParseError, match=f"^{re.escape(str(p) + where)}"):
         EmbeddingStore.load(p)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# Components as encoders and scripts write them, plus tokens float() reads and
+# numpy's C reader does not: digit-group underscores and non-ASCII digits.
+_component = st.one_of(_finite.map(repr), _finite.map(lambda x: f"{x:.8f}"), _finite.map(lambda x: f"{x:g}"),
+                       st.integers(0, 10**7).map(lambda v: f"{v:_}"), st.just("1_0"),
+                       st.integers(0, 999).map(lambda v: f"{v}.5".translate(_ARABIC_INDIC)))
+_space = st.sampled_from([" ", "  ", "   ", "\xa0", "\x0b", "\u2003"])
+_blank = st.sampled_from(["", " ", "  \t ", "\xa0"])
+# Lines the reference rejects at any D from 1 to 5: no tab, two tabs, an id that
+# is not an integer, a short or long row, a "#" token, a hexadecimal token.
+_malformed = st.sampled_from(["1.0 2.0", "0\t1.0\t2.0", "x\t1.0 2.0", "7\t", "7\t1 2 3 4 5 6 7",
+                              "7\t# 1.0", "7\t0x10 1.0"])
+
+
+@st.composite
+def _embedding_file(draw):
+    """The text of an embedding file: its header, vector lines of distinct ids
+    with varied spacing, blank lines, LF or CRLF endings and, sometimes, malformed lines."""
+    dim = draw(st.integers(1, 5))
+    lines = []
+    for sid in draw(st.lists(st.integers(-10**6, 10**6), max_size=8, unique=True)):
+        tokens = [draw(_component) for _ in range(dim)]
+        field = "".join(token + draw(_space) for token in tokens[:-1]) + tokens[-1]
+        lines.append(draw(st.sampled_from(["", " "])) + f"{sid}\t" + draw(st.sampled_from(["", " "]))
+                     + field + draw(st.sampled_from(["", "  "])))
+    for extra in draw(st.lists(st.one_of(_blank, _malformed), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return draw(st.sampled_from(["\n", "\r\n"])).join([f"dim={dim}", *lines, ""])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_embedding_file())
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms of components near 1e308
+def test_store_load_matches_the_float_reference_bit_for_bit(text, tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        ids, matrix = embed_reference.load(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            EmbeddingStore.load(path)
+        assert str(got.value) == str(exc)
+        return
+    loaded = EmbeddingStore.load(path)
+    assert loaded.ids == ids and loaded.matrix.shape == matrix.shape
+    assert np.array_equal(loaded.matrix.view(np.uint64), matrix.view(np.uint64))
+
+
+@pytest.mark.parametrize("lines", [
+    "1.0 2.0", "0\t1.0\t2.0", "x\t1.0 2.0", "7\t1.0", "7\t1.0 2.0 3.0", "7\t# 2.0", "7\t0x10 2.0",
+    # a short or long row before a line with no tab: the earlier line is named
+    "0\t1.0 2.0\n7\t1.0\n1.0 2.0", "7\t1.0 2.0 3.0\n1.0 2.0",
+], ids=["no-tab", "two-tabs", "non-integer-id", "short-row", "long-row", "hash-token", "hex-token",
+        "short-row-first", "long-first-row-first"])
+def test_store_malformed_line_raises_the_reference_message(lines, tmp_path):
+    p = tmp_path / "bad.tsv"
+    p.write_text(f"dim=2\n\n{lines}\n3\t1.0 2.0\n")
+    with pytest.raises(ParseError) as expected:
+        embed_reference.load(p)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(expected.value))}$"):
+        EmbeddingStore.load(p)
+
+
+@pytest.mark.parametrize("body, where", [
+    ("0\t1.0 2.0\n1\tnan 2.0\n", ":3: NaN or Inf component"),
+    ("0\t1.0 2.0\n\n1\t1.0 1e400\n", ":4: NaN or Inf component"),
+    ("1\t1.0 2.0\n0\t1.0 2.0\n\n1\t3.0 4.0\n0\t3.0 4.0\n", ":5: duplicate id 1"),
+    ("0\t1.0 2.0\n0\t1.0 2.0\n1\t-inf 2.0\n", ":3: duplicate id 0"),
+    ("0\t1.0 2.0\n1\t-inf 2.0\n0\t1.0 2.0\n", ":3: NaN or Inf component"),
+], ids=["nan", "overflow-to-inf", "duplicate-id", "duplicate-before-inf", "inf-before-duplicate"])
+def test_store_load_names_the_first_non_finite_or_repeated_line(body, where, tmp_path):
+    p = tmp_path / "bad.tsv"
+    p.write_text("dim=2\n" + body)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p) + where)}$"):
+        EmbeddingStore.load(p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_store_load_with_no_components_at_all_raises_without_a_numpy_warning(tmp_path):
+    p = tmp_path / "blank.tsv"
+    p.write_text("dim=2\n0\t \n1\t\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}:2: expected 2 components, got 0$"):
+        EmbeddingStore.load(p)
+
+
+def test_store_load_header_only_is_empty(tmp_path):
+    p = tmp_path / "empty.tsv"
+    p.write_text("dim=3\n\n  \n")
+    loaded = EmbeddingStore.load(p)
+    assert loaded.ids == [] and loaded.matrix.shape == (0, 3) and loaded.dim == 3
 
 
 def test_store_rejects_nan():
