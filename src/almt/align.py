@@ -24,9 +24,6 @@ class TranslationTable:
         self.probs = probs  # src -> {tgt: p}
         self.log_likelihoods = log_likelihoods or []
 
-    def prob(self, target: str, source: str) -> float:
-        return self.probs.get(source, {}).get(target, 0.0)
-
 
 def _code_bitext(parallel: ParallelCorpus, reverse: bool):
     """Integer-code the bitext's EM terms, one per (target position, source
@@ -137,16 +134,16 @@ def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int
     when strictly better than every real source, and OOV targets (all-zero
     probabilities) stay unlinked.
     """
+    rows = [table.probs.get(s, {}) for s in src_tokens]
+    null_row = table.probs.get(NULL_TOKEN, {})
     links = set()
     for j, tgt_tok in enumerate(tgt_tokens):
         best_i, best_p = None, 0.0
-        for i, src_tok in enumerate(src_tokens):
-            p = table.prob(tgt_tok, src_tok)
+        for i, row in enumerate(rows):
+            p = row.get(tgt_tok, 0.0)
             if p > best_p:
                 best_i, best_p = i, p
-        if best_i is None:
-            continue
-        if table.prob(tgt_tok, NULL_TOKEN) > best_p:
+        if best_i is None or null_row.get(tgt_tok, 0.0) > best_p:
             continue
         links.add((best_i, j))
     return links

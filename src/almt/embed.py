@@ -31,10 +31,18 @@ class EmbeddingStore:
             if sid in self.row:
                 raise ValueError(f"duplicate id {sid} in store {tag!r}")
             self.row[sid] = i
-        norms = np.linalg.norm(self.matrix, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.matrix, axis=1)
         self.degenerate_ids = {self.ids[i] for i in np.nonzero(norms == 0.0)[0]}
-        safe = np.where(norms == 0.0, 1.0, norms)
-        self.unit = self.matrix / safe[:, None]
+        self.unit = self.matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
+        # A plain norm overflows past about 1e154 and reads 0 below about
+        # 1e-154: such rows are normalised after scaling by their max-abs.
+        for i in np.nonzero(np.isinf(norms) | (norms == 0.0))[0]:
+            scale = np.abs(self.matrix[i]).max(initial=0.0)
+            if scale:
+                scaled = self.matrix[i] / scale
+                self.unit[i] = scaled / np.linalg.norm(scaled)
+                self.degenerate_ids.discard(self.ids[i])
 
     def __len__(self):
         return len(self.ids)

@@ -25,8 +25,10 @@ class NGramLM:
         # counts[m][history][word] with |history| = m-1
         self.counts = [None] + [defaultdict(lambda: defaultdict(int)) for _ in range(order)]
         self.totals = [None] + [defaultdict(int) for _ in range(order)]
+        self.log_terms = {}  # raw n-gram (history + word) -> log P(word | history)
 
     def train(self, corpus: Corpus):
+        self.log_terms.clear()
         for sent in corpus:
             self.vocab.update(sent.tokens)
         for sent in corpus:
@@ -39,34 +41,34 @@ class NGramLM:
                     self.totals[m][h] += 1
         return self
 
-    def _event_vocab_size(self) -> int:
-        return len(self.vocab) + 2  # UNK and EOS
-
     def _map(self, token: str) -> str:
-        if token in self.vocab or token in (EOS,):
-            return token
-        return UNK
+        return token if token in self.vocab or token == EOS else UNK
 
     def prob(self, word: str, history) -> float:
         """P(word | history) interpolating orders 1..order with equal weight."""
         word = self._map(word)
         history = tuple(BOS if t == BOS else self._map(t) for t in history)[-(self.order - 1):] \
             if self.order > 1 else ()
-        v = self._event_vocab_size()
+        v = len(self.vocab) + 2  # events: the vocabulary, UNK and EOS
         total = 0.0
         for m in range(1, self.order + 1):
             h = history[len(history) - (m - 1):] if m > 1 else ()
-            num = self.counts[m][h][word] + ADD_K
-            den = self.totals[m][h] + ADD_K * v
+            num = self.counts[m].get(h, {}).get(word, 0) + ADD_K
+            den = self.totals[m].get(h, 0) + ADD_K * v
             total += num / den
         return total / self.order
 
     def logprob(self, tokens) -> float:
-        """Log-probability of a sentence with boundary markers."""
+        """Log-probability of a sentence with boundary markers, summed left to
+        right from log P(w | h) terms memoised by their raw n-gram."""
         padded = (BOS,) * (self.order - 1) + tuple(tokens) + (EOS,)
         lp = 0.0
         for pos in range(self.order - 1, len(padded)):
-            lp += math.log(self.prob(padded[pos], padded[max(0, pos - self.order + 1):pos]))
+            ngram = padded[pos - self.order + 1:pos + 1]
+            term = self.log_terms.get(ngram)
+            if term is None:
+                term = self.log_terms[ngram] = math.log(self.prob(ngram[-1], ngram[:-1]))
+            lp += term
         return lp
 
 

@@ -54,24 +54,17 @@ def semi_maximal_set(index: OccurrenceIndex) -> set[Phrase]:
     """Phrases p with no strict superstring p' in the index that occurs more
     than half as often (2*occ(p') > occ(p), exact integers).
 
-    Instead of testing all phrase pairs, walk every stored phrase p' and mark
-    each of its strict substrings p excluded when 2*occ(p') > occ(p). Every
-    substring of a stored phrase is itself stored, so this covers all pairs.
+    Each stored p' tests only its prefix p'[:-1] and suffix p'[1:], which
+    decides every pair. If p lies strictly inside p' with 2*occ(p') > occ(p),
+    p is the prefix or suffix of the q inside p' one token longer than p; q is
+    stored, as every substring of a stored phrase is, and occ(q) >= occ(p')
+    since each occurrence of p' holds one of q, so 2*occ(q) > occ(p).
     """
+    counts = index.counts
     excluded = set()
-    for p_prime, c_prime in index.counts.items():
-        length = len(p_prime)
-        if length < 2:
-            continue
-        threshold = 2 * c_prime
-        seen = set()
-        for n in range(1, length):
-            for start in range(length - n + 1):
-                p = p_prime[start:start + n]
-                if p in seen or p in excluded:
-                    continue
-                seen.add(p)
-                if threshold > index.counts[p]:
+    for p_prime, c_prime in counts.items():
+        if len(p_prime) > 1:
+            for p in (p_prime[:-1], p_prime[1:]):
+                if 2 * c_prime > counts[p]:
                     excluded.add(p)
-    return {p for p in index.counts if p not in excluded}
-
+    return counts.keys() - excluded

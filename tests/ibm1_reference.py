@@ -1,11 +1,15 @@
-"""Loop reference for the array IBM Model 1 EM in `almt.align.train_ibm1`.
+"""Loop references for IBM Model 1 in `almt.align`: EM and Viterbi linking.
 
-One target position at a time, over dicts keyed by (source, target) string
-pairs: the E-step sums each target's probabilities over its source tokens
-(NULL first), then adds every posterior to the pair's count and the source's
-total. Every sum runs left to right from 0.0, in pair, then target position,
-then source position order, which is the order the array version adds in, so
-both give the same float for every table entry. Slow, and used only by tests.
+`train_ibm1` works one target position at a time, over dicts keyed by
+(source, target) string pairs: the E-step sums each target's probabilities
+over its source tokens (NULL first), then adds every posterior to the pair's
+count and the source's total. Every sum runs left to right from 0.0, in pair,
+then target position, then source position order, which is the order the
+array version adds in, so both give the same float for every table entry.
+
+`align_pair` looks up every (source, target) probability in the table's
+nested dicts, one target token at a time, as `almt.align` did before it
+fetched each source row once per pair. Slow, and used only by tests.
 """
 
 import math
@@ -60,3 +64,21 @@ def train_ibm1(parallel, iterations: int, reverse: bool = False) -> TranslationT
     for (s, tgt_tok), p in t_prob.items():
         probs[s][tgt_tok] = p
     return TranslationTable(dict(probs), log_likelihoods)
+
+
+def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int, int]]:
+    """Each target index to its argmax source index: ties to the lowest index,
+    NULL only on a strict win, OOV targets unlinked."""
+    links = set()
+    for j, tgt_tok in enumerate(tgt_tokens):
+        best_i, best_p = None, 0.0
+        for i, src_tok in enumerate(src_tokens):
+            p = table.probs.get(src_tok, {}).get(tgt_tok, 0.0)
+            if p > best_p:
+                best_i, best_p = i, p
+        if best_i is None:
+            continue
+        if table.probs.get(NULL_TOKEN, {}).get(tgt_tok, 0.0) > best_p:
+            continue
+        links.add((best_i, j))
+    return links

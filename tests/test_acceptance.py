@@ -255,7 +255,7 @@ def test_criterion_06_ibm1_convergence():
         assert len(lls) == 10
         assert all(b - a >= -1e-9 for a, b in zip(lls, lls[1:])), trial
     table = train_ibm1(parallel_of(("hund", "dog")), iterations=5)
-    p = table.prob("dog", "hund")
+    p = table.probs["hund"]["dog"]
     verdict(6, "EM log-likelihood non-decreasing; 1-pair corpus converges",
             p >= 1 - 1e-6, f"t(dog|hund)={p:.8f}")
 

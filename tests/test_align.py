@@ -2,6 +2,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ibm1_reference
 from almt import align, toy
@@ -18,15 +19,15 @@ def parallel_of(*pairs):
 def test_single_pair_converges():
     corpus = parallel_of(*([("hund", "dog")] * 3))
     table = train_ibm1(corpus, iterations=5)
-    assert table.prob("dog", "hund") == pytest.approx(1.0, abs=1e-6)
+    assert table.probs["hund"]["dog"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_disambiguation_two_pairs():
     # ("a b" <-> "x y", "a" <-> "x"): EM should prefer t(x|a) over t(y|a)
     corpus = parallel_of(("a b", "x y"), ("a", "x"))
     table = train_ibm1(corpus, iterations=10)
-    assert table.prob("x", "a") > table.prob("y", "a")
-    assert table.prob("y", "b") > table.prob("x", "b")
+    assert table.probs["a"]["x"] > table.probs["a"]["y"]
+    assert table.probs["b"]["y"] > table.probs["b"]["x"]
 
 
 def test_loglik_non_decreasing():
@@ -110,7 +111,7 @@ def test_span_outside_links_detection():
 def test_reverse_direction():
     corpus = parallel_of(*([("hund", "dog")] * 3))
     table = train_ibm1(corpus, iterations=5, reverse=True)
-    assert table.prob("hund", "dog") == pytest.approx(1.0, abs=1e-6)
+    assert table.probs["dog"]["hund"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_iterations_rejected():
@@ -162,7 +163,7 @@ def test_ibm1_matches_reference_on_always_cooccurring_tokens(block):
                          ("g02 d02 d03 d04", "T_g02 T_d02 T_d03 T_d04"),
                          ("g01 g02", "T_g01 T_g02"))
     table = assert_matches_reference(corpus, iterations=10)
-    assert table.prob("T_d04", "d02") == table.prob("T_d04", "d03") == table.prob("T_d04", "d04")
+    assert table.probs["d02"]["T_d04"] == table.probs["d03"]["T_d04"] == table.probs["d04"]["T_d04"]
     assert align_pair(("d02", "d03", "d04"), ("T_d04",), table) == {(0, 0)}
 
 
@@ -198,3 +199,25 @@ def test_ibm1_float_temporaries_do_not_grow_with_terms(monkeypatch):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (terms[1] - terms[0]) < 20
+
+
+# --- row-hoisted align_pair against the per-token loop (tests/ibm1_reference.py) ---
+
+_SRC, _TGT = ["a", "b", "c"], ["x", "y", "z"]
+# Few distinct values, 0.0 among them, so ties between sources and with NULL are common.
+_rows = st.dictionaries(st.sampled_from(_TGT), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.dictionaries(st.sampled_from(_SRC + [NULL_TOKEN]), _rows),
+       src=st.lists(st.sampled_from(_SRC + ["oov"]), max_size=5),
+       tgt=st.lists(st.sampled_from(_TGT + ["oov"]), max_size=5))
+def test_align_pair_matches_the_per_token_reference(rows, src, tgt):
+    table = TranslationTable(rows)
+    assert align_pair(src, tgt, table) == ibm1_reference.align_pair(src, tgt, table)
+
+
+def test_align_pair_matches_the_per_token_reference_on_stock_toy(stock_L):
+    table = train_ibm1(stock_L, 5)
+    for s, t in stock_L:
+        assert align_pair(s.tokens, t.tokens, table) == ibm1_reference.align_pair(s.tokens, t.tokens, table)

@@ -115,6 +115,45 @@ def test_pipeline_deterministic_digests(toy_dir, tmp_path):
     assert r1.digests == r2.digests
 
 
+PHRASE_PATH_DIGESTS = {
+    1: {
+        "index_U": "7a15662a00da4d8eff68b1fa2d19926368dad8423458a9669988cf49606d8f43",
+        "selection": "f0772e755ba92a72f344760368bab10c2a193e3e55d23c9586c76b04b61ffa34",
+        "phrases": "8cf5479a877cf57400fb83a27b245c9c305493a835b1134690e93eb4d54161ca",
+        "manifest_jsonl": "777417ea7f2fa96b7b594521204ab1b15a62ae16c211639ccd4387fdd1ba8c8e",
+    },
+    2: {
+        "index_U": "108bdd890ee993ea9b49bc3550824ee29cd1fb998d153cc7769e2a6275e14ce4",
+        "selection": "b8d116791753341fa08f851d11ae0aa5d0c9f0ff763ecd2b30bf98f886cb1c11",
+        "phrases": "bf6490440e047d9f482df4c25cc13706ea93b363dedc08228f0960a7e97c6ac9",
+        "manifest_jsonl": "8629baa39baeb5094651b119b9085d01394fddfaaedc97a7e648117254500131",
+    },
+    7: {
+        "index_U": "50a88ed3063b0c511bf116c67ba84113b65bbeb9f66e2561bcb03120532556b4",
+        "selection": "ac30da86b2d0a662f7edb914bb6d5570a51688d4962a87c0175117275f0ab759",
+        "phrases": "9257efab9ac29bfdb1bfe8d0dbb3950b7c6e04d2d7673369ca3cf02ae204652d",
+        "manifest_jsonl": "8dd6d8efc221b908becb6bfafa57f86243d157726c562fbbfc52e9cd15530f1b",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PHRASE_PATH_DIGESTS))
+def test_phrase_path_digests_are_pinned(seed, tmp_path):
+    """The stock toy's phrase path (ngf-smp selection, sampled mix, no
+    augmentation) at budget 200 writes these exact bytes. It runs the n-gram
+    index, the semi-maximal set, IBM-1 and the alignment, but no BLAS product,
+    so the digests do not depend on the machine.
+
+    ROADMAP item 1 (an oracle table trained on the reference) will move
+    ``phrases`` and ``manifest_jsonl`` on purpose; the change that does so
+    updates these pins and says so.
+    """
+    config = dict(toy.generate(tmp_path / "toy", seed=seed), strategy="ngf-smp", mix_policy="sample",
+                  augment_recipe=None, budgets=[200], output_dir=str(tmp_path / "runs"))
+    [report] = run_pipeline(RunConfig(**config))
+    assert {name: report.digests[name] for name in PHRASE_PATH_DIGESTS[seed]} == PHRASE_PATH_DIGESTS[seed]
+
+
 def test_pipeline_lock_blocks_concurrent_run(toy_dir, tmp_path):
     config = toy_config(toy_dir, simulate_only=True, output_dir=str(tmp_path / "runs"))
     run_dir = tmp_path / "runs" / "budget-50"

@@ -436,7 +436,6 @@ def _embedding_file(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_embedding_file())
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norms of components near 1e308
 def test_store_load_matches_the_float_reference_bit_for_bit(text, tmp_path):
     path = tmp_path / "emb.tsv"
     path.write_bytes(text.encode("utf-8"))
@@ -499,3 +498,21 @@ def test_store_load_header_only_is_empty(tmp_path):
 def test_store_rejects_nan():
     with pytest.raises(ValueError):
         store([[float("nan"), 1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_store_normalises_rows_whose_plain_norm_overflows_or_underflows():
+    s = EmbeddingStore([1, 2, 3, 4, 5, 6], [[1e200, -1e200], [1.0, -1.0], [1e-200, -1e-200], [0.0, 0.0],
+                                            [1.7e308, -1.7e308], [5e-324, -5e-324]])
+    half = np.sqrt(0.5)
+    for sid in (1, 2, 3, 5, 6):
+        assert s.unit[s.row[sid]] == pytest.approx([half, -half], rel=1e-15)
+    assert s.degenerate_ids == {4} and not s.unit[s.row[4]].any()
+
+
+def test_store_keeps_the_unit_bits_of_rows_with_a_finite_non_zero_norm():
+    rng = np.random.default_rng(3)
+    matrix = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-150, 150, size=(50, 1))
+    norms = np.linalg.norm(matrix, axis=1)
+    unit = EmbeddingStore(range(50), matrix).unit
+    assert np.array_equal(unit.view(np.uint64), (matrix / norms[:, None]).view(np.uint64))

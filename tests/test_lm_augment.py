@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import lm_reference
 
 from almt.align import TranslationTable, NULL_TOKEN
 from almt.corpus import Corpus, ParallelCorpus, Sentence
@@ -60,6 +63,37 @@ def test_lm_order_sensitive():
 def test_lm_rejects_bad_order():
     with pytest.raises(ValueError):
         NGramLM(order=0)
+
+
+def test_lm_scoring_does_not_write_to_the_model():
+    lm = train_lm(corpus_of("a b c"), order=3)
+
+    def snapshot():
+        return ([{h: dict(row) for h, row in c.items()} for c in lm.counts[1:]],
+                [dict(t) for t in lm.totals[1:]])
+
+    before = snapshot()
+    lm.logprob(("q", "r", "s", "t", "u"))
+    lm.prob("q", ("r", "s"))
+    assert snapshot() == before
+
+
+# --- memoised logprob against the unmemoised reference (tests/lm_reference.py) ---
+
+_sentences = st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 4), first=_sentences, second=_sentences,
+       queries=st.lists(st.lists(st.sampled_from(list("abcd") + ["oov", "<s>", EOS]), max_size=6),
+                        max_size=6))
+def test_logprob_matches_the_unmemoised_reference(order, first, second, queries):
+    lm = NGramLM(order).train(corpus_of(*map(" ".join, first)))
+    for tokens in queries + queries:  # the second round reads the memo
+        assert lm.logprob(tokens).hex() == lm_reference.logprob(lm, tokens).hex()
+    lm.train(corpus_of(*map(" ".join, second)))  # new counts and vocabulary: no stale term
+    for tokens in queries:
+        assert lm.logprob(tokens).hex() == lm_reference.logprob(lm, tokens).hex()
 
 
 # --- switch / contextualize ---

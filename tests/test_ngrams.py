@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ngrams_reference
 from almt.corpus import Corpus, Sentence
 from almt.ngrams import extract_ngrams, semi_maximal_set, OccurrenceIndex
 
@@ -134,6 +135,14 @@ def test_semi_maximal_matches_brute_force_random():
     for _ in range(25):
         index = extract_ngrams(random_corpus(rng), 4)
         assert semi_maximal_set(index) == brute_force_semi_maximal(index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=8), min_size=1, max_size=8),
+       max_n=st.integers(1, 5))
+def test_semi_maximal_matches_the_all_substring_reference(lines, max_n):
+    index = extract_ngrams(Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]), max_n)
+    assert semi_maximal_set(index) == ngrams_reference.semi_maximal_set(index)
 
 
 @given(st.lists(st.lists(st.sampled_from("ab"), min_size=1, max_size=6), min_size=1, max_size=10))
