@@ -149,15 +149,16 @@ def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int
     return links
 
 
-def aligned_target_span(links, start: int, end: int):
-    """Minimal contiguous [j_min, j_max] covering all targets linked to
-    source indices in [start, end); None when no link touches the span."""
+def target_span(links, start: int, end: int):
+    """The target span of source window [start, end) under the phrase-consistency
+    rule (Och & Ney 2004; Koehn et al. 2003): (j_min, j_max), the hull of the
+    targets the window links to, or the reason it has none: "no-aligned-span"
+    when no index in the window is linked, "span-overlap" when a source index
+    outside the window links into the hull."""
     js = [j for i, j in links if start <= i < end]
     if not js:
-        return None
-    return min(js), max(js)
-
-
-def span_has_outside_links(links, start: int, end: int, j_min: int, j_max: int) -> bool:
-    """True when a source index outside [start, end) links into [j_min, j_max]."""
-    return any(j_min <= j <= j_max for i, j in links if not (start <= i < end))
+        return "no-aligned-span"
+    j_min, j_max = min(js), max(js)
+    if any(j_min <= j <= j_max for i, j in links if not start <= i < end):
+        return "span-overlap"
+    return j_min, j_max

@@ -131,19 +131,13 @@ def in_domain_word_stats(selected, ood, test) -> InDomainWordStats:
     return InDomainWordStats(idwt, len(wt_set), idwc, wc)
 
 
-def _hyp_tokens(hypotheses, sid):
-    if isinstance(hypotheses, Corpus):
-        return hypotheses.get(sid).tokens
-    return tuple(hypotheses[sid])
-
-
-def length_ratio(hypotheses, references: Corpus) -> float:
+def length_ratio(hypotheses: Corpus, references: Corpus) -> float:
     """Total hypothesis tokens over total reference tokens, id-aligned."""
     hyp_total = ref_total = 0
     for ref in references:
         if ref.id not in hypotheses:
             raise ValueError(f"hypotheses missing id {ref.id}")
-        hyp_total += len(_hyp_tokens(hypotheses, ref.id))
+        hyp_total += len(hypotheses.get(ref.id).tokens)
         ref_total += len(ref.tokens)
     if ref_total == 0:
         raise ValueError("reference corpus is empty")

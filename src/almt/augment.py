@@ -8,7 +8,7 @@ retrieved pair. An in-domain n-gram LM ranks the candidates.
 import json
 from dataclasses import dataclass
 
-from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
+from .align import TranslationTable, align_pair, target_span
 from .corpus import ParallelCorpus, Phrase, write_text
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
@@ -77,16 +77,14 @@ def phrases_in_sentence(tokens, index: PhraseIndex):
     return [index.pairs[i] for i in sorted(hits)]
 
 
-def best_switch(annotated, x_star, y_star, lm: NGramLM, table: TranslationTable,
-                origin_id: int = -1):
+def best_switch(annotated, x_star, y_star, links, lm: NGramLM, origin_id: int = -1):
     """LM-argmax over all (annotated phrase, position) switch candidates.
 
-    Candidates whose target span cannot be resolved (no links, or links from
-    outside the replaced window intruding into the span) are skipped.
+    ``links`` is the retrieved pair's alignment. Candidates without a target
+    span (``align.target_span``) are skipped and counted by its reason.
     Returns (SyntheticPair or None, reason counts).
     """
     x_star, y_star = tuple(x_star), tuple(y_star)
-    links = align_pair(x_star, y_star, table)
     reasons = {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     best = None
     for p_x, p_y in annotated:
@@ -96,14 +94,11 @@ def best_switch(annotated, x_star, y_star, lm: NGramLM, table: TranslationTable,
             reasons["no-position"] += 1
             continue
         for i in positions:
-            span = aligned_target_span(links, i, i + n)
-            if span is None:
-                reasons["no-aligned-span"] += 1
+            span = target_span(links, i, i + n)
+            if isinstance(span, str):
+                reasons[span] += 1
                 continue
             j_min, j_max = span
-            if span_has_outside_links(links, i, i + n, j_min, j_max):
-                reasons["span-overlap"] += 1
-                continue
             x_hat = switch(x_star, p_x, i)
             score = lm.logprob(x_hat)
             if best is None or score > best.lm_score:
@@ -132,10 +127,12 @@ def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramL
                    table: TranslationTable, recipe: str = "switch"):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
-    ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. Returns (pairs,
-    report) where report counts sentences dropped per reason.
+    ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. Each retrieved
+    pair is aligned once, however many U sentences retrieve it. Returns
+    (pairs, report) where report counts sentences dropped per reason.
     """
     index = PhraseIndex(phrase_pairs)
+    links = {}  # retrieved pair id -> its alignment
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     pairs = []
@@ -151,7 +148,10 @@ def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramL
             continue
         x_star, y_star = (side.tokens for side in parallel.get(pair_id))
         if recipe == "switch":
-            best, reasons = best_switch(annotated, x_star, y_star, lm, table, origin_id=pair_id)
+            if pair_id not in links:
+                links[pair_id] = align_pair(x_star, y_star, table)
+            best, reasons = best_switch(annotated, x_star, y_star, links[pair_id], lm,
+                                        origin_id=pair_id)
             if best is None:
                 dominant = max(reasons, key=reasons.get)
                 report[dominant] += 1

@@ -132,7 +132,7 @@ def parse_dim(path, header):
     return int(dim)
 
 
-# Default product block: rows * columns stays within this many float64 cells
+# Product block: rows * columns stays within this many float64 cells
 # (512 KB), so scorer memory does not grow with |A| and grows with |B| only
 # through O(|B|) per-point vectors.
 BLOCK_CELLS = 1 << 16
@@ -161,9 +161,8 @@ class RatioScorer:
     products, whose summation order can depend on their shape.
     """
 
-    def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int, block: int = None):
-        """block: rows per product block; by default a block holds BLOCK_CELLS cells."""
-        self.a, self.b, self.k, self.block = store_a, store_b, k, block
+    def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int):
+        self.a, self.b, self.k = store_a, store_b, k
         self.valid_a, self.valid_b = _usable(store_a), _usable(store_b)
         all_a, all_b, n = self.valid_a.all(), self.valid_b.all(), np.count_nonzero(self.valid_b)
         kk = min(k, n)
@@ -189,14 +188,15 @@ class RatioScorer:
         """The B x A scorer: it shares this one's pass 1 (stores, usability and
         means, swapped) and makes its own pass 2 over B x A cosines."""
         t = object.__new__(RatioScorer)
-        t.a, t.b, t.k, t.block = self.b, self.a, self.k, self.block
+        t.a, t.b, t.k = self.b, self.a, self.k
         t.valid_a, t.valid_b, t.mean_a, t.mean_b = self.valid_b, self.valid_a, self.mean_b, self.mean_a
         t.__dict__["T"] = self
         return t
 
     def _products(self, left, right):
-        """(start, left[start:stop] @ right.T) for each row block of left."""
-        rows = self.block or max(1, BLOCK_CELLS // max(1, right.shape[0]))
+        """(start, left[start:stop] @ right.T) for each row block of left,
+        a block holding at most BLOCK_CELLS cells (at least one row)."""
+        rows = max(1, BLOCK_CELLS // max(1, right.shape[0]))
         for start in range(0, left.shape[0], rows):
             yield start, left[start:start + rows] @ right.T
 

@@ -10,32 +10,15 @@ from functools import cached_property
 from .corpus import Corpus, Phrase, write_text
 
 
-class OccurrenceIndex:
-    """Counts of every n-gram (1 <= n <= max_n) in a corpus."""
-
-    def __init__(self, max_n: int):
-        if max_n < 1:
-            raise ValueError(f"max_n must be >= 1, got {max_n}")
-        self.max_n = max_n
-        self.counts: Counter[Phrase] = Counter()
-
-    def occ(self, p: Phrase) -> int:
-        return self.counts.get(tuple(p), 0)
-
-    def __contains__(self, p):
-        return tuple(p) in self.counts
-
-    def __len__(self):
-        return len(self.counts)
-
-    def phrases(self):
-        return self.counts.keys()
+class OccurrenceIndex(Counter):
+    """Counts of every n-gram in a corpus; an absent phrase reads 0 and is not
+    inserted."""
 
     @cached_property
     def tsv(self) -> bytes:
         """The index as "phrase TAB count" lines, count descending then
         lexicographic, serialised once however many times it is written."""
-        rows = sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        rows = sorted(self.items(), key=lambda kv: (-kv[1], kv[0]))
         return "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode("utf-8")
 
     def export_tsv(self, path):
@@ -43,10 +26,12 @@ class OccurrenceIndex:
 
 
 def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
-    index = OccurrenceIndex(max_n)
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    index = OccurrenceIndex()
     for sent in corpus:
         for n in range(1, max_n + 1):
-            index.counts.update(zip(*(sent.tokens[i:] for i in range(n))))
+            index.update(zip(*(sent.tokens[i:] for i in range(n))))
     return index
 
 
@@ -60,11 +45,10 @@ def semi_maximal_set(index: OccurrenceIndex) -> set[Phrase]:
     stored, as every substring of a stored phrase is, and occ(q) >= occ(p')
     since each occurrence of p' holds one of q, so 2*occ(q) > occ(p).
     """
-    counts = index.counts
     excluded = set()
-    for p_prime, c_prime in counts.items():
+    for p_prime, c_prime in index.items():
         if len(p_prime) > 1:
             for p in (p_prime[:-1], p_prime[1:]):
-                if 2 * c_prime > counts[p]:
+                if 2 * c_prime > index[p]:
                     excluded.add(p)
-    return counts.keys() - excluded
+    return index.keys() - excluded

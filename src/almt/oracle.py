@@ -8,7 +8,7 @@ extracted from aligned reference occurrences and decided by majority vote.
 import json
 from dataclasses import dataclass
 
-from .align import TranslationTable, align_pair, aligned_target_span, span_has_outside_links
+from .align import TranslationTable, align_pair, target_span
 from .corpus import ParallelCorpus, write_text
 from .errors import OracleGapError
 
@@ -67,13 +67,10 @@ def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTabl
             src, tgt = reference.get(sid)
             if sid not in links:
                 links[sid] = align_pair(src.tokens, tgt.tokens, table)
-            span = aligned_target_span(links[sid], start, start + len(p))
-            if span is None:
+            span = target_span(links[sid], start, start + len(p))
+            if isinstance(span, str):
                 continue
-            j_min, j_max = span
-            if span_has_outside_links(links[sid], start, start + len(p), j_min, j_max):
-                continue
-            target = tgt.tokens[j_min:j_max + 1]
+            target = tgt.tokens[span[0]:span[1] + 1]
             count, prov = votes.get(target, (0, []))
             prov.append(sid)
             votes[target] = (count + 1, prov)

@@ -85,9 +85,6 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
-    def save(self, path):
-        _write_json(asdict(self), path)
-
 
 def _write_json(obj, path):
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -186,22 +186,22 @@ def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex,
                           budget: int, seed: int) -> SelectionResult:
     """Uniform phrase draws from the U index, excluding phrases seen in L."""
     rng = random.Random(seed)
-    pool = sorted((p for p in index_U.phrases() if p not in index_L), key=lambda p: (len(p), p))
+    pool = sorted((p for p in index_U if p not in index_L), key=lambda p: (len(p), p))
     rng.shuffle(pool)
     return _phrases("random-phrase", seed, pool, lambda p: 0.0, budget)
 
 
 def _ngf_order(candidates, index_U):
-    return sorted(candidates, key=lambda p: (-index_U.occ(p), len(p), p))
+    return sorted(candidates, key=lambda p: (-index_U[p], len(p), p))
 
 
 def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int,
                candidates=None, strategy="ngf") -> SelectionResult:
     """Most-frequent-first phrase selection over U phrases absent from L."""
     if candidates is None:
-        candidates = index_U.phrases()
+        candidates = index_U.keys()
     pool = _ngf_order((p for p in candidates if p not in index_L), index_U)
-    return _phrases(strategy, None, pool, lambda p: float(index_U.occ(p)), budget)
+    return _phrases(strategy, None, pool, lambda p: float(index_U[p]), budget)
 
 
 def select_ngf_smp(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int) -> SelectionResult:

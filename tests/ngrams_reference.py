@@ -9,7 +9,7 @@ same set from both.
 
 def semi_maximal_set(index):
     excluded = set()
-    for p_prime, c_prime in index.counts.items():
+    for p_prime, c_prime in index.items():
         length = len(p_prime)
         if length < 2:
             continue
@@ -21,6 +21,6 @@ def semi_maximal_set(index):
                 if p in seen or p in excluded:
                     continue
                 seen.add(p)
-                if threshold > index.counts[p]:
+                if threshold > index[p]:
                     excluded.add(p)
-    return {p for p in index.counts if p not in excluded}
+    return {p for p in index if p not in excluded}

@@ -106,10 +106,10 @@ def brute_force_semi_maximal(index):
     def contains(big, small):
         return len(small) < len(big) and any(
             big[i:i + len(small)] == small for i in range(len(big) - len(small) + 1))
-    phrases = index.phrases()
+    phrases = index.keys()
     out = set()
     for p in phrases:
-        if not any(contains(q, p) and 2 * index.occ(q) > index.occ(p) for q in phrases):
+        if not any(contains(q, p) and 2 * index[q] > index[p] for q in phrases):
             out.add(p)
     return out
 
@@ -129,9 +129,9 @@ def test_criterion_02_semi_maximal_oracle_equivalence():
 
 
 def brute_force_greedy(index_U, index_L, budget, candidates=None):
-    pool = [p for p in (candidates if candidates is not None else index_U.phrases())
+    pool = [p for p in (candidates if candidates is not None else index_U)
             if p not in index_L]
-    pool.sort(key=lambda p: (-index_U.occ(p), len(p), p))
+    pool.sort(key=lambda p: (-index_U[p], len(p), p))
     chosen, spent = [], 0
     for p in pool:
         if spent >= budget:

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ibm1_reference
 from almt import align, toy
-from almt.align import (NULL_TOKEN, align_pair, aligned_target_span, span_has_outside_links,
-                        train_ibm1, TranslationTable)
+from almt.align import NULL_TOKEN, align_pair, target_span, train_ibm1, TranslationTable
 from almt.corpus import ParallelCorpus, Sentence, load_parallel
 
 
@@ -91,21 +90,59 @@ def test_align_null_needs_strict_win():
 
 
 def test_aligned_target_span_direct():
-    assert aligned_target_span({(1, 2), (2, 3)}, 1, 3) == (2, 3)
+    assert target_span({(1, 2), (2, 3)}, 1, 3) == (2, 3)
 
 
 def test_aligned_target_span_convex_hull():
-    assert aligned_target_span({(1, 4), (2, 1)}, 1, 3) == (1, 4)
+    assert target_span({(1, 4), (2, 1)}, 1, 3) == (1, 4)
 
 
 def test_aligned_target_span_none():
-    assert aligned_target_span({(0, 0)}, 1, 3) is None
+    assert target_span({(0, 0)}, 1, 3) == "no-aligned-span"
 
 
 def test_span_outside_links_detection():
     links = {(1, 2), (2, 3), (5, 3)}
-    assert span_has_outside_links(links, 1, 3, 2, 3)
-    assert not span_has_outside_links({(1, 2), (2, 3)}, 1, 3, 2, 3)
+    assert target_span(links, 1, 3) == "span-overlap"
+    assert target_span({(1, 2), (2, 3)}, 1, 3) == (2, 3)
+
+
+@pytest.mark.parametrize("outside_j, expected", [
+    (1, (2, 4)),                # just before j_min
+    (2, "span-overlap"),        # exactly on j_min
+    (3, "span-overlap"),        # inside the hull, on no window link
+    (4, "span-overlap"),        # exactly on j_max
+    (5, (2, 4)),                # just after j_max
+])
+def test_target_span_outside_link_at_the_hull_edges(outside_j, expected):
+    for outside_i in (0, 3):  # before and after the window [1, 3)
+        assert target_span({(1, 2), (2, 4), (outside_i, outside_j)}, 1, 3) == expected
+
+
+def _two_helper_span(links, start, end):
+    """The rule as two helpers composed it: the hull of the window's targets
+    (None without one), then a test for outside links into that hull."""
+    def aligned_target_span(links, start, end):
+        js = [j for i, j in links if start <= i < end]
+        return (min(js), max(js)) if js else None
+
+    def span_has_outside_links(links, start, end, j_min, j_max):
+        return any(j_min <= j <= j_max for i, j in links if not (start <= i < end))
+
+    span = aligned_target_span(links, start, end)
+    if span is None:
+        return "no-aligned-span"
+    if span_has_outside_links(links, start, end, *span):
+        return "span-overlap"
+    return span
+
+
+@settings(max_examples=300, deadline=None)
+@given(links=st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12),
+       window=st.tuples(st.integers(0, 8), st.integers(0, 8)))
+def test_target_span_matches_the_two_helper_rule(links, window):
+    start, end = min(window), max(window)
+    assert target_span(links, start, end) == _two_helper_span(links, start, end)
 
 
 def test_reverse_direction():

@@ -168,9 +168,9 @@ def test_in_domain_word_stats_values():
 
 def test_length_ratio():
     refs = corpus_of("a b c d", "e f")
-    assert length_ratio({0: ("x", "y", "z"), 1: ()}, refs) == pytest.approx(0.5)
+    assert length_ratio(corpus_of("x y z", "w"), refs) == pytest.approx(4 / 6)
 
 
 def test_length_ratio_missing_id():
     with pytest.raises(ValueError):
-        length_ratio({0: ("x",)}, corpus_of("a", "b"))
+        length_ratio(corpus_of("x"), corpus_of("a", "b"))

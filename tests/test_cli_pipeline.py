@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -73,7 +75,7 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_config_roundtrip(toy_dir, tmp_path):
     config = toy_config(toy_dir)
-    config.save(tmp_path / "c.json")
+    (tmp_path / "c.json").write_text(json.dumps(asdict(config)))
     assert RunConfig.load(tmp_path / "c.json") == config
 
 
@@ -177,11 +179,15 @@ def test_pipeline_failed_marker(toy_dir, tmp_path):
 
 # --- CLI ---
 
-def test_cli_extract(toy_dir, tmp_path, capsys):
+def test_cli_extract(tmp_path, capsys):
+    # the stock toy's index at the pipeline's max_n: the same bytes as a run's index_U.tsv
+    toy.generate(tmp_path / "toy", seed=7)
     out = tmp_path / "index.tsv"
-    assert main(["extract", "--input", str(toy_dir / "U.txt"),
-                 "--max-n", "2", "--output", str(out)]) == 0
-    assert out.exists() and "phrases" in capsys.readouterr().out
+    assert main(["extract", "--input", str(tmp_path / "toy" / "U.txt"),
+                 "--max-n", "4", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHRASE_PATH_DIGESTS[7]["index_U"]
+    lines = out.read_bytes().count(b"\n")
+    assert capsys.readouterr().out == f"{lines} phrases (max_n=4) -> {out}\n"
 
 
 def test_cli_select_ngf(toy_dir, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import embed_reference
+from almt import embed
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import DegenerateNeighborhoodError, ParseError
 from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score
@@ -196,16 +197,17 @@ def test_ratio_scorer_matches_scalar_reference():
             assert best[9][0] == 5, k
 
 
-def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference():
+def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference(monkeypatch):
     # Without degenerate B columns, a block whose ratios are all finite takes
     # one min, max and argmax; A row 9 (id 36, non-positive margin) and the
     # zero A row put their blocks on the NaN-aware fallback. Two-row blocks
     # mix a finite row with each of them.
     a, full_b = _edge_case_stores()
     b = full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])
-    for block in (1, 2, len(a) + 1):
-        skipped, _ = _assert_matches_reference(RatioScorer(a, b, k=3, block=block), 3)
-        assert skipped == [36, 50], block
+    for cells in (1, 2 * len(b), len(a) * len(b)):  # one, two and every A row per block
+        monkeypatch.setattr(embed, "BLOCK_CELLS", cells)
+        skipped, _ = _assert_matches_reference(RatioScorer(a, b, k=3), 3)
+        assert skipped == [36, 50], cells
 
 
 def _lattice_store(rng, n, ids, tag):
@@ -239,7 +241,7 @@ def _lattice_stores(seed=11):
     return a, b
 
 
-def test_ratio_scorer_block_size_is_bit_identical():
+def test_ratio_scorer_block_size_is_bit_identical(monkeypatch):
     # BLAS sums a product in an order that depends on its shape (a one-row
     # block is a matrix-vector product), so the stores have exact cosines:
     # equality then checks the kernel's block boundaries, masks, running
@@ -250,9 +252,11 @@ def test_ratio_scorer_block_size_is_bit_identical():
     # orientation, must agree too.
     a, full_b = _lattice_stores()
     for b in (full_b, full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])):
-        outputs = [_scorer_outputs(scorer) for block in (1, 7, 512, len(a) + 1)
-                   for scorer in (RatioScorer(a, b, k=3, block=block),
-                                  RatioScorer(b, a, k=3, block=block).T)]
+        outputs = []
+        for rows in (1, 7, 512, len(a) + 1):  # A rows per block of A x B cells
+            monkeypatch.setattr(embed, "BLOCK_CELLS", rows * len(b))
+            outputs += [_scorer_outputs(scorer)
+                        for scorer in (RatioScorer(a, b, k=3), RatioScorer(b, a, k=3).T)]
         (mins, skipped), _, argmax, _, _ = outputs[0]
         assert mins and skipped and None in argmax.values(), len(b)
         for other in outputs[1:]:
@@ -280,22 +284,23 @@ def _reference_means(query, pool, k, cos=None):
     return means
 
 
-def test_one_sweep_means_match_partitioned_reference():
+def test_one_sweep_means_match_partitioned_reference(monkeypatch):
     rng = np.random.default_rng(4)
     a, b = _lattice_stores()
     small = _lattice_store(rng, 5, [3, 1, 4, 15, 9], "small")  # 3 usable points
     zero = EmbeddingStore([8, 2], np.zeros((2, 8)), "zero")
     for left, right in ((a, b), (b, a), (a, small), (small, b), (zero, b), (a, zero)):
         for k in (1, 3, 4, 40):  # 4 and 40: fewer usable points than k
-            for block in (1, 7, len(left) + 1):
-                scorer = RatioScorer(left, right, k=k, block=block)
+            for rows in (1, 7, len(left) + 1):
+                monkeypatch.setattr(embed, "BLOCK_CELLS", rows * len(right))
+                scorer = RatioScorer(left, right, k=k)
                 assert repr(scorer.mean_a.tolist()) == repr(_reference_means(left, right, k)), \
-                    (left.tag, right.tag, k, block)
+                    (left.tag, right.tag, k, rows)
                 assert repr(scorer.mean_b.tolist()) == repr(_reference_means(right, left, k)), \
-                    (left.tag, right.tag, k, block)
+                    (left.tag, right.tag, k, rows)
 
 
-def test_means_average_the_top_k_in_ascending_order():
+def test_means_average_the_top_k_in_ascending_order(monkeypatch):
     # Random cosines, taken from the scorer's own product blocks so that both
     # sides see the same floats: equality pins the summation order of the
     # mean, for A's rows and B's columns alike. With k = 50 over 3,000
@@ -303,12 +308,14 @@ def test_means_average_the_top_k_in_ascending_order():
     rng = np.random.default_rng(9)
     a = store(rng.normal(size=(60, 6)), "a")
     narrow, wide = store(rng.normal(size=(45, 6)), "b"), store(rng.normal(size=(3000, 6)), "wide")
-    cases = [(narrow, k, block) for k in (3, 5, 9) for block in (1, 7, None)] + [(wide, 50, None)]
-    for b, k, block in cases:
-        scorer = RatioScorer(a, b, k=k, block=block)
+    default = embed.BLOCK_CELLS
+    cases = [(narrow, k, cells) for k in (3, 5, 9) for cells in (1, 7 * len(narrow), default)]
+    for b, k, cells in cases + [(wide, 50, default)]:
+        monkeypatch.setattr(embed, "BLOCK_CELLS", cells)
+        scorer = RatioScorer(a, b, k=k)
         cos = np.vstack([sims for _, sims in scorer._products(a.unit, b.unit)])
-        assert repr(scorer.mean_a.tolist()) == repr(_reference_means(a, b, k, cos)), (k, block)
-        assert repr(scorer.mean_b.tolist()) == repr(_reference_means(b, a, k, cos.T)), (k, block)
+        assert repr(scorer.mean_a.tolist()) == repr(_reference_means(a, b, k, cos)), (k, cells)
+        assert repr(scorer.mean_b.tolist()) == repr(_reference_means(b, a, k, cos.T)), (k, cells)
 
 
 def test_build_and_reductions_run_two_product_sweeps(monkeypatch):
@@ -323,14 +330,15 @@ def test_build_and_reductions_run_two_product_sweeps(monkeypatch):
 
     monkeypatch.setattr(RatioScorer, "_products", spy)
     a, b = _lattice_stores()
-    for block in (1, 7, None, len(a) + 1):
+    for cells in (1, 7 * len(b), embed.BLOCK_CELLS, (len(a) + 1) * len(b)):
+        monkeypatch.setattr(embed, "BLOCK_CELLS", cells)
         rows_per_sweep.clear()
-        scorer = RatioScorer(a, b, k=3, block=block)
+        scorer = RatioScorer(a, b, k=3)
         _scorer_outputs(scorer)
-        assert rows_per_sweep == [len(a), len(a)], block
+        assert rows_per_sweep == [len(a), len(a)], cells
         # the transposed view reuses pass 1 and adds only its own pass 2, over B's rows
         _scorer_outputs(scorer.T)
-        assert rows_per_sweep == [len(a), len(a), len(b)], block
+        assert rows_per_sweep == [len(a), len(a), len(b)], cells
         assert scorer.T.T is scorer
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import lm_reference
 
-from almt.align import TranslationTable, NULL_TOKEN
+from almt.align import TranslationTable, NULL_TOKEN, align_pair
 from almt.corpus import Corpus, ParallelCorpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
@@ -178,14 +178,38 @@ def test_augment_propagates_other_retrieval_errors():
         _augment([0, 7], [[1.0, 0.0], [1.0, 0.1]])  # sentence 1 has no embedding
 
 
+def test_augment_aligns_each_retrieved_pair_once(monkeypatch):
+    import almt.augment
+    calls = []
+
+    def counting(src, tgt, table):
+        calls.append((tuple(src), tuple(tgt)))
+        return align_pair(src, tgt, table)
+
+    monkeypatch.setattr(almt.augment, "align_pair", counting)
+    U = corpus_of("x cat sat y", "x cat ran y", "cat x y z")
+    L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(f"T_{w}" for w in s.split())))
+                        for i, s in enumerate(["a b c d", "e f g h"])])
+    store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [1.0, 0.1], [1.0, 0.05]]), "U")
+    store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), "L")
+    pairs, _ = augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), L,
+                              train_lm(U, order=2), identity_table("abcdefgh"))
+    assert [p.origin_id for p in pairs] == [0, 0, 0]
+    assert calls == [(("a", "b", "c", "d"), ("T_a", "T_b", "T_c", "T_d"))]
+
+
 # --- best_switch / best_contextualize ---
+
+def _best_switch(annotated, x_star, y_star, lm, table):
+    return best_switch(annotated, x_star, y_star, align_pair(x_star, y_star, table), lm)
+
 
 def test_best_switch_single_candidate():
     x_star = ("a", "b", "c")
     table = identity_table("abc")
     lm = train_lm(corpus_of("a b c"), order=2)
     # phrase of length 2: only position 0 is allowed (i < |x*| - |p|)
-    best, reasons = best_switch([(("P", "Q"), ("T_P", "T_Q"))], x_star,
+    best, reasons = _best_switch([(("P", "Q"), ("T_P", "T_Q"))], x_star,
                                 ("T_a", "T_b", "T_c"), lm, table)
     assert best is not None
     assert best.source == ("P", "Q", "c")
@@ -197,7 +221,7 @@ def test_best_switch_lm_prefers_position():
     # LM trained so that "P b c" is much more likely than "a P c"
     lm = train_lm(corpus_of(*(["P b c"] * 20 + ["a b c"])), order=3)
     table = identity_table("abc")
-    best, _ = best_switch([(("P",), ("T_P",))], ("a", "b", "c"),
+    best, _ = _best_switch([(("P",), ("T_P",))], ("a", "b", "c"),
                           ("T_a", "T_b", "T_c"), lm, table)
     assert best.position == 0
     assert best.source == ("P", "b", "c")
@@ -206,7 +230,7 @@ def test_best_switch_lm_prefers_position():
 def test_best_switch_all_spans_unresolvable():
     table = TranslationTable({NULL_TOKEN: {"y": 1.0}})  # nothing aligns
     lm = train_lm(corpus_of("a b"), order=2)
-    best, reasons = best_switch([(("P",), ("T_P",))], ("a", "b"), ("y", "y"), lm, table)
+    best, reasons = _best_switch([(("P",), ("T_P",))], ("a", "b"), ("y", "y"), lm, table)
     assert best is None
     assert reasons["no-aligned-span"] > 0
 
@@ -217,8 +241,8 @@ def test_best_switch_argmax_invariant_to_lm_constant():
     lm1 = train_lm(corpus_of(*(["P b c"] * 10 + ["a b c"] * 2)), order=2)
     lm2 = train_lm(corpus_of(*(["P b c"] * 20 + ["a b c"] * 4)), order=2)
     table = identity_table("abc")
-    b1, _ = best_switch([(("P",), ("T_P",))], ("a", "b", "c"), ("T_a", "T_b", "T_c"), lm1, table)
-    b2, _ = best_switch([(("P",), ("T_P",))], ("a", "b", "c"), ("T_a", "T_b", "T_c"), lm2, table)
+    b1, _ = _best_switch([(("P",), ("T_P",))], ("a", "b", "c"), ("T_a", "T_b", "T_c"), lm1, table)
+    b2, _ = _best_switch([(("P",), ("T_P",))], ("a", "b", "c"), ("T_a", "T_b", "T_c"), lm2, table)
     assert b1.position == b2.position
 
 
@@ -246,7 +270,7 @@ def test_best_contextualize_requires_phrases():
 def test_synthetic_pair_replay_from_recipe():
     lm = train_lm(corpus_of("a b c"), order=2)
     table = identity_table("abc")
-    best, _ = best_switch([(("P",), ("T_P",))], ("a", "b", "c"), ("T_a", "T_b", "T_c"), lm, table)
+    best, _ = _best_switch([(("P",), ("T_P",))], ("a", "b", "c"), ("T_a", "T_b", "T_c"), lm, table)
     replay = switch(("a", "b", "c"), best.phrase_src, best.position)
     assert replay == best.source
     j_min, j_max = best.target_span

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
 from almt.corpus import Corpus, Sentence
-from almt.ngrams import extract_ngrams, semi_maximal_set, OccurrenceIndex
+from almt.ngrams import extract_ngrams, semi_maximal_set
 
 
 def corpus_of(*lines):
@@ -18,10 +18,10 @@ def brute_force_semi_maximal(index):
         n = len(small)
         return len(big) > n and any(big[i:i + n] == small for i in range(len(big) - n + 1))
 
-    phrases = list(index.phrases())
+    phrases = list(index)
     keep = set()
     for p in phrases:
-        dominated = any(contains(p, q) and 2 * index.occ(q) > index.occ(p) for q in phrases)
+        dominated = any(contains(p, q) and 2 * index[q] > index[p] for q in phrases)
         if not dominated:
             keep.add(p)
     return keep
@@ -37,13 +37,13 @@ def random_corpus(rng, max_sentences=50, vocab=10):
 
 def test_extract_two_tokens():
     index = extract_ngrams(corpus_of("a b"), 2)
-    assert index.counts == {("a",): 1, ("b",): 1, ("a", "b"): 1}
+    assert index == {("a",): 1, ("b",): 1, ("a", "b"): 1}
 
 
 def test_extract_overlapping_counts():
     index = extract_ngrams(corpus_of("a a a"), 2)
-    assert index.occ(("a",)) == 3
-    assert index.occ(("a", "a")) == 2
+    assert index[("a",)] == 3
+    assert index[("a", "a")] == 2
 
 
 def test_extract_empty_corpus():
@@ -52,13 +52,14 @@ def test_extract_empty_corpus():
 
 def test_extract_rejects_bad_maxn():
     with pytest.raises(ValueError):
-        OccurrenceIndex(0)
+        extract_ngrams(corpus_of("a b"), 0)
 
 
 def test_occ_absent_is_zero():
     index = extract_ngrams(corpus_of("a b"), 2)
-    assert index.occ(("z",)) == 0
-    assert index.occ(("a", "b")) == 1
+    assert index[("z",)] == 0
+    assert index[("a", "b")] == 1
+    assert len(index) == 3 and ("z",) not in index  # reading did not insert
 
 
 def test_counts_match_brute_force_slicing():
@@ -74,15 +75,15 @@ def test_counts_match_brute_force_slicing():
                         p = sent.tokens[start:start + n]
                         expected[p] = expected.get(p, 0) + 1
             index = extract_ngrams(corpus, max_n)
-            assert dict(index.counts) == expected
-            assert list(index.counts) == list(expected)  # same first-seen key order
+            assert dict(index) == expected
+            assert list(index) == list(expected)  # same first-seen key order
 
 
 def test_length_n_count_identity():
     corpus = corpus_of("a b c", "a", "b c d e")
     index = extract_ngrams(corpus, 4)
     for n in range(1, 5):
-        total = sum(c for p, c in index.counts.items() if len(p) == n)
+        total = sum(c for p, c in index.items() if len(p) == n)
         expected = sum(max(0, len(s.tokens) - n + 1) for s in corpus)
         assert total == expected
 
@@ -90,14 +91,14 @@ def test_length_n_count_identity():
 def test_semi_order_inequality():
     # occ("a b") = 4 and occ("a b c") = 3: 2*3 > 4, so "a b" is not semi-maximal
     index = extract_ngrams(corpus_of(*(["a b c"] * 3 + ["a b"])), 3)
-    assert (index.occ(("a", "b")), index.occ(("a", "b", "c"))) == (4, 3)
+    assert (index[("a", "b")], index[("a", "b", "c")]) == (4, 3)
     assert ("a", "b") not in semi_maximal_set(index)
 
 
 def test_semi_order_boundary_strict():
     # occ("a b") = 4 and occ("a b c") = 2: 2*2 > 4 fails, so "a b" stays
     index = extract_ngrams(corpus_of(*(["a b c"] * 2 + ["a b"] * 2)), 3)
-    assert (index.occ(("a", "b")), index.occ(("a", "b", "c"))) == (4, 2)
+    assert (index[("a", "b")], index[("a", "b", "c")]) == (4, 2)
     assert ("a", "b") in semi_maximal_set(index)
 
 
@@ -116,7 +117,7 @@ def test_semi_order_always_cooccurring_superstring():
 
 def test_semi_maximal_hand_example():
     index = extract_ngrams(corpus_of("a a a"), 2)
-    assert index.occ(("a",)) == 3 and index.occ(("a", "a")) == 2
+    assert index[("a",)] == 3 and index[("a", "a")] == 2
     assert semi_maximal_set(index) == {("a", "a")}
 
 
@@ -127,7 +128,7 @@ def test_semi_maximal_all_unigrams_when_no_superstrings():
 
 def test_semi_maximal_subset_of_index():
     index = extract_ngrams(corpus_of("a b c a b", "c c a"), 3)
-    assert semi_maximal_set(index) <= set(index.phrases())
+    assert semi_maximal_set(index) <= set(index)
 
 
 def test_semi_maximal_matches_brute_force_random():
@@ -153,10 +154,10 @@ def test_occ_superstring_never_exceeds_substring(lines):
     def strict_substring(p, q):
         return len(p) < len(q) and any(q[i:i + len(p)] == p for i in range(len(q) - len(p) + 1))
 
-    for p in index.phrases():
-        for q in index.phrases():
+    for p in index:
+        for q in index:
             if strict_substring(p, q):
-                assert index.occ(p) >= index.occ(q)
+                assert index[p] >= index[q]
 
 
 def test_export_tsv_deterministic_order(tmp_path):

@@ -98,7 +98,7 @@ def test_oracle_deterministic():
 
 def brute_force_translate(phrases, ref, table):
     """The oracle over a list of every source window's occurrences, all lengths."""
-    from almt.align import align_pair, aligned_target_span, span_has_outside_links
+    from almt.align import align_pair, target_span
     from almt.oracle import OracleResponse
     windows = {}
     for src, _ in ref:
@@ -111,8 +111,8 @@ def brute_force_translate(phrases, ref, table):
         for sid, start in windows.get(p, []):
             src, tgt = ref.get(sid)
             links = align_pair(src.tokens, tgt.tokens, table)
-            span = aligned_target_span(links, start, start + len(p))
-            if span is None or span_has_outside_links(links, start, start + len(p), *span):
+            span = target_span(links, start, start + len(p))
+            if isinstance(span, str):
                 continue
             target = tgt.tokens[span[0]:span[1] + 1]
             votes.setdefault(target, []).append(sid)

@@ -17,8 +17,8 @@ def corpus_of(*lines):
 
 
 def brute_force_ngf(index_U, index_L, budget, candidates=None):
-    pool = [p for p in (candidates or index_U.phrases()) if p not in index_L]
-    pool.sort(key=lambda p: (-index_U.occ(p), len(p), p))
+    pool = [p for p in (candidates or index_U) if p not in index_L]
+    pool.sort(key=lambda p: (-index_U[p], len(p), p))
     chosen, spent = [], 0
     for p in pool:
         if spent >= budget:
