@@ -124,15 +124,18 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
 
 
 def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramLM,
-                   table: TranslationTable, recipe: str = "switch"):
+                   table: TranslationTable, recipe: str = "switch", links: dict = None):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
-    ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. Each retrieved
-    pair is aligned once, however many U sentences retrieve it. Returns
-    (pairs, report) where report counts sentences dropped per reason.
+    ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. ``links`` maps a
+    pair id to its alignment under ``table``; a retrieved pair missing from it
+    is aligned and added, so a dict passed to every call (one per run, as
+    ``RunContext.links``) aligns each pair once however many U sentences and
+    budgets retrieve it. Returns (pairs, report) where report counts sentences
+    dropped per reason.
     """
     index = PhraseIndex(phrase_pairs)
-    links = {}  # retrieved pair id -> its alignment
+    links = {} if links is None else links
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     pairs = []

@@ -245,6 +245,7 @@ class RunContext:
     index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
     index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
+    links = cached_property(lambda self: {})  # L id -> its alignment under table, filled by augment
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
     # The U × L ratio scorer: augment retrieves from L with it, mix ranks L by
@@ -339,7 +340,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
                 context.U, phrase_pairs, context.scorer, context.L, context.lm, table,
-                config.augment_recipe)
+                config.augment_recipe, context.links)
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))
             report.counts["synthetic_pairs"] = len(synthetic)

@@ -52,10 +52,6 @@ def _token_vectors(dim, seed):
     return vecs
 
 
-def _sentence_vector(tokens, vecs):
-    return np.mean([vecs[t] for t in tokens], axis=0)
-
-
 def _translated(src):
     return src, [translate_token(t) for t in src]
 
@@ -64,10 +60,33 @@ def _tsv(pairs):
     return "".join(f"{' '.join(src)}\t{' '.join(tgt)}\n" for src, tgt in pairs)
 
 
+def _sentence_means(sentences, vecs):
+    """(sentences × dim) array of each sentence's mean token vector. Every
+    sentence has a token.
+
+    The rows are added in token order, first token first, which is the order
+    ``np.mean(rows, axis=0)`` adds them in at dim >= 2, so each mean has the
+    bits of one ``np.mean`` per sentence. At dim 1 numpy sums a sentence of 8
+    or more tokens pairwise instead; these means keep token order there too.
+    """
+    row_of = {tok: i for i, tok in enumerate(vecs)}
+    table = np.array(list(vecs.values()))
+    lengths = np.array([len(tokens) for tokens in sentences], dtype=np.intp)
+    ids = np.zeros((len(sentences), lengths.max(initial=1)), dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = [row_of[t] for tokens in sentences for t in tokens]
+    sums = table[ids[:, 0]]
+    for pos in range(1, ids.shape[1]):
+        live = lengths > pos
+        sums[live] += table[ids[live, pos]]
+    return sums / lengths[:, None]
+
+
 def _write_embeddings(path, sentences, vecs, dim):
-    """One vector per sentence, its id the sentence's index."""
-    rows = (" ".join(f"{v:.8f}" for v in _sentence_vector(t, vecs)) for t in sentences)
-    write_text(path, f"dim={dim}\n" + "".join(f"{i}\t{row}\n" for i, row in enumerate(rows)))
+    """One vector per sentence, its id the sentence's index: the mean of its
+    token vectors, each component printed as ``%.8f``."""
+    row = "%d\t" + " ".join(["%.8f"] * dim) + "\n"
+    means = _sentence_means(sentences, vecs).tolist()
+    write_text(path, f"dim={dim}\n" + "".join(row % (i, *vec) for i, vec in enumerate(means)))
 
 
 def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 500,

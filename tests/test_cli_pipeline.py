@@ -156,6 +156,24 @@ def test_phrase_path_digests_are_pinned(seed, tmp_path):
     assert {name: report.digests[name] for name in PHRASE_PATH_DIGESTS[seed]} == PHRASE_PATH_DIGESTS[seed]
 
 
+def test_pipeline_aligns_each_retrieved_pair_once_per_run(tmp_path, monkeypatch):
+    """The budgets share one alignment per retrieved L pair: 34 pairs on the
+    stock toy at seed 1, where aligning them anew for each budget made 79 calls."""
+    import almt.augment
+    align_pair, calls = almt.augment.align_pair, []
+
+    def counting(src, tgt, table):
+        calls.append((tuple(src), tuple(tgt)))
+        return align_pair(src, tgt, table)
+
+    monkeypatch.setattr(almt.augment, "align_pair", counting)
+    config = dict(toy.generate(tmp_path / "toy", seed=1), budgets=[100, 200, 400],
+                  output_dir=str(tmp_path / "runs"))
+    reports = run_pipeline(RunConfig(**config))
+    assert [r.counts["synthetic_pairs"] > 0 for r in reports] == [True, True, True]
+    assert len(calls) == len(set(calls)) == 34
+
+
 def test_pipeline_lock_blocks_concurrent_run(toy_dir, tmp_path):
     config = toy_config(toy_dir, simulate_only=True, output_dir=str(tmp_path / "runs"))
     run_dir = tmp_path / "runs" / "budget-50"
