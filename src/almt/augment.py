@@ -124,7 +124,7 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
 
 
 def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramLM,
-                   table: TranslationTable, recipe: str = "switch", links: dict = None):
+                   table: TranslationTable, recipe: str, links: dict):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
     ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. ``links`` maps a
@@ -135,7 +135,6 @@ def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramL
     dropped per reason.
     """
     index = PhraseIndex(phrase_pairs)
-    links = {} if links is None else links
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     pairs = []

@@ -157,8 +157,16 @@ def _cmd_analyze(args):
 
 
 def _cmd_validate(args):
+    """Check the config's values and paths, then run the load stage."""
     config = RunConfig.load(args.config)
     failures = validate_config(config)
+    if not failures:
+        context = RunContext(config)
+        for name in context.LOAD:
+            try:
+                getattr(context, name)
+            except AlmtError as exc:
+                failures.append(str(exc))
     for f in failures:
         print(f"FAIL: {f}")
     if failures:
@@ -169,11 +177,13 @@ def _cmd_validate(args):
 
 def _cmd_pipeline(args):
     config = RunConfig.load(args.config)
+    if args.budget is not None:
+        _check(argparse.Namespace(budgets=[args.budget]), {"budgets": "--budget"})
     if args.simulate_only:
         config.simulate_only = True
     try:
         reports = run_pipeline(config, budget=args.budget)  # refuses an invalid config
-    except ConfigError:
+    except (ConfigError, OSError):
         raise  # main reports it, with exit 2
     except Exception as exc:
         print(f"stage failure: {exc}", file=sys.stderr)

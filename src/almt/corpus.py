@@ -4,6 +4,7 @@ All budgets are charged in whitespace tokens; punctuation counts (corpora are
 assumed pre-tokenized upstream). Token identity is case-sensitive.
 """
 
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -121,14 +122,17 @@ def write_text(path, text):
     """Write ``text``, a str or its UTF-8 bytes, to ``path``: into a temporary
     file of this process beside it, then os.replace onto it, so that ``path``
     holds either its old bytes or all of the new ones, even when the writer is
-    killed midway."""
+    killed midway. An OSError about the temporary file is raised naming ``path``."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # no tmp to remove if its directory cannot hold one
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and str(exc.filename) == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

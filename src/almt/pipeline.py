@@ -14,14 +14,14 @@ import time
 import traceback
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
 from . import align, augment, mix, oracle, select
-from .corpus import load_corpus, load_parallel, read_lines, write_text
-from .embed import EmbeddingStore, RatioScorer, parse_dim
-from .errors import ConfigError, ParseError
+from .corpus import load_corpus, load_parallel, write_text
+from .embed import EmbeddingStore, RatioScorer
+from .errors import ConfigError
 from .lm import train_lm
 from .ngrams import extract_ngrams
 
@@ -68,7 +68,6 @@ class RunConfig:
     dist_mode: str = "literal"
     labeled_subset_size: int = 10000
     mix_policy: str = "retrieve"  # retrieve | sample
-    mix_size: int = None  # default: |L_p|
     freeze_file: str = None
     augment_recipe: str = None  # switch | contextualize | None
     ibm1_iterations: int = 5
@@ -79,10 +78,18 @@ class RunConfig:
     @classmethod
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ConfigError(f"{path}: not a JSON config ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ConfigError(f"{path}: missing required config keys: {missing}")
         return cls(**raw)
 
 
@@ -97,11 +104,25 @@ def _pools(config) -> list[tuple]:
     return [("strategy", None)]
 
 
+def _positive_int(v):
+    """Whether ``v`` is an int >= 1; a bool is not an int here."""
+    return type(v) is int and v >= 1
+
+
+_PATHS = ("unlabeled", "labeled", "oracle_reference", *_EMBEDDINGS, "test", "rttl_scores",
+          "freeze_file")
+
 # key -> (whether a value is valid, what a valid value is), for the keys whose
 # valid values do not depend on the rest of the config.
 _VALUES = {
-    "budgets": (lambda v: bool(v) and all(b >= 1 for b in v), "a non-empty list of positive ints"),
-    **{key: (lambda v: v >= 1, ">= 1") for key in ("max_n", "k", "ibm1_iterations", "lm_order")},
+    "budgets": (lambda v: type(v) is list and bool(v) and all(map(_positive_int, v)),
+                "a non-empty list of positive ints"),
+    **{key: (_positive_int, "an int >= 1")
+       for key in ("max_n", "k", "ibm1_iterations", "lm_order", "labeled_subset_size")},
+    "seed": (lambda v: type(v) is int, "an int"),
+    **{key: (lambda v: v is None or type(v) is str, "a path string or null") for key in _PATHS},
+    "output_dir": (lambda v: type(v) is str, "a path string"),
+    "simulate_only": (lambda v: type(v) is bool, "true or false"),
     "dist_mode": (lambda v: v in ("literal", "nn"), "'literal' or 'nn'"),
     "mix_policy": (lambda v: v in ("retrieve", "sample"), "'retrieve' or 'sample'"),
     "augment_recipe": (lambda v: v in (None, "switch", "contextualize"),
@@ -117,36 +138,28 @@ def check_values(config, keys) -> list[str]:
 
 
 def validate_config(config: RunConfig) -> list[str]:
-    """Returns a list of failure messages; empty means valid."""
+    """Returns a list of failure messages; empty means valid. Reads no file:
+    the load stage (``RunContext.U``, ``L`` and ``stores``) checks contents."""
     failures = check_values(config, _VALUES)
     needs = {"unlabeled", "labeled"}
     for key, kind in _pools(config):
-        strategy = STRATEGIES.get(getattr(config, key))
+        name = getattr(config, key)
+        strategy = STRATEGIES.get(name) if type(name) is str else None
         if strategy is None or kind not in (None, strategy.kind):
-            failures.append(f"unknown {key} {getattr(config, key)!r}")
+            failures.append(f"unknown {key} {name!r}")
         else:
             needs.update(strategy.needs)
+    if config.freeze_file is not None:
+        needs.add("freeze_file")
     if not config.simulate_only:
         needs.add("oracle_reference")
         if config.mix_policy == "retrieve" or config.augment_recipe:
             needs.update(_EMBEDDINGS)
     for key in sorted(needs):
         path = getattr(config, key)
-        if not path or not Path(path).exists():
+        if path in (None, "") or type(path) is str and not Path(path).exists():
             failures.append(f"{key} path missing or unreadable: {path}")
-    paths = [getattr(config, key) for key in _EMBEDDINGS]
-    if all(path and Path(path).exists() for path in paths):
-        try:
-            dim_u, dim_l = map(_peek_dim, paths)
-            if dim_u != dim_l:
-                failures.append(f"embedding dimension mismatch: {dim_u} vs {dim_l}")
-        except (OSError, ParseError) as exc:
-            failures.append(f"embedding header unreadable: {exc}")
     return failures
-
-
-def _peek_dim(path):
-    return parse_dim(path, next(read_lines(path), ""))
 
 
 @dataclass
@@ -233,6 +246,8 @@ class RunContext:
     ``almt select``, ``oracle`` and ``mix`` build one from their flags, so a
     stage run alone takes the pipeline's code path."""
 
+    LOAD = ("U", "L", "stores")  # what the load stage reads, before any other stage
+
     def __init__(self, config: RunConfig, top_budget: int = None):
         self.config, self.top_budget = config, top_budget
 
@@ -240,8 +255,6 @@ class RunContext:
                                                for key, _ in _pools(self.config)])
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
-    store_U = cached_property(lambda self: _store(self.config.embeddings_unlabeled, "U"))
-    store_L = cached_property(lambda self: _store(self.config.embeddings_labeled, "L"))
     index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
     index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
@@ -250,19 +263,30 @@ class RunContext:
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
     # The U × L ratio scorer: augment retrieves from L with it, mix ranks L by
     # its transpose, and CSSE reads it when L′ = L.
-    scorer = cached_property(lambda self: RatioScorer(self.store_U, self.store_L, self.config.k))
+    scorer = cached_property(lambda self: RatioScorer(*self.stores, self.config.k))
+
+    @cached_property
+    def stores(self):
+        """(U store, L store), each None when the config names no file: the one
+        reader of the embedding files, and the one check that their dimensions agree."""
+        paths = (getattr(self.config, key) for key in _EMBEDDINGS)
+        store_U, store_L = (EmbeddingStore.load(p, tag) if p else None for p, tag in zip(paths, "UL"))
+        if store_U is not None and store_L is not None and store_U.dim != store_L.dim:
+            raise ConfigError(f"embedding dimension mismatch: {store_U.dim} vs {store_L.dim}")
+        return store_U, store_L
 
     @cached_property
     def csse_scorer(self):
         """CSSE's U × L′ scorer, L′ a seeded sample of L ids: ``scorer`` when L′ is
-        all of ``store_L`` in its order, else one of its own."""
+        all of the L store in its order, else one of its own."""
+        store_U, store_L = self.stores
         l_ids = self.L.ids()
         if len(l_ids) > self.config.labeled_subset_size:
             l_ids = sorted(random.Random(self.config.seed).sample(l_ids, self.config.labeled_subset_size))
-        l_ids = [i for i in l_ids if i in self.store_L]
-        if l_ids == self.store_L.ids:
+        l_ids = [i for i in l_ids if i in store_L]
+        if l_ids == store_L.ids:
             return self.scorer
-        return RatioScorer(self.store_U, self.store_L.subset(l_ids, "L-sub"), self.config.k)
+        return RatioScorer(store_U, store_L.subset(l_ids, "L-sub"), self.config.k)
 
     @cached_property
     def selection(self):
@@ -280,10 +304,6 @@ class RunContext:
         return {r.source: r for r in responses}, drops
 
 
-def _store(path, tag):
-    return EmbeddingStore.load(path, tag) if path else None
-
-
 def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunReport:
     config = context.config
     outputs = {}
@@ -296,7 +316,8 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
     # A context property is built the first time a stage touches it, so build
     # time lands in the first budget's report under that stage.
     with _stage(report, "load"):
-        context.U, context.L, context.store_U, context.store_L
+        for name in context.LOAD:
+            getattr(context, name)
 
     with _stage(report, "extract"):
         if any(strategy.kind == "phrase" for strategy in context.strategies):
@@ -327,8 +348,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             report.dropped["oracle:phrases"] = {" ".join(p): r for p, r in phrase_drops.items()}
 
     with _stage(report, "mix"):
-        m = config.mix_size if config.mix_size is not None else len(l_p_resp)
-        l_r, skipped = mix_pairs(context, min(m, len(context.L)))
+        l_r, skipped = mix_pairs(context, min(len(l_p_resp), len(context.L)))
         if skipped:
             report.dropped["mix:degenerate"] = len(skipped)
         mix.write_freeze(l_r, out("freeze", "retrieved.freeze.jsonl"))
@@ -376,10 +396,10 @@ def respond(context: RunContext, cut, out):
 
 
 def mix_pairs(context: RunContext, m: int):
-    """The mix stage: the freeze file's out-of-domain pairs if it exists, else m
-    sampled or retrieved ones. Returns (rows, ids that retrieval skipped)."""
+    """The mix stage: the freeze file's out-of-domain pairs if the config names
+    one, else m sampled or retrieved ones. Returns (rows, ids that retrieval skipped)."""
     config, L = context.config, context.L
-    if config.freeze_file and Path(config.freeze_file).exists():
+    if config.freeze_file:
         return mix.load_freeze(config.freeze_file, L), []
     if config.mix_policy == "sample":
         return mix.sample_random(L, m, config.seed), []

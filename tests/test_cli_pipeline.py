@@ -58,13 +58,6 @@ def test_validate_unknown_strategy(toy_dir):
     assert any("strategy" in f for f in validate_config(toy_config(toy_dir, strategy="bogus")))
 
 
-def test_validate_dim_mismatch(toy_dir, tmp_path):
-    bad = tmp_path / "emb_bad.tsv"
-    bad.write_text("dim=3\n0\t1.0 0.0 0.0\n")
-    config = toy_config(toy_dir, embeddings_labeled=str(bad))
-    assert any("dimension mismatch" in f for f in validate_config(config))
-
-
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"unlabeled": "u", "labeled": "l", "strategy": "csse", "budgets": [5], "bogus_key": 1}')
@@ -384,21 +377,147 @@ def test_pipeline_unknown_freeze_id_is_config_error(toy_dir, tmp_path, capsys):
     assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: mix\n")
 
 
-def test_validate_unreadable_embedding_header(toy_dir, tmp_path):
+def _config_file(toy_dir, tmp_path, **overrides):
+    """The toy config with ``overrides``, written to a file of its own."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**json.loads((toy_dir / "config.json").read_text()), **overrides}))
+    return path
+
+
+def _three_dim_store(tmp_path):
+    """An L embedding file of dimension 3; the toy's are of dimension 8."""
+    path = tmp_path / "emb_3.tsv"
+    path.write_text("dim=3\n" + "".join(f"{i}\t1.0 0.5 0.25\n" for i in range(200)))
+    return path
+
+
+def test_validate_reads_no_file(toy_dir, monkeypatch):
+    import builtins
+    config = toy_config(toy_dir)
+    monkeypatch.setattr(builtins, "open", lambda *a, **kw: pytest.fail(f"opened {a[0]}"))
+    assert validate_config(config) == []
+
+
+def test_cli_validate_reports_each_load_failure(toy_dir, tmp_path, capsys):
+    corpus = tmp_path / "U.txt"
+    corpus.write_bytes(b"ok\n\xff\n")
     bad = tmp_path / "emb_bad.tsv"
-    bad.write_text("dim=eight\n0\t1.0\n")
-    config = toy_config(toy_dir, embeddings_labeled=str(bad))
-    assert any("embedding header unreadable" in f for f in validate_config(config))
+    bad.write_text("dim=eight\n")
+    config = _config_file(toy_dir, tmp_path, unlabeled=str(corpus), embeddings_labeled=str(bad))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL: {corpus}:2: not UTF-8 (invalid start byte)",
+        f"FAIL: {bad}:1: expected 'dim=D' header with D a positive integer, got 'dim=eight'"]
 
 
-def test_validate_does_not_swallow_bugs_in_header_check(toy_dir, monkeypatch):
-    from almt import pipeline
+def test_cli_validate_names_a_repeated_embedding_id(toy_dir, tmp_path, capsys):
+    lines = (toy_dir / "emb_L.tsv").read_text().splitlines(keepends=True)
+    lines[3] = "0\t" + lines[3].split("\t")[1]  # line 4; line 2 holds id 0
+    bad = tmp_path / "emb_L.tsv"
+    bad.write_text("".join(lines))
+    assert main(["validate", "--config", str(_config_file(toy_dir, tmp_path,
+                                                          embeddings_labeled=str(bad)))]) == 2
+    assert capsys.readouterr().out == f"FAIL: {bad}:4: duplicate id 0\n"
 
-    def broken(path):
+
+def test_cli_validate_does_not_swallow_bugs_in_the_load_stage(toy_dir, tmp_path, monkeypatch):
+    from almt.embed import EmbeddingStore
+
+    def broken(path, tag=""):
         raise RuntimeError("bug")
-    monkeypatch.setattr(pipeline, "_peek_dim", broken)
+    monkeypatch.setattr(EmbeddingStore, "load", broken)
     with pytest.raises(RuntimeError, match="bug"):
-        validate_config(toy_config(toy_dir))
+        main(["validate", "--config", str(toy_dir / "config.json")])
+
+
+@pytest.mark.parametrize("command", ["select-csse", "mix-retrieve", "pipeline", "validate"])
+def test_cli_dim_mismatch_exits_2(command, toy_dir, tmp_path, capsys):
+    emb_3 = str(_three_dim_store(tmp_path))
+    u, l, emb_u = (str(toy_dir / name) for name in ("U.txt", "L.tsv", "emb_U.tsv"))
+    config = _config_file(toy_dir, tmp_path, embeddings_labeled=emb_3, output_dir=str(tmp_path / "runs"))
+    argv = {
+        "select-csse": ["select", "--strategy", "csse", "--unlabeled", u, "--labeled", l,
+                        "--embeddings-unlabeled", emb_u, "--embeddings-labeled", emb_3,
+                        "--budget-words", "20", "--output", str(tmp_path / "sel.jsonl")],
+        "mix-retrieve": ["mix", "--labeled", l, "--size", "5", "--embeddings-unlabeled", emb_u,
+                         "--embeddings-labeled", emb_3, "--output", str(tmp_path / "f.jsonl")],
+        "pipeline": ["pipeline", "--config", str(config)],
+        "validate": ["validate", "--config", str(config)],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    message, rest = (out, err) if command == "validate" else (err, out)  # validate lists failures on stdout
+    assert message == "FAIL: embedding dimension mismatch: 8 vs 3\n" and rest == ""
+    if command == "pipeline":
+        assert (tmp_path / "runs" / "budget-200" / "failed").read_text().startswith("stage: load\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_missing_freeze_file_exits_2(command, toy_dir, tmp_path, capsys):
+    missing = tmp_path / "missing.freeze.jsonl"
+    config = _config_file(toy_dir, tmp_path, freeze_file=str(missing),
+                          output_dir=str(tmp_path / "runs"))
+    assert main([command, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert f"freeze_file path missing or unreadable: {missing}" in out + err
+    assert not (tmp_path / "runs").exists()
+
+
+_NOT_JSON = object()  # the config file holds text that is not JSON
+
+
+@pytest.mark.parametrize("overrides, named", [
+    pytest.param(_NOT_JSON, "not a JSON config", id="malformed-json"),
+    pytest.param([1, 2], "expected a JSON object, got list", id="not-an-object"),
+    pytest.param({"strategy": None}, "missing required config keys: ['strategy']", id="no-strategy"),
+    pytest.param({"mix_size": -1}, "unknown config keys: ['mix_size']", id="removed-mix-size"),
+    pytest.param({"k": "4"}, "k must be an int >= 1, got '4'", id="k-str"),
+    pytest.param({"k": 4.5}, "k must be an int >= 1, got 4.5", id="k-float"),
+    pytest.param({"k": True}, "k must be an int >= 1, got True", id="k-bool"),
+    pytest.param({"budgets": 200}, "budgets must be a non-empty list of positive ints, got 200",
+                 id="budgets-int"),
+    pytest.param({"budgets": [True]}, "budgets must be a non-empty list of positive ints, got [True]",
+                 id="budgets-bool"),
+    pytest.param({"unlabeled": 5}, "unlabeled must be a path string or null, got 5", id="unlabeled-int"),
+    pytest.param({"seed": 1.5}, "seed must be an int, got 1.5", id="seed-float"),
+    pytest.param({"seed": "x"}, "seed must be an int, got 'x'", id="seed-str"),
+    pytest.param({"simulate_only": 1}, "simulate_only must be true or false, got 1",
+                 id="simulate-only-int"),
+    pytest.param({"strategy": ["csse"]}, "unknown strategy ['csse']", id="strategy-list"),
+    pytest.param({"labeled_subset_size": 0}, "labeled_subset_size must be an int >= 1, got 0",
+                 id="subset-0"),
+])
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_bad_config_file_exits_2_naming_the_key(command, overrides, named, toy_dir, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    raw = {**json.loads((toy_dir / "config.json").read_text()), "output_dir": str(tmp_path / "runs")}
+    if overrides is _NOT_JSON:
+        path.write_text(json.dumps(raw)[:-1])
+    elif isinstance(overrides, dict):
+        raw.update(overrides)
+        path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    else:
+        path.write_text(json.dumps(overrides))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "FAIL: " in out + err and named in out + err and "Traceback" not in out + err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["select", "pipeline"])
+def test_cli_output_below_a_regular_file_exits_2_naming_it(command, toy_dir, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "select":
+        named = blocker / "sel.jsonl"
+        argv = ["select", "--strategy", "random-sent", "--unlabeled", str(toy_dir / "U.txt"),
+                "--budget-words", "20", "--output", str(named)]
+    else:
+        named = blocker / "runs" / "budget-200"
+        argv = ["pipeline", "--simulate-only", "--config",
+                str(_config_file(toy_dir, tmp_path, output_dir=str(blocker / "runs")))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"FAIL: {named}: Not a directory\n"
 
 
 def test_cli_select_ngf_without_labeled_exits_2(toy_dir, tmp_path, capsys):
@@ -676,8 +795,9 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
     (["select", "--budget-words", "0"], "--budget-words"),
     (["analyze", "coverage", "--test", "test.txt"], "requires --covering"),
     (["analyze", "bleu"], "requires --hypotheses, --references"),
+    (["pipeline", "--budget", "-5"], "--budget"),
 ], ids=["mix-size", "mix-retrieve-embeddings", "oracle-iterations", "select-k", "select-max-n",
-        "select-budget-words", "analyze-coverage", "analyze-bleu"])
+        "select-budget-words", "analyze-coverage", "analyze-bleu", "pipeline-budget"])
 def test_cli_stage_command_with_a_bad_flag_exits_2(argv, named, toy_dir, tmp_path, capsys):
     selection = tmp_path / "sel.jsonl"
     selection.write_text('{"kind": "sentence", "id": 0}\n')
@@ -689,6 +809,7 @@ def test_cli_stage_command_with_a_bad_flag_exits_2(argv, named, toy_dir, tmp_pat
                    "--labeled", str(toy_dir / "L.tsv"), "--budget-words", "20",
                    "--output", str(tmp_path / "sel.out.jsonl")],
         "analyze": [],
+        "pipeline": ["--config", str(toy_dir / "config.json")],
     }[argv[0]]
     assert main(argv[:1] + valid + argv[1:]) == 2
     err = capsys.readouterr().err
@@ -745,3 +866,47 @@ def test_cli_bad_value_or_embedding_header_exits_without_traceback(command, code
     message = out if command == "validate" else err
     assert message.startswith("FAIL:" if code == 2 else "stage failure:"), message
     assert named.format(bad=bad, hyp=hyp, u=u) in message and "Traceback" not in out + err
+
+
+# --- dist_mode "nn" ---
+
+@pytest.fixture(scope="module")
+def stock_toy_nn(tmp_path_factory):
+    """The stock toy (seed 7) with CSSE's nearest-neighbour mode, and its scalar
+    reference order: ascending max ratio to L′, ties by id, over the U ids whose
+    every margin against L′ is positive."""
+    from ratio_reference import dist_to_labeled
+    from almt.errors import DegenerateNeighborhoodError
+    from almt.pipeline import RunContext
+    out = tmp_path_factory.mktemp("stock")
+    config = RunConfig(**toy.generate(out, seed=7))
+    config.dist_mode, config.output_dir = "nn", str(out / "runs")
+    context = RunContext(config)
+    store_U, store_L_sub = context.stores[0], context.csse_scorer.b
+    scores = {}
+    for sid in context.U.ids():
+        try:
+            scores[sid] = dist_to_labeled(sid, store_U, store_L_sub, config.k, mode="nn")
+        except DegenerateNeighborhoodError:
+            pass
+    return config, context, sorted(scores, key=lambda sid: (scores[sid], sid)), scores
+
+
+def test_select_csse_nn_order_matches_the_scalar_reference(stock_toy_nn):
+    from almt.select import select_csse
+    config, context, order, scores = stock_toy_nn
+    result = select_csse(context.U, context.csse_scorer, 10 ** 6, dist_mode="nn")
+    assert result.strategy == "csse-nn" and result.exhausted
+    assert [s.id for s in result.sentences] == order
+    assert [s.score for s in result.sentences] == pytest.approx([scores[sid] for sid in order])
+    assert sum(result.skipped.values()) == len(context.U) - len(order)
+
+
+def test_pipeline_runs_csse_nn(stock_toy_nn):
+    config, _, order, _ = stock_toy_nn
+    [report] = run_pipeline(config)
+    assert report.counts["selected_sentences"] > 0 and report.counts["manifest_entries"] > 0
+    run_dir = Path(config.output_dir) / f"budget-{report.budget}"
+    selected = [json.loads(line) for line in (run_dir / "selection.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in selected if r["kind"] == "sentence"] == \
+        order[:report.counts["selected_sentences"]]

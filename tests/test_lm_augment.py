@@ -164,7 +164,7 @@ def _augment(u_ids, u_vectors):
     store_U = EmbeddingStore(u_ids, np.array(u_vectors, dtype=float), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
     return augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), L,
-                          train_lm(U, order=2), identity_table("abcdefgh"))
+                          train_lm(U, order=2), identity_table("abcdefgh"), "switch", {})
 
 
 def test_augment_counts_zero_norm_sentence_as_retrieval_degenerate():
@@ -193,7 +193,7 @@ def test_augment_aligns_each_retrieved_pair_once(monkeypatch):
     store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [1.0, 0.1], [1.0, 0.05]]), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), "L")
     pairs, _ = augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), L,
-                              train_lm(U, order=2), identity_table("abcdefgh"))
+                              train_lm(U, order=2), identity_table("abcdefgh"), "switch", {})
     assert [p.origin_id for p in pairs] == [0, 0, 0]
     assert calls == [(("a", "b", "c", "d"), ("T_a", "T_b", "T_c", "T_d"))]
 
