@@ -159,15 +159,8 @@ def _cmd_analyze(args):
 def _cmd_validate(args):
     """Check the config's values and paths, then run the load stage."""
     config = RunConfig.load(args.config)
-    failures = validate_config(config)
-    if not failures:
-        context = RunContext(config)
-        for name in context.LOAD:
-            try:
-                getattr(context, name)
-            except AlmtError as exc:
-                failures.append(str(exc))
-    for f in failures:
+    failures = validate_config(config) or RunContext(config).load([])
+    for f in dict.fromkeys(failures):  # once each: frozen reads L again
         print(f"FAIL: {f}")
     if failures:
         return 2

@@ -1,4 +1,5 @@
-"""End-to-end driver: extract -> select -> oracle -> mix -> augment -> assemble.
+"""End-to-end run: load -> extract -> select -> align -> oracle -> mix -> augment
+-> assemble.
 
 Stages communicate through files inside one run directory per budget, so every
 intermediate is inspectable. Fine-tuning itself is out of scope: the pipeline
@@ -21,7 +22,7 @@ from pathlib import Path
 from . import align, augment, mix, oracle, select
 from .corpus import load_corpus, load_parallel, write_text
 from .embed import EmbeddingStore, RatioScorer
-from .errors import ConfigError
+from .errors import AlmtError, ConfigError
 from .lm import train_lm
 from .ngrams import extract_ngrams
 
@@ -39,7 +40,7 @@ STRATEGIES = {
     "csse": Strategy("sentence", ("labeled",) + _EMBEDDINGS, lambda ctx, b: select.select_csse(
         ctx.U, ctx.csse_scorer, b, ctx.config.dist_mode)),
     "rttl": Strategy("sentence", ("rttl_scores",), lambda ctx, b: select.select_rttl(
-        ctx.U, select.load_rttl_scores(ctx.config.rttl_scores), b)),
+        ctx.U, ctx.rttl_scores, b)),
     "random-phrase": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_random_phrases(
         ctx.index_U, ctx.index_L, b, ctx.config.seed)),
     "ngf": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_ngf(
@@ -109,8 +110,10 @@ def _positive_int(v):
     return type(v) is int and v >= 1
 
 
-_PATHS = ("unlabeled", "labeled", "oracle_reference", *_EMBEDDINGS, "test", "rttl_scores",
-          "freeze_file")
+# config path key -> the RunContext member that reads its file; ``test`` is not read yet
+READERS = {"unlabeled": "U", "labeled": "L", "oracle_reference": "reference",
+           "embeddings_unlabeled": "stores", "embeddings_labeled": "stores",
+           "rttl_scores": "rttl_scores", "freeze_file": "frozen"}
 
 # key -> (whether a value is valid, what a valid value is), for the keys whose
 # valid values do not depend on the rest of the config.
@@ -120,7 +123,8 @@ _VALUES = {
     **{key: (_positive_int, "an int >= 1")
        for key in ("max_n", "k", "ibm1_iterations", "lm_order", "labeled_subset_size")},
     "seed": (lambda v: type(v) is int, "an int"),
-    **{key: (lambda v: v is None or type(v) is str, "a path string or null") for key in _PATHS},
+    **{key: (lambda v: v is None or type(v) is str, "a path string or null")
+       for key in (*READERS, "test")},
     "output_dir": (lambda v: type(v) is str, "a path string"),
     "simulate_only": (lambda v: type(v) is bool, "true or false"),
     "dist_mode": (lambda v: v in ("literal", "nn"), "'literal' or 'nn'"),
@@ -137,25 +141,34 @@ def check_values(config, keys) -> list[str]:
             for key in keys if not _VALUES[key][0](getattr(config, key))]
 
 
-def validate_config(config: RunConfig) -> list[str]:
-    """Returns a list of failure messages; empty means valid. Reads no file:
-    the load stage (``RunContext.U``, ``L`` and ``stores``) checks contents."""
-    failures = check_values(config, _VALUES)
-    needs = {"unlabeled", "labeled"}
+def _strategy(config, key, kind):
+    """The strategy that config ``key`` names, or None if it names none of ``kind``."""
+    name = getattr(config, key)
+    strategy = STRATEGIES.get(name) if type(name) is str else None
+    return strategy if strategy and kind in (None, strategy.kind) else None
+
+
+def inputs(config) -> list[str]:
+    """The config path keys whose files a run of ``config`` reads, in load order."""
+    keys = {"unlabeled", "labeled"}
     for key, kind in _pools(config):
-        name = getattr(config, key)
-        strategy = STRATEGIES.get(name) if type(name) is str else None
-        if strategy is None or kind not in (None, strategy.kind):
-            failures.append(f"unknown {key} {name!r}")
-        else:
-            needs.update(strategy.needs)
-    if config.freeze_file is not None:
-        needs.add("freeze_file")
+        keys.update(getattr(_strategy(config, key, kind), "needs", ()))
     if not config.simulate_only:
-        needs.add("oracle_reference")
-        if config.mix_policy == "retrieve" or config.augment_recipe:
-            needs.update(_EMBEDDINGS)
-    for key in sorted(needs):
+        keys.add("oracle_reference")
+        if config.freeze_file is not None:
+            keys.add("freeze_file")  # its pairs replace the mix stage's own
+        if config.augment_recipe or config.freeze_file is None and config.mix_policy == "retrieve":
+            keys.update(_EMBEDDINGS)
+    return [key for key in READERS if key in keys]
+
+
+def validate_config(config: RunConfig) -> list[str]:
+    """Returns a list of failure messages; empty means valid. Checks that the path
+    of each key of ``inputs`` exists, and reads no file: ``RunContext.load`` reads them."""
+    failures = check_values(config, _VALUES)
+    failures += [f"unknown {key} {getattr(config, key)!r}" for key, kind in _pools(config)
+                 if _strategy(config, key, kind) is None]
+    for key in inputs(config):
         path = getattr(config, key)
         if path in (None, "") or type(path) is str and not Path(path).exists():
             failures.append(f"{key} path missing or unreadable: {path}")
@@ -241,18 +254,28 @@ def _alive(owner):
 
 class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
-    ``selection`` ranks once, at the run's largest budget; every budget cuts it,
-    and ``translations`` holds the oracle's answer for each of its phrases.
-    ``almt select``, ``oracle`` and ``mix`` build one from their flags, so a
-    stage run alone takes the pipeline's code path."""
-
-    LOAD = ("U", "L", "stores")  # what the load stage reads, before any other stage
+    ``load`` reads every input file of the run, each through its ``READERS``
+    member. ``selection`` ranks once, at the run's largest budget; every budget
+    cuts it, and ``translations`` holds the oracle's answer for each of its
+    phrases. ``almt select``, ``oracle`` and ``mix`` build one from their flags,
+    so a stage run alone takes the pipeline's code path."""
 
     def __init__(self, config: RunConfig, top_budget: int = None):
         self.config, self.top_budget = config, top_budget
 
-    strategies = cached_property(lambda self: [STRATEGIES[getattr(self.config, key)]
-                                               for key, _ in _pools(self.config)])
+    def load(self, failures: list = None):
+        """Read the file of each key of ``inputs``. A failure raises, or, given
+        ``failures``, is appended to it and the rest are read; returns ``failures``."""
+        for name in dict.fromkeys(READERS[key] for key in inputs(self.config)):
+            try:
+                getattr(self, name)
+            except AlmtError as exc:
+                if failures is None:
+                    raise
+                failures.append(str(exc))
+        return failures
+
+    strategies = cached_property(lambda self: [_strategy(self.config, *p) for p in _pools(self.config)])
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
     index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
@@ -260,6 +283,8 @@ class RunContext:
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
     links = cached_property(lambda self: {})  # L id -> its alignment under table, filled by augment
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
+    rttl_scores = cached_property(lambda self: select.load_rttl_scores(self.config.rttl_scores))
+    frozen = cached_property(lambda self: mix.load_freeze(self.config.freeze_file, self.L))
     lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
     # The U × L ratio scorer: augment retrieves from L with it, mix ranks L by
     # its transpose, and CSSE reads it when L′ = L.
@@ -316,8 +341,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
     # A context property is built the first time a stage touches it, so build
     # time lands in the first budget's report under that stage.
     with _stage(report, "load"):
-        for name in context.LOAD:
-            getattr(context, name)
+        context.load()
 
     with _stage(report, "extract"):
         if any(strategy.kind == "phrase" for strategy in context.strategies):
@@ -399,8 +423,8 @@ def mix_pairs(context: RunContext, m: int):
     """The mix stage: the freeze file's out-of-domain pairs if the config names
     one, else m sampled or retrieved ones. Returns (rows, ids that retrieval skipped)."""
     config, L = context.config, context.L
-    if config.freeze_file:
-        return mix.load_freeze(config.freeze_file, L), []
+    if config.freeze_file is not None:
+        return context.frozen, []
     if config.mix_policy == "sample":
         return mix.sample_random(L, m, config.seed), []
     return mix.retrieve_similar(L, context.scorer.T, m)

@@ -7,7 +7,7 @@ import pytest
 
 from almt import toy
 from almt.cli import main
-from almt.pipeline import RunConfig, run_pipeline, validate_config
+from almt.pipeline import STRATEGIES, RunConfig, run_pipeline, validate_config
 
 
 @pytest.fixture(scope="module")
@@ -359,7 +359,7 @@ def test_pipeline_failed_names_stage_and_traceback(toy_dir, tmp_path):
         run_pipeline(config, budget=40)
     run_dir = tmp_path / "runs" / "budget-40"
     failed = (run_dir / "failed").read_text()
-    assert failed.startswith("stage: oracle\n")
+    assert failed.startswith("stage: load\n")
     assert "Traceback (most recent call last)" in failed and "ParseError" in failed
     assert not (run_dir / "lock").exists()
 
@@ -374,7 +374,7 @@ def test_pipeline_unknown_freeze_id_is_config_error(toy_dir, tmp_path, capsys):
     assert main(["pipeline", "--config", str(path), "--budget", "40"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("FAIL:") and "999999" in err and str(freeze) in err
-    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: mix\n")
+    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: load\n")
 
 
 def _config_file(toy_dir, tmp_path, **overrides):
@@ -758,7 +758,7 @@ def test_pipeline_freeze_line_without_id_is_a_parse_error(toy_dir, tmp_path, cap
     assert main(["pipeline", "--config", str(path), "--budget", "40"]) == 3
     err = capsys.readouterr().err
     assert f"{freeze}:2: malformed freeze record" in err and "Traceback" not in err
-    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: mix\n")
+    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: load\n")
 
 
 def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
@@ -910,3 +910,137 @@ def test_pipeline_runs_csse_nn(stock_toy_nn):
     selected = [json.loads(line) for line in (run_dir / "selection.jsonl").read_text().splitlines()]
     assert [r["id"] for r in selected if r["kind"] == "sentence"] == \
         order[:report.counts["selected_sentences"]]
+
+
+# --- the files a run reads: one rule for validate and the load stage ---
+
+@pytest.fixture(scope="module")
+def stock_toy(tmp_path_factory):
+    out = tmp_path_factory.mktemp("stock-toy")
+    toy.generate(out, seed=7)
+    return out
+
+
+@pytest.mark.parametrize("strategy", [*STRATEGIES, "hybrid"])
+@pytest.mark.parametrize("mix_policy", ["retrieve", "sample"])
+@pytest.mark.parametrize("freeze", [False, True])
+@pytest.mark.parametrize("augment_recipe", [None, "switch", "contextualize"])
+@pytest.mark.parametrize("simulate_only", [False, True])
+def test_validate_checks_the_paths_whose_files_the_load_stage_reads(
+        strategy, mix_policy, freeze, augment_recipe, simulate_only, monkeypatch):
+    from almt import mix, pipeline, select
+    from almt.embed import EmbeddingStore
+    from almt.pipeline import READERS, RunContext
+    keys = [*READERS, "test"]
+    config = RunConfig(strategy=strategy, mix_policy=mix_policy, augment_recipe=augment_recipe,
+                       simulate_only=simulate_only, budgets=[10],
+                       **{key: f"/nonexistent/{key}" for key in keys})
+    if not freeze:
+        config.freeze_file = None
+    checked = {f.split(" path missing")[0] for f in validate_config(config)}
+    read = []
+
+    def reader(path, *args):
+        read.append(Path(path).name)
+        return type("Store", (), {"dim": 1})()
+    for owner, name in [(pipeline, "load_corpus"), (pipeline, "load_parallel"),
+                        (EmbeddingStore, "load"), (select, "load_rttl_scores"), (mix, "load_freeze")]:
+        monkeypatch.setattr(owner, name, reader)
+    RunContext(config).load()
+    assert sorted(read) == sorted(checked)
+    assert {"unlabeled", "labeled"} <= checked and "test" not in checked
+    assert ("oracle_reference" in checked) is not simulate_only
+    assert ("freeze_file" in checked) is (freeze and not simulate_only)
+    assert ("rttl_scores" in checked) is (strategy == "rttl")
+    embeddings = strategy in ("csse", "hybrid") or not simulate_only and (
+        augment_recipe is not None or mix_policy == "retrieve" and not freeze)
+    assert ("embeddings_labeled" in checked) is embeddings
+
+
+def test_freeze_file_run_reads_no_embeddings(stock_toy, tmp_path, capsys):
+    freeze = tmp_path / "frozen.jsonl"
+    freeze.write_text("".join(json.dumps({"id": sid}) + "\n" for sid in (7, 3, 11)))
+    config = _config_file(stock_toy, tmp_path, strategy="ngf-smp", augment_recipe=None,
+                          freeze_file=str(freeze), embeddings_unlabeled=None,
+                          embeddings_labeled=None, output_dir=str(tmp_path / "runs"))
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "config valid\n"
+    assert main(["pipeline", "--config", str(config)]) == 0
+    pairs = {i: tuple(line.split("\t")) for i, line in
+             enumerate((stock_toy / "L.tsv").read_text().splitlines())}
+    retrieved = [json.loads(line) for line in
+                 (tmp_path / "runs" / "budget-200" / "manifest.jsonl").read_text().splitlines()]
+    retrieved = [(e["provenance"], " ".join(e["source"]), " ".join(e["target"]))
+                 for e in retrieved if e["origin"] == "retrieved"]
+    assert retrieved == [(sid, *pairs[sid]) for sid in (7, 3, 11)]
+
+
+_BAD_INPUTS = {  # key -> (file content, config overrides, exit code of almt pipeline)
+    "oracle_reference": ("only-one-column\n", {}, 3),
+    "rttl_scores": ("x\ty\n", {"strategy": "rttl"}, 3),
+    "freeze-without-id": ('{"id": 1}\n{"pair": 2}\n', {}, 3),
+    "freeze-unknown-id": ('{"id": 999999}\n', {}, 2),
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_INPUTS))
+def test_each_input_is_read_at_load_and_its_failure_reported_once(bad, toy_dir, tmp_path, capsys):
+    content, overrides, code = _BAD_INPUTS[bad]
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    key = "freeze_file" if bad.startswith("freeze") else bad
+    config = _config_file(toy_dir, tmp_path, **overrides, **{key: str(path)},
+                          output_dir=str(tmp_path / "runs"))
+    assert main(["validate", "--config", str(config)]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"FAIL: {path}")
+    assert main(["pipeline", "--config", str(config), "--budget", "40"]) == code
+    assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: load\n")
+
+
+def test_validate_reports_a_malformed_l_once_although_frozen_reads_it(toy_dir, tmp_path, capsys):
+    labeled = tmp_path / "L.tsv"
+    labeled.write_text("one column\n")
+    freeze = tmp_path / "frozen.jsonl"
+    freeze.write_text('{"id": 0}\n')
+    config = _config_file(toy_dir, tmp_path, labeled=str(labeled), freeze_file=str(freeze))
+    assert main(["validate", "--config", str(config)]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"FAIL: {labeled}:1: ")
+
+
+def test_a_run_does_not_read_files_it_does_not_need(stock_toy, tmp_path, capsys):
+    bad = tmp_path / "emb_bad.tsv"
+    bad.write_text("dim=eight\n0\t1.0\n")
+    digests = []
+    for name, embeddings in [("bad", (str(stock_toy / "emb_U.tsv"), str(bad))), ("none", (None, None))]:
+        (tmp_path / name).mkdir()
+        config = _config_file(stock_toy, tmp_path / name, strategy="ngf-smp", mix_policy="sample",
+                              augment_recipe=None, embeddings_unlabeled=embeddings[0],
+                              embeddings_labeled=embeddings[1], output_dir=str(tmp_path / name / "runs"))
+        assert main(["validate", "--config", str(config)]) == 0
+        assert main(["pipeline", "--config", str(config)]) == 0
+        report = tmp_path / name / "runs" / "budget-200" / "report.json"
+        digests.append(json.loads(report.read_text())["digests"])
+    assert digests[0] == digests[1]
+    reference = tmp_path / "ref.tsv"
+    reference.write_text("only-one-column\n")
+    config = _config_file(stock_toy, tmp_path, simulate_only=True, oracle_reference=str(reference))
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "config valid"
+
+
+def test_budget_independent_reads_happen_once(stock_toy, tmp_path, monkeypatch):
+    from almt import mix, select
+    calls = {"load_freeze": 0, "load_rttl_scores": 0}
+    for owner, name in [(mix, "load_freeze"), (select, "load_rttl_scores")]:
+        def counting(*args, _original=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counting)
+    freeze = tmp_path / "frozen.jsonl"
+    freeze.write_text('{"id": 4}\n{"id": 2}\n')
+    config = toy_config(stock_toy, budgets=[40, 80, 120], sentence_strategy="rttl",
+                        freeze_file=str(freeze), output_dir=str(tmp_path / "runs"))
+    assert len(run_pipeline(config)) == 3
+    assert calls == {"load_freeze": 1, "load_rttl_scores": 1}
