@@ -9,7 +9,7 @@ import sys
 
 from . import analyze, mix, toy
 from .corpus import load_corpus, read_lines
-from .errors import AlmtError, ConfigError, ParseError
+from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
 from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
                        respond, run_pipeline, validate_config)
@@ -157,9 +157,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_validate(args):
-    """Check the config's values and paths, then run the load stage."""
+    """Check the config's values and paths, then run the load stage on the files
+    whose paths pass, listing every failure."""
     config = RunConfig.load(args.config)
-    failures = validate_config(config) or RunContext(config).load([])
+    failures = RunContext(config).load(validate_config(config))
     for f in dict.fromkeys(failures):  # once each: frozen reads L again
         print(f"FAIL: {f}")
     if failures:
@@ -273,8 +274,7 @@ def main(argv=None):
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an input or output path that cannot be opened
-        print(f"FAIL: {exc.filename}: {exc.strerror}" if exc.filename else f"FAIL: {exc}",
-              file=sys.stderr)
+        print(f"FAIL: {describe(exc)}", file=sys.stderr)
         return 2
     except AlmtError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)

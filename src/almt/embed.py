@@ -156,9 +156,10 @@ class RatioScorer:
     is NaN for a degenerate point and for a point with no neighbours. The
     first reduction call (pass 2, cached) sweeps the blocks again as ratios
     and keeps per-row min, max, usability and argmax; ``T``, the B x A scorer,
-    shares pass 1 and makes its own pass 2. No |A| x |B| array is ever held. Every per-row result depends only on that row's products, so
-    the block size reaches results only through the rounding of the BLAS
-    products, whose summation order can depend on their shape.
+    shares pass 1 and makes its own pass 2. No |A| x |B| array is ever held.
+    Every per-row result depends only on that row's products, so the block
+    size reaches results only through the rounding of the BLAS products, whose
+    summation order can depend on their shape.
     """
 
     def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int):

@@ -1,6 +1,13 @@
 """Shared exception types."""
 
 
+def describe(exc: Exception) -> str:
+    """A failure's one-line message; an OSError's names its file."""
+    if isinstance(exc, OSError) and exc.filename:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
+
+
 class AlmtError(Exception):
     pass
 

@@ -1,18 +1,163 @@
-"""Phrase extraction/indexing and semi-maximal sets.
+"""Phrase extraction/indexing and semi-maximal sets, on integer codes.
+
+A ``Vocabulary`` numbers tokens in sorted order, so comparing ids compares
+tokens. An ``OccurrenceIndex`` codes each n-gram from its prefix: a unigram's
+code is its token id, a longer n-gram's is (rank of its prefix among the
+index's n-grams one token shorter) * V + its last token id, V the vocabulary
+size. The codes of one length sort like the phrases they code, and each stays
+below (number of shorter n-grams) * V whatever the length and V, so no key
+wraps around in int64.
 
 Occurrence counting includes overlapping matches ("a a a" contains "a a"
 twice). All count comparisons are exact integer arithmetic.
 """
 
-from collections import Counter
+import bisect
+from collections.abc import Mapping, Set
 from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from .corpus import Corpus, Phrase, write_text
 
 
-class OccurrenceIndex(Counter):
-    """Counts of every n-gram in a corpus; an absent phrase reads 0 and is not
-    inserted."""
+class Vocabulary:
+    """Ids for the tokens of some sentences, in sorted token order."""
+
+    def __init__(self, sentences):
+        self.tokens = sorted(set(chain.from_iterable(sentences)))
+        self.ids = {token: i for i, token in enumerate(self.tokens)}
+
+    def __len__(self):
+        return len(self.tokens)
+
+    def code(self, sentences):
+        """(token ids, sentence end offsets) of the list ``sentences`` laid end to end.
+        A token outside the vocabulary raises KeyError."""
+        ends = np.cumsum(np.fromiter(map(len, sentences), np.int64, len(sentences)))
+        count = int(ends[-1]) if len(ends) else 0
+        return np.fromiter(map(self.ids.__getitem__, chain.from_iterable(sentences)), np.int64,
+                           count), ends
+
+    def ids_of(self, other):
+        """The id here of each token of the vocabulary ``other``, -1 where it has none."""
+        if other is self:
+            return np.arange(len(self), dtype=np.int64)
+        return np.array([self.ids.get(t, -1) for t in other.tokens], dtype=np.int64)
+
+
+def _room(ends):
+    """Tokens left in the sentence from each position on, for sentence end offsets ``ends``."""
+    return np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(ends[-1] if len(ends) else 0)
+
+
+class OccurrenceIndex(Mapping):
+    """Counts of every n-gram of length 1 to ``max_n`` in some sentences.
+
+    Level n holds the sorted codes of the n-grams of length n and their
+    counts. An n-gram's id is its rank in its level plus the number of shorter
+    n-grams, so ids run in (length, phrase) order. As a mapping (phrase ->
+    count, in first-seen order) it decodes every phrase on first use; an absent
+    phrase reads 0 and is not inserted.
+    """
+
+    def __init__(self, sentences, max_n: int, vocab: Vocabulary = None):
+        if max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {max_n}")
+        self.vocab = vocab if vocab is not None else Vocabulary(sentences)
+        self.max_n, self.V = max_n, max(len(self.vocab), 1)
+        tok, self._ends = self.vocab.code(sentences)
+        room = _room(self._ends)
+        at, rank = np.arange(len(tok)), np.zeros(len(tok), np.int64)
+        levels, prefixes = [], 1  # the empty phrase is the one prefix of a unigram
+        for n in range(1, max_n + 1):
+            if prefixes * self.V >= 2 ** 63:
+                raise OverflowError(f"{prefixes} {n - 1}-grams and {self.V} tokens overflow int64 codes")
+            at = at[room[at] >= n]  # where an n-gram starts; rank holds its prefix's rank there
+            codes, first, inverse, counts = np.unique(
+                rank[at] * self.V + tok[at + n - 1],
+                return_index=True, return_inverse=True, return_counts=True)
+            rank[at] = inverse
+            levels.append((codes, counts, at[first]))
+            prefixes = len(codes)
+        self.codes, self.counts, self._first = (np.concatenate(arrays) for arrays in zip(*levels))
+        self.offsets = [0, *np.cumsum([len(codes) for codes, _, _ in levels]).tolist()]
+
+    def level(self, n) -> slice:
+        """The ids of the n-grams of length ``n``."""
+        return slice(self.offsets[n - 1], self.offsets[n])
+
+    def step(self, n, prefix, token):
+        """Level-n ranks of the n-grams (prefix, token), -1 where not stored:
+        ``prefix`` holds level n-1 ranks and ``token`` this vocabulary's ids,
+        either -1 for none."""
+        codes = self.codes[self.level(n)]
+        want = prefix * self.V + token
+        pos = np.searchsorted(codes, want)
+        hit = (prefix >= 0) & (token >= 0) & (pos < len(codes))
+        hit[hit] = codes[pos[hit]] == want[hit]
+        return np.where(hit, pos, -1)
+
+    def ids_of(self, other: "OccurrenceIndex"):
+        """The id here of each n-gram of ``other``, by its id there; -1 where not stored."""
+        token = self.vocab.ids_of(other.vocab)
+        out, rank = np.full(len(other), -1, np.int64), np.zeros(1, np.int64)
+        for n in range(1, min(self.max_n, other.max_n) + 1):
+            prefix, last = np.divmod(other.codes[other.level(n)], other.V)
+            rank = self.step(n, rank[prefix], token[last])
+            out[other.level(n)] = np.where(rank >= 0, rank + self.offsets[n - 1], -1)
+        return out
+
+    def locate(self, tok, ends, starts=None):
+        """Yield (n, positions, ids) for n = 1 to ``max_n``: where an n-gram
+        stored here starts in the sentences coded by this vocabulary as (token
+        ids, sentence end offsets), ascending, and its id. ``starts`` limits
+        the positions searched."""
+        room = _room(ends)
+        at = np.arange(len(tok)) if starts is None else starts
+        rank = np.zeros(len(at), np.int64)
+        for n in range(1, self.max_n + 1):
+            fits = room[at] >= n
+            at, rank = at[fits], self.step(n, rank[fits], tok[at[fits] + n - 1])
+            found = rank >= 0
+            at, rank = at[found], rank[found]
+            yield n, at, rank + self.offsets[n - 1]
+
+    def phrase(self, i) -> Phrase:
+        """The n-gram with id ``i``."""
+        n = bisect.bisect_right(self.offsets, i)
+        rank, tokens = i - self.offsets[n - 1], []
+        for level in range(n, 0, -1):
+            rank, token = divmod(int(self.codes[self.offsets[level - 1] + rank]), self.V)
+            tokens.append(self.vocab.tokens[token])
+        return tuple(reversed(tokens))
+
+    @cached_property
+    def _ids(self) -> dict:
+        """phrase -> id of every n-gram, in the order a scan first meets them:
+        sentence by sentence, shorter n-grams first, then by start."""
+        phrases, level = [], [()]
+        for n in range(1, self.max_n + 1):
+            prefix, last = np.divmod(self.codes[self.level(n)], self.V)
+            level = [level[p] + (self.vocab.tokens[t],) for p, t in zip(prefix.tolist(), last.tolist())]
+            phrases += level
+        length = np.repeat(np.arange(self.max_n), np.diff(self.offsets))
+        sentence = np.searchsorted(self._ends, self._first, side="right")
+        return {phrases[i]: i for i in np.lexsort((self._first, length, sentence)).tolist()}
+
+    def __getitem__(self, p):
+        i = self._ids.get(p)
+        return 0 if i is None else int(self.counts[i])
+
+    def __contains__(self, p):
+        return p in self._ids
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self.codes)
 
     @cached_property
     def tsv(self) -> bytes:
@@ -25,17 +170,31 @@ class OccurrenceIndex(Counter):
         write_text(path, self.tsv)
 
 
-def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    index = OccurrenceIndex()
-    for sent in corpus:
-        for n in range(1, max_n + 1):
-            index.update(zip(*(sent.tokens[i:] for i in range(n))))
-    return index
+class PhraseSet(Set):
+    """Some n-grams of ``index``, by ascending id; a set of phrases decoded on demand."""
+
+    def __init__(self, index: OccurrenceIndex, ids):
+        self.index, self.ids = index, ids
+
+    def __contains__(self, p):
+        i = self.index._ids.get(p, -1)
+        pos = np.searchsorted(self.ids, i)
+        return pos < len(self.ids) and self.ids[pos] == i
+
+    def __iter__(self):
+        return map(self.index.phrase, self.ids.tolist())
+
+    def __len__(self):
+        return len(self.ids)
 
 
-def semi_maximal_set(index: OccurrenceIndex) -> set[Phrase]:
+def extract_ngrams(corpus: Corpus, max_n: int, vocab: Vocabulary = None) -> OccurrenceIndex:
+    """The n-grams of ``corpus`` up to length ``max_n``, coded by ``vocab``, which
+    must cover the corpus; by default one of the corpus's own."""
+    return OccurrenceIndex([s.tokens for s in corpus], max_n, vocab)
+
+
+def semi_maximal_set(index: OccurrenceIndex) -> PhraseSet:
     """Phrases p with no strict superstring p' in the index that occurs more
     than half as often (2*occ(p') > occ(p), exact integers).
 
@@ -44,11 +203,15 @@ def semi_maximal_set(index: OccurrenceIndex) -> set[Phrase]:
     p is the prefix or suffix of the q inside p' one token longer than p; q is
     stored, as every substring of a stored phrase is, and occ(q) >= occ(p')
     since each occurrence of p' holds one of q, so 2*occ(q) > occ(p).
+    Level by level, the suffix's rank follows from the prefix's suffix.
     """
-    excluded = set()
-    for p_prime, c_prime in index.items():
-        if len(p_prime) > 1:
-            for p in (p_prime[:-1], p_prime[1:]):
-                if 2 * c_prime > index[p]:
-                    excluded.add(p)
-    return index.keys() - excluded
+    excluded = np.zeros(len(index), bool)
+    suffix = np.zeros(index.offsets[1], np.int64)  # a unigram's suffix is the empty phrase
+    for n in range(2, index.max_n + 1):
+        level, shorter = index.level(n), index.counts[index.level(n - 1)]
+        prefix, last = np.divmod(index.codes[level], index.V)
+        suffix = index.step(n - 1, suffix[prefix], last)
+        twice = 2 * index.counts[level]
+        for rank in (prefix, suffix):
+            excluded[index.offsets[n - 2] + rank[twice > shorter[rank]]] = True
+    return PhraseSet(index, np.flatnonzero(~excluded))

@@ -8,9 +8,12 @@ extracted from aligned reference occurrences and decided by majority vote.
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .align import TranslationTable, align_pair, target_span
 from .corpus import ParallelCorpus, write_text
 from .errors import OracleGapError
+from .ngrams import OccurrenceIndex, Vocabulary
 
 
 @dataclass
@@ -35,27 +38,55 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     return out
 
 
-def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable):
+def _occurrences(phrases, reference: ParallelCorpus, vocab: Vocabulary):
+    """phrase -> [(reference pair id, start)] of each of the distinct ``phrases``
+    that occurs in the reference's source side, in sentence order then by start.
+
+    The phrases' own index is matched against every window of the reference
+    in one pass per length; ``vocab`` covers the reference, so a phrase with a
+    token outside it does not occur.
+    """
+    known = [p for p in phrases if p and all(t in vocab.ids for t in p)]
+    if not known:
+        return {}
+    wanted = OccurrenceIndex(known, max(map(len, known)), vocab)
+    tok, ends = vocab.code(known)
+    lengths = np.diff(ends, prepend=0)
+    which = np.full(len(wanted), -1)  # id in ``wanted`` -> index in ``known``, of whole phrases
+    for n, at, ids in wanted.locate(tok, ends, ends - lengths):
+        k = np.searchsorted(ends, at, side="right")
+        whole = lengths[k] == n
+        which[ids[whole]] = k[whole]
+    sources = [src for src, _ in reference]
+    tok, ends = vocab.code([src.tokens for src in sources])
+    starts = ends - np.diff(ends, prepend=0)
+    occurrences = {}
+    for _, at, ids in wanted.locate(tok, ends):  # a phrase's windows are all of one length
+        k = which[ids]
+        at, k = at[k >= 0], k[k >= 0]
+        sentence = np.searchsorted(ends, at, side="right")
+        for i, s, start in zip(k.tolist(), sentence.tolist(), (at - starts[sentence]).tolist()):
+            occurrences.setdefault(known[i], []).append((sources[s].id, start))
+    return occurrences
+
+
+def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable,
+                      vocab: Vocabulary = None):
     """Alignment-based phrase translation with majority vote over occurrences.
 
-    One pass over the reference's source windows of the phrases' lengths finds
-    every occurrence, in sentence order and then by start; each reference pair
-    holding one is aligned once.
+    ``vocab`` codes the phrases and the reference's source side, which it must
+    cover; by default it is the reference's own. Each reference pair holding
+    an occurrence is aligned once.
 
     Returns (responses, drops) where drops maps phrase -> reason
     ("not-in-reference" or "no-aligned-span").
     """
     phrases = [tuple(p) for p in phrases]
-    wanted = set(phrases)
-    if len(wanted) != len(phrases):
+    if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
-    lengths = sorted({len(p) for p in wanted})
-    occurrences = {}  # phrase -> [(sid, start)]
-    for src, _ in reference:
-        for n in lengths:
-            for start, window in enumerate(zip(*(src.tokens[i:] for i in range(n)))):
-                if window in wanted:
-                    occurrences.setdefault(window, []).append((src.id, start))
+    if vocab is None:
+        vocab = Vocabulary(src.tokens for src, _ in reference)
+    occurrences = _occurrences(phrases, reference, vocab)
 
     links, responses, drops = {}, [], {}  # links: reference pair id -> its alignment
     for p in phrases:

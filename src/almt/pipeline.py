@@ -22,9 +22,9 @@ from pathlib import Path
 from . import align, augment, mix, oracle, select
 from .corpus import load_corpus, load_parallel, write_text
 from .embed import EmbeddingStore, RatioScorer
-from .errors import AlmtError, ConfigError
+from .errors import AlmtError, ConfigError, describe
 from .lm import train_lm
-from .ngrams import extract_ngrams
+from .ngrams import Vocabulary, extract_ngrams
 
 
 # kind: the budget pool spent, "sentence" or "phrase"; needs: the config paths
@@ -162,15 +162,22 @@ def inputs(config) -> list[str]:
     return [key for key in READERS if key in keys]
 
 
+def _unreadable(config) -> list[str]:
+    """The keys of ``inputs`` whose path is not a regular file."""
+    return [key for key in inputs(config)
+            if not (type(getattr(config, key)) is str and Path(getattr(config, key)).is_file())]
+
+
 def validate_config(config: RunConfig) -> list[str]:
     """Returns a list of failure messages; empty means valid. Checks that the path
-    of each key of ``inputs`` exists, and reads no file: ``RunContext.load`` reads them."""
+    of each key of ``inputs`` is a regular file, and reads no file: ``RunContext.load``
+    reads them."""
     failures = check_values(config, _VALUES)
     failures += [f"unknown {key} {getattr(config, key)!r}" for key, kind in _pools(config)
                  if _strategy(config, key, kind) is None]
-    for key in inputs(config):
+    for key in _unreadable(config):
         path = getattr(config, key)
-        if path in (None, "") or type(path) is str and not Path(path).exists():
+        if path is None or type(path) is str:  # any other value failed above as not a path
             failures.append(f"{key} path missing or unreadable: {path}")
     return failures
 
@@ -265,21 +272,29 @@ class RunContext:
 
     def load(self, failures: list = None):
         """Read the file of each key of ``inputs``. A failure raises, or, given
-        ``failures``, is appended to it and the rest are read; returns ``failures``."""
+        ``failures``, is appended to it and the rest are read, but for those of the
+        keys whose path ``validate_config`` rejects; returns ``failures``."""
+        rejected = [] if failures is None else _unreadable(self.config)
+        skip = {READERS[key] for key in rejected}
         for name in dict.fromkeys(READERS[key] for key in inputs(self.config)):
+            if name in skip:
+                continue
             try:
                 getattr(self, name)
-            except AlmtError as exc:
+            except (AlmtError, OSError) as exc:
                 if failures is None:
                     raise
-                failures.append(str(exc))
+                if not (isinstance(exc, OSError)  # frozen reads L, whose path may be rejected
+                        and exc.filename in [getattr(self.config, key) for key in rejected]):
+                    failures.append(describe(exc))
         return failures
 
     strategies = cached_property(lambda self: [_strategy(self.config, *p) for p in _pools(self.config)])
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
-    index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
-    index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
+    index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n, self.vocab))
+    index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n,
+                                                          self.vocab))
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
     links = cached_property(lambda self: {})  # L id -> its alignment under table, filled by augment
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
@@ -299,6 +314,18 @@ class RunContext:
         if store_U is not None and store_L is not None and store_U.dim != store_L.dim:
             raise ConfigError(f"embedding dimension mismatch: {store_U.dim} vs {store_L.dim}")
         return store_U, store_L
+
+    @cached_property
+    def vocab(self):
+        """One token coding for U, L's source side and the reference's source side, of
+        those the run reads. A phrase strategy or the oracle builds it on first use,
+        so a run with neither builds none."""
+        config, corpora = self.config, [self.L.source_corpus()]
+        if config.unlabeled is not None:  # None when `almt oracle` builds the context
+            corpora.append(self.U)
+        if config.oracle_reference is not None and not config.simulate_only:
+            corpora.append(self.reference.source_corpus())
+        return Vocabulary(s.tokens for corpus in corpora for s in corpus)
 
     @cached_property
     def csse_scorer(self):
@@ -323,9 +350,12 @@ class RunContext:
     @cached_property
     def translations(self):
         """(responses, drops) by phrase for every phrase of ``selection``. A phrase's
-        translation does not depend on the others selected, so one call serves every cut."""
-        responses, drops = oracle.translate_phrases(
-            [p.tokens for p in self.selection.phrases], self.reference, self.table)
+        translation does not depend on the others selected, so one call serves every cut.
+        A selection without phrases builds no vocabulary."""
+        phrases = [p.tokens for p in self.selection.phrases]
+        if not phrases:
+            return {}, {}
+        responses, drops = oracle.translate_phrases(phrases, self.reference, self.table, self.vocab)
         return {r.source: r for r in responses}, drops
 
 
@@ -345,8 +375,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     with _stage(report, "extract"):
         if any(strategy.kind == "phrase" for strategy in context.strategies):
-            context.index_L
-            context.index_U.export_tsv(out("index_U", "index_U.tsv"))
+            context.index_U, context.index_L
 
     with _stage(report, "select"):
         result = context.selection.cut(report.budget)

@@ -10,9 +10,11 @@ import json
 import random
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from .corpus import Corpus, Phrase, read_lines, write_text
 from .errors import ConfigError, ParseError
-from .ngrams import OccurrenceIndex, semi_maximal_set
+from .ngrams import OccurrenceIndex, PhraseSet, semi_maximal_set
 
 
 @dataclass
@@ -110,10 +112,15 @@ def _sentences(strategy, seed, U, order, score, budget, skipped=None) -> Selecti
                            exhausted, skipped or {})
 
 
-def _phrases(strategy, seed, pool, score, budget) -> SelectionResult:
-    picks, spent, exhausted = _greedy((SelectedPhrase(p, score(p), len(p)) for p in pool), budget)
+def _phrases(strategy, seed, index, pool, score, budget) -> SelectionResult:
+    """Greedy selection over ``pool``, ids of ``index`` in ranked order; only the picks
+    kept are decoded, and ``score`` maps an id to its pick's score."""
+    def pick(i):
+        p = index.phrase(i)
+        return SelectedPhrase(p, score(i), len(p))
+    picks, spent, exhausted = _greedy(map(pick, pool), budget)
     return SelectionResult(strategy, seed, BudgetLedger(budget, 0, budget, 0, spent), [], picks,
-                           exhausted, {} if pool else {"empty_candidate_pool": 1})
+                           exhausted, {} if len(pool) else {"empty_candidate_pool": 1})
 
 
 def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResult:
@@ -182,26 +189,29 @@ def load_rttl_scores(path) -> dict:
     return scores
 
 
+def _unseen(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates: PhraseSet = None):
+    """Ids of the U phrases absent from L, ascending, so in (length, phrase) order;
+    ``candidates``, a PhraseSet of index_U, narrows them."""
+    absent = index_L.ids_of(index_U) < 0
+    return np.flatnonzero(absent) if candidates is None else candidates.ids[absent[candidates.ids]]
+
+
 def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex,
                           budget: int, seed: int) -> SelectionResult:
     """Uniform phrase draws from the U index, excluding phrases seen in L."""
     rng = random.Random(seed)
-    pool = sorted((p for p in index_U if p not in index_L), key=lambda p: (len(p), p))
+    pool = _unseen(index_U, index_L).tolist()
     rng.shuffle(pool)
-    return _phrases("random-phrase", seed, pool, lambda p: 0.0, budget)
-
-
-def _ngf_order(candidates, index_U):
-    return sorted(candidates, key=lambda p: (-index_U[p], len(p), p))
+    return _phrases("random-phrase", seed, index_U, pool, lambda i: 0.0, budget)
 
 
 def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int,
-               candidates=None, strategy="ngf") -> SelectionResult:
-    """Most-frequent-first phrase selection over U phrases absent from L."""
-    if candidates is None:
-        candidates = index_U.keys()
-    pool = _ngf_order((p for p in candidates if p not in index_L), index_U)
-    return _phrases(strategy, None, pool, lambda p: float(index_U[p]), budget)
+               candidates: PhraseSet = None, strategy="ngf") -> SelectionResult:
+    """Most-frequent-first phrase selection over U phrases absent from L, ties
+    in (length, phrase) order, which is id order."""
+    ids, counts = _unseen(index_U, index_L, candidates), index_U.counts
+    pool = ids[np.argsort(-counts[ids], kind="stable")]
+    return _phrases(strategy, None, index_U, pool, lambda i: float(counts[i]), budget)
 
 
 def select_ngf_smp(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int) -> SelectionResult:

@@ -1,10 +1,24 @@
-"""All-substring reference for `almt.ngrams.semi_maximal_set`.
+"""Tuple references for `almt.ngrams`: the n-gram count loop and the
+all-substring semi-maximal set.
 
-Every stored phrase p' marks each of its strict substrings p excluded when
-2*occ(p') > occ(p), as the set was computed before only one-token-longer
-superstrings were tested. Slow, and used only by tests, which require the
-same set from both.
+`extract_ngrams` counts every window as a tuple of strings in a Counter, as
+the index did before it coded n-grams as integers; its keys come in the
+order a scan first meets them. `semi_maximal_set` marks, for every stored
+phrase p', each of its strict substrings p excluded when 2*occ(p') > occ(p),
+as the set was computed before only one-token-longer superstrings were
+tested. Slow, and used only by tests, which require the same counts and sets
+from both.
 """
+
+from collections import Counter
+
+
+def extract_ngrams(corpus, max_n):
+    index = Counter()
+    for sent in corpus:
+        for n in range(1, max_n + 1):
+            index.update(zip(*(sent.tokens[i:] for i in range(n))))
+    return index
 
 
 def semi_maximal_set(index):

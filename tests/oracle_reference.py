@@ -1,0 +1,49 @@
+"""Window-scan reference for `almt.oracle.translate_phrases`.
+
+One pass over the reference's source windows, each a tuple of strings
+looked up in the set of wanted phrases, finds every occurrence in sentence
+order and then by start, as the oracle did before it matched integer n-gram
+codes. The vote is the oracle's. Used only by tests, which require the same
+(responses, drops) from both.
+"""
+
+from almt.align import align_pair, target_span
+from almt.oracle import OracleResponse
+
+
+def translate_phrases(phrases, reference, table):
+    phrases = [tuple(p) for p in phrases]
+    wanted = set(phrases)
+    if len(wanted) != len(phrases):
+        raise ValueError("duplicate phrases in selection (upstream invariant violated)")
+    lengths = sorted({len(p) for p in wanted})
+    occurrences = {}  # phrase -> [(sid, start)]
+    for src, _ in reference:
+        for n in lengths:
+            for start, window in enumerate(zip(*(src.tokens[i:] for i in range(n)))):
+                if window in wanted:
+                    occurrences.setdefault(window, []).append((src.id, start))
+
+    links, responses, drops = {}, [], {}
+    for p in phrases:
+        if p not in occurrences:
+            drops[p] = "not-in-reference"
+            continue
+        votes = {}
+        for sid, start in occurrences[p]:
+            src, tgt = reference.get(sid)
+            if sid not in links:
+                links[sid] = align_pair(src.tokens, tgt.tokens, table)
+            span = target_span(links[sid], start, start + len(p))
+            if isinstance(span, str):
+                continue
+            target = tgt.tokens[span[0]:span[1] + 1]
+            count, prov = votes.get(target, (0, []))
+            prov.append(sid)
+            votes[target] = (count + 1, prov)
+        if not votes:
+            drops[p] = "no-aligned-span"
+            continue
+        target, (count, prov) = min(votes.items(), key=lambda kv: (-kv[1][0], len(kv[0]), kv[0]))
+        responses.append(OracleResponse(p, target, tuple(sorted(set(prov))), votes=count))
+    return responses, drops

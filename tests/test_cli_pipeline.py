@@ -112,19 +112,16 @@ def test_pipeline_deterministic_digests(toy_dir, tmp_path):
 
 PHRASE_PATH_DIGESTS = {
     1: {
-        "index_U": "7a15662a00da4d8eff68b1fa2d19926368dad8423458a9669988cf49606d8f43",
         "selection": "f0772e755ba92a72f344760368bab10c2a193e3e55d23c9586c76b04b61ffa34",
         "phrases": "8cf5479a877cf57400fb83a27b245c9c305493a835b1134690e93eb4d54161ca",
         "manifest_jsonl": "777417ea7f2fa96b7b594521204ab1b15a62ae16c211639ccd4387fdd1ba8c8e",
     },
     2: {
-        "index_U": "108bdd890ee993ea9b49bc3550824ee29cd1fb998d153cc7769e2a6275e14ce4",
         "selection": "b8d116791753341fa08f851d11ae0aa5d0c9f0ff763ecd2b30bf98f886cb1c11",
         "phrases": "bf6490440e047d9f482df4c25cc13706ea93b363dedc08228f0960a7e97c6ac9",
         "manifest_jsonl": "8629baa39baeb5094651b119b9085d01394fddfaaedc97a7e648117254500131",
     },
     7: {
-        "index_U": "50a88ed3063b0c511bf116c67ba84113b65bbeb9f66e2561bcb03120532556b4",
         "selection": "ac30da86b2d0a662f7edb914bb6d5570a51688d4962a87c0175117275f0ab759",
         "phrases": "9257efab9ac29bfdb1bfe8d0dbb3950b7c6e04d2d7673369ca3cf02ae204652d",
         "manifest_jsonl": "8dd6d8efc221b908becb6bfafa57f86243d157726c562fbbfc52e9cd15530f1b",
@@ -190,13 +187,22 @@ def test_pipeline_failed_marker(toy_dir, tmp_path):
 
 # --- CLI ---
 
-def test_cli_extract(tmp_path, capsys):
-    # the stock toy's index at the pipeline's max_n: the same bytes as a run's index_U.tsv
-    toy.generate(tmp_path / "toy", seed=7)
+# sha256 of the stock toy's U index at the pipeline's default max_n, by toy seed: the
+# bytes each budget directory held as index_U.tsv before the pipeline stopped writing it
+INDEX_U_DIGESTS = {
+    1: "7a15662a00da4d8eff68b1fa2d19926368dad8423458a9669988cf49606d8f43",
+    2: "108bdd890ee993ea9b49bc3550824ee29cd1fb998d153cc7769e2a6275e14ce4",
+    7: "50a88ed3063b0c511bf116c67ba84113b65bbeb9f66e2561bcb03120532556b4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(INDEX_U_DIGESTS))
+def test_cli_extract(seed, tmp_path, capsys):
+    toy.generate(tmp_path / "toy", seed=seed)
     out = tmp_path / "index.tsv"
     assert main(["extract", "--input", str(tmp_path / "toy" / "U.txt"),
                  "--max-n", "4", "--output", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PHRASE_PATH_DIGESTS[7]["index_U"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == INDEX_U_DIGESTS[seed]
     lines = out.read_bytes().count(b"\n")
     assert capsys.readouterr().out == f"{lines} phrases (max_n=4) -> {out}\n"
 
@@ -298,6 +304,16 @@ def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeyp
     assert calls == {"train_ibm1": 1, "select_hybrid": 1, "RatioScorer": 2}
     # build time is charged to the first budget's report only
     assert reports[1].stages["align"] < reports[0].stages["align"]
+
+
+def test_csse_only_run_builds_no_vocabulary(toy_dir, tmp_path, monkeypatch):
+    from almt import pipeline
+    monkeypatch.setattr(pipeline, "Vocabulary", lambda *args: pytest.fail("built a vocabulary"))
+    for simulate_only in (True, False):
+        config = toy_config(toy_dir, strategy="csse", simulate_only=simulate_only,
+                            output_dir=str(tmp_path / f"runs-{simulate_only}"))
+        [report] = run_pipeline(config, budget=40)
+        assert report.counts["selected_sentences"] > 0
 
 
 def test_pipeline_builds_one_scorer_when_l_prime_is_all_of_l(toy_dir, tmp_path, monkeypatch):
@@ -408,6 +424,19 @@ def test_cli_validate_reports_each_load_failure(toy_dir, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"FAIL: {corpus}:2: not UTF-8 (invalid start byte)",
         f"FAIL: {bad}:1: expected 'dim=D' header with D a positive integer, got 'dim=eight'"]
+
+
+def test_cli_validate_lists_a_directory_path_and_a_later_load_failure(toy_dir, tmp_path, capsys):
+    refdir = tmp_path / "refdir"
+    refdir.mkdir()
+    bad = tmp_path / "emb_bad.tsv"
+    bad.write_text("dim=8\n0\n")  # one column: no tab after the id
+    config = _config_file(toy_dir, tmp_path, oracle_reference=str(refdir), embeddings_labeled=str(bad))
+    assert main(["validate", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"FAIL: oracle_reference path missing or unreadable: {refdir}",
+                                f"FAIL: {bad}:2: malformed embedding line"]
+    assert err == ""
 
 
 def test_cli_validate_names_a_repeated_embedding_id(toy_dir, tmp_path, capsys):
@@ -556,9 +585,9 @@ def test_pipeline_translates_phrases_once_and_each_budget_matches_a_direct_call(
     calls = []
     translate = oracle.translate_phrases
 
-    def spy(phrases, reference, table):
+    def spy(phrases, *args):
         calls.append(len(phrases))
-        return translate(phrases, reference, table)
+        return translate(phrases, *args)
     monkeypatch.setattr(oracle, "translate_phrases", spy)
     # the oracle drops 8 of the phrases selected at 40 and 120, and 1 of those at 3
     config = toy_config(toy_dir, budgets=[3, 120, 40], output_dir=str(tmp_path / "runs"))
@@ -579,21 +608,13 @@ def test_pipeline_translates_phrases_once_and_each_budget_matches_a_direct_call(
         assert report.dropped.get("oracle:phrases", {}) == {" ".join(p): r for p, r in drops.items()}
 
 
-def test_pipeline_serialises_index_U_once_and_writes_it_per_budget(toy_dir, tmp_path, monkeypatch):
-    from almt.ngrams import OccurrenceIndex
-    serialised = []
-    serialise = OccurrenceIndex.tsv.func
-
-    def counting(index):
-        serialised.append(index)
-        return serialise(index)
-    monkeypatch.setattr(OccurrenceIndex.tsv, "func", counting)
-    config = toy_config(toy_dir, budgets=[40, 120, 80], simulate_only=True,
-                        output_dir=str(tmp_path / "runs"))
-    run_pipeline(config)
-    assert len(serialised) == 1
-    written = {(tmp_path / "runs" / f"budget-{b}" / "index_U.tsv").read_bytes() for b in (40, 120, 80)}
-    assert written == {serialised[0].tsv}
+def test_pipeline_writes_no_index_U(toy_dir, tmp_path):
+    """The U index does not depend on the budget; `almt extract` writes it on demand."""
+    config = toy_config(toy_dir, budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
+    reports = run_pipeline(config)
+    assert [r.counts["selected_phrases"] > 0 for r in reports] == [True, True, True]
+    assert not list((tmp_path / "runs").glob("*/index_U.tsv"))
+    assert not any("index_U" in r.digests for r in reports)
 
 
 def test_pipeline_success_removes_failed_marker_of_an_earlier_run(toy_dir, tmp_path):
@@ -998,15 +1019,20 @@ def test_each_input_is_read_at_load_and_its_failure_reported_once(bad, toy_dir, 
     assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: load\n")
 
 
-def test_validate_reports_a_malformed_l_once_although_frozen_reads_it(toy_dir, tmp_path, capsys):
+@pytest.mark.parametrize("directory", [False, True])
+def test_validate_reports_a_malformed_l_once_although_frozen_reads_it(directory, toy_dir, tmp_path, capsys):
     labeled = tmp_path / "L.tsv"
-    labeled.write_text("one column\n")
+    if directory:
+        labeled.mkdir()
+    else:
+        labeled.write_text("one column\n")
     freeze = tmp_path / "frozen.jsonl"
     freeze.write_text('{"id": 0}\n')
     config = _config_file(toy_dir, tmp_path, labeled=str(labeled), freeze_file=str(freeze))
     assert main(["validate", "--config", str(config)]) == 2
     [line] = capsys.readouterr().out.splitlines()
-    assert line.startswith(f"FAIL: {labeled}:1: ")
+    assert line.startswith(f"FAIL: labeled path missing or unreadable: {labeled}" if directory
+                           else f"FAIL: {labeled}:1: ")
 
 
 def test_a_run_does_not_read_files_it_does_not_need(stock_toy, tmp_path, capsys):

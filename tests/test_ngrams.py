@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
+import select_reference
 from almt.corpus import Corpus, Sentence
-from almt.ngrams import extract_ngrams, semi_maximal_set
+from almt.ngrams import Vocabulary, extract_ngrams, semi_maximal_set
+from almt.select import select_ngf
 
 
 def corpus_of(*lines):
@@ -176,3 +178,50 @@ def test_tsv_is_serialised_once_and_written_verbatim(tmp_path):
     assert index.tsv == b"a\t3\nb\t2\na b\t1\nb a\t1\n"
     index.export_tsv(tmp_path / "index.tsv")
     assert (tmp_path / "index.tsv").read_bytes() == index.tsv
+
+
+# A corpus of up to 8 sentences over a few shared tokens and one of its own,
+# so that repeats such as "a a a" and tokens absent from another corpus are common.
+def corpora(own):
+    lines = st.lists(st.lists(st.sampled_from(["a", "b", "c", own]), min_size=1, max_size=8), max_size=8)
+    return lines.map(lambda lines: Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(U=corpora("u"), L=corpora("l"), max_n=st.integers(1, 6))
+def test_coded_index_matches_the_tuple_counter(U, L, max_n):
+    expected = ngrams_reference.extract_ngrams(U, max_n)
+    shared = Vocabulary(s.tokens for corpus in (U, L) for s in corpus)
+    for index in (extract_ngrams(U, max_n), extract_ngrams(U, max_n, shared)):
+        assert dict(index) == expected
+        assert list(index) == list(expected)  # first-seen order
+        assert len(index) == len(expected) and index[("z",)] == 0 and ("z",) not in index
+        assert semi_maximal_set(index) == ngrams_reference.semi_maximal_set(expected)
+        rows = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert index.tsv == "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode()
+
+
+@pytest.mark.parametrize("distinct, length, max_n", [(2 ** 16 + 100, 4, 5), (240, 60, 8)])
+def test_codes_do_not_wrap_where_packed_keys_would(distinct, length, max_n):
+    """A key packing max_n token ids in base V needs V**max_n < 2**63; both
+    corpora break that bound (65636**5 and 240**8 exceed it). Some sentences
+    copy a stretch of an earlier one, so some counts exceed 1."""
+    assert distinct ** max_n >= 2 ** 63
+    rng = random.Random(distinct)
+    tokens = [f"t{i}" for i in range(distinct)]
+    lines, pos = [], 0
+    while pos < len(tokens):
+        line = tokens[pos:pos + length]
+        pos += length
+        if rng.random() < 0.3:  # copy a stretch of an earlier sentence
+            src = rng.choice(lines) if lines else line
+            cut = rng.randrange(len(src))
+            line = line[:length // 2] + src[cut:cut + length // 2]
+        lines.append(line)
+    corpus = Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)])
+    L = Corpus([Sentence(0, tuple(tokens[:length]))])
+    index, expected = extract_ngrams(corpus, max_n), ngrams_reference.extract_ngrams(corpus, max_n)
+    assert dict(index) == expected
+    assert int(index.counts.min()) >= 1 and max(expected.values()) > 1
+    ranked = [p.tokens for p in select_ngf(index, extract_ngrams(L, max_n), 10 ** 9).phrases]
+    assert ranked == select_reference.ngf_order(expected, ngrams_reference.extract_ngrams(L, max_n))

@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ngrams_reference
+import oracle_reference
 from almt.align import TranslationTable, NULL_TOKEN, train_ibm1
 from almt.corpus import ParallelCorpus, Sentence
 from almt.errors import OracleGapError
+from almt.ngrams import Vocabulary
 from almt.oracle import translate_phrases, translate_sentences, write_responses
 
 
@@ -172,3 +176,26 @@ def test_write_responses(tmp_path):
     write_responses(sents, tmp_path / "s.tsv", tmp_path / "s.jsonl", ref)
     assert (tmp_path / "s.tsv").read_text() == "a b\tx y\n"
     phr, _ = translate_phrases([("a",)], ref, identity_table("ab"))
+
+
+def sentences(own):
+    return st.lists(st.lists(st.sampled_from(["a", "b", "c", own]), min_size=1, max_size=7),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(U=sentences("u"), ref=sentences("r"), max_n=st.integers(1, 6),
+       rng=st.randoms(use_true_random=False))
+def test_coded_scan_matches_the_window_scan_reference(U, ref, max_n, rng):
+    """Phrases are the n-grams of a U that shares some tokens with the reference;
+    targets lose a token now and then, so both drop reasons occur."""
+    reference = parallel_of(*((" ".join(src), " ".join([f"T_{w}" for w in src if rng.random() < 0.8]
+                                                        or ["T_x"])) for src in ref))
+    table = train_ibm1(reference, 2)
+    U = [Sentence(i, tuple(s)) for i, s in enumerate(U)]
+    phrases = list(ngrams_reference.extract_ngrams(U, max_n))
+    rng.shuffle(phrases)
+    expected = oracle_reference.translate_phrases(phrases, reference, table)
+    assert translate_phrases(phrases, reference, table) == expected
+    vocab = Vocabulary([*(s.tokens for s in U), *(src.tokens for src, _ in reference)])
+    assert translate_phrases(phrases, reference, table, vocab) == expected

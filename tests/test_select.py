@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ngrams_reference
+import select_reference
 from almt.corpus import Corpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError
-from almt.ngrams import extract_ngrams, semi_maximal_set
+from almt.ngrams import Vocabulary, extract_ngrams, semi_maximal_set
 from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences, select_rttl,
                          split_budget, load_rttl_scores)
@@ -297,3 +300,29 @@ def test_empty_phrase_pool_is_exhausted_at_any_budget():
     hybrid = select_hybrid(1, lambda b: select_random_sentences(U, b, seed=0),
                            lambda b: select_ngf(index, index, b))
     assert hybrid.budget.phrase_share == 0 and hybrid.exhausted
+
+
+def corpora(own):
+    """Up to 8 sentences over shared tokens and one of their own."""
+    lines = st.lists(st.lists(st.sampled_from(["a", "b", "c", own]), min_size=1, max_size=8), max_size=8)
+    return lines.map(lambda lines: Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(U=corpora("u"), L=corpora("l"), max_n=st.integers(1, 6), seed=st.integers(0, 3))
+def test_coded_rankings_match_the_tuple_references(U, L, max_n, seed):
+    ref_U, ref_L = ngrams_reference.extract_ngrams(U, max_n), ngrams_reference.extract_ngrams(L, max_n)
+    smp = ngrams_reference.semi_maximal_set(ref_U)
+    shared = Vocabulary(s.tokens for corpus in (U, L) for s in corpus)
+    for vocab_U, vocab_L in [(None, None), (shared, shared)]:
+        index_U, index_L = extract_ngrams(U, max_n, vocab_U), extract_ngrams(L, max_n, vocab_L)
+
+        def ranked(result):
+            return [p.tokens for p in result.phrases]
+        assert ranked(select_ngf(index_U, index_L, 10 ** 9)) == select_reference.ngf_order(ref_U, ref_L)
+        assert ranked(select_ngf_smp(index_U, index_L, 10 ** 9)) == \
+            select_reference.ngf_order(ref_U, ref_L, candidates=smp)
+        assert ranked(select_random_phrases(index_U, index_L, 10 ** 9, seed)) == \
+            select_reference.random_phrase_order(ref_U, ref_L, seed)
+        assert [p.score for p in select_ngf(index_U, index_L, 10 ** 9).phrases] == \
+            [float(ref_U[p]) for p in select_reference.ngf_order(ref_U, ref_L)]
