@@ -5,7 +5,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import Corpus
+from .ngrams import OccurrenceIndex
 
 
 @dataclass
@@ -29,15 +32,11 @@ class InDomainWordStats:
         return 100.0 * self.idwc / self.wc if self.wc else 0.0
 
 
-def _ngrams(sentences, n):
-    return (tuple(tokens[s:s + n]) for tokens in sentences for s in range(len(tokens) - n + 1))
-
-
 def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> CoverageReport:
     """Percentage of test n-grams present in the covering text, per n.
 
     covering/test are iterables of token sequences. Default counts n-gram
-    types (set intersection); token_level weights by test occurrences.
+    types; token_level weights each by its test occurrences.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
@@ -45,17 +44,13 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> Cov
     test = [tuple(t) for t in test]
     if not test:
         raise ValueError("test corpus is empty")
+    test = OccurrenceIndex(test, max_n)
+    covered = OccurrenceIndex(covering, max_n).ids_of(test) >= 0
     per_n = {}
     for n in range(1, max_n + 1):
-        cover_types = set(_ngrams(covering, n))
-        if token_level:
-            counts = Counter(_ngrams(test, n))
-            total = sum(counts.values())
-            hit = sum(c for g, c in counts.items() if g in cover_types)
-        else:
-            test_types = set(_ngrams(test, n))
-            total = len(test_types)
-            hit = len(test_types & cover_types)
+        level = test.level(n)
+        weights = test.counts[level] if token_level else np.ones_like(test.counts[level])
+        total, hit = int(weights.sum()), int(weights[covered[level]].sum())
         per_n[n] = 100.0 * hit / total if total else 0.0
     return CoverageReport(per_n)
 

@@ -13,7 +13,6 @@ twice). All count comparisons are exact integer arithmetic.
 """
 
 import bisect
-from collections.abc import Mapping, Set
 from functools import cached_property
 from itertools import chain
 
@@ -52,14 +51,13 @@ def _room(ends):
     return np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(ends[-1] if len(ends) else 0)
 
 
-class OccurrenceIndex(Mapping):
+class OccurrenceIndex:
     """Counts of every n-gram of length 1 to ``max_n`` in some sentences.
 
     Level n holds the sorted codes of the n-grams of length n and their
     counts. An n-gram's id is its rank in its level plus the number of shorter
-    n-grams, so ids run in (length, phrase) order. As a mapping (phrase ->
-    count, in first-seen order) it decodes every phrase on first use; an absent
-    phrase reads 0 and is not inserted.
+    n-grams, so ids run in (length, phrase) order; ``phrase`` and ``phrases``
+    decode them.
     """
 
     def __init__(self, sentences, max_n: int, vocab: Vocabulary = None):
@@ -67,22 +65,23 @@ class OccurrenceIndex(Mapping):
             raise ValueError(f"max_n must be >= 1, got {max_n}")
         self.vocab = vocab if vocab is not None else Vocabulary(sentences)
         self.max_n, self.V = max_n, max(len(self.vocab), 1)
-        tok, self._ends = self.vocab.code(sentences)
-        room = _room(self._ends)
+        tok, ends = self.vocab.code(sentences)
+        room = _room(ends)
         at, rank = np.arange(len(tok)), np.zeros(len(tok), np.int64)
         levels, prefixes = [], 1  # the empty phrase is the one prefix of a unigram
         for n in range(1, max_n + 1):
             if prefixes * self.V >= 2 ** 63:
                 raise OverflowError(f"{prefixes} {n - 1}-grams and {self.V} tokens overflow int64 codes")
             at = at[room[at] >= n]  # where an n-gram starts; rank holds its prefix's rank there
-            codes, first, inverse, counts = np.unique(
-                rank[at] * self.V + tok[at + n - 1],
-                return_index=True, return_inverse=True, return_counts=True)
-            rank[at] = inverse
-            levels.append((codes, counts, at[first]))
+            codes, rank[at], counts = np.unique(rank[at] * self.V + tok[at + n - 1],
+                                                return_inverse=True, return_counts=True)
+            levels.append((codes, counts))
             prefixes = len(codes)
-        self.codes, self.counts, self._first = (np.concatenate(arrays) for arrays in zip(*levels))
-        self.offsets = [0, *np.cumsum([len(codes) for codes, _, _ in levels]).tolist()]
+        self.codes, self.counts = (np.concatenate(arrays) for arrays in zip(*levels))
+        self.offsets = [0, *np.cumsum([len(codes) for codes, _ in levels]).tolist()]
+
+    def __len__(self):
+        return len(self.codes)
 
     def level(self, n) -> slice:
         """The ids of the n-grams of length ``n``."""
@@ -109,14 +108,12 @@ class OccurrenceIndex(Mapping):
             out[other.level(n)] = np.where(rank >= 0, rank + self.offsets[n - 1], -1)
         return out
 
-    def locate(self, tok, ends, starts=None):
+    def locate(self, tok, ends):
         """Yield (n, positions, ids) for n = 1 to ``max_n``: where an n-gram
         stored here starts in the sentences coded by this vocabulary as (token
-        ids, sentence end offsets), ascending, and its id. ``starts`` limits
-        the positions searched."""
+        ids, sentence end offsets), ascending, and its id."""
         room = _room(ends)
-        at = np.arange(len(tok)) if starts is None else starts
-        rank = np.zeros(len(at), np.int64)
+        at, rank = np.arange(len(tok)), np.zeros(len(tok), np.int64)
         for n in range(1, self.max_n + 1):
             fits = room[at] >= n
             at, rank = at[fits], self.step(n, rank[fits], tok[at[fits] + n - 1])
@@ -133,59 +130,24 @@ class OccurrenceIndex(Mapping):
             tokens.append(self.vocab.tokens[token])
         return tuple(reversed(tokens))
 
-    @cached_property
-    def _ids(self) -> dict:
-        """phrase -> id of every n-gram, in the order a scan first meets them:
-        sentence by sentence, shorter n-grams first, then by start."""
-        phrases, level = [], [()]
+    def phrases(self) -> list[Phrase]:
+        """Every n-gram, by id, each length decoded from the one before."""
+        phrases, shorter = [], [()]
         for n in range(1, self.max_n + 1):
             prefix, last = np.divmod(self.codes[self.level(n)], self.V)
-            level = [level[p] + (self.vocab.tokens[t],) for p, t in zip(prefix.tolist(), last.tolist())]
-            phrases += level
-        length = np.repeat(np.arange(self.max_n), np.diff(self.offsets))
-        sentence = np.searchsorted(self._ends, self._first, side="right")
-        return {phrases[i]: i for i in np.lexsort((self._first, length, sentence)).tolist()}
-
-    def __getitem__(self, p):
-        i = self._ids.get(p)
-        return 0 if i is None else int(self.counts[i])
-
-    def __contains__(self, p):
-        return p in self._ids
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self):
-        return len(self.codes)
+            shorter = [shorter[p] + (self.vocab.tokens[t],) for p, t in zip(prefix.tolist(), last.tolist())]
+            phrases += shorter
+        return phrases
 
     @cached_property
     def tsv(self) -> bytes:
         """The index as "phrase TAB count" lines, count descending then
         lexicographic, serialised once however many times it is written."""
-        rows = sorted(self.items(), key=lambda kv: (-kv[1], kv[0]))
+        rows = sorted(zip(self.phrases(), self.counts.tolist()), key=lambda kv: (-kv[1], kv[0]))
         return "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode("utf-8")
 
     def export_tsv(self, path):
         write_text(path, self.tsv)
-
-
-class PhraseSet(Set):
-    """Some n-grams of ``index``, by ascending id; a set of phrases decoded on demand."""
-
-    def __init__(self, index: OccurrenceIndex, ids):
-        self.index, self.ids = index, ids
-
-    def __contains__(self, p):
-        i = self.index._ids.get(p, -1)
-        pos = np.searchsorted(self.ids, i)
-        return pos < len(self.ids) and self.ids[pos] == i
-
-    def __iter__(self):
-        return map(self.index.phrase, self.ids.tolist())
-
-    def __len__(self):
-        return len(self.ids)
 
 
 def extract_ngrams(corpus: Corpus, max_n: int, vocab: Vocabulary = None) -> OccurrenceIndex:
@@ -194,9 +156,9 @@ def extract_ngrams(corpus: Corpus, max_n: int, vocab: Vocabulary = None) -> Occu
     return OccurrenceIndex([s.tokens for s in corpus], max_n, vocab)
 
 
-def semi_maximal_set(index: OccurrenceIndex) -> PhraseSet:
-    """Phrases p with no strict superstring p' in the index that occurs more
-    than half as often (2*occ(p') > occ(p), exact integers).
+def semi_maximal_set(index: OccurrenceIndex):
+    """Ids, ascending, of the phrases p with no strict superstring p' in the
+    index that occurs more than half as often (2*occ(p') > occ(p), exact integers).
 
     Each stored p' tests only its prefix p'[:-1] and suffix p'[1:], which
     decides every pair. If p lies strictly inside p' with 2*occ(p') > occ(p),
@@ -214,4 +176,4 @@ def semi_maximal_set(index: OccurrenceIndex) -> PhraseSet:
         twice = 2 * index.counts[level]
         for rank in (prefix, suffix):
             excluded[index.offsets[n - 2] + rank[twice > shorter[rank]]] = True
-    return PhraseSet(index, np.flatnonzero(~excluded))
+    return np.flatnonzero(~excluded)

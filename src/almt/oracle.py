@@ -50,13 +50,9 @@ def _occurrences(phrases, reference: ParallelCorpus, vocab: Vocabulary):
     if not known:
         return {}
     wanted = OccurrenceIndex(known, max(map(len, known)), vocab)
-    tok, ends = vocab.code(known)
-    lengths = np.diff(ends, prepend=0)
+    id_of = {p: i for i, p in enumerate(wanted.phrases())}
     which = np.full(len(wanted), -1)  # id in ``wanted`` -> index in ``known``, of whole phrases
-    for n, at, ids in wanted.locate(tok, ends, ends - lengths):
-        k = np.searchsorted(ends, at, side="right")
-        whole = lengths[k] == n
-        which[ids[whole]] = k[whole]
+    which[[id_of[p] for p in known]] = np.arange(len(known))
     sources = [src for src, _ in reference]
     tok, ends = vocab.code([src.tokens for src in sources])
     starts = ends - np.diff(ends, prepend=0)

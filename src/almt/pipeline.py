@@ -1,5 +1,5 @@
-"""End-to-end run: load -> extract -> select -> align -> oracle -> mix -> augment
--> assemble.
+"""End-to-end run: load -> extract -> select -> oracle -> mix -> augment -> assemble.
+IBM-1 is trained on first use, by the oracle's phrase translation or by augment.
 
 Stages communicate through files inside one run directory per budget, so every
 intermediate is inspectable. Fine-tuning itself is out of scope: the pipeline
@@ -308,11 +308,22 @@ class RunContext:
     @cached_property
     def stores(self):
         """(U store, L store), each None when the config names no file: the one
-        reader of the embedding files, and the one check that their dimensions agree."""
-        paths = (getattr(self.config, key) for key in _EMBEDDINGS)
+        reader of the embedding files, and the one check that their dimensions agree
+        and that each store has a vector for every id of its corpus, U or L, if the
+        run reads that corpus."""
+        paths = [getattr(self.config, key) for key in _EMBEDDINGS]
         store_U, store_L = (EmbeddingStore.load(p, tag) if p else None for p, tag in zip(paths, "UL"))
         if store_U is not None and store_L is not None and store_U.dim != store_L.dim:
             raise ConfigError(f"embedding dimension mismatch: {store_U.dim} vs {store_L.dim}")
+        for key, path, store in zip(("unlabeled", "labeled"), paths, (store_U, store_L)):
+            # the path is None where `almt mix` reads no U, and no other non-string passes validation
+            if store is None or type(getattr(self.config, key)) is not str:
+                continue
+            corpus = getattr(self, READERS[key])
+            missing = [i for i in corpus.ids() if i not in store]
+            if missing:
+                raise ConfigError(f"{path}: no vector for {len(missing)} ids of {corpus.name}, "
+                                  f"first {missing[:5]}")
         return store_U, store_L
 
     @cached_property
@@ -335,7 +346,6 @@ class RunContext:
         l_ids = self.L.ids()
         if len(l_ids) > self.config.labeled_subset_size:
             l_ids = sorted(random.Random(self.config.seed).sample(l_ids, self.config.labeled_subset_size))
-        l_ids = [i for i in l_ids if i in store_L]
         if l_ids == store_L.ids:
             return self.scorer
         return RatioScorer(store_U, store_L.subset(l_ids, "L-sub"), self.config.k)
@@ -390,9 +400,6 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         _finish(report, run_dir, outputs)
         return report
 
-    with _stage(report, "align"):
-        table = context.table
-
     with _stage(report, "oracle"):
         l_s_resp, l_p_resp, phrase_drops = respond(context, result, out)
         report.counts["translated_sentences"] = len(l_s_resp)
@@ -412,7 +419,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         with _stage(report, "augment"):
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
-                context.U, phrase_pairs, context.scorer, context.L, context.lm, table,
+                context.U, phrase_pairs, context.scorer, context.L, context.lm, context.table,
                 config.augment_recipe, context.links)
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import Corpus, Phrase, read_lines, write_text
 from .errors import ConfigError, ParseError
-from .ngrams import OccurrenceIndex, PhraseSet, semi_maximal_set
+from .ngrams import OccurrenceIndex, semi_maximal_set
 
 
 @dataclass
@@ -151,9 +151,6 @@ def select_csse(U: Corpus, scorer, budget: int, dist_mode: str = "literal") -> S
     nn variant we take the smallest nearest-neighbor similarity first. Ties
     break by ascending id. Scores are not refreshed between picks.
     """
-    missing = [sid for sid in U.ids() if sid not in scorer.a]
-    if missing:
-        raise ConfigError(f"embeddings missing for {len(missing)} U sentences, e.g. {missing[:5]}")
     scores, skipped = csse_scores(scorer, dist_mode)
     reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
     order = sorted((sid for sid in U.ids() if sid in scores),
@@ -189,11 +186,11 @@ def load_rttl_scores(path) -> dict:
     return scores
 
 
-def _unseen(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates: PhraseSet = None):
+def _unseen(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=None):
     """Ids of the U phrases absent from L, ascending, so in (length, phrase) order;
-    ``candidates``, a PhraseSet of index_U, narrows them."""
+    ``candidates``, ascending ids of index_U, narrows them."""
     absent = index_L.ids_of(index_U) < 0
-    return np.flatnonzero(absent) if candidates is None else candidates.ids[absent[candidates.ids]]
+    return np.flatnonzero(absent) if candidates is None else candidates[absent[candidates]]
 
 
 def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex,
@@ -206,7 +203,7 @@ def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex,
 
 
 def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int,
-               candidates: PhraseSet = None, strategy="ngf") -> SelectionResult:
+               candidates=None, strategy="ngf") -> SelectionResult:
     """Most-frequent-first phrase selection over U phrases absent from L, ties
     in (length, phrase) order, which is id order."""
     ids, counts = _unseen(index_U, index_L, candidates), index_U.counts

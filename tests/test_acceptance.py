@@ -26,6 +26,7 @@ from almt.pipeline import RunConfig, run_pipeline
 from almt.select import (select_csse, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences,
                          select_rttl)
+from ngrams_reference import decode
 from ratio_reference import ratio_score
 
 
@@ -120,7 +121,7 @@ def test_criterion_02_semi_maximal_oracle_equivalence():
     checked = 0
     for _ in range(100):
         index = extract_ngrams(random_corpus(rng), 4)
-        assert semi_maximal_set(index) == brute_force_semi_maximal(index)
+        assert set(decode(index, semi_maximal_set(index))) == brute_force_semi_maximal(decode(index))
         checked += 1
     elapsed = time.perf_counter() - t0
     verdict(2, "semi-maximal set equals brute-force oracle",
@@ -149,10 +150,11 @@ def test_criterion_03_ngf_oracle_equivalence():
         index_L = extract_ngrams(random_corpus(rng, max_sentences=15), 4)
         budget = rng.randint(5, 50)
         got_ngf = [p.tokens for p in select_ngf(index_U, index_L, budget).phrases]
-        assert got_ngf == brute_force_greedy(index_U, index_L, budget)
+        counts_U, counts_L = decode(index_U), decode(index_L)
+        assert got_ngf == brute_force_greedy(counts_U, counts_L, budget)
         got_smp = [p.tokens for p in select_ngf_smp(index_U, index_L, budget).phrases]
-        assert got_smp == brute_force_greedy(index_U, index_L, budget,
-                                             candidates=semi_maximal_set(index_U))
+        assert got_smp == brute_force_greedy(counts_U, counts_L, budget,
+                                             candidates=set(decode(index_U, semi_maximal_set(index_U))))
         cases += 1
     verdict(3, "NGF and NGF-SMP equal brute-force greedy", cases == 100,
             f"{cases} random (corpus, budget) cases")

@@ -3,7 +3,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import analyze_reference
 from almt.analyze import (in_domain_vocab, in_domain_word_stats, length_ratio,
                           ngram_coverage, pearson, sentence_bleu)
 from almt.corpus import Corpus, Sentence
@@ -83,6 +85,20 @@ def test_coverage_matches_oracle_random():
 def test_coverage_empty_test_rejected():
     with pytest.raises(ValueError):
         ngram_coverage([("a",)], [], 2)
+
+
+# Sentences over shared tokens and one of each side's own, empty ones included,
+# so that test n-grams absent from the covering side are common.
+def sentences(own):
+    return st.lists(st.lists(st.sampled_from(["a", "b", "c", own]), max_size=7), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(covering=sentences("x"), test=sentences("t").filter(bool), max_n=st.integers(1, 6),
+       token_level=st.booleans())
+def test_coverage_matches_the_tuple_reference(covering, test, max_n, token_level):
+    got = ngram_coverage(covering, test, max_n, token_level=token_level).per_n
+    assert repr(got) == repr(analyze_reference.ngram_coverage(covering, test, max_n, token_level))
 
 
 # --- pearson ---

@@ -302,8 +302,21 @@ def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeyp
     # L′ is 100 of L's 200 ids, so CSSE has its own U × L′ scorer; mix and
     # augment share the U × L one, not one per budget
     assert calls == {"train_ibm1": 1, "select_hybrid": 1, "RatioScorer": 2}
-    # build time is charged to the first budget's report only
-    assert reports[1].stages["align"] < reports[0].stages["align"]
+    # build time (IBM-1 and the oracle's translations) is charged to the first budget's report only
+    assert reports[1].stages["oracle"] < reports[0].stages["oracle"]
+
+
+@pytest.mark.parametrize("strategy", ["csse", "random-sent", "rttl"])
+def test_sentence_runs_without_augmentation_train_no_ibm1(strategy, toy_dir, tmp_path, monkeypatch):
+    from almt import align
+    monkeypatch.setattr(align, "train_ibm1", lambda *args: pytest.fail("trained IBM-1"))
+    scores = tmp_path / "rttl.tsv"
+    scores.write_text("".join(f"{i}\t{-i / 7}\n" for i in range(120)))
+    for mix_policy in ("retrieve", "sample"):
+        config = toy_config(toy_dir, strategy=strategy, augment_recipe=None, mix_policy=mix_policy,
+                            rttl_scores=str(scores), output_dir=str(tmp_path / mix_policy))
+        [report] = run_pipeline(config, budget=40)
+        assert report.counts["translated_sentences"] > 0 and "align" not in report.stages
 
 
 def test_csse_only_run_builds_no_vocabulary(toy_dir, tmp_path, monkeypatch):
@@ -477,6 +490,23 @@ def test_cli_dim_mismatch_exits_2(command, toy_dir, tmp_path, capsys):
     out, err = capsys.readouterr()
     message, rest = (out, err) if command == "validate" else (err, out)  # validate lists failures on stdout
     assert message == "FAIL: embedding dimension mismatch: 8 vs 3\n" and rest == ""
+    if command == "pipeline":
+        assert (tmp_path / "runs" / "budget-200" / "failed").read_text().startswith("stage: load\n")
+
+
+@pytest.mark.parametrize("side, missing", [("U", [1]), ("L", [0, 5])])
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_cli_embedding_file_without_a_corpus_id_exits_2(command, side, missing, toy_dir, tmp_path, capsys):
+    lines = (toy_dir / f"emb_{side}.tsv").read_text().splitlines(keepends=True)
+    gap = tmp_path / f"emb_{side}.tsv"
+    gap.write_text("".join(line for line in lines if line.split("\t")[0] not in map(str, missing)))
+    key = {"U": "embeddings_unlabeled", "L": "embeddings_labeled"}[side]
+    config = _config_file(toy_dir, tmp_path, **{key: str(gap)}, output_dir=str(tmp_path / "runs"))
+    assert main([command, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    message, rest = (out, err) if command == "validate" else (err, out)  # validate lists failures on stdout
+    assert message == f"FAIL: {gap}: no vector for {len(missing)} ids of {side}, first {missing}\n"
+    assert rest == "" and "Traceback" not in out + err
     if command == "pipeline":
         assert (tmp_path / "runs" / "budget-200" / "failed").read_text().startswith("stage: load\n")
 
@@ -963,7 +993,7 @@ def test_validate_checks_the_paths_whose_files_the_load_stage_reads(
 
     def reader(path, *args):
         read.append(Path(path).name)
-        return type("Store", (), {"dim": 1})()
+        return type("Store", (), {"dim": 1, "ids": lambda self: []})()
     for owner, name in [(pipeline, "load_corpus"), (pipeline, "load_parallel"),
                         (EmbeddingStore, "load"), (select, "load_rttl_scores"), (mix, "load_freeze")]:
         monkeypatch.setattr(owner, name, reader)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ import select_reference
 from almt.corpus import Corpus, Sentence
 from almt.ngrams import Vocabulary, extract_ngrams, semi_maximal_set
 from almt.select import select_ngf
+from ngrams_reference import decode
 
 
 def corpus_of(*lines):
@@ -29,6 +31,15 @@ def brute_force_semi_maximal(index):
     return keep
 
 
+def semi_maximal_phrases(index):
+    return set(decode(index, semi_maximal_set(index)))
+
+
+def by_id(phrases):
+    """``phrases`` in id order: by length, then lexicographic."""
+    return sorted(phrases, key=lambda p: (len(p), p))
+
+
 def random_corpus(rng, max_sentences=50, vocab=10):
     words = [f"w{i}" for i in range(rng.randint(2, vocab))]
     lines = []
@@ -39,13 +50,13 @@ def random_corpus(rng, max_sentences=50, vocab=10):
 
 def test_extract_two_tokens():
     index = extract_ngrams(corpus_of("a b"), 2)
-    assert index == {("a",): 1, ("b",): 1, ("a", "b"): 1}
+    assert decode(index) == {("a",): 1, ("b",): 1, ("a", "b"): 1}
 
 
 def test_extract_overlapping_counts():
-    index = extract_ngrams(corpus_of("a a a"), 2)
-    assert index[("a",)] == 3
-    assert index[("a", "a")] == 2
+    counts = decode(extract_ngrams(corpus_of("a a a"), 2))
+    assert counts[("a",)] == 3
+    assert counts[("a", "a")] == 2
 
 
 def test_extract_empty_corpus():
@@ -59,9 +70,9 @@ def test_extract_rejects_bad_maxn():
 
 def test_occ_absent_is_zero():
     index = extract_ngrams(corpus_of("a b"), 2)
-    assert index[("z",)] == 0
-    assert index[("a", "b")] == 1
-    assert len(index) == 3 and ("z",) not in index  # reading did not insert
+    assert decode(index)[("a", "b")] == 1
+    assert index.ids_of(extract_ngrams(corpus_of("z a"), 1)).tolist() == [0, -1]  # "z" has no id
+    assert len(index) == 3
 
 
 def test_counts_match_brute_force_slicing():
@@ -77,15 +88,15 @@ def test_counts_match_brute_force_slicing():
                         p = sent.tokens[start:start + n]
                         expected[p] = expected.get(p, 0) + 1
             index = extract_ngrams(corpus, max_n)
-            assert dict(index) == expected
-            assert list(index) == list(expected)  # same first-seen key order
+            assert decode(index) == expected
+            assert list(decode(index)) == by_id(expected)
 
 
 def test_length_n_count_identity():
     corpus = corpus_of("a b c", "a", "b c d e")
     index = extract_ngrams(corpus, 4)
     for n in range(1, 5):
-        total = sum(c for p, c in index.items() if len(p) == n)
+        total = sum(c for p, c in decode(index).items() if len(p) == n)
         expected = sum(max(0, len(s.tokens) - n + 1) for s in corpus)
         assert total == expected
 
@@ -93,51 +104,55 @@ def test_length_n_count_identity():
 def test_semi_order_inequality():
     # occ("a b") = 4 and occ("a b c") = 3: 2*3 > 4, so "a b" is not semi-maximal
     index = extract_ngrams(corpus_of(*(["a b c"] * 3 + ["a b"])), 3)
-    assert (index[("a", "b")], index[("a", "b", "c")]) == (4, 3)
-    assert ("a", "b") not in semi_maximal_set(index)
+    counts = decode(index)
+    assert (counts[("a", "b")], counts[("a", "b", "c")]) == (4, 3)
+    assert ("a", "b") not in semi_maximal_phrases(index)
 
 
 def test_semi_order_boundary_strict():
     # occ("a b") = 4 and occ("a b c") = 2: 2*2 > 4 fails, so "a b" stays
     index = extract_ngrams(corpus_of(*(["a b c"] * 2 + ["a b"] * 2)), 3)
-    assert (index[("a", "b")], index[("a", "b", "c")]) == (4, 2)
-    assert ("a", "b") in semi_maximal_set(index)
+    counts = decode(index)
+    assert (counts[("a", "b")], counts[("a", "b", "c")]) == (4, 2)
+    assert ("a", "b") in semi_maximal_phrases(index)
 
 
 def test_semi_order_requires_strict_substring():
     # "a b" occurs once, and 2*1 > 1: were it its own superstring it would be excluded
     index = extract_ngrams(corpus_of("a b"), 2)
-    assert semi_maximal_set(index) == {("a", "b")}
+    assert semi_maximal_phrases(index) == {("a", "b")}
 
 
 def test_semi_order_always_cooccurring_superstring():
     # "eines der" always next to "eines der besten" style co-occurrence
     corpus = corpus_of(*(["eines der besten"] * 4))
     index = extract_ngrams(corpus, 3)
-    assert ("eines", "der") not in semi_maximal_set(index)
+    assert ("eines", "der") not in semi_maximal_phrases(index)
 
 
 def test_semi_maximal_hand_example():
     index = extract_ngrams(corpus_of("a a a"), 2)
-    assert index[("a",)] == 3 and index[("a", "a")] == 2
-    assert semi_maximal_set(index) == {("a", "a")}
+    assert decode(index) == {("a",): 3, ("a", "a"): 2}
+    assert semi_maximal_phrases(index) == {("a", "a")}
 
 
 def test_semi_maximal_all_unigrams_when_no_superstrings():
     index = extract_ngrams(corpus_of("a", "b", "c"), 1)
-    assert semi_maximal_set(index) == {("a",), ("b",), ("c",)}
+    assert semi_maximal_phrases(index) == {("a",), ("b",), ("c",)}
 
 
 def test_semi_maximal_subset_of_index():
     index = extract_ngrams(corpus_of("a b c a b", "c c a"), 3)
-    assert semi_maximal_set(index) <= set(index)
+    ids = semi_maximal_set(index)
+    assert ids.dtype.kind == "i" and (np.diff(ids) > 0).all()  # ascending ids, each once
+    assert 0 <= ids.min() and ids.max() < len(index)
 
 
 def test_semi_maximal_matches_brute_force_random():
     rng = random.Random(31)
     for _ in range(25):
         index = extract_ngrams(random_corpus(rng), 4)
-        assert semi_maximal_set(index) == brute_force_semi_maximal(index)
+        assert semi_maximal_phrases(index) == brute_force_semi_maximal(decode(index))
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,14 +160,14 @@ def test_semi_maximal_matches_brute_force_random():
        max_n=st.integers(1, 5))
 def test_semi_maximal_matches_the_all_substring_reference(lines, max_n):
     index = extract_ngrams(Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]), max_n)
-    assert semi_maximal_set(index) == ngrams_reference.semi_maximal_set(index)
+    assert semi_maximal_phrases(index) == ngrams_reference.semi_maximal_set(decode(index))
 
 
 @given(st.lists(st.lists(st.sampled_from("ab"), min_size=1, max_size=6), min_size=1, max_size=10))
 @settings(max_examples=50, deadline=None)
 def test_occ_superstring_never_exceeds_substring(lines):
     corpus = Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)])
-    index = extract_ngrams(corpus, 3)
+    index = decode(extract_ngrams(corpus, 3))
     def strict_substring(p, q):
         return len(p) < len(q) and any(q[i:i + len(p)] == p for i in range(len(q) - len(p) + 1))
 
@@ -193,10 +208,11 @@ def test_coded_index_matches_the_tuple_counter(U, L, max_n):
     expected = ngrams_reference.extract_ngrams(U, max_n)
     shared = Vocabulary(s.tokens for corpus in (U, L) for s in corpus)
     for index in (extract_ngrams(U, max_n), extract_ngrams(U, max_n, shared)):
-        assert dict(index) == expected
-        assert list(index) == list(expected)  # first-seen order
-        assert len(index) == len(expected) and index[("z",)] == 0 and ("z",) not in index
-        assert semi_maximal_set(index) == ngrams_reference.semi_maximal_set(expected)
+        assert decode(index) == expected
+        assert list(decode(index)) == by_id(expected)
+        assert index.phrases() == [index.phrase(i) for i in range(len(index))]
+        assert len(index) == len(expected)
+        assert semi_maximal_phrases(index) == ngrams_reference.semi_maximal_set(expected)
         rows = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
         assert index.tsv == "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode()
 
@@ -221,7 +237,7 @@ def test_codes_do_not_wrap_where_packed_keys_would(distinct, length, max_n):
     corpus = Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)])
     L = Corpus([Sentence(0, tuple(tokens[:length]))])
     index, expected = extract_ngrams(corpus, max_n), ngrams_reference.extract_ngrams(corpus, max_n)
-    assert dict(index) == expected
+    assert decode(index) == expected
     assert int(index.counts.min()) >= 1 and max(expected.values()) > 1
     ranked = [p.tokens for p in select_ngf(index, extract_ngrams(L, max_n), 10 ** 9).phrases]
     assert ranked == select_reference.ngf_order(expected, ngrams_reference.extract_ngrams(L, max_n))

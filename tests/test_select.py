@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
 import select_reference
+from ngrams_reference import decode
 from almt.corpus import Corpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError
@@ -164,7 +165,7 @@ def test_ngf_matches_brute_force_toy():
     index_U, index_L = extract_ngrams(U, 3), extract_ngrams(L, 3)
     for budget in (3, 7, 15):
         got = [p.tokens for p in select_ngf(index_U, index_L, budget).phrases]
-        assert got == brute_force_ngf(index_U, index_L, budget)
+        assert got == brute_force_ngf(decode(index_U), decode(index_L), budget)
 
 
 def test_ngf_smp_pool_is_semi_maximal():
@@ -173,7 +174,7 @@ def test_ngf_smp_pool_is_semi_maximal():
     result = select_ngf_smp(index_U, index_L, budget=10)
     picks = [p.tokens for p in result.phrases]
     assert ("a", "a") in picks and ("a",) not in picks
-    smp = semi_maximal_set(index_U)
+    smp = decode(index_U, semi_maximal_set(index_U))
     assert all(p in smp for p in picks)
 
 
@@ -188,8 +189,8 @@ def test_ngf_smp_matches_brute_force_random():
         index_U, index_L = extract_ngrams(U, 4), extract_ngrams(L, 4)
         budget = rng.randint(5, 50)
         got = [p.tokens for p in select_ngf_smp(index_U, index_L, budget).phrases]
-        assert got == brute_force_ngf(index_U, index_L, budget,
-                                      candidates=semi_maximal_set(index_U))
+        assert got == brute_force_ngf(decode(index_U), decode(index_L), budget,
+                                      candidates=set(decode(index_U, semi_maximal_set(index_U))))
 
 
 def test_split_budget():
