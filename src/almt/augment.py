@@ -12,6 +12,7 @@ from .align import TranslationTable, align_pair, target_span
 from .corpus import ParallelCorpus, Phrase, write_text
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
+from .ngrams import Vocabulary, occurrences
 
 
 @dataclass
@@ -53,28 +54,24 @@ def contextualize(x_star, p):
     return tuple(x_star) + p
 
 
-class PhraseIndex:
-    """Annotated (p_x, p_y) pairs keyed by source tuple, for window lookups."""
+def phrases_in_sentence(sentences, phrase_pairs, vocab: Vocabulary = None):
+    """For each of the token sequences ``sentences``, the annotated (p_x, p_y)
+    pairs whose source side occurs in it, in annotation order, duplicates included.
 
-    def __init__(self, phrase_pairs):
-        self.pairs = [(tuple(p_x), tuple(p_y)) for p_x, p_y in phrase_pairs]
-        self.positions = {}
-        for i, (p_x, _) in enumerate(self.pairs):
-            self.positions.setdefault(p_x, []).append(i)
-        self.lengths = sorted({len(p_x) for p_x in self.positions})
-
-
-def phrases_in_sentence(tokens, index: PhraseIndex):
-    """Annotated (p_x, p_y) pairs whose source side occurs in tokens.
-
-    Pairs come back in their annotation order, duplicates included.
+    One scan finds every source side's occurrences (``ngrams.occurrences``);
+    ``vocab`` codes the sentences, which it must cover, and by default is their own.
     """
-    tokens = tuple(tokens)
-    hits = set()
-    for n in index.lengths:
-        for s in range(len(tokens) - n + 1):
-            hits.update(index.positions.get(tokens[s:s + n], ()))
-    return [index.pairs[i] for i in sorted(hits)]
+    pairs = [(tuple(p_x), tuple(p_y)) for p_x, p_y in phrase_pairs]
+    found = [set() for _ in sentences]  # per sentence: indices in ``pairs``
+    if pairs:
+        by_source = {}
+        for i, (p_x, _) in enumerate(pairs):
+            by_source.setdefault(p_x, []).append(i)
+        sources = list(by_source)
+        phrase, sentence, _ = occurrences(sources, sentences, vocab)
+        for k, s in zip(phrase.tolist(), sentence.tolist()):
+            found[s].update(by_source[sources[k]])
+    return [[pairs[i] for i in sorted(hits)] for hits in found]
 
 
 def best_switch(annotated, x_star, y_star, links, lm: NGramLM, origin_id: int = -1):
@@ -124,22 +121,21 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
 
 
 def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramLM,
-                   table: TranslationTable, recipe: str, links: dict):
+                   table: TranslationTable, recipe: str, links: dict, vocab: Vocabulary = None):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
     ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. ``links`` maps a
     pair id to its alignment under ``table``; a retrieved pair missing from it
     is aligned and added, so a dict passed to every call (one per run, as
     ``RunContext.links``) aligns each pair once however many U sentences and
-    budgets retrieve it. Returns (pairs, report) where report counts sentences
-    dropped per reason.
+    budgets retrieve it. ``vocab`` codes U, which it must cover; by default it
+    is U's own. Returns (pairs, report) where report counts sentences dropped
+    per reason.
     """
-    index = PhraseIndex(phrase_pairs)
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     pairs = []
-    for sent in U:
-        annotated = phrases_in_sentence(sent.tokens, index)
+    for sent, annotated in zip(U, phrases_in_sentence([s.tokens for s in U], phrase_pairs, vocab)):
         if not annotated:
             report["no-annotated-phrase"] += 1
             continue

@@ -94,6 +94,9 @@ def _cmd_mix(args):
         raise ConfigError(f"--size {args.size} is not between 0 and the {len(context.L)} pairs "
                           f"of {args.labeled}")
     rows, skipped = mix_pairs(context, args.size)
+    if len(rows) < args.size:
+        raise ConfigError(f"--size {args.size} exceeds the usable pool of {len(rows)} pairs "
+                          f"({len(skipped)} skipped as degenerate)")
     if skipped:
         print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
     mix.write_freeze(rows, args.output)
@@ -135,7 +138,10 @@ def _cmd_analyze(args):
     tokens = [[s.tokens for s in corpus] for corpus in corpora]
     if args.mode == "coverage":
         _check(args, {"max_n": "--max-n"})
-        report = analyze.ngram_coverage(*tokens, args.max_n, token_level=args.token_level)
+        try:
+            report = analyze.ngram_coverage(*tokens, args.max_n, token_level=args.token_level)
+        except ValueError as exc:  # an empty test corpus
+            raise ParseError(f"{args.test}: {exc}") from None
         print(json.dumps({str(n): round(v, 4) for n, v in report.per_n.items()}))
     elif args.mode == "bleu":
         hyp, ref = corpora
@@ -201,7 +207,7 @@ def build_parser():
 
     p = sub.add_parser("extract", help="build and export an n-gram index")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=RunConfig.max_n)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_extract)
 
@@ -211,11 +217,11 @@ def build_parser():
     p.add_argument("--unlabeled", required=True)
     p.add_argument("--labeled")
     p.add_argument("--budget-words", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--k", type=int, default=RunConfig.k)
+    p.add_argument("--max-n", type=int, default=RunConfig.max_n)
     p.add_argument("--rttl-scores")
-    p.add_argument("--dist-mode", choices=["literal", "nn"], default="literal")
+    p.add_argument("--dist-mode", choices=["literal", "nn"], default=RunConfig.dist_mode)
     p.add_argument("--embeddings-unlabeled")
     p.add_argument("--embeddings-labeled")
     p.add_argument("--output", required=True)
@@ -225,16 +231,16 @@ def build_parser():
     p.add_argument("--selection", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--labeled", required=True)
-    p.add_argument("--iterations", type=int, default=5)
+    p.add_argument("--iterations", type=int, default=RunConfig.ibm1_iterations)
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("mix", help="sample or retrieve out-of-domain pairs")
     p.add_argument("--labeled", required=True)
-    p.add_argument("--policy", choices=["sample", "retrieve"], default="retrieve")
+    p.add_argument("--policy", choices=["sample", "retrieve"], default=RunConfig.mix_policy)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--k", type=int, default=RunConfig.k)
     p.add_argument("--embeddings-labeled")
     p.add_argument("--embeddings-unlabeled")
     p.add_argument("--output", required=True)
@@ -245,7 +251,7 @@ def build_parser():
                    help="correlation reads --input, a TSV of coverage columns + a score column")
     for key in dict.fromkeys(key for keys in _ANALYZE_NEEDS.values() for key in keys):
         p.add_argument(f"--{key}")
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=RunConfig.max_n)
     p.add_argument("--token-level", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 

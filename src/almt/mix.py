@@ -47,8 +47,9 @@ def sample_random(parallel: ParallelCorpus, M: int, seed: int):
     return [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ids[:M]]
 
 
-def retrieve_similar(parallel: ParallelCorpus, scorer, M: int):
-    """Top-M out-of-domain pairs by corpus-level ratio similarity to U.
+def retrieve_similar(parallel: ParallelCorpus, scorer, M):
+    """Top-M out-of-domain pairs by corpus-level ratio similarity to U; M None
+    ranks every usable pair.
 
     ``scorer`` is an L × U RatioScorer. Ranking is by max ratio against any U
     sentence, descending, ties by ascending id. Pairs with degenerate
@@ -56,7 +57,7 @@ def retrieve_similar(parallel: ParallelCorpus, scorer, M: int):
     """
     scores, skipped = scorer.max_over_b()
     usable = [sid for sid in parallel.ids() if sid in scores]
-    if M > len(usable):
+    if M is not None and M > len(usable):
         raise ConfigError(f"M={M} exceeds usable pool of {len(usable)} pairs "
                           f"({len(skipped)} skipped as degenerate)")
     ranked = sorted(usable, key=lambda sid: (-scores[sid], sid))[:M]

@@ -108,19 +108,6 @@ class OccurrenceIndex:
             out[other.level(n)] = np.where(rank >= 0, rank + self.offsets[n - 1], -1)
         return out
 
-    def locate(self, tok, ends):
-        """Yield (n, positions, ids) for n = 1 to ``max_n``: where an n-gram
-        stored here starts in the sentences coded by this vocabulary as (token
-        ids, sentence end offsets), ascending, and its id."""
-        room = _room(ends)
-        at, rank = np.arange(len(tok)), np.zeros(len(tok), np.int64)
-        for n in range(1, self.max_n + 1):
-            fits = room[at] >= n
-            at, rank = at[fits], self.step(n, rank[fits], tok[at[fits] + n - 1])
-            found = rank >= 0
-            at, rank = at[found], rank[found]
-            yield n, at, rank + self.offsets[n - 1]
-
     def phrase(self, i) -> Phrase:
         """The n-gram with id ``i``."""
         n = bisect.bisect_right(self.offsets, i)
@@ -154,6 +141,33 @@ def extract_ngrams(corpus: Corpus, max_n: int, vocab: Vocabulary = None) -> Occu
     """The n-grams of ``corpus`` up to length ``max_n``, coded by ``vocab``, which
     must cover the corpus; by default one of the corpus's own."""
     return OccurrenceIndex([s.tokens for s in corpus], max_n, vocab)
+
+
+def occurrences(phrases, sentences, vocab: Vocabulary = None):
+    """Arrays (phrase, sentence, start), one entry per occurrence of the distinct
+    ``phrases`` in the list ``sentences``, by index in each list and in the
+    sentence, ordered by phrase length, then sentence, then start. ``vocab``
+    codes the sentences, which it must cover; by default it is their own. A
+    phrase that is empty or has a token outside it occurs nowhere."""
+    vocab = vocab if vocab is not None else Vocabulary(sentences)
+    known = [i for i, p in enumerate(phrases) if p and all(t in vocab.ids for t in p)]
+    wanted = OccurrenceIndex([phrases[i] for i in known],
+                             max((len(phrases[i]) for i in known), default=1), vocab)
+    id_of = {p: i for i, p in enumerate(wanted.phrases())}
+    which = np.full(len(wanted), -1)  # id in ``wanted`` -> index in ``phrases``, of whole phrases
+    which[[id_of[phrases[i]] for i in known]] = known
+    tok, ends = vocab.code(sentences)
+    room = _room(ends)
+    at, rank, hits = np.arange(len(tok)), np.zeros(len(tok), np.int64), []
+    for n in range(1, wanted.max_n + 1):  # each window extends its one-token-shorter prefix
+        fits = room[at] >= n
+        at, rank = at[fits], wanted.step(n, rank[fits], tok[at[fits] + n - 1])
+        at, rank = at[rank >= 0], rank[rank >= 0]
+        k = which[rank + wanted.offsets[n - 1]]
+        hits.append((k[k >= 0], at[k >= 0]))
+    k, at = (np.concatenate(arrays) for arrays in zip(*hits))
+    sentence = np.searchsorted(ends, at, side="right")
+    return k, sentence, at - (ends - np.diff(ends, prepend=0))[sentence]
 
 
 def semi_maximal_set(index: OccurrenceIndex):

@@ -8,12 +8,10 @@ extracted from aligned reference occurrences and decided by majority vote.
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .align import TranslationTable, align_pair, target_span
 from .corpus import ParallelCorpus, write_text
 from .errors import OracleGapError
-from .ngrams import OccurrenceIndex, Vocabulary
+from .ngrams import Vocabulary, occurrences
 
 
 @dataclass
@@ -38,34 +36,6 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     return out
 
 
-def _occurrences(phrases, reference: ParallelCorpus, vocab: Vocabulary):
-    """phrase -> [(reference pair id, start)] of each of the distinct ``phrases``
-    that occurs in the reference's source side, in sentence order then by start.
-
-    The phrases' own index is matched against every window of the reference
-    in one pass per length; ``vocab`` covers the reference, so a phrase with a
-    token outside it does not occur.
-    """
-    known = [p for p in phrases if p and all(t in vocab.ids for t in p)]
-    if not known:
-        return {}
-    wanted = OccurrenceIndex(known, max(map(len, known)), vocab)
-    id_of = {p: i for i, p in enumerate(wanted.phrases())}
-    which = np.full(len(wanted), -1)  # id in ``wanted`` -> index in ``known``, of whole phrases
-    which[[id_of[p] for p in known]] = np.arange(len(known))
-    sources = [src for src, _ in reference]
-    tok, ends = vocab.code([src.tokens for src in sources])
-    starts = ends - np.diff(ends, prepend=0)
-    occurrences = {}
-    for _, at, ids in wanted.locate(tok, ends):  # a phrase's windows are all of one length
-        k = which[ids]
-        at, k = at[k >= 0], k[k >= 0]
-        sentence = np.searchsorted(ends, at, side="right")
-        for i, s, start in zip(k.tolist(), sentence.tolist(), (at - starts[sentence]).tolist()):
-            occurrences.setdefault(known[i], []).append((sources[s].id, start))
-    return occurrences
-
-
 def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable,
                       vocab: Vocabulary = None):
     """Alignment-based phrase translation with majority vote over occurrences.
@@ -80,17 +50,19 @@ def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTabl
     phrases = [tuple(p) for p in phrases]
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
-    if vocab is None:
-        vocab = Vocabulary(src.tokens for src, _ in reference)
-    occurrences = _occurrences(phrases, reference, vocab)
+    sources = [src for src, _ in reference]
+    phrase, sentence, start = occurrences(phrases, [src.tokens for src in sources], vocab)
+    found = {}  # phrase index -> [(reference pair id, start)], in sentence order then by start
+    for k, s, i in zip(phrase.tolist(), sentence.tolist(), start.tolist()):
+        found.setdefault(k, []).append((sources[s].id, i))
 
     links, responses, drops = {}, [], {}  # links: reference pair id -> its alignment
-    for p in phrases:
-        if p not in occurrences:
+    for k, p in enumerate(phrases):
+        if k not in found:
             drops[p] = "not-in-reference"
             continue
         votes = {}
-        for sid, start in occurrences[p]:
+        for sid, start in found[k]:
             src, tgt = reference.get(sid)
             if sid not in links:
                 links[sid] = align_pair(src.tokens, tgt.tokens, table)

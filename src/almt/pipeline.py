@@ -329,8 +329,8 @@ class RunContext:
     @cached_property
     def vocab(self):
         """One token coding for U, L's source side and the reference's source side, of
-        those the run reads. A phrase strategy or the oracle builds it on first use,
-        so a run with neither builds none."""
+        those the run reads. A phrase strategy, or the oracle or augment given a
+        phrase, builds it on first use, so a run with none of them builds none."""
         config, corpora = self.config, [self.L.source_corpus()]
         if config.unlabeled is not None:  # None when `almt oracle` builds the context
             corpora.append(self.U)
@@ -408,7 +408,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             report.dropped["oracle:phrases"] = {" ".join(p): r for p, r in phrase_drops.items()}
 
     with _stage(report, "mix"):
-        l_r, skipped = mix_pairs(context, min(len(l_p_resp), len(context.L)))
+        l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
             report.dropped["mix:degenerate"] = len(skipped)
         mix.write_freeze(l_r, out("freeze", "retrieved.freeze.jsonl"))
@@ -420,7 +420,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
             synthetic, aug_report = augment.augment_corpus(
                 context.U, phrase_pairs, context.scorer, context.L, context.lm, context.table,
-                config.augment_recipe, context.links)
+                config.augment_recipe, context.links, context.vocab if phrase_pairs else None)
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))
             report.counts["synthetic_pairs"] = len(synthetic)
@@ -457,13 +457,15 @@ def respond(context: RunContext, cut, out):
 
 def mix_pairs(context: RunContext, m: int):
     """The mix stage: the freeze file's out-of-domain pairs if the config names
-    one, else m sampled or retrieved ones. Returns (rows, ids that retrieval skipped)."""
+    one, else m sampled or retrieved ones, fewer if fewer are usable. Returns
+    (rows, ids that retrieval skipped as degenerate)."""
     config, L = context.config, context.L
     if config.freeze_file is not None:
         return context.frozen, []
     if config.mix_policy == "sample":
-        return mix.sample_random(L, m, config.seed), []
-    return mix.retrieve_similar(L, context.scorer.T, m)
+        return mix.sample_random(L, min(m, len(L)), config.seed), []
+    rows, skipped = mix.retrieve_similar(L, context.scorer.T, None)
+    return rows[:m], skipped
 
 
 def _finish(report, run_dir, outputs):

@@ -7,6 +7,7 @@ lexicographic) for reproducibility.
 """
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, asdict
 
@@ -173,16 +174,22 @@ def select_rttl(U: Corpus, scores: dict, budget: int) -> SelectionResult:
 
 
 def load_rttl_scores(path) -> dict:
-    """TSV "sentence-id TAB score"."""
+    """TSV "sentence-id TAB score". A malformed line, a NaN score or a repeated id
+    raises ParseError naming ``path`` and the line (a repeated id's second one)."""
     scores = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:
             sid, val = line.rstrip("\n").split("\t")
-            scores[int(sid)] = float(val)
+            sid, val = int(sid), float(val)
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: expected 'id TAB score', got {line.rstrip()!r}")
+            raise ParseError(f"{path}:{lineno}: expected 'id TAB score', got {line.rstrip()!r}") from None
+        if math.isnan(val):
+            raise ParseError(f"{path}:{lineno}: NaN score")
+        if sid in scores:
+            raise ParseError(f"{path}:{lineno}: duplicate id {sid}")
+        scores[sid] = val
     return scores
 
 

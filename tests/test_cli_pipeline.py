@@ -1100,3 +1100,88 @@ def test_budget_independent_reads_happen_once(stock_toy, tmp_path, monkeypatch):
                         freeze_file=str(freeze), output_dir=str(tmp_path / "runs"))
     assert len(run_pipeline(config)) == 3
     assert calls == {"load_freeze": 1, "load_rttl_scores": 1}
+
+
+def _zero_l_vector(out):
+    """The stock toy at 30 L pairs, whose L id 0 has a zero vector, and its config."""
+    config = toy.generate(out, seed=7, n_labeled=30)
+    emb = Path(config["embeddings_labeled"])
+    header, *rows = emb.read_text().splitlines()
+    dim = int(header.split("=")[1])
+    rows = [f"0\t{' '.join(['0.0'] * dim)}" if row.split("\t")[0] == "0" else row for row in rows]
+    emb.write_text("\n".join([header, *rows]) + "\n")
+    config.update(labeled_subset_size=30, budgets=[400], output_dir=str(Path(out) / "runs"))
+    return config
+
+
+def test_pipeline_mixes_the_usable_pool_when_a_labeled_vector_is_zero(tmp_path, capsys):
+    config = _zero_l_vector(tmp_path)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "runs" / "budget-400" / "report.json").read_text())
+    assert report["counts"]["translated_phrases"] >= 30
+    assert report["counts"]["mixed_pairs"] == 29
+    assert report["dropped"]["mix:degenerate"] == 1
+    freeze = (tmp_path / "runs" / "budget-400" / "retrieved.freeze.jsonl").read_text()
+    assert '{"id": 0}' not in freeze.splitlines()
+
+
+def test_cli_mix_size_beyond_the_usable_pool_exits_2(tmp_path, capsys):
+    config = _zero_l_vector(tmp_path)
+    args = ["mix", "--labeled", config["labeled"], "--embeddings-labeled", config["embeddings_labeled"],
+            "--embeddings-unlabeled", config["embeddings_unlabeled"], "--output", str(tmp_path / "f.jsonl")]
+    assert main([*args, "--size", "30"]) == 2
+    err = capsys.readouterr().err
+    assert "--size 30 exceeds the usable pool of 29 pairs (1 skipped as degenerate)" in err
+    assert "Traceback" not in err
+    assert main([*args, "--size", "29"]) == 0
+
+
+@pytest.mark.parametrize("edit, fault", [
+    pytest.param(lambda rows: [f"{r.split()[0]}\tnan" if r.split()[0] in ("5", "6") else r
+                               for r in rows], "6: NaN score", id="nan"),  # id 5 is on line 6
+    pytest.param(lambda rows: [*rows, "", "5\t-3.0"], "202: duplicate id 5", id="repeated-id"),
+])
+def test_cli_select_rttl_nan_or_repeated_id_exits_3_naming_the_line(edit, fault, stock_toy,
+                                                                   tmp_path, capsys):
+    scores = tmp_path / "rttl.tsv"
+    rows = (stock_toy / "rttl_scores.tsv").read_text().splitlines()
+    assert len(rows) == 200
+    scores.write_text("\n".join(edit(rows)) + "\n")
+    assert main(["select", "--strategy", "rttl", "--unlabeled", str(stock_toy / "U.txt"),
+                 "--rttl-scores", str(scores), "--budget-words", "60",
+                 "--output", str(tmp_path / "sel.jsonl")]) == 3
+    err = capsys.readouterr().err
+    assert f"{scores}:{fault}" in err and "Traceback" not in err
+
+
+def test_cli_analyze_coverage_on_an_empty_test_file_exits_3(stock_toy, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert main(["analyze", "coverage", "--covering", str(stock_toy / "U.txt"),
+                 "--test", str(empty)]) == 3
+    err = capsys.readouterr().err
+    assert f"{empty}: test corpus is empty" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["extract", "--input", "u", "--output", "o"], {"max_n": "max_n"}),
+    (["select", "--strategy", "csse", "--unlabeled", "u", "--budget-words", "1", "--output", "o"],
+     {"seed": "seed", "k": "k", "max_n": "max_n", "dist_mode": "dist_mode"}),
+    (["oracle", "--selection", "s", "--reference", "r", "--labeled", "l", "--output-prefix", "o"],
+     {"iterations": "ibm1_iterations"}),
+    (["mix", "--labeled", "l", "--size", "1", "--output", "o"],
+     {"seed": "seed", "k": "k", "policy": "mix_policy"}),
+    (["analyze", "coverage"], {"max_n": "max_n"}),
+], ids=["extract", "select", "oracle", "mix", "analyze"])
+def test_stage_command_defaults_are_the_run_config_defaults(argv, flags, monkeypatch):
+    """Each flag (parsed name -> RunConfig field) follows a changed field default."""
+    from almt.cli import build_parser
+    changed = {"max_n": 6, "seed": 3, "k": 2, "dist_mode": "nn", "ibm1_iterations": 9,
+               "mix_policy": "sample"}
+    for key in flags.values():
+        monkeypatch.setattr(RunConfig, key, changed[key])
+    args = build_parser().parse_args(argv)
+    assert {dest: getattr(args, dest) for dest in flags} == {
+        dest: changed[key] for dest, key in flags.items()}

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import augment_reference
 import lm_reference
 
 from almt.align import TranslationTable, NULL_TOKEN, align_pair
 from almt.corpus import Corpus, ParallelCorpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
-from almt.augment import (PhraseIndex, augment_corpus, best_contextualize, best_switch,
-                          contextualize, phrases_in_sentence, switch)
+from almt.ngrams import Vocabulary
+from almt.augment import (augment_corpus, best_contextualize, best_switch, contextualize,
+                          phrases_in_sentence, switch)
 
 
 def corpus_of(*lines):
@@ -143,16 +145,40 @@ def test_contextualize_empty_phrase_rejected():
 
 def test_phrases_in_sentence():
     pairs = [(("cat", "sat"), ("T_cat", "T_sat")), (("dog",), ("T_dog",))]
-    found = phrases_in_sentence(("the", "cat", "sat"), PhraseIndex(pairs))
-    assert found == [(("cat", "sat"), ("T_cat", "T_sat"))]
+    found = phrases_in_sentence([("the", "cat", "sat")], pairs)
+    assert found == [[(("cat", "sat"), ("T_cat", "T_sat"))]]
 
 
 def test_phrases_in_sentence_keeps_annotation_order_and_duplicates():
     pairs = [(["sat"], ["T_sat"]), (["the", "cat"], ["T_the", "T_cat"]), (["dog"], ["T_dog"]),
              (["sat"], ["T_sat2"]), (["cat"], ["T_cat"]), (["sat"], ["T_sat"])]
-    found = phrases_in_sentence(["the", "cat", "sat", "cat"], PhraseIndex(pairs))
-    assert found == [(("sat",), ("T_sat",)), (("the", "cat"), ("T_the", "T_cat")),
-                     (("sat",), ("T_sat2",)), (("cat",), ("T_cat",)), (("sat",), ("T_sat",))]
+    found = phrases_in_sentence([["the", "cat", "sat", "cat"]], pairs)
+    assert found == [[(("sat",), ("T_sat",)), (("the", "cat"), ("T_the", "T_cat")),
+                      (("sat",), ("T_sat2",)), (("cat",), ("T_cat",)), (("sat",), ("T_sat",))]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sentences=st.lists(st.lists(st.sampled_from("aab"), max_size=8), max_size=6),
+       max_n=st.integers(1, 6), wide=st.booleans(), rng=st.randoms(use_true_random=False))
+def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, wide, rng):
+    """Sources are windows of the sentences (repeats such as "a a a" included) or
+    hold a token no sentence has; some repeat, with a target of their own."""
+    sources = []
+    for _ in range(rng.randint(0, 10)):
+        n = rng.randint(1, max_n)
+        tokens = rng.choice(sentences) if sentences and rng.random() < 0.7 else []
+        if len(tokens) >= n:
+            start = rng.randrange(len(tokens) - n + 1)
+            sources.append(tuple(tokens[start:start + n]))
+        else:
+            sources.append(tuple(rng.choice("abz") for _ in range(n)))
+    sources += rng.sample(sources, min(len(sources), 3))
+    pairs = [(p_x, tuple(f"T{i}" for i in range(len(p_x) + rng.randint(0, 1)))) for p_x in sources]
+    rng.shuffle(pairs)
+    vocab = Vocabulary([*sentences, ("b", "z")]) if wide else None
+    index = augment_reference.PhraseIndex(pairs)
+    assert phrases_in_sentence(sentences, pairs, vocab) == [
+        augment_reference.phrases_in_sentence(tokens, index) for tokens in sentences]
 
 
 # --- augment_corpus ---

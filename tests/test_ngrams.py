@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ngrams_reference
 import select_reference
 from almt.corpus import Corpus, Sentence
-from almt.ngrams import Vocabulary, extract_ngrams, semi_maximal_set
+from almt.ngrams import Vocabulary, extract_ngrams, occurrences, semi_maximal_set
 from almt.select import select_ngf
 from ngrams_reference import decode
 
@@ -175,6 +175,15 @@ def test_occ_superstring_never_exceeds_substring(lines):
         for q in index:
             if strict_substring(p, q):
                 assert index[p] >= index[q]
+
+
+def test_occurrences_by_length_then_sentence_then_start():
+    sentences = [("a", "a", "a"), (), ("b", "a", "a")]
+    phrases = [("a", "a"), ("z",), ("b",), (), ("a",), ("a", "a", "b")]
+    found = [tuple(map(int, hit)) for hit in zip(*occurrences(phrases, sentences))]
+    assert found == [(4, 0, 0), (4, 0, 1), (4, 0, 2), (2, 2, 0), (4, 2, 1), (4, 2, 2),
+                     (0, 0, 0), (0, 0, 1), (0, 2, 1)]
+    assert [len(a) for a in occurrences([("z",)], sentences)] == [0, 0, 0]
 
 
 def test_export_tsv_deterministic_order(tmp_path):

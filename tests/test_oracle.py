@@ -187,13 +187,14 @@ def sentences(own):
 @given(U=sentences("u"), ref=sentences("r"), max_n=st.integers(1, 6),
        rng=st.randoms(use_true_random=False))
 def test_coded_scan_matches_the_window_scan_reference(U, ref, max_n, rng):
-    """Phrases are the n-grams of a U that shares some tokens with the reference;
-    targets lose a token now and then, so both drop reasons occur."""
+    """Phrases are the n-grams of a U that shares some tokens with the reference,
+    plus one with a token neither side has; targets lose a token now and then,
+    so both drop reasons occur."""
     reference = parallel_of(*((" ".join(src), " ".join([f"T_{w}" for w in src if rng.random() < 0.8]
                                                         or ["T_x"])) for src in ref))
     table = train_ibm1(reference, 2)
     U = [Sentence(i, tuple(s)) for i, s in enumerate(U)]
-    phrases = list(ngrams_reference.extract_ngrams(U, max_n))
+    phrases = [*ngrams_reference.extract_ngrams(U, max_n), ("a", "z")]
     rng.shuffle(phrases)
     expected = oracle_reference.translate_phrases(phrases, reference, table)
     assert translate_phrases(phrases, reference, table) == expected
