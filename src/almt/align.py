@@ -7,6 +7,7 @@ reverse=True to train the other direction.
 import numpy as np
 
 from .corpus import ParallelCorpus
+from .ngrams import Vocabulary
 
 NULL_TOKEN = "<NULL>"
 
@@ -30,24 +31,22 @@ def _code_bitext(parallel: ParallelCorpus, reverse: bool):
     position with NULL first), in pair, then target, then source order.
 
     Returns (codes, blocks, pair_keys, src_vocab, tgt_vocab). ``codes`` holds
-    three int32 term arrays: the (source, target) pair id, the source id
-    (NULL = 0) and the group id (one group per target position). ``blocks``
-    are (lo, hi) term ranges of whole sentence pairs, each of at most
-    BLOCK_TERMS terms unless one pair alone has more. ``pair_keys`` lists each
-    (source id, target id) by first occurrence; the vocabularies map token to id.
+    three int32 term arrays: the (source, target) pair id, the source id (NULL
+    coded as NULL_TOKEN) and the group id (one group per target position).
+    ``blocks`` are (lo, hi) term ranges of whole sentence pairs, each of at most
+    BLOCK_TERMS terms unless one pair alone has more. ``pair_keys`` holds each
+    pair id's source id * len(tgt_vocab) + target id.
     """
-    src_vocab, tgt_vocab, pair_ids = {NULL_TOKEN: 0}, {}, {}
-    # Token ids of all sentences, concatenated; each source sentence opens with NULL.
-    src_seq, tgt_seq, src_lens, tgt_lens = [], [], [], []
-    for s_pair, t_pair in parallel:
-        s, t = (t_pair.tokens, s_pair.tokens) if reverse else (s_pair.tokens, t_pair.tokens)
-        src_seq.append(0)
-        src_seq.extend([src_vocab.setdefault(tok, len(src_vocab)) for tok in s])
-        tgt_seq.extend([tgt_vocab.setdefault(tok, len(tgt_vocab)) for tok in t])
-        src_lens.append(len(s) + 1)
-        tgt_lens.append(len(t))
-    src_seq, tgt_seq = np.array(src_seq, np.int32), np.array(tgt_seq, np.int32)
-    src_lens, tgt_lens = np.array(src_lens), np.array(tgt_lens)
+    sides = [[s.tokens for s in side] for side in zip(*parallel)]
+    src_sents, tgt_sents = reversed(sides) if reverse else sides
+    src_vocab, tgt_vocab = Vocabulary([*src_sents, (NULL_TOKEN,)]), Vocabulary(tgt_sents)
+    src_seq, src_ends = src_vocab.code(src_sents)
+    tgt_seq, tgt_ends = tgt_vocab.code(tgt_sents)
+    src_lens, tgt_lens = np.diff(src_ends, prepend=0), np.diff(tgt_ends, prepend=0)
+    # Each source sentence opens with NULL; the codes are int32 from here on.
+    src_seq = np.insert(src_seq, src_ends - src_lens, src_vocab.ids[NULL_TOKEN]).astype(np.int32)
+    tgt_seq, src_lens = tgt_seq.astype(np.int32), src_lens + 1
+    del sides, src_sents, tgt_sents, src_ends, tgt_ends  # only int32 codes and lengths sit beside the term arrays
 
     # Per group: its term count, and the offset from a term's index to its
     # source token's index in src_seq. Per pair: its first term and group.
@@ -57,7 +56,7 @@ def _code_bitext(parallel: ParallelCorpus, reverse: bool):
     group_start = np.concatenate(([0], np.cumsum(tgt_lens)))
 
     pair, src, group = (np.empty(pair_start[-1], np.int32) for _ in range(3))
-    blocks, a = [], 0  # a: the block's first sentence pair, b: one past its last
+    blocks, pair_ids, a = [], {}, 0  # a: the block's first sentence pair, b: one past its last
     while a < len(src_lens):
         b = max(int(np.searchsorted(pair_start, pair_start[a] + BLOCK_TERMS, "right")) - 1, a + 1)
         lo, hi = int(pair_start[a]), int(pair_start[b])
@@ -65,18 +64,14 @@ def _code_bitext(parallel: ParallelCorpus, reverse: bool):
                       group_len[group_start[a]:group_start[b]])
         group[lo:hi] = g
         src[lo:hi] = src_seq[np.arange(lo, hi) + offset[g]]
-        # Pair ids by first occurrence: the block's distinct keys in the order
-        # they first appear, each looked up in (or added to) pair_ids.
+        # Pair ids span blocks: a pair keeps the id the first block holding it gave.
         keys = src[lo:hi].astype(np.int64) * len(tgt_vocab) + tgt_seq[g]
-        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        ids = np.empty(len(distinct), np.int32)
-        ids[order] = [pair_ids.setdefault(k, len(pair_ids)) for k in distinct[order].tolist()]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        ids = np.array([pair_ids.setdefault(k, len(pair_ids)) for k in distinct.tolist()], np.int32)
         pair[lo:hi] = ids[inverse]
         blocks.append((lo, hi))
         a = b
-    pair_keys = [divmod(k, len(tgt_vocab)) for k in pair_ids]
-    return (pair, src, group), blocks, pair_keys, src_vocab, tgt_vocab
+    return (pair, src, group), blocks, np.array(list(pair_ids), np.int64), src_vocab, tgt_vocab
 
 
 def _sweep(p, codes, blocks, counts=None, totals=None) -> float:
@@ -109,7 +104,7 @@ def train_ibm1(parallel: ParallelCorpus, iterations: int, reverse: bool = False)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     codes, blocks, pair_keys, src_vocab, tgt_vocab = _code_bitext(parallel, reverse)
-    pair_src = np.array([s for s, _ in pair_keys], dtype=np.intp)
+    pair_src, pair_tgt = np.divmod(pair_keys, len(tgt_vocab))
     p = np.full(len(pair_keys), 1.0 / len(tgt_vocab))
     log_likelihoods = []
     for it in range(iterations):
@@ -120,10 +115,9 @@ def train_ibm1(parallel: ParallelCorpus, iterations: int, reverse: bool = False)
         p = counts / totals[pair_src]
     log_likelihoods.append(_sweep(p, codes, blocks))
 
-    src_words, tgt_words = list(src_vocab), list(tgt_vocab)
     probs = {}
-    for (s, t), value in zip(pair_keys, p.tolist()):
-        probs.setdefault(src_words[s], {})[tgt_words[t]] = value
+    for s, t, value in zip(pair_src.tolist(), pair_tgt.tolist(), p.tolist()):
+        probs.setdefault(src_vocab.tokens[s], {})[tgt_vocab.tokens[t]] = value
     return TranslationTable(probs, log_likelihoods)
 
 
@@ -147,6 +141,19 @@ def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int
             continue
         links.add((best_i, j))
     return links
+
+
+class Alignments(dict):
+    """Pair id -> that pair of ``parallel``'s ``align_pair`` links under ``table``,
+    aligned on the first lookup and kept."""
+
+    def __init__(self, parallel: ParallelCorpus, table: TranslationTable):
+        self.parallel, self.table = parallel, table
+
+    def __missing__(self, pair_id):
+        src, tgt = self.parallel.get(pair_id)
+        self[pair_id] = links = align_pair(src.tokens, tgt.tokens, self.table)
+        return links
 
 
 def target_span(links, start: int, end: int):

@@ -8,8 +8,8 @@ retrieved pair. An in-domain n-gram LM ranks the candidates.
 import json
 from dataclasses import dataclass
 
-from .align import TranslationTable, align_pair, target_span
-from .corpus import ParallelCorpus, Phrase, write_text
+from .align import Alignments, target_span
+from .corpus import Phrase, write_text
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
 from .ngrams import Vocabulary, occurrences
@@ -120,17 +120,15 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
     return best
 
 
-def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramLM,
-                   table: TranslationTable, recipe: str, links: dict, vocab: Vocabulary = None):
+def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM, recipe: str,
+                   vocab: Vocabulary = None):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
-    ``scorer`` is a U × L RatioScorer over ``parallel``'s ids. ``links`` maps a
-    pair id to its alignment under ``table``; a retrieved pair missing from it
-    is aligned and added, so a dict passed to every call (one per run, as
-    ``RunContext.links``) aligns each pair once however many U sentences and
+    ``alignments`` holds L, the out-of-domain pairs, and their links; ``scorer``
+    is a U × L RatioScorer over L's ids. One ``alignments`` passed to every call,
+    as the pipeline does, aligns each pair once however many U sentences and
     budgets retrieve it. ``vocab`` codes U, which it must cover; by default it
-    is U's own. Returns (pairs, report) where report counts sentences dropped
-    per reason.
+    is U's own. Returns (pairs, report), report counting drops per reason.
     """
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
@@ -144,11 +142,9 @@ def augment_corpus(U, phrase_pairs, scorer, parallel: ParallelCorpus, lm: NGramL
         except DegenerateNeighborhoodError:
             report["retrieval-degenerate"] += 1
             continue
-        x_star, y_star = (side.tokens for side in parallel.get(pair_id))
+        x_star, y_star = (side.tokens for side in alignments.parallel.get(pair_id))
         if recipe == "switch":
-            if pair_id not in links:
-                links[pair_id] = align_pair(x_star, y_star, table)
-            best, reasons = best_switch(annotated, x_star, y_star, links[pair_id], lm,
+            best, reasons = best_switch(annotated, x_star, y_star, alignments[pair_id], lm,
                                         origin_id=pair_id)
             if best is None:
                 dominant = max(reasons, key=reasons.get)

@@ -47,9 +47,8 @@ def sample_random(parallel: ParallelCorpus, M: int, seed: int):
     return [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ids[:M]]
 
 
-def retrieve_similar(parallel: ParallelCorpus, scorer, M):
-    """Top-M out-of-domain pairs by corpus-level ratio similarity to U; M None
-    ranks every usable pair.
+def retrieve_similar(parallel: ParallelCorpus, scorer):
+    """Every usable out-of-domain pair, ranked by corpus-level ratio similarity to U.
 
     ``scorer`` is an L × U RatioScorer. Ranking is by max ratio against any U
     sentence, descending, ties by ascending id. Pairs with degenerate
@@ -57,10 +56,7 @@ def retrieve_similar(parallel: ParallelCorpus, scorer, M):
     """
     scores, skipped = scorer.max_over_b()
     usable = [sid for sid in parallel.ids() if sid in scores]
-    if M is not None and M > len(usable):
-        raise ConfigError(f"M={M} exceeds usable pool of {len(usable)} pairs "
-                          f"({len(skipped)} skipped as degenerate)")
-    ranked = sorted(usable, key=lambda sid: (-scores[sid], sid))[:M]
+    ranked = sorted(usable, key=lambda sid: (-scores[sid], sid))
     rows = [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ranked]
     return rows, skipped
 

@@ -8,7 +8,7 @@ extracted from aligned reference occurrences and decided by majority vote.
 import json
 from dataclasses import dataclass
 
-from .align import TranslationTable, align_pair, target_span
+from .align import Alignments, target_span
 from .corpus import ParallelCorpus, write_text
 from .errors import OracleGapError
 from .ngrams import Vocabulary, occurrences
@@ -36,13 +36,12 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     return out
 
 
-def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTable,
-                      vocab: Vocabulary = None):
+def translate_phrases(phrases, alignments: Alignments, vocab: Vocabulary = None):
     """Alignment-based phrase translation with majority vote over occurrences.
 
-    ``vocab`` codes the phrases and the reference's source side, which it must
-    cover; by default it is the reference's own. Each reference pair holding
-    an occurrence is aligned once.
+    ``alignments`` holds the reference and aligns once each pair holding an
+    occurrence. ``vocab`` codes the phrases and the reference's source side,
+    which it must cover; by default it is the reference's own.
 
     Returns (responses, drops) where drops maps phrase -> reason
     ("not-in-reference" or "no-aligned-span").
@@ -50,26 +49,23 @@ def translate_phrases(phrases, reference: ParallelCorpus, table: TranslationTabl
     phrases = [tuple(p) for p in phrases]
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
-    sources = [src for src, _ in reference]
+    sources = [src for src, _ in alignments.parallel]
     phrase, sentence, start = occurrences(phrases, [src.tokens for src in sources], vocab)
     found = {}  # phrase index -> [(reference pair id, start)], in sentence order then by start
     for k, s, i in zip(phrase.tolist(), sentence.tolist(), start.tolist()):
         found.setdefault(k, []).append((sources[s].id, i))
 
-    links, responses, drops = {}, [], {}  # links: reference pair id -> its alignment
+    responses, drops = [], {}
     for k, p in enumerate(phrases):
         if k not in found:
             drops[p] = "not-in-reference"
             continue
         votes = {}
         for sid, start in found[k]:
-            src, tgt = reference.get(sid)
-            if sid not in links:
-                links[sid] = align_pair(src.tokens, tgt.tokens, table)
-            span = target_span(links[sid], start, start + len(p))
+            span = target_span(alignments[sid], start, start + len(p))
             if isinstance(span, str):
                 continue
-            target = tgt.tokens[span[0]:span[1] + 1]
+            target = alignments.parallel.get(sid)[1].tokens[span[0]:span[1] + 1]
             count, prov = votes.get(target, (0, []))
             prov.append(sid)
             votes[target] = (count + 1, prov)

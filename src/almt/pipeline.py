@@ -296,7 +296,7 @@ class RunContext:
     index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n,
                                                           self.vocab))
     table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
-    links = cached_property(lambda self: {})  # L id -> its alignment under table, filled by augment
+    alignments = cached_property(lambda self: align.Alignments(self.L, self.table))
     reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
     rttl_scores = cached_property(lambda self: select.load_rttl_scores(self.config.rttl_scores))
     frozen = cached_property(lambda self: mix.load_freeze(self.config.freeze_file, self.L))
@@ -365,7 +365,8 @@ class RunContext:
         phrases = [p.tokens for p in self.selection.phrases]
         if not phrases:
             return {}, {}
-        responses, drops = oracle.translate_phrases(phrases, self.reference, self.table, self.vocab)
+        responses, drops = oracle.translate_phrases(
+            phrases, align.Alignments(self.reference, self.table), self.vocab)
         return {r.source: r for r in responses}, drops
 
 
@@ -418,9 +419,12 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
     if config.augment_recipe:
         with _stage(report, "augment"):
             phrase_pairs = [(r.source, r.target) for r in l_p_resp]
-            synthetic, aug_report = augment.augment_corpus(
-                context.U, phrase_pairs, context.scorer, context.L, context.lm, context.table,
-                config.augment_recipe, context.links, context.vocab if phrase_pairs else None)
+            if phrase_pairs:
+                synthetic, aug_report = augment.augment_corpus(
+                    context.U, phrase_pairs, context.scorer, context.alignments, context.lm,
+                    config.augment_recipe, context.vocab)
+            else:  # no U sentence holds an annotated phrase: train no LM and no IBM-1
+                aug_report = {"no-annotated-phrase": len(context.U)}
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
                                     out("synthetic_recipes", "synthetic.recipes.jsonl"))
             report.counts["synthetic_pairs"] = len(synthetic)
@@ -464,7 +468,7 @@ def mix_pairs(context: RunContext, m: int):
         return context.frozen, []
     if config.mix_policy == "sample":
         return mix.sample_random(L, min(m, len(L)), config.seed), []
-    rows, skipped = mix.retrieve_similar(L, context.scorer.T, None)
+    rows, skipped = mix.retrieve_similar(L, context.scorer.T)
     return rows[:m], skipped
 
 

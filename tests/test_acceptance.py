@@ -233,10 +233,9 @@ def test_criterion_05_ratio_score_algebra():
                                              EmbeddingStore(range(12), mat_L * lam, "L"), 3), 30)
     assert [s.id for s in base_csse.sentences] == [s.id for s in scaled_csse.sentences]
     base_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L, "L"),
-                                                  EmbeddingStore(range(25), mat_U, "U"), 3), M=12)
+                                                  EmbeddingStore(range(25), mat_U, "U"), 3))
     scaled_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L * lam, "L"),
-                                                    EmbeddingStore(range(25), mat_U * lam, "U"), 3),
-                                     M=12)
+                                                    EmbeddingStore(range(25), mat_U * lam, "U"), 3))
     assert [r[0] for r in base_ret] == [r[0] for r in scaled_ret]
     verdict(5, "equal-cosine ratio is 1.0; scaling leaves orders intact", True,
             f"lambda={lam:.3f}")

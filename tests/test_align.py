@@ -214,6 +214,26 @@ def test_ibm1_matches_reference_on_one_pair(block):
     assert_matches_reference(parallel_of(("hund katze", "dog cat dog")), iterations=3)
 
 
+# "a" and "b" occur on both sides, each coded by its side's vocabulary; "s" and
+# "t" on one side only. A source token spelled NULL_TOKEN is NULL, as in the reference.
+_bitexts = st.lists(st.tuples(st.lists(st.sampled_from(["a", "b", "c", "s", NULL_TOKEN]),
+                                       min_size=1, max_size=5),
+                              st.lists(st.sampled_from(["a", "b", "x", "t"]), min_size=1, max_size=5)),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=_bitexts, iterations=st.integers(1, 4))
+def test_ibm1_matches_reference_on_random_bitexts(pairs, iterations):
+    """1-token sentences and repeated tokens are common at these sizes."""
+    corpus = parallel_of(*((" ".join(s), " ".join(t)) for s, t in pairs))
+    for blocks in BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(align, "BLOCK_TERMS", blocks)
+            for reverse in (False, True):
+                assert_matches_reference(corpus, iterations, reverse)
+
+
 def test_ibm1_float_temporaries_do_not_grow_with_terms(monkeypatch):
     # More copies of one bitext add terms but no vocabulary or (source, target)
     # pairs. Each added term may cost its 12 bytes of int32 codes plus a share
@@ -258,3 +278,18 @@ def test_align_pair_matches_the_per_token_reference_on_stock_toy(stock_L):
     table = train_ibm1(stock_L, 5)
     for s, t in stock_L:
         assert align_pair(s.tokens, t.tokens, table) == ibm1_reference.align_pair(s.tokens, t.tokens, table)
+
+
+def test_alignments_align_each_pair_once_on_first_lookup(monkeypatch):
+    corpus = parallel_of(("a b", "x y"), ("b", "y"))
+    table = train_ibm1(corpus, 5)
+    calls = []
+
+    def counting(src, tgt, table):
+        calls.append(src)
+        return align_pair(src, tgt, table)
+    monkeypatch.setattr(align, "align_pair", counting)
+    alignments = align.Alignments(corpus, table)
+    assert alignments.parallel is corpus and not alignments
+    assert alignments[1] == alignments[1] == align_pair(("b",), ("y",), table)
+    assert calls == [("b",)] and list(alignments) == [1]

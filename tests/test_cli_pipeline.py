@@ -148,20 +148,47 @@ def test_phrase_path_digests_are_pinned(seed, tmp_path):
 
 def test_pipeline_aligns_each_retrieved_pair_once_per_run(tmp_path, monkeypatch):
     """The budgets share one alignment per retrieved L pair: 34 pairs on the
-    stock toy at seed 1, where aligning them anew for each budget made 79 calls."""
-    import almt.augment
-    align_pair, calls = almt.augment.align_pair, []
+    stock toy at seed 1, where aligning them anew for each budget made 79 calls.
+    The oracle's reference pairs are aligned once each too."""
+    import almt.align
+    align_pair, missing = almt.align.align_pair, almt.align.Alignments.__missing__
+    aligned, calls = [], []  # align_pair's pairs; (corpus name, pair id) per first lookup
 
     def counting(src, tgt, table):
-        calls.append((tuple(src), tuple(tgt)))
+        aligned.append((src, tgt))
         return align_pair(src, tgt, table)
 
-    monkeypatch.setattr(almt.augment, "align_pair", counting)
+    def recording(self, pair_id):
+        calls.append((self.parallel.name, pair_id))
+        return missing(self, pair_id)
+
+    monkeypatch.setattr(almt.align, "align_pair", counting)
+    monkeypatch.setattr(almt.align.Alignments, "__missing__", recording)
     config = dict(toy.generate(tmp_path / "toy", seed=1), budgets=[100, 200, 400],
                   output_dir=str(tmp_path / "runs"))
     reports = run_pipeline(RunConfig(**config))
     assert [r.counts["synthetic_pairs"] > 0 for r in reports] == [True, True, True]
-    assert len(calls) == len(set(calls)) == 34
+    assert len(aligned) == len(calls) == len(set(calls))
+    assert len([c for c in calls if c[0] == "L"]) == 34
+
+
+def test_augmenting_run_without_annotated_phrases_trains_no_lm_or_ibm1(tmp_path, monkeypatch):
+    """A sentence-only strategy annotates no phrase, so augmentation has nothing
+    to switch in: it writes empty synthetic files and drops every U sentence."""
+    from almt import align, pipeline
+    calls = []
+    monkeypatch.setattr(align, "train_ibm1", lambda *args, **kwargs: calls.append("ibm1"))
+    monkeypatch.setattr(pipeline, "train_lm", lambda *args, **kwargs: calls.append("lm"))
+    config = dict(toy.generate(tmp_path / "toy", seed=7), strategy="csse", augment_recipe="switch",
+                  budgets=[100, 200], output_dir=str(tmp_path / "runs"))
+    reports = run_pipeline(RunConfig(**config))
+    assert calls == []
+    n_U = len((tmp_path / "toy" / "U.txt").read_text().splitlines())
+    for report in reports:
+        assert report.counts["selected_phrases"] == report.counts["synthetic_pairs"] == 0
+        assert {k: v for k, v in report.dropped.items() if k.startswith("augment:")} == {
+            "augment:no-annotated-phrase": n_U}
+        assert (tmp_path / "runs" / f"budget-{report.budget}" / "synthetic.tsv").read_text() == ""
 
 
 def test_pipeline_lock_blocks_concurrent_run(toy_dir, tmp_path):
@@ -339,9 +366,9 @@ def test_pipeline_builds_one_scorer_when_l_prime_is_all_of_l(toy_dir, tmp_path, 
         built.append(self)
         init(self, *args, **kwargs)
 
-    def spying(parallel, scorer, m):
+    def spying(parallel, scorer):
         ranked_by.append(scorer)
-        return retrieve(parallel, scorer, m)
+        return retrieve(parallel, scorer)
     monkeypatch.setattr(RatioScorer, "__init__", counting)
     monkeypatch.setattr(mix, "retrieve_similar", spying)
     config = toy_config(toy_dir, budgets=[40, 120], labeled_subset_size=200,
@@ -631,7 +658,7 @@ def test_pipeline_translates_phrases_once_and_each_budget_matches_a_direct_call(
         phrases = [tuple(rec["tokens"]) for rec in map(json.loads, (run_dir / "selection.jsonl")
                    .read_text().splitlines()) if rec["kind"] == "phrase"]
         assert phrases and len(phrases) <= calls[0]
-        responses, drops = oracle.translate_phrases(phrases, reference, table)
+        responses, drops = oracle.translate_phrases(phrases, align.Alignments(reference, table))
         written = [json.loads(l) for l in (run_dir / "phrases.provenance.jsonl").read_text().splitlines()]
         assert written == [{"source": list(r.source), "target": list(r.target),
                             "provenance": list(r.provenance), "votes": r.votes} for r in responses]

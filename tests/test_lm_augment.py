@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import augment_reference
 import lm_reference
 
-from almt.align import TranslationTable, NULL_TOKEN, align_pair
+from almt.align import Alignments, TranslationTable, NULL_TOKEN, align_pair
 from almt.corpus import Corpus, ParallelCorpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
@@ -189,8 +189,8 @@ def _augment(u_ids, u_vectors):
                         for i, s in enumerate(["a b c d", "e f g h"])])
     store_U = EmbeddingStore(u_ids, np.array(u_vectors, dtype=float), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
-    return augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), L,
-                          train_lm(U, order=2), identity_table("abcdefgh"), "switch", {})
+    return augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1),
+                          Alignments(L, identity_table("abcdefgh")), train_lm(U, order=2), "switch")
 
 
 def test_augment_counts_zero_norm_sentence_as_retrieval_degenerate():
@@ -205,21 +205,21 @@ def test_augment_propagates_other_retrieval_errors():
 
 
 def test_augment_aligns_each_retrieved_pair_once(monkeypatch):
-    import almt.augment
+    import almt.align
     calls = []
 
     def counting(src, tgt, table):
         calls.append((tuple(src), tuple(tgt)))
         return align_pair(src, tgt, table)
 
-    monkeypatch.setattr(almt.augment, "align_pair", counting)
+    monkeypatch.setattr(almt.align, "align_pair", counting)
     U = corpus_of("x cat sat y", "x cat ran y", "cat x y z")
     L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(f"T_{w}" for w in s.split())))
                         for i, s in enumerate(["a b c d", "e f g h"])])
     store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [1.0, 0.1], [1.0, 0.05]]), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), "L")
-    pairs, _ = augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), L,
-                              train_lm(U, order=2), identity_table("abcdefgh"), "switch", {})
+    pairs, _ = augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1),
+                              Alignments(L, identity_table("abcdefgh")), train_lm(U, order=2), "switch")
     assert [p.origin_id for p in pairs] == [0, 0, 0]
     assert calls == [(("a", "b", "c", "d"), ("T_a", "T_b", "T_c", "T_d"))]
 

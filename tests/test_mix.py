@@ -43,7 +43,7 @@ def _scorer():
 
 
 def test_retrieve_similar_ranking():
-    rows, skipped = retrieve_similar(FOUR, _scorer(), M=4)
+    rows, skipped = retrieve_similar(FOUR, _scorer())
     assert not skipped
     got = [r[0] for r in rows]
     # exact duplicate of a U vector must rank first, then the near one
@@ -52,21 +52,21 @@ def test_retrieve_similar_ranking():
 
 
 def test_retrieve_similar_prefix_stability():
-    top2, _ = retrieve_similar(FOUR, _scorer(), M=2)
-    top4, _ = retrieve_similar(FOUR, _scorer(), M=4)
-    assert [r[0] for r in top4[:2]] == [r[0] for r in top2]
-
-
-def test_retrieve_similar_m_too_large():
-    with pytest.raises(ConfigError):
-        retrieve_similar(FOUR, _scorer(), M=5)
+    # Callers cut one ranking at each budget's m, so the cuts nest only if every
+    # call ranks alike, ties (pairs 1 and 3 here) by ascending id.
+    mat_L = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 1.0], [0.0, 1.0]])
+    mat_U = np.array([[0.0, 1.0], [0.1, 1.0]])
+    orders = [[r[0] for r in retrieve_similar(FOUR, RatioScorer(
+        EmbeddingStore([0, 1, 2, 3], mat_L, "L"), EmbeddingStore([0, 1], mat_U, "U"), 1))[0]]
+        for _ in range(2)]
+    assert orders[0] == orders[1] == [1, 3, 2, 0]
 
 
 def test_retrieve_similar_skips_degenerate():
     mat_L = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     store_L = EmbeddingStore([0, 1, 2, 3], mat_L, "L")
     store_U = EmbeddingStore([0], np.array([[0.0, 1.0]]), "U")
-    rows, skipped = retrieve_similar(FOUR, RatioScorer(store_L, store_U, 1), M=3)
+    rows, skipped = retrieve_similar(FOUR, RatioScorer(store_L, store_U, 1))
     assert skipped == [1]
     assert 1 not in [r[0] for r in rows]
 

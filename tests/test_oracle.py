@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
 import oracle_reference
-from almt.align import TranslationTable, NULL_TOKEN, train_ibm1
+from almt.align import Alignments, TranslationTable, NULL_TOKEN, train_ibm1
 from almt.corpus import ParallelCorpus, Sentence
 from almt.errors import OracleGapError
 from almt.ngrams import Vocabulary
@@ -46,7 +46,7 @@ def test_translate_sentences_duplicates_rejected():
 def test_translate_phrase_clean_alignment():
     ref = parallel_of(("a b c", "T_a T_b T_c"))
     table = identity_table("abc")
-    responses, drops = translate_phrases([("b",)], ref, table)
+    responses, drops = translate_phrases([("b",)], Alignments(ref, table))
     assert not drops
     assert responses[0].target == ("T_b",)
     assert responses[0].provenance == (0,)
@@ -56,7 +56,7 @@ def test_translate_phrase_majority_vote():
     # "a" aligns to T_a in three pairs and to V_a in one
     ref = parallel_of(("a", "T_a"), ("a", "T_a"), ("a", "T_a"), ("a", "V_a"))
     table = TranslationTable({"a": {"T_a": 0.6, "V_a": 0.4}, NULL_TOKEN: {}})
-    responses, drops = translate_phrases([("a",)], ref, table)
+    responses, drops = translate_phrases([("a",)], Alignments(ref, table))
     assert responses[0].target == ("T_a",)
     assert responses[0].votes == 3
     assert set(responses[0].provenance) == {0, 1, 2}
@@ -64,7 +64,7 @@ def test_translate_phrase_majority_vote():
 
 def test_translate_phrase_not_in_reference():
     ref = parallel_of(("a b", "x y"))
-    responses, drops = translate_phrases([("zzz",)], ref, identity_table("ab"))
+    responses, drops = translate_phrases([("zzz",)], Alignments(ref, identity_table("ab")))
     assert responses == []
     assert drops[("zzz",)] == "not-in-reference"
 
@@ -72,20 +72,20 @@ def test_translate_phrase_not_in_reference():
 def test_translate_phrase_no_aligned_span():
     ref = parallel_of(("a", "x"))
     table = TranslationTable({NULL_TOKEN: {"x": 1.0}, "a": {"x": 0.0}})
-    responses, drops = translate_phrases([("a",)], ref, table)
+    responses, drops = translate_phrases([("a",)], Alignments(ref, table))
     assert drops[("a",)] == "no-aligned-span"
 
 
 def test_translate_phrases_multiword_span():
     ref = parallel_of(("p q r", "T_p T_q T_r"))
     table = identity_table("pqr")
-    responses, _ = translate_phrases([("p", "q")], ref, table)
+    responses, _ = translate_phrases([("p", "q")], Alignments(ref, table))
     assert responses[0].target == ("T_p", "T_q")
 
 
 def test_provenance_contains_source_unit():
     ref = parallel_of(("m n", "T_m T_n"), ("n o", "T_n T_o"))
-    responses, _ = translate_phrases([("n",)], ref, identity_table("mno"))
+    responses, _ = translate_phrases([("n",)], Alignments(ref, identity_table("mno")))
     for r in responses:
         for sid in r.provenance:
             src, _ = ref.get(sid)
@@ -95,8 +95,8 @@ def test_provenance_contains_source_unit():
 def test_oracle_deterministic():
     ref = parallel_of(("a b", "T_a T_b"), ("b c", "T_b T_c"))
     table = train_ibm1(ref, 5)
-    r1, _ = translate_phrases([("b",), ("a", "b")], ref, table)
-    r2, _ = translate_phrases([("b",), ("a", "b")], ref, table)
+    r1, _ = translate_phrases([("b",), ("a", "b")], Alignments(ref, table))
+    r2, _ = translate_phrases([("b",), ("a", "b")], Alignments(ref, table))
     assert [(r.source, r.target) for r in r1] == [(r.source, r.target) for r in r2]
 
 
@@ -132,15 +132,15 @@ def brute_force_translate(phrases, ref, table):
 
 def test_translate_phrases_matches_brute_force_reference(monkeypatch):
     import random
-    from almt import oracle
+    from almt import align
     rng = random.Random(3)
     aligned = []
-    align_pair = oracle.align_pair
+    align_pair = align.align_pair
 
     def counting(src, tgt, table):
         aligned.append(src)
         return align_pair(src, tgt, table)
-    monkeypatch.setattr(oracle, "align_pair", counting)
+    monkeypatch.setattr(align, "align_pair", counting)
     for _ in range(40):
         words = "abcd"[:rng.randint(1, 4)]
         pairs = []
@@ -161,7 +161,7 @@ def test_translate_phrases_matches_brute_force_reference(monkeypatch):
         phrases = sorted(candidates)
         rng.shuffle(phrases)
         del aligned[:]
-        responses, drops = translate_phrases(phrases, ref, table)
+        responses, drops = translate_phrases(phrases, Alignments(ref, table))
         touched = len(aligned)
         assert (responses, drops) == brute_force_translate(phrases, ref, table)
         assert list(drops) == [p for p in phrases if p in drops]  # drops in phrase order
@@ -175,7 +175,7 @@ def test_write_responses(tmp_path):
     sents = translate_sentences([0], ref)
     write_responses(sents, tmp_path / "s.tsv", tmp_path / "s.jsonl", ref)
     assert (tmp_path / "s.tsv").read_text() == "a b\tx y\n"
-    phr, _ = translate_phrases([("a",)], ref, identity_table("ab"))
+    phr, _ = translate_phrases([("a",)], Alignments(ref, identity_table("ab")))
 
 
 def sentences(own):
@@ -197,6 +197,6 @@ def test_coded_scan_matches_the_window_scan_reference(U, ref, max_n, rng):
     phrases = [*ngrams_reference.extract_ngrams(U, max_n), ("a", "z")]
     rng.shuffle(phrases)
     expected = oracle_reference.translate_phrases(phrases, reference, table)
-    assert translate_phrases(phrases, reference, table) == expected
+    assert translate_phrases(phrases, Alignments(reference, table)) == expected
     vocab = Vocabulary([*(s.tokens for s in U), *(src.tokens for src, _ in reference)])
-    assert translate_phrases(phrases, reference, table, vocab) == expected
+    assert translate_phrases(phrases, Alignments(reference, table), vocab) == expected
