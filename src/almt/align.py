@@ -97,7 +97,7 @@ def _sweep(p, codes, blocks, counts=None, totals=None) -> float:
     return ll
 
 
-def train_ibm1(parallel: ParallelCorpus, iterations: int, reverse: bool = False) -> TranslationTable:
+def train_ibm1(parallel: ParallelCorpus, iterations: int = 5, reverse: bool = False) -> TranslationTable:
     """EM with uniform initialization; records corpus log-likelihood per iteration."""
     if len(parallel) == 0:
         raise ValueError("parallel corpus is empty")

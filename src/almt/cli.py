@@ -55,25 +55,31 @@ def _cmd_select(args):
 
 
 def _load_selection(path):
-    """A selection.jsonl file as a SelectionResult of its sentence ids and phrases."""
-    result = SelectionResult(None, None, None)
+    """A selection.jsonl file as a SelectionResult of its sentence ids and phrases.
+    A malformed record or a repeated sentence or phrase raises ParseError naming
+    the line (a repeat's second one)."""
+    result, seen = SelectionResult(None, None, None), set()
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
             rec = json.loads(line)
             if rec["kind"] == "sentence":
-                result.sentences.append(SelectedSentence(rec["id"], None, None))
+                pick = SelectedSentence(rec["id"], None, None)
+                key, picks = ("sentence", pick.id), result.sentences
             else:
-                result.phrases.append(SelectedPhrase(tuple(rec["tokens"]), None, None))
+                pick = SelectedPhrase(tuple(rec["tokens"]), None, None)
+                key, picks = ("phrase", pick.tokens), result.phrases
+            repeated = key in seen
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed selection record ({exc!r})") from None
+        if repeated:
+            raise ParseError(f"{path}:{lineno}: duplicate {key[0]} {key[1]!r}")
+        seen.add(key)
+        picks.append(pick)
     return result
 
 
 def _cmd_oracle(args):
-    config = RunConfig(None, args.labeled, None, [], oracle_reference=args.reference,
-                       ibm1_iterations=args.iterations)
-    _check(config, {"ibm1_iterations": "--iterations"})
-    context = RunContext(config)
+    context = RunContext(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference))
     context.reference  # read first: a malformed reference is reported before the selection
     context.selection = _load_selection(args.selection)
     l_s, l_p, drops = respond(context, context.selection,
@@ -231,7 +237,6 @@ def build_parser():
     p.add_argument("--selection", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--labeled", required=True)
-    p.add_argument("--iterations", type=int, default=RunConfig.ibm1_iterations)
     p.add_argument("--output-prefix", required=True)
     p.set_defaults(func=_cmd_oracle)
 

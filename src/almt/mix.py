@@ -37,14 +37,12 @@ class MixManifest:
         write_text(path, "".join(f"{' '.join(e.source)}\t{' '.join(e.target)}\n" for e in self.entries))
 
 
-def sample_random(parallel: ParallelCorpus, M: int, seed: int):
-    """Uniform draws without replacement; returns (pair id, src, tgt) tuples."""
-    if M > len(parallel):
-        raise ValueError(f"M={M} exceeds corpus size {len(parallel)}")
-    rng = random.Random(seed)
+def sample_random(parallel: ParallelCorpus, seed: int):
+    """Every pair in a seeded uniform order, so each prefix is a draw without
+    replacement; returns (pair id, src, tgt) tuples."""
     ids = parallel.ids()
-    rng.shuffle(ids)
-    return [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ids[:M]]
+    random.Random(seed).shuffle(ids)
+    return [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ids]
 
 
 def retrieve_similar(parallel: ParallelCorpus, scorer):
@@ -66,7 +64,9 @@ def write_freeze(rows, path):
 
 
 def load_freeze(path, parallel: ParallelCorpus):
-    rows = []
+    """The pairs of a freeze file, in its order. A malformed record or a repeated
+    id raises ParseError naming ``path`` and the line (a repeated id's second one)."""
+    rows, seen = [], set()
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
             sid = json.loads(line)["id"]
@@ -74,6 +74,9 @@ def load_freeze(path, parallel: ParallelCorpus):
             raise ParseError(f"{path}:{lineno}: malformed freeze record ({exc!r})") from None
         if sid not in parallel:
             raise ConfigError(f"{path}: freeze id {sid} is not a pair of corpus {parallel.name!r}")
+        if sid in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate id {sid}")
+        seen.add(sid)
         src, tgt = parallel.get(sid)
         rows.append((sid, src.tokens, tgt.tokens))
     return rows

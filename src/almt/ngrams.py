@@ -13,7 +13,6 @@ twice). All count comparisons are exact integer arithmetic.
 """
 
 import bisect
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -126,15 +125,10 @@ class OccurrenceIndex:
             phrases += shorter
         return phrases
 
-    @cached_property
-    def tsv(self) -> bytes:
-        """The index as "phrase TAB count" lines, count descending then
-        lexicographic, serialised once however many times it is written."""
-        rows = sorted(zip(self.phrases(), self.counts.tolist()), key=lambda kv: (-kv[1], kv[0]))
-        return "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows).encode("utf-8")
-
     def export_tsv(self, path):
-        write_text(path, self.tsv)
+        """Write the index as "phrase TAB count" lines, count descending then lexicographic."""
+        rows = sorted(zip(self.phrases(), self.counts.tolist()), key=lambda kv: (-kv[1], kv[0]))
+        write_text(path, "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows))
 
 
 def extract_ngrams(corpus: Corpus, max_n: int, vocab: Vocabulary = None) -> OccurrenceIndex:

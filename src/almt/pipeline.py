@@ -71,8 +71,6 @@ class RunConfig:
     mix_policy: str = "retrieve"  # retrieve | sample
     freeze_file: str = None
     augment_recipe: str = None  # switch | contextualize | None
-    ibm1_iterations: int = 5
-    lm_order: int = 3
     output_dir: str = "runs"
     simulate_only: bool = False
 
@@ -121,7 +119,7 @@ _VALUES = {
     "budgets": (lambda v: type(v) is list and bool(v) and all(map(_positive_int, v)),
                 "a non-empty list of positive ints"),
     **{key: (_positive_int, "an int >= 1")
-       for key in ("max_n", "k", "ibm1_iterations", "lm_order", "labeled_subset_size")},
+       for key in ("max_n", "k", "labeled_subset_size")},
     "seed": (lambda v: type(v) is int, "an int"),
     **{key: (lambda v: v is None or type(v) is str, "a path string or null")
        for key in (*READERS, "test")},
@@ -264,7 +262,8 @@ class RunContext:
     ``load`` reads every input file of the run, each through its ``READERS``
     member. ``selection`` ranks once, at the run's largest budget; every budget
     cuts it, and ``translations`` holds the oracle's answer for each of its
-    phrases. ``almt select``, ``oracle`` and ``mix`` build one from their flags,
+    phrases. ``pool`` ranks L once for the mix stage; every budget takes a
+    prefix. ``almt select``, ``oracle`` and ``mix`` build one from their flags,
     so a stage run alone takes the pipeline's code path."""
 
     def __init__(self, config: RunConfig, top_budget: int = None):
@@ -284,7 +283,7 @@ class RunContext:
             except (AlmtError, OSError) as exc:
                 if failures is None:
                     raise
-                if not (isinstance(exc, OSError)  # frozen reads L, whose path may be rejected
+                if not (isinstance(exc, OSError)  # a member reads U or L, whose path may be rejected
                         and exc.filename in [getattr(self.config, key) for key in rejected]):
                     failures.append(describe(exc))
         return failures
@@ -295,36 +294,69 @@ class RunContext:
     index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n, self.vocab))
     index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n,
                                                           self.vocab))
-    table = cached_property(lambda self: align.train_ibm1(self.L, self.config.ibm1_iterations))
+    table = cached_property(lambda self: align.train_ibm1(self.L))
     alignments = cached_property(lambda self: align.Alignments(self.L, self.table))
-    reference = cached_property(lambda self: load_parallel(self.config.oracle_reference, "ref"))
-    rttl_scores = cached_property(lambda self: select.load_rttl_scores(self.config.rttl_scores))
     frozen = cached_property(lambda self: mix.load_freeze(self.config.freeze_file, self.L))
-    lm = cached_property(lambda self: train_lm(self.U, self.config.lm_order))
+    lm = cached_property(lambda self: train_lm(self.U))
     # The U × L ratio scorer: augment retrieves from L with it, mix ranks L by
     # its transpose, and CSSE reads it when L′ = L.
     scorer = cached_property(lambda self: RatioScorer(*self.stores, self.config.k))
+
+    def _corpus(self, key):
+        """The corpus that config ``key``, "unlabeled" or "labeled", names, or None
+        if the run reads none: ``almt oracle`` and ``mix`` read no U, and no other
+        non-string path passes validation."""
+        return getattr(self, READERS[key]) if type(getattr(self.config, key)) is str else None
+
+    def _cover(self, path, what, ids, key):
+        """The coverage rule of an id-keyed input: the file at ``path`` gives ``what``
+        for ``ids``, which hold every id of the corpus config ``key`` names and no
+        other, if the run reads that corpus."""
+        corpus = self._corpus(key)
+        if corpus is None:
+            return
+        missing = [i for i in corpus.ids() if i not in ids]
+        if missing:
+            raise ConfigError(f"{path}: {what} missing for ids of {corpus.name}, "
+                              f"first {missing[:5]} of {len(missing)}")
+        extra = [i for i in ids if i not in corpus]
+        if extra:
+            raise ConfigError(f"{path}: {what} for {len(extra)} ids not in {corpus.name}, "
+                              f"first {extra[:5]}")
 
     @cached_property
     def stores(self):
         """(U store, L store), each None when the config names no file: the one
         reader of the embedding files, and the one check that their dimensions agree
-        and that each store has a vector for every id of its corpus, U or L, if the
-        run reads that corpus."""
+        and that each store covers its corpus (``_cover``), U or L."""
         paths = [getattr(self.config, key) for key in _EMBEDDINGS]
         store_U, store_L = (EmbeddingStore.load(p, tag) if p else None for p, tag in zip(paths, "UL"))
         if store_U is not None and store_L is not None and store_U.dim != store_L.dim:
             raise ConfigError(f"embedding dimension mismatch: {store_U.dim} vs {store_L.dim}")
         for key, path, store in zip(("unlabeled", "labeled"), paths, (store_U, store_L)):
-            # the path is None where `almt mix` reads no U, and no other non-string passes validation
-            if store is None or type(getattr(self.config, key)) is not str:
-                continue
-            corpus = getattr(self, READERS[key])
-            missing = [i for i in corpus.ids() if i not in store]
-            if missing:
-                raise ConfigError(f"{path}: no vector for {len(missing)} ids of {corpus.name}, "
-                                  f"first {missing[:5]}")
+            if store is not None:
+                self._cover(path, "vectors", store.row, key)
         return store_U, store_L
+
+    @cached_property
+    def rttl_scores(self):
+        """U id -> RTTL score, for every U id and no other (``_cover``)."""
+        scores = select.load_rttl_scores(self.config.rttl_scores)
+        self._cover(self.config.rttl_scores, "RTTL scores", scores, "unlabeled")
+        return scores
+
+    @cached_property
+    def reference(self):
+        """The oracle's reference pairs. If the run reads U, a pair whose id is a U
+        id has that U sentence as its source; ids of only one file are allowed."""
+        path, U = self.config.oracle_reference, self._corpus("unlabeled")
+        reference = load_parallel(path, "ref")
+        wrong = [i for i in reference.ids() if U is not None and i in U
+                 and reference.get(i)[0].tokens != U.get(i).tokens]
+        if wrong:
+            raise ConfigError(f"{path}: the source of pair {wrong[0]} is not U sentence "
+                              f"{wrong[0]} ({len(wrong)} such pairs)")
+        return reference
 
     @cached_property
     def vocab(self):
@@ -349,6 +381,14 @@ class RunContext:
         if l_ids == store_L.ids:
             return self.scorer
         return RatioScorer(store_U, store_L.subset(l_ids, "L-sub"), self.config.k)
+
+    @cached_property
+    def pool(self):
+        """(every L row in the order the mix stage takes them, the ids that retrieval
+        skipped as degenerate): ranked once, and each budget takes a prefix."""
+        if self.config.mix_policy == "sample":
+            return mix.sample_random(self.L, self.config.seed), []
+        return mix.retrieve_similar(self.L, self.scorer.T)
 
     @cached_property
     def selection(self):
@@ -461,14 +501,11 @@ def respond(context: RunContext, cut, out):
 
 def mix_pairs(context: RunContext, m: int):
     """The mix stage: the freeze file's out-of-domain pairs if the config names
-    one, else m sampled or retrieved ones, fewer if fewer are usable. Returns
+    one, else the first m of ``context.pool``, fewer if fewer are usable. Returns
     (rows, ids that retrieval skipped as degenerate)."""
-    config, L = context.config, context.L
-    if config.freeze_file is not None:
+    if context.config.freeze_file is not None:
         return context.frozen, []
-    if config.mix_policy == "sample":
-        return mix.sample_random(L, min(m, len(L)), config.seed), []
-    rows, skipped = mix.retrieve_similar(L, context.scorer.T)
+    rows, skipped = context.pool
     return rows[:m], skipped
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .corpus import Corpus, Phrase, read_lines, write_text
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
 
@@ -163,12 +163,8 @@ def select_rttl(U: Corpus, scores: dict, budget: int) -> SelectionResult:
     """Round-trip uncertainty selection from an external score file.
 
     Lowest score first (lowest round-trip likelihood or sentence BLEU = most
-    uncertain), ties by ascending id.
+    uncertain), ties by ascending id. ``scores`` has a score for every U id.
     """
-    missing = [sid for sid in U.ids() if sid not in scores]
-    if missing:
-        raise ConfigError(f"RTTL scores missing for ids {missing[:10]}"
-                          f"{'...' if len(missing) > 10 else ''}")
     order = sorted(U.ids(), key=lambda sid: (scores[sid], sid))
     return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]), budget)
 

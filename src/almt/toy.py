@@ -132,8 +132,6 @@ def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 50
         "labeled_subset_size": 100,
         "mix_policy": "retrieve",
         "augment_recipe": "switch",
-        "ibm1_iterations": 5,
-        "lm_order": 3,
         "output_dir": str(out / "runs"),
     }
     write_text(out / "config.json", json.dumps(config, indent=2, sort_keys=True) + "\n")

@@ -35,9 +35,8 @@ def test_validate_bad_budgets(toy_dir):
     assert validate_config(toy_config(toy_dir, budgets=[0]))
 
 
-@pytest.mark.parametrize("key, value", [("max_n", 0), ("k", 0), ("ibm1_iterations", 0), ("lm_order", 0),
-                                        ("dist_mode", "Literal"), ("mix_policy", "all"),
-                                        ("augment_recipe", "swap")])
+@pytest.mark.parametrize("key, value", [("max_n", 0), ("k", 0), ("dist_mode", "Literal"),
+                                        ("mix_policy", "all"), ("augment_recipe", "swap")])
 def test_validate_out_of_range_value(toy_dir, key, value):
     [failure] = validate_config(toy_config(toy_dir, **{key: value}))
     assert failure.startswith(f"{key} must be ") and failure.endswith(f"got {value!r}")
@@ -374,8 +373,8 @@ def test_pipeline_builds_one_scorer_when_l_prime_is_all_of_l(toy_dir, tmp_path, 
     config = toy_config(toy_dir, budgets=[40, 120], labeled_subset_size=200,
                         output_dir=str(tmp_path / "runs"))
     run_pipeline(config)
-    # CSSE, mix and augment all read one U × L scorer; mix reads its transposed view
-    assert len(built) == 1 and ranked_by == [built[0].T] * 2
+    # CSSE, mix and augment all read one U × L scorer; mix ranks L once, by its transposed view
+    assert len(built) == 1 and ranked_by == [built[0].T]
 
 
 def test_pipeline_lock_holds_owner_pid_and_reports_live_owner(toy_dir, tmp_path):
@@ -532,7 +531,7 @@ def test_cli_embedding_file_without_a_corpus_id_exits_2(command, side, missing, 
     assert main([command, "--config", str(config)]) == 2
     out, err = capsys.readouterr()
     message, rest = (out, err) if command == "validate" else (err, out)  # validate lists failures on stdout
-    assert message == f"FAIL: {gap}: no vector for {len(missing)} ids of {side}, first {missing}\n"
+    assert message == f"FAIL: {gap}: vectors missing for ids of {side}, first {missing} of {len(missing)}\n"
     assert rest == "" and "Traceback" not in out + err
     if command == "pipeline":
         assert (tmp_path / "runs" / "budget-200" / "failed").read_text().startswith("stage: load\n")
@@ -557,6 +556,9 @@ _NOT_JSON = object()  # the config file holds text that is not JSON
     pytest.param([1, 2], "expected a JSON object, got list", id="not-an-object"),
     pytest.param({"strategy": None}, "missing required config keys: ['strategy']", id="no-strategy"),
     pytest.param({"mix_size": -1}, "unknown config keys: ['mix_size']", id="removed-mix-size"),
+    pytest.param({"ibm1_iterations": 5}, "unknown config keys: ['ibm1_iterations']",
+                 id="removed-ibm1-iterations"),
+    pytest.param({"lm_order": 3}, "unknown config keys: ['lm_order']", id="removed-lm-order"),
     pytest.param({"k": "4"}, "k must be an int >= 1, got '4'", id="k-str"),
     pytest.param({"k": 4.5}, "k must be an int >= 1, got 4.5", id="k-float"),
     pytest.param({"k": True}, "k must be an int >= 1, got True", id="k-bool"),
@@ -652,7 +654,7 @@ def test_pipeline_translates_phrases_once_and_each_budget_matches_a_direct_call(
     assert len(calls) == 1  # the phrases of the ranking made at budget 120
     monkeypatch.undo()
     reference = load_parallel(config.oracle_reference, "ref")
-    table = align.train_ibm1(load_parallel(config.labeled, "L"), config.ibm1_iterations)
+    table = align.train_ibm1(load_parallel(config.labeled, "L"))
     for report in reports:
         run_dir = tmp_path / "runs" / f"budget-{report.budget}"
         phrases = [tuple(rec["tokens"]) for rec in map(json.loads, (run_dir / "selection.jsonl")
@@ -850,7 +852,7 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
     prefix = tmp_path / "cli"
     assert main(["oracle", "--selection", str(run_dir / "selection.jsonl"),
                  "--reference", config.oracle_reference, "--labeled", config.labeled,
-                 "--iterations", str(config.ibm1_iterations), "--output-prefix", str(prefix)]) == 0
+                 "--output-prefix", str(prefix)]) == 0
     for name in ("sentences.tsv", "sentences.provenance.jsonl", "phrases.tsv",
                  "phrases.provenance.jsonl"):
         assert Path(f"{prefix}.{name}").read_bytes() == (run_dir / name).read_bytes(), name
@@ -867,22 +869,17 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["mix", "--policy", "sample", "--size", "100000"], "--size"),
     (["mix", "--policy", "retrieve", "--size", "5"], "--embeddings-unlabeled, --embeddings-labeled"),
-    (["oracle", "--iterations", "0"], "--iterations"),
     (["select", "--k", "0"], "--k"),
     (["select", "--max-n", "0"], "--max-n"),
     (["select", "--budget-words", "0"], "--budget-words"),
     (["analyze", "coverage", "--test", "test.txt"], "requires --covering"),
     (["analyze", "bleu"], "requires --hypotheses, --references"),
     (["pipeline", "--budget", "-5"], "--budget"),
-], ids=["mix-size", "mix-retrieve-embeddings", "oracle-iterations", "select-k", "select-max-n",
+], ids=["mix-size", "mix-retrieve-embeddings", "select-k", "select-max-n",
         "select-budget-words", "analyze-coverage", "analyze-bleu", "pipeline-budget"])
 def test_cli_stage_command_with_a_bad_flag_exits_2(argv, named, toy_dir, tmp_path, capsys):
-    selection = tmp_path / "sel.jsonl"
-    selection.write_text('{"kind": "sentence", "id": 0}\n')
     valid = {  # every other flag the command needs; a later flag overrides an earlier one
         "mix": ["--labeled", str(toy_dir / "L.tsv"), "--output", str(tmp_path / "freeze.jsonl")],
-        "oracle": ["--selection", str(selection), "--reference", str(toy_dir / "reference.tsv"),
-                   "--labeled", str(toy_dir / "L.tsv"), "--output-prefix", str(tmp_path / "o")],
         "select": ["--strategy", "ngf", "--unlabeled", str(toy_dir / "U.txt"),
                    "--labeled", str(toy_dir / "L.tsv"), "--budget-words", "20",
                    "--output", str(tmp_path / "sel.out.jsonl")],
@@ -1020,7 +1017,8 @@ def test_validate_checks_the_paths_whose_files_the_load_stage_reads(
 
     def reader(path, *args):
         read.append(Path(path).name)
-        return type("Store", (), {"dim": 1, "ids": lambda self: []})()
+        return type("Store", (), {"dim": 1, "ids": lambda self: [], "row": {},
+                                  "__iter__": lambda self: iter(())})()
     for owner, name in [(pipeline, "load_corpus"), (pipeline, "load_parallel"),
                         (EmbeddingStore, "load"), (select, "load_rttl_scores"), (mix, "load_freeze")]:
         monkeypatch.setattr(owner, name, reader)
@@ -1196,19 +1194,170 @@ def test_cli_analyze_coverage_on_an_empty_test_file_exits_3(stock_toy, tmp_path,
     (["extract", "--input", "u", "--output", "o"], {"max_n": "max_n"}),
     (["select", "--strategy", "csse", "--unlabeled", "u", "--budget-words", "1", "--output", "o"],
      {"seed": "seed", "k": "k", "max_n": "max_n", "dist_mode": "dist_mode"}),
-    (["oracle", "--selection", "s", "--reference", "r", "--labeled", "l", "--output-prefix", "o"],
-     {"iterations": "ibm1_iterations"}),
     (["mix", "--labeled", "l", "--size", "1", "--output", "o"],
      {"seed": "seed", "k": "k", "policy": "mix_policy"}),
     (["analyze", "coverage"], {"max_n": "max_n"}),
-], ids=["extract", "select", "oracle", "mix", "analyze"])
+], ids=["extract", "select", "mix", "analyze"])
 def test_stage_command_defaults_are_the_run_config_defaults(argv, flags, monkeypatch):
     """Each flag (parsed name -> RunConfig field) follows a changed field default."""
     from almt.cli import build_parser
-    changed = {"max_n": 6, "seed": 3, "k": 2, "dist_mode": "nn", "ibm1_iterations": 9,
-               "mix_policy": "sample"}
+    changed = {"max_n": 6, "seed": 3, "k": 2, "dist_mode": "nn", "mix_policy": "sample"}
     for key in flags.values():
         monkeypatch.setattr(RunConfig, key, changed[key])
     args = build_parser().parse_args(argv)
     assert {dest: getattr(args, dest) for dest in flags} == {
         dest: changed[key] for dest, key in flags.items()}
+
+
+def test_cli_oracle_iterations_flag_is_gone(toy_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--selection", str(tmp_path / "sel.jsonl"), "--reference",
+              str(toy_dir / "reference.tsv"), "--labeled", str(toy_dir / "L.tsv"),
+              "--output-prefix", str(tmp_path / "o"), "--iterations", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --iterations 5" in capsys.readouterr().err
+
+
+def test_pipeline_samples_l_once_and_each_budget_takes_the_seeded_draw(toy_dir, tmp_path,
+                                                                       monkeypatch):
+    import random
+    from almt import mix
+    from almt.corpus import load_parallel
+    calls = []
+    sample = mix.sample_random
+
+    def spy(*args):
+        calls.append(args)
+        return sample(*args)
+    monkeypatch.setattr(mix, "sample_random", spy)
+    config = toy_config(toy_dir, strategy="ngf-smp", mix_policy="sample", augment_recipe=None,
+                        budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
+    reports = run_pipeline(config)
+    assert len(calls) == 1
+    drawn = load_parallel(config.labeled).ids()
+    random.Random(config.seed).shuffle(drawn)
+    for report in reports:
+        freeze = tmp_path / "runs" / f"budget-{report.budget}" / "retrieved.freeze.jsonl"
+        ids = [json.loads(line)["id"] for line in freeze.read_text().splitlines()]
+        assert ids and ids == drawn[:report.counts["translated_phrases"]]
+
+
+# --- inputs that disagree with their corpus, and repeated records ---
+
+@pytest.fixture(scope="module")
+def toy_seed_1(tmp_path_factory):
+    out = tmp_path_factory.mktemp("toy-seed-1")
+    toy.generate(out, seed=1)
+    return out
+
+
+def _fails_at_load(command, config, named, tmp_path, capsys):
+    """``command`` on ``config`` exits 2 naming ``named``, and a pipeline run marks its
+    load stage failed."""
+    assert main([command, "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert named in out + err and "Traceback" not in out + err
+    if command == "pipeline":
+        assert (tmp_path / "runs" / "budget-200" / "failed").read_text().startswith("stage: load\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_cli_embedding_file_with_ids_outside_its_corpus_exits_2(command, toy_seed_1, tmp_path,
+                                                                capsys):
+    """Vectors for ids that no L pair has would enter the k-NN means that mix
+    ranks by, and would fail augment's lookup of the pair."""
+    vectors = [row.split("\t")[1] for row in (toy_seed_1 / "emb_U.tsv").read_text().splitlines()[1:51]]
+    extra = tmp_path / "emb_L.tsv"
+    extra.write_text((toy_seed_1 / "emb_L.tsv").read_text()
+                     + "".join(f"{10000 + i}\t{vec}\n" for i, vec in enumerate(vectors)))
+    config = _config_file(toy_seed_1, tmp_path, embeddings_labeled=str(extra),
+                          output_dir=str(tmp_path / "runs"))
+    _fails_at_load(command, config, f"{extra}: vectors for 50 ids not in L, "
+                   "first [10000, 10001, 10002, 10003, 10004]\n", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_cli_rttl_file_without_the_last_u_ids_exits_2(command, toy_seed_1, tmp_path, capsys):
+    rows = (toy_seed_1 / "rttl_scores.tsv").read_text().splitlines(keepends=True)
+    gap = tmp_path / "rttl.tsv"
+    gap.write_text("".join(rows[:-3]))
+    config = _config_file(toy_seed_1, tmp_path, strategy="rttl", rttl_scores=str(gap),
+                          output_dir=str(tmp_path / "runs"))
+    _fails_at_load(command, config, f"{gap}: RTTL scores missing for ids of U, "
+                   "first [197, 198, 199] of 3\n", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("scores, fault", [
+    ("0\t-1.0\n", "RTTL scores missing for ids of U, first [1] of 1"),
+    ("0\t-1.0\n1\t-2.0\n7\t-3.0\n", "RTTL scores for 1 ids not in U, first [7]"),
+], ids=["missing", "extra"])
+def test_rttl_scores_for_other_ids_than_u_rejected_at_load(scores, fault, tmp_path):
+    from almt.errors import ConfigError
+    from almt.pipeline import RunContext
+    unlabeled, path = tmp_path / "U.txt", tmp_path / "rttl.tsv"
+    unlabeled.write_text("a\nb\n")
+    path.write_text(scores)
+    context = RunContext(RunConfig(str(unlabeled), None, "rttl", [5], rttl_scores=str(path)))
+    with pytest.raises(ConfigError) as info:
+        context.rttl_scores  # the member that the load stage reads the file through
+    assert str(info.value) == f"{path}: {fault}"
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_cli_reference_whose_source_is_not_the_u_sentence_exits_2(command, toy_seed_1, tmp_path,
+                                                                  capsys):
+    """A blank line prepended to U moves every U sentence to the next id; the
+    embeddings follow it and the reference does not."""
+    lines = (toy_seed_1 / "U.txt").read_text().splitlines(keepends=True)
+    unlabeled = tmp_path / "U.txt"
+    unlabeled.write_text("\n" + "".join(lines))
+    header, *rows = (toy_seed_1 / "emb_U.tsv").read_text().splitlines(keepends=True)
+    shifted = tmp_path / "emb_U.tsv"
+    shifted.write_text(header + "".join(f"{int(sid) + 1}\t{vec}"
+                                        for sid, vec in (row.split("\t") for row in rows)))
+    config = _config_file(toy_seed_1, tmp_path, strategy="csse", unlabeled=str(unlabeled),
+                          embeddings_unlabeled=str(shifted), output_dir=str(tmp_path / "runs"))
+    first = next(i for i in range(1, len(lines)) if lines[i] != lines[i - 1])
+    _fails_at_load(command, config, f"{toy_seed_1 / 'reference.tsv'}: the source of pair {first} "
+                   f"is not U sentence {first}", tmp_path, capsys)
+
+
+def test_reference_and_u_ids_of_only_one_file_are_allowed(toy_seed_1, tmp_path, capsys):
+    lines = (toy_seed_1 / "U.txt").read_text().splitlines(keepends=True)
+    unlabeled = tmp_path / "U.txt"
+    unlabeled.write_text("".join(lines[:5]) + "\n" + "".join(lines[6:]))  # no U id 5
+    reference = tmp_path / "reference.tsv"
+    reference.write_text("".join((toy_seed_1 / "reference.tsv").read_text().splitlines(keepends=True)[:-1]))
+    embeddings = tmp_path / "emb_U.tsv"
+    embeddings.write_text("".join(row for row in (toy_seed_1 / "emb_U.tsv").read_text()
+                                  .splitlines(keepends=True) if not row.startswith("5\t")))
+    config = _config_file(toy_seed_1, tmp_path, unlabeled=str(unlabeled), oracle_reference=str(reference),
+                          embeddings_unlabeled=str(embeddings))
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "config valid\n"
+
+
+def test_validate_freeze_file_with_a_repeated_id_exits_2_naming_the_line(toy_dir, tmp_path, capsys):
+    freeze = tmp_path / "freeze.jsonl"
+    freeze.write_text('{"id": 3}\n{"id": 3}\n')
+    config = _config_file(toy_dir, tmp_path, freeze_file=str(freeze))
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().out == f"FAIL: {freeze}:2: duplicate id 3\n"
+
+
+@pytest.mark.parametrize("strategy, named", [("ngf-smp", "duplicate phrase ("),
+                                             ("random-sent", "duplicate sentence ")])
+def test_cli_oracle_selection_with_a_repeated_line_exits_3_naming_it(strategy, named, toy_dir,
+                                                                     tmp_path, capsys):
+    selection = tmp_path / "sel.jsonl"
+    assert main(["select", "--strategy", strategy, "--unlabeled", str(toy_dir / "U.txt"),
+                 "--labeled", str(toy_dir / "L.tsv"), "--budget-words", "20",
+                 "--output", str(selection)]) == 0
+    lines = selection.read_text().splitlines(keepends=True)
+    selection.write_text("".join(lines[:1] + lines))
+    capsys.readouterr()
+    assert main(["oracle", "--selection", str(selection), "--reference",
+                 str(toy_dir / "reference.tsv"), "--labeled", str(toy_dir / "L.tsv"),
+                 "--output-prefix", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"{selection}:2: {named}" in err and "Traceback" not in err

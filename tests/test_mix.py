@@ -1,9 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
 from almt.corpus import ParallelCorpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
-from almt.errors import ConfigError
+from almt.errors import ConfigError, ParseError
 from almt.mix import (ORIGINS, assemble, load_freeze, retrieve_similar, sample_random,
                       write_freeze)
 from almt.oracle import OracleResponse
@@ -17,22 +19,22 @@ def parallel_of(*pairs):
 FOUR = parallel_of(("a a", "x x"), ("b b", "y y"), ("c c", "z z"), ("d d", "w w"))
 
 
-def test_sample_random_full_corpus():
-    rows = sample_random(FOUR, 4, seed=0)
-    assert sorted(r[0] for r in rows) == [0, 1, 2, 3]
-
-
-def test_sample_random_zero():
-    assert sample_random(FOUR, 0, seed=0) == []
+def test_sample_random_orders_every_pair():
+    rows = sample_random(FOUR, seed=0)
+    assert sorted(rows) == [(src.id, src.tokens, tgt.tokens) for src, tgt in FOUR]
 
 
 def test_sample_random_deterministic():
-    assert sample_random(FOUR, 2, seed=5) == sample_random(FOUR, 2, seed=5)
+    assert sample_random(FOUR, seed=5) == sample_random(FOUR, seed=5)
 
 
-def test_sample_random_too_large():
-    with pytest.raises(ValueError):
-        sample_random(FOUR, 5, seed=0)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sample_random_prefix_is_the_seeded_draw(seed):
+    """A prefix of the order is the draw of that many pairs that a seeded shuffle
+    followed by a cut makes."""
+    ids = FOUR.ids()
+    random.Random(seed).shuffle(ids)
+    assert [r[0] for r in sample_random(FOUR, seed)] == ids
 
 
 def _scorer():
@@ -72,7 +74,7 @@ def test_retrieve_similar_skips_degenerate():
 
 
 def test_freeze_roundtrip(tmp_path):
-    rows = sample_random(FOUR, 3, seed=1)
+    rows = sample_random(FOUR, seed=1)[:3]
     write_freeze(rows, tmp_path / "freeze.jsonl")
     assert load_freeze(tmp_path / "freeze.jsonl", FOUR) == rows
 
@@ -118,6 +120,14 @@ def test_manifest_files(tmp_path):
     recs = [json.loads(l) for l in (tmp_path / "mix.jsonl").read_text().splitlines()]
     assert recs[0]["origin"] == "annotated-sentence"
     assert recs[1]["provenance"] == 1
+
+
+def test_load_freeze_repeated_id_is_a_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "freeze.jsonl"
+    path.write_text('{"id": 3}\n{"id": 3}\n')
+    with pytest.raises(ParseError) as info:
+        load_freeze(path, FOUR)
+    assert str(info.value) == f"{path}:2: duplicate id 3"
 
 
 def test_load_freeze_unknown_id_is_config_error(tmp_path):

@@ -9,7 +9,6 @@ import select_reference
 from ngrams_reference import decode
 from almt.corpus import Corpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
-from almt.errors import ConfigError
 from almt.ngrams import Vocabulary, extract_ngrams, semi_maximal_set
 from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences, select_rttl,
@@ -112,12 +111,6 @@ def test_rttl_uniform_scores_ascending_id():
     U = corpus_of("a", "b", "c")
     result = select_rttl(U, {0: -2.0, 1: -2.0, 2: -2.0}, budget=10)
     assert [s.id for s in result.sentences] == [0, 1, 2]
-
-
-def test_rttl_missing_scores_rejected():
-    U = corpus_of("a", "b")
-    with pytest.raises(ConfigError, match="missing"):
-        select_rttl(U, {0: -1.0}, budget=5)
 
 
 def test_rttl_score_file_roundtrip(tmp_path):
