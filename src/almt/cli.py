@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import analyze, mix, toy
-from .corpus import load_corpus, read_lines
+from .corpus import load_corpus, read_lines, record_id
 from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
 from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
@@ -63,7 +63,7 @@ def _load_selection(path):
         try:
             rec = json.loads(line)
             if rec["kind"] == "sentence":
-                pick = SelectedSentence(rec["id"], None, None)
+                pick = SelectedSentence(record_id(rec), None, None)
                 key, picks = ("sentence", pick.id), result.sentences
             else:
                 pick = SelectedPhrase(tuple(rec["tokens"]), None, None)

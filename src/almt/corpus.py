@@ -5,7 +5,9 @@ assumed pre-tokenized upstream). Token identity is case-sensitive.
 """
 
 import contextlib
+import json
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,11 +35,12 @@ class Sentence:
 
 
 def tokenize(raw_line: str) -> tuple[str, ...]:
-    """Split a line into maximal non-whitespace runs."""
+    """Split a line into maximal non-whitespace runs, each interned, so that
+    every corpus holds one str per token type."""
     tokens = raw_line.split()
     if not tokens:
         raise BlankLineError("line is empty after trimming")
-    return tuple(tokens)
+    return tuple(map(sys.intern, tokens))
 
 
 class Corpus:
@@ -116,6 +119,15 @@ def read_lines(path):
                 lineno = next(n for n, line in enumerate(raw, 1)
                               if line.decode("utf-8", "replace").encode() != line)
             raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+
+
+def record_id(record) -> int:
+    """``record["id"]`` of a parsed JSON record; a value that is not a JSON
+    integer (true and false too) raises TypeError."""
+    sid = record["id"]
+    if type(sid) is not int:
+        raise TypeError(f"id {json.dumps(sid)} is not an integer")
+    return sid
 
 
 def write_text(path, text):

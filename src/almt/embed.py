@@ -15,34 +15,45 @@ from .errors import DegenerateNeighborhoodError, ParseError
 
 
 class EmbeddingStore:
-    """Immutable map from sentence id to a fixed-dimension real vector."""
+    """Immutable map from sentence id to a unit vector of fixed dimension.
+
+    Only the unit rows are kept: the constructor copies its input once and
+    normalises that copy in place. A zero row stays zero and is listed in
+    ``degenerate_ids``."""
 
     def __init__(self, ids, matrix, tag=""):
         self.tag = tag
-        self.ids = list(ids)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.ids):
+        self._index(ids)
+        self.unit = np.array(matrix, dtype=np.float64)
+        if self.unit.ndim != 2 or self.unit.shape[0] != len(self.ids):
             raise ValueError("matrix shape does not match id count")
-        if not np.isfinite(self.matrix).all():
+        if not np.isfinite(self.unit).all():
             raise ValueError(f"store {tag!r} contains NaN/Inf components")
-        self.dim = self.matrix.shape[1]
+        self.dim = self.unit.shape[1]
+        # Norms by row blocks, so no temporary grows with the store.
+        norms = np.empty(len(self.ids))
+        step = max(1, BLOCK_CELLS // max(1, self.dim))
+        with np.errstate(over="ignore"):
+            for start in range(0, len(norms), step):
+                norms[start:start + step] = np.linalg.norm(self.unit[start:start + step], axis=1)
+        # A plain norm overflows past about 1e154 and reads 0 below about
+        # 1e-154: such rows are scaled by their max-abs before normalising.
+        for i in np.nonzero(np.isinf(norms) | (norms == 0.0))[0]:
+            scale = np.abs(self.unit[i]).max(initial=0.0)
+            if scale:
+                self.unit[i] /= scale
+                norms[i] = np.linalg.norm(self.unit[i])
+        self.degenerate_ids = {self.ids[i] for i in np.nonzero(norms == 0.0)[0]}
+        self.unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+
+    def _index(self, ids):
+        """Set ``ids`` and ``row``, id -> row; a repeated id raises ValueError."""
+        self.ids = list(ids)
         self.row = {}
         for i, sid in enumerate(self.ids):
             if sid in self.row:
-                raise ValueError(f"duplicate id {sid} in store {tag!r}")
+                raise ValueError(f"duplicate id {sid} in store {self.tag!r}")
             self.row[sid] = i
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(self.matrix, axis=1)
-        self.degenerate_ids = {self.ids[i] for i in np.nonzero(norms == 0.0)[0]}
-        self.unit = self.matrix / np.where(norms == 0.0, 1.0, norms)[:, None]
-        # A plain norm overflows past about 1e154 and reads 0 below about
-        # 1e-154: such rows are normalised after scaling by their max-abs.
-        for i in np.nonzero(np.isinf(norms) | (norms == 0.0))[0]:
-            scale = np.abs(self.matrix[i]).max(initial=0.0)
-            if scale:
-                scaled = self.matrix[i] / scale
-                self.unit[i] = scaled / np.linalg.norm(scaled)
-                self.degenerate_ids.discard(self.ids[i])
 
     def __len__(self):
         return len(self.ids)
@@ -51,8 +62,14 @@ class EmbeddingStore:
         return sid in self.row
 
     def subset(self, ids, tag=None):
-        rows = [self.row[sid] for sid in ids]
-        return EmbeddingStore(list(ids), self.matrix[rows], tag or self.tag)
+        """The store of ``ids``, its rows taken from this store's unit rows as
+        they are (normalising a unit row again can move it by one ulp)."""
+        sub = object.__new__(EmbeddingStore)
+        sub.tag, sub.dim = tag or self.tag, self.dim
+        sub._index(ids)
+        sub.unit = self.unit[[self.row[sid] for sid in sub.ids]]
+        sub.degenerate_ids = self.degenerate_ids.intersection(sub.ids)
+        return sub
 
     @classmethod
     def load(cls, path, tag=""):

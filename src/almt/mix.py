@@ -6,7 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus, read_lines, write_text
+from .corpus import ParallelCorpus, read_lines, record_id, write_text
 from .errors import ConfigError, ParseError
 
 
@@ -69,7 +69,7 @@ def load_freeze(path, parallel: ParallelCorpus):
     rows, seen = [], set()
     for lineno, line in enumerate(read_lines(path), start=1):
         try:
-            sid = json.loads(line)["id"]
+            sid = record_id(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed freeze record ({exc!r})") from None
         if sid not in parallel:

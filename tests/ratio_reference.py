@@ -74,7 +74,7 @@ def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore
 
     x's neighbors come from pool_x_prime and x_prime's neighbors from pool_x.
     """
-    c = cosine(pool_x.matrix[pool_x.row[x]], pool_x_prime.matrix[pool_x_prime.row[x_prime]])
+    c = cosine(pool_x.unit[pool_x.row[x]], pool_x_prime.unit[pool_x_prime.row[x_prime]])
     m_x = _neighborhood_mean(x, pool_x, pool_x_prime, k)
     m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x, k)
     denom = (m_x + m_xp) / 2.0

@@ -799,7 +799,9 @@ def test_cli_non_utf8_input_is_a_parse_error_naming_the_line(loader, toy_dir, tm
     assert f"{bad}:{line}: not UTF-8" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("record", ["not json", '{"id": 3}', '{"kind": "phrase"}', "[1]"])
+@pytest.mark.parametrize("record", ["not json", '{"id": 3}', '{"kind": "phrase"}', "[1]",
+                                    '{"kind": "sentence", "id": true}', '{"kind": "sentence", "id": 2.0}',
+                                    '{"kind": "sentence", "id": "2"}'])
 def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record, toy_dir, tmp_path,
                                                                          capsys):
     selection = tmp_path / "sel.jsonl"
@@ -839,6 +841,15 @@ def test_pipeline_freeze_line_without_id_is_a_parse_error(toy_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert f"{freeze}:2: malformed freeze record" in err and "Traceback" not in err
     assert (tmp_path / "runs" / "budget-40" / "failed").read_text().startswith("stage: load\n")
+
+
+@pytest.mark.parametrize("record", ['{"id": [1]}', '{"id": true}', '{"id": 2.0}', '{"id": "2"}', '{"id": null}'])
+def test_validate_names_a_freeze_id_that_is_not_an_integer(record, toy_dir, tmp_path, capsys):
+    freeze = tmp_path / "freeze.jsonl"
+    freeze.write_text('{"id": 0}\n' + record + "\n")
+    assert main(["validate", "--config", str(_config_file(toy_dir, tmp_path, freeze_file=str(freeze)))]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith(f"FAIL: {freeze}:2: malformed freeze record") and "Traceback" not in out + err
 
 
 def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
@@ -1056,6 +1067,7 @@ _BAD_INPUTS = {  # key -> (file content, config overrides, exit code of almt pip
     "rttl_scores": ("x\ty\n", {"strategy": "rttl"}, 3),
     "freeze-without-id": ('{"id": 1}\n{"pair": 2}\n', {}, 3),
     "freeze-unknown-id": ('{"id": 999999}\n', {}, 2),
+    "freeze-bool-and-float-ids": ('{"id": true}\n{"id": 2.0}\n', {}, 3),
 }
 
 

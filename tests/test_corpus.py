@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from almt import toy
 from almt.corpus import BlankLineError, load_corpus, load_parallel, tokenize
 from almt.errors import ParseError
 
@@ -86,3 +87,16 @@ def test_non_utf8_line_is_named_past_the_first_read_chunk(tmp_path):
     path.write_bytes(b"a\tT_a\n" * 5000 + b"\xff\tx\n")
     with pytest.raises(ParseError, match=r"u\.txt:5001: not UTF-8"):
         load_parallel(path)
+
+
+def test_corpora_share_one_str_per_token_type(tmp_path):
+    toy.generate(tmp_path, seed=7)
+    U = load_corpus(tmp_path / "U.txt")
+    L, reference = load_parallel(tmp_path / "L.tsv"), load_parallel(tmp_path / "reference.tsv")
+    tokens = [t for s in U for t in s.tokens]
+    tokens += [t for corpus in (L, reference) for pair in corpus for s in pair for t in s.tokens]
+    first = {}
+    for t in tokens:
+        assert first.setdefault(t, t) is t
+    # the check covers tokens that split() would return as fresh objects
+    assert any(len(t) > 1 for t in first)

@@ -385,7 +385,8 @@ def test_store_load(tmp_path):
     path.write_text("dim=2\n4\t1.25 -0.5\n\n1\t0.0 3.0\n", encoding="utf-8")
     loaded = EmbeddingStore.load(path, "t")
     assert loaded.ids == [4, 1] and loaded.dim == 2
-    assert np.array_equal(loaded.matrix, [[1.25, -0.5], [0.0, 3.0]])
+    expected = EmbeddingStore([4, 1], [[1.25, -0.5], [0.0, 3.0]]).unit
+    assert np.array_equal(loaded.unit.view(np.uint64), expected.view(np.uint64))
     assert loaded.degenerate_ids == set()
 
 
@@ -454,9 +455,10 @@ def test_store_load_matches_the_float_reference_bit_for_bit(text, tmp_path):
             EmbeddingStore.load(path)
         assert str(got.value) == str(exc)
         return
-    loaded = EmbeddingStore.load(path)
-    assert loaded.ids == ids and loaded.matrix.shape == matrix.shape
-    assert np.array_equal(loaded.matrix.view(np.uint64), matrix.view(np.uint64))
+    loaded, expected = EmbeddingStore.load(path), EmbeddingStore(ids, matrix)
+    assert loaded.ids == ids and loaded.unit.shape == matrix.shape
+    assert np.array_equal(loaded.unit.view(np.uint64), expected.unit.view(np.uint64))
+    assert loaded.degenerate_ids == expected.degenerate_ids
 
 
 @pytest.mark.parametrize("lines", [
@@ -500,7 +502,7 @@ def test_store_load_header_only_is_empty(tmp_path):
     p = tmp_path / "empty.tsv"
     p.write_text("dim=3\n\n  \n")
     loaded = EmbeddingStore.load(p)
-    assert loaded.ids == [] and loaded.matrix.shape == (0, 3) and loaded.dim == 3
+    assert loaded.ids == [] and loaded.unit.shape == (0, 3) and loaded.dim == 3
 
 
 def test_store_rejects_nan():
@@ -524,3 +526,37 @@ def test_store_keeps_the_unit_bits_of_rows_with_a_finite_non_zero_norm():
     norms = np.linalg.norm(matrix, axis=1)
     unit = EmbeddingStore(range(50), matrix).unit
     assert np.array_equal(unit.view(np.uint64), (matrix / norms[:, None]).view(np.uint64))
+
+
+def test_store_holds_one_float_array_of_its_unit_rows():
+    n, dim = 10000, 128
+    rng = np.random.default_rng(11)
+    tracemalloc.start()
+    try:
+        s = EmbeddingStore(range(n), rng.normal(size=(n, dim)))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(s, "matrix")
+    # Held: the unit rows, the id list and the row map. At the peak also the
+    # input and one row block of norm temporaries, never a whole-store temporary.
+    assert held < 1.25 * n * dim * 8
+    assert peak < 2.5 * n * dim * 8
+
+
+def test_subset_takes_the_parent_unit_rows_bit_for_bit():
+    rng = np.random.default_rng(4)
+    matrix = rng.normal(size=(40, 16))
+    matrix[[3, 17]] = 0.0
+    parent = EmbeddingStore(range(40), matrix, "p")
+    # normalising these unit rows again moves some of them by an ulp
+    again = parent.unit / np.linalg.norm(parent.unit, axis=1, keepdims=True).clip(min=1e-300)
+    assert (again != parent.unit).any()
+    ids = [17, 5, 3, 30, 8]
+    sub = parent.subset(ids, "sub")
+    assert sub.ids == ids and sub.tag == "sub" and sub.dim == 16
+    assert np.array_equal(sub.unit.view(np.uint64), parent.unit[ids].view(np.uint64))
+    assert sub.degenerate_ids == {3, 17}
+    assert parent.subset([5, 8]).degenerate_ids == set()
+    with pytest.raises(ValueError, match="duplicate id 5"):
+        parent.subset([5, 8, 5])
