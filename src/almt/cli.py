@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import analyze, mix, toy
-from .corpus import load_corpus, read_lines, record_id
+from .corpus import load_corpus, read_lines, record_id, record_tokens
 from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
 from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
@@ -66,7 +66,7 @@ def _load_selection(path):
                 pick = SelectedSentence(record_id(rec), None, None)
                 key, picks = ("sentence", pick.id), result.sentences
             else:
-                pick = SelectedPhrase(tuple(rec["tokens"]), None, None)
+                pick = SelectedPhrase(record_tokens(rec), None, None)
                 key, picks = ("phrase", pick.tokens), result.phrases
             repeated = key in seen
         except (ValueError, KeyError, TypeError) as exc:
@@ -133,6 +133,8 @@ def _cmd_analyze(args):
                                  f"got {len(rows[-1])}")
         if not rows:
             raise ParseError(f"{args.input}: no rows")
+        if len(rows[0]) < 2:
+            raise ParseError(f"{args.input}: expected coverage columns and a score column, got 1 column")
         *coverage_cols, score_col = zip(*rows)
         try:
             rs = [analyze.pearson(col, score_col) for col in coverage_cols]

@@ -130,6 +130,15 @@ def record_id(record) -> int:
     return sid
 
 
+def record_tokens(record) -> tuple:
+    """``record["tokens"]`` of a parsed JSON record as a tuple; a value that is
+    not a non-empty JSON list of strings raises TypeError."""
+    tokens = record["tokens"]
+    if type(tokens) is not list or not tokens or not all(type(t) is str for t in tokens):
+        raise TypeError(f"tokens {json.dumps(tokens)} is not a non-empty list of strings")
+    return tuple(tokens)
+
+
 def write_text(path, text):
     """Write ``text``, a str or its UTF-8 bytes, to ``path``: into a temporary
     file of this process beside it, then os.replace onto it, so that ``path``

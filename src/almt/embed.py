@@ -5,6 +5,7 @@ the cosine of a pair by the average cosine of each side's k nearest
 neighbors, drawn from the opposing corpus (margin-scoring convention).
 """
 
+import math
 import warnings
 from functools import cached_property
 
@@ -18,13 +19,18 @@ class EmbeddingStore:
     """Immutable map from sentence id to a unit vector of fixed dimension.
 
     Only the unit rows are kept: the constructor copies its input once and
-    normalises that copy in place. A zero row stays zero and is listed in
-    ``degenerate_ids``."""
+    normalises that copy in place. A zero row stays zero, and ``usable``, one
+    flag per row, is False for it alone."""
 
     def __init__(self, ids, matrix, tag=""):
+        self._own(ids, np.array(matrix, dtype=np.float64), tag)
+
+    def _own(self, ids, unit, tag):
+        """Set every field from ``unit``, a float64 array it owns and normalises
+        in place, and return the store."""
         self.tag = tag
         self._index(ids)
-        self.unit = np.array(matrix, dtype=np.float64)
+        self.unit = unit
         if self.unit.ndim != 2 or self.unit.shape[0] != len(self.ids):
             raise ValueError("matrix shape does not match id count")
         if not np.isfinite(self.unit).all():
@@ -43,8 +49,9 @@ class EmbeddingStore:
             if scale:
                 self.unit[i] /= scale
                 norms[i] = np.linalg.norm(self.unit[i])
-        self.degenerate_ids = {self.ids[i] for i in np.nonzero(norms == 0.0)[0]}
-        self.unit /= np.where(norms == 0.0, 1.0, norms)[:, None]
+        self.usable = norms > 0.0
+        self.unit /= np.where(self.usable, norms, 1.0)[:, None]
+        return self
 
     def _index(self, ids):
         """Set ``ids`` and ``row``, id -> row; a repeated id raises ValueError."""
@@ -67,9 +74,14 @@ class EmbeddingStore:
         sub = object.__new__(EmbeddingStore)
         sub.tag, sub.dim = tag or self.tag, self.dim
         sub._index(ids)
-        sub.unit = self.unit[[self.row[sid] for sid in sub.ids]]
-        sub.degenerate_ids = self.degenerate_ids.intersection(sub.ids)
+        rows = [self.row[sid] for sid in sub.ids]
+        sub.unit, sub.usable = self.unit[rows], self.usable[rows]
         return sub
+
+    @property
+    def degenerate_ids(self):
+        """The ids of the zero rows."""
+        return {self.ids[i] for i in np.flatnonzero(~self.usable)}
 
     @classmethod
     def load(cls, path, tag=""):
@@ -101,7 +113,7 @@ class EmbeddingStore:
         if faults:
             i, fault = min(faults)
             raise ParseError(f"{path}:{linenos[i]}: {fault}")
-        return cls(ids, matrix, tag)
+        return object.__new__(cls)._own(ids, matrix, tag)  # the parsed matrix is not copied
 
 
 def _vector_lines(path, lines):
@@ -155,12 +167,6 @@ def parse_dim(path, header):
 BLOCK_CELLS = 1 << 16
 
 
-def _usable(store: EmbeddingStore):
-    keep = np.ones(len(store), dtype=bool)
-    keep[[store.row[sid] for sid in store.degenerate_ids]] = False
-    return keep
-
-
 class RatioScorer:
     """All-pairs ratio scores between two stores, reduced per A row.
 
@@ -172,7 +178,7 @@ class RatioScorer:
     one reduction over a contiguous last axis for rows and columns alike. It
     is NaN for a degenerate point and for a point with no neighbours. The
     first reduction call (pass 2, cached) sweeps the blocks again as ratios
-    and keeps per-row min, max, usability and argmax; ``T``, the B x A scorer,
+    and keeps per-row min, max and argmax; ``T``, the B x A scorer,
     shares pass 1 and makes its own pass 2. No |A| x |B| array is ever held.
     Every per-row result depends only on that row's products, so the block
     size reaches results only through the rounding of the BLAS products, whose
@@ -181,17 +187,17 @@ class RatioScorer:
 
     def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int):
         self.a, self.b, self.k = store_a, store_b, k
-        self.valid_a, self.valid_b = _usable(store_a), _usable(store_b)
-        all_a, all_b, n = self.valid_a.all(), self.valid_b.all(), np.count_nonzero(self.valid_b)
+        use_a, use_b = store_a.usable, store_b.usable
+        all_a, all_b, n = use_a.all(), use_b.all(), np.count_nonzero(use_b)
         kk = min(k, n)
         self.mean_a = np.full(len(store_a), np.nan)
         top = np.empty((0, len(store_b)))  # per column, its largest cosines ascending
         for start, sims in self._products(store_a.unit, store_b.unit):
             rows = slice(start, start + len(sims))
             if n:
-                tail = np.partition(sims if all_b else sims[:, self.valid_b], n - kk, axis=1)[:, n - kk:]
+                tail = np.partition(sims if all_b else sims[:, use_b], n - kk, axis=1)[:, n - kk:]
                 self.mean_a[rows] = np.sort(tail, axis=1).mean(axis=1)
-            cand = sims if all_a else sims[self.valid_a[rows]]
+            cand = sims if all_a else sims[use_a[rows]]
             if len(top) < k:
                 top = np.sort(np.vstack([top, cand]), axis=0)[-k:].copy()  # frees the sorted block
             elif len(cand):
@@ -199,98 +205,91 @@ class RatioScorer:
                 top[:, beat] = np.sort(np.vstack([top[:, beat], cand[:, beat]]), axis=0)[-k:]
         self.mean_b = (np.ascontiguousarray(top.T).mean(axis=1) if len(top)
                        else np.full(len(store_b), np.nan))
-        self.mean_a[~self.valid_a] = self.mean_b[~self.valid_b] = np.nan
+        self.mean_a[~use_a] = self.mean_b[~use_b] = np.nan
 
     @cached_property
     def T(self):
-        """The B x A scorer: it shares this one's pass 1 (stores, usability and
-        means, swapped) and makes its own pass 2 over B x A cosines."""
+        """The B x A scorer: it shares this one's pass 1 (stores and means,
+        swapped) and makes its own pass 2 over B x A cosines."""
         t = object.__new__(RatioScorer)
-        t.a, t.b, t.k = self.b, self.a, self.k
-        t.valid_a, t.valid_b, t.mean_a, t.mean_b = self.valid_b, self.valid_a, self.mean_b, self.mean_a
+        t.a, t.b, t.k, t.mean_a, t.mean_b = self.b, self.a, self.k, self.mean_b, self.mean_a
         t.__dict__["T"] = self
         return t
 
     def _products(self, left, right):
         """(start, left[start:stop] @ right.T) for each row block of left,
-        a block holding at most BLOCK_CELLS cells (at least one row)."""
+        a block holding at most BLOCK_CELLS cells (at least one row). Each block
+        overwrites the last in one buffer: a fresh one can fault in new pages."""
         rows = max(1, BLOCK_CELLS // max(1, right.shape[0]))
+        buf = np.empty((min(rows, left.shape[0]), right.shape[0]))
         for start in range(0, left.shape[0], rows):
-            yield start, left[start:start + rows] @ right.T
+            block = left[start:start + rows]
+            yield start, np.matmul(block, right.T, out=buf[:len(block)])
 
     @cached_property
     def _rows(self):
-        """Pass 2: per-A-row (usable, min, max, argmax column, argmax value).
+        """Pass 2: per-A-row (min, max, argmax column, argmax value).
 
-        A row is usable when it is not degenerate, B has a usable column, and
-        no usable column has a non-positive denominator. min and max run over
-        usable columns; argmax runs over every finite ratio, ties to the
-        lowest B id, and is -1 when the row has none.
+        A pair has a ratio when both points are usable and its denominator is
+        positive. min and max run over a row's ratios and are NaN when it has
+        none, which skips the row; argmax runs over its finite ratios, ties to
+        the lowest B id, and is -1 when the row has none.
         """
-        n_a = len(self.a)
-        usable = np.zeros(n_a, dtype=bool)
-        mins, maxs, best_val = np.full(n_a, np.nan), np.full(n_a, np.nan), np.full(n_a, np.nan)
-        best = np.full(n_a, -1)
-        if not self.valid_b.any():
-            return usable, mins, maxs, best, best_val
+        mins, maxs, best_val = np.full((3, len(self.a)), np.nan)
+        best = np.full(len(self.a), -1)
+        if not self.b.usable.any():
+            return mins, maxs, best, best_val
         # Columns in ascending id order, so the first maximum is the tie-break
-        # winner. A NaN mean makes every ratio of a degenerate point NaN.
+        # winner. A degenerate point's NaN mean makes its denominators NaN.
         by_id = np.argsort(np.asarray(self.b.ids), kind="stable")
         mean_b = self.mean_b[by_id]
-        unusable_cols = np.count_nonzero(~self.valid_b)
         # Addition and halving round monotonically, so a row's denominators
-        # are all positive when the one with B's lowest mean is.
-        positive = (self.mean_a + self.mean_b[self.valid_b].min()) / 2.0 > 0.0
+        # are all positive when the one with B's lowest mean (NaN if any is) is.
+        positive = (self.mean_a + mean_b.min()) / 2.0 > 0.0
         for start, ratios in self._products(self.a.unit, self.b.unit[by_id]):
             rows = slice(start, start + len(ratios))
             denom = self.mean_a[rows, None] + mean_b
             denom /= 2.0
             with np.errstate(all="ignore"):  # a zero, NaN or subnormal denominator
                 ratios /= denom
-            fast = not unusable_cols and positive[rows].all()  # then no ratio is NaN
+            fast = positive[rows].all()  # then every pair has a ratio
             if not fast:
                 ratios[~(denom > 0.0)] = np.nan
             mins[rows], maxs[rows] = np.fmin.reduce(ratios, axis=1), np.fmax.reduce(ratios, axis=1)
             if fast and np.isfinite(maxs[rows]).all():
-                usable[rows] = True
                 pick = ratios.argmax(axis=1)
                 best[rows] = by_id[pick]
             else:  # the argmax skips infinite ratios
-                usable[rows] = np.count_nonzero(np.isnan(ratios), axis=1) == unusable_cols
                 finite = np.isfinite(ratios)
                 pick = np.argmax(np.where(finite, ratios, -np.inf), axis=1)
                 best[rows] = np.where(finite.any(axis=1), by_id[pick], -1)
             best_val[rows] = ratios[np.arange(len(ratios)), pick]
-        return usable, mins, maxs, best, best_val
+        return mins, maxs, best, best_val
 
     def _reduce_rows(self, values):
-        """id in A -> values[row] for usable rows, plus the skipped ids."""
-        out, skipped = {}, []
-        for sid, ok, v in zip(self.a.ids, self._rows[0].tolist(), values.tolist()):
-            if ok:
-                out[sid] = v
-            else:
-                skipped.append(sid)
-        return out, skipped
+        """id in A -> values[row] for rows with a ratio, plus the skipped ids."""
+        out = {sid: v for sid, v in zip(self.a.ids, values.tolist()) if not math.isnan(v)}
+        return out, [sid for sid in self.a.ids if sid not in out]
 
     def min_over_b(self):
         """id in A -> min ratio over B (literal distance-to-labeled)."""
-        return self._reduce_rows(self._rows[1])
+        return self._reduce_rows(self._rows[0])
 
     def max_over_b(self):
         """id in A -> max ratio over any B member (nearest similarity)."""
-        return self._reduce_rows(self._rows[2])
+        return self._reduce_rows(self._rows[1])
 
     def skip_counts(self):
         """Skipped A rows by cause: "zero-norm" when the row's vector, or every
-        B vector, has zero norm, else "non-positive-margin" (some usable
-        column's denominator is not positive)."""
-        zero = len(self.a) if not self.valid_b.any() else int(np.count_nonzero(~self.valid_a))
-        return {"zero-norm": zero, "non-positive-margin": int(np.count_nonzero(~self._rows[0])) - zero}
+        B vector, has zero norm, else "non-positive-margin" (no B point gives
+        the row a positive denominator)."""
+        zero = len(self.a) if not self.b.usable.any() else int(np.count_nonzero(~self.a.usable))
+        skipped = int(np.count_nonzero(np.isnan(self._rows[1])))
+        return {"zero-norm": zero, "non-positive-margin": skipped - zero}
 
     def argmax_over_b(self, a_id):
         """Best B id for one A id, ties by ascending B id."""
-        _, _, _, best, best_val = self._rows
+        _, _, best, best_val = self._rows
         i = self.a.row[a_id]
         if best[i] < 0:
             raise DegenerateNeighborhoodError(f"no usable retrieval target for id {a_id}")

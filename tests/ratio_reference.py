@@ -83,16 +83,34 @@ def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore
     return c / denom
 
 
+def ratios(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int) -> dict:
+    """pool id -> ratio_score(x, id) for each pair that has a ratio: both
+    points are usable and the pair's denominator is positive."""
+    out, zero = {}, pool.degenerate_ids
+    if x in pool_x.degenerate_ids:
+        return out
+    for z in pool.ids:
+        if z not in zero:
+            try:
+                out[z] = ratio_score(x, z, pool_x, pool, k)
+            except DegenerateNeighborhoodError:  # a non-positive denominator
+                pass
+    return out
+
+
 def dist_to_labeled(x, pool_x: EmbeddingStore, labeled: EmbeddingStore, k: int,
                     mode: str = "literal") -> float:
-    """Distance of x from a labeled pool.
+    """Distance of x from a labeled pool, over the pairs that have a ratio.
 
     "literal" takes the minimum ratio over the labeled pool; "nn" takes the
-    maximum (similarity to the nearest labeled neighbor).
+    maximum (similarity to the nearest labeled neighbor). No pair with a
+    ratio raises DegenerateNeighborhoodError.
     """
     if len(labeled) == 0:
         raise ValueError("labeled pool is empty")
-    scores = [ratio_score(x, xp, pool_x, labeled, k) for xp in labeled.ids]
+    scores = ratios(x, pool_x, labeled, k).values()
+    if not scores:
+        raise DegenerateNeighborhoodError(f"no ratio for id {x}")
     return min(scores) if mode == "literal" else max(scores)
 
 
@@ -100,4 +118,4 @@ def nearest_similarity(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int) 
     """Corpus-level similarity: max ratio of x against every pool member."""
     if len(pool) == 0:
         raise ValueError("pool is empty")
-    return max(ratio_score(x, z, pool_x, pool, k) for z in pool.ids)
+    return dist_to_labeled(x, pool_x, pool, k, mode="nn")

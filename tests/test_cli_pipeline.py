@@ -801,7 +801,9 @@ def test_cli_non_utf8_input_is_a_parse_error_naming_the_line(loader, toy_dir, tm
 
 @pytest.mark.parametrize("record", ["not json", '{"id": 3}', '{"kind": "phrase"}', "[1]",
                                     '{"kind": "sentence", "id": true}', '{"kind": "sentence", "id": 2.0}',
-                                    '{"kind": "sentence", "id": "2"}'])
+                                    '{"kind": "sentence", "id": "2"}',
+                                    *(f'{{"kind": "phrase", "tokens": {tokens}}}'
+                                      for tokens in ('"ab"', "[1, 2]", '["d00", 5]', "[]"))])
 def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record, toy_dir, tmp_path,
                                                                          capsys):
     selection = tmp_path / "sel.jsonl"
@@ -821,6 +823,8 @@ def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record,
     pytest.param("", "", "no rows", id="empty-file"),
     pytest.param("1\t2\n", "", "need at least 2 points", id="one-row"),
     pytest.param("1\t2\n1\t3\n", "", "zero variance", id="constant-column"),
+    pytest.param("0.1\n0.2\n0.3\n", "", "expected coverage columns and a score column, got 1 column",
+                 id="one-column"),
 ])
 def test_cli_analyze_correlation_malformed_row_is_a_parse_error(text, where, problem, tmp_path, capsys):
     data = tmp_path / "cols.tsv"
@@ -959,8 +963,8 @@ def test_cli_bad_value_or_embedding_header_exits_without_traceback(command, code
 @pytest.fixture(scope="module")
 def stock_toy_nn(tmp_path_factory):
     """The stock toy (seed 7) with CSSE's nearest-neighbour mode, and its scalar
-    reference order: ascending max ratio to L′, ties by id, over the U ids whose
-    every margin against L′ is positive."""
+    reference order: ascending max ratio to L′, ties by id, over the U ids with
+    a ratio to some point of L′."""
     from ratio_reference import dist_to_labeled
     from almt.errors import DegenerateNeighborhoodError
     from almt.pipeline import RunContext

@@ -9,7 +9,7 @@ import embed_reference
 from almt import embed
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import DegenerateNeighborhoodError, ParseError
-from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score
+from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score, ratios
 
 
 def store(vectors, tag="s"):
@@ -122,26 +122,17 @@ def test_nearest_similarity_is_max_of_ratios():
 def _reference_rows(a, b, k):
     """A id -> (min, max) or None when skipped, and A id -> (best B id, ratio) or None.
 
-    Built pair by pair from the scalar reference, with the scorer's rules:
-    degenerate B members leave the pool, a degenerate A row or a
-    non-positive denominator against any usable B member skips the row, and
-    the argmax takes every pair that has a ratio, ties to the lowest B id.
+    Built pair by pair from the scalar reference, with the scorer's rule: a
+    pair has a ratio when both points are usable and its denominator is
+    positive. min, max and the argmax run over a row's ratios, the argmax
+    ties to the lowest B id, and a row without a ratio is skipped.
     """
-    pool = [y for y in b.ids if y not in b.degenerate_ids]
     rows, best = {}, {}
     for x in a.ids:
-        if x in a.degenerate_ids:
-            rows[x] = best[x] = None
-            continue
-        ratios, complete = {}, bool(pool)
-        for y in pool:
-            try:
-                ratios[y] = ratio_score(x, y, a, b, k)
-            except DegenerateNeighborhoodError:
-                complete = False
-        rows[x] = (min(ratios.values()), max(ratios.values())) if complete else None
-        top = max(ratios, key=lambda y: (ratios[y], -y)) if ratios else None
-        best[x] = (top, ratios[top]) if ratios else None
+        row = ratios(x, a, b, k)
+        top = max(row, key=lambda y: (row[y], -y)) if row else None
+        rows[x] = (min(row.values()), max(row.values())) if row else None
+        best[x] = (top, row[top]) if row else None
     return rows, best
 
 
@@ -150,10 +141,11 @@ def _edge_case_stores():
 
     Most vectors sit in a cone around e1. A row 9 and B row 7 point the other
     way, so their neighbourhood means are negative and the pair's
-    denominator is not positive: A row 9 is skipped although it is not
-    degenerate. A row 10 and B row 8 are zero vectors. B row 9 is B row 2
-    doubled, so the two tie for every A row; B ids are not ascending and the
-    later column has the lower id (5 < 31). A row 11 is nearest that pair.
+    denominator is not positive: that pair has no ratio, while A row 9 keeps
+    its ratios to the B rows in the cone. A row 10 and B row 8 are zero
+    vectors. B row 9 is B row 2 doubled, so the two tie for every A row; B ids
+    are not ascending and the later column has the lower id (5 < 31). A row
+    11 is nearest that pair.
     """
     rng = np.random.default_rng(23)
     e1 = np.eye(5)[0]
@@ -192,14 +184,15 @@ def test_ratio_scorer_matches_scalar_reference():
     for k in (3, 20):  # 20: truncated
         for scorer in (RatioScorer(a, b, k=k), RatioScorer(b, a, k=k).T):
             skipped, best = _assert_matches_reference(scorer, k)
-            assert 36 in skipped and 36 not in a.degenerate_ids, k
-            assert scorer.skip_counts() == {"zero-norm": 1, "non-positive-margin": len(skipped) - 1}
+            # A id 36 has no ratio to B id 16 and is kept for its other pairs.
+            assert 16 not in ratios(36, a, b, k) and skipped == [50], k
+            assert scorer.skip_counts() == {"zero-norm": 1, "non-positive-margin": 0}
             assert best[9][0] == 5, k
 
 
 def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference(monkeypatch):
     # Without degenerate B columns, a block whose ratios are all finite takes
-    # one min, max and argmax; A row 9 (id 36, non-positive margin) and the
+    # one min, max and argmax; A row 9 (id 36, no ratio to B id 16) and the
     # zero A row put their blocks on the NaN-aware fallback. Two-row blocks
     # mix a finite row with each of them.
     a, full_b = _edge_case_stores()
@@ -207,7 +200,49 @@ def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference(monkeypat
     for cells in (1, 2 * len(b), len(a) * len(b)):  # one, two and every A row per block
         monkeypatch.setattr(embed, "BLOCK_CELLS", cells)
         skipped, _ = _assert_matches_reference(RatioScorer(a, b, k=3), 3)
-        assert skipped == [36, 50], cells
+        assert skipped == [50], cells
+
+
+# A row of 4 components: zero, one +-1 or four +-1, scaled by a power of two.
+# Unit components are 0, +-1/2 or +-1, so every cosine, neighbourhood sum and
+# ratio is computed exactly alike by the kernel and the scalar reference.
+_ONE_HOT = [tuple(sign * (i == j) for j in range(4)) for i in range(4) for sign in (-1, 1)]
+_exact_row = st.tuples(st.one_of(st.just((0,) * 4), st.sampled_from(_ONE_HOT),
+                                 st.tuples(*[st.sampled_from([-1, 1])] * 4)),
+                       st.integers(-3, 3)).map(lambda t: [v * 2.0 ** t[1] for v in t[0]])
+
+
+@st.composite
+def _exact_stores(draw):
+    def one(tag, most):
+        rows = draw(st.lists(_exact_row, min_size=1, max_size=most))
+        ids = draw(st.lists(st.integers(0, 60), min_size=len(rows), max_size=len(rows), unique=True))
+        return EmbeddingStore(ids, np.array(rows), tag)
+    return one("a", 12), one("b", 8)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stores=_exact_stores(), k=st.integers(1, 4))
+def test_every_reduction_runs_over_the_pairs_that_have_a_ratio(stores, k, monkeypatch):
+    # Zero rows and points whose neighbourhood mean is negative are common
+    # here, so rows mix pairs with and without a ratio, and some have none.
+    a, b = stores
+    rows, best = _reference_rows(a, b, k)
+    kept = {x: row for x, row in rows.items() if row is not None}
+    skipped = [x for x in a.ids if rows[x] is None]
+    zero = len(a) if b.degenerate_ids == set(b.ids) else len(a.degenerate_ids)
+    for cells in (1, 7, len(a)):  # A rows per block
+        monkeypatch.setattr(embed, "BLOCK_CELLS", cells * len(b))
+        for scorer in (RatioScorer(a, b, k=k), RatioScorer(b, a, k=k).T):
+            assert scorer.min_over_b() == ({x: row[0] for x, row in kept.items()}, skipped)
+            assert scorer.max_over_b() == ({x: row[1] for x, row in kept.items()}, skipped)
+            assert scorer.skip_counts() == {"zero-norm": zero, "non-positive-margin": len(skipped) - zero}
+            for x in a.ids:
+                if best[x] is None:
+                    with pytest.raises(DegenerateNeighborhoodError):
+                        scorer.argmax_over_b(x)
+                else:
+                    assert scorer.argmax_over_b(x) == best[x], (cells, x)
 
 
 def _lattice_store(rng, n, ids, tag):
@@ -313,7 +348,7 @@ def test_means_average_the_top_k_in_ascending_order(monkeypatch):
     for b, k, cells in cases + [(wide, 50, default)]:
         monkeypatch.setattr(embed, "BLOCK_CELLS", cells)
         scorer = RatioScorer(a, b, k=k)
-        cos = np.vstack([sims for _, sims in scorer._products(a.unit, b.unit)])
+        cos = np.vstack([sims.copy() for _, sims in scorer._products(a.unit, b.unit)])
         assert repr(scorer.mean_a.tolist()) == repr(_reference_means(a, b, k, cos)), (k, cells)
         assert repr(scorer.mean_b.tolist()) == repr(_reference_means(b, a, k, cos.T)), (k, cells)
 
@@ -542,6 +577,25 @@ def test_store_holds_one_float_array_of_its_unit_rows():
     # input and one row block of norm temporaries, never a whole-store temporary.
     assert held < 1.25 * n * dim * 8
     assert peak < 2.5 * n * dim * 8
+
+
+def test_store_load_normalises_the_parsed_matrix_without_a_copy(tmp_path):
+    n, dim = 5000, 64
+    matrix = np.random.default_rng(12).normal(size=(n, dim))
+    path = tmp_path / "emb.tsv"
+    path.write_text(f"dim={dim}\n" + "".join(f"{i}\t" + " ".join(map(repr, row.tolist())) + "\n"
+                                             for i, row in enumerate(matrix)))
+    tracemalloc.start()
+    try:
+        loaded = EmbeddingStore.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The parsed matrix becomes the unit rows; a copy of it would take the peak past 2x.
+    assert peak < 2.0 * n * dim * 8
+    built = EmbeddingStore(range(n), matrix)
+    assert np.array_equal(loaded.unit.view(np.uint64), built.unit.view(np.uint64))
+    assert not np.shares_memory(built.unit, matrix)  # the constructor still copies its input
 
 
 def test_subset_takes_the_parent_unit_rows_bit_for_bit():
