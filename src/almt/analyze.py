@@ -56,7 +56,8 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> Cov
 
 
 def pearson(xs, ys) -> float:
-    """Standard sample Pearson correlation coefficient."""
+    """Standard sample Pearson correlation coefficient. A sum that leaves the
+    float range raises ValueError, as does a constant column."""
     xs, ys = list(map(float, xs)), list(map(float, ys))
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -64,12 +65,17 @@ def pearson(xs, ys) -> float:
         raise ValueError("need at least 2 points")
     n = len(xs)
     mx, my = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("zero variance: correlation undefined")
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+    try:
+        sxx = sum((x - mx) ** 2 for x in xs)
+        syy = sum((y - my) ** 2 for y in ys)
+        if sxx == 0.0 or syy == 0.0:
+            raise ValueError("zero variance: correlation undefined")
+        r = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / math.sqrt(sxx * syy)
+    except (OverflowError, ZeroDivisionError):  # a square past the float range, or sxx * syy below it
+        r = math.nan
+    if not math.isfinite(r):  # or a sum past it
+        raise ValueError("sums leave the float range: correlation undefined")
+    return max(-1.0, min(1.0, r))
 
 
 def _modified_precision(hyp, ref, n):

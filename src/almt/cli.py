@@ -5,10 +5,11 @@ Exit codes: 0 success, 2 validation failure or unreadable path, 3 stage failure.
 
 import argparse
 import json
+import math
 import sys
 
 from . import analyze, mix, toy
-from .corpus import load_corpus, read_lines, record_id, record_tokens
+from .corpus import load_corpus, read_records, record_id, record_tokens
 from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
 from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
@@ -58,23 +59,16 @@ def _load_selection(path):
     """A selection.jsonl file as a SelectionResult of its sentence ids and phrases.
     A malformed record or a repeated sentence or phrase raises ParseError naming
     the line (a repeat's second one)."""
-    result, seen = SelectionResult(None, None, None), set()
-    for lineno, line in enumerate(read_lines(path), start=1):
-        try:
-            rec = json.loads(line)
-            if rec["kind"] == "sentence":
-                pick = SelectedSentence(record_id(rec), None, None)
-                key, picks = ("sentence", pick.id), result.sentences
-            else:
-                pick = SelectedPhrase(record_tokens(rec), None, None)
-                key, picks = ("phrase", pick.tokens), result.phrases
-            repeated = key in seen
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"{path}:{lineno}: malformed selection record ({exc!r})") from None
-        if repeated:
-            raise ParseError(f"{path}:{lineno}: duplicate {key[0]} {key[1]!r}")
-        seen.add(key)
-        picks.append(pick)
+    def parse(line):  # (its name, such as "sentence 3", and its pick)
+        rec = json.loads(line)
+        if rec["kind"] == "sentence":
+            pick = SelectedSentence(record_id(rec), None, None)
+            return f"sentence {pick.id}", pick
+        pick = SelectedPhrase(record_tokens(rec), None, None)
+        return f"phrase {pick.tokens!r}", pick
+    result = SelectionResult(None, None, None)
+    for _, (_, pick) in read_records(path, parse, key=lambda rec: rec[0], what="selection"):
+        (result.sentences if isinstance(pick, SelectedSentence) else result.phrases).append(pick)
     return result
 
 
@@ -111,6 +105,25 @@ def _cmd_mix(args):
     return 0
 
 
+def _read_table(path):
+    """The rows of a TSV of numbers, each as wide as the first."""
+    rows = []
+
+    def parse(line):
+        try:
+            row = [float(v) for v in line.rstrip("\n").split("\t")]
+        except ValueError:
+            raise ValueError(f"non-numeric cell in {line.rstrip()!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"non-finite cell in {line.rstrip()!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"expected {len(rows[0])} columns, got {len(row)}")
+        return row
+    for _, row in read_records(path, parse):
+        rows.append(row)
+    return rows
+
+
 # analyze mode -> the files it reads: correlation's table, every other mode's corpora
 _ANALYZE_NEEDS = {"correlation": ("input",), "coverage": ("covering", "test"),
                   "bleu": ("hypotheses", "references"), "wordstats": ("selected", "ood", "test"),
@@ -120,17 +133,7 @@ _ANALYZE_NEEDS = {"correlation": ("input",), "coverage": ("covering", "test"),
 def _cmd_analyze(args):
     _require(args, _ANALYZE_NEEDS[args.mode], f"analyze {args.mode}")
     if args.mode == "correlation":
-        rows = []
-        for lineno, line in enumerate(read_lines(args.input), start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append([float(v) for v in line.rstrip("\n").split("\t")])
-            except ValueError:
-                raise ParseError(f"{args.input}:{lineno}: non-numeric cell in {line.rstrip()!r}") from None
-            if len(rows[-1]) != len(rows[0]):
-                raise ParseError(f"{args.input}:{lineno}: expected {len(rows[0])} columns, "
-                                 f"got {len(rows[-1])}")
+        rows = _read_table(args.input)
         if not rows:
             raise ParseError(f"{args.input}: no rows")
         if len(rows[0]) < 2:
@@ -138,7 +141,7 @@ def _cmd_analyze(args):
         *coverage_cols, score_col = zip(*rows)
         try:
             rs = [analyze.pearson(col, score_col) for col in coverage_cols]
-        except ValueError as exc:  # fewer than 2 rows, or a constant column
+        except ValueError as exc:  # fewer than 2 rows, a constant column or sums past the float range
             raise ParseError(f"{args.input}: {exc}") from None
         print("\t".join(f"{r:.6f}" for r in rs))
         return 0

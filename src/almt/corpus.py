@@ -5,6 +5,7 @@ assumed pre-tokenized upstream). Token identity is case-sensitive.
 """
 
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -50,50 +51,26 @@ class Corpus:
     insertion order.
     """
 
-    def __init__(self, sentences, name=""):
+    kind = "sentence"
+
+    def __init__(self, items, name=""):
         self.name = name
-        self.sentences = list(sentences)
         self._by_id = {}
-        for s in self.sentences:
-            if s.id in self._by_id:
-                raise ValueError(f"duplicate sentence id {s.id} in corpus {name!r}")
-            self._by_id[s.id] = s
+        for item in items:
+            sid = self.id_of(item)
+            if sid in self._by_id:
+                raise ValueError(f"duplicate {self.kind} id {sid} in corpus {name!r}")
+            self._by_id[sid] = item
+
+    @staticmethod
+    def id_of(sentence):
+        return sentence.id
 
     def __iter__(self):
-        return iter(self.sentences)
+        return iter(self._by_id.values())
 
     def __len__(self):
-        return len(self.sentences)
-
-    def __contains__(self, sid):
-        return sid in self._by_id
-
-    def get(self, sid) -> Sentence:
-        return self._by_id[sid]
-
-    def ids(self):
-        return [s.id for s in self.sentences]
-
-
-class ParallelCorpus:
-    """Ordered collection of id-aligned (source, target) sentence pairs."""
-
-    def __init__(self, pairs, name=""):
-        self.name = name
-        self.pairs = list(pairs)
-        self._by_id = {}
-        for src, tgt in self.pairs:
-            if src.id != tgt.id:
-                raise ValueError(f"pair ids differ: {src.id} vs {tgt.id}")
-            if src.id in self._by_id:
-                raise ValueError(f"duplicate pair id {src.id} in corpus {name!r}")
-            self._by_id[src.id] = (src, tgt)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
+        return len(self._by_id)
 
     def __contains__(self, sid):
         return sid in self._by_id
@@ -102,23 +79,64 @@ class ParallelCorpus:
         return self._by_id[sid]
 
     def ids(self):
-        return [src.id for src, _ in self.pairs]
+        return list(self._by_id)
+
+
+class ParallelCorpus(Corpus):
+    """Ordered collection of id-aligned (source, target) sentence pairs, each
+    keyed by the id its two sentences share."""
+
+    kind = "pair"
+
+    @staticmethod
+    def id_of(pair):
+        src, tgt = pair
+        if src.id != tgt.id:
+            raise ValueError(f"pair ids differ: {src.id} vs {tgt.id}")
+        return src.id
 
     def source_corpus(self, name=None) -> Corpus:
-        return Corpus([src for src, _ in self.pairs], name or f"{self.name}-src")
+        return Corpus([src for src, _ in self], name or f"{self.name}-src")
 
 
 def read_lines(path):
-    """Yield the lines of a UTF-8 text file; bytes that are not UTF-8 raise
-    ParseError naming the first line that holds them."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield the lines of a UTF-8 text file; the first line that holds bytes that
+    are not UTF-8 raises ParseError naming it, after the lines before it."""
+    done = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for done, line in enumerate(fh, 1):
+                yield line
+    except UnicodeDecodeError as exc:  # decoded in read-ahead chunks: read on from line done + 1
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in itertools.islice(enumerate(fh, 1), done, None):
+                if any("\udc80" <= c <= "\udcff" for c in line):  # a byte the decoder escaped
+                    raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+                yield line
+
+
+def read_records(path, parse, key=None, what=None, start=1):
+    """(line number, parse(line)) of each non-blank line of ``path`` from line
+    ``start`` on. The first faulty line in file order raises ParseError
+    "<path>:<line>: <fault>": a ValueError, KeyError or TypeError from ``parse``
+    gives its message, or "malformed <what> record (<its repr>)" with ``what``;
+    a record whose name ``key(record)``, such as "id 3", an earlier line's
+    record has gives "duplicate <name>"."""
+    seen = set()
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if lineno < start or line.isspace():
+            continue
         try:
-            yield from fh
-        except UnicodeDecodeError as exc:  # decoded in read-ahead chunks: find the line again
-            with open(path, "rb") as raw:
-                lineno = next(n for n, line in enumerate(raw, 1)
-                              if line.decode("utf-8", "replace").encode() != line)
-            raise ParseError(f"{path}:{lineno}: not UTF-8 ({exc.reason})") from None
+            record = parse(line)
+        except (ValueError, KeyError, TypeError) as exc:
+            fault = f"malformed {what} record ({exc!r})" if what else exc
+            raise ParseError(f"{path}:{lineno}: {fault}") from None
+        if key is not None:
+            name = key(record)
+            if name in seen:
+                raise ParseError(f"{path}:{lineno}: duplicate {name}")
+            seen.add(name)
+        yield lineno, record
 
 
 def record_id(record) -> int:
@@ -131,11 +149,12 @@ def record_id(record) -> int:
 
 
 def record_tokens(record) -> tuple:
-    """``record["tokens"]`` of a parsed JSON record as a tuple; a value that is
-    not a non-empty JSON list of strings raises TypeError."""
+    """``record["tokens"]`` of a parsed JSON record as a tuple; a value that is not
+    a non-empty JSON list of non-empty strings without whitespace raises TypeError."""
     tokens = record["tokens"]
-    if type(tokens) is not list or not tokens or not all(type(t) is str for t in tokens):
-        raise TypeError(f"tokens {json.dumps(tokens)} is not a non-empty list of strings")
+    if type(tokens) is not list or not tokens or \
+            not all(type(t) is str and t.split() == [t] for t in tokens):
+        raise TypeError(f"tokens {json.dumps(tokens)} is not a non-empty list of tokens")
     return tuple(tokens)
 
 
@@ -164,30 +183,24 @@ def load_corpus(path, name="") -> Corpus:
     match the original file.
     """
     path = Path(path)
-    sentences = []
-    for lineno, line in enumerate(read_lines(path)):
-        try:
-            tokens = tokenize(line)
-        except BlankLineError:
-            continue
-        sentences.append(Sentence(lineno, tokens))
-    return Corpus(sentences, name or path.stem)
+    return Corpus((Sentence(lineno - 1, tokens) for lineno, tokens in read_records(path, tokenize)),
+                  name or path.stem)
+
+
+def _pair_tokens(line):
+    """(source tokens, target tokens) of a "source TAB target" line."""
+    cols = line.rstrip("\n").split("\t")
+    if len(cols) != 2:
+        raise ValueError(f"expected 2 TSV columns, got {len(cols)}")
+    try:
+        return tokenize(cols[0]), tokenize(cols[1])
+    except BlankLineError:
+        raise ValueError("empty source or target column") from None
 
 
 def load_parallel(path, name="") -> ParallelCorpus:
-    """Load a two-column TSV (source TAB target), one pair per line."""
+    """Load a two-column TSV (source TAB target), one pair per line; ids as in load_corpus."""
     path = Path(path)
-    pairs = []
-    for lineno, line in enumerate(read_lines(path)):
-        if not line.strip():
-            continue
-        cols = line.rstrip("\n").split("\t")
-        if len(cols) != 2:
-            raise ParseError(f"{path}:{lineno + 1}: expected 2 TSV columns, got {len(cols)}")
-        try:
-            src = tokenize(cols[0])
-            tgt = tokenize(cols[1])
-        except BlankLineError:
-            raise ParseError(f"{path}:{lineno + 1}: empty source or target column")
-        pairs.append((Sentence(lineno, src), Sentence(lineno, tgt)))
-    return ParallelCorpus(pairs, name or path.stem)
+    return ParallelCorpus(((Sentence(lineno - 1, src), Sentence(lineno - 1, tgt))
+                           for lineno, (src, tgt) in read_records(path, _pair_tokens)),
+                          name or path.stem)

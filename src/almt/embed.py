@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import read_lines
+from .corpus import read_lines, read_records
 from .errors import DegenerateNeighborhoodError, ParseError
 
 
@@ -88,68 +88,53 @@ class EmbeddingStore:
         """Parse the "dim=D" header then "id TAB v1 v2 ... vD" lines. A malformed
         line, a NaN or Inf component or a repeated id raises ParseError naming
         ``path`` and the first such line (a repeated id's second occurrence).
-        numpy's C reader parses the components as the lines stream past; where
-        it fails or sees another shape, the file is read again by _parse_lines."""
-        ids, linenos = [], []
-        lines = read_lines(path)
-        dim = parse_dim(path, next(lines, ""))
+        numpy's C reader parses the components as the lines stream past; on any
+        doubt (it fails, or gives another shape, a NaN or Inf or a repeated id)
+        the file is read again by _parse_lines."""
+        dim = parse_dim(path, next(read_lines(path), ""))
+        ids = []
 
         def fields():
-            for lineno, sid, field in _vector_lines(path, lines):
+            for _, (sid, field) in read_records(path, _vector_line, start=2):
                 ids.append(sid)
-                linenos.append(lineno)
                 yield field
         try:
             with warnings.catch_warnings():  # "input contained no data" when no line has a component
                 warnings.simplefilter("ignore", UserWarning)
                 matrix = np.loadtxt(fields(), dtype=np.float64, comments=None, ndmin=2)
-        except (ValueError, ParseError):  # _parse_lines names the first bad line, in file order
+        except (ValueError, ParseError):
             matrix = None
-        if matrix is None or matrix.shape != (len(ids), dim):
-            ids, linenos, matrix = _parse_lines(path, dim)
-        first = {}  # id -> its first row
-        faults = [(i, f"duplicate id {sid}") for i, sid in enumerate(ids) if first.setdefault(sid, i) != i][:1]
-        faults += [(i, "NaN or Inf component") for i in np.flatnonzero(~np.isfinite(matrix).all(axis=1))[:1]]
-        if faults:
-            i, fault = min(faults)
-            raise ParseError(f"{path}:{linenos[i]}: {fault}")
+        if (matrix is None or matrix.shape != (len(ids), dim) or not np.isfinite(matrix).all()
+                or len(set(ids)) < len(ids)):
+            ids, matrix = _parse_lines(path, dim)
         return object.__new__(cls)._own(ids, matrix, tag)  # the parsed matrix is not copied
 
 
-def _vector_lines(path, lines):
-    """(line number, id, components text) of each non-blank line of ``lines``,
-    an embedding file's lines after its header; a line without exactly one tab
-    or with an id that is not an integer raises ParseError."""
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        try:
-            sid, field = line.rstrip("\n").split("\t")
-            sid = int(sid)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed embedding line") from None
-        yield lineno, sid, field
+def _vector_line(line, parse_field=str):
+    """(id, parse_field(components text)) of an "id TAB v1 v2 ... vD" line; a line
+    without exactly one tab, or whose id or components do not parse, raises ValueError."""
+    try:
+        sid, field = line.rstrip("\n").split("\t")
+        return int(sid), parse_field(field)
+    except ValueError:
+        raise ValueError("malformed embedding line") from None
 
 
 def _parse_lines(path, dim):
-    """(ids, line numbers, matrix) of an embedding file, each line's components
-    read with float(). It raises the first bad line's ParseError, and it reads
-    what float() reads and numpy's C reader does not, such as "1_0" or
-    non-ASCII digits. Both round correctly, so both give the same bits."""
-    ids, linenos, vecs = [], [], []
-    lines = read_lines(path)
-    next(lines)  # the header, already parsed
-    for lineno, sid, field in _vector_lines(path, lines):
-        try:
-            vec = [float(v) for v in field.split()]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed embedding line") from None
+    """(ids, matrix) of an embedding file, each line's components read with
+    float(); the first faulty line raises its ParseError. It reads what float()
+    reads and numpy's C reader does not, such as "1_0" or non-ASCII digits.
+    Both round correctly, so both give the same bits."""
+    def parse(line):
+        sid, vec = _vector_line(line, lambda field: [float(v) for v in field.split()])
         if len(vec) != dim:
-            raise ParseError(f"{path}:{lineno}: expected {dim} components, got {len(vec)}")
-        ids.append(sid)
-        linenos.append(lineno)
-        vecs.append(vec)
-    return ids, linenos, np.array(vecs, dtype=np.float64).reshape(len(vecs), dim)
+            raise ValueError(f"expected {dim} components, got {len(vec)}")
+        if not all(map(math.isfinite, vec)):
+            raise ValueError("NaN or Inf component")
+        return sid, vec
+    rows = [row for _, row in read_records(path, parse, key=lambda row: f"id {row[0]}", start=2)]
+    matrix = np.array([vec for _, vec in rows], dtype=np.float64).reshape(len(rows), dim)
+    return [sid for sid, _ in rows], matrix
 
 
 def parse_dim(path, header):

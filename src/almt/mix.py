@@ -6,8 +6,8 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus, read_lines, record_id, write_text
-from .errors import ConfigError, ParseError
+from .corpus import ParallelCorpus, read_records, record_id, write_text
+from .errors import ConfigError
 
 
 # Every entry origin, each counted in MixManifest.counts even when absent.
@@ -66,17 +66,11 @@ def write_freeze(rows, path):
 def load_freeze(path, parallel: ParallelCorpus):
     """The pairs of a freeze file, in its order. A malformed record or a repeated
     id raises ParseError naming ``path`` and the line (a repeated id's second one)."""
-    rows, seen = [], set()
-    for lineno, line in enumerate(read_lines(path), start=1):
-        try:
-            sid = record_id(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"{path}:{lineno}: malformed freeze record ({exc!r})") from None
+    rows = []
+    for _, sid in read_records(path, lambda line: record_id(json.loads(line)),
+                               key=lambda sid: f"id {sid}", what="freeze"):
         if sid not in parallel:
             raise ConfigError(f"{path}: freeze id {sid} is not a pair of corpus {parallel.name!r}")
-        if sid in seen:
-            raise ParseError(f"{path}:{lineno}: duplicate id {sid}")
-        seen.add(sid)
         src, tgt = parallel.get(sid)
         rows.append((sid, src.tokens, tgt.tokens))
     return rows
@@ -85,9 +79,9 @@ def load_freeze(path, parallel: ParallelCorpus):
 def assemble(l_s, l_p, l_r, synthetic=None, retrieved: bool = True) -> MixManifest:
     """Concatenate the pools in fixed order: L_s, L_p, L_r, synthetic.
 
-    l_s / l_p are OracleResponse lists (l_s sources resolved upstream to
-    (tokens, id)); l_r is a list of (pair id, src, tgt). Every origin is
-    counted, so empty inputs give an empty manifest with zero counts.
+    l_s is a list of (tokens, target, id), its sources resolved upstream; l_p is
+    an OracleResponse list; l_r is a list of (pair id, src, tgt). Every origin
+    is counted, so empty inputs give an empty manifest with zero counts.
     """
     manifest = MixManifest(counts=dict.fromkeys(ORIGINS, 0))
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .corpus import Corpus, Phrase, read_lines, write_text
-from .errors import ParseError
+from .corpus import Corpus, Phrase, read_records, write_text
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
 
@@ -169,24 +168,22 @@ def select_rttl(U: Corpus, scores: dict, budget: int) -> SelectionResult:
     return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]), budget)
 
 
+def _score_line(line):
+    """(id, score) of a "sentence-id TAB score" line."""
+    try:
+        sid, val = line.rstrip("\n").split("\t")
+        sid, val = int(sid), float(val)
+    except ValueError:
+        raise ValueError(f"expected 'id TAB score', got {line.rstrip()!r}") from None
+    if math.isnan(val):
+        raise ValueError("NaN score")
+    return sid, val
+
+
 def load_rttl_scores(path) -> dict:
     """TSV "sentence-id TAB score". A malformed line, a NaN score or a repeated id
     raises ParseError naming ``path`` and the line (a repeated id's second one)."""
-    scores = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            sid, val = line.rstrip("\n").split("\t")
-            sid, val = int(sid), float(val)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: expected 'id TAB score', got {line.rstrip()!r}") from None
-        if math.isnan(val):
-            raise ParseError(f"{path}:{lineno}: NaN score")
-        if sid in scores:
-            raise ParseError(f"{path}:{lineno}: duplicate id {sid}")
-        scores[sid] = val
-    return scores
+    return dict(row for _, row in read_records(path, _score_line, key=lambda row: f"id {row[0]}"))
 
 
 def _unseen(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=None):

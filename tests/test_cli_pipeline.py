@@ -803,7 +803,8 @@ def test_cli_non_utf8_input_is_a_parse_error_naming_the_line(loader, toy_dir, tm
                                     '{"kind": "sentence", "id": true}', '{"kind": "sentence", "id": 2.0}',
                                     '{"kind": "sentence", "id": "2"}',
                                     *(f'{{"kind": "phrase", "tokens": {tokens}}}'
-                                      for tokens in ('"ab"', "[1, 2]", '["d00", 5]', "[]"))])
+                                      for tokens in ('"ab"', "[1, 2]", '["d00", 5]', "[]", '["d00 d01"]',
+                                                     '[""]'))])
 def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record, toy_dir, tmp_path,
                                                                          capsys):
     selection = tmp_path / "sel.jsonl"
@@ -818,11 +819,13 @@ def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record,
 @pytest.mark.parametrize("text, where, problem", [
     # a malformed row between two good ones, named by its line
     *(pytest.param(f"0.1\t0.2\t0.3\n\n{row}\n0.3\t0.1\t0.2\n", ":3", problem, id=f"{row}-{problem}")
-      for row, problem in [("1\tx\t0.5", "non-numeric cell"), ("1\t0.5", "expected 3 columns, got 2")]),
+      for row, problem in [("1\tx\t0.5", "non-numeric cell"), ("1\t0.5", "expected 3 columns, got 2"),
+                           ("1\tnan\t0.5", "non-finite cell"), ("1\t0.5\t-inf", "non-finite cell")]),
     # a table no correlation can be computed from, named by its file
     pytest.param("", "", "no rows", id="empty-file"),
     pytest.param("1\t2\n", "", "need at least 2 points", id="one-row"),
     pytest.param("1\t2\n1\t3\n", "", "zero variance", id="constant-column"),
+    pytest.param("1e200\t1\n2e200\t2\n4e200\t3\n", "", "sums leave the float range", id="overflow"),
     pytest.param("0.1\n0.2\n0.3\n", "", "expected coverage columns and a score column, got 1 column",
                  id="one-column"),
 ])

@@ -2,8 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from almt import toy
-from almt.corpus import BlankLineError, load_corpus, load_parallel, tokenize
+from almt.cli import _load_selection, _read_table
+from almt.corpus import BlankLineError, ParallelCorpus, Sentence, load_corpus, load_parallel, tokenize
+from almt.embed import EmbeddingStore
 from almt.errors import ParseError
+from almt.mix import load_freeze
+from almt.select import load_rttl_scores
 
 
 def test_tokenize_simple():
@@ -100,3 +104,66 @@ def test_corpora_share_one_str_per_token_type(tmp_path):
         assert first.setdefault(t, t) is t
     # the check covers tokens that split() would return as fresh objects
     assert any(len(t) > 1 for t in first)
+
+
+def _read_selection(path):
+    result = _load_selection(path)
+    return [s.id for s in result.sentences], [p.tokens for p in result.phrases]
+
+
+_FREEZE_POOL = ParallelCorpus([(Sentence(i, (f"s{i}",)), Sentence(i, (f"t{i}",))) for i in range(3)])
+
+# Every input reader, as a function of the file's path.
+_READERS = {
+    "corpus": lambda path: load_corpus(path).ids(),
+    "parallel": lambda path: load_parallel(path).ids(),
+    "rttl": load_rttl_scores,
+    "freeze": lambda path: [sid for sid, _, _ in load_freeze(path, _FREEZE_POOL)],
+    "selection": _read_selection,
+    "table": _read_table,
+    "embeddings": lambda path: EmbeddingStore.load(path).ids,
+}
+
+
+@pytest.mark.parametrize("reader, content, expected", [
+    # A blank line is skipped.
+    pytest.param("corpus", b"a b\n\n \t\nc\n", [0, 3], id="corpus-blank"),
+    pytest.param("parallel", b"a\tA\n\n  \nb\tB\n", [0, 3], id="parallel-blank"),
+    pytest.param("rttl", b"0\t1.5\n\n1\t-2\n", {0: 1.5, 1: -2.0}, id="rttl-blank"),
+    pytest.param("freeze", b'{"id": 2}\n\n{"id": 0}\n', [2, 0], id="freeze-blank"),
+    pytest.param("selection", b'{"kind": "sentence", "id": 4}\n\n{"kind": "phrase", "tokens": ["a", "b"]}\n',
+                 ([4], [("a", "b")]), id="selection-blank"),
+    pytest.param("table", b"1\t2\n\n3\t4\n", [[1.0, 2.0], [3.0, 4.0]], id="table-blank"),
+    pytest.param("embeddings", b"dim=2\n\n0\t1 0\n \n1\t0 1\n", [0, 1], id="embeddings-blank"),
+    # Of two faults of different kinds, the earlier line is named.
+    pytest.param("corpus", b"a\n\xffb\n\xc3(\n", "2: not UTF-8 (invalid start byte)", id="corpus-first-fault"),
+    pytest.param("parallel", b"a\tA\nb\t \nc\n", "2: empty source or target column", id="parallel-first-fault"),
+    pytest.param("rttl", b"0\tnan\n1 x\n", "1: NaN score", id="rttl-first-fault"),
+    pytest.param("rttl", b"0\tx\n\xff\t1\n", "1: expected 'id TAB score', got '0\\tx'",
+                 id="rttl-fault-before-undecodable"),
+    pytest.param("freeze", b'{"id": 1}\n{"id": 1.5}\nnot json\n', "2: malformed freeze record (TypeError(",
+                 id="freeze-first-fault"),
+    pytest.param("selection", b'{"kind": "phrase", "tokens": ["a b"]}\n{"kind": "sentence"}\n',
+                 "1: malformed selection record (TypeError(", id="selection-first-fault"),
+    pytest.param("table", b"1\t2\n1\tinf\n1\tx\n", "2: non-finite cell in '1\\tinf'", id="table-first-fault"),
+    pytest.param("embeddings", b"dim=2\n0\t1 2\n1\tnan 2\n2\t3\n", "3: NaN or Inf component",
+                 id="embeddings-first-fault"),
+    pytest.param("embeddings", b"dim=2\n0\t1\n\xff\n", "2: expected 2 components, got 1",
+                 id="embeddings-fault-before-undecodable"),
+    # A repeated key names its second line, before any later fault.
+    pytest.param("rttl", b"3\t1\n4\t2\n3\t5\n1\tnan\n", "3: duplicate id 3", id="rttl-repeat"),
+    pytest.param("freeze", b'{"id": 1}\n{"id": 1}\n{"id": "x"}\n', "2: duplicate id 1", id="freeze-repeat"),
+    pytest.param("selection", b'{"kind": "phrase", "tokens": ["a"]}\n{"kind": "sentence", "id": 1}\n'
+                 b'{"kind": "phrase", "tokens": ["a"]}\n', "3: duplicate phrase ('a',)", id="selection-repeat"),
+    pytest.param("embeddings", b"dim=2\n0\t1 2\n1\t1 2\n0\t3 4\n2\tx y\n", "4: duplicate id 0",
+                 id="embeddings-repeat"),
+])
+def test_every_reader_skips_blank_lines_and_names_the_first_faulty_line(reader, content, expected, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    if not isinstance(expected, str):
+        assert _READERS[reader](path) == expected
+        return
+    with pytest.raises(ParseError) as info:
+        _READERS[reader](path)
+    assert str(info.value).startswith(f"{path}:{expected}")
