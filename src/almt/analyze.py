@@ -56,26 +56,31 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> Cov
 
 
 def pearson(xs, ys) -> float:
-    """Standard sample Pearson correlation coefficient. A sum that leaves the
-    float range raises ValueError, as does a constant column."""
+    """Standard sample Pearson correlation coefficient. A value that is not finite
+    raises ValueError, as does a constant column."""
     xs, ys = list(map(float, xs)), list(map(float, ys))
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("need at least 2 points")
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    try:
-        sxx = sum((x - mx) ** 2 for x in xs)
-        syy = sum((y - my) ** 2 for y in ys)
-        if sxx == 0.0 or syy == 0.0:
-            raise ValueError("zero variance: correlation undefined")
-        r = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / math.sqrt(sxx * syy)
-    except (OverflowError, ZeroDivisionError):  # a square past the float range, or sxx * syy below it
-        r = math.nan
-    if not math.isfinite(r):  # or a sum past it
-        raise ValueError("sums leave the float range: correlation undefined")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("a value is NaN or outside the float range: correlation undefined")
+    dx, dy = _deviations(xs), _deviations(ys)
+    sxx, syy = sum(d * d for d in dx), sum(d * d for d in dy)
+    if sxx == 0.0 or syy == 0.0:
+        raise ValueError("zero variance: correlation undefined")
+    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)
     return max(-1.0, min(1.0, r))
+
+
+def _deviations(col):
+    """Deviations from the mean of ``col`` scaled by a power of two that brings its
+    largest magnitude into [0.5, 1), which leaves r as it is; so, for finite input,
+    no sum of ``pearson`` overflows, and a column that varies keeps squares above 0."""
+    top = math.frexp(max(map(abs, col)))[1]
+    col = [math.ldexp(v, -top) for v in col]
+    mean = sum(col) / len(col)
+    return [v - mean for v in col]
 
 
 def _modified_precision(hyp, ref, n):

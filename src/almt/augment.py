@@ -12,7 +12,7 @@ from .align import Alignments, target_span
 from .corpus import Phrase, write_text
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
-from .ngrams import Vocabulary, occurrences
+from .ngrams import occurrences
 
 
 @dataclass
@@ -54,12 +54,11 @@ def contextualize(x_star, p):
     return tuple(x_star) + p
 
 
-def phrases_in_sentence(sentences, phrase_pairs, vocab: Vocabulary = None):
+def phrases_in_sentence(sentences, phrase_pairs):
     """For each of the token sequences ``sentences``, the annotated (p_x, p_y)
     pairs whose source side occurs in it, in annotation order, duplicates included.
 
-    One scan finds every source side's occurrences (``ngrams.occurrences``);
-    ``vocab`` codes the sentences, which it must cover, and by default is their own.
+    One scan finds every source side's occurrences (``ngrams.occurrences``).
     """
     pairs = [(tuple(p_x), tuple(p_y)) for p_x, p_y in phrase_pairs]
     found = [set() for _ in sentences]  # per sentence: indices in ``pairs``
@@ -68,7 +67,7 @@ def phrases_in_sentence(sentences, phrase_pairs, vocab: Vocabulary = None):
         for i, (p_x, _) in enumerate(pairs):
             by_source.setdefault(p_x, []).append(i)
         sources = list(by_source)
-        phrase, sentence, _ = occurrences(sources, sentences, vocab)
+        phrase, sentence, _ = occurrences(sources, sentences)
         for k, s in zip(phrase.tolist(), sentence.tolist()):
             found[s].update(by_source[sources[k]])
     return [[pairs[i] for i in sorted(hits)] for hits in found]
@@ -120,20 +119,18 @@ def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = 
     return best
 
 
-def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM, recipe: str,
-                   vocab: Vocabulary = None):
+def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM, recipe: str):
     """Produce one synthetic pair per U sentence containing an annotated phrase.
 
     ``alignments`` holds L, the out-of-domain pairs, and their links; ``scorer``
     is a U × L RatioScorer over L's ids. One ``alignments`` passed to every call,
     as the pipeline does, aligns each pair once however many U sentences and
-    budgets retrieve it. ``vocab`` codes U, which it must cover; by default it
-    is U's own. Returns (pairs, report), report counting drops per reason.
+    budgets retrieve it. Returns (pairs, report), report counting drops per reason.
     """
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
     pairs = []
-    for sent, annotated in zip(U, phrases_in_sentence([s.tokens for s in U], phrase_pairs, vocab)):
+    for sent, annotated in zip(U, phrases_in_sentence([s.tokens for s in U], phrase_pairs)):
         if not annotated:
             report["no-annotated-phrase"] += 1
             continue

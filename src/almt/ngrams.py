@@ -40,8 +40,6 @@ class Vocabulary:
 
     def ids_of(self, other):
         """The id here of each token of the vocabulary ``other``, -1 where it has none."""
-        if other is self:
-            return np.arange(len(self), dtype=np.int64)
         return np.array([self.ids.get(t, -1) for t in other.tokens], dtype=np.int64)
 
 
@@ -56,7 +54,8 @@ class OccurrenceIndex:
     Level n holds the sorted codes of the n-grams of length n and their
     counts. An n-gram's id is its rank in its level plus the number of shorter
     n-grams, so ids run in (length, phrase) order; ``phrase`` and ``phrases``
-    decode them.
+    decode them. ``vocab`` codes the sentences, which it must cover; by
+    default it is their own.
     """
 
     def __init__(self, sentences, max_n: int, vocab: Vocabulary = None):
@@ -131,19 +130,17 @@ class OccurrenceIndex:
         write_text(path, "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows))
 
 
-def extract_ngrams(corpus: Corpus, max_n: int, vocab: Vocabulary = None) -> OccurrenceIndex:
-    """The n-grams of ``corpus`` up to length ``max_n``, coded by ``vocab``, which
-    must cover the corpus; by default one of the corpus's own."""
-    return OccurrenceIndex([s.tokens for s in corpus], max_n, vocab)
+def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
+    """The n-grams of ``corpus`` up to length ``max_n``, coded by the corpus's own vocabulary."""
+    return OccurrenceIndex([s.tokens for s in corpus], max_n)
 
 
-def occurrences(phrases, sentences, vocab: Vocabulary = None):
+def occurrences(phrases, sentences):
     """Arrays (phrase, sentence, start), one entry per occurrence of the distinct
     ``phrases`` in the list ``sentences``, by index in each list and in the
-    sentence, ordered by phrase length, then sentence, then start. ``vocab``
-    codes the sentences, which it must cover; by default it is their own. A
-    phrase that is empty or has a token outside it occurs nowhere."""
-    vocab = vocab if vocab is not None else Vocabulary(sentences)
+    sentence, ordered by phrase length, then sentence, then start. A phrase that
+    is empty or has a token no sentence has occurs nowhere."""
+    vocab = Vocabulary(sentences)
     known = [i for i, p in enumerate(phrases) if p and all(t in vocab.ids for t in p)]
     wanted = OccurrenceIndex([phrases[i] for i in known],
                              max((len(phrases[i]) for i in known), default=1), vocab)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .align import Alignments, target_span
 from .corpus import ParallelCorpus, write_text
 from .errors import OracleGapError
-from .ngrams import Vocabulary, occurrences
+from .ngrams import occurrences
 
 
 @dataclass
@@ -36,12 +36,11 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     return out
 
 
-def translate_phrases(phrases, alignments: Alignments, vocab: Vocabulary = None):
+def translate_phrases(phrases, alignments: Alignments):
     """Alignment-based phrase translation with majority vote over occurrences.
 
     ``alignments`` holds the reference and aligns once each pair holding an
-    occurrence. ``vocab`` codes the phrases and the reference's source side,
-    which it must cover; by default it is the reference's own.
+    occurrence.
 
     Returns (responses, drops) where drops maps phrase -> reason
     ("not-in-reference" or "no-aligned-span").
@@ -50,7 +49,7 @@ def translate_phrases(phrases, alignments: Alignments, vocab: Vocabulary = None)
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
     sources = [src for src, _ in alignments.parallel]
-    phrase, sentence, start = occurrences(phrases, [src.tokens for src in sources], vocab)
+    phrase, sentence, start = occurrences(phrases, [src.tokens for src in sources])
     found = {}  # phrase index -> [(reference pair id, start)], in sentence order then by start
     for k, s, i in zip(phrase.tolist(), sentence.tolist(), start.tolist()):
         found.setdefault(k, []).append((sources[s].id, i))

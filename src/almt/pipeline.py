@@ -24,7 +24,7 @@ from .corpus import load_corpus, load_parallel, write_text
 from .embed import EmbeddingStore, RatioScorer
 from .errors import AlmtError, ConfigError, describe
 from .lm import train_lm
-from .ngrams import Vocabulary, extract_ngrams
+from .ngrams import extract_ngrams
 
 
 # kind: the budget pool spent, "sentence" or "phrase"; needs: the config paths
@@ -291,10 +291,8 @@ class RunContext:
     strategies = cached_property(lambda self: [_strategy(self.config, *p) for p in _pools(self.config)])
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
-    index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n, self.vocab))
-    index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n,
-                                                          self.vocab))
-    table = cached_property(lambda self: align.train_ibm1(self.L))
+    index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
+    index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
     alignments = cached_property(lambda self: align.Alignments(self.L, self.table))
     frozen = cached_property(lambda self: mix.load_freeze(self.config.freeze_file, self.L))
     lm = cached_property(lambda self: train_lm(self.U))
@@ -359,16 +357,11 @@ class RunContext:
         return reference
 
     @cached_property
-    def vocab(self):
-        """One token coding for U, L's source side and the reference's source side, of
-        those the run reads. A phrase strategy, or the oracle or augment given a
-        phrase, builds it on first use, so a run with none of them builds none."""
-        config, corpora = self.config, [self.L.source_corpus()]
-        if config.unlabeled is not None:  # None when `almt oracle` builds the context
-            corpora.append(self.U)
-        if config.oracle_reference is not None and not config.simulate_only:
-            corpora.append(self.reference.source_corpus())
-        return Vocabulary(s.tokens for corpus in corpora for s in corpus)
+    def table(self):
+        """IBM-1 trained on L, for the oracle's phrases and augment; an empty L fails."""
+        if not len(self.L):
+            raise AlmtError(f"{self.config.labeled}: no labeled pairs to train IBM-1 on")
+        return align.train_ibm1(self.L)
 
     @cached_property
     def csse_scorer(self):
@@ -400,13 +393,11 @@ class RunContext:
     @cached_property
     def translations(self):
         """(responses, drops) by phrase for every phrase of ``selection``. A phrase's
-        translation does not depend on the others selected, so one call serves every cut.
-        A selection without phrases builds no vocabulary."""
+        translation does not depend on the others selected, so one call serves every cut."""
         phrases = [p.tokens for p in self.selection.phrases]
         if not phrases:
             return {}, {}
-        responses, drops = oracle.translate_phrases(
-            phrases, align.Alignments(self.reference, self.table), self.vocab)
+        responses, drops = oracle.translate_phrases(phrases, align.Alignments(self.reference, self.table))
         return {r.source: r for r in responses}, drops
 
 
@@ -462,7 +453,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             if phrase_pairs:
                 synthetic, aug_report = augment.augment_corpus(
                     context.U, phrase_pairs, context.scorer, context.alignments, context.lm,
-                    config.augment_recipe, context.vocab)
+                    config.augment_recipe)
             else:  # no U sentence holds an annotated phrase: train no LM and no IBM-1
                 aug_report = {"no-annotated-phrase": len(context.U)}
             augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),

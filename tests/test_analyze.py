@@ -119,12 +119,17 @@ def test_pearson_zero_variance_rejected():
         pearson([1, 1, 1], [1, 2, 3])
 
 
-@pytest.mark.parametrize("xs, ys", [
-    ([1e200, 2e200, 4e200], [1, 2, 3]),  # a square past the float range
-    ([1e308, 1e308, -1e308], [1, 2, 3]),  # a sum past it
-    ([1e-160, 2e-160, 4e-160], [1e-160, 3e-160, 2e-160]),  # sxx * syy below it
-    ([1, float("nan"), 3], [1, 2, 3]),
+@pytest.mark.parametrize("xs, ys, unscaled", [
+    ([1e200, 2e200, 4e200], [1, 2, 3], ([1, 2, 4], [1, 2, 3])),  # unscaled squares past the float range
+    ([1e308, 1e308, -1e308], [1, 2, 3], ([1, 1, -1], [1, 2, 3])),  # an unscaled sum past it
+    ([1e-160, 2e-160, 4e-160], [1e-160, 3e-160, 2e-160], ([1, 2, 4], [1, 3, 2])),  # sxx * syy below it
+    ([1e-200, 2e-200, 4e-200], [1e-200, 3e-200, 2e-200], ([1, 2, 4], [1, 3, 2])),  # squares below it
 ])
+def test_pearson_scales_each_column_so_no_sum_leaves_the_float_range(xs, ys, unscaled):
+    assert pearson(xs, ys) == pytest.approx(pearson(*unscaled), abs=1e-15)
+
+
+@pytest.mark.parametrize("xs, ys", [([1, float("nan"), 3], [1, 2, 3]), ([1, 2, 3], [float("inf"), 2, 3])])
 def test_pearson_outside_the_float_range_is_a_value_error_not_a_clamped_number(xs, ys):
     with pytest.raises(ValueError, match="float range"):
         pearson(xs, ys)

@@ -268,6 +268,49 @@ def test_cli_analyze_coverage(toy_dir, tmp_path, capsys):
     assert report["1"] == 100.0 and report["2"] == 100.0
 
 
+@pytest.mark.parametrize("text, r", [
+    ("1e200\t1\n2e200\t2\n4e200\t3\n", "0.981981"),  # squares past the float range unscaled
+    ("1e-200\t1e-200\n2e-200\t3e-200\n4e-200\t2e-200\n", "0.327327"),  # squares below it
+], ids=["huge", "tiny"])
+def test_cli_analyze_correlation_of_extreme_magnitudes_reads_as_the_unscaled_table(text, r, tmp_path, capsys):
+    data = tmp_path / "cols.tsv"
+    data.write_text(text)
+    assert main(["analyze", "correlation", "--input", str(data)]) == 0
+    assert capsys.readouterr().out == r + "\n"
+
+
+def _lines(tmp_path, name, *lines):
+    path = tmp_path / name
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def test_cli_analyze_bleu(tmp_path, capsys):
+    refs = _lines(tmp_path, "refs.txt", "a b c d", "x y z", "q r")
+    hyps = _lines(tmp_path, "hyps.txt", "a b c d", "x y w")  # no hypothesis for id 2
+    assert main(["analyze", "bleu", "--hypotheses", refs, "--references", refs]) == 0
+    assert capsys.readouterr().out == "0\t100.0000\n1\t100.0000\n2\t100.0000\n"
+    assert main(["analyze", "bleu", "--hypotheses", hyps, "--references", refs]) == 0
+    assert capsys.readouterr().out == "0\t100.0000\n1\t68.6589\n2\t0.0000\n"
+
+
+def test_cli_analyze_wordstats(tmp_path, capsys):
+    # in-domain types {d1, d2}; the selection has types {d1, g1, g2} in 5 tokens, 2 of them d1
+    assert main(["analyze", "wordstats", "--selected", _lines(tmp_path, "sel.txt", "d1 g1 g2", "d1 g2"),
+                 "--ood", _lines(tmp_path, "ood.txt", "g1 g2"),
+                 "--test", _lines(tmp_path, "test.txt", "d1 g1", "d2")]) == 0
+    assert capsys.readouterr().out == \
+        '{"IDWT": 1, "WT": 3, "IDWC": 2, "WC": 5, "IDWT/WT": 33.33, "IDWC/WC": 40.0}\n'
+
+
+def test_cli_analyze_length_ratio(tmp_path, capsys):
+    refs = _lines(tmp_path, "refs.txt", "a b c d", "x y z", "q r")
+    hyps = _lines(tmp_path, "hyps.txt", "a b", "x y w z", "q")
+    assert main(["analyze", "length-ratio", "--hypotheses", refs, "--references", refs]) == 0
+    assert main(["analyze", "length-ratio", "--hypotheses", hyps, "--references", refs]) == 0
+    assert capsys.readouterr().out == "1.000000\n0.777778\n"
+
+
 def test_cli_validate_exit_codes(toy_dir, tmp_path, capsys):
     assert main(["validate", "--config", str(toy_dir / "config.json")]) == 0
     broken = json.loads((toy_dir / "config.json").read_text())
@@ -346,8 +389,8 @@ def test_sentence_runs_without_augmentation_train_no_ibm1(strategy, toy_dir, tmp
 
 
 def test_csse_only_run_builds_no_vocabulary(toy_dir, tmp_path, monkeypatch):
-    from almt import pipeline
-    monkeypatch.setattr(pipeline, "Vocabulary", lambda *args: pytest.fail("built a vocabulary"))
+    from almt import ngrams
+    monkeypatch.setattr(ngrams, "Vocabulary", lambda *args: pytest.fail("built a vocabulary"))
     for simulate_only in (True, False):
         config = toy_config(toy_dir, strategy="csse", simulate_only=simulate_only,
                             output_dir=str(tmp_path / f"runs-{simulate_only}"))
@@ -825,7 +868,6 @@ def test_cli_oracle_malformed_selection_is_a_parse_error_naming_the_line(record,
     pytest.param("", "", "no rows", id="empty-file"),
     pytest.param("1\t2\n", "", "need at least 2 points", id="one-row"),
     pytest.param("1\t2\n1\t3\n", "", "zero variance", id="constant-column"),
-    pytest.param("1e200\t1\n2e200\t2\n4e200\t3\n", "", "sums leave the float range", id="overflow"),
     pytest.param("0.1\n0.2\n0.3\n", "", "expected coverage columns and a score column, got 1 column",
                  id="one-column"),
 ])
@@ -1049,6 +1091,50 @@ def test_validate_checks_the_paths_whose_files_the_load_stage_reads(
     embeddings = strategy in ("csse", "hybrid") or not simulate_only and (
         augment_recipe is not None or mix_policy == "retrieve" and not freeze)
     assert ("embeddings_labeled" in checked) is embeddings
+
+
+def test_contextualize_appends_an_annotated_phrase_pair_to_its_retrieved_pair(stock_toy, tmp_path):
+    config = toy_config(stock_toy, augment_recipe="contextualize", output_dir=str(tmp_path / "runs"))
+    [report] = run_pipeline(config)
+    run_dir = tmp_path / "runs" / f"budget-{report.budget}"
+    L = {i: [line.split("\t")[0].split(), line.split("\t")[1].split()]
+         for i, line in enumerate((stock_toy / "L.tsv").read_text().splitlines())}
+    annotated = {tuple(line.split("\t")[0].split()): line.split("\t")[1].split()
+                 for line in (run_dir / "phrases.tsv").read_text().splitlines()}
+    entries = [json.loads(line) for line in (run_dir / "manifest.jsonl").read_text().splitlines()]
+    synthetic = [e for e in entries if e["origin"].startswith("synthetic")]
+    recipes = [json.loads(line) for line in (run_dir / "synthetic.recipes.jsonl").read_text().splitlines()]
+    assert synthetic and len(synthetic) == len(recipes) == report.counts["manifest:synthetic-context"]
+    for entry, recipe in zip(synthetic, recipes):
+        assert entry["origin"] == "synthetic-context" and entry["provenance"] == recipe["origin_id"]
+        assert annotated[tuple(recipe["phrase_src"])] == recipe["phrase_tgt"]
+        src, tgt = L[entry["provenance"]]
+        assert entry["source"] == src + recipe["phrase_src"]
+        assert entry["target"] == tgt + recipe["phrase_tgt"]
+
+
+def test_an_empty_labeled_file_fails_the_phrase_oracle_naming_it(toy_dir, tmp_path, capsys):
+    """IBM-1, trained on L, aligns the oracle's phrases: with no labeled pair, a
+    phrase selection fails in ``almt oracle`` and ``almt pipeline``, naming the file.
+    CSSE alone and ``almt mix`` train no IBM-1, and run."""
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    no_vectors = tmp_path / "emb_empty.tsv"
+    no_vectors.write_text("dim=8\n")
+    selection = tmp_path / "sel.jsonl"
+    selection.write_text('{"kind": "sentence", "id": 1}\n{"kind": "phrase", "tokens": ["d00"]}\n')
+    assert main(["oracle", "--selection", str(selection), "--reference", str(toy_dir / "reference.tsv"),
+                 "--labeled", str(empty), "--output-prefix", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"stage failure: {empty}: no labeled pairs" in err and "Traceback" not in err
+    for strategy, code in [("ngf-smp", 3), ("hybrid", 3), ("csse", 0)]:
+        config = _config_file(toy_dir, tmp_path, strategy=strategy, labeled=str(empty),
+                              embeddings_labeled=str(no_vectors), output_dir=str(tmp_path / strategy))
+        assert main(["pipeline", "--config", str(config), "--budget", "40"]) == code
+        err = capsys.readouterr().err
+        assert (f"stage failure: {empty}: no labeled pairs" in err) is (code == 3) and "Traceback" not in err
+    assert main(["mix", "--labeled", str(empty), "--policy", "sample", "--size", "0",
+                 "--output", str(tmp_path / "freeze.jsonl")]) == 0
 
 
 def test_freeze_file_run_reads_no_embeddings(stock_toy, tmp_path, capsys):

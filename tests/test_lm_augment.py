@@ -11,7 +11,6 @@ from almt.align import Alignments, TranslationTable, NULL_TOKEN, align_pair
 from almt.corpus import Corpus, ParallelCorpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
-from almt.ngrams import Vocabulary
 from almt.augment import (augment_corpus, best_contextualize, best_switch, contextualize,
                           phrases_in_sentence, switch)
 
@@ -159,8 +158,8 @@ def test_phrases_in_sentence_keeps_annotation_order_and_duplicates():
 
 @settings(max_examples=200, deadline=None)
 @given(sentences=st.lists(st.lists(st.sampled_from("aab"), max_size=8), max_size=6),
-       max_n=st.integers(1, 6), wide=st.booleans(), rng=st.randoms(use_true_random=False))
-def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, wide, rng):
+       max_n=st.integers(1, 6), rng=st.randoms(use_true_random=False))
+def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, rng):
     """Sources are windows of the sentences (repeats such as "a a a" included) or
     hold a token no sentence has; some repeat, with a target of their own."""
     sources = []
@@ -175,9 +174,8 @@ def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, wide
     sources += rng.sample(sources, min(len(sources), 3))
     pairs = [(p_x, tuple(f"T{i}" for i in range(len(p_x) + rng.randint(0, 1)))) for p_x in sources]
     rng.shuffle(pairs)
-    vocab = Vocabulary([*sentences, ("b", "z")]) if wide else None
     index = augment_reference.PhraseIndex(pairs)
-    assert phrases_in_sentence(sentences, pairs, vocab) == [
+    assert phrases_in_sentence(sentences, pairs) == [
         augment_reference.phrases_in_sentence(tokens, index) for tokens in sentences]
 
 
@@ -197,6 +195,24 @@ def test_augment_counts_zero_norm_sentence_as_retrieval_degenerate():
     pairs, report = _augment([0, 1], [[0.0, 0.0], [1.0, 0.1]])
     assert report["retrieval-degenerate"] == 1
     assert [p.origin_id for p in pairs] == [0] and "cat" in pairs[0].source
+
+
+def test_augment_counts_a_sentence_without_a_switch_once_under_its_dominant_reason():
+    """No L word aligns, so "cat" lacks a target span at each of its three positions
+    and the four-token phrase has no position: each U sentence is one drop, under
+    no-aligned-span."""
+    U = corpus_of("x cat sat y", "x cat sat y")
+    L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, ("y",) * 4))
+                        for i, s in enumerate(["a b c d", "e f g h"])])
+    store_U = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [1.0, 0.1]]), "U")
+    store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
+    annotated = [(("cat",), ("T_cat",)), (("x", "cat", "sat", "y"), ("T_x", "T_cat", "T_sat", "T_y"))]
+    pairs, report = augment_corpus(U, annotated, RatioScorer(store_U, store_L, 1),
+                                   Alignments(L, TranslationTable({NULL_TOKEN: {"y": 1.0}})),
+                                   train_lm(U, order=2), "switch")
+    assert pairs == []
+    assert report == {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
+                      "no-aligned-span": 2, "span-overlap": 0, "no-position": 0}
 
 
 def test_augment_propagates_other_retrieval_errors():

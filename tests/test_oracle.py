@@ -6,7 +6,6 @@ import oracle_reference
 from almt.align import Alignments, TranslationTable, NULL_TOKEN, train_ibm1
 from almt.corpus import ParallelCorpus, Sentence
 from almt.errors import OracleGapError
-from almt.ngrams import Vocabulary
 from almt.oracle import translate_phrases, translate_sentences, write_responses
 
 
@@ -198,5 +197,3 @@ def test_coded_scan_matches_the_window_scan_reference(U, ref, max_n, rng):
     rng.shuffle(phrases)
     expected = oracle_reference.translate_phrases(phrases, reference, table)
     assert translate_phrases(phrases, Alignments(reference, table)) == expected
-    vocab = Vocabulary([*(s.tokens for s in U), *(src.tokens for src, _ in reference)])
-    assert translate_phrases(phrases, Alignments(reference, table), vocab) == expected

@@ -9,7 +9,7 @@ import select_reference
 from ngrams_reference import decode
 from almt.corpus import Corpus, Sentence
 from almt.embed import EmbeddingStore, RatioScorer
-from almt.ngrams import Vocabulary, extract_ngrams, semi_maximal_set
+from almt.ngrams import extract_ngrams, semi_maximal_set
 from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences, select_rttl,
                          split_budget, load_rttl_scores)
@@ -307,16 +307,14 @@ def corpora(own):
 def test_coded_rankings_match_the_tuple_references(U, L, max_n, seed):
     ref_U, ref_L = ngrams_reference.extract_ngrams(U, max_n), ngrams_reference.extract_ngrams(L, max_n)
     smp = ngrams_reference.semi_maximal_set(ref_U)
-    shared = Vocabulary(s.tokens for corpus in (U, L) for s in corpus)
-    for vocab_U, vocab_L in [(None, None), (shared, shared)]:
-        index_U, index_L = extract_ngrams(U, max_n, vocab_U), extract_ngrams(L, max_n, vocab_L)
+    index_U, index_L = extract_ngrams(U, max_n), extract_ngrams(L, max_n)
 
-        def ranked(result):
-            return [p.tokens for p in result.phrases]
-        assert ranked(select_ngf(index_U, index_L, 10 ** 9)) == select_reference.ngf_order(ref_U, ref_L)
-        assert ranked(select_ngf_smp(index_U, index_L, 10 ** 9)) == \
-            select_reference.ngf_order(ref_U, ref_L, candidates=smp)
-        assert ranked(select_random_phrases(index_U, index_L, 10 ** 9, seed)) == \
-            select_reference.random_phrase_order(ref_U, ref_L, seed)
-        assert [p.score for p in select_ngf(index_U, index_L, 10 ** 9).phrases] == \
-            [float(ref_U[p]) for p in select_reference.ngf_order(ref_U, ref_L)]
+    def ranked(result):
+        return [p.tokens for p in result.phrases]
+    assert ranked(select_ngf(index_U, index_L, 10 ** 9)) == select_reference.ngf_order(ref_U, ref_L)
+    assert ranked(select_ngf_smp(index_U, index_L, 10 ** 9)) == \
+        select_reference.ngf_order(ref_U, ref_L, candidates=smp)
+    assert ranked(select_random_phrases(index_U, index_L, 10 ** 9, seed)) == \
+        select_reference.random_phrase_order(ref_U, ref_L, seed)
+    assert [p.score for p in select_ngf(index_U, index_L, 10 ** 9).phrases] == \
+        [float(ref_U[p]) for p in select_reference.ngf_order(ref_U, ref_L)]
