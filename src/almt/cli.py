@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation failure or unreadable path, 3 stage failure.
+Exit codes: 0 success, 2 validation failure or unreadable path, 3 stage failure
+(a fault in the input a stage reads). A program bug is not caught: it ends in
+its traceback, with Python's exit code 1.
 """
 
 import argparse
@@ -192,14 +194,7 @@ def _cmd_pipeline(args):
         _check(argparse.Namespace(budgets=[args.budget]), {"budgets": "--budget"})
     if args.simulate_only:
         config.simulate_only = True
-    try:
-        reports = run_pipeline(config, budget=args.budget)  # refuses an invalid config
-    except (ConfigError, OSError):
-        raise  # main reports it, with exit 2
-    except Exception as exc:
-        print(f"stage failure: {exc}", file=sys.stderr)
-        return 3
-    for report in reports:
+    for report in run_pipeline(config, budget=args.budget):  # refuses an invalid config
         print(json.dumps({"budget": report.budget, "counts": report.counts,
                           "ledger": report.ledger}))
     return 0

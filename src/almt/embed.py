@@ -38,7 +38,7 @@ class EmbeddingStore:
         self.dim = self.unit.shape[1]
         # Norms by row blocks, so no temporary grows with the store.
         norms = np.empty(len(self.ids))
-        step = max(1, BLOCK_CELLS // max(1, self.dim))
+        step = _block_rows(self.dim)
         with np.errstate(over="ignore"):
             for start in range(0, len(norms), step):
                 norms[start:start + step] = np.linalg.norm(self.unit[start:start + step], axis=1)
@@ -147,9 +147,14 @@ def parse_dim(path, header):
 
 
 # Product block: rows * columns stays within this many float64 cells
-# (512 KB), so scorer memory does not grow with |A| and grows with |B| only
+# (1 MB), so scorer memory does not grow with |A| and grows with |B| only
 # through O(|B|) per-point vectors.
-BLOCK_CELLS = 1 << 16
+BLOCK_CELLS = 1 << 17
+
+
+def _block_rows(cols):
+    """Rows of a product block over ``cols`` columns: at least one."""
+    return max(1, BLOCK_CELLS // max(1, cols))
 
 
 class RatioScorer:
@@ -157,14 +162,16 @@ class RatioScorer:
 
     Construction (pass 1) makes one sweep over row blocks of A x B cosines
     and takes every point's mean cosine to its k nearest neighbours in the
-    other store: A's from each block's rows, B's from a running top-k per
-    column. A mean averages the k largest cosines to the other store's
-    non-degenerate points (fewer when fewer exist), sorted ascending, with
-    one reduction over a contiguous last axis for rows and columns alike. It
-    is NaN for a degenerate point and for a point with no neighbours. The
-    first reduction call (pass 2, cached) sweeps the blocks again as ratios
-    and keeps per-row min, max and argmax; ``T``, the B x A scorer,
-    shares pass 1 and makes its own pass 2. No |A| x |B| array is ever held.
+    other store: B's from a running top-k per column, then A's from each
+    block's rows, partitioned in place once the columns have read them. A
+    mean averages the k largest cosines to the other store's non-degenerate
+    points (fewer when fewer exist), sorted ascending, with one reduction
+    over a contiguous last axis for rows and columns alike. It is NaN for a
+    degenerate point and for a point with no neighbours. The first reduction
+    call (pass 2, cached) sweeps the blocks again as ratios, their
+    denominators written into one reused block, and keeps per-row min, max
+    and argmax; ``T``, the B x A scorer, shares pass 1 and makes its own
+    pass 2. No |A| x |B| array is ever held.
     Every per-row result depends only on that row's products, so the block
     size reaches results only through the rounding of the BLAS products, whose
     summation order can depend on their shape.
@@ -179,15 +186,16 @@ class RatioScorer:
         top = np.empty((0, len(store_b)))  # per column, its largest cosines ascending
         for start, sims in self._products(store_a.unit, store_b.unit):
             rows = slice(start, start + len(sims))
-            if n:
-                tail = np.partition(sims if all_b else sims[:, use_b], n - kk, axis=1)[:, n - kk:]
-                self.mean_a[rows] = np.sort(tail, axis=1).mean(axis=1)
             cand = sims if all_a else sims[use_a[rows]]
             if len(top) < k:
                 top = np.sort(np.vstack([top, cand]), axis=0)[-k:].copy()  # frees the sorted block
             elif len(cand):
                 beat = np.nonzero(cand.max(axis=0) > top[0])[0]
                 top[:, beat] = np.sort(np.vstack([top[:, beat], cand[:, beat]]), axis=0)[-k:]
+            if n:  # the columns have read the block, so its rows are partitioned in place
+                tail = sims if all_b else sims[:, use_b]
+                tail.partition(n - kk, axis=1)
+                self.mean_a[rows] = np.sort(tail[:, n - kk:], axis=1).mean(axis=1)
         self.mean_b = (np.ascontiguousarray(top.T).mean(axis=1) if len(top)
                        else np.full(len(store_b), np.nan))
         self.mean_a[~use_a] = self.mean_b[~use_b] = np.nan
@@ -205,7 +213,7 @@ class RatioScorer:
         """(start, left[start:stop] @ right.T) for each row block of left,
         a block holding at most BLOCK_CELLS cells (at least one row). Each block
         overwrites the last in one buffer: a fresh one can fault in new pages."""
-        rows = max(1, BLOCK_CELLS // max(1, right.shape[0]))
+        rows = _block_rows(right.shape[0])
         buf = np.empty((min(rows, left.shape[0]), right.shape[0]))
         for start in range(0, left.shape[0], rows):
             block = left[start:start + rows]
@@ -231,10 +239,12 @@ class RatioScorer:
         # Addition and halving round monotonically, so a row's denominators
         # are all positive when the one with B's lowest mean (NaN if any is) is.
         positive = (self.mean_a + mean_b.min()) / 2.0 > 0.0
+        # One denominator block, reused; x * 0.5 and x / 2.0 round alike.
+        denoms = np.empty((min(_block_rows(len(mean_b)), len(self.a)), len(mean_b)))
         for start, ratios in self._products(self.a.unit, self.b.unit[by_id]):
             rows = slice(start, start + len(ratios))
-            denom = self.mean_a[rows, None] + mean_b
-            denom /= 2.0
+            denom = np.add(self.mean_a[rows, None], mean_b, out=denoms[:len(ratios)])
+            denom *= 0.5
             with np.errstate(all="ignore"):  # a zero, NaN or subnormal denominator
                 ratios /= denom
             fast = positive[rows].all()  # then every pair has a ratio

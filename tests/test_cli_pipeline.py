@@ -462,6 +462,23 @@ def test_pipeline_failed_names_stage_and_traceback(toy_dir, tmp_path):
     assert not (run_dir / "lock").exists()
 
 
+def test_cli_pipeline_lets_a_program_bug_end_in_its_traceback(toy_dir, tmp_path, monkeypatch, capsys):
+    # Exit 3 is for faults in the input; a bug in a stage is not one, so
+    # ``almt pipeline`` does not catch it, and the budget still records it.
+    from almt import pipeline
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in a stage")
+    monkeypatch.setattr(pipeline, "extract_ngrams", broken)
+    config = _config_file(toy_dir, tmp_path, output_dir=str(tmp_path / "runs"))
+    with pytest.raises(RuntimeError, match="bug in a stage"):
+        main(["pipeline", "--config", str(config), "--budget", "40"])
+    assert "stage failure" not in capsys.readouterr().err
+    failed = (tmp_path / "runs" / "budget-40" / "failed").read_text()
+    assert failed.startswith("stage: extract\n")
+    assert "Traceback (most recent call last)" in failed and "RuntimeError: bug in a stage" in failed
+
+
 def test_pipeline_unknown_freeze_id_is_config_error(toy_dir, tmp_path, capsys):
     freeze = tmp_path / "freeze.jsonl"
     freeze.write_text('{"id": 999999}\n')

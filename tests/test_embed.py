@@ -377,17 +377,26 @@ def test_build_and_reductions_run_two_product_sweeps(monkeypatch):
         assert scorer.T.T is scorer
 
 
+def _scorer_peak(a, b):
+    """tracemalloc's peak over building a scorer and its first reduction."""
+    tracemalloc.start()
+    try:
+        RatioScorer(a, b, k=4).min_over_b()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ratio_scorer_memory_is_bounded():
     rng = np.random.default_rng(5)
     a = store(rng.normal(size=(2000, 8)), "a")
     b = store(rng.normal(size=(1500, 8)), "b")
-    tracemalloc.start()
-    try:
-        RatioScorer(a, b, k=4).min_over_b()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _scorer_peak(a, b)
     assert peak < 2000 * 1500 * 8 / 4
+    # Memory grows with the block, not with |A|: 2,000 more rows of A add a few
+    # per-row values each, far less than a row of products (8 |B| bytes).
+    wider = store(rng.normal(size=(4000, 8)), "a")
+    assert _scorer_peak(wider, b) - peak < 2000 * 8 * len(b) / 10
 
 
 def test_infinite_ratio_is_kept_by_max_and_skipped_by_argmax():
@@ -398,6 +407,19 @@ def test_infinite_ratio_is_kept_by_max_and_skipped_by_argmax():
     scorer.mean_a, scorer.mean_b = np.array([1e-320]), np.array([1e-320, 0.5])
     assert scorer.max_over_b() == ({0: np.inf}, [])
     assert scorer.argmax_over_b(0) == (1, 0.6 / ((1e-320 + 0.5) / 2.0))
+
+
+def test_halving_a_subnormal_denominator_rounds_as_a_division_by_two():
+    # The sum of the means, (2**52 + 1) * 2**-1074, is an odd multiple of the
+    # smallest subnormal, so its half rounds (to even); the ratio stays finite.
+    scorer = RatioScorer(store([[1.0, 0.0]], "a"), store([[1.0, 0.0], [0.6, 0.8]], "b"), k=1)
+    ma, mb = (2.0 ** 51 + 1) * 2.0 ** -1074, 2.0 ** 51 * 2.0 ** -1074
+    scorer.mean_a, scorer.mean_b = np.array([ma]), np.array([mb, 0.5])
+    top = 1.0 / ((ma + mb) / 2.0)
+    assert top == 2.0 ** 1023
+    assert scorer.max_over_b() == ({0: top}, [])
+    assert scorer.min_over_b() == ({0: 0.6 / ((ma + 0.5) / 2.0)}, [])
+    assert scorer.argmax_over_b(0) == (0, top)
 
 
 def test_degenerate_rows_skipped():
