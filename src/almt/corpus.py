@@ -176,6 +176,12 @@ def write_text(path, text):
         raise
 
 
+def write_columns(paths, records):
+    """Write to each of ``paths`` its column of ``records``, tuples of one line per path."""
+    for i, path in enumerate(paths):
+        write_text(path, "".join(record[i] for record in records))
+
+
 def load_corpus(path, name="") -> Corpus:
     """Load a one-sentence-per-line UTF-8 file; ids are 0-based line indices.
 

@@ -29,12 +29,17 @@ class MixManifest:
     counts: dict = field(default_factory=dict)
 
     def write_jsonl(self, path):
-        write_text(path, "".join(json.dumps({"source": list(e.source), "target": list(e.target),
-                                             "origin": e.origin, "provenance": e.provenance}) + "\n"
-                                 for e in self.entries))
+        write_text(path, "".join(encode_entry(e)[0] for e in self.entries))
 
     def write_tsv(self, path):
-        write_text(path, "".join(f"{' '.join(e.source)}\t{' '.join(e.target)}\n" for e in self.entries))
+        write_text(path, "".join(encode_entry(e)[1] for e in self.entries))
+
+
+def encode_entry(entry: ManifestEntry) -> tuple[str, str]:
+    """An entry's (manifest.jsonl line, manifest.tsv "source TAB target" line)."""
+    return (json.dumps({"source": list(entry.source), "target": list(entry.target),
+                        "origin": entry.origin, "provenance": entry.provenance}) + "\n",
+            f"{' '.join(entry.source)}\t{' '.join(entry.target)}\n")
 
 
 def sample_random(parallel: ParallelCorpus, seed: int):
@@ -59,8 +64,13 @@ def retrieve_similar(parallel: ParallelCorpus, scorer):
     return rows, skipped
 
 
+def encode_row(row) -> str:
+    """The freeze-file line of a (pair id, src, tgt) row."""
+    return json.dumps({"id": row[0]}) + "\n"
+
+
 def write_freeze(rows, path):
-    write_text(path, "".join(json.dumps({"id": sid}) + "\n" for sid, _, _ in rows))
+    write_text(path, "".join(map(encode_row, rows)))
 
 
 def load_freeze(path, parallel: ParallelCorpus):

@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 
 from .align import Alignments, target_span
-from .corpus import ParallelCorpus, write_text
+from .corpus import ParallelCorpus, write_columns
 from .errors import OracleGapError
 from .ngrams import occurrences
 
@@ -76,19 +76,19 @@ def translate_phrases(phrases, alignments: Alignments):
     return responses, drops
 
 
-def write_responses(responses, tsv_path, provenance_path, reference: ParallelCorpus = None):
-    """TSV "source TAB target" plus a JSONL provenance sidecar.
+def encode_response(response, reference: ParallelCorpus = None) -> tuple[str, str]:
+    """A response's (TSV "source TAB target" line, JSONL provenance line). A
+    sentence response carries an id as its source unit, which ``reference``
+    resolves to text for the TSV."""
+    source = response.source
+    text = source if isinstance(source, tuple) else reference.get(source)[0].tokens
+    return (f"{' '.join(text)}\t{' '.join(response.target)}\n",
+            json.dumps({"source": list(source) if isinstance(source, tuple) else source,
+                        "target": list(response.target),
+                        "provenance": list(response.provenance),
+                        "votes": response.votes}) + "\n")
 
-    Sentence responses carry an id as their source unit, which ``reference``
-    resolves to text for the TSV.
-    """
-    def text(source):
-        return source if isinstance(source, tuple) else reference.get(source)[0].tokens
-    write_text(tsv_path, "".join(f"{' '.join(text(r.source))}\t{' '.join(r.target)}\n"
-                                 for r in responses))
-    write_text(provenance_path, "".join(json.dumps({
-        "source": list(r.source) if isinstance(r.source, tuple) else r.source,
-        "target": list(r.target),
-        "provenance": list(r.provenance),
-        "votes": r.votes,
-    }) + "\n" for r in responses))
+
+def write_responses(responses, tsv_path, provenance_path, reference: ParallelCorpus = None):
+    """The TSV and its JSONL provenance sidecar, a line of each per response (``encode_response``)."""
+    write_columns([tsv_path, provenance_path], [encode_response(r, reference) for r in responses])

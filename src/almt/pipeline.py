@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import align, augment, mix, oracle, select
-from .corpus import load_corpus, load_parallel, write_text
+from .corpus import load_corpus, load_parallel, write_columns, write_text
 from .embed import EmbeddingStore, RatioScorer
 from .errors import AlmtError, ConfigError, describe
 from .lm import train_lm
@@ -263,11 +263,21 @@ class RunContext:
     member. ``selection`` ranks once, at the run's largest budget; every budget
     cuts it, and ``translations`` holds the oracle's answer for each of its
     phrases. ``pool`` ranks L once for the mix stage; every budget takes a
-    prefix. ``almt select``, ``oracle`` and ``mix`` build one from their flags,
-    so a stage run alone takes the pipeline's code path."""
+    prefix. ``lines`` encodes each artifact record once. ``almt select``,
+    ``oracle`` and ``mix`` build one from their flags, so a stage run alone takes
+    the pipeline's code path."""
 
     def __init__(self, config: RunConfig, top_budget: int = None):
         self.config, self.top_budget = config, top_budget
+        self._lines = {}  # section -> the lines of its records that a budget has written
+
+    def lines(self, section, records, encode):
+        """The lines ``encode`` gives for ``records``, a budget's prefix of the
+        run-wide list of records that ``section`` names. A record is encoded by
+        the first budget that writes it; later budgets reuse its line."""
+        lines = self._lines.setdefault(section, [])
+        lines += map(encode, records[len(lines):])
+        return lines[:len(records)]
 
     def load(self, failures: list = None):
         """Read the file of each key of ``inputs``. A failure raises, or, given
@@ -421,7 +431,9 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     with _stage(report, "select"):
         result = context.selection.cut(report.budget)
-        result.write_jsonl(out("selection", "selection.jsonl"))
+        write_text(out("selection", "selection.jsonl"), select.rank_lines(
+            context.lines("selected sentences", result.sentences, select.encode_pick)
+            + context.lines("selected phrases", result.phrases, select.encode_pick)))
         report.counts["selected_sentences"] = len(result.sentences)
         report.counts["selected_phrases"] = len(result.phrases)
         report.ledger = asdict(result.budget)
@@ -443,7 +455,8 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
             report.dropped["mix:degenerate"] = len(skipped)
-        mix.write_freeze(l_r, out("freeze", "retrieved.freeze.jsonl"))
+        write_text(out("freeze", "retrieved.freeze.jsonl"),
+                   "".join(context.lines("mix rows", l_r, mix.encode_row)))
         report.counts["mixed_pairs"] = len(l_r)
 
     synthetic = []
@@ -466,8 +479,14 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
                     for r in l_s_resp]
         manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
                                 retrieved=config.mix_policy == "retrieve")
-        manifest.write_jsonl(out("manifest_jsonl", "manifest.jsonl"))
-        manifest.write_tsv(out("manifest_tsv", "manifest.tsv"))
+        lines, start = [], 0
+        for section, n in [("annotated sentence entries", len(l_s_rows)),
+                           ("annotated phrase entries", len(l_p_resp)), ("mix entries", len(l_r))]:
+            lines += context.lines(section, manifest.entries[start:start + n], mix.encode_entry)
+            start += n
+        lines += map(mix.encode_entry, manifest.entries[start:])  # synthetic pairs: each budget's own
+        write_columns([out("manifest_jsonl", "manifest.jsonl"), out("manifest_tsv", "manifest.tsv")],
+                      lines)
         report.counts["manifest_entries"] = len(manifest.entries)
         report.counts.update({f"manifest:{k}": v for k, v in manifest.counts.items()})
 
@@ -482,11 +501,12 @@ def respond(context: RunContext, cut, out):
     l_s = oracle.translate_sentences([s.id for s in cut.sentences], context.reference)
     responses, drops = context.translations
     l_p = [responses[p.tokens] for p in cut.phrases if p.tokens in responses]
-    oracle.write_responses(l_s, out("sentences", "sentences.tsv"),
-                           out("sentences_provenance", "sentences.provenance.jsonl"),
-                           context.reference)
-    oracle.write_responses(l_p, out("phrases", "phrases.tsv"),
-                           out("phrases_provenance", "phrases.provenance.jsonl"))
+    write_columns([out("sentences", "sentences.tsv"),
+                   out("sentences_provenance", "sentences.provenance.jsonl")],
+                  context.lines("sentence responses", l_s,
+                                lambda r: oracle.encode_response(r, context.reference)))
+    write_columns([out("phrases", "phrases.tsv"), out("phrases_provenance", "phrases.provenance.jsonl")],
+                  context.lines("phrase responses", l_p, oracle.encode_response))
     return l_s, l_p, {p.tokens: drops[p.tokens] for p in cut.phrases if p.tokens in drops}
 
 

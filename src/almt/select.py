@@ -51,12 +51,7 @@ class SelectionResult:
     skipped: dict = field(default_factory=dict)
 
     def write_jsonl(self, path):
-        records = [{"kind": "sentence", "id": s.id, "score": s.score, "cost": s.cost}
-                   for s in self.sentences] + \
-            [{"kind": "phrase", "tokens": list(p.tokens), "score": p.score, "cost": p.cost}
-             for p in self.phrases]
-        write_text(path, "".join(json.dumps({**rec, "rank": rank}) + "\n"
-                                 for rank, rec in enumerate(records)))
+        write_text(path, rank_lines(map(encode_pick, self.sentences + self.phrases)))
 
     def cut(self, budget):
         """What this result's strategy selects at a budget no larger than its own.
@@ -87,6 +82,21 @@ class SelectionResult:
         d["sentences"] = len(self.sentences)
         d["phrases"] = len(self.phrases)
         return d
+
+
+def encode_pick(pick) -> str:
+    """A pick's selection.jsonl record without its rank, the one field that
+    depends on the cut (a hybrid cut shifts its phrases' ranks), and without the
+    closing brace: ``rank_lines`` closes it."""
+    unit = {"kind": "sentence", "id": pick.id} if isinstance(pick, SelectedSentence) else \
+        {"kind": "phrase", "tokens": list(pick.tokens)}
+    return json.dumps({**unit, "score": pick.score, "cost": pick.cost})[:-1]
+
+
+def rank_lines(heads) -> str:
+    """selection.jsonl's text: each of ``heads``, ``encode_pick``'s records in rank
+    order, closed by its rank."""
+    return "".join(f'{head}, "rank": {rank}}}\n' for rank, head in enumerate(heads))
 
 
 def _greedy(ranked, budget, whole=True):

@@ -1483,3 +1483,87 @@ def test_cli_oracle_selection_with_a_repeated_line_exits_3_naming_it(strategy, n
                  "--output-prefix", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert f"{selection}:2: {named}" in err and "Traceback" not in err
+
+
+# --- a sweep writes what single-budget runs write, encoding each record once ---
+
+def test_a_sweep_fails_at_the_first_budget_that_selects_a_sentence_the_reference_lacks(
+        toy_dir, tmp_path):
+    from almt.errors import OracleGapError
+    from almt.pipeline import RunContext
+    config = toy_config(toy_dir, budgets=[40, 120, 200], output_dir=str(tmp_path / "runs"))
+    selection = RunContext(config, 200).selection
+    first = {s.id for s in selection.cut(40).sentences}
+    gap = next(s.id for s in selection.cut(120).sentences if s.id not in first)
+    lines = (toy_dir / "reference.tsv").read_text().splitlines(keepends=True)
+    lines[gap] = "\n"  # ids are line numbers, so every other pair keeps its id
+    config.oracle_reference = str(tmp_path / "reference.tsv")
+    Path(config.oracle_reference).write_text("".join(lines))
+    with pytest.raises(OracleGapError) as exc:
+        run_pipeline(config)
+    assert exc.value.missing == [gap]
+    runs = tmp_path / "runs"
+    assert json.loads((runs / "budget-40" / "report.json").read_text())["counts"]["manifest_entries"]
+    assert not (runs / "budget-40" / "failed").exists()
+    assert (runs / "budget-120" / "failed").read_text().startswith("stage: oracle\n")
+    assert not (runs / "budget-120" / "report.json").exists()
+    assert not (runs / "budget-200").exists()
+
+
+def _budget_output(run_dir):
+    """A budget directory's files but its report, and the report's fields that
+    depend on the run's data, not on its timing or output directory."""
+    report = json.loads((run_dir / "report.json").read_text())
+    files = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "report.json"}
+    return files, {key: report[key] for key in ("counts", "ledger", "dropped", "digests")}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"augment_recipe": "contextualize"},
+    {"strategy": "ngf-smp", "mix_policy": "sample"},
+    {"freeze_file": "freeze.jsonl"},
+    {"strategy": "csse", "simulate_only": True},
+], ids=["hybrid-switch", "hybrid-contextualize", "ngf-smp-sample", "freeze-file", "csse-simulate"])
+def test_a_sweep_in_any_budget_order_writes_what_single_budget_runs_write(overrides, toy_dir, tmp_path):
+    """Each budget writes prefixes of lines encoded once per run, extended by the
+    first budget that needs more: a sweep that starts at its largest budget, then
+    goes down and up again, writes every budget's bytes as a run of that budget alone."""
+    if "freeze_file" in overrides:
+        freeze = tmp_path / overrides["freeze_file"]
+        freeze.write_text("".join(f'{{"id": {i}}}\n' for i in (17, 3, 150, 42)))
+        overrides = dict(overrides, freeze_file=str(freeze))
+    budgets = [200, 40, 120]
+    run_pipeline(toy_config(toy_dir, budgets=budgets, output_dir=str(tmp_path / "sweep"), **overrides))
+    selections = set()
+    for b in budgets:
+        run_pipeline(toy_config(toy_dir, budgets=[b], output_dir=str(tmp_path / f"alone-{b}"), **overrides))
+        files, report = _budget_output(tmp_path / "sweep" / f"budget-{b}")
+        assert (files, report) == _budget_output(tmp_path / f"alone-{b}" / f"budget-{b}")
+        selections.add(files["selection.jsonl"])
+    assert len(selections) == len(budgets)
+
+
+def test_a_sweep_encodes_each_record_once(toy_dir, tmp_path, monkeypatch):
+    """A [40, 120, 80] sweep encodes the records of budget 120, which hold those of
+    40 and 80, once each: as many encoder calls as a run of 120 alone, but for the
+    synthetic pairs, which each budget encodes for its own manifest."""
+    from collections import Counter
+    from almt import mix, oracle, select
+    calls = Counter()
+    for module, name in [(select, "encode_pick"), (oracle, "encode_response"),
+                         (mix, "encode_row"), (mix, "encode_entry")]:
+        def counted(*args, _encode=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _encode(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    def encoded(budgets):
+        calls.clear()
+        reports = run_pipeline(toy_config(toy_dir, budgets=budgets,
+                                          output_dir=str(tmp_path / "-".join(map(str, budgets)))))
+        return dict(calls), {r.budget: r.counts["synthetic_pairs"] for r in reports}
+
+    (sweep, synthetic), (alone, _) = encoded([40, 120, 80]), encoded([120])
+    assert synthetic[40] and synthetic[80] and all(alone.values())
+    assert sweep == dict(alone, encode_entry=alone["encode_entry"] + synthetic[40] + synthetic[80])
