@@ -9,10 +9,12 @@ import json
 from dataclasses import dataclass
 
 from .align import Alignments, target_span
-from .corpus import Phrase, write_text
+from .corpus import Phrase
 from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
 from .ngrams import occurrences
+
+BLOCK_CANDIDATES = 1024  # candidates a block of retrieved pairs reaches before it is scored
 
 
 @dataclass
@@ -73,50 +75,81 @@ def phrases_in_sentence(sentences, phrase_pairs):
     return [[pairs[i] for i in sorted(hits)] for hits in found]
 
 
-def best_switch(annotated, x_star, y_star, links, lm: NGramLM, origin_id: int = -1):
-    """LM-argmax over all (annotated phrase, position) switch candidates.
+def best_switch(retrieved, lm: NGramLM):
+    """LM-argmax over all (annotated phrase, position) switch candidates of each
+    retrieved pair, all scored by one ``lm.logprob`` call.
 
-    ``links`` is the retrieved pair's alignment. Candidates without a target
-    span (``align.target_span``) are skipped and counted by its reason.
-    Returns (SyntheticPair or None, reason counts).
+    ``retrieved`` holds (annotated pairs, x_star, y_star, links, origin_id) per
+    pair, ``links`` its alignment and the phrases tuples. Candidates without a
+    target span (``align.target_span``) are skipped and counted by its reason. A
+    pair's winner is its first highest-scoring candidate in (phrase, position)
+    order. Returns (SyntheticPair or None, reason counts) per pair.
     """
-    x_star, y_star = tuple(x_star), tuple(y_star)
-    reasons = {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
-    best = None
-    for p_x, p_y in annotated:
-        n = len(p_x)
-        positions = range(0, len(x_star) - n)  # final window excluded per the position bound
-        if len(x_star) - n <= 0:
-            reasons["no-position"] += 1
-            continue
-        for i in positions:
-            span = target_span(links, i, i + n)
-            if isinstance(span, str):
-                reasons[span] += 1
+    found = []  # per pair: its reason counts, its (p_x, p_y, i, span) and x_hat per candidate
+    for annotated, x_star, _, links, _ in retrieved:
+        x_star = tuple(x_star)
+        reasons = {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
+        spans, x_hats = [], []
+        for p_x, p_y in annotated:
+            n = len(p_x)
+            if len(x_star) - n <= 0:
+                reasons["no-position"] += 1
                 continue
-            j_min, j_max = span
-            x_hat = switch(x_star, p_x, i)
-            score = lm.logprob(x_hat)
-            if best is None or score > best.lm_score:
-                y_hat = y_star[:j_min] + p_y + y_star[j_max + 1:]
-                best = SyntheticPair(x_hat, y_hat, "switch", origin_id, p_x, p_y,
-                                     i, (j_min, j_max), score)
-    return best, reasons
+            for i in range(len(x_star) - n):  # final window excluded per the position bound
+                span = target_span(links, i, i + n)
+                if isinstance(span, str):
+                    reasons[span] += 1
+                    continue
+                spans.append((p_x, p_y, i, span))
+                x_hats.append(x_star[:i] + p_x + x_star[i + n:])
+        found.append((reasons, spans, x_hats))
+    scores = lm.logprob([x_hat for _, _, x_hats in found for x_hat in x_hats])
+    results, start = [], 0
+    for (_, _, y_star, _, origin_id), (reasons, spans, x_hats) in zip(retrieved, found):
+        best = None
+        if spans:  # argmax: the first maximum, as a scan keeping only higher scores finds
+            k = int(scores[start:start + len(spans)].argmax())
+            p_x, p_y, i, (j_min, j_max) = spans[k]
+            y_star = tuple(y_star)
+            best = SyntheticPair(x_hats[k], y_star[:j_min] + p_y + y_star[j_max + 1:], "switch",
+                                 origin_id, p_x, p_y, i, (j_min, j_max), float(scores[start + k]))
+            start += len(spans)
+        results.append((best, reasons))
+    return results
 
 
-def best_contextualize(annotated, x_star, y_star, lm: NGramLM, origin_id: int = -1):
-    """LM-argmax over annotated phrases appended to the retrieved pair."""
-    if not annotated:
+def best_contextualize(retrieved, lm: NGramLM):
+    """LM-argmax over the annotated phrases appended to each retrieved pair, all
+    scored by one ``lm.logprob`` call. ``retrieved`` holds (annotated pairs,
+    x_star, y_star, origin_id) per pair. A pair's winner is its first
+    highest-scoring phrase. Returns one SyntheticPair per pair."""
+    if not all(annotated for annotated, *_ in retrieved):
         raise ValueError("no annotated phrase pairs to contextualize")
-    x_star, y_star = tuple(x_star), tuple(y_star)
-    best = None
-    for p_x, p_y in annotated:
-        x_hat = contextualize(x_star, p_x)
-        score = lm.logprob(x_hat)
-        if best is None or score > best.lm_score:
-            best = SyntheticPair(x_hat, contextualize(y_star, p_y), "contextualize",
-                                 origin_id, p_x, p_y, None, None, score)
-    return best
+    x_hats = [contextualize(x_star, p_x) for annotated, x_star, _, _ in retrieved
+              for p_x, _ in annotated]
+    scores = lm.logprob(x_hats)
+    pairs, start = [], 0
+    for annotated, _, y_star, origin_id in retrieved:
+        k = int(scores[start:start + len(annotated)].argmax())  # the first maximum
+        p_x, p_y = annotated[k]
+        pairs.append(SyntheticPair(x_hats[start + k], contextualize(y_star, p_y), "contextualize",
+                                   origin_id, p_x, p_y, None, None, float(scores[start + k])))
+        start += len(annotated)
+    return pairs
+
+
+def _blocks(weighted):
+    """Lists of the consecutive items of ``weighted``, (weight, item) pairs, each
+    list closed once its weights reach BLOCK_CANDIDATES."""
+    block, weight = [], 0
+    for w, item in weighted:
+        block.append(item)
+        weight += w
+        if weight >= BLOCK_CANDIDATES:
+            yield block
+            block, weight = [], 0
+    if block:
+        yield block
 
 
 def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM, recipe: str):
@@ -125,36 +158,48 @@ def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM,
     ``alignments`` holds L, the out-of-domain pairs, and their links; ``scorer``
     is a U × L RatioScorer over L's ids. One ``alignments`` passed to every call,
     as the pipeline does, aligns each pair once however many U sentences and
-    budgets retrieve it. Returns (pairs, report), report counting drops per reason.
+    budgets retrieve it. The retrieved pairs go to ``best_switch`` or
+    ``best_contextualize`` in blocks of about BLOCK_CANDIDATES candidates, so
+    memory does not grow with their number. Returns (pairs, report), report
+    counting drops per reason.
     """
+    if recipe not in ("switch", "contextualize"):
+        raise ValueError(f"unknown recipe {recipe!r}")
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
-    pairs = []
-    for sent, annotated in zip(U, phrases_in_sentence([s.tokens for s in U], phrase_pairs)):
-        if not annotated:
-            report["no-annotated-phrase"] += 1
-            continue
-        try:  # the most ratio-similar L' pair, ties by ascending id
-            pair_id, _ = scorer.argmax_over_b(sent.id)
-        except DegenerateNeighborhoodError:
-            report["retrieval-degenerate"] += 1
-            continue
-        x_star, y_star = (side.tokens for side in alignments.parallel.get(pair_id))
-        if recipe == "switch":
-            best, reasons = best_switch(annotated, x_star, y_star, alignments[pair_id], lm,
-                                        origin_id=pair_id)
-            if best is None:
-                dominant = max(reasons, key=reasons.get)
-                report[dominant] += 1
+
+    def retrieved():
+        """(candidate count, block entry) of each U sentence that holds an
+        annotated phrase and retrieves a pair."""
+        for sent, annotated in zip(U, phrases_in_sentence([s.tokens for s in U], phrase_pairs)):
+            if not annotated:
+                report["no-annotated-phrase"] += 1
                 continue
-            pairs.append(best)
-        elif recipe == "contextualize":
-            pairs.append(best_contextualize(annotated, x_star, y_star, lm, origin_id=pair_id))
-        else:
-            raise ValueError(f"unknown recipe {recipe!r}")
+            try:  # the most ratio-similar L' pair, ties by ascending id
+                pair_id, _ = scorer.argmax_over_b(sent.id)
+            except DegenerateNeighborhoodError:
+                report["retrieval-degenerate"] += 1
+                continue
+            x_star, y_star = (side.tokens for side in alignments.parallel.get(pair_id))
+            if recipe == "switch":
+                yield (sum(max(0, len(x_star) - len(p_x)) for p_x, _ in annotated),
+                       (annotated, x_star, y_star, alignments[pair_id], pair_id))
+            else:
+                yield len(annotated), (annotated, x_star, y_star, pair_id)
+
+    pairs = []
+    for block in _blocks(retrieved()):
+        if recipe == "contextualize":
+            pairs += best_contextualize(block, lm)
+            continue
+        for best, reasons in best_switch(block, lm):
+            if best is None:
+                report[max(reasons, key=reasons.get)] += 1  # the dominant reason
+            else:
+                pairs.append(best)
     return pairs, report
 
 
-def write_synthetic(pairs, tsv_path, recipe_path):
-    write_text(tsv_path, "".join(f"{' '.join(p.source)}\t{' '.join(p.target)}\n" for p in pairs))
-    write_text(recipe_path, "".join(p.to_json() + "\n" for p in pairs))
+def encode_synthetic(pair):
+    """(synthetic.tsv line, synthetic.recipes.jsonl line) of a SyntheticPair."""
+    return f"{' '.join(pair.source)}\t{' '.join(pair.target)}\n", pair.to_json() + "\n"

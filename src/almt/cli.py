@@ -11,7 +11,7 @@ import math
 import sys
 
 from . import analyze, mix, toy
-from .corpus import load_corpus, read_records, record_id, record_tokens
+from .corpus import load_corpus, read_records, record_id, record_tokens, write_columns
 from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
 from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
@@ -78,8 +78,8 @@ def _cmd_oracle(args):
     context = RunContext(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference))
     context.reference  # read first: a malformed reference is reported before the selection
     context.selection = _load_selection(args.selection)
-    l_s, l_p, drops = respond(context, context.selection,
-                              lambda _, filename: f"{args.output_prefix}.{filename}")
+    l_s, l_p, drops = respond(context, context.selection, lambda artifacts, records: write_columns(
+        [f"{args.output_prefix}.{filename}" for _, filename in artifacts], records))
     print(json.dumps({"sentences": len(l_s), "phrases": len(l_p),
                       "dropped": {" ".join(p): r for p, r in drops.items()}}))
     return 0

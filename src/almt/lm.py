@@ -3,10 +3,18 @@
 Conditional distributions range over the training vocabulary plus UNK and the
 end-of-sentence marker, and sum to 1 by construction. Used only to rank
 augmentation candidates, so the smoothing scheme favors simplicity.
+
+The model works on integer codes, one per token string of the training corpus
+plus BOS, EOS and UNK. An n-gram packs into one int64 whose base-V digits
+(V codes) are its tokens' codes, oldest first, so its last m digits are its
+m-gram suffix. Training counts each order's n-grams and histories with
+``np.unique``; scoring looks them up with ``np.searchsorted``.
 """
 
 import math
-from collections import defaultdict
+from itertools import chain, repeat
+
+import numpy as np
 
 from .corpus import Corpus
 
@@ -14,6 +22,21 @@ BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
 ADD_K = 0.1  # the pseudo-count added to every event
+MARKERS = {BOS: 0, EOS: 1, UNK: 2}  # token string -> code, before the corpus's own
+_END = np.iinfo(np.int64).max  # every table's last key, above any n-gram's: no lookup runs off the end
+
+
+def _table(keys):
+    """(sorted distinct keys then _END, the count of each then 0)."""
+    known, counts = np.unique(keys, return_counts=True)
+    return np.append(known, _END), np.append(counts, 0)
+
+
+def _count(table, keys):
+    """The count ``table`` holds for each of ``keys``, 0 for a key it lacks."""
+    known, counts = table
+    at = np.searchsorted(known, keys)
+    return np.where(known[at] == keys, counts[at], 0)
 
 
 class NGramLM:
@@ -21,55 +44,83 @@ class NGramLM:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.order = order
-        self.vocab = set()
-        # counts[m][history][word] with |history| = m-1
-        self.counts = [None] + [defaultdict(lambda: defaultdict(int)) for _ in range(order)]
-        self.totals = [None] + [defaultdict(int) for _ in range(order)]
-        self.log_terms = {}  # raw n-gram (history + word) -> log P(word | history)
+        self.train(Corpus([]))
 
     def train(self, corpus: Corpus):
-        self.log_terms.clear()
-        for sent in corpus:
-            self.vocab.update(sent.tokens)
-        for sent in corpus:
-            tokens = (BOS,) * (self.order - 1) + sent.tokens + (EOS,)
-            for pos in range(self.order - 1, len(tokens)):
-                w = tokens[pos]
-                for m in range(1, self.order + 1):
-                    h = tokens[pos - m + 1:pos]
-                    self.counts[m][h][w] += 1
-                    self.totals[m][h] += 1
+        """Fit the model to ``corpus``, replacing any earlier fit."""
+        sentences = [sent.tokens for sent in corpus]
+        types = dict.fromkeys(chain.from_iterable(sentences))  # in first-occurrence order
+        self.vocab = frozenset(types)
+        self.codes = dict(MARKERS)
+        for token in types:
+            self.codes.setdefault(token, len(self.codes))
+        if len(self.codes) ** self.order >= 2 ** 63:
+            raise ValueError(f"{len(self.codes)} token codes overflow an order-{self.order} "
+                             f"n-gram key of 63 bits")
+        # A literal BOS is the boundary marker in a history, but as a word it is
+        # UNK unless the corpus holds it (the training stream is read raw).
+        self._word_bos = MARKERS[BOS] if BOS in self.vocab else MARKERS[UNK]
+        grams, _ = self._grams(sentences)
+        v = len(self.codes)
+        # per order m: the table of its m-grams and the table of their histories
+        self.tables = [(_table(grams % v ** m), _table(grams // v % v ** (m - 1)))
+                       for m in range(1, self.order + 1)]
         return self
 
-    def _map(self, token: str) -> str:
-        return token if token in self.vocab or token == EOS else UNK
+    def _grams(self, sentences):
+        """The packed order-gram ending at each term of ``sentences``, each padded
+        with order - 1 BOS and an EOS, in order; and each sentence's term count."""
+        sizes = np.fromiter(map(len, sentences), np.int64, len(sentences)) + 1  # tokens and EOS
+        n_terms, pad, v = int(sizes.sum()), self.order - 1, len(self.codes)
+        words = np.full(n_terms, MARKERS[EOS], np.int64)
+        is_token = np.ones(n_terms, bool)
+        is_token[np.cumsum(sizes) - 1] = False
+        words[is_token] = np.fromiter(
+            map(self.codes.get, chain.from_iterable(sentences), repeat(MARKERS[UNK])),
+            np.int64, n_terms - len(sizes))
+        stream = np.full(n_terms + pad * len(sizes), MARKERS[BOS], np.int64)
+        at = np.arange(n_terms) + pad * np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        stream[at] = words
+        grams = np.zeros(n_terms, np.int64)
+        for back in range(pad, 0, -1):
+            grams = grams * v + stream[at - back]
+        return grams * v + np.where(words == MARKERS[BOS], self._word_bos, words), sizes
+
+    def _probs(self, grams, depth):
+        """P(w | h) of each packed n-gram of ``depth`` tokens (history and word):
+        the mean over orders 1..order of (count + ADD_K) / (total + ADD_K * |events|),
+        added in order from 0.0; an order above ``depth`` sees no counts."""
+        v, events = len(self.codes), ADD_K * (len(self.vocab) + 2)  # the vocabulary, UNK and EOS
+        total = np.zeros(len(grams))
+        for m, (ngrams, histories) in enumerate(self.tables, 1):
+            if m > depth:
+                total += (0 + ADD_K) / (0 + events)
+                continue
+            total += (_count(ngrams, grams % v ** m) + ADD_K) / \
+                (_count(histories, grams // v % v ** (m - 1)) + events)
+        return total / self.order
 
     def prob(self, word: str, history) -> float:
         """P(word | history) interpolating orders 1..order with equal weight."""
-        word = self._map(word)
-        history = tuple(BOS if t == BOS else self._map(t) for t in history)[-(self.order - 1):] \
-            if self.order > 1 else ()
-        v = len(self.vocab) + 2  # events: the vocabulary, UNK and EOS
-        total = 0.0
-        for m in range(1, self.order + 1):
-            h = history[len(history) - (m - 1):] if m > 1 else ()
-            num = self.counts[m].get(h, {}).get(word, 0) + ADD_K
-            den = self.totals[m].get(h, 0) + ADD_K * v
-            total += num / den
-        return total / self.order
+        history = tuple(history)[-(self.order - 1):] if self.order > 1 else ()
+        gram = 0
+        for token in history:
+            gram = gram * len(self.codes) + self.codes.get(token, MARKERS[UNK])
+        code = self.codes.get(word, MARKERS[UNK])
+        code = self._word_bos if code == MARKERS[BOS] else code
+        return float(self._probs(np.array([gram * len(self.codes) + code]), len(history) + 1)[0])
 
-    def logprob(self, tokens) -> float:
-        """Log-probability of a sentence with boundary markers, summed left to
-        right from log P(w | h) terms memoised by their raw n-gram."""
-        padded = (BOS,) * (self.order - 1) + tuple(tokens) + (EOS,)
-        lp = 0.0
-        for pos in range(self.order - 1, len(padded)):
-            ngram = padded[pos - self.order + 1:pos + 1]
-            term = self.log_terms.get(ngram)
-            if term is None:
-                term = self.log_terms[ngram] = math.log(self.prob(ngram[-1], ngram[:-1]))
-            lp += term
-        return lp
+    def logprob(self, sentences):
+        """Log-probability of each of ``sentences`` with boundary markers, as a
+        float64 array. The term log P(w | h) of each distinct n-gram is computed
+        once, with math.log; a sentence's terms add left to right."""
+        grams, sizes = self._grams(sentences)
+        distinct, inverse = np.unique(grams, return_inverse=True)
+        terms = np.array([math.log(p) for p in self._probs(distinct, self.order).tolist()])
+        # one column per sentence, its terms from the top and 0.0 below them
+        columns = np.zeros((sizes.max(initial=1), len(sizes)))
+        columns.T[np.arange(columns.shape[0]) < sizes[:, None]] = terms[inverse]
+        return np.add.accumulate(columns)[-1]
 
 
 def train_lm(U: Corpus, order: int = 3) -> NGramLM:

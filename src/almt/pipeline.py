@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import align, augment, mix, oracle, select
-from .corpus import load_corpus, load_parallel, write_columns, write_text
+from .corpus import load_corpus, load_parallel, write_text
 from .embed import EmbeddingStore, RatioScorer
 from .errors import AlmtError, ConfigError, describe
 from .lm import train_lm
@@ -413,12 +413,19 @@ class RunContext:
 
 def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunReport:
     config = context.config
-    outputs = {}
 
-    def out(name, filename):
-        """Path of an artifact of this budget, whose digest the report carries."""
-        outputs[name] = run_dir / filename
-        return outputs[name]
+    def save(name, filename, text):
+        """Write an artifact of this budget; the report carries the sha256 of the
+        bytes written, so no artifact is read back to hash it."""
+        data = text.encode("utf-8")
+        write_text(run_dir / filename, data)
+        report.digests[name] = hashlib.sha256(data).hexdigest()
+
+    def save_columns(artifacts, records):
+        """Save to each (name, filename) of ``artifacts`` its column of ``records``,
+        tuples of one line per artifact."""
+        for i, (name, filename) in enumerate(artifacts):
+            save(name, filename, "".join(record[i] for record in records))
 
     # A context property is built the first time a stage touches it, so build
     # time lands in the first budget's report under that stage.
@@ -431,7 +438,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     with _stage(report, "select"):
         result = context.selection.cut(report.budget)
-        write_text(out("selection", "selection.jsonl"), select.rank_lines(
+        save("selection", "selection.jsonl", select.rank_lines(
             context.lines("selected sentences", result.sentences, select.encode_pick)
             + context.lines("selected phrases", result.phrases, select.encode_pick)))
         report.counts["selected_sentences"] = len(result.sentences)
@@ -441,11 +448,11 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         report.dropped.update({f"select:{k}": v for k, v in result.skipped.items()})
 
     if config.simulate_only:
-        _finish(report, run_dir, outputs)
+        report.save(run_dir / "report.json")
         return report
 
     with _stage(report, "oracle"):
-        l_s_resp, l_p_resp, phrase_drops = respond(context, result, out)
+        l_s_resp, l_p_resp, phrase_drops = respond(context, result, save_columns)
         report.counts["translated_sentences"] = len(l_s_resp)
         report.counts["translated_phrases"] = len(l_p_resp)
         if phrase_drops:
@@ -455,8 +462,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
             report.dropped["mix:degenerate"] = len(skipped)
-        write_text(out("freeze", "retrieved.freeze.jsonl"),
-                   "".join(context.lines("mix rows", l_r, mix.encode_row)))
+        save("freeze", "retrieved.freeze.jsonl", "".join(context.lines("mix rows", l_r, mix.encode_row)))
         report.counts["mixed_pairs"] = len(l_r)
 
     synthetic = []
@@ -469,8 +475,9 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
                     config.augment_recipe)
             else:  # no U sentence holds an annotated phrase: train no LM and no IBM-1
                 aug_report = {"no-annotated-phrase": len(context.U)}
-            augment.write_synthetic(synthetic, out("synthetic", "synthetic.tsv"),
-                                    out("synthetic_recipes", "synthetic.recipes.jsonl"))
+            save_columns([("synthetic", "synthetic.tsv"),
+                          ("synthetic_recipes", "synthetic.recipes.jsonl")],
+                         [augment.encode_synthetic(pair) for pair in synthetic])
             report.counts["synthetic_pairs"] = len(synthetic)
             report.dropped.update({f"augment:{k}": v for k, v in aug_report.items() if v})
 
@@ -485,28 +492,28 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             lines += context.lines(section, manifest.entries[start:start + n], mix.encode_entry)
             start += n
         lines += map(mix.encode_entry, manifest.entries[start:])  # synthetic pairs: each budget's own
-        write_columns([out("manifest_jsonl", "manifest.jsonl"), out("manifest_tsv", "manifest.tsv")],
-                      lines)
+        save_columns([("manifest_jsonl", "manifest.jsonl"), ("manifest_tsv", "manifest.tsv")], lines)
         report.counts["manifest_entries"] = len(manifest.entries)
         report.counts.update({f"manifest:{k}": v for k, v in manifest.counts.items()})
 
-    _finish(report, run_dir, outputs)
+    report.save(run_dir / "report.json")
     return report
 
 
-def respond(context: RunContext, cut, out):
+def respond(context: RunContext, cut, save_columns):
     """The oracle stage: translate the sentences and phrases of ``cut``, a cut of
-    ``context.selection``, and write them to the files ``out(name, filename)``
-    names. Returns (sentence responses, phrase responses, drops by phrase)."""
+    ``context.selection``, and write them with ``save_columns(artifacts, records)``,
+    each artifact a (name, filename) and each record a tuple of one line per
+    artifact. Returns (sentence responses, phrase responses, drops by phrase)."""
     l_s = oracle.translate_sentences([s.id for s in cut.sentences], context.reference)
     responses, drops = context.translations
     l_p = [responses[p.tokens] for p in cut.phrases if p.tokens in responses]
-    write_columns([out("sentences", "sentences.tsv"),
-                   out("sentences_provenance", "sentences.provenance.jsonl")],
-                  context.lines("sentence responses", l_s,
-                                lambda r: oracle.encode_response(r, context.reference)))
-    write_columns([out("phrases", "phrases.tsv"), out("phrases_provenance", "phrases.provenance.jsonl")],
-                  context.lines("phrase responses", l_p, oracle.encode_response))
+    save_columns([("sentences", "sentences.tsv"),
+                  ("sentences_provenance", "sentences.provenance.jsonl")],
+                 context.lines("sentence responses", l_s,
+                               lambda r: oracle.encode_response(r, context.reference)))
+    save_columns([("phrases", "phrases.tsv"), ("phrases_provenance", "phrases.provenance.jsonl")],
+                 context.lines("phrase responses", l_p, oracle.encode_response))
     return l_s, l_p, {p.tokens: drops[p.tokens] for p in cut.phrases if p.tokens in drops}
 
 
@@ -519,8 +526,3 @@ def mix_pairs(context: RunContext, m: int):
     rows, skipped = context.pool
     return rows[:m], skipped
 
-
-def _finish(report, run_dir, outputs):
-    for name, path in sorted(outputs.items()):
-        report.digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()  # written whole, read whole
-    report.save(run_dir / "report.json")

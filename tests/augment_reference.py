@@ -1,11 +1,18 @@
-"""Tuple reference for `almt.augment.phrases_in_sentence`.
+"""References for `almt.augment`.
 
 `PhraseIndex` keys the annotated (p_x, p_y) pairs by source tuple, and
 `phrases_in_sentence` looks every window of one sentence up in it, as
 augmentation did before it found the phrases of all U sentences in one scan
-of integer codes. Slow, and used only by tests, which require the same pairs
-per sentence from both.
+of integer codes. `best_switch` and `best_contextualize` score one retrieved
+pair's candidates one `logprob` call each, keeping a strictly higher score, as
+augmentation did before it scored a block of pairs in one batch; they take a
+model whose `logprob` scores one sentence, such as `lm_reference.NGramLM`.
+Slow, and used only by tests, which require the same pairs per sentence, the
+same winners, float.hex-equal scores and the same reason counts.
 """
+
+from almt.align import target_span
+from almt.augment import SyntheticPair, contextualize, switch
 
 
 class PhraseIndex:
@@ -30,3 +37,45 @@ def phrases_in_sentence(tokens, index: PhraseIndex):
         for s in range(len(tokens) - n + 1):
             hits.update(index.positions.get(tokens[s:s + n], ()))
     return [index.pairs[i] for i in sorted(hits)]
+
+
+def best_switch(annotated, x_star, y_star, links, lm, origin_id: int = -1):
+    """LM-argmax over all (annotated phrase, position) switch candidates of one
+    retrieved pair. Returns (SyntheticPair or None, reason counts)."""
+    x_star, y_star = tuple(x_star), tuple(y_star)
+    reasons = {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
+    best = None
+    for p_x, p_y in annotated:
+        n = len(p_x)
+        positions = range(0, len(x_star) - n)  # final window excluded per the position bound
+        if len(x_star) - n <= 0:
+            reasons["no-position"] += 1
+            continue
+        for i in positions:
+            span = target_span(links, i, i + n)
+            if isinstance(span, str):
+                reasons[span] += 1
+                continue
+            j_min, j_max = span
+            x_hat = switch(x_star, p_x, i)
+            score = lm.logprob(x_hat)
+            if best is None or score > best.lm_score:
+                y_hat = y_star[:j_min] + p_y + y_star[j_max + 1:]
+                best = SyntheticPair(x_hat, y_hat, "switch", origin_id, p_x, p_y,
+                                     i, (j_min, j_max), score)
+    return best, reasons
+
+
+def best_contextualize(annotated, x_star, y_star, lm, origin_id: int = -1):
+    """LM-argmax over annotated phrases appended to one retrieved pair."""
+    if not annotated:
+        raise ValueError("no annotated phrase pairs to contextualize")
+    x_star, y_star = tuple(x_star), tuple(y_star)
+    best = None
+    for p_x, p_y in annotated:
+        x_hat = contextualize(x_star, p_x)
+        score = lm.logprob(x_hat)
+        if best is None or score > best.lm_score:
+            best = SyntheticPair(x_hat, contextualize(y_star, p_y), "contextualize",
+                                 origin_id, p_x, p_y, None, None, score)
+    return best

@@ -1,19 +1,67 @@
-"""Unmemoised reference for `almt.lm.NGramLM.logprob`.
+"""Dict reference for `almt.lm.NGramLM`.
 
-Each term log P(w | h) is computed afresh with `NGramLM.prob` and added left
-to right, as the model did before it memoised the terms. Slow, and used only
-by tests, which require float.hex-equal log-probabilities from both.
+The model as it was before it coded its corpus: counts in nested dicts keyed
+by token tuples, ``prob`` interpolating their add-k estimates, and a
+``logprob`` of one sentence that sums memoised log P(w | h) terms left to
+right. Slow, and used only by tests, which require float.hex-equal
+probabilities and log-probabilities from both.
 """
 
 import math
+from collections import defaultdict
 
-from almt.lm import BOS, EOS
+from almt.lm import ADD_K, BOS, EOS, UNK
 
 
-def logprob(lm, tokens) -> float:
-    """Log-probability of a sentence with boundary markers."""
-    padded = (BOS,) * (lm.order - 1) + tuple(tokens) + (EOS,)
-    lp = 0.0
-    for pos in range(lm.order - 1, len(padded)):
-        lp += math.log(lm.prob(padded[pos], padded[max(0, pos - lm.order + 1):pos]))
-    return lp
+class NGramLM:
+    def __init__(self, order: int = 3):
+        self.order = order
+        self.vocab = set()
+        # counts[m][history][word] with |history| = m-1
+        self.counts = [None] + [defaultdict(lambda: defaultdict(int)) for _ in range(order)]
+        self.totals = [None] + [defaultdict(int) for _ in range(order)]
+        self.log_terms = {}  # raw n-gram (history + word) -> log P(word | history)
+
+    def train(self, corpus):
+        self.log_terms.clear()
+        for sent in corpus:
+            self.vocab.update(sent.tokens)
+        for sent in corpus:
+            tokens = (BOS,) * (self.order - 1) + sent.tokens + (EOS,)
+            for pos in range(self.order - 1, len(tokens)):
+                w = tokens[pos]
+                for m in range(1, self.order + 1):
+                    h = tokens[pos - m + 1:pos]
+                    self.counts[m][h][w] += 1
+                    self.totals[m][h] += 1
+        return self
+
+    def _map(self, token: str) -> str:
+        return token if token in self.vocab or token == EOS else UNK
+
+    def prob(self, word: str, history) -> float:
+        """P(word | history) interpolating orders 1..order with equal weight."""
+        word = self._map(word)
+        history = tuple(BOS if t == BOS else self._map(t) for t in history)[-(self.order - 1):] \
+            if self.order > 1 else ()
+        v = len(self.vocab) + 2  # events: the vocabulary, UNK and EOS
+        total = 0.0
+        for m in range(1, self.order + 1):
+            h = history[len(history) - (m - 1):] if m > 1 else ()
+            num = self.counts[m].get(h, {}).get(word, 0) + ADD_K
+            den = self.totals[m].get(h, 0) + ADD_K * v
+            total += num / den
+        return total / self.order
+
+    def logprob(self, tokens) -> float:
+        """Log-probability of a sentence with boundary markers, summed left to
+        right from log P(w | h) terms memoised by their raw n-gram."""
+        padded = (BOS,) * (self.order - 1) + tuple(tokens) + (EOS,)
+        lp = 0.0
+        for pos in range(self.order - 1, len(padded)):
+            ngram = padded[pos - self.order + 1:pos + 1]
+            term = self.log_terms.get(ngram)
+            if term is None:
+                term = self.log_terms[ngram] = math.log(self.prob(ngram[-1], ngram[:-1]))
+            lp += term
+        return lp

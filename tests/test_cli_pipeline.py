@@ -103,6 +103,33 @@ def test_pipeline_full_run_artifacts(toy_dir, tmp_path):
     assert not (run_dir / "lock").exists()
 
 
+# report.json digest name -> the artifact it hashes
+ARTIFACTS = {
+    "selection": "selection.jsonl", "sentences": "sentences.tsv",
+    "sentences_provenance": "sentences.provenance.jsonl", "phrases": "phrases.tsv",
+    "phrases_provenance": "phrases.provenance.jsonl", "freeze": "retrieved.freeze.jsonl",
+    "synthetic": "synthetic.tsv", "synthetic_recipes": "synthetic.recipes.jsonl",
+    "manifest_jsonl": "manifest.jsonl", "manifest_tsv": "manifest.tsv",
+}
+
+
+@pytest.mark.parametrize("recipe", ["switch", "contextualize", None])
+def test_every_report_digest_is_the_sha256_of_its_artifact_on_disk(toy_dir, tmp_path, recipe):
+    """The stages record digests of the bytes they write; each budget's report
+    names every artifact in its directory, and each digest matches the file."""
+    reports = run_pipeline(toy_config(toy_dir, budgets=[80, 160], augment_recipe=recipe,
+                                      output_dir=str(tmp_path / "runs")))
+    for report in reports:
+        run_dir = tmp_path / "runs" / f"budget-{report.budget}"
+        expected = {name: filename for name, filename in ARTIFACTS.items()
+                    if recipe or not name.startswith("synthetic")}
+        assert set(report.digests) == set(expected)
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted([*expected.values(), "report.json"])
+        for name, filename in expected.items():
+            assert report.digests[name] == hashlib.sha256((run_dir / filename).read_bytes()).hexdigest()
+        assert json.loads((run_dir / "report.json").read_text())["digests"] == report.digests
+
+
 def test_pipeline_deterministic_digests(toy_dir, tmp_path):
     r1 = run_pipeline(toy_config(toy_dir, output_dir=str(tmp_path / "a")), budget=80)[0]
     r2 = run_pipeline(toy_config(toy_dir, output_dir=str(tmp_path / "b")), budget=80)[0]

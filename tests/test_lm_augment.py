@@ -25,6 +25,11 @@ def identity_table(tokens):
 
 # --- language model ---
 
+def _score(lm, tokens):
+    [lp] = lm.logprob([tokens])
+    return lp
+
+
 def test_lm_prefers_observed_bigram():
     lm = train_lm(corpus_of("a b", "a b"), order=2)
     assert lm.prob("b", ("a",)) > lm.prob("a", ("a",))
@@ -32,7 +37,7 @@ def test_lm_prefers_observed_bigram():
 
 def test_lm_unseen_token_finite():
     lm = train_lm(corpus_of("a b"), order=2)
-    assert lm.logprob(("zzz", "qqq")) > float("-inf")
+    assert _score(lm, ("zzz", "qqq")) > float("-inf")
 
 
 def test_lm_distribution_sums_to_one():
@@ -47,18 +52,18 @@ def test_lm_empty_sentence_boundary_only():
     lm = train_lm(corpus_of("a"), order=2)
     import math
     from almt.lm import BOS
-    assert lm.logprob(()) == pytest.approx(math.log(lm.prob(EOS, (BOS,))), abs=1e-9)
+    assert _score(lm, ()) == pytest.approx(math.log(lm.prob(EOS, (BOS,))), abs=1e-9)
 
 
 def test_lm_frequency_ordering():
     # "a b c" seen 10x; its reversal never seen
     lm = train_lm(corpus_of(*(["a b c"] * 10 + ["c a b"])), order=3)
-    assert lm.logprob(("a", "b", "c")) > lm.logprob(("c", "b", "a"))
+    assert _score(lm, ("a", "b", "c")) > _score(lm, ("c", "b", "a"))
 
 
 def test_lm_order_sensitive():
     lm = train_lm(corpus_of(*(["x y"] * 5)), order=2)
-    assert lm.logprob(("x", "y")) != lm.logprob(("y", "x"))
+    assert _score(lm, ("x", "y")) != _score(lm, ("y", "x"))
 
 
 def test_lm_rejects_bad_order():
@@ -66,35 +71,66 @@ def test_lm_rejects_bad_order():
         NGramLM(order=0)
 
 
+def test_lm_logprob_of_no_sentence_is_an_empty_array():
+    scores = train_lm(corpus_of("a b"), order=3).logprob([])
+    assert scores.dtype == np.float64 and scores.shape == (0,)
+
+
+def test_lm_rejects_a_vocabulary_whose_keys_overflow_63_bits():
+    """7,003 codes (7,000 tokens and the three markers) to the fifth power pass 2**63."""
+    words = [f"w{i}" for i in range(7000)]
+    assert len(train_lm(corpus_of(" ".join(words)), order=4).codes) == 7003
+    with pytest.raises(ValueError, match="overflow an order-5 n-gram key"):
+        train_lm(corpus_of(" ".join(words)), order=5)
+
+
 def test_lm_scoring_does_not_write_to_the_model():
     lm = train_lm(corpus_of("a b c"), order=3)
 
     def snapshot():
-        return ([{h: dict(row) for h, row in c.items()} for c in lm.counts[1:]],
-                [dict(t) for t in lm.totals[1:]])
+        return (dict(lm.codes), lm.vocab,
+                [[[keys.tolist(), counts.tolist()] for keys, counts in order] for order in lm.tables])
 
     before = snapshot()
-    lm.logprob(("q", "r", "s", "t", "u"))
+    lm.logprob([("q", "r", "s", "t", "u"), ("a", "b")])
     lm.prob("q", ("r", "s"))
     assert snapshot() == before
 
 
-# --- memoised logprob against the unmemoised reference (tests/lm_reference.py) ---
+# --- coded model against the dict reference (tests/lm_reference.py) ---
 
-_sentences = st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), max_size=6)
+# Corpus and query tokens include the literal markers: a corpus "<s>" is the
+# boundary marker to its counts, a query "<s>" is one in a history but UNK as a
+# word unless the corpus holds it, and "</s>" is always EOS.
+_MARKED = list("abcd") + ["<s>", EOS, UNK]
+_sentences = st.lists(st.lists(st.sampled_from(_MARKED), min_size=1, max_size=6), max_size=6)
+_queries = st.lists(st.lists(st.sampled_from(_MARKED + ["oov"]), max_size=6), max_size=8)
 
 
-@settings(max_examples=200, deadline=None)
-@given(order=st.integers(1, 4), first=_sentences, second=_sentences,
-       queries=st.lists(st.lists(st.sampled_from(list("abcd") + ["oov", "<s>", EOS]), max_size=6),
-                        max_size=6))
-def test_logprob_matches_the_unmemoised_reference(order, first, second, queries):
-    lm = NGramLM(order).train(corpus_of(*map(" ".join, first)))
-    for tokens in queries + queries:  # the second round reads the memo
-        assert lm.logprob(tokens).hex() == lm_reference.logprob(lm, tokens).hex()
-    lm.train(corpus_of(*map(" ".join, second)))  # new counts and vocabulary: no stale term
-    for tokens in queries:
-        assert lm.logprob(tokens).hex() == lm_reference.logprob(lm, tokens).hex()
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, 4), first=_sentences, second=_sentences, queries=_queries)
+def test_logprob_matches_the_dict_reference(order, first, second, queries):
+    """One batch of sentences, the empty one and ones shorter than the order
+    included, gives float.hex-equal log-probabilities; training again replaces
+    the fit."""
+    lm = NGramLM(order)
+    for corpus in (corpus_of(*map(" ".join, first)), corpus_of(*map(" ".join, second))):
+        lm.train(corpus)
+        reference = lm_reference.NGramLM(order).train(corpus)
+        scores = lm.logprob(queries)
+        assert scores.dtype == np.float64 and scores.shape == (len(queries),)
+        assert [s.hex() for s in scores.tolist()] == [reference.logprob(q).hex() for q in queries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(order=st.integers(1, 4), sentences=_sentences,
+       word=st.sampled_from(_MARKED + ["oov"]),
+       history=st.lists(st.sampled_from(_MARKED + ["oov"]), max_size=5))
+def test_prob_matches_the_dict_reference(order, sentences, word, history):
+    """Histories run from () through ones shorter than order - 1 to longer ones."""
+    corpus = corpus_of(*map(" ".join, sentences))
+    lm, reference = NGramLM(order).train(corpus), lm_reference.NGramLM(order).train(corpus)
+    assert lm.prob(word, history).hex() == reference.prob(word, history).hex()
 
 
 # --- switch / contextualize ---
@@ -240,10 +276,106 @@ def test_augment_aligns_each_retrieved_pair_once(monkeypatch):
     assert calls == [(("a", "b", "c", "d"), ("T_a", "T_b", "T_c", "T_d"))]
 
 
+def test_augment_rejects_an_unknown_recipe_before_any_work():
+    with pytest.raises(ValueError, match="unknown recipe 'bogus'"):
+        augment_corpus(corpus_of("a b"), [], None, None, None, "bogus")
+
+
+def _retrieving(n_sentences, x_star):
+    """(U, phrase pairs, scorer, alignments, lm): ``n_sentences`` U sentences
+    "x cat y" that each retrieve L pair 0, ``x_star`` word for word, so that
+    each holds len(x_star) - 1 candidates of the annotated "cat"."""
+    U = corpus_of(*["x cat y"] * n_sentences)
+    words = x_star.split()
+    L = ParallelCorpus([(Sentence(0, tuple(words)), Sentence(0, tuple(f"T_{w}" for w in words))),
+                        (Sentence(1, ("e",)), Sentence(1, ("T_e",)))])
+    store_U = EmbeddingStore(list(range(n_sentences)), np.tile([1.0, 0.0], (n_sentences, 1)), "U")
+    store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), "L")
+    alignments = Alignments(L, identity_table(set(words)))
+    alignments[0]  # aligned here, not in a traced call
+    return U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1), alignments, train_lm(U)
+
+
+@pytest.mark.parametrize("recipe", ["switch", "contextualize"])
+def test_augment_scores_each_block_in_one_logprob_call(monkeypatch, recipe):
+    """Six sentences of three switch candidates each, in blocks closed at seven
+    candidates: two logprob calls of nine candidates. Contextualize has one
+    candidate a sentence: one call of six."""
+    import almt.augment
+    batches = []
+    logprob = NGramLM.logprob
+    monkeypatch.setattr(NGramLM, "logprob", lambda lm, sentences: batches.append(len(sentences))
+                        or logprob(lm, sentences))
+    monkeypatch.setattr(almt.augment, "BLOCK_CANDIDATES", 7)
+    pairs, _ = augment_corpus(*_retrieving(6, "a b c d"), recipe)
+    assert len(pairs) == 6
+    assert batches == ([9, 9] if recipe == "switch" else [6])
+
+
+def test_a_run_scores_augmentation_candidates_in_blocks(monkeypatch, tmp_path):
+    """On the stock toy each best_switch call scores its block in one logprob
+    call; every block but the last reaches the cap, and no block holds a pair
+    past the one that reached it."""
+    import almt.augment
+    from almt import toy
+    from almt.pipeline import RunConfig, run_pipeline
+    monkeypatch.setattr(almt.augment, "BLOCK_CANDIDATES", 64)
+    calls, blocks = [], []
+    logprob, search = NGramLM.logprob, almt.augment.best_switch
+    monkeypatch.setattr(NGramLM, "logprob", lambda lm, sentences: calls.append(len(sentences))
+                        or logprob(lm, sentences))
+
+    def counting(retrieved, lm):
+        blocks.append([sum(max(0, len(x) - len(p)) for p, _ in annotated)
+                       for annotated, x, *_ in retrieved])
+        return search(retrieved, lm)
+
+    monkeypatch.setattr(almt.augment, "best_switch", counting)
+    config = toy.generate(tmp_path / "toy")
+    config.update(augment_recipe="switch", budgets=[400], output_dir=str(tmp_path / "runs"))
+    [report] = run_pipeline(RunConfig(**config))
+    assert report.counts["synthetic_pairs"] > 0 and len(blocks) > 2
+    assert len(calls) == len(blocks) and sum(calls) > 10 * len(calls)
+    for block in blocks[:-1]:
+        assert sum(block) >= 64 > sum(block[:-1])
+
+
+def test_augment_peak_memory_does_not_grow_with_candidates(monkeypatch):
+    """224 more U sentences, each with 38 switch candidates, raise the traced
+    peak of augment_corpus by under 4 KB a sentence, what its synthetic pair and
+    bookkeeping take. With the blocks uncapped, all 9,728 candidates scored at
+    once, the same sentences raise it by more."""
+    import tracemalloc
+    import almt.augment
+    x_star = " ".join(f"w{i}" for i in range(39))
+
+    def peak(n_sentences):
+        args = _retrieving(n_sentences, x_star)
+        tracemalloc.start()
+        try:
+            pairs, _ = augment_corpus(*args, "switch")
+            assert len(pairs) == n_sentences
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # first calls allocate caches of their own
+    bound = (256 - 32) * 4096
+    monkeypatch.setattr(almt.augment, "BLOCK_CANDIDATES", 128)
+    assert peak(256) - peak(32) < bound
+    monkeypatch.setattr(almt.augment, "BLOCK_CANDIDATES", 10 ** 9)
+    assert peak(256) - peak(32) > bound
+
 # --- best_switch / best_contextualize ---
 
 def _best_switch(annotated, x_star, y_star, lm, table):
-    return best_switch(annotated, x_star, y_star, align_pair(x_star, y_star, table), lm)
+    [result] = best_switch([(annotated, x_star, y_star, align_pair(x_star, y_star, table), -1)], lm)
+    return result
+
+
+def _best_contextualize(annotated, x_star, y_star, lm):
+    [pair] = best_contextualize([(annotated, x_star, y_star, -1)], lm)
+    return pair
 
 
 def test_best_switch_single_candidate():
@@ -252,7 +384,7 @@ def test_best_switch_single_candidate():
     lm = train_lm(corpus_of("a b c"), order=2)
     # phrase of length 2: only position 0 is allowed (i < |x*| - |p|)
     best, reasons = _best_switch([(("P", "Q"), ("T_P", "T_Q"))], x_star,
-                                ("T_a", "T_b", "T_c"), lm, table)
+                                 ("T_a", "T_b", "T_c"), lm, table)
     assert best is not None
     assert best.source == ("P", "Q", "c")
     assert best.target == ("T_P", "T_Q", "T_c")
@@ -264,7 +396,7 @@ def test_best_switch_lm_prefers_position():
     lm = train_lm(corpus_of(*(["P b c"] * 20 + ["a b c"])), order=3)
     table = identity_table("abc")
     best, _ = _best_switch([(("P",), ("T_P",))], ("a", "b", "c"),
-                          ("T_a", "T_b", "T_c"), lm, table)
+                           ("T_a", "T_b", "T_c"), lm, table)
     assert best.position == 0
     assert best.source == ("P", "b", "c")
 
@@ -288,17 +420,34 @@ def test_best_switch_argmax_invariant_to_lm_constant():
     assert b1.position == b2.position
 
 
+def test_best_switch_breaks_a_tie_to_the_first_candidate():
+    """Switching "a" into "a a a b" at any position, or the same phrase annotated
+    twice, gives the same sentence: the first phrase at the first position wins."""
+    lm = train_lm(corpus_of("a b"), order=2)
+    annotated = [(("a",), ("T_a",)), (("a",), ("T_a2",))]
+    diagonal = {(i, i) for i in range(4)}
+    x_star, y_star = ("a", "a", "a", "b"), ("T_a",) * 3 + ("T_b",)
+    [(best, _)] = best_switch([(annotated, x_star, y_star, diagonal, 0)], lm)
+    assert (best.position, best.phrase_tgt, best.target) == (0, ("T_a",), ("T_a",) * 3 + ("T_b",))
+
+
+def test_best_contextualize_breaks_a_tie_to_the_first_phrase():
+    lm = train_lm(corpus_of("a b"), order=2)
+    pair = _best_contextualize([(("P",), ("T_1",)), (("P",), ("T_2",))], ("a",), ("T_a",), lm)
+    assert pair.phrase_tgt == ("T_1",)
+
+
 def test_best_contextualize_single_pair():
     lm = train_lm(corpus_of("a b"), order=2)
-    pair = best_contextualize([(("P",), ("T_P",))], ("a", "b"), ("T_a", "T_b"), lm)
+    pair = _best_contextualize([(("P",), ("T_P",))], ("a", "b"), ("T_a", "T_b"), lm)
     assert pair.source == ("a", "b", "P")
     assert pair.target == ("T_a", "T_b", "T_P")
 
 
 def test_best_contextualize_lm_prefers_pair():
     lm = train_lm(corpus_of(*(["a b P"] * 20 + ["a b Q"])), order=3)
-    pair = best_contextualize([(("Q",), ("T_Q",)), (("P",), ("T_P",))],
-                              ("a", "b"), ("T_a", "T_b"), lm)
+    pair = _best_contextualize([(("Q",), ("T_Q",)), (("P",), ("T_P",))],
+                               ("a", "b"), ("T_a", "T_b"), lm)
     assert pair.phrase_src == ("P",)
     assert pair.phrase_tgt == ("T_P",)  # source and target recipes coupled
 
@@ -306,7 +455,7 @@ def test_best_contextualize_lm_prefers_pair():
 def test_best_contextualize_requires_phrases():
     lm = train_lm(corpus_of("a"), order=1)
     with pytest.raises(ValueError):
-        best_contextualize([], ("a",), ("T_a",), lm)
+        best_contextualize([((("P",), ("T_P",)), ("a",), ("T_a",), 0), ([], ("a",), ("T_a",), 1)], lm)
 
 
 def test_synthetic_pair_replay_from_recipe():
@@ -318,3 +467,54 @@ def test_synthetic_pair_replay_from_recipe():
     j_min, j_max = best.target_span
     y = ("T_a", "T_b", "T_c")
     assert y[:j_min] + best.phrase_tgt + y[j_max + 1:] == best.target
+
+
+# --- a block against the per-candidate references (tests/augment_reference.py) ---
+
+_words = st.sampled_from("abc")
+_phrase = st.lists(_words, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def _retrieved(draw):
+    """One retrieved pair: its annotated phrases (repeats included, so some
+    candidates tie), x_star, y_star and random links between them."""
+    x_star = tuple(draw(st.lists(_words, min_size=1, max_size=6)))
+    y_star = tuple(f"T_{w}" for w in draw(st.lists(_words, min_size=1, max_size=6)))
+    annotated = draw(st.lists(st.tuples(_phrase, _phrase.map(lambda p: tuple(f"T_{w}" for w in p))),
+                              min_size=1, max_size=4))
+    links = draw(st.sets(st.tuples(st.integers(0, len(x_star) - 1), st.integers(0, len(y_star) - 1))))
+    return annotated, x_star, y_star, links
+
+
+def _same(pair, expected):
+    """Equal SyntheticPairs, their scores float.hex-equal; or both None."""
+    if expected is None:
+        return pair is None
+    return pair == expected and pair.lm_score.hex() == expected.lm_score.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 3), sentences=st.lists(st.lists(_words, min_size=1, max_size=5), max_size=5),
+       block=st.lists(_retrieved(), max_size=5))
+def test_best_switch_matches_the_per_candidate_reference(order, sentences, block):
+    corpus = corpus_of(*map(" ".join, sentences))
+    lm, reference = NGramLM(order).train(corpus), lm_reference.NGramLM(order).train(corpus)
+    results = best_switch([(*entry, origin) for origin, entry in enumerate(block)], lm)
+    assert len(results) == len(block)
+    for origin, ((best, reasons), entry) in enumerate(zip(results, block)):
+        expected, expected_reasons = augment_reference.best_switch(*entry, reference, origin_id=origin)
+        assert _same(best, expected) and reasons == expected_reasons
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(1, 3), sentences=st.lists(st.lists(_words, min_size=1, max_size=5), max_size=5),
+       block=st.lists(_retrieved(), max_size=5))
+def test_best_contextualize_matches_the_per_candidate_reference(order, sentences, block):
+    corpus = corpus_of(*map(" ".join, sentences))
+    lm, reference = NGramLM(order).train(corpus), lm_reference.NGramLM(order).train(corpus)
+    pairs = best_contextualize([(annotated, x, y, origin)
+                                for origin, (annotated, x, y, _) in enumerate(block)], lm)
+    assert len(pairs) == len(block)
+    for origin, (pair, (annotated, x, y, _)) in enumerate(zip(pairs, block)):
+        assert _same(pair, augment_reference.best_contextualize(annotated, x, y, reference, origin))
