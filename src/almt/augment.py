@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .align import Alignments, target_span
 from .corpus import Phrase
-from .errors import DegenerateNeighborhoodError
 from .lm import NGramLM
 from .ngrams import occurrences
 
@@ -160,8 +159,10 @@ def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM,
     as the pipeline does, aligns each pair once however many U sentences and
     budgets retrieve it. The retrieved pairs go to ``best_switch`` or
     ``best_contextualize`` in blocks of about BLOCK_CANDIDATES candidates, so
-    memory does not grow with their number. Returns (pairs, report), report
-    counting drops per reason.
+    memory does not grow with their number. A U sentence with no finite ratio
+    to any L pair retrieves nothing (``scorer.argmax_over_b`` gives None) and
+    counts as "retrieval-degenerate". Returns (pairs, report), report counting
+    drops per reason.
     """
     if recipe not in ("switch", "contextualize"):
         raise ValueError(f"unknown recipe {recipe!r}")
@@ -175,9 +176,8 @@ def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM,
             if not annotated:
                 report["no-annotated-phrase"] += 1
                 continue
-            try:  # the most ratio-similar L' pair, ties by ascending id
-                pair_id, _ = scorer.argmax_over_b(sent.id)
-            except DegenerateNeighborhoodError:
+            pair_id = scorer.argmax_over_b(sent.id)  # the most ratio-similar L' pair
+            if pair_id is None:
                 report["retrieval-degenerate"] += 1
                 continue
             x_star, y_star = (side.tokens for side in alignments.parallel.get(pair_id))

@@ -18,10 +18,6 @@ from .errors import ParseError
 Phrase = tuple[str, ...]
 
 
-class BlankLineError(ValueError):
-    """Raised by tokenize() for lines that are empty after trimming."""
-
-
 @dataclass(frozen=True)
 class Sentence:
     id: int
@@ -37,11 +33,8 @@ class Sentence:
 
 def tokenize(raw_line: str) -> tuple[str, ...]:
     """Split a line into maximal non-whitespace runs, each interned, so that
-    every corpus holds one str per token type."""
-    tokens = raw_line.split()
-    if not tokens:
-        raise BlankLineError("line is empty after trimming")
-    return tuple(map(sys.intern, tokens))
+    every corpus holds one str per token type; a blank line gives ()."""
+    return tuple(map(sys.intern, raw_line.split()))
 
 
 class Corpus:
@@ -198,10 +191,10 @@ def _pair_tokens(line):
     cols = line.rstrip("\n").split("\t")
     if len(cols) != 2:
         raise ValueError(f"expected 2 TSV columns, got {len(cols)}")
-    try:
-        return tokenize(cols[0]), tokenize(cols[1])
-    except BlankLineError:
-        raise ValueError("empty source or target column") from None
+    src, tgt = tokenize(cols[0]), tokenize(cols[1])
+    if not (src and tgt):
+        raise ValueError("empty source or target column")
+    return src, tgt
 
 
 def load_parallel(path, name="") -> ParallelCorpus:

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .corpus import read_lines, read_records
-from .errors import DegenerateNeighborhoodError, ParseError
+from .errors import ParseError
 
 
 class EmbeddingStore:
@@ -221,17 +221,17 @@ class RatioScorer:
 
     @cached_property
     def _rows(self):
-        """Pass 2: per-A-row (min, max, argmax column, argmax value).
+        """Pass 2: per-A-row (min, max, argmax column).
 
         A pair has a ratio when both points are usable and its denominator is
         positive. min and max run over a row's ratios and are NaN when it has
         none, which skips the row; argmax runs over its finite ratios, ties to
         the lowest B id, and is -1 when the row has none.
         """
-        mins, maxs, best_val = np.full((3, len(self.a)), np.nan)
+        mins, maxs = np.full((2, len(self.a)), np.nan)
         best = np.full(len(self.a), -1)
         if not self.b.usable.any():
-            return mins, maxs, best, best_val
+            return mins, maxs, best
         # Columns in ascending id order, so the first maximum is the tie-break
         # winner. A degenerate point's NaN mean makes its denominators NaN.
         by_id = np.argsort(np.asarray(self.b.ids), kind="stable")
@@ -252,14 +252,12 @@ class RatioScorer:
                 ratios[~(denom > 0.0)] = np.nan
             mins[rows], maxs[rows] = np.fmin.reduce(ratios, axis=1), np.fmax.reduce(ratios, axis=1)
             if fast and np.isfinite(maxs[rows]).all():
-                pick = ratios.argmax(axis=1)
-                best[rows] = by_id[pick]
+                best[rows] = by_id[ratios.argmax(axis=1)]
             else:  # the argmax skips infinite ratios
                 finite = np.isfinite(ratios)
                 pick = np.argmax(np.where(finite, ratios, -np.inf), axis=1)
                 best[rows] = np.where(finite.any(axis=1), by_id[pick], -1)
-            best_val[rows] = ratios[np.arange(len(ratios)), pick]
-        return mins, maxs, best, best_val
+        return mins, maxs, best
 
     def _reduce_rows(self, values):
         """id in A -> values[row] for rows with a ratio, plus the skipped ids."""
@@ -283,9 +281,7 @@ class RatioScorer:
         return {"zero-norm": zero, "non-positive-margin": skipped - zero}
 
     def argmax_over_b(self, a_id):
-        """Best B id for one A id, ties by ascending B id."""
-        _, _, best, best_val = self._rows
-        i = self.a.row[a_id]
-        if best[i] < 0:
-            raise DegenerateNeighborhoodError(f"no usable retrieval target for id {a_id}")
-        return self.b.ids[best[i]], float(best_val[i])
+        """The B id of ``a_id``'s highest finite ratio, ties by ascending B id,
+        or None when the row has no finite ratio. An id outside A raises KeyError."""
+        best = self._rows[2][self.a.row[a_id]]
+        return None if best < 0 else self.b.ids[best]

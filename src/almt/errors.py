@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, each a fault that ends a command. A lookup that
+finds nothing is not one: it returns a value (``RatioScorer.argmax_over_b``
+gives None, ``corpus.tokenize`` gives ())."""
 
 
 def describe(exc: Exception) -> str:
@@ -14,10 +16,6 @@ class AlmtError(Exception):
 
 class ParseError(AlmtError):
     """Malformed input file (carries line/offset context in the message)."""
-
-
-class DegenerateNeighborhoodError(AlmtError):
-    """Ratio-score denominator is not positive."""
 
 
 class OracleGapError(AlmtError):

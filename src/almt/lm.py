@@ -1,8 +1,9 @@
 """Interpolated add-k n-gram language model over a tokenized corpus.
 
 Conditional distributions range over the training vocabulary plus UNK and the
-end-of-sentence marker, and sum to 1 by construction. Used only to rank
-augmentation candidates, so the smoothing scheme favors simplicity.
+end-of-sentence marker, each counted once when the corpus holds it literally,
+and sum to 1 by construction. Used only to rank augmentation candidates, so
+the smoothing scheme favors simplicity.
 
 The model works on integer codes, one per token string of the training corpus
 plus BOS, EOS and UNK. An n-gram packs into one int64 whose base-V digits
@@ -90,7 +91,9 @@ class NGramLM:
         """P(w | h) of each packed n-gram of ``depth`` tokens (history and word):
         the mean over orders 1..order of (count + ADD_K) / (total + ADD_K * |events|),
         added in order from 0.0; an order above ``depth`` sees no counts."""
-        v, events = len(self.codes), ADD_K * (len(self.vocab) + 2)  # the vocabulary, UNK and EOS
+        # events: every code a word can take, BOS's only when the corpus holds "<s>"
+        v = len(self.codes)
+        events = ADD_K * (v - (self._word_bos != MARKERS[BOS]))
         total = np.zeros(len(grams))
         for m, (ngrams, histories) in enumerate(self.tables, 1):
             if m > depth:

@@ -28,9 +28,6 @@ class MixManifest:
     entries: list[ManifestEntry] = field(default_factory=list)
     counts: dict = field(default_factory=dict)
 
-    def write_jsonl(self, path):
-        write_text(path, "".join(encode_entry(e)[0] for e in self.entries))
-
     def write_tsv(self, path):
         write_text(path, "".join(encode_entry(e)[1] for e in self.entries))
 

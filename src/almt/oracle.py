@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 
 from .align import Alignments, target_span
-from .corpus import ParallelCorpus, write_columns
+from .corpus import ParallelCorpus
 from .errors import OracleGapError
 from .ngrams import occurrences
 
@@ -87,8 +87,3 @@ def encode_response(response, reference: ParallelCorpus = None) -> tuple[str, st
                         "target": list(response.target),
                         "provenance": list(response.provenance),
                         "votes": response.votes}) + "\n")
-
-
-def write_responses(responses, tsv_path, provenance_path, reference: ParallelCorpus = None):
-    """The TSV and its JSONL provenance sidecar, a line of each per response (``encode_response``)."""
-    write_columns([tsv_path, provenance_path], [encode_response(r, reference) for r in responses])

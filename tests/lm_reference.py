@@ -44,7 +44,7 @@ class NGramLM:
         word = self._map(word)
         history = tuple(BOS if t == BOS else self._map(t) for t in history)[-(self.order - 1):] \
             if self.order > 1 else ()
-        v = len(self.vocab) + 2  # events: the vocabulary, UNK and EOS
+        v = len(self.vocab | {UNK, EOS})  # events: the vocabulary, UNK and EOS, each once
         total = 0.0
         for m in range(1, self.order + 1):
             h = history[len(history) - (m - 1):] if m > 1 else ()

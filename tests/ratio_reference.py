@@ -8,7 +8,11 @@ tests, which compare the kernel against it.
 import numpy as np
 
 from almt.embed import EmbeddingStore
-from almt.errors import DegenerateNeighborhoodError
+
+
+class NoRatioError(Exception):
+    """A pair, or a whole row, has no ratio: an empty neighbour pool, a
+    non-positive denominator or no pair with a ratio."""
 
 
 def cosine(u, v) -> float:
@@ -23,7 +27,7 @@ def cosine(u, v) -> float:
 def _topk_mean(cosines: np.ndarray, k: int) -> float:
     """Mean of the k largest entries (truncated when fewer are available)."""
     if cosines.size == 0:
-        raise DegenerateNeighborhoodError("empty neighbor pool")
+        raise NoRatioError("empty neighbor pool")
     k = min(k, cosines.size)
     top = np.partition(cosines, cosines.size - k)[cosines.size - k:]
     return float(top.mean())
@@ -79,7 +83,7 @@ def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore
     m_xp = _neighborhood_mean(x_prime, pool_x_prime, pool_x, k)
     denom = (m_x + m_xp) / 2.0
     if denom <= 0.0:
-        raise DegenerateNeighborhoodError(f"non-positive denominator {denom} for pair ({x}, {x_prime})")
+        raise NoRatioError(f"non-positive denominator {denom} for pair ({x}, {x_prime})")
     return c / denom
 
 
@@ -93,7 +97,7 @@ def ratios(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int) -> dict:
         if z not in zero:
             try:
                 out[z] = ratio_score(x, z, pool_x, pool, k)
-            except DegenerateNeighborhoodError:  # a non-positive denominator
+            except NoRatioError:  # a non-positive denominator
                 pass
     return out
 
@@ -104,13 +108,13 @@ def dist_to_labeled(x, pool_x: EmbeddingStore, labeled: EmbeddingStore, k: int,
 
     "literal" takes the minimum ratio over the labeled pool; "nn" takes the
     maximum (similarity to the nearest labeled neighbor). No pair with a
-    ratio raises DegenerateNeighborhoodError.
+    ratio raises NoRatioError.
     """
     if len(labeled) == 0:
         raise ValueError("labeled pool is empty")
     scores = ratios(x, pool_x, labeled, k).values()
     if not scores:
-        raise DegenerateNeighborhoodError(f"no ratio for id {x}")
+        raise NoRatioError(f"no ratio for id {x}")
     return min(scores) if mode == "literal" else max(scores)
 
 

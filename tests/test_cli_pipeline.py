@@ -1054,8 +1054,7 @@ def stock_toy_nn(tmp_path_factory):
     """The stock toy (seed 7) with CSSE's nearest-neighbour mode, and its scalar
     reference order: ascending max ratio to L′, ties by id, over the U ids with
     a ratio to some point of L′."""
-    from ratio_reference import dist_to_labeled
-    from almt.errors import DegenerateNeighborhoodError
+    from ratio_reference import NoRatioError, dist_to_labeled
     from almt.pipeline import RunContext
     out = tmp_path_factory.mktemp("stock")
     config = RunConfig(**toy.generate(out, seed=7))
@@ -1066,7 +1065,7 @@ def stock_toy_nn(tmp_path_factory):
     for sid in context.U.ids():
         try:
             scores[sid] = dist_to_labeled(sid, store_U, store_L_sub, config.k, mode="nn")
-        except DegenerateNeighborhoodError:
+        except NoRatioError:
             pass
     return config, context, sorted(scores, key=lambda sid: (scores[sid], sid)), scores
 

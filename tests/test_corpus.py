@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from almt import toy
 from almt.cli import _load_selection, _read_table
-from almt.corpus import BlankLineError, ParallelCorpus, Sentence, load_corpus, load_parallel, tokenize
+from almt.corpus import ParallelCorpus, Sentence, load_corpus, load_parallel, tokenize
 from almt.embed import EmbeddingStore
 from almt.errors import ParseError
 from almt.mix import load_freeze
@@ -23,9 +23,8 @@ def test_tokenize_pretokenized_punctuation():
     assert tokenize("Gastrointestinaltrakt :") == ("Gastrointestinaltrakt", ":")
 
 
-def test_tokenize_blank_line_rejected():
-    with pytest.raises(BlankLineError):
-        tokenize("   ")
+def test_tokenize_blank_line_is_empty():
+    assert tokenize("   ") == tokenize("\t\n") == ()
 
 
 tokens_st = st.lists(st.text(alphabet="abcXYZ0", min_size=1, max_size=5), min_size=1, max_size=8)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import embed_reference
 from almt import embed
 from almt.embed import EmbeddingStore, RatioScorer
-from almt.errors import DegenerateNeighborhoodError, ParseError
+from almt.errors import ParseError
 from ratio_reference import cosine, dist_to_labeled, knn, nearest_similarity, ratio_score, ratios
 
 
@@ -120,7 +120,7 @@ def test_nearest_similarity_is_max_of_ratios():
 
 
 def _reference_rows(a, b, k):
-    """A id -> (min, max) or None when skipped, and A id -> (best B id, ratio) or None.
+    """A id -> (min, max) or None when skipped, and A id -> best B id or None.
 
     Built pair by pair from the scalar reference, with the scorer's rule: a
     pair has a ratio when both points are usable and its denominator is
@@ -130,9 +130,8 @@ def _reference_rows(a, b, k):
     rows, best = {}, {}
     for x in a.ids:
         row = ratios(x, a, b, k)
-        top = max(row, key=lambda y: (row[y], -y)) if row else None
         rows[x] = (min(row.values()), max(row.values())) if row else None
-        best[x] = (top, row[top]) if row else None
+        best[x] = max(row, key=lambda y: (row[y], -y)) if row else None
     return rows, best
 
 
@@ -169,12 +168,7 @@ def _assert_matches_reference(scorer, k):
     for x, row in rows.items():
         if row is not None:
             assert mins[x] == pytest.approx(row[0]) and maxs[x] == pytest.approx(row[1])
-        if best[x] is None:
-            with pytest.raises(DegenerateNeighborhoodError):
-                scorer.argmax_over_b(x)
-        else:
-            b_id, value = scorer.argmax_over_b(x)
-            assert b_id == best[x][0] and value == pytest.approx(best[x][1]), (k, x)
+        assert scorer.argmax_over_b(x) == best[x], (k, x)
     return skipped, best
 
 
@@ -187,7 +181,7 @@ def test_ratio_scorer_matches_scalar_reference():
             # A id 36 has no ratio to B id 16 and is kept for its other pairs.
             assert 16 not in ratios(36, a, b, k) and skipped == [50], k
             assert scorer.skip_counts() == {"zero-norm": 1, "non-positive-margin": 0}
-            assert best[9][0] == 5, k
+            assert best[9] == 5, k
 
 
 def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference(monkeypatch):
@@ -238,11 +232,7 @@ def test_every_reduction_runs_over_the_pairs_that_have_a_ratio(stores, k, monkey
             assert scorer.max_over_b() == ({x: row[1] for x, row in kept.items()}, skipped)
             assert scorer.skip_counts() == {"zero-norm": zero, "non-positive-margin": len(skipped) - zero}
             for x in a.ids:
-                if best[x] is None:
-                    with pytest.raises(DegenerateNeighborhoodError):
-                        scorer.argmax_over_b(x)
-                else:
-                    assert scorer.argmax_over_b(x) == best[x], (cells, x)
+                assert scorer.argmax_over_b(x) == best[x], (cells, x)
 
 
 def _lattice_store(rng, n, ids, tag):
@@ -259,12 +249,7 @@ def _lattice_store(rng, n, ids, tag):
 
 
 def _scorer_outputs(scorer):
-    argmax = {}
-    for x in scorer.a.ids:
-        try:
-            argmax[x] = scorer.argmax_over_b(x)
-        except DegenerateNeighborhoodError:
-            argmax[x] = None
+    argmax = {x: scorer.argmax_over_b(x) for x in scorer.a.ids}
     return (scorer.min_over_b(), scorer.max_over_b(), argmax,
             scorer.mean_a.tolist(), scorer.mean_b.tolist())
 
@@ -406,7 +391,7 @@ def test_infinite_ratio_is_kept_by_max_and_skipped_by_argmax():
     scorer = RatioScorer(store([[1.0, 0.0]], "a"), store([[1.0, 0.0], [0.6, 0.8]], "b"), k=1)
     scorer.mean_a, scorer.mean_b = np.array([1e-320]), np.array([1e-320, 0.5])
     assert scorer.max_over_b() == ({0: np.inf}, [])
-    assert scorer.argmax_over_b(0) == (1, 0.6 / ((1e-320 + 0.5) / 2.0))
+    assert scorer.argmax_over_b(0) == 1
 
 
 def test_halving_a_subnormal_denominator_rounds_as_a_division_by_two():
@@ -419,7 +404,7 @@ def test_halving_a_subnormal_denominator_rounds_as_a_division_by_two():
     assert top == 2.0 ** 1023
     assert scorer.max_over_b() == ({0: top}, [])
     assert scorer.min_over_b() == ({0: 0.6 / ((ma + 0.5) / 2.0)}, [])
-    assert scorer.argmax_over_b(0) == (0, top)
+    assert scorer.argmax_over_b(0) == 0
 
 
 def test_degenerate_rows_skipped():
@@ -432,8 +417,7 @@ def test_degenerate_rows_skipped():
 def test_pool_without_usable_members_skips_every_row():
     scorer = RatioScorer(store([[1, 0], [0, 1]], "a"), store([[0, 0]], "b"), k=1)
     assert scorer.min_over_b() == scorer.max_over_b() == ({}, [0, 1])
-    with pytest.raises(DegenerateNeighborhoodError):
-        scorer.argmax_over_b(0)
+    assert scorer.argmax_over_b(0) is None
     assert scorer.skip_counts() == {"zero-norm": 2, "non-positive-margin": 0}
 
 

@@ -40,12 +40,18 @@ def test_lm_unseen_token_finite():
     assert _score(lm, ("zzz", "qqq")) > float("-inf")
 
 
-def test_lm_distribution_sums_to_one():
-    lm = train_lm(corpus_of("a b c", "b c a", "c"), order=3)
-    vocab = sorted(lm.vocab) + [UNK, EOS]
-    for history in [(), ("a",), ("a", "b"), ("zzz",)]:
-        total = sum(lm.prob(w, history) for w in vocab)
-        assert total == pytest.approx(1.0, abs=1e-9)
+@pytest.mark.parametrize("lines", [("a b c", "b c a", "c"), ("a <s> b",), ("a </s> b",), ("a <unk> b",)],
+                         ids=["plain", "bos", "eos", "unk"])
+def test_lm_distribution_sums_to_one(lines):
+    """A corpus token spelled as a marker is one event, not two: "<s>" is a word
+    of its own, "</s>" is EOS and "<unk>" is UNK."""
+    corpus = corpus_of(*lines)
+    for order in (1, 2, 3):
+        for lm in (train_lm(corpus, order=order), lm_reference.NGramLM(order).train(corpus)):
+            events = sorted(lm.vocab | {UNK, EOS})
+            for history in [(), ("a",), ("a", "b"), ("zzz",), ("<s>", "a"), tuple(lines[0].split()[1:2])]:
+                total = sum(lm.prob(w, history) for w in events)
+                assert total == pytest.approx(1.0, abs=1e-9), (order, history)
 
 
 def test_lm_empty_sentence_boundary_only():

@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from almt.corpus import ParallelCorpus, Sentence
+from almt.corpus import ParallelCorpus, Sentence, write_columns
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError, ParseError
-from almt.mix import (ORIGINS, assemble, load_freeze, retrieve_similar, sample_random,
-                      write_freeze)
+from almt.mix import (ORIGINS, assemble, encode_entry, load_freeze, retrieve_similar,
+                      sample_random, write_freeze)
 from almt.oracle import OracleResponse
 
 
@@ -114,8 +114,10 @@ def test_assemble_empty_inputs_give_zero_counts():
 def test_manifest_files(tmp_path):
     manifest = assemble([(("a", "b"), ("x", "y"), 0)], [], [(1, ("c",), ("z",))])
     manifest.write_tsv(tmp_path / "mix.tsv")
-    manifest.write_jsonl(tmp_path / "mix.jsonl")
-    assert (tmp_path / "mix.tsv").read_text() == "a b\tx y\nc\tz\n"
+    write_columns([tmp_path / "mix.jsonl", tmp_path / "columns.tsv"],
+                  [encode_entry(e) for e in manifest.entries])
+    assert (tmp_path / "mix.tsv").read_text() == (tmp_path / "columns.tsv").read_text() == \
+        "a b\tx y\nc\tz\n"
     import json
     recs = [json.loads(l) for l in (tmp_path / "mix.jsonl").read_text().splitlines()]
     assert recs[0]["origin"] == "annotated-sentence"

@@ -1,12 +1,14 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
 import oracle_reference
 from almt.align import Alignments, TranslationTable, NULL_TOKEN, train_ibm1
-from almt.corpus import ParallelCorpus, Sentence
+from almt.corpus import ParallelCorpus, Sentence, write_columns
 from almt.errors import OracleGapError
-from almt.oracle import translate_phrases, translate_sentences, write_responses
+from almt.oracle import encode_response, translate_phrases, translate_sentences
 
 
 def parallel_of(*pairs):
@@ -170,11 +172,16 @@ def test_translate_phrases_matches_brute_force_reference(monkeypatch):
 
 
 def test_write_responses(tmp_path):
-    ref = parallel_of(("a b", "x y"))
-    sents = translate_sentences([0], ref)
-    write_responses(sents, tmp_path / "s.tsv", tmp_path / "s.jsonl", ref)
-    assert (tmp_path / "s.tsv").read_text() == "a b\tx y\n"
-    phr, _ = translate_phrases([("a",)], Alignments(ref, identity_table("ab")))
+    """A sentence response's TSV line resolves its id through the reference; a
+    phrase response's is its own text. Each response gives one line per file."""
+    ref = parallel_of(("a b", "T_a T_b"))
+    phrases, _ = translate_phrases([("a",)], Alignments(ref, identity_table("ab")))
+    paths = [tmp_path / "r.tsv", tmp_path / "r.jsonl"]
+    write_columns(paths, [encode_response(r, ref) for r in translate_sentences([0], ref) + phrases])
+    assert paths[0].read_text() == "a b\tT_a T_b\na\tT_a\n"
+    assert [json.loads(line) for line in paths[1].read_text().splitlines()] == [
+        {"source": 0, "target": ["T_a", "T_b"], "provenance": [0], "votes": 1},
+        {"source": ["a"], "target": ["T_a"], "provenance": [0], "votes": 1}]
 
 
 def sentences(own):
