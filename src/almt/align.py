@@ -37,7 +37,7 @@ def _code_bitext(parallel: ParallelCorpus, reverse: bool):
     BLOCK_TERMS terms unless one pair alone has more. ``pair_keys`` holds each
     pair id's source id * len(tgt_vocab) + target id.
     """
-    sides = [[s.tokens for s in side] for side in zip(*parallel)]
+    sides = list(zip(*parallel.values()))
     src_sents, tgt_sents = reversed(sides) if reverse else sides
     src_vocab, tgt_vocab = Vocabulary([*src_sents, (NULL_TOKEN,)]), Vocabulary(tgt_sents)
     src_seq, src_ends = src_vocab.code(src_sents)
@@ -151,8 +151,7 @@ class Alignments(dict):
         self.parallel, self.table = parallel, table
 
     def __missing__(self, pair_id):
-        src, tgt = self.parallel.get(pair_id)
-        self[pair_id] = links = align_pair(src.tokens, tgt.tokens, self.table)
+        self[pair_id] = links = align_pair(*self.parallel[pair_id], self.table)
         return links
 
 

@@ -140,11 +140,11 @@ def in_domain_word_stats(selected, ood, test) -> InDomainWordStats:
 def length_ratio(hypotheses: Corpus, references: Corpus) -> float:
     """Total hypothesis tokens over total reference tokens, id-aligned."""
     hyp_total = ref_total = 0
-    for ref in references:
-        if ref.id not in hypotheses:
-            raise ValueError(f"hypotheses missing id {ref.id}")
-        hyp_total += len(hypotheses.get(ref.id).tokens)
-        ref_total += len(ref.tokens)
+    for sid, ref in references.items():
+        if sid not in hypotheses:
+            raise ValueError(f"hypotheses missing id {sid}")
+        hyp_total += len(hypotheses[sid])
+        ref_total += len(ref)
     if ref_total == 0:
         raise ValueError("reference corpus is empty")
     return hyp_total / ref_total

@@ -172,15 +172,15 @@ def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM,
     def retrieved():
         """(candidate count, block entry) of each U sentence that holds an
         annotated phrase and retrieves a pair."""
-        for sent, annotated in zip(U, phrases_in_sentence([s.tokens for s in U], phrase_pairs)):
+        for sid, annotated in zip(U, phrases_in_sentence(list(U.values()), phrase_pairs)):
             if not annotated:
                 report["no-annotated-phrase"] += 1
                 continue
-            pair_id = scorer.argmax_over_b(sent.id)  # the most ratio-similar L' pair
+            pair_id = scorer.argmax_over_b(sid)  # the most ratio-similar L' pair
             if pair_id is None:
                 report["retrieval-degenerate"] += 1
                 continue
-            x_star, y_star = (side.tokens for side in alignments.parallel.get(pair_id))
+            x_star, y_star = alignments.parallel[pair_id]
             if recipe == "switch":
                 yield (sum(max(0, len(x_star) - len(p_x)) for p_x, _ in annotated),
                        (annotated, x_star, y_star, alignments[pair_id], pair_id))

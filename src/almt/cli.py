@@ -10,13 +10,12 @@ import json
 import math
 import sys
 
-from . import analyze, mix, toy
-from .corpus import load_corpus, read_records, record_id, record_tokens, write_columns
+from . import analyze, mix, select, toy
+from .corpus import load_corpus, read_records, write_columns
 from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
 from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
                        respond, run_pipeline, validate_config)
-from .select import SelectedPhrase, SelectedSentence, SelectionResult
 
 
 def _cmd_extract(args):
@@ -57,27 +56,10 @@ def _cmd_select(args):
     return 0
 
 
-def _load_selection(path):
-    """A selection.jsonl file as a SelectionResult of its sentence ids and phrases.
-    A malformed record or a repeated sentence or phrase raises ParseError naming
-    the line (a repeat's second one)."""
-    def parse(line):  # (its name, such as "sentence 3", and its pick)
-        rec = json.loads(line)
-        if rec["kind"] == "sentence":
-            pick = SelectedSentence(record_id(rec), None, None)
-            return f"sentence {pick.id}", pick
-        pick = SelectedPhrase(record_tokens(rec), None, None)
-        return f"phrase {pick.tokens!r}", pick
-    result = SelectionResult(None, None, None)
-    for _, (_, pick) in read_records(path, parse, key=lambda rec: rec[0], what="selection"):
-        (result.sentences if isinstance(pick, SelectedSentence) else result.phrases).append(pick)
-    return result
-
-
 def _cmd_oracle(args):
     context = RunContext(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference))
     context.reference  # read first: a malformed reference is reported before the selection
-    context.selection = _load_selection(args.selection)
+    context.selection = select.load_selection(args.selection)
     l_s, l_p, drops = respond(context, context.selection, lambda artifacts, records: write_columns(
         [f"{args.output_prefix}.{filename}" for _, filename in artifacts], records))
     print(json.dumps({"sentences": len(l_s), "phrases": len(l_p),
@@ -148,7 +130,7 @@ def _cmd_analyze(args):
         print("\t".join(f"{r:.6f}" for r in rs))
         return 0
     corpora = [load_corpus(getattr(args, key)) for key in _ANALYZE_NEEDS[args.mode]]
-    tokens = [[s.tokens for s in corpus] for corpus in corpora]
+    tokens = [list(corpus.values()) for corpus in corpora]
     if args.mode == "coverage":
         _check(args, {"max_n": "--max-n"})
         try:
@@ -158,9 +140,9 @@ def _cmd_analyze(args):
         print(json.dumps({str(n): round(v, 4) for n, v in report.per_n.items()}))
     elif args.mode == "bleu":
         hyp, ref = corpora
-        for r in ref:
-            score = analyze.sentence_bleu(hyp.get(r.id).tokens, r.tokens) if r.id in hyp else 0.0
-            print(f"{r.id}\t{score:.4f}")
+        for sid, tokens in ref.items():
+            score = analyze.sentence_bleu(hyp[sid], tokens) if sid in hyp else 0.0
+            print(f"{sid}\t{score:.4f}")
     elif args.mode == "wordstats":
         stats = analyze.in_domain_word_stats(*tokens)
         print(json.dumps({"IDWT": stats.idwt, "WT": stats.wt, "IDWC": stats.idwc,

@@ -1,5 +1,9 @@
 """Corpus data model, tokenization and IO.
 
+A corpus is a dict from sentence id to data: a monolingual ``Corpus`` maps each
+id to its token tuple, a ``ParallelCorpus`` maps each pair id to its (source
+tokens, target tokens). Ids are the 0-based line indices of the file read.
+
 All budgets are charged in whitespace tokens; punctuation counts (corpora are
 assumed pre-tokenized upstream). Token identity is case-sensitive.
 """
@@ -9,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError
@@ -18,78 +21,36 @@ from .errors import ParseError
 Phrase = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Sentence:
-    id: int
-    tokens: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise ValueError(f"sentence {self.id} has no tokens")
-
-    def __len__(self):
-        return len(self.tokens)
-
-
 def tokenize(raw_line: str) -> tuple[str, ...]:
     """Split a line into maximal non-whitespace runs, each interned, so that
     every corpus holds one str per token type; a blank line gives ()."""
     return tuple(map(sys.intern, raw_line.split()))
 
 
-class Corpus:
-    """Ordered, id-addressable collection of monolingual sentences.
+class Corpus(dict):
+    """Sentence id -> token tuple, in insertion order, with a ``name`` for messages.
 
-    Immutable after construction; ids are unique and iteration order is the
-    insertion order.
+    Built from (id, tokens) items, of which no two share an id; nothing writes
+    to a corpus after that. Every token tuple is non-empty: the loaders skip
+    blank lines (``read_records``) and split on whitespace only (``tokenize``).
     """
 
     kind = "sentence"
 
-    def __init__(self, items, name=""):
+    def __init__(self, items=(), name=""):
+        super().__init__()
         self.name = name
-        self._by_id = {}
-        for item in items:
-            sid = self.id_of(item)
-            if sid in self._by_id:
+        for sid, value in items:
+            if sid in self:
                 raise ValueError(f"duplicate {self.kind} id {sid} in corpus {name!r}")
-            self._by_id[sid] = item
-
-    @staticmethod
-    def id_of(sentence):
-        return sentence.id
-
-    def __iter__(self):
-        return iter(self._by_id.values())
-
-    def __len__(self):
-        return len(self._by_id)
-
-    def __contains__(self, sid):
-        return sid in self._by_id
-
-    def get(self, sid):
-        return self._by_id[sid]
-
-    def ids(self):
-        return list(self._by_id)
+            self[sid] = value
 
 
 class ParallelCorpus(Corpus):
-    """Ordered collection of id-aligned (source, target) sentence pairs, each
-    keyed by the id its two sentences share."""
+    """Pair id -> (source tokens, target tokens); ``load_parallel`` rejects a pair
+    with an empty side."""
 
     kind = "pair"
-
-    @staticmethod
-    def id_of(pair):
-        src, tgt = pair
-        if src.id != tgt.id:
-            raise ValueError(f"pair ids differ: {src.id} vs {tgt.id}")
-        return src.id
-
-    def source_corpus(self, name=None) -> Corpus:
-        return Corpus([src for src, _ in self], name or f"{self.name}-src")
 
 
 def read_lines(path):
@@ -182,7 +143,7 @@ def load_corpus(path, name="") -> Corpus:
     match the original file.
     """
     path = Path(path)
-    return Corpus((Sentence(lineno - 1, tokens) for lineno, tokens in read_records(path, tokenize)),
+    return Corpus(((lineno - 1, tokens) for lineno, tokens in read_records(path, tokenize)),
                   name or path.stem)
 
 
@@ -200,6 +161,5 @@ def _pair_tokens(line):
 def load_parallel(path, name="") -> ParallelCorpus:
     """Load a two-column TSV (source TAB target), one pair per line; ids as in load_corpus."""
     path = Path(path)
-    return ParallelCorpus(((Sentence(lineno - 1, src), Sentence(lineno - 1, tgt))
-                           for lineno, (src, tgt) in read_records(path, _pair_tokens)),
+    return ParallelCorpus(((lineno - 1, pair) for lineno, pair in read_records(path, _pair_tokens)),
                           name or path.stem)

@@ -45,11 +45,11 @@ class NGramLM:
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.order = order
-        self.train(Corpus([]))
+        self.train(Corpus())
 
     def train(self, corpus: Corpus):
         """Fit the model to ``corpus``, replacing any earlier fit."""
-        sentences = [sent.tokens for sent in corpus]
+        sentences = list(corpus.values())
         types = dict.fromkeys(chain.from_iterable(sentences))  # in first-occurrence order
         self.vocab = frozenset(types)
         self.codes = dict(MARKERS)

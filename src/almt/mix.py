@@ -42,9 +42,9 @@ def encode_entry(entry: ManifestEntry) -> tuple[str, str]:
 def sample_random(parallel: ParallelCorpus, seed: int):
     """Every pair in a seeded uniform order, so each prefix is a draw without
     replacement; returns (pair id, src, tgt) tuples."""
-    ids = parallel.ids()
+    ids = list(parallel)
     random.Random(seed).shuffle(ids)
-    return [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ids]
+    return [(sid, *parallel[sid]) for sid in ids]
 
 
 def retrieve_similar(parallel: ParallelCorpus, scorer):
@@ -55,9 +55,9 @@ def retrieve_similar(parallel: ParallelCorpus, scorer):
     embeddings are skipped and reported.
     """
     scores, skipped = scorer.max_over_b()
-    usable = [sid for sid in parallel.ids() if sid in scores]
+    usable = [sid for sid in parallel if sid in scores]
     ranked = sorted(usable, key=lambda sid: (-scores[sid], sid))
-    rows = [(sid, parallel.get(sid)[0].tokens, parallel.get(sid)[1].tokens) for sid in ranked]
+    rows = [(sid, *parallel[sid]) for sid in ranked]
     return rows, skipped
 
 
@@ -78,8 +78,7 @@ def load_freeze(path, parallel: ParallelCorpus):
                                key=lambda sid: f"id {sid}", what="freeze"):
         if sid not in parallel:
             raise ConfigError(f"{path}: freeze id {sid} is not a pair of corpus {parallel.name!r}")
-        src, tgt = parallel.get(sid)
-        rows.append((sid, src.tokens, tgt.tokens))
+        rows.append((sid, *parallel[sid]))
     return rows
 
 

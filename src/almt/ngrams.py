@@ -132,7 +132,7 @@ class OccurrenceIndex:
 
 def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
     """The n-grams of ``corpus`` up to length ``max_n``, coded by the corpus's own vocabulary."""
-    return OccurrenceIndex([s.tokens for s in corpus], max_n)
+    return OccurrenceIndex(list(corpus.values()), max_n)
 
 
 def occurrences(phrases, sentences):

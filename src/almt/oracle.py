@@ -29,11 +29,7 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     missing = [sid for sid in ids if sid not in reference]
     if missing:
         raise OracleGapError(missing)
-    out = []
-    for sid in ids:
-        _, tgt = reference.get(sid)
-        out.append(OracleResponse(sid, tgt.tokens, (sid,)))
-    return out
+    return [OracleResponse(sid, reference[sid][1], (sid,)) for sid in ids]
 
 
 def translate_phrases(phrases, alignments: Alignments):
@@ -48,11 +44,11 @@ def translate_phrases(phrases, alignments: Alignments):
     phrases = [tuple(p) for p in phrases]
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
-    sources = [src for src, _ in alignments.parallel]
-    phrase, sentence, start = occurrences(phrases, [src.tokens for src in sources])
+    ids = list(alignments.parallel)
+    phrase, sentence, start = occurrences(phrases, [src for src, _ in alignments.parallel.values()])
     found = {}  # phrase index -> [(reference pair id, start)], in sentence order then by start
     for k, s, i in zip(phrase.tolist(), sentence.tolist(), start.tolist()):
-        found.setdefault(k, []).append((sources[s].id, i))
+        found.setdefault(k, []).append((ids[s], i))
 
     responses, drops = [], {}
     for k, p in enumerate(phrases):
@@ -64,7 +60,7 @@ def translate_phrases(phrases, alignments: Alignments):
             span = target_span(alignments[sid], start, start + len(p))
             if isinstance(span, str):
                 continue
-            target = alignments.parallel.get(sid)[1].tokens[span[0]:span[1] + 1]
+            target = alignments.parallel[sid][1][span[0]:span[1] + 1]
             count, prov = votes.get(target, (0, []))
             prov.append(sid)
             votes[target] = (count + 1, prov)
@@ -81,7 +77,7 @@ def encode_response(response, reference: ParallelCorpus = None) -> tuple[str, st
     sentence response carries an id as its source unit, which ``reference``
     resolves to text for the TSV."""
     source = response.source
-    text = source if isinstance(source, tuple) else reference.get(source)[0].tokens
+    text = source if isinstance(source, tuple) else reference[source][0]
     return (f"{' '.join(text)}\t{' '.join(response.target)}\n",
             json.dumps({"source": list(source) if isinstance(source, tuple) else source,
                         "target": list(response.target),

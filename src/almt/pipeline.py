@@ -1,9 +1,10 @@
 """End-to-end run: load -> extract -> select -> oracle -> mix -> augment -> assemble.
 IBM-1 is trained on first use, by the oracle's phrase translation or by augment.
 
-Stages communicate through files inside one run directory per budget, so every
-intermediate is inspectable. Fine-tuning itself is out of scope: the pipeline
-emits manifests for downstream toolkits.
+Stages hand their data over in memory, through one RunContext that every budget
+of a run shares. The files written to each budget's run directory are outputs,
+which no stage reads back: every intermediate is there to inspect. Fine-tuning
+itself is out of scope: the pipeline emits manifests for downstream toolkits.
 """
 
 import functools
@@ -146,6 +147,16 @@ def _strategy(config, key, kind):
     return strategy if strategy and kind in (None, strategy.kind) else None
 
 
+def _misnamed(config, key, kind) -> str:
+    """The failure message of config ``key``, which names no strategy of ``kind``."""
+    name = getattr(config, key)
+    other = _strategy(config, key, None)
+    if other is None:
+        return f"unknown {key} {name!r}"
+    valid = ", ".join(n for n, strategy in STRATEGIES.items() if strategy.kind == kind)
+    return f"{key} {name!r} is a {other.kind} strategy; {kind} strategies: {valid}"
+
+
 def inputs(config) -> list[str]:
     """The config path keys whose files a run of ``config`` reads, in load order."""
     keys = {"unlabeled", "labeled"}
@@ -171,7 +182,7 @@ def validate_config(config: RunConfig) -> list[str]:
     of each key of ``inputs`` is a regular file, and reads no file: ``RunContext.load``
     reads them."""
     failures = check_values(config, _VALUES)
-    failures += [f"unknown {key} {getattr(config, key)!r}" for key, kind in _pools(config)
+    failures += [_misnamed(config, key, kind) for key, kind in _pools(config)
                  if _strategy(config, key, kind) is None]
     for key in _unreadable(config):
         path = getattr(config, key)
@@ -302,7 +313,8 @@ class RunContext:
     U = cached_property(lambda self: load_corpus(self.config.unlabeled, "U"))
     L = cached_property(lambda self: load_parallel(self.config.labeled, "L"))
     index_U = cached_property(lambda self: extract_ngrams(self.U, self.config.max_n))
-    index_L = cached_property(lambda self: extract_ngrams(self.L.source_corpus(), self.config.max_n))
+    index_L = cached_property(lambda self: extract_ngrams(
+        {sid: src for sid, (src, _) in self.L.items()}, self.config.max_n))
     alignments = cached_property(lambda self: align.Alignments(self.L, self.table))
     frozen = cached_property(lambda self: mix.load_freeze(self.config.freeze_file, self.L))
     lm = cached_property(lambda self: train_lm(self.U))
@@ -323,7 +335,7 @@ class RunContext:
         corpus = self._corpus(key)
         if corpus is None:
             return
-        missing = [i for i in corpus.ids() if i not in ids]
+        missing = [i for i in corpus if i not in ids]
         if missing:
             raise ConfigError(f"{path}: {what} missing for ids of {corpus.name}, "
                               f"first {missing[:5]} of {len(missing)}")
@@ -359,8 +371,7 @@ class RunContext:
         id has that U sentence as its source; ids of only one file are allowed."""
         path, U = self.config.oracle_reference, self._corpus("unlabeled")
         reference = load_parallel(path, "ref")
-        wrong = [i for i in reference.ids() if U is not None and i in U
-                 and reference.get(i)[0].tokens != U.get(i).tokens]
+        wrong = [i for i, (src, _) in reference.items() if U is not None and i in U and src != U[i]]
         if wrong:
             raise ConfigError(f"{path}: the source of pair {wrong[0]} is not U sentence "
                               f"{wrong[0]} ({len(wrong)} such pairs)")
@@ -369,7 +380,7 @@ class RunContext:
     @cached_property
     def table(self):
         """IBM-1 trained on L, for the oracle's phrases and augment; an empty L fails."""
-        if not len(self.L):
+        if not self.L:
             raise AlmtError(f"{self.config.labeled}: no labeled pairs to train IBM-1 on")
         return align.train_ibm1(self.L)
 
@@ -378,7 +389,7 @@ class RunContext:
         """CSSE's U × L′ scorer, L′ a seeded sample of L ids: ``scorer`` when L′ is
         all of the L store in its order, else one of its own."""
         store_U, store_L = self.stores
-        l_ids = self.L.ids()
+        l_ids = list(self.L)
         if len(l_ids) > self.config.labeled_subset_size:
             l_ids = sorted(random.Random(self.config.seed).sample(l_ids, self.config.labeled_subset_size))
         if l_ids == store_L.ids:
@@ -482,8 +493,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             report.dropped.update({f"augment:{k}": v for k, v in aug_report.items() if v})
 
     with _stage(report, "assemble"):
-        l_s_rows = [(context.reference.get(r.source)[0].tokens, r.target, r.source)
-                    for r in l_s_resp]
+        l_s_rows = [(context.reference[r.source][0], r.target, r.source) for r in l_s_resp]
         manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
                                 retrieved=config.mix_policy == "retrieve")
         lines, start = [], 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .corpus import Corpus, Phrase, read_records, write_text
+from .corpus import Corpus, Phrase, read_records, record_id, record_tokens, write_text
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
 
@@ -99,6 +99,23 @@ def rank_lines(heads) -> str:
     return "".join(f'{head}, "rank": {rank}}}\n' for rank, head in enumerate(heads))
 
 
+def load_selection(path):
+    """A selection.jsonl file as a SelectionResult of its sentence ids and phrases.
+    A malformed record or a repeated sentence or phrase raises ParseError naming
+    the line (a repeat's second one)."""
+    def parse(line):  # (its name, such as "sentence 3", and its pick)
+        rec = json.loads(line)
+        if rec["kind"] == "sentence":
+            pick = SelectedSentence(record_id(rec), None, None)
+            return f"sentence {pick.id}", pick
+        pick = SelectedPhrase(record_tokens(rec), None, None)
+        return f"phrase {pick.tokens!r}", pick
+    result = SelectionResult(None, None, None)
+    for _, (_, pick) in read_records(path, parse, key=lambda rec: rec[0], what="selection"):
+        (result.sentences if isinstance(pick, SelectedSentence) else result.phrases).append(pick)
+    return result
+
+
 def _greedy(ranked, budget, whole=True):
     """Take picks in ranked order while spend is strictly below the budget.
 
@@ -117,7 +134,7 @@ def _greedy(ranked, budget, whole=True):
 
 def _sentences(strategy, seed, U, order, score, budget, skipped=None) -> SelectionResult:
     picks, spent, exhausted = _greedy(
-        (SelectedSentence(sid, score(sid), len(U.get(sid).tokens)) for sid in order), budget)
+        (SelectedSentence(sid, score(sid), len(U[sid])) for sid in order), budget)
     return SelectionResult(strategy, seed, BudgetLedger(budget, budget, 0, spent), picks, [],
                            exhausted, skipped or {})
 
@@ -138,7 +155,7 @@ def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResul
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     rng = random.Random(seed)
-    order = list(U.ids())
+    order = list(U)
     rng.shuffle(order)
     return _sentences("random-sent", seed, U, order, lambda sid: 0.0, budget)
 
@@ -163,7 +180,7 @@ def select_csse(U: Corpus, scorer, budget: int, dist_mode: str = "literal") -> S
     """
     scores, skipped = csse_scores(scorer, dist_mode)
     reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
-    order = sorted((sid for sid in U.ids() if sid in scores),
+    order = sorted((sid for sid in U if sid in scores),
                    key=lambda sid: (-scores[sid] if reverse else scores[sid], sid))
     return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, budget, skipped)
 
@@ -174,7 +191,7 @@ def select_rttl(U: Corpus, scores: dict, budget: int) -> SelectionResult:
     Lowest score first (lowest round-trip likelihood or sentence BLEU = most
     uncertain), ties by ascending id. ``scores`` has a score for every U id.
     """
-    order = sorted(U.ids(), key=lambda sid: (scores[sid], sid))
+    order = sorted(U, key=lambda sid: (scores[sid], sid))
     return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]), budget)
 
 

@@ -34,8 +34,8 @@ def train_ibm1(parallel, iterations: int, reverse: bool = False) -> TranslationT
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     bitext = []
     tgt_vocab = set()
-    for src, tgt in parallel:
-        s, t = (tgt.tokens, src.tokens) if reverse else (src.tokens, tgt.tokens)
+    for src, tgt in parallel.values():
+        s, t = (tgt, src) if reverse else (src, tgt)
         bitext.append(((NULL_TOKEN,) + s, t))
         tgt_vocab.update(t)
     uniform = 1.0 / len(tgt_vocab)

@@ -24,10 +24,10 @@ class NGramLM:
 
     def train(self, corpus):
         self.log_terms.clear()
-        for sent in corpus:
-            self.vocab.update(sent.tokens)
-        for sent in corpus:
-            tokens = (BOS,) * (self.order - 1) + sent.tokens + (EOS,)
+        for sent in corpus.values():
+            self.vocab.update(sent)
+        for sent in corpus.values():
+            tokens = (BOS,) * (self.order - 1) + sent + (EOS,)
             for pos in range(self.order - 1, len(tokens)):
                 w = tokens[pos]
                 for m in range(1, self.order + 1):

@@ -22,9 +22,9 @@ def decode(index, ids=None):
 
 def extract_ngrams(corpus, max_n):
     index = Counter()
-    for sent in corpus:
+    for sent in corpus.values():
         for n in range(1, max_n + 1):
-            index.update(zip(*(sent.tokens[i:] for i in range(n))))
+            index.update(zip(*(sent[i:] for i in range(n))))
     return index
 
 

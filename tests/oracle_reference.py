@@ -18,11 +18,11 @@ def translate_phrases(phrases, reference, table):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
     lengths = sorted({len(p) for p in wanted})
     occurrences = {}  # phrase -> [(sid, start)]
-    for src, _ in reference:
+    for sid, (src, _) in reference.items():
         for n in lengths:
-            for start, window in enumerate(zip(*(src.tokens[i:] for i in range(n)))):
+            for start, window in enumerate(zip(*(src[i:] for i in range(n)))):
                 if window in wanted:
-                    occurrences.setdefault(window, []).append((src.id, start))
+                    occurrences.setdefault(window, []).append((sid, start))
 
     links, responses, drops = {}, [], {}
     for p in phrases:
@@ -31,13 +31,13 @@ def translate_phrases(phrases, reference, table):
             continue
         votes = {}
         for sid, start in occurrences[p]:
-            src, tgt = reference.get(sid)
+            src, tgt = reference[sid]
             if sid not in links:
-                links[sid] = align_pair(src.tokens, tgt.tokens, table)
+                links[sid] = align_pair(src, tgt, table)
             span = target_span(links[sid], start, start + len(p))
             if isinstance(span, str):
                 continue
-            target = tgt.tokens[span[0]:span[1] + 1]
+            target = tgt[span[0]:span[1] + 1]
             count, prov = votes.get(target, (0, []))
             prov.append(sid)
             votes[target] = (count + 1, prov)

@@ -18,7 +18,7 @@ from almt import analyze, toy
 from almt.align import train_ibm1
 from almt.augment import contextualize, switch
 from almt.cli import main as cli_main
-from almt.corpus import Corpus, ParallelCorpus, Sentence
+from almt.corpus import Corpus, ParallelCorpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.mix import retrieve_similar
 from almt.ngrams import OccurrenceIndex, extract_ngrams, semi_maximal_set
@@ -39,18 +39,17 @@ def verdict(num, name, ok, detail=""):
 
 
 def corpus_of(*lines):
-    return Corpus([Sentence(i, tuple(l.split())) for i, l in enumerate(lines)])
+    return Corpus((i, tuple(l.split())) for i, l in enumerate(lines))
 
 
 def parallel_of(*pairs):
-    return ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(t.split())))
-                           for i, (s, t) in enumerate(pairs)])
+    return ParallelCorpus((i, (tuple(s.split()), tuple(t.split()))) for i, (s, t) in enumerate(pairs))
 
 
 def random_corpus(rng, max_sentences=50, max_vocab=10):
     vocab = [f"w{i}" for i in range(rng.randint(2, max_vocab))]
-    return Corpus([Sentence(i, tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8))))
-                   for i in range(rng.randint(1, max_sentences))])
+    return Corpus((i, tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8))))
+                  for i in range(rng.randint(1, max_sentences)))
 
 
 @pytest.fixture(scope="module")
@@ -162,8 +161,7 @@ def test_criterion_03_ngf_oracle_equivalence():
 
 def test_criterion_04_budget_ledger_invariant():
     rng = random.Random(4)
-    U = Corpus([Sentence(i, tuple(f"t{i}_{j}" for j in range(rng.randint(1, 6))))
-                for i in range(30)])
+    U = Corpus((i, tuple(f"t{i}_{j}" for j in range(rng.randint(1, 6)))) for i in range(30))
     mat_U = np.random.default_rng(4).normal(size=(30, 5))
     mat_L = np.random.default_rng(5).normal(size=(10, 5))
     store_U = EmbeddingStore(range(30), mat_U, "U")
@@ -324,9 +322,9 @@ def test_criterion_08_sentence_bleu():
 def test_criterion_09_coverage_monotonicity():
     rng = random.Random(9)
     for _ in range(100):
-        covering = [s.tokens for s in random_corpus(rng, 20, 8)]
-        test = [s.tokens for s in random_corpus(rng, 20, 8)]
-        extra = [s.tokens for s in random_corpus(rng, 10, 8)]
+        covering = list(random_corpus(rng, 20, 8).values())
+        test = list(random_corpus(rng, 20, 8).values())
+        extra = list(random_corpus(rng, 10, 8).values())
         before = analyze.ngram_coverage(covering, test, 4).per_n
         after = analyze.ngram_coverage(covering + extra, test, 4).per_n
         for n in range(1, 5):
@@ -358,10 +356,9 @@ def test_criterion_10_end_to_end_determinism(toy_dir, tmp_path):
 
 
 def test_criterion_11_ngf_smp_beats_random_phrase_coverage(toy_dir):
-    U = Corpus([Sentence(i, tuple(l.split()))
-                for i, l in enumerate((toy_dir / "U.txt").read_text().splitlines())])
-    L_src = Corpus([Sentence(i, tuple(l.split("\t")[0].split()))
-                    for i, l in enumerate((toy_dir / "L.tsv").read_text().splitlines())])
+    U = Corpus((i, tuple(l.split())) for i, l in enumerate((toy_dir / "U.txt").read_text().splitlines()))
+    L_src = Corpus((i, tuple(l.split("\t")[0].split()))
+                   for i, l in enumerate((toy_dir / "L.tsv").read_text().splitlines()))
     test_src = [l.split("\t")[0].split()
                 for l in (toy_dir / "test.tsv").read_text().splitlines()]
     index_U, index_L = extract_ngrams(U, 4), extract_ngrams(L_src, 4)
@@ -370,7 +367,7 @@ def test_criterion_11_ngf_smp_beats_random_phrase_coverage(toy_dir):
     rand = [p.tokens for p in
             select_random_phrases(index_U, index_L, budget, seed=0).phrases]
     # the published metric covers the test set with OoD data PLUS the selection
-    ood = [s.tokens for s in L_src]
+    ood = list(L_src.values())
     cov_smp = analyze.ngram_coverage(ood + smp, test_src, 1).per_n[1]
     cov_rand = analyze.ngram_coverage(ood + rand, test_src, 1).per_n[1]
     verdict(11, "NGF-SMP coverage beats random phrase selection",

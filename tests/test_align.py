@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 import ibm1_reference
 from almt import align, toy
 from almt.align import NULL_TOKEN, align_pair, target_span, train_ibm1, TranslationTable
-from almt.corpus import ParallelCorpus, Sentence, load_parallel
+from almt.corpus import ParallelCorpus, load_parallel
 
 
 def parallel_of(*pairs):
-    return ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(t.split())))
-                           for i, (s, t) in enumerate(pairs)])
+    return ParallelCorpus((i, (tuple(s.split()), tuple(t.split()))) for i, (s, t) in enumerate(pairs))
 
 
 def test_single_pair_converges():
@@ -53,7 +52,7 @@ def test_row_normalization():
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        train_ibm1(ParallelCorpus([]), 5)
+        train_ibm1(ParallelCorpus(), 5)
 
 
 def test_align_identical_token():
@@ -248,7 +247,7 @@ def test_ibm1_float_temporaries_do_not_grow_with_terms(monkeypatch):
     peaks, terms = [], []
     for copies in (10, 40):
         corpus = parallel_of(*(base * copies))
-        terms.append(sum((len(s) + 1) * len(t) for s, t in corpus))
+        terms.append(sum((len(s) + 1) * len(t) for s, t in corpus.values()))
         tracemalloc.start()
         try:
             train_ibm1(corpus, 5)
@@ -276,8 +275,8 @@ def test_align_pair_matches_the_per_token_reference(rows, src, tgt):
 
 def test_align_pair_matches_the_per_token_reference_on_stock_toy(stock_L):
     table = train_ibm1(stock_L, 5)
-    for s, t in stock_L:
-        assert align_pair(s.tokens, t.tokens, table) == ibm1_reference.align_pair(s.tokens, t.tokens, table)
+    for s, t in stock_L.values():
+        assert align_pair(s, t, table) == ibm1_reference.align_pair(s, t, table)
 
 
 def test_alignments_align_each_pair_once_on_first_lookup(monkeypatch):

@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 import analyze_reference
 from almt.analyze import (in_domain_vocab, in_domain_word_stats, length_ratio,
                           ngram_coverage, pearson, sentence_bleu)
-from almt.corpus import Corpus, Sentence
+from almt.corpus import Corpus
 
 
 def corpus_of(*lines):
-    return Corpus([Sentence(i, tuple(l.split())) for i, l in enumerate(lines)])
+    return Corpus((i, tuple(l.split())) for i, l in enumerate(lines))
 
 
 def oracle_coverage(covering, test, n):

@@ -679,6 +679,24 @@ def test_bad_config_file_exits_2_naming_the_key(command, overrides, named, toy_d
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("key, name, named", [
+    ("sentence_strategy", "ngf",
+     "sentence_strategy 'ngf' is a phrase strategy; sentence strategies: random-sent, csse, rttl"),
+    ("phrase_strategy", "csse",
+     "phrase_strategy 'csse' is a sentence strategy; phrase strategies: random-phrase, ngf, ngf-smp"),
+    ("sentence_strategy", "bogus", "unknown sentence_strategy 'bogus'"),
+    ("phrase_strategy", "bogus", "unknown phrase_strategy 'bogus'"),
+])
+def test_a_hybrid_slot_naming_a_strategy_of_the_other_kind_exits_2_naming_the_mismatch(
+        key, name, named, toy_dir, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**json.loads((toy_dir / "config.json").read_text()),
+                                "strategy": "hybrid", key: name}))
+    assert main(["validate", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"FAIL: {named}\n" and err == ""
+
+
 @pytest.mark.parametrize("command", ["select", "pipeline"])
 def test_cli_output_below_a_regular_file_exits_2_naming_it(command, toy_dir, tmp_path, capsys):
     blocker = tmp_path / "file"
@@ -1062,7 +1080,7 @@ def stock_toy_nn(tmp_path_factory):
     context = RunContext(config)
     store_U, store_L_sub = context.stores[0], context.csse_scorer.b
     scores = {}
-    for sid in context.U.ids():
+    for sid in context.U:
         try:
             scores[sid] = dist_to_labeled(sid, store_U, store_L_sub, config.k, mode="nn")
         except NoRatioError:
@@ -1120,8 +1138,7 @@ def test_validate_checks_the_paths_whose_files_the_load_stage_reads(
 
     def reader(path, *args):
         read.append(Path(path).name)
-        return type("Store", (), {"dim": 1, "ids": lambda self: [], "row": {},
-                                  "__iter__": lambda self: iter(())})()
+        return type("Store", (dict,), {"dim": 1, "row": {}})()  # an empty corpus or store
     for owner, name in [(pipeline, "load_corpus"), (pipeline, "load_parallel"),
                         (EmbeddingStore, "load"), (select, "load_rttl_scores"), (mix, "load_freeze")]:
         monkeypatch.setattr(owner, name, reader)
@@ -1382,7 +1399,7 @@ def test_pipeline_samples_l_once_and_each_budget_takes_the_seeded_draw(toy_dir, 
                         budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
     reports = run_pipeline(config)
     assert len(calls) == 1
-    drawn = load_parallel(config.labeled).ids()
+    drawn = list(load_parallel(config.labeled))
     random.Random(config.seed).shuffle(drawn)
     for report in reports:
         freeze = tmp_path / "runs" / f"budget-{report.budget}" / "retrieved.freeze.jsonl"

@@ -6,7 +6,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from almt.corpus import ParallelCorpus, Sentence
+from almt.corpus import ParallelCorpus
 from almt.mix import ORIGINS, ManifestEntry, encode_entry, encode_row
 from almt.oracle import OracleResponse, encode_response
 from almt.select import SelectedPhrase, SelectedSentence, encode_pick, rank_lines
@@ -40,11 +40,11 @@ def test_encode_pick_with_its_rank_is_the_json_dumps_line(picks):
 @given(pairs=st.lists(st.tuples(_tokens, _tokens), min_size=1, max_size=4),
        phrase=_tokens, target=_tokens, provenance=st.lists(_ids, max_size=3), votes=st.integers(1, 9))
 def test_encode_response_is_the_tsv_and_json_dumps_lines(pairs, phrase, target, provenance, votes):
-    reference = ParallelCorpus((Sentence(i, src), Sentence(i, tgt)) for i, (src, tgt) in enumerate(pairs))
+    reference = ParallelCorpus(enumerate(pairs))
     responses = [OracleResponse(i, tgt, (i,)) for i, (_, tgt) in enumerate(pairs)] + \
         [OracleResponse(phrase, target, tuple(provenance), votes)]
     for r in responses:
-        text = r.source if isinstance(r.source, tuple) else reference.get(r.source)[0].tokens
+        text = r.source if isinstance(r.source, tuple) else reference[r.source][0]
         assert encode_response(r, reference) == (
             f"{' '.join(text)}\t{' '.join(r.target)}\n",
             json.dumps({"source": list(r.source) if isinstance(r.source, tuple) else r.source,

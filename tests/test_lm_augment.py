@@ -8,7 +8,7 @@ import augment_reference
 import lm_reference
 
 from almt.align import Alignments, TranslationTable, NULL_TOKEN, align_pair
-from almt.corpus import Corpus, ParallelCorpus, Sentence
+from almt.corpus import Corpus, ParallelCorpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
 from almt.augment import (augment_corpus, best_contextualize, best_switch, contextualize,
@@ -16,7 +16,7 @@ from almt.augment import (augment_corpus, best_contextualize, best_switch, conte
 
 
 def corpus_of(*lines):
-    return Corpus([Sentence(i, tuple(l.split())) for i, l in enumerate(lines)])
+    return Corpus((i, tuple(l.split())) for i, l in enumerate(lines))
 
 
 def identity_table(tokens):
@@ -225,8 +225,8 @@ def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, rng)
 
 def _augment(u_ids, u_vectors):
     U = corpus_of("x cat sat y", "x cat ran y")
-    L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(f"T_{w}" for w in s.split())))
-                        for i, s in enumerate(["a b c d", "e f g h"])])
+    L = ParallelCorpus((i, (tuple(s.split()), tuple(f"T_{w}" for w in s.split())))
+                       for i, s in enumerate(["a b c d", "e f g h"]))
     store_U = EmbeddingStore(u_ids, np.array(u_vectors, dtype=float), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
     return augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1),
@@ -244,8 +244,7 @@ def test_augment_counts_a_sentence_without_a_switch_once_under_its_dominant_reas
     and the four-token phrase has no position: each U sentence is one drop, under
     no-aligned-span."""
     U = corpus_of("x cat sat y", "x cat sat y")
-    L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, ("y",) * 4))
-                        for i, s in enumerate(["a b c d", "e f g h"])])
+    L = ParallelCorpus((i, (tuple(s.split()), ("y",) * 4)) for i, s in enumerate(["a b c d", "e f g h"]))
     store_U = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [1.0, 0.1]]), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
     annotated = [(("cat",), ("T_cat",)), (("x", "cat", "sat", "y"), ("T_x", "T_cat", "T_sat", "T_y"))]
@@ -272,8 +271,8 @@ def test_augment_aligns_each_retrieved_pair_once(monkeypatch):
 
     monkeypatch.setattr(almt.align, "align_pair", counting)
     U = corpus_of("x cat sat y", "x cat ran y", "cat x y z")
-    L = ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(f"T_{w}" for w in s.split())))
-                        for i, s in enumerate(["a b c d", "e f g h"])])
+    L = ParallelCorpus((i, (tuple(s.split()), tuple(f"T_{w}" for w in s.split())))
+                       for i, s in enumerate(["a b c d", "e f g h"]))
     store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [1.0, 0.1], [1.0, 0.05]]), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), "L")
     pairs, _ = augment_corpus(U, [(("cat",), ("T_cat",))], RatioScorer(store_U, store_L, 1),
@@ -293,8 +292,7 @@ def _retrieving(n_sentences, x_star):
     each holds len(x_star) - 1 candidates of the annotated "cat"."""
     U = corpus_of(*["x cat y"] * n_sentences)
     words = x_star.split()
-    L = ParallelCorpus([(Sentence(0, tuple(words)), Sentence(0, tuple(f"T_{w}" for w in words))),
-                        (Sentence(1, ("e",)), Sentence(1, ("T_e",)))])
+    L = ParallelCorpus([(0, (tuple(words), tuple(f"T_{w}" for w in words))), (1, (("e",), ("T_e",)))])
     store_U = EmbeddingStore(list(range(n_sentences)), np.tile([1.0, 0.0], (n_sentences, 1)), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.0, 1.0]]), "L")
     alignments = Alignments(L, identity_table(set(words)))

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from almt.corpus import ParallelCorpus, Sentence, write_columns
+from almt.corpus import ParallelCorpus, write_columns
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError, ParseError
 from almt.mix import (ORIGINS, assemble, encode_entry, load_freeze, retrieve_similar,
@@ -12,8 +12,7 @@ from almt.oracle import OracleResponse
 
 
 def parallel_of(*pairs):
-    return ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(t.split())))
-                           for i, (s, t) in enumerate(pairs)])
+    return ParallelCorpus((i, (tuple(s.split()), tuple(t.split()))) for i, (s, t) in enumerate(pairs))
 
 
 FOUR = parallel_of(("a a", "x x"), ("b b", "y y"), ("c c", "z z"), ("d d", "w w"))
@@ -21,7 +20,7 @@ FOUR = parallel_of(("a a", "x x"), ("b b", "y y"), ("c c", "z z"), ("d d", "w w"
 
 def test_sample_random_orders_every_pair():
     rows = sample_random(FOUR, seed=0)
-    assert sorted(rows) == [(src.id, src.tokens, tgt.tokens) for src, tgt in FOUR]
+    assert sorted(rows) == [(sid, src, tgt) for sid, (src, tgt) in FOUR.items()]
 
 
 def test_sample_random_deterministic():
@@ -32,7 +31,7 @@ def test_sample_random_deterministic():
 def test_sample_random_prefix_is_the_seeded_draw(seed):
     """A prefix of the order is the draw of that many pairs that a seeded shuffle
     followed by a cut makes."""
-    ids = FOUR.ids()
+    ids = list(FOUR)
     random.Random(seed).shuffle(ids)
     assert [r[0] for r in sample_random(FOUR, seed)] == ids
 

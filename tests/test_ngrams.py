@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
 import select_reference
-from almt.corpus import Corpus, Sentence
+from almt.corpus import Corpus
 from almt.ngrams import extract_ngrams, occurrences, semi_maximal_set
 from almt.select import select_ngf
 from ngrams_reference import decode
 
 
 def corpus_of(*lines):
-    return Corpus([Sentence(i, tuple(l.split())) for i, l in enumerate(lines)])
+    return Corpus((i, tuple(l.split())) for i, l in enumerate(lines))
 
 
 def brute_force_semi_maximal(index):
@@ -46,7 +46,7 @@ def random_corpus(rng, max_sentences=50, vocab=10):
     words = [f"w{i}" for i in range(rng.randint(2, vocab))]
     lines = []
     for i in range(rng.randint(1, max_sentences)):
-        lines.append(Sentence(i, tuple(rng.choice(words) for _ in range(rng.randint(1, 8)))))
+        lines.append((i, tuple(rng.choice(words) for _ in range(rng.randint(1, 8)))))
     return Corpus(lines)
 
 
@@ -79,15 +79,15 @@ def test_occ_absent_is_zero():
 
 def test_counts_match_brute_force_slicing():
     rng = random.Random(11)
-    corpora = [corpus_of("a a a a", "a b a b a", "b"), Corpus([])]
+    corpora = [corpus_of("a a a a", "a b a b a", "b"), Corpus()]
     corpora += [random_corpus(rng, vocab=rng.choice([2, 3, 10])) for _ in range(30)]
     for corpus in corpora:
         for max_n in (1, 2, 4, 9):
             expected = {}
-            for sent in corpus:
+            for sent in corpus.values():
                 for n in range(1, max_n + 1):
-                    for start in range(len(sent.tokens) - n + 1):
-                        p = sent.tokens[start:start + n]
+                    for start in range(len(sent) - n + 1):
+                        p = sent[start:start + n]
                         expected[p] = expected.get(p, 0) + 1
             index = extract_ngrams(corpus, max_n)
             assert decode(index) == expected
@@ -99,7 +99,7 @@ def test_length_n_count_identity():
     index = extract_ngrams(corpus, 4)
     for n in range(1, 5):
         total = sum(c for p, c in decode(index).items() if len(p) == n)
-        expected = sum(max(0, len(s.tokens) - n + 1) for s in corpus)
+        expected = sum(max(0, len(s) - n + 1) for s in corpus.values())
         assert total == expected
 
 
@@ -161,14 +161,14 @@ def test_semi_maximal_matches_brute_force_random():
 @given(lines=st.lists(st.lists(st.sampled_from("abc"), min_size=1, max_size=8), min_size=1, max_size=8),
        max_n=st.integers(1, 5))
 def test_semi_maximal_matches_the_all_substring_reference(lines, max_n):
-    index = extract_ngrams(Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]), max_n)
+    index = extract_ngrams(Corpus((i, tuple(l)) for i, l in enumerate(lines)), max_n)
     assert semi_maximal_phrases(index) == ngrams_reference.semi_maximal_set(decode(index))
 
 
 @given(st.lists(st.lists(st.sampled_from("ab"), min_size=1, max_size=6), min_size=1, max_size=10))
 @settings(max_examples=50, deadline=None)
 def test_occ_superstring_never_exceeds_substring(lines):
-    corpus = Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)])
+    corpus = Corpus((i, tuple(l)) for i, l in enumerate(lines))
     index = decode(extract_ngrams(corpus, 3))
     def strict_substring(p, q):
         return len(p) < len(q) and any(q[i:i + len(p)] == p for i in range(len(q) - len(p) + 1))
@@ -205,7 +205,7 @@ def test_export_tsv_bytes(tmp_path):
 
 # A corpus of up to 8 sentences over four tokens, so that repeats such as "a a a" are common.
 corpora = st.lists(st.lists(st.sampled_from(["a", "b", "c", "u"]), min_size=1, max_size=8), max_size=8).map(
-    lambda lines: Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]))
+    lambda lines: Corpus((i, tuple(l)) for i, l in enumerate(lines)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -242,8 +242,8 @@ def test_codes_do_not_wrap_where_packed_keys_would(distinct, length, max_n):
             cut = rng.randrange(len(src))
             line = line[:length // 2] + src[cut:cut + length // 2]
         lines.append(line)
-    corpus = Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)])
-    L = Corpus([Sentence(0, tuple(tokens[:length]))])
+    corpus = Corpus((i, tuple(l)) for i, l in enumerate(lines))
+    L = Corpus([(0, tuple(tokens[:length]))])
     index, expected = extract_ngrams(corpus, max_n), ngrams_reference.extract_ngrams(corpus, max_n)
     assert decode(index) == expected
     assert int(index.counts.min()) >= 1 and max(expected.values()) > 1

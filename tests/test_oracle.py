@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 import ngrams_reference
 import oracle_reference
 from almt.align import Alignments, TranslationTable, NULL_TOKEN, train_ibm1
-from almt.corpus import ParallelCorpus, Sentence, write_columns
+from almt.corpus import ParallelCorpus, write_columns
 from almt.errors import OracleGapError
 from almt.oracle import encode_response, translate_phrases, translate_sentences
 
 
 def parallel_of(*pairs):
-    return ParallelCorpus([(Sentence(i, tuple(s.split())), Sentence(i, tuple(t.split())))
-                           for i, (s, t) in enumerate(pairs)])
+    return ParallelCorpus((i, (tuple(s.split()), tuple(t.split()))) for i, (s, t) in enumerate(pairs))
 
 
 def identity_table(tokens):
@@ -89,8 +88,8 @@ def test_provenance_contains_source_unit():
     responses, _ = translate_phrases([("n",)], Alignments(ref, identity_table("mno")))
     for r in responses:
         for sid in r.provenance:
-            src, _ = ref.get(sid)
-            assert "n" in src.tokens
+            src, _ = ref[sid]
+            assert "n" in src
 
 
 def test_oracle_deterministic():
@@ -106,20 +105,20 @@ def brute_force_translate(phrases, ref, table):
     from almt.align import align_pair, target_span
     from almt.oracle import OracleResponse
     windows = {}
-    for src, _ in ref:
-        for n in range(1, len(src.tokens) + 1):
-            for start in range(len(src.tokens) - n + 1):
-                windows.setdefault(src.tokens[start:start + n], []).append((src.id, start))
+    for sid, (src, _) in ref.items():
+        for n in range(1, len(src) + 1):
+            for start in range(len(src) - n + 1):
+                windows.setdefault(src[start:start + n], []).append((sid, start))
     responses, drops = [], {}
     for p in phrases:
         votes = {}
         for sid, start in windows.get(p, []):
-            src, tgt = ref.get(sid)
-            links = align_pair(src.tokens, tgt.tokens, table)
+            src, tgt = ref[sid]
+            links = align_pair(src, tgt, table)
             span = target_span(links, start, start + len(p))
             if isinstance(span, str):
                 continue
-            target = tgt.tokens[span[0]:span[1] + 1]
+            target = tgt[span[0]:span[1] + 1]
             votes.setdefault(target, []).append(sid)
         if p not in windows:
             drops[p] = "not-in-reference"
@@ -167,8 +166,8 @@ def test_translate_phrases_matches_brute_force_reference(monkeypatch):
         assert (responses, drops) == brute_force_translate(phrases, ref, table)
         assert list(drops) == [p for p in phrases if p in drops]  # drops in phrase order
         # each reference pair holding a selected phrase is aligned once
-        assert touched == sum(1 for src, _ in ref if any(
-            src.tokens[i:i + len(p)] == p for p in phrases for i in range(len(src.tokens))))
+        assert touched == sum(1 for src, _ in ref.values() if any(
+            src[i:i + len(p)] == p for p in phrases for i in range(len(src))))
 
 
 def test_write_responses(tmp_path):
@@ -199,7 +198,7 @@ def test_coded_scan_matches_the_window_scan_reference(U, ref, max_n, rng):
     reference = parallel_of(*((" ".join(src), " ".join([f"T_{w}" for w in src if rng.random() < 0.8]
                                                         or ["T_x"])) for src in ref))
     table = train_ibm1(reference, 2)
-    U = [Sentence(i, tuple(s)) for i, s in enumerate(U)]
+    U = {i: tuple(s) for i, s in enumerate(U)}
     phrases = [*ngrams_reference.extract_ngrams(U, max_n), ("a", "z")]
     rng.shuffle(phrases)
     expected = oracle_reference.translate_phrases(phrases, reference, table)

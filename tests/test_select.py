@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ngrams_reference
 import select_reference
 from ngrams_reference import decode
-from almt.corpus import Corpus, Sentence
+from almt.corpus import Corpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.ngrams import extract_ngrams, semi_maximal_set
 from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
@@ -16,7 +16,7 @@ from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
 
 
 def corpus_of(*lines):
-    return Corpus([Sentence(i, tuple(l.split())) for i, l in enumerate(lines)])
+    return Corpus((i, tuple(l.split())) for i, l in enumerate(lines))
 
 
 def brute_force_ngf(index_U, index_L, budget, candidates=None):
@@ -175,10 +175,10 @@ def test_ngf_smp_matches_brute_force_random():
     rng = random.Random(9)
     for _ in range(10):
         words = [f"w{i}" for i in range(rng.randint(2, 6))]
-        U = Corpus([Sentence(i, tuple(rng.choice(words) for _ in range(rng.randint(1, 7))))
-                    for i in range(rng.randint(3, 25))])
-        L = Corpus([Sentence(i, tuple(rng.choice(words) for _ in range(rng.randint(1, 5))))
-                    for i in range(rng.randint(1, 10))])
+        U = Corpus((i, tuple(rng.choice(words) for _ in range(rng.randint(1, 7))))
+                   for i in range(rng.randint(3, 25)))
+        L = Corpus((i, tuple(rng.choice(words) for _ in range(rng.randint(1, 5))))
+                   for i in range(rng.randint(1, 10)))
         index_U, index_L = extract_ngrams(U, 4), extract_ngrams(L, 4)
         budget = rng.randint(5, 50)
         got = [p.tokens for p in select_ngf_smp(index_U, index_L, budget).phrases]
@@ -263,7 +263,7 @@ def test_cut_equals_direct_selection(toy_run_config, every_phrase_in_L):
     context = RunContext(toy_run_config, 1)
     if every_phrase_in_L:
         context.index_L = context.index_U  # every candidate phrase is then known
-    total = sum(len(s.tokens) for s in context.U)
+    total = sum(map(len, context.U.values()))
     rng = random.Random(3)
     budgets = [1, 2, 3, total - 1, total, total + 5] + rng.sample(range(4, total - 1), 8)
     top = max(budgets)
@@ -299,7 +299,7 @@ def test_empty_phrase_pool_is_exhausted_at_any_budget():
 def corpora(own):
     """Up to 8 sentences over shared tokens and one of their own."""
     lines = st.lists(st.lists(st.sampled_from(["a", "b", "c", own]), min_size=1, max_size=8), max_size=8)
-    return lines.map(lambda lines: Corpus([Sentence(i, tuple(l)) for i, l in enumerate(lines)]))
+    return lines.map(lambda lines: Corpus((i, tuple(l)) for i, l in enumerate(lines)))
 
 
 @settings(max_examples=200, deadline=None)
