@@ -11,11 +11,11 @@ import math
 import sys
 
 from . import analyze, mix, select, toy
-from .corpus import load_corpus, read_records, write_columns
+from .corpus import load_corpus, read_records, write_columns, write_text
 from .errors import AlmtError, ConfigError, ParseError, describe
 from .ngrams import extract_ngrams
-from .pipeline import (_EMBEDDINGS, STRATEGIES, RunConfig, RunContext, check_values, mix_pairs,
-                       respond, run_pipeline, validate_config)
+from .pipeline import (_EMBEDDINGS, ARTIFACTS, STRATEGIES, RunConfig, RunContext, check_values,
+                       mix_pairs, respond, run_pipeline, validate_config)
 
 
 def _cmd_extract(args):
@@ -60,8 +60,8 @@ def _cmd_oracle(args):
     context = RunContext(RunConfig(None, args.labeled, None, [], oracle_reference=args.reference))
     context.reference  # read first: a malformed reference is reported before the selection
     context.selection = select.load_selection(args.selection)
-    l_s, l_p, drops = respond(context, context.selection, lambda artifacts, records: write_columns(
-        [f"{args.output_prefix}.{filename}" for _, filename in artifacts], records))
+    l_s, l_p, drops = respond(context, context.selection, lambda names, records: write_columns(
+        [f"{args.output_prefix}.{ARTIFACTS[name]}" for name in names], records))
     print(json.dumps({"sentences": len(l_s), "phrases": len(l_p),
                       "dropped": {" ".join(p): r for p, r in drops.items()}}))
     return 0
@@ -84,7 +84,7 @@ def _cmd_mix(args):
     if skipped:
         print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
     mix.write_freeze(rows, args.output)
-    mix.assemble([], [], rows).write_tsv(args.output + ".tsv")  # "source TAB target" lines
+    write_text(args.output + ".tsv", "".join(tsv for _, tsv in mix.assemble([], [], rows)[0]))
     print(f"{len(rows)} pairs -> {args.output}")
     return 0
 

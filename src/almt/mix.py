@@ -4,39 +4,22 @@ pairs."""
 
 import json
 import random
-from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, read_records, record_id, write_text
 from .errors import ConfigError
 
 
-# Every entry origin, each counted in MixManifest.counts even when absent.
+# Every entry origin, each counted by assemble even when absent.
 ORIGINS = ("annotated-sentence", "annotated-phrase", "retrieved", "sampled",
            "synthetic-switch", "synthetic-context")
 
 
-@dataclass
-class ManifestEntry:
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    origin: str  # one of ORIGINS
-    provenance: object
-
-
-@dataclass
-class MixManifest:
-    entries: list[ManifestEntry] = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-
-    def write_tsv(self, path):
-        write_text(path, "".join(encode_entry(e)[1] for e in self.entries))
-
-
-def encode_entry(entry: ManifestEntry) -> tuple[str, str]:
-    """An entry's (manifest.jsonl line, manifest.tsv "source TAB target" line)."""
-    return (json.dumps({"source": list(entry.source), "target": list(entry.target),
-                        "origin": entry.origin, "provenance": entry.provenance}) + "\n",
-            f"{' '.join(entry.source)}\t{' '.join(entry.target)}\n")
+def encode_entry(source, target, origin, provenance) -> tuple[str, str]:
+    """A manifest entry's (manifest.jsonl line, manifest.tsv "source TAB target"
+    line); ``origin`` is one of ORIGINS."""
+    return (json.dumps({"source": list(source), "target": list(target),
+                        "origin": origin, "provenance": provenance}) + "\n",
+            f"{' '.join(source)}\t{' '.join(target)}\n")
 
 
 def sample_random(parallel: ParallelCorpus, seed: int):
@@ -82,27 +65,33 @@ def load_freeze(path, parallel: ParallelCorpus):
     return rows
 
 
-def assemble(l_s, l_p, l_r, synthetic=None, retrieved: bool = True) -> MixManifest:
-    """Concatenate the pools in fixed order: L_s, L_p, L_r, synthetic.
+def _encode_each(section, records, encode):
+    return [encode(record) for record in records]
+
+
+def assemble(l_s, l_p, l_r, synthetic=(), retrieved: bool = True, lines=_encode_each):
+    """The manifest's entries, each a (manifest.jsonl line, manifest.tsv line), and
+    its count of entries per origin. The pools go in fixed order: L_s, L_p, L_r,
+    synthetic.
 
     l_s is a list of (tokens, target, id), its sources resolved upstream; l_p is
-    an OracleResponse list; l_r is a list of (pair id, src, tgt). Every origin
-    is counted, so empty inputs give an empty manifest with zero counts.
+    an OracleResponse list; l_r is a list of (pair id, src, tgt); synthetic is a
+    SyntheticPair list. ``lines(section, records, encode)`` gives the lines of
+    each of the first three, a budget's prefix of the run-wide list ``section``
+    names, so ``RunContext.lines`` encodes each of their entries once per run;
+    the synthetic pairs are each budget's own. Every origin is counted, so empty
+    inputs give no entries and zero counts.
     """
-    manifest = MixManifest(counts=dict.fromkeys(ORIGINS, 0))
-
-    def add(source, target, origin, provenance):
-        manifest.entries.append(ManifestEntry(tuple(source), tuple(target), origin, provenance))
-        manifest.counts[origin] += 1
-
-    for tokens, target, sid in l_s:
-        add(tokens, target, "annotated-sentence", sid)
-    for resp in l_p:
-        add(resp.source, resp.target, "annotated-phrase", list(resp.provenance))
     r_origin = "retrieved" if retrieved else "sampled"
-    for sid, src, tgt in l_r:
-        add(src, tgt, r_origin, sid)
-    for pair in synthetic or []:
-        add(pair.source, pair.target, f"synthetic-{'switch' if pair.recipe == 'switch' else 'context'}",
-            pair.origin_id)
-    return manifest
+    entries = (lines("annotated sentence entries", l_s,
+                     lambda row: encode_entry(row[0], row[1], "annotated-sentence", row[2]))
+               + lines("annotated phrase entries", l_p, lambda resp: encode_entry(
+                   resp.source, resp.target, "annotated-phrase", list(resp.provenance)))
+               + lines("mix entries", l_r, lambda row: encode_entry(row[1], row[2], r_origin, row[0])))
+    counts = dict.fromkeys(ORIGINS, 0)
+    counts.update({"annotated-sentence": len(l_s), "annotated-phrase": len(l_p), r_origin: len(l_r)})
+    for pair in synthetic:
+        origin = f"synthetic-{'switch' if pair.recipe == 'switch' else 'context'}"
+        entries.append(encode_entry(pair.source, pair.target, origin, pair.origin_id))
+        counts[origin] += 1
+    return entries, counts

@@ -7,7 +7,6 @@ which no stage reads back: every intermediate is there to inspect. Fine-tuning
 itself is out of scope: the pipeline emits manifests for downstream toolkits.
 """
 
-import functools
 import hashlib
 import json
 import os
@@ -29,25 +28,24 @@ from .ngrams import extract_ngrams
 
 
 # kind: the budget pool spent, "sentence" or "phrase"; needs: the config paths
-# read beyond the unlabeled corpus; rank: (RunContext, budget) -> SelectionResult.
+# read beyond the unlabeled corpus; rank: RunContext -> select.Ranking.
 Strategy = namedtuple("Strategy", "kind needs rank")
 _EMBEDDINGS = ("embeddings_unlabeled", "embeddings_labeled")
 
 # Every selection strategy, by name. Rank calls look select.* up at call
 # time, so a rebinding of the module's functions is seen.
 STRATEGIES = {
-    "random-sent": Strategy("sentence", (), lambda ctx, b: select.select_random_sentences(
-        ctx.U, b, ctx.config.seed)),
-    "csse": Strategy("sentence", ("labeled",) + _EMBEDDINGS, lambda ctx, b: select.select_csse(
-        ctx.U, ctx.csse_scorer, b, ctx.config.dist_mode)),
-    "rttl": Strategy("sentence", ("rttl_scores",), lambda ctx, b: select.select_rttl(
-        ctx.U, ctx.rttl_scores, b)),
-    "random-phrase": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_random_phrases(
-        ctx.index_U, ctx.index_L, b, ctx.config.seed)),
-    "ngf": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_ngf(
-        ctx.index_U, ctx.index_L, b)),
-    "ngf-smp": Strategy("phrase", ("labeled",), lambda ctx, b: select.select_ngf_smp(
-        ctx.index_U, ctx.index_L, b)),
+    "random-sent": Strategy("sentence", (), lambda ctx: select.select_random_sentences(
+        ctx.U, ctx.config.seed)),
+    "csse": Strategy("sentence", ("labeled",) + _EMBEDDINGS, lambda ctx: select.select_csse(
+        ctx.U, ctx.csse_scorer, ctx.config.dist_mode)),
+    "rttl": Strategy("sentence", ("rttl_scores",), lambda ctx: select.select_rttl(
+        ctx.U, ctx.rttl_scores)),
+    "random-phrase": Strategy("phrase", ("labeled",), lambda ctx: select.select_random_phrases(
+        ctx.index_U, ctx.index_L, ctx.config.seed)),
+    "ngf": Strategy("phrase", ("labeled",), lambda ctx: select.select_ngf(ctx.index_U, ctx.index_L)),
+    "ngf-smp": Strategy("phrase", ("labeled",), lambda ctx: select.select_ngf_smp(
+        ctx.index_U, ctx.index_L)),
 }
 
 
@@ -191,6 +189,15 @@ def validate_config(config: RunConfig) -> list[str]:
     return failures
 
 
+# Every artifact a budget can write: its name, the report's digest key, -> its
+# file in the budget's run directory.
+ARTIFACTS = {"selection": "selection.jsonl", "sentences": "sentences.tsv",
+             "sentences_provenance": "sentences.provenance.jsonl", "phrases": "phrases.tsv",
+             "phrases_provenance": "phrases.provenance.jsonl", "freeze": "retrieved.freeze.jsonl",
+             "synthetic": "synthetic.tsv", "synthetic_recipes": "synthetic.recipes.jsonl",
+             "manifest_jsonl": "manifest.jsonl", "manifest_tsv": "manifest.tsv"}
+
+
 @dataclass
 class RunReport:
     config: dict
@@ -216,8 +223,12 @@ def _stage(report, name):
 
 def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
     """Run every configured budget (or just the override) in its own directory,
-    sharing one RunContext, so budget-independent work runs once."""
+    sharing one RunContext, so budget-independent work runs once. A budget that
+    completes removes the files an earlier run left in its directory and this
+    one did not write: a ``failed`` marker, and every artifact its report lacks."""
     failures = validate_config(config)
+    if budget is not None and not _positive_int(budget):
+        failures.append(f"budget must be an int >= 1, got {budget!r}")
     if failures:
         raise ConfigError("; ".join(failures))
     budgets = [budget] if budget is not None else list(config.budgets)
@@ -234,7 +245,8 @@ def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
             write_text(run_dir / "failed", f"stage: {report.running}\n{traceback.format_exc()}")
             raise
         else:
-            (run_dir / "failed").unlink(missing_ok=True)  # left by an earlier run that failed
+            for name in ["failed", *(f for a, f in ARTIFACTS.items() if a not in report.digests)]:
+                (run_dir / name).unlink(missing_ok=True)
         finally:
             lock.unlink(missing_ok=True)
     return reports
@@ -271,10 +283,12 @@ def _alive(owner):
 class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
     ``load`` reads every input file of the run, each through its ``READERS``
-    member. ``selection`` ranks once, at the run's largest budget; every budget
-    cuts it, and ``translations`` holds the oracle's answer for each of its
-    phrases. ``pool`` ranks L once for the mix stage; every budget takes a
-    prefix. ``lines`` encodes each artifact record once. ``almt select``,
+    member. ``rankings`` ranks once per strategy, with no budget, and every
+    budget is one ``select.cut`` of them; ``selection``, the cut at the run's
+    largest budget, holds every phrase of any cut, and ``translations`` the
+    oracle's answer for each. ``pool`` ranks L once for the mix stage; every
+    budget takes a prefix. ``lines`` encodes each artifact record once, manifest
+    entries included (``mix.assemble`` reads it). ``almt select``,
     ``oracle`` and ``mix`` build one from their flags, so a stage run alone takes
     the pipeline's code path."""
 
@@ -404,12 +418,8 @@ class RunContext:
             return mix.sample_random(self.L, self.config.seed), []
         return mix.retrieve_similar(self.L, self.scorer.T)
 
-    @cached_property
-    def selection(self):
-        ranks = [functools.partial(strategy.rank, self) for strategy in self.strategies]
-        if len(ranks) == 2:
-            return select.select_hybrid(self.top_budget, *ranks)
-        return ranks[0](self.top_budget)
+    rankings = cached_property(lambda self: [strategy.rank(self) for strategy in self.strategies])
+    selection = cached_property(lambda self: select.cut(self.rankings, self.top_budget))
 
     @cached_property
     def translations(self):
@@ -425,18 +435,18 @@ class RunContext:
 def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunReport:
     config = context.config
 
-    def save(name, filename, text):
-        """Write an artifact of this budget; the report carries the sha256 of the
-        bytes written, so no artifact is read back to hash it."""
+    def save(name, text):
+        """Write artifact ``name`` of this budget; the report carries the sha256 of
+        the bytes written, so no artifact is read back to hash it."""
         data = text.encode("utf-8")
-        write_text(run_dir / filename, data)
+        write_text(run_dir / ARTIFACTS[name], data)
         report.digests[name] = hashlib.sha256(data).hexdigest()
 
-    def save_columns(artifacts, records):
-        """Save to each (name, filename) of ``artifacts`` its column of ``records``,
-        tuples of one line per artifact."""
-        for i, (name, filename) in enumerate(artifacts):
-            save(name, filename, "".join(record[i] for record in records))
+    def save_columns(names, records):
+        """Save to each artifact of ``names`` its column of ``records``, tuples of
+        one line per artifact."""
+        for i, name in enumerate(names):
+            save(name, "".join(record[i] for record in records))
 
     # A context property is built the first time a stage touches it, so build
     # time lands in the first budget's report under that stage.
@@ -448,8 +458,8 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
             context.index_U, context.index_L
 
     with _stage(report, "select"):
-        result = context.selection.cut(report.budget)
-        save("selection", "selection.jsonl", select.rank_lines(
+        result = select.cut(context.rankings, report.budget)
+        save("selection", select.rank_lines(
             context.lines("selected sentences", result.sentences, select.encode_pick)
             + context.lines("selected phrases", result.phrases, select.encode_pick)))
         report.counts["selected_sentences"] = len(result.sentences)
@@ -473,7 +483,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
             report.dropped["mix:degenerate"] = len(skipped)
-        save("freeze", "retrieved.freeze.jsonl", "".join(context.lines("mix rows", l_r, mix.encode_row)))
+        save("freeze", "".join(context.lines("mix rows", l_r, mix.encode_row)))
         report.counts["mixed_pairs"] = len(l_r)
 
     synthetic = []
@@ -486,25 +496,18 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
                     config.augment_recipe)
             else:  # no U sentence holds an annotated phrase: train no LM and no IBM-1
                 aug_report = {"no-annotated-phrase": len(context.U)}
-            save_columns([("synthetic", "synthetic.tsv"),
-                          ("synthetic_recipes", "synthetic.recipes.jsonl")],
+            save_columns(["synthetic", "synthetic_recipes"],
                          [augment.encode_synthetic(pair) for pair in synthetic])
             report.counts["synthetic_pairs"] = len(synthetic)
             report.dropped.update({f"augment:{k}": v for k, v in aug_report.items() if v})
 
     with _stage(report, "assemble"):
         l_s_rows = [(context.reference[r.source][0], r.target, r.source) for r in l_s_resp]
-        manifest = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
-                                retrieved=config.mix_policy == "retrieve")
-        lines, start = [], 0
-        for section, n in [("annotated sentence entries", len(l_s_rows)),
-                           ("annotated phrase entries", len(l_p_resp)), ("mix entries", len(l_r))]:
-            lines += context.lines(section, manifest.entries[start:start + n], mix.encode_entry)
-            start += n
-        lines += map(mix.encode_entry, manifest.entries[start:])  # synthetic pairs: each budget's own
-        save_columns([("manifest_jsonl", "manifest.jsonl"), ("manifest_tsv", "manifest.tsv")], lines)
-        report.counts["manifest_entries"] = len(manifest.entries)
-        report.counts.update({f"manifest:{k}": v for k, v in manifest.counts.items()})
+        entries, counts = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
+                                       config.mix_policy == "retrieve", context.lines)
+        save_columns(["manifest_jsonl", "manifest_tsv"], entries)
+        report.counts["manifest_entries"] = len(entries)
+        report.counts.update({f"manifest:{k}": v for k, v in counts.items()})
 
     report.save(run_dir / "report.json")
     return report
@@ -512,17 +515,17 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
 def respond(context: RunContext, cut, save_columns):
     """The oracle stage: translate the sentences and phrases of ``cut``, a cut of
-    ``context.selection``, and write them with ``save_columns(artifacts, records)``,
-    each artifact a (name, filename) and each record a tuple of one line per
-    artifact. Returns (sentence responses, phrase responses, drops by phrase)."""
+    ``context.selection`` (a phrase outside it raises KeyError), and write them
+    with ``save_columns(names, records)``, each name a key of ``ARTIFACTS`` and
+    each record a tuple of one line per artifact. Returns (sentence responses,
+    phrase responses, drops by phrase)."""
     l_s = oracle.translate_sentences([s.id for s in cut.sentences], context.reference)
     responses, drops = context.translations
-    l_p = [responses[p.tokens] for p in cut.phrases if p.tokens in responses]
-    save_columns([("sentences", "sentences.tsv"),
-                  ("sentences_provenance", "sentences.provenance.jsonl")],
+    l_p = [responses[p.tokens] for p in cut.phrases if p.tokens not in drops]
+    save_columns(["sentences", "sentences_provenance"],
                  context.lines("sentence responses", l_s,
                                lambda r: oracle.encode_response(r, context.reference)))
-    save_columns([("phrases", "phrases.tsv"), ("phrases_provenance", "phrases.provenance.jsonl")],
+    save_columns(["phrases", "phrases_provenance"],
                  context.lines("phrase responses", l_p, oracle.encode_response))
     return l_s, l_p, {p.tokens: drops[p.tokens] for p in cut.phrases if p.tokens in drops}
 

@@ -1,14 +1,17 @@
 """Budgeted selection strategies: sentence, phrase, and hybrid.
 
-All strategies follow the same greedy loop: keep taking the next candidate
-while spend is strictly below the pool budget, so the final item may
-overshoot. Tie-breaks are fixed (ascending sentence id; shorter phrase then
+Every strategy ranks its candidates once, with no budget (a ``Ranking``), and
+``cut`` is the one greedy loop that spends a budget on rankings: keep taking
+the next pick while spend is strictly below the pool budget, so the final item
+may overshoot. Tie-breaks are fixed (ascending sentence id; shorter phrase then
 lexicographic) for reproducibility.
 """
 
+import functools
 import json
 import math
 import random
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -53,30 +56,6 @@ class SelectionResult:
     def write_jsonl(self, path):
         write_text(path, rank_lines(map(encode_pick, self.sentences + self.phrases)))
 
-    def cut(self, budget):
-        """What this result's strategy selects at a budget no larger than its own.
-
-        Greedy selection takes a prefix of a fixed ranking, so cutting the
-        kept picks again gives exactly what a direct run at ``budget`` picks,
-        pool by pool. A pool whose spend stayed below its share was ranked
-        whole, so running out of its picks at the smaller share exhausts it.
-        """
-        ledger = self.budget
-        if budget > ledger.total:
-            raise ValueError(f"cannot cut a selection made at {ledger.total} words to {budget}")
-        if budget == ledger.total:
-            return self
-        if ledger.sentence_share and ledger.phrase_share:
-            b_s, b_p = split_budget(budget)
-        else:
-            b_s, b_p = (budget, 0) if ledger.sentence_share else (0, budget)
-        sentences, spent_s, out_s = _greedy(self.sentences, b_s,
-                                            ledger.spent_sentences < ledger.sentence_share)
-        phrases, spent_p, out_p = _greedy(self.phrases, b_p, ledger.spent_phrases < ledger.phrase_share)
-        return SelectionResult(self.strategy, self.seed,
-                               BudgetLedger(budget, b_s, b_p, spent_s, spent_p),
-                               sentences, phrases, out_s or out_p, dict(self.skipped))
-
     def summary(self):
         d = asdict(self)
         d["sentences"] = len(self.sentences)
@@ -116,48 +95,67 @@ def load_selection(path):
     return result
 
 
-def _greedy(ranked, budget, whole=True):
-    """Take picks in ranked order while spend is strictly below the budget.
-
-    Returns (picks, spent, exhausted). The pool is exhausted when every pick
-    was taken and spend stayed below the budget or there was nothing to take;
-    ``whole`` says whether ``ranked`` is the strategy's entire ranking.
-    """
-    picks, spent = [], 0
-    for pick in ranked:
-        if spent >= budget:
-            return picks, spent, False
-        picks.append(pick)
-        spent += pick.cost
-    return picks, spent, whole and (spent < budget or not picks)
-
-
-def _sentences(strategy, seed, U, order, score, budget, skipped=None) -> SelectionResult:
-    picks, spent, exhausted = _greedy(
-        (SelectedSentence(sid, score(sid), len(U[sid])) for sid in order), budget)
-    return SelectionResult(strategy, seed, BudgetLedger(budget, budget, 0, spent), picks, [],
-                           exhausted, skipped or {})
+@dataclass
+class Ranking:
+    """A strategy's candidates in rank order, for every budget of a run to cut.
+    ``build`` makes the pick of an id of ``ids``; ``picks`` holds the picks built
+    so far, a prefix of the ranking, so each pick is built once however many
+    budgets cut it."""
+    strategy: str
+    seed: int | None
+    kind: str  # "sentence" or "phrase": the budget pool the picks spend
+    ids: Sequence
+    build: Callable
+    skipped: dict = field(default_factory=dict)
+    picks: list = field(default_factory=list)
 
 
-def _phrases(strategy, seed, index, pool, score, budget) -> SelectionResult:
-    """Greedy selection over ``pool``, ids of ``index`` in ranked order; only the picks
-    kept are decoded, and ``score`` maps an id to its pick's score."""
+def cut(rankings, budget) -> SelectionResult:
+    """What ``rankings``, one strategy's ranking or a hybrid's sentence and phrase
+    rankings, select at ``budget``: picks in rank order while spend is strictly
+    below the budget. A hybrid cuts its rankings at ceil(B/2) and floor(B/2)
+    through ``select_hybrid``. A cut is exhausted when it took every pick with
+    spend still below its budget, or when its ranking is empty."""
+    if len(rankings) == 2:
+        return select_hybrid(budget, *(functools.partial(cut, [r]) for r in rankings))
+    (ranking,) = rankings
+    picks, n, spent = ranking.picks, 0, 0
+    while n < len(ranking.ids) and spent < budget:
+        if n == len(picks):
+            picks.append(ranking.build(ranking.ids[n]))
+        spent += picks[n].cost
+        n += 1
+    exhausted = n == len(ranking.ids) and (spent < budget or n == 0)
+    if ranking.kind == "sentence":
+        ledger, sentences, phrases = BudgetLedger(budget, budget, 0, spent, 0), picks[:n], []
+    else:
+        ledger, sentences, phrases = BudgetLedger(budget, 0, budget, 0, spent), [], picks[:n]
+    return SelectionResult(ranking.strategy, ranking.seed, ledger, sentences, phrases, exhausted,
+                           dict(ranking.skipped))
+
+
+def _sentences(strategy, seed, U, order, score, skipped=None) -> Ranking:
+    return Ranking(strategy, seed, "sentence", order,
+                   lambda sid: SelectedSentence(sid, score(sid), len(U[sid])), skipped or {})
+
+
+def _phrases(strategy, seed, index, pool, score) -> Ranking:
+    """The ranking of ``pool``, ids of ``index`` in rank order; only the picks a cut
+    keeps are decoded, and ``score`` maps an id to its pick's score."""
     def pick(i):
         p = index.phrase(i)
         return SelectedPhrase(p, score(i), len(p))
-    picks, spent, exhausted = _greedy(map(pick, pool), budget)
-    return SelectionResult(strategy, seed, BudgetLedger(budget, 0, budget, 0, spent), [], picks,
-                           exhausted, {} if len(pool) else {"empty_candidate_pool": 1})
+    return Ranking(strategy, seed, "phrase", pool, pick,
+                   {} if len(pool) else {"empty_candidate_pool": 1})
 
 
-def select_random_sentences(U: Corpus, budget: int, seed: int) -> SelectionResult:
-    """Uniform draws without replacement until the budget is spent."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+def select_random_sentences(U: Corpus, seed: int) -> Ranking:
+    """Every U sentence in a seeded uniform order, so each cut is a draw without
+    replacement."""
     rng = random.Random(seed)
     order = list(U)
     rng.shuffle(order)
-    return _sentences("random-sent", seed, U, order, lambda sid: 0.0, budget)
+    return _sentences("random-sent", seed, U, order, lambda sid: 0.0)
 
 
 def csse_scores(scorer, dist_mode="literal"):
@@ -171,7 +169,7 @@ def csse_scores(scorer, dist_mode="literal"):
     return scores, scorer.skip_counts()
 
 
-def select_csse(U: Corpus, scorer, budget: int, dist_mode: str = "literal") -> SelectionResult:
+def select_csse(U: Corpus, scorer, dist_mode: str = "literal") -> Ranking:
     """Embedding-distance sentence selection.
 
     In literal mode we take sentences with the largest distance first; in the
@@ -182,17 +180,17 @@ def select_csse(U: Corpus, scorer, budget: int, dist_mode: str = "literal") -> S
     reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
     order = sorted((sid for sid in U if sid in scores),
                    key=lambda sid: (-scores[sid] if reverse else scores[sid], sid))
-    return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, budget, skipped)
+    return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, skipped)
 
 
-def select_rttl(U: Corpus, scores: dict, budget: int) -> SelectionResult:
+def select_rttl(U: Corpus, scores: dict) -> Ranking:
     """Round-trip uncertainty selection from an external score file.
 
     Lowest score first (lowest round-trip likelihood or sentence BLEU = most
     uncertain), ties by ascending id. ``scores`` has a score for every U id.
     """
     order = sorted(U, key=lambda sid: (scores[sid], sid))
-    return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]), budget)
+    return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]))
 
 
 def _score_line(line):
@@ -220,28 +218,26 @@ def _unseen(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=None)
     return np.flatnonzero(absent) if candidates is None else candidates[absent[candidates]]
 
 
-def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex,
-                          budget: int, seed: int) -> SelectionResult:
+def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex, seed: int) -> Ranking:
     """Uniform phrase draws from the U index, excluding phrases seen in L."""
     rng = random.Random(seed)
     pool = _unseen(index_U, index_L).tolist()
     rng.shuffle(pool)
-    return _phrases("random-phrase", seed, index_U, pool, lambda i: 0.0, budget)
+    return _phrases("random-phrase", seed, index_U, pool, lambda i: 0.0)
 
 
-def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int,
-               candidates=None, strategy="ngf") -> SelectionResult:
+def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=None,
+               strategy="ngf") -> Ranking:
     """Most-frequent-first phrase selection over U phrases absent from L, ties
     in (length, phrase) order, which is id order."""
     ids, counts = _unseen(index_U, index_L, candidates), index_U.counts
     pool = ids[np.argsort(-counts[ids], kind="stable")]
-    return _phrases(strategy, None, index_U, pool, lambda i: float(counts[i]), budget)
+    return _phrases(strategy, None, index_U, pool, lambda i: float(counts[i]))
 
 
-def select_ngf_smp(index_U: OccurrenceIndex, index_L: OccurrenceIndex, budget: int) -> SelectionResult:
+def select_ngf_smp(index_U: OccurrenceIndex, index_L: OccurrenceIndex) -> Ranking:
     """NGF restricted to the semi-maximal phrases of the U index."""
-    return select_ngf(index_U, index_L, budget,
-                      candidates=semi_maximal_set(index_U), strategy="ngf-smp")
+    return select_ngf(index_U, index_L, candidates=semi_maximal_set(index_U), strategy="ngf-smp")
 
 
 def split_budget(total: int) -> tuple[int, int]:
@@ -251,10 +247,10 @@ def split_budget(total: int) -> tuple[int, int]:
 
 
 def select_hybrid(total_budget: int, sentence_select, phrase_select) -> SelectionResult:
-    """Run a sentence strategy at ceil(B/2) and a phrase strategy at floor(B/2).
+    """Cut a sentence ranking at ceil(B/2) and a phrase ranking at floor(B/2).
 
     sentence_select/phrase_select are callables taking the pool budget and
-    returning a SelectionResult.
+    returning a SelectionResult, such as ``cut`` of one ranking.
     """
     b_s, b_p = split_budget(total_budget)
     sent, phr = sentence_select(b_s), phrase_select(b_p)

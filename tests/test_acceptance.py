@@ -23,7 +23,7 @@ from almt.embed import EmbeddingStore, RatioScorer
 from almt.mix import retrieve_similar
 from almt.ngrams import OccurrenceIndex, extract_ngrams, semi_maximal_set
 from almt.pipeline import RunConfig, run_pipeline
-from almt.select import (select_csse, select_ngf, select_ngf_smp,
+from almt.select import (cut, select_csse, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences,
                          select_rttl)
 from ngrams_reference import decode
@@ -148,10 +148,10 @@ def test_criterion_03_ngf_oracle_equivalence():
         index_U = extract_ngrams(random_corpus(rng), 4)
         index_L = extract_ngrams(random_corpus(rng, max_sentences=15), 4)
         budget = rng.randint(5, 50)
-        got_ngf = [p.tokens for p in select_ngf(index_U, index_L, budget).phrases]
+        got_ngf = [p.tokens for p in cut([select_ngf(index_U, index_L)], budget).phrases]
         counts_U, counts_L = decode(index_U), decode(index_L)
         assert got_ngf == brute_force_greedy(counts_U, counts_L, budget)
-        got_smp = [p.tokens for p in select_ngf_smp(index_U, index_L, budget).phrases]
+        got_smp = [p.tokens for p in cut([select_ngf_smp(index_U, index_L)], budget).phrases]
         assert got_smp == brute_force_greedy(counts_U, counts_L, budget,
                                              candidates=set(decode(index_U, semi_maximal_set(index_U))))
         cases += 1
@@ -171,12 +171,12 @@ def test_criterion_04_budget_ledger_invariant():
     index_L = extract_ngrams(random_corpus(rng, 10, 8), 4)
 
     strategies = {
-        "random-sent": lambda b: select_random_sentences(U, b, seed=1),
-        "csse": lambda b: select_csse(U, RatioScorer(store_U, store_L, 2), b),
-        "rttl": lambda b: select_rttl(U, rttl, b),
-        "random-phrase": lambda b: select_random_phrases(index_U, index_L, b, seed=1),
-        "ngf": lambda b: select_ngf(index_U, index_L, b),
-        "ngf-smp": lambda b: select_ngf_smp(index_U, index_L, b),
+        "random-sent": lambda b: cut([select_random_sentences(U, seed=1)], b),
+        "csse": lambda b: cut([select_csse(U, RatioScorer(store_U, store_L, 2))], b),
+        "rttl": lambda b: cut([select_rttl(U, rttl)], b),
+        "random-phrase": lambda b: cut([select_random_phrases(index_U, index_L, seed=1)], b),
+        "ngf": lambda b: cut([select_ngf(index_U, index_L)], b),
+        "ngf-smp": lambda b: cut([select_ngf_smp(index_U, index_L)], b),
     }
     budgets = [rng.randint(1, 80) for _ in range(1000)]
     checks = 0
@@ -225,10 +225,10 @@ def test_criterion_05_ratio_score_algebra():
     mat_L = rng.normal(size=(12, 6))
     L = parallel_of(*((f"l{i}", f"T_l{i}") for i in range(12)))
     lam = float(rng.uniform(0.01, 250.0))
-    base_csse = select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U, "U"),
-                                           EmbeddingStore(range(12), mat_L, "L"), 3), 30)
-    scaled_csse = select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U * lam, "U"),
-                                             EmbeddingStore(range(12), mat_L * lam, "L"), 3), 30)
+    base_csse = cut([select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U, "U"),
+                                                EmbeddingStore(range(12), mat_L, "L"), 3))], 30)
+    scaled_csse = cut([select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U * lam, "U"),
+                                                  EmbeddingStore(range(12), mat_L * lam, "L"), 3))], 30)
     assert [s.id for s in base_csse.sentences] == [s.id for s in scaled_csse.sentences]
     base_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L, "L"),
                                                   EmbeddingStore(range(25), mat_U, "U"), 3))
@@ -363,9 +363,9 @@ def test_criterion_11_ngf_smp_beats_random_phrase_coverage(toy_dir):
                 for l in (toy_dir / "test.tsv").read_text().splitlines()]
     index_U, index_L = extract_ngrams(U, 4), extract_ngrams(L_src, 4)
     budget = 100
-    smp = [p.tokens for p in select_ngf_smp(index_U, index_L, budget).phrases]
+    smp = [p.tokens for p in cut([select_ngf_smp(index_U, index_L)], budget).phrases]
     rand = [p.tokens for p in
-            select_random_phrases(index_U, index_L, budget, seed=0).phrases]
+            cut([select_random_phrases(index_U, index_L, seed=0)], budget).phrases]
     # the published metric covers the test set with OoD data PLUS the selection
     ood = list(L_src.values())
     cov_smp = analyze.ngram_coverage(ood + smp, test_src, 1).per_n[1]

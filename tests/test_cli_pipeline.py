@@ -379,7 +379,7 @@ def test_config_with_removed_workers_key_rejected(toy_dir, tmp_path):
 def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeypatch):
     from almt import align, select
     from almt.embed import RatioScorer
-    calls = {"train_ibm1": 0, "select_hybrid": 0, "RatioScorer": 0}
+    calls = {"train_ibm1": 0, "select_csse": 0, "select_ngf_smp": 0, "RatioScorer": 0}
 
     def counting(owner, name, key=None):
         original = getattr(owner, name)
@@ -390,14 +390,15 @@ def test_pipeline_builds_budget_independent_work_once(toy_dir, tmp_path, monkeyp
         monkeypatch.setattr(owner, name, wrapper)
 
     counting(align, "train_ibm1")
-    counting(select, "select_hybrid")
+    counting(select, "select_csse")
+    counting(select, "select_ngf_smp")
     counting(RatioScorer, "__init__", "RatioScorer")
     config = toy_config(toy_dir, budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
     reports = run_pipeline(config)
     assert [r.budget for r in reports] == [40, 120, 80]
     # L′ is 100 of L's 200 ids, so CSSE has its own U × L′ scorer; mix and
     # augment share the U × L one, not one per budget
-    assert calls == {"train_ibm1": 1, "select_hybrid": 1, "RatioScorer": 2}
+    assert calls == {"train_ibm1": 1, "select_csse": 1, "select_ngf_smp": 1, "RatioScorer": 2}
     # build time (IBM-1 and the oracle's translations) is charged to the first budget's report only
     assert reports[1].stages["oracle"] < reports[0].stages["oracle"]
 
@@ -822,6 +823,42 @@ def test_pipeline_rerun_failing_while_writing_manifest_keeps_the_first_run_bytes
     assert (run_dir / "failed").read_text().startswith("stage: assemble\n")
 
 
+_FULL_RUN_FILES = {"selection.jsonl", "sentences.tsv", "sentences.provenance.jsonl", "phrases.tsv",
+                   "phrases.provenance.jsonl", "retrieved.freeze.jsonl", "synthetic.tsv",
+                   "synthetic.recipes.jsonl", "manifest.jsonl", "manifest.tsv", "report.json"}
+
+
+@pytest.mark.parametrize("rerun, kept", [
+    ({"strategy": "ngf", "simulate_only": True}, {"selection.jsonl", "report.json"}),
+    ({"augment_recipe": None}, _FULL_RUN_FILES - {"synthetic.tsv", "synthetic.recipes.jsonl"}),
+], ids=["ngf-simulate-only", "no-augmentation"])
+def test_a_rerun_into_a_used_budget_directory_leaves_only_the_files_its_report_lists(
+        rerun, kept, stock_toy, tmp_path):
+    """A budget that completes removes the artifacts an earlier run left in its
+    directory and it did not write, so a downstream reader finds no stale manifest."""
+    output_dir = str(tmp_path / "runs")
+    [first] = run_pipeline(toy_config(stock_toy, output_dir=output_dir))
+    run_dir = tmp_path / "runs" / f"budget-{first.budget}"
+    assert {p.name for p in run_dir.iterdir()} == _FULL_RUN_FILES
+    [report] = run_pipeline(toy_config(stock_toy, output_dir=output_dir, **rerun))
+    files = [p for p in run_dir.iterdir() if p.name != "report.json"]
+    assert {p.name for p in files} | {"report.json"} == kept
+    assert sorted(hashlib.sha256(p.read_bytes()).hexdigest() for p in files) == \
+        sorted(report.digests.values())
+
+
+@pytest.mark.parametrize("budget", [0, -5, True])
+@pytest.mark.parametrize("strategy", ["hybrid", "ngf", "csse"])
+def test_run_pipeline_refuses_a_budget_override_that_is_not_a_positive_int(
+        strategy, budget, toy_dir, tmp_path):
+    from almt.errors import ConfigError
+    config = toy_config(toy_dir, strategy=strategy, output_dir=str(tmp_path / "runs"))
+    with pytest.raises(ConfigError) as info:
+        run_pipeline(config, budget=budget)
+    assert f"budget must be an int >= 1, got {budget!r}" in str(info.value)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_pipeline_interrupted_while_writing_manifest_leaves_failed(toy_dir, tmp_path, monkeypatch):
     config = toy_config(toy_dir, output_dir=str(tmp_path / "runs"))
     write_bytes = Path.write_bytes
@@ -986,6 +1023,19 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
                  "--embeddings-unlabeled", config.embeddings_unlabeled,
                  "--output", str(freeze)]) == 0
     assert freeze.read_bytes() == (run_dir / "retrieved.freeze.jsonl").read_bytes()
+    retrieved = [tsv for tsv, entry in zip((run_dir / "manifest.tsv").read_text().splitlines(True),
+                                           (run_dir / "manifest.jsonl").read_text().splitlines())
+                 if json.loads(entry)["origin"] == "retrieved"]
+    assert len(retrieved) == report.counts["mixed_pairs"] > 0
+    assert Path(f"{freeze}.tsv").read_text() == "".join(retrieved)
+
+    selection = tmp_path / "cli.selection.jsonl"
+    assert main(["select", "--strategy", "ngf-smp", "--unlabeled", config.unlabeled,
+                 "--labeled", config.labeled, "--budget-words", "200", "--output", str(selection)]) == 0
+    config.strategy, config.simulate_only = "ngf-smp", True
+    config.output_dir = str(tmp_path / "ngf-smp")
+    run_pipeline(config, budget=200)
+    assert selection.read_bytes() == (tmp_path / "ngf-smp" / "budget-200" / "selection.jsonl").read_bytes()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -1089,9 +1139,9 @@ def stock_toy_nn(tmp_path_factory):
 
 
 def test_select_csse_nn_order_matches_the_scalar_reference(stock_toy_nn):
-    from almt.select import select_csse
+    from almt.select import cut, select_csse
     config, context, order, scores = stock_toy_nn
-    result = select_csse(context.U, context.csse_scorer, 10 ** 6, dist_mode="nn")
+    result = cut([select_csse(context.U, context.csse_scorer, dist_mode="nn")], 10 ** 6)
     assert result.strategy == "csse-nn" and result.exhausted
     assert [s.id for s in result.sentences] == order
     assert [s.score for s in result.sentences] == pytest.approx([scores[sid] for sid in order])
@@ -1532,12 +1582,13 @@ def test_cli_oracle_selection_with_a_repeated_line_exits_3_naming_it(strategy, n
 
 def test_a_sweep_fails_at_the_first_budget_that_selects_a_sentence_the_reference_lacks(
         toy_dir, tmp_path):
+    from almt import select
     from almt.errors import OracleGapError
     from almt.pipeline import RunContext
     config = toy_config(toy_dir, budgets=[40, 120, 200], output_dir=str(tmp_path / "runs"))
-    selection = RunContext(config, 200).selection
-    first = {s.id for s in selection.cut(40).sentences}
-    gap = next(s.id for s in selection.cut(120).sentences if s.id not in first)
+    rankings = RunContext(config).rankings
+    first = {s.id for s in select.cut(rankings, 40).sentences}
+    gap = next(s.id for s in select.cut(rankings, 120).sentences if s.id not in first)
     lines = (toy_dir / "reference.tsv").read_text().splitlines(keepends=True)
     lines[gap] = "\n"  # ids are line numbers, so every other pair keeps its id
     config.oracle_reference = str(tmp_path / "reference.tsv")
@@ -1551,6 +1602,18 @@ def test_a_sweep_fails_at_the_first_budget_that_selects_a_sentence_the_reference
     assert (runs / "budget-120" / "failed").read_text().startswith("stage: oracle\n")
     assert not (runs / "budget-120" / "report.json").exists()
     assert not (runs / "budget-200").exists()
+
+
+def test_respond_raises_on_a_phrase_outside_the_largest_cut(toy_dir):
+    """The oracle translates the phrases of the run's largest cut, once; a phrase
+    beyond that cut has no answer, and it raises rather than vanish from the manifest."""
+    from almt import select
+    from almt.pipeline import RunContext, respond
+    context = RunContext(toy_config(toy_dir, strategy="ngf-smp"), 40)
+    beyond = select.cut(context.rankings, 120)
+    assert len(beyond.phrases) > len(context.selection.phrases)
+    with pytest.raises(KeyError):
+        respond(context, beyond, lambda names, records: None)
 
 
 def _budget_output(run_dir):

@@ -7,7 +7,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from almt.corpus import ParallelCorpus
-from almt.mix import ORIGINS, ManifestEntry, encode_entry, encode_row
+from almt.mix import ORIGINS, encode_entry, encode_row
 from almt.oracle import OracleResponse, encode_response
 from almt.select import SelectedPhrase, SelectedSentence, encode_pick, rank_lines
 
@@ -56,8 +56,7 @@ def test_encode_response_is_the_tsv_and_json_dumps_lines(pairs, phrase, target, 
 @given(source=_tokens, target=_tokens, origin=st.sampled_from(ORIGINS),
        provenance=st.one_of(_ids, st.lists(_ids, max_size=3)))
 def test_encode_entry_and_row_are_the_json_dumps_and_tsv_lines(source, target, origin, provenance):
-    entry = ManifestEntry(source, target, origin, provenance)
-    assert encode_entry(entry) == (
+    assert encode_entry(source, target, origin, provenance) == (
         json.dumps({"source": list(source), "target": list(target), "origin": origin,
                     "provenance": provenance}) + "\n",
         f"{' '.join(source)}\t{' '.join(target)}\n")

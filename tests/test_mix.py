@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -86,38 +87,36 @@ def test_assemble_order_and_counts():
     l_s = [(("a", "a"), ("x", "x"), 0)]
     l_p = [_resp("p", "T_p", [3])]
     l_r = [(7, ("r",), ("T_r",))]
-    manifest = assemble(l_s, l_p, l_r)
-    assert [e.origin for e in manifest.entries] == [
+    entries, counts = assemble(l_s, l_p, l_r)
+    assert [json.loads(jsonl)["origin"] for jsonl, _ in entries] == [
         "annotated-sentence", "annotated-phrase", "retrieved"]
-    assert manifest.counts["annotated-sentence"] == 1
-    assert manifest.counts["sampled"] == 0  # absent origins still reported
+    assert counts["annotated-sentence"] == 1
+    assert counts["sampled"] == 0  # absent origins still reported
 
 
 def test_assemble_sampled_flag():
-    manifest = assemble([], [], [(0, ("r",), ("T_r",))], retrieved=False)
-    assert manifest.entries[0].origin == "sampled"
+    entries, _ = assemble([], [], [(0, ("r",), ("T_r",))], retrieved=False)
+    assert json.loads(entries[0][0])["origin"] == "sampled"
 
 
 def test_assemble_keeps_same_source_different_target():
     l_s = [(("a",), ("x",), 0), (("a",), ("y",), 1)]
-    manifest = assemble(l_s, [], [])
-    assert len(manifest.entries) == 2
+    entries, _ = assemble(l_s, [], [])
+    assert len(entries) == 2
 
 
 def test_assemble_empty_inputs_give_zero_counts():
-    manifest = assemble([], [], [], [])
-    assert manifest.entries == []
-    assert manifest.counts == dict.fromkeys(ORIGINS, 0)
+    entries, counts = assemble([], [], [], [])
+    assert entries == []
+    assert counts == dict.fromkeys(ORIGINS, 0)
 
 
 def test_manifest_files(tmp_path):
-    manifest = assemble([(("a", "b"), ("x", "y"), 0)], [], [(1, ("c",), ("z",))])
-    manifest.write_tsv(tmp_path / "mix.tsv")
-    write_columns([tmp_path / "mix.jsonl", tmp_path / "columns.tsv"],
-                  [encode_entry(e) for e in manifest.entries])
-    assert (tmp_path / "mix.tsv").read_text() == (tmp_path / "columns.tsv").read_text() == \
-        "a b\tx y\nc\tz\n"
-    import json
+    entries, _ = assemble([(("a", "b"), ("x", "y"), 0)], [], [(1, ("c",), ("z",))])
+    write_columns([tmp_path / "mix.jsonl", tmp_path / "mix.tsv"], entries)
+    assert entries == [encode_entry(("a", "b"), ("x", "y"), "annotated-sentence", 0),
+                       encode_entry(("c",), ("z",), "retrieved", 1)]
+    assert (tmp_path / "mix.tsv").read_text() == "a b\tx y\nc\tz\n"
     recs = [json.loads(l) for l in (tmp_path / "mix.jsonl").read_text().splitlines()]
     assert recs[0]["origin"] == "annotated-sentence"
     assert recs[1]["provenance"] == 1

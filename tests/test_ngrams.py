@@ -10,6 +10,7 @@ import ngrams_reference
 import select_reference
 from almt.corpus import Corpus
 from almt.ngrams import extract_ngrams, occurrences, semi_maximal_set
+from almt import select
 from almt.select import select_ngf
 from ngrams_reference import decode
 
@@ -247,5 +248,5 @@ def test_codes_do_not_wrap_where_packed_keys_would(distinct, length, max_n):
     index, expected = extract_ngrams(corpus, max_n), ngrams_reference.extract_ngrams(corpus, max_n)
     assert decode(index) == expected
     assert int(index.counts.min()) >= 1 and max(expected.values()) > 1
-    ranked = [p.tokens for p in select_ngf(index, extract_ngrams(L, max_n), 10 ** 9).phrases]
+    ranked = [p.tokens for p in select.cut([select_ngf(index, extract_ngrams(L, max_n))], 10 ** 9).phrases]
     assert ranked == select_reference.ngf_order(expected, ngrams_reference.extract_ngrams(L, max_n))

@@ -10,7 +10,7 @@ from ngrams_reference import decode
 from almt.corpus import Corpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.ngrams import extract_ngrams, semi_maximal_set
-from almt.select import (select_csse, select_hybrid, select_ngf, select_ngf_smp,
+from almt.select import (cut, select_csse, select_hybrid, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences, select_rttl,
                          split_budget, load_rttl_scores)
 
@@ -33,21 +33,21 @@ def brute_force_ngf(index_U, index_L, budget, candidates=None):
 
 def test_random_sentences_overshoot_single_item():
     U = corpus_of("a b c", "d e f", "g h i")
-    result = select_random_sentences(U, budget=1, seed=0)
+    result = cut([select_random_sentences(U, seed=0)], 1)
     assert len(result.sentences) == 1
     assert result.budget.spent_sentences == 3
 
 
 def test_random_sentences_seed_determinism():
     U = corpus_of(*(f"w{i} x y" for i in range(20)))
-    a = select_random_sentences(U, 15, seed=42)
-    b = select_random_sentences(U, 15, seed=42)
+    a = cut([select_random_sentences(U, seed=42)], 15)
+    b = cut([select_random_sentences(U, seed=42)], 15)
     assert [s.id for s in a.sentences] == [s.id for s in b.sentences]
 
 
 def test_random_sentences_exhaustion():
     U = corpus_of("a b", "c d")
-    result = select_random_sentences(U, budget=100, seed=1)
+    result = cut([select_random_sentences(U, seed=1)], 100)
     assert len(result.sentences) == 2
     assert result.exhausted
 
@@ -65,7 +65,7 @@ def test_csse_takes_largest_score_first():
     store_U, store_L = _planted_stores()
     phis = {sid: dist_to_labeled(sid, store_U, store_L, k=1) for sid in (0, 1)}
     expected_first = max(phis, key=lambda sid: (phis[sid], -sid))
-    result = select_csse(U, RatioScorer(store_U, store_L, 1), budget=1)
+    result = cut([select_csse(U, RatioScorer(store_U, store_L, 1))], 1)
     assert [s.id for s in result.sentences] == [expected_first]
     assert result.sentences[0].score == pytest.approx(phis[expected_first])
 
@@ -75,7 +75,7 @@ def test_csse_tie_breaks_ascending_id():
     vecs = np.array([[1.0, 0.0]] * 3)
     store_U = EmbeddingStore([0, 1, 2], vecs, "U")
     store_L = EmbeddingStore([0, 1], np.array([[0.5, 0.5], [0.4, 0.6]]), "L")
-    result = select_csse(U, RatioScorer(store_U, store_L, 1), budget=10)
+    result = cut([select_csse(U, RatioScorer(store_U, store_L, 1))], 10)
     assert [s.id for s in result.sentences] == [0, 1, 2]
 
 
@@ -83,10 +83,10 @@ def test_csse_scale_invariant_order():
     rng = np.random.default_rng(8)
     U = corpus_of(*(f"t{i}" for i in range(12)))
     mu, ml = rng.normal(size=(12, 4)), rng.normal(size=(6, 4))
-    r1 = select_csse(U, RatioScorer(EmbeddingStore(range(12), mu, "U"),
-                                    EmbeddingStore(range(6), ml, "L"), 2), budget=6)
-    r2 = select_csse(U, RatioScorer(EmbeddingStore(range(12), mu * 17.5, "U"),
-                                    EmbeddingStore(range(6), ml * 0.03, "L"), 2), budget=6)
+    r1 = cut([select_csse(U, RatioScorer(EmbeddingStore(range(12), mu, "U"),
+                                         EmbeddingStore(range(6), ml, "L"), 2))], 6)
+    r2 = cut([select_csse(U, RatioScorer(EmbeddingStore(range(12), mu * 17.5, "U"),
+                                         EmbeddingStore(range(6), ml * 0.03, "L"), 2))], 6)
     assert [s.id for s in r1.sentences] == [s.id for s in r2.sentences]
 
 
@@ -96,20 +96,20 @@ def test_csse_names_skips_by_cause():
     U = corpus_of("a", "b", "c")
     store_U = EmbeddingStore([0, 1, 2], np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), "U")
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.9, 0.1]]), "L")
-    result = select_csse(U, RatioScorer(store_U, store_L, 2), budget=10)
+    result = cut([select_csse(U, RatioScorer(store_U, store_L, 2))], 10)
     assert [s.id for s in result.sentences] == [0]
     assert result.skipped == {"zero-norm": 1, "non-positive-margin": 1}
 
 
 def test_rttl_lowest_likelihood_first():
     U = corpus_of("a", "b")
-    result = select_rttl(U, {0: -1.0, 1: -5.0}, budget=1)
+    result = cut([select_rttl(U, {0: -1.0, 1: -5.0})], 1)
     assert [s.id for s in result.sentences] == [1]
 
 
 def test_rttl_uniform_scores_ascending_id():
     U = corpus_of("a", "b", "c")
-    result = select_rttl(U, {0: -2.0, 1: -2.0, 2: -2.0}, budget=10)
+    result = cut([select_rttl(U, {0: -2.0, 1: -2.0, 2: -2.0})], 10)
     assert [s.id for s in result.sentences] == [0, 1, 2]
 
 
@@ -118,15 +118,15 @@ def test_rttl_score_file_roundtrip(tmp_path):
     path.write_text("0\t-1.5\n1\t-0.25\n")
     scores = load_rttl_scores(path)
     U = corpus_of("a", "b")
-    r1 = select_rttl(U, scores, 5)
-    r2 = select_rttl(U, load_rttl_scores(path), 5)
+    r1 = cut([select_rttl(U, scores)], 5)
+    r2 = cut([select_rttl(U, load_rttl_scores(path))], 5)
     assert [s.id for s in r1.sentences] == [s.id for s in r2.sentences] == [0, 1]
 
 
 def test_random_phrases_excludes_labeled():
     index_U = extract_ngrams(corpus_of("a b", "c"), 2)
     index_L = extract_ngrams(corpus_of("a b c"), 2)
-    result = select_random_phrases(index_U, index_L, budget=10, seed=0)
+    result = cut([select_random_phrases(index_U, index_L, seed=0)], 10)
     assert result.phrases == []
     assert result.skipped.get("empty_candidate_pool") == 1
 
@@ -134,21 +134,21 @@ def test_random_phrases_excludes_labeled():
 def test_random_phrases_single_candidate():
     index_U = extract_ngrams(corpus_of("x a"), 1)
     index_L = extract_ngrams(corpus_of("a"), 1)
-    result = select_random_phrases(index_U, index_L, budget=1, seed=3)
+    result = cut([select_random_phrases(index_U, index_L, seed=3)], 1)
     assert [p.tokens for p in result.phrases] == [("x",)]
 
 
 def test_ngf_frequency_order():
     index_U = extract_ngrams(corpus_of("x x x x x", "y y y"), 1)
     index_L = extract_ngrams(corpus_of("z"), 1)
-    result = select_ngf(index_U, index_L, budget=2)
+    result = cut([select_ngf(index_U, index_L)], 2)
     assert [p.tokens for p in result.phrases] == [("x",), ("y",)]
 
 
 def test_ngf_excludes_labeled_regardless_of_count():
     index_U = extract_ngrams(corpus_of("x x x x x", "y"), 1)
     index_L = extract_ngrams(corpus_of("x"), 1)
-    result = select_ngf(index_U, index_L, budget=5)
+    result = cut([select_ngf(index_U, index_L)], 5)
     assert [p.tokens for p in result.phrases] == [("y",)]
 
 
@@ -157,14 +157,14 @@ def test_ngf_matches_brute_force_toy():
     L = corpus_of("d e", "e f")
     index_U, index_L = extract_ngrams(U, 3), extract_ngrams(L, 3)
     for budget in (3, 7, 15):
-        got = [p.tokens for p in select_ngf(index_U, index_L, budget).phrases]
+        got = [p.tokens for p in cut([select_ngf(index_U, index_L)], budget).phrases]
         assert got == brute_force_ngf(decode(index_U), decode(index_L), budget)
 
 
 def test_ngf_smp_pool_is_semi_maximal():
     index_U = extract_ngrams(corpus_of("a a a"), 2)
     index_L = extract_ngrams(corpus_of("z"), 2)
-    result = select_ngf_smp(index_U, index_L, budget=10)
+    result = cut([select_ngf_smp(index_U, index_L)], 10)
     picks = [p.tokens for p in result.phrases]
     assert ("a", "a") in picks and ("a",) not in picks
     smp = decode(index_U, semi_maximal_set(index_U))
@@ -181,7 +181,7 @@ def test_ngf_smp_matches_brute_force_random():
                    for i in range(rng.randint(1, 10)))
         index_U, index_L = extract_ngrams(U, 4), extract_ngrams(L, 4)
         budget = rng.randint(5, 50)
-        got = [p.tokens for p in select_ngf_smp(index_U, index_L, budget).phrases]
+        got = [p.tokens for p in cut([select_ngf_smp(index_U, index_L)], budget).phrases]
         assert got == brute_force_ngf(decode(index_U), decode(index_L), budget,
                                       candidates=set(decode(index_U, semi_maximal_set(index_U))))
 
@@ -195,10 +195,10 @@ def test_hybrid_composition():
     U = corpus_of(*(f"s{i} t u" for i in range(10)))
     index_U = extract_ngrams(corpus_of("p p p", "q q"), 2)
     index_L = extract_ngrams(corpus_of("z"), 2)
-    standalone = select_random_sentences(U, 5, seed=2)
+    standalone = cut([select_random_sentences(U, seed=2)], 5)
     hybrid = select_hybrid(10,
-                           lambda b: select_random_sentences(U, b, seed=2),
-                           lambda b: select_ngf(index_U, index_L, b))
+                           lambda b: cut([select_random_sentences(U, seed=2)], b),
+                           lambda b: cut([select_ngf(index_U, index_L)], b))
     assert [s.id for s in hybrid.sentences] == [s.id for s in standalone.sentences]
     assert hybrid.budget.sentence_share == 5 and hybrid.budget.phrase_share == 5
     assert hybrid.phrases  # phrase pool populated too
@@ -207,22 +207,22 @@ def test_hybrid_composition():
 def test_monotone_budget_prefix_property():
     index_U = extract_ngrams(corpus_of("a b a b a", "c c", "d"), 2)
     index_L = extract_ngrams(corpus_of("z"), 2)
-    small = [p.tokens for p in select_ngf(index_U, index_L, 4).phrases]
-    large = [p.tokens for p in select_ngf(index_U, index_L, 12).phrases]
+    small = [p.tokens for p in cut([select_ngf(index_U, index_L)], 4).phrases]
+    large = [p.tokens for p in cut([select_ngf(index_U, index_L)], 12).phrases]
     assert large[:len(small)] == small
 
 
 def test_ngf_scores_non_increasing():
     index_U = extract_ngrams(corpus_of("a a a b b c d d d d"), 2)
     index_L = extract_ngrams(corpus_of("z"), 2)
-    result = select_ngf(index_U, index_L, 20)
+    result = cut([select_ngf(index_U, index_L)], 20)
     scores = [p.score for p in result.phrases]
     assert scores == sorted(scores, reverse=True)
 
 
 def test_selection_jsonl_output(tmp_path):
     U = corpus_of("a b", "c d")
-    result = select_random_sentences(U, 3, seed=0)
+    result = cut([select_random_sentences(U, seed=0)], 3)
     out = tmp_path / "sel.jsonl"
     result.write_jsonl(out)
     import json
@@ -242,11 +242,9 @@ def _strategy_runs():
         [(s, p) for s in kinds["sentence"] for p in kinds["phrase"]]
 
 
-def _select(context, names, budget):
-    import functools
+def _rankings(context, names):
     from almt.pipeline import STRATEGIES
-    ranks = [functools.partial(STRATEGIES[n].rank, context) for n in names]
-    return select_hybrid(budget, *ranks) if len(ranks) == 2 else ranks[0](budget)
+    return [STRATEGIES[n].rank(context) for n in names]
 
 
 @pytest.fixture(scope="module")
@@ -259,40 +257,47 @@ def toy_run_config(tmp_path_factory):
 
 @pytest.mark.parametrize("every_phrase_in_L", [False, True])
 def test_cut_equals_direct_selection(toy_run_config, every_phrase_in_L):
+    """Cutting rankings that other budgets, larger and smaller, already cut gives
+    what cutting fresh rankings gives, and builds each pick once."""
+    from collections import Counter
     from almt.pipeline import RunContext
-    context = RunContext(toy_run_config, 1)
+    context = RunContext(toy_run_config)
     if every_phrase_in_L:
         context.index_L = context.index_U  # every candidate phrase is then known
     total = sum(map(len, context.U.values()))
     rng = random.Random(3)
     budgets = [1, 2, 3, total - 1, total, total + 5] + rng.sample(range(4, total - 1), 8)
-    top = max(budgets)
+    rng.shuffle(budgets)
     mismatches = []
     for names in _strategy_runs():
-        ranked = _select(context, names, top)
-        if every_phrase_in_L and ranked.budget.phrase_share:
-            assert ranked.skipped["empty_candidate_pool"] == 1 and not ranked.phrases
+        rankings, builds = _rankings(context, names), Counter()
+        for k, ranking in enumerate(rankings):
+            def counted(i, _k=k, _build=ranking.build):
+                builds[_k, i] += 1
+                return _build(i)
+            ranking.build = counted
         for b in budgets:
-            cut, direct = ranked.cut(b), _select(context, names, b)
+            again, direct = cut(rankings, b), cut(_rankings(context, names), b)
             for part in ("strategy", "seed", "sentences", "phrases", "budget", "exhausted",
                          "skipped"):
-                if getattr(cut, part) != getattr(direct, part):
+                if getattr(again, part) != getattr(direct, part):
                     mismatches.append((names, b, part))
-        with pytest.raises(ValueError):
-            ranked.cut(top + 1)
-        if _select(context, names, 1).cut(1) != _select(context, names, 1):
-            mismatches.append((names, 1, "ranked at 1"))
+        assert set(builds.values()) <= {1}, names
+        assert sum(map(len, (r.picks for r in rankings))) == len(builds), names
+        phrase = [r for r in rankings if r.kind == "phrase"]
+        if every_phrase_in_L and phrase:
+            assert phrase[0].skipped == {"empty_candidate_pool": 1} and not phrase[0].picks
     assert mismatches == []
 
 
 def test_empty_phrase_pool_is_exhausted_at_any_budget():
     index = extract_ngrams(corpus_of("a b", "c"), 2)
     for budget in (0, 1, 5):
-        result = select_ngf(index, index, budget)
+        result = cut([select_ngf(index, index)], budget)
         assert result.exhausted and result.skipped == {"empty_candidate_pool": 1}
     U = corpus_of("s t u", "v w")
-    hybrid = select_hybrid(1, lambda b: select_random_sentences(U, b, seed=0),
-                           lambda b: select_ngf(index, index, b))
+    hybrid = select_hybrid(1, lambda b: cut([select_random_sentences(U, seed=0)], b),
+                           lambda b: cut([select_ngf(index, index)], b))
     assert hybrid.budget.phrase_share == 0 and hybrid.exhausted
 
 
@@ -309,12 +314,12 @@ def test_coded_rankings_match_the_tuple_references(U, L, max_n, seed):
     smp = ngrams_reference.semi_maximal_set(ref_U)
     index_U, index_L = extract_ngrams(U, max_n), extract_ngrams(L, max_n)
 
-    def ranked(result):
-        return [p.tokens for p in result.phrases]
-    assert ranked(select_ngf(index_U, index_L, 10 ** 9)) == select_reference.ngf_order(ref_U, ref_L)
-    assert ranked(select_ngf_smp(index_U, index_L, 10 ** 9)) == \
+    def ranked(ranking):
+        return [p.tokens for p in cut([ranking], 10 ** 9).phrases]
+    assert ranked(select_ngf(index_U, index_L)) == select_reference.ngf_order(ref_U, ref_L)
+    assert ranked(select_ngf_smp(index_U, index_L)) == \
         select_reference.ngf_order(ref_U, ref_L, candidates=smp)
-    assert ranked(select_random_phrases(index_U, index_L, 10 ** 9, seed)) == \
+    assert ranked(select_random_phrases(index_U, index_L, seed)) == \
         select_reference.random_phrase_order(ref_U, ref_L, seed)
-    assert [p.score for p in select_ngf(index_U, index_L, 10 ** 9).phrases] == \
+    assert [p.score for p in cut([select_ngf(index_U, index_L)], 10 ** 9).phrases] == \
         [float(ref_U[p]) for p in select_reference.ngf_order(ref_U, ref_L)]
