@@ -80,9 +80,9 @@ def _cmd_mix(args):
     rows, skipped = mix_pairs(context, args.size)
     if len(rows) < args.size:
         raise ConfigError(f"--size {args.size} exceeds the usable pool of {len(rows)} pairs "
-                          f"({len(skipped)} skipped as degenerate)")
+                          f"({skipped} skipped as degenerate)")
     if skipped:
-        print(f"skipped {len(skipped)} degenerate pairs", file=sys.stderr)
+        print(f"skipped {skipped} degenerate pairs", file=sys.stderr)
     mix.write_freeze(rows, args.output)
     write_text(args.output + ".tsv", "".join(tsv for _, tsv in mix.assemble([], [], rows)[0]))
     print(f"{len(rows)} pairs -> {args.output}")

@@ -78,11 +78,6 @@ class EmbeddingStore:
         sub.unit, sub.usable = self.unit[rows], self.usable[rows]
         return sub
 
-    @property
-    def degenerate_ids(self):
-        """The ids of the zero rows."""
-        return {self.ids[i] for i in np.flatnonzero(~self.usable)}
-
     @classmethod
     def load(cls, path, tag=""):
         """Parse the "dim=D" header then "id TAB v1 v2 ... vD" lines. A malformed
@@ -259,18 +254,15 @@ class RatioScorer:
                 best[rows] = np.where(finite.any(axis=1), by_id[pick], -1)
         return mins, maxs, best
 
-    def _reduce_rows(self, values):
-        """id in A -> values[row] for rows with a ratio, plus the skipped ids."""
-        out = {sid: v for sid, v in zip(self.a.ids, values.tolist()) if not math.isnan(v)}
-        return out, [sid for sid in self.a.ids if sid not in out]
-
     def min_over_b(self):
-        """id in A -> min ratio over B (literal distance-to-labeled)."""
-        return self._reduce_rows(self._rows[0])
+        """Each A row's min ratio over B (literal distance-to-labeled), NaN for a
+        row with no ratio; the array is shared, not to be written."""
+        return self._rows[0]
 
     def max_over_b(self):
-        """id in A -> max ratio over any B member (nearest similarity)."""
-        return self._reduce_rows(self._rows[1])
+        """Each A row's max ratio over any B member (nearest similarity), NaN for
+        a row with no ratio; the array is shared, not to be written."""
+        return self._rows[1]
 
     def skip_counts(self):
         """Skipped A rows by cause: "zero-norm" when the row's vector, or every

@@ -8,8 +8,9 @@ the smoothing scheme favors simplicity.
 The model works on integer codes, one per token string of the training corpus
 plus BOS, EOS and UNK. An n-gram packs into one int64 whose base-V digits
 (V codes) are its tokens' codes, oldest first, so its last m digits are its
-m-gram suffix. Training counts each order's n-grams and histories with
-``np.unique``; scoring looks them up with ``np.searchsorted``.
+m-gram suffix. A model is fitted once, when it is built: it counts each
+order's n-grams and histories with ``np.unique``, and scoring looks them up
+with ``np.searchsorted``.
 """
 
 import math
@@ -34,21 +35,24 @@ def _table(keys):
 
 
 def _count(table, keys):
-    """The count ``table`` holds for each of ``keys``, 0 for a key it lacks."""
+    """The count ``table`` holds for each of ``keys``, 0 for a key it lacks. The
+    keys are looked up in ascending order, so the binary searches read ``table``
+    in one sweep, and their counts are put back in the keys' order."""
     known, counts = table
-    at = np.searchsorted(known, keys)
-    return np.where(known[at] == keys, counts[at], 0)
+    order = np.argsort(keys, kind="stable")
+    ascending = keys[order]
+    at = np.searchsorted(known, ascending)
+    found = np.empty(len(keys), counts.dtype)
+    found[order] = np.where(known[at] == ascending, counts[at], 0)
+    return found
 
 
 class NGramLM:
-    def __init__(self, order: int = 3):
+    def __init__(self, corpus: Corpus, order: int = 3):
+        """The model fitted to ``corpus``."""
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         self.order = order
-        self.train(Corpus())
-
-    def train(self, corpus: Corpus):
-        """Fit the model to ``corpus``, replacing any earlier fit."""
         sentences = list(corpus.values())
         types = dict.fromkeys(chain.from_iterable(sentences))  # in first-occurrence order
         self.vocab = frozenset(types)
@@ -66,7 +70,6 @@ class NGramLM:
         # per order m: the table of its m-grams and the table of their histories
         self.tables = [(_table(grams % v ** m), _table(grams // v % v ** (m - 1)))
                        for m in range(1, self.order + 1)]
-        return self
 
     def _grams(self, sentences):
         """The packed order-gram ending at each term of ``sentences``, each padded
@@ -87,31 +90,18 @@ class NGramLM:
             grams = grams * v + stream[at - back]
         return grams * v + np.where(words == MARKERS[BOS], self._word_bos, words), sizes
 
-    def _probs(self, grams, depth):
-        """P(w | h) of each packed n-gram of ``depth`` tokens (history and word):
-        the mean over orders 1..order of (count + ADD_K) / (total + ADD_K * |events|),
-        added in order from 0.0; an order above ``depth`` sees no counts."""
+    def _probs(self, grams):
+        """P(w | h) of each packed order-gram (history and word): the mean over
+        orders 1..order of (count + ADD_K) / (total + ADD_K * |events|), added in
+        order from 0.0."""
         # events: every code a word can take, BOS's only when the corpus holds "<s>"
         v = len(self.codes)
         events = ADD_K * (v - (self._word_bos != MARKERS[BOS]))
         total = np.zeros(len(grams))
         for m, (ngrams, histories) in enumerate(self.tables, 1):
-            if m > depth:
-                total += (0 + ADD_K) / (0 + events)
-                continue
             total += (_count(ngrams, grams % v ** m) + ADD_K) / \
                 (_count(histories, grams // v % v ** (m - 1)) + events)
         return total / self.order
-
-    def prob(self, word: str, history) -> float:
-        """P(word | history) interpolating orders 1..order with equal weight."""
-        history = tuple(history)[-(self.order - 1):] if self.order > 1 else ()
-        gram = 0
-        for token in history:
-            gram = gram * len(self.codes) + self.codes.get(token, MARKERS[UNK])
-        code = self.codes.get(word, MARKERS[UNK])
-        code = self._word_bos if code == MARKERS[BOS] else code
-        return float(self._probs(np.array([gram * len(self.codes) + code]), len(history) + 1)[0])
 
     def logprob(self, sentences):
         """Log-probability of each of ``sentences`` with boundary markers, as a
@@ -119,7 +109,7 @@ class NGramLM:
         once, with math.log; a sentence's terms add left to right."""
         grams, sizes = self._grams(sentences)
         distinct, inverse = np.unique(grams, return_inverse=True)
-        terms = np.array([math.log(p) for p in self._probs(distinct, self.order).tolist()])
+        terms = np.array([math.log(p) for p in self._probs(distinct).tolist()])
         # one column per sentence, its terms from the top and 0.0 below them
         columns = np.zeros((sizes.max(initial=1), len(sizes)))
         columns.T[np.arange(columns.shape[0]) < sizes[:, None]] = terms[inverse]
@@ -129,4 +119,4 @@ class NGramLM:
 def train_lm(U: Corpus, order: int = 3) -> NGramLM:
     if len(U) == 0:
         raise ValueError("training corpus is empty")
-    return NGramLM(order).train(U)
+    return NGramLM(U, order)

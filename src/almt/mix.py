@@ -1,12 +1,16 @@
 """Assemble the mixed fine-tuning manifest: annotated sentences, annotated
 phrases, sampled or retrieved out-of-domain pairs, and optional synthetic
-pairs."""
+pairs. The out-of-domain pairs are ordered once per run by selection's two
+rules, ``select.shuffled`` (sample) or ``select.rank`` (retrieve), and each
+budget takes a prefix."""
 
 import json
-import random
+
+import numpy as np
 
 from .corpus import ParallelCorpus, read_records, record_id, write_text
 from .errors import ConfigError
+from .select import rank, shuffled
 
 
 # Every entry origin, each counted by assemble even when absent.
@@ -25,23 +29,20 @@ def encode_entry(source, target, origin, provenance) -> tuple[str, str]:
 def sample_random(parallel: ParallelCorpus, seed: int):
     """Every pair in a seeded uniform order, so each prefix is a draw without
     replacement; returns (pair id, src, tgt) tuples."""
-    ids = list(parallel)
-    random.Random(seed).shuffle(ids)
-    return [(sid, *parallel[sid]) for sid in ids]
+    return [(sid, *parallel[sid]) for sid in shuffled(parallel, seed)]
 
 
 def retrieve_similar(parallel: ParallelCorpus, scorer):
     """Every usable out-of-domain pair, ranked by corpus-level ratio similarity to U.
 
-    ``scorer`` is an L × U RatioScorer. Ranking is by max ratio against any U
-    sentence, descending, ties by ascending id. Pairs with degenerate
-    embeddings are skipped and reported.
+    ``scorer`` is an L × U RatioScorer over the pairs' ids. Ranking is by max
+    ratio against any U sentence, descending, ties by ascending id. Returns
+    ((pair id, src, tgt) rows, the count of pairs skipped as degenerate: those
+    with no ratio).
     """
-    scores, skipped = scorer.max_over_b()
-    usable = [sid for sid in parallel if sid in scores]
-    ranked = sorted(usable, key=lambda sid: (-scores[sid], sid))
-    rows = [(sid, *parallel[sid]) for sid in ranked]
-    return rows, skipped
+    scores = scorer.max_over_b()
+    rows = [(sid, *parallel[sid]) for sid in rank(scorer.a.ids, scores, descending=True)]
+    return rows, int(np.count_nonzero(np.isnan(scores)))
 
 
 def encode_row(row) -> str:

@@ -412,10 +412,10 @@ class RunContext:
 
     @cached_property
     def pool(self):
-        """(every L row in the order the mix stage takes them, the ids that retrieval
-        skipped as degenerate): ranked once, and each budget takes a prefix."""
+        """(every L row in the order the mix stage takes them, the count of pairs
+        that retrieval skipped as degenerate): ranked once, and each budget takes a prefix."""
         if self.config.mix_policy == "sample":
-            return mix.sample_random(self.L, self.config.seed), []
+            return mix.sample_random(self.L, self.config.seed), 0
         return mix.retrieve_similar(self.L, self.scorer.T)
 
     rankings = cached_property(lambda self: [strategy.rank(self) for strategy in self.strategies])
@@ -482,7 +482,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
     with _stage(report, "mix"):
         l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
-            report.dropped["mix:degenerate"] = len(skipped)
+            report.dropped["mix:degenerate"] = skipped
         save("freeze", "".join(context.lines("mix rows", l_r, mix.encode_row)))
         report.counts["mixed_pairs"] = len(l_r)
 
@@ -533,9 +533,9 @@ def respond(context: RunContext, cut, save_columns):
 def mix_pairs(context: RunContext, m: int):
     """The mix stage: the freeze file's out-of-domain pairs if the config names
     one, else the first m of ``context.pool``, fewer if fewer are usable. Returns
-    (rows, ids that retrieval skipped as degenerate)."""
+    (rows, the count of pairs that retrieval skipped as degenerate)."""
     if context.config.freeze_file is not None:
-        return context.frozen, []
+        return context.frozen, 0
     rows, skipped = context.pool
     return rows[:m], skipped
 

@@ -3,11 +3,12 @@
 Every strategy ranks its candidates once, with no budget (a ``Ranking``), and
 ``cut`` is the one greedy loop that spends a budget on rankings: keep taking
 the next pick while spend is strictly below the pool budget, so the final item
-may overshoot. Tie-breaks are fixed (ascending sentence id; shorter phrase then
-lexicographic) for reproducibility.
+may overshoot. Every pool order, the mix stage's too, comes from one of two
+rules: ``rank`` orders ids by a score array, ties by ascending id (for phrase
+ids: shorter phrase, then lexicographic), and leaves out an id whose score is
+NaN; ``shuffled`` is the seeded uniform order.
 """
 
-import functools
 import json
 import math
 import random
@@ -110,6 +111,22 @@ class Ranking:
     picks: list = field(default_factory=list)
 
 
+def rank(ids, scores, descending=False) -> list:
+    """``ids`` ordered by ``scores``, one float per id, ascending or descending,
+    ties by ascending id; an id whose score is NaN is left out."""
+    ids, scores = np.asarray(ids), np.asarray(scores, dtype=np.float64)
+    kept = ~np.isnan(scores)
+    ids, scores = ids[kept], scores[kept]
+    return ids[np.lexsort((ids, -scores if descending else scores))].tolist()
+
+
+def shuffled(ids, seed) -> list:
+    """``ids`` in the seeded uniform order, so each prefix is a draw without replacement."""
+    order = list(ids)
+    random.Random(seed).shuffle(order)
+    return order
+
+
 def cut(rankings, budget) -> SelectionResult:
     """What ``rankings``, one strategy's ranking or a hybrid's sentence and phrase
     rankings, select at ``budget``: picks in rank order while spend is strictly
@@ -117,7 +134,7 @@ def cut(rankings, budget) -> SelectionResult:
     through ``select_hybrid``. A cut is exhausted when it took every pick with
     spend still below its budget, or when its ranking is empty."""
     if len(rankings) == 2:
-        return select_hybrid(budget, *(functools.partial(cut, [r]) for r in rankings))
+        return select_hybrid(budget, *rankings)
     (ranking,) = rankings
     picks, n, spent = ranking.picks, 0, 0
     while n < len(ranking.ids) and spent < budget:
@@ -152,35 +169,31 @@ def _phrases(strategy, seed, index, pool, score) -> Ranking:
 def select_random_sentences(U: Corpus, seed: int) -> Ranking:
     """Every U sentence in a seeded uniform order, so each cut is a draw without
     replacement."""
-    rng = random.Random(seed)
-    order = list(U)
-    rng.shuffle(order)
-    return _sentences("random-sent", seed, U, order, lambda sid: 0.0)
+    return _sentences("random-sent", seed, U, shuffled(U, seed), lambda sid: 0.0)
 
 
 def csse_scores(scorer, dist_mode="literal"):
-    """Distance-from-labeled score for every U sentence, from a U × L′ RatioScorer.
+    """Distance-from-labeled score of each A row of a U × L′ RatioScorer.
 
-    Returns (scores, skipped rows by cause). "literal" is the min ratio over
-    the labeled subset; "nn" is the max ratio (similarity to the nearest
-    labeled point).
+    Returns (scores, skipped rows by cause), scores NaN for a skipped row.
+    "literal" is the min ratio over the labeled subset; "nn" is the max ratio
+    (similarity to the nearest labeled point).
     """
-    scores, _ = scorer.min_over_b() if dist_mode == "literal" else scorer.max_over_b()
+    scores = scorer.min_over_b() if dist_mode == "literal" else scorer.max_over_b()
     return scores, scorer.skip_counts()
 
 
 def select_csse(U: Corpus, scorer, dist_mode: str = "literal") -> Ranking:
-    """Embedding-distance sentence selection.
+    """Embedding-distance sentence selection over ``scorer``'s A ids, U's ids.
 
     In literal mode we take sentences with the largest distance first; in the
     nn variant we take the smallest nearest-neighbor similarity first. Ties
     break by ascending id. Scores are not refreshed between picks.
     """
     scores, skipped = csse_scores(scorer, dist_mode)
-    reverse = dist_mode == "literal"  # literal: largest distance first; nn: least similar first
-    order = sorted((sid for sid in U if sid in scores),
-                   key=lambda sid: (-scores[sid] if reverse else scores[sid], sid))
-    return _sentences(f"csse-{dist_mode}", None, U, order, scores.__getitem__, skipped)
+    order = rank(scorer.a.ids, scores, descending=dist_mode == "literal")
+    return _sentences(f"csse-{dist_mode}", None, U, order,
+                      lambda sid: float(scores[scorer.a.row[sid]]), skipped)
 
 
 def select_rttl(U: Corpus, scores: dict) -> Ranking:
@@ -189,7 +202,7 @@ def select_rttl(U: Corpus, scores: dict) -> Ranking:
     Lowest score first (lowest round-trip likelihood or sentence BLEU = most
     uncertain), ties by ascending id. ``scores`` has a score for every U id.
     """
-    order = sorted(U, key=lambda sid: (scores[sid], sid))
+    order = rank(list(U), [scores[sid] for sid in U])
     return _sentences("rttl", None, U, order, lambda sid: float(scores[sid]))
 
 
@@ -220,10 +233,8 @@ def _unseen(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=None)
 
 def select_random_phrases(index_U: OccurrenceIndex, index_L: OccurrenceIndex, seed: int) -> Ranking:
     """Uniform phrase draws from the U index, excluding phrases seen in L."""
-    rng = random.Random(seed)
-    pool = _unseen(index_U, index_L).tolist()
-    rng.shuffle(pool)
-    return _phrases("random-phrase", seed, index_U, pool, lambda i: 0.0)
+    return _phrases("random-phrase", seed, index_U, shuffled(_unseen(index_U, index_L).tolist(), seed),
+                    lambda i: 0.0)
 
 
 def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=None,
@@ -231,7 +242,7 @@ def select_ngf(index_U: OccurrenceIndex, index_L: OccurrenceIndex, candidates=No
     """Most-frequent-first phrase selection over U phrases absent from L, ties
     in (length, phrase) order, which is id order."""
     ids, counts = _unseen(index_U, index_L, candidates), index_U.counts
-    pool = ids[np.argsort(-counts[ids], kind="stable")]
+    pool = rank(ids, counts[ids], descending=True)
     return _phrases(strategy, None, index_U, pool, lambda i: float(counts[i]))
 
 
@@ -246,14 +257,10 @@ def split_budget(total: int) -> tuple[int, int]:
     return sentence, total - sentence
 
 
-def select_hybrid(total_budget: int, sentence_select, phrase_select) -> SelectionResult:
-    """Cut a sentence ranking at ceil(B/2) and a phrase ranking at floor(B/2).
-
-    sentence_select/phrase_select are callables taking the pool budget and
-    returning a SelectionResult, such as ``cut`` of one ranking.
-    """
+def select_hybrid(total_budget: int, sentences: Ranking, phrases: Ranking) -> SelectionResult:
+    """Cut the ``sentences`` ranking at ceil(B/2) and the ``phrases`` ranking at floor(B/2)."""
     b_s, b_p = split_budget(total_budget)
-    sent, phr = sentence_select(b_s), phrase_select(b_p)
+    sent, phr = cut([sentences], b_s), cut([phrases], b_p)
     return SelectionResult(f"hybrid({sent.strategy},{phr.strategy})",
                            sent.seed if sent.seed is not None else phr.seed,
                            BudgetLedger(total_budget, b_s, b_p,

@@ -3,8 +3,9 @@
 The model as it was before it coded its corpus: counts in nested dicts keyed
 by token tuples, ``prob`` interpolating their add-k estimates, and a
 ``logprob`` of one sentence that sums memoised log P(w | h) terms left to
-right. Slow, and used only by tests, which require float.hex-equal
-probabilities and log-probabilities from both.
+right. Slow, and used only by tests: they require float.hex-equal
+log-probabilities from both, and check on ``prob`` that each conditional
+distribution sums to 1.
 """
 
 import math
@@ -14,16 +15,14 @@ from almt.lm import ADD_K, BOS, EOS, UNK
 
 
 class NGramLM:
-    def __init__(self, order: int = 3):
+    def __init__(self, corpus, order: int = 3):
+        """The model fitted to ``corpus``."""
         self.order = order
         self.vocab = set()
         # counts[m][history][word] with |history| = m-1
         self.counts = [None] + [defaultdict(lambda: defaultdict(int)) for _ in range(order)]
         self.totals = [None] + [defaultdict(int) for _ in range(order)]
         self.log_terms = {}  # raw n-gram (history + word) -> log P(word | history)
-
-    def train(self, corpus):
-        self.log_terms.clear()
         for sent in corpus.values():
             self.vocab.update(sent)
         for sent in corpus.values():
@@ -34,7 +33,6 @@ class NGramLM:
                     h = tokens[pos - m + 1:pos]
                     self.counts[m][h][w] += 1
                     self.totals[m][h] += 1
-        return self
 
     def _map(self, token: str) -> str:
         return token if token in self.vocab or token == EOS else UNK

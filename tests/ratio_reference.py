@@ -34,16 +34,14 @@ def _topk_mean(cosines: np.ndarray, k: int) -> float:
 
 
 def _unit(store: EmbeddingStore, sid):
-    if sid in store.degenerate_ids:
+    if not store.usable[store.row[sid]]:
         raise ValueError(f"zero-norm vector for id {sid} in store {store.tag!r}")
     return store.unit[store.row[sid]]
 
 
 def _pool_cosines(query_unit, pool: EmbeddingStore, exclude_id=None):
     cos = pool.unit @ query_unit
-    keep = np.ones(len(pool), dtype=bool)
-    for sid in pool.degenerate_ids:
-        keep[pool.row[sid]] = False
+    keep = pool.usable.copy()
     if exclude_id is not None and exclude_id in pool:
         keep[pool.row[exclude_id]] = False
     return cos, keep
@@ -90,11 +88,11 @@ def ratio_score(x, x_prime, pool_x: EmbeddingStore, pool_x_prime: EmbeddingStore
 def ratios(x, pool_x: EmbeddingStore, pool: EmbeddingStore, k: int) -> dict:
     """pool id -> ratio_score(x, id) for each pair that has a ratio: both
     points are usable and the pair's denominator is positive."""
-    out, zero = {}, pool.degenerate_ids
-    if x in pool_x.degenerate_ids:
+    out = {}
+    if not pool_x.usable[pool_x.row[x]]:
         return out
-    for z in pool.ids:
-        if z not in zero:
+    for z, usable in zip(pool.ids, pool.usable):
+        if usable:
             try:
                 out[z] = ratio_score(x, z, pool_x, pool, k)
             except NoRatioError:  # a non-positive denominator

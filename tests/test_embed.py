@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -119,6 +120,18 @@ def test_nearest_similarity_is_max_of_ratios():
     assert nearest_similarity(0, a, pool, k=1) == pytest.approx(expected)
 
 
+def _usable_part(s):
+    """The store of ``s``'s usable rows."""
+    return s.subset([sid for sid, usable in zip(s.ids, s.usable) if usable])
+
+
+def _kept(scorer, values):
+    """A id -> ``values`` of each A row that has a ratio, and the ids of the
+    rows that have none (NaN), in A's order."""
+    kept = {x: v for x, v in zip(scorer.a.ids, values.tolist()) if not math.isnan(v)}
+    return kept, [x for x in scorer.a.ids if x not in kept]
+
+
 def _reference_rows(a, b, k):
     """A id -> (min, max) or None when skipped, and A id -> best B id or None.
 
@@ -162,8 +175,8 @@ def _edge_case_stores():
 def _assert_matches_reference(scorer, k):
     a, b = scorer.a, scorer.b
     rows, best = _reference_rows(a, b, k)
-    mins, skipped = scorer.min_over_b()
-    maxs, skipped_max = scorer.max_over_b()
+    mins, skipped = _kept(scorer, scorer.min_over_b())
+    maxs, skipped_max = _kept(scorer, scorer.max_over_b())
     assert skipped == skipped_max == [x for x in a.ids if rows[x] is None], k
     for x, row in rows.items():
         if row is not None:
@@ -190,7 +203,7 @@ def test_finite_blocks_and_fallback_blocks_both_match_scalar_reference(monkeypat
     # zero A row put their blocks on the NaN-aware fallback. Two-row blocks
     # mix a finite row with each of them.
     a, full_b = _edge_case_stores()
-    b = full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])
+    b = _usable_part(full_b)
     for cells in (1, 2 * len(b), len(a) * len(b)):  # one, two and every A row per block
         monkeypatch.setattr(embed, "BLOCK_CELLS", cells)
         skipped, _ = _assert_matches_reference(RatioScorer(a, b, k=3), 3)
@@ -224,12 +237,12 @@ def test_every_reduction_runs_over_the_pairs_that_have_a_ratio(stores, k, monkey
     rows, best = _reference_rows(a, b, k)
     kept = {x: row for x, row in rows.items() if row is not None}
     skipped = [x for x in a.ids if rows[x] is None]
-    zero = len(a) if b.degenerate_ids == set(b.ids) else len(a.degenerate_ids)
+    zero = len(a) if not b.usable.any() else int(np.count_nonzero(~a.usable))
     for cells in (1, 7, len(a)):  # A rows per block
         monkeypatch.setattr(embed, "BLOCK_CELLS", cells * len(b))
         for scorer in (RatioScorer(a, b, k=k), RatioScorer(b, a, k=k).T):
-            assert scorer.min_over_b() == ({x: row[0] for x, row in kept.items()}, skipped)
-            assert scorer.max_over_b() == ({x: row[1] for x, row in kept.items()}, skipped)
+            assert _kept(scorer, scorer.min_over_b()) == ({x: row[0] for x, row in kept.items()}, skipped)
+            assert _kept(scorer, scorer.max_over_b()) == ({x: row[1] for x, row in kept.items()}, skipped)
             assert scorer.skip_counts() == {"zero-norm": zero, "non-positive-margin": len(skipped) - zero}
             for x in a.ids:
                 assert scorer.argmax_over_b(x) == best[x], (cells, x)
@@ -250,7 +263,7 @@ def _lattice_store(rng, n, ids, tag):
 
 def _scorer_outputs(scorer):
     argmax = {x: scorer.argmax_over_b(x) for x in scorer.a.ids}
-    return (scorer.min_over_b(), scorer.max_over_b(), argmax,
+    return (_kept(scorer, scorer.min_over_b()), _kept(scorer, scorer.max_over_b()), argmax,
             scorer.mean_a.tolist(), scorer.mean_b.tolist())
 
 
@@ -271,7 +284,7 @@ def test_ratio_scorer_block_size_is_bit_identical(monkeypatch):
     # transposed view of a B x A scorer, its means taken in the other
     # orientation, must agree too.
     a, full_b = _lattice_stores()
-    for b in (full_b, full_b.subset([y for y in full_b.ids if y not in full_b.degenerate_ids])):
+    for b in (full_b, _usable_part(full_b)):
         outputs = []
         for rows in (1, 7, 512, len(a) + 1):  # A rows per block of A x B cells
             monkeypatch.setattr(embed, "BLOCK_CELLS", rows * len(b))
@@ -291,12 +304,12 @@ def _reference_means(query, pool, k, cos=None):
     the cosines are computed in the orientation the scorer does not use for
     B (B x A), which exact cosines make safe to compare.
     """
-    keep = [i for i, sid in enumerate(pool.ids) if sid not in pool.degenerate_ids]
+    keep = np.flatnonzero(pool.usable)
     cos = (query.unit @ pool.unit.T if cos is None else cos)[:, keep]
     n = len(keep)
     means = []
-    for sid, row in zip(query.ids, cos):
-        if sid in query.degenerate_ids or not n:
+    for usable, row in zip(query.usable, cos):
+        if not usable or not n:
             means.append(float("nan"))
             continue
         kk = min(k, n)
@@ -390,7 +403,7 @@ def test_infinite_ratio_is_kept_by_max_and_skipped_by_argmax():
     # must hand the block to the fallback, whose argmax skips it.
     scorer = RatioScorer(store([[1.0, 0.0]], "a"), store([[1.0, 0.0], [0.6, 0.8]], "b"), k=1)
     scorer.mean_a, scorer.mean_b = np.array([1e-320]), np.array([1e-320, 0.5])
-    assert scorer.max_over_b() == ({0: np.inf}, [])
+    assert scorer.max_over_b().tolist() == [np.inf]
     assert scorer.argmax_over_b(0) == 1
 
 
@@ -402,21 +415,22 @@ def test_halving_a_subnormal_denominator_rounds_as_a_division_by_two():
     scorer.mean_a, scorer.mean_b = np.array([ma]), np.array([mb, 0.5])
     top = 1.0 / ((ma + mb) / 2.0)
     assert top == 2.0 ** 1023
-    assert scorer.max_over_b() == ({0: top}, [])
-    assert scorer.min_over_b() == ({0: 0.6 / ((ma + 0.5) / 2.0)}, [])
+    assert scorer.max_over_b().tolist() == [top]
+    assert scorer.min_over_b().tolist() == [0.6 / ((ma + 0.5) / 2.0)]
     assert scorer.argmax_over_b(0) == 0
 
 
 def test_degenerate_rows_skipped():
     a = store([[1, 0], [0, 0]], "a")
     b = store([[0.5, 0.5], [1, 0]], "b")
-    scores, skipped = RatioScorer(a, b, k=1).min_over_b()
-    assert skipped == [1] and 0 in scores
+    scores = RatioScorer(a, b, k=1).min_over_b()
+    assert not np.isnan(scores[0]) and np.isnan(scores[1])
 
 
 def test_pool_without_usable_members_skips_every_row():
     scorer = RatioScorer(store([[1, 0], [0, 1]], "a"), store([[0, 0]], "b"), k=1)
-    assert scorer.min_over_b() == scorer.max_over_b() == ({}, [0, 1])
+    assert np.isnan(scorer.min_over_b()).all() and np.isnan(scorer.max_over_b()).all()
+    assert len(scorer.max_over_b()) == 2
     assert scorer.argmax_over_b(0) is None
     assert scorer.skip_counts() == {"zero-norm": 2, "non-positive-margin": 0}
 
@@ -428,7 +442,7 @@ def test_store_load(tmp_path):
     assert loaded.ids == [4, 1] and loaded.dim == 2
     expected = EmbeddingStore([4, 1], [[1.25, -0.5], [0.0, 3.0]]).unit
     assert np.array_equal(loaded.unit.view(np.uint64), expected.view(np.uint64))
-    assert loaded.degenerate_ids == set()
+    assert loaded.usable.all()
 
 
 def test_store_bad_header(tmp_path):
@@ -499,7 +513,7 @@ def test_store_load_matches_the_float_reference_bit_for_bit(text, tmp_path):
     loaded, expected = EmbeddingStore.load(path), EmbeddingStore(ids, matrix)
     assert loaded.ids == ids and loaded.unit.shape == matrix.shape
     assert np.array_equal(loaded.unit.view(np.uint64), expected.unit.view(np.uint64))
-    assert loaded.degenerate_ids == expected.degenerate_ids
+    assert np.array_equal(loaded.usable, expected.usable)
 
 
 @pytest.mark.parametrize("lines", [
@@ -558,7 +572,7 @@ def test_store_normalises_rows_whose_plain_norm_overflows_or_underflows():
     half = np.sqrt(0.5)
     for sid in (1, 2, 3, 5, 6):
         assert s.unit[s.row[sid]] == pytest.approx([half, -half], rel=1e-15)
-    assert s.degenerate_ids == {4} and not s.unit[s.row[4]].any()
+    assert s.usable.tolist() == [True, True, True, False, True, True] and not s.unit[s.row[4]].any()
 
 
 def test_store_keeps_the_unit_bits_of_rows_with_a_finite_non_zero_norm():
@@ -616,7 +630,7 @@ def test_subset_takes_the_parent_unit_rows_bit_for_bit():
     sub = parent.subset(ids, "sub")
     assert sub.ids == ids and sub.tag == "sub" and sub.dim == 16
     assert np.array_equal(sub.unit.view(np.uint64), parent.unit[ids].view(np.uint64))
-    assert sub.degenerate_ids == {3, 17}
-    assert parent.subset([5, 8]).degenerate_ids == set()
+    assert sub.usable.tolist() == [False, True, False, True, True]  # ids 17 and 3 are zero
+    assert parent.subset([5, 8]).usable.all()
     with pytest.raises(ValueError, match="duplicate id 5"):
         parent.subset([5, 8, 5])

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from almt.corpus import ParallelCorpus, write_columns
 from almt.embed import EmbeddingStore, RatioScorer
@@ -69,8 +70,26 @@ def test_retrieve_similar_skips_degenerate():
     store_L = EmbeddingStore([0, 1, 2, 3], mat_L, "L")
     store_U = EmbeddingStore([0], np.array([[0.0, 1.0]]), "U")
     rows, skipped = retrieve_similar(FOUR, RatioScorer(store_L, store_U, 1))
-    assert skipped == [1]
+    assert skipped == 1
     assert 1 not in [r[0] for r in rows]
+
+
+# Zero rows and rows pointing away from the rest, whose neighbourhood means can
+# be negative: some pairs, and some whole rows, have no ratio.
+_row = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 0.2), (0.3, -1.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(l_rows=st.lists(_row, min_size=1, max_size=8), u_rows=st.lists(_row, min_size=1, max_size=5),
+       k=st.integers(1, 3))
+def test_retrieve_similar_skips_exactly_the_rows_without_a_max_ratio(l_rows, u_rows, k):
+    parallel = parallel_of(*[("s", "t")] * len(l_rows))
+    scorer = RatioScorer(EmbeddingStore(range(len(l_rows)), l_rows, "L"),
+                         EmbeddingStore(range(len(u_rows)), u_rows, "U"), k)
+    rows, skipped = retrieve_similar(parallel, scorer)
+    no_ratio = np.isnan(scorer.max_over_b())
+    assert skipped == np.count_nonzero(no_ratio)
+    assert sorted(r[0] for r in rows) == np.flatnonzero(~no_ratio).tolist()
 
 
 def test_freeze_roundtrip(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -10,9 +11,9 @@ from ngrams_reference import decode
 from almt.corpus import Corpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.ngrams import extract_ngrams, semi_maximal_set
-from almt.select import (cut, select_csse, select_hybrid, select_ngf, select_ngf_smp,
+from almt.select import (cut, rank, select_csse, select_hybrid, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences, select_rttl,
-                         split_budget, load_rttl_scores)
+                         shuffled, split_budget, load_rttl_scores)
 
 
 def corpus_of(*lines):
@@ -29,6 +30,32 @@ def brute_force_ngf(index_U, index_L, budget, candidates=None):
         chosen.append(p)
         spent += len(p)
     return chosen
+
+
+# --- the two ordering rules ---
+
+# Ties, signed zeros, infinities and NaN drawn often; ids distinct and unsorted.
+_rank_score = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                        st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(draws=st.lists(st.tuples(st.integers(-50, 50), _rank_score), unique_by=lambda d: d[0],
+                      max_size=20),
+       descending=st.booleans())
+def test_rank_is_the_sort_by_score_then_id_of_the_scored_ids(draws, descending):
+    kept = [(i, s) for i, s in draws if not math.isnan(s)]
+    expected = [i for i, _ in sorted(kept, key=lambda d: (-d[1] if descending else d[1], d[0]))]
+    got = rank([i for i, _ in draws], [s for _, s in draws], descending)
+    assert got == expected and all(type(i) is int for i in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(st.integers(), unique=True, max_size=20), seed=st.integers(0, 2 ** 64))
+def test_shuffled_is_the_seeded_shuffle_of_the_ids(ids, seed):
+    expected = list(ids)
+    random.Random(seed).shuffle(expected)
+    assert shuffled(ids, seed) == shuffled(dict.fromkeys(ids), seed) == expected
 
 
 def test_random_sentences_overshoot_single_item():
@@ -196,9 +223,7 @@ def test_hybrid_composition():
     index_U = extract_ngrams(corpus_of("p p p", "q q"), 2)
     index_L = extract_ngrams(corpus_of("z"), 2)
     standalone = cut([select_random_sentences(U, seed=2)], 5)
-    hybrid = select_hybrid(10,
-                           lambda b: cut([select_random_sentences(U, seed=2)], b),
-                           lambda b: cut([select_ngf(index_U, index_L)], b))
+    hybrid = select_hybrid(10, select_random_sentences(U, seed=2), select_ngf(index_U, index_L))
     assert [s.id for s in hybrid.sentences] == [s.id for s in standalone.sentences]
     assert hybrid.budget.sentence_share == 5 and hybrid.budget.phrase_share == 5
     assert hybrid.phrases  # phrase pool populated too
@@ -296,8 +321,7 @@ def test_empty_phrase_pool_is_exhausted_at_any_budget():
         result = cut([select_ngf(index, index)], budget)
         assert result.exhausted and result.skipped == {"empty_candidate_pool": 1}
     U = corpus_of("s t u", "v w")
-    hybrid = select_hybrid(1, lambda b: cut([select_random_sentences(U, seed=0)], b),
-                           lambda b: cut([select_ngf(index, index)], b))
+    hybrid = select_hybrid(1, select_random_sentences(U, seed=0), select_ngf(index, index))
     assert hybrid.budget.phrase_share == 0 and hybrid.exhausted
 
 
