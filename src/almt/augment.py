@@ -86,7 +86,6 @@ def best_switch(retrieved, lm: NGramLM):
     """
     found = []  # per pair: its reason counts, its (p_x, p_y, i, span) and x_hat per candidate
     for annotated, x_star, _, links, _ in retrieved:
-        x_star = tuple(x_star)
         reasons = {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
         spans, x_hats = [], []
         for p_x, p_y in annotated:
@@ -100,7 +99,7 @@ def best_switch(retrieved, lm: NGramLM):
                     reasons[span] += 1
                     continue
                 spans.append((p_x, p_y, i, span))
-                x_hats.append(x_star[:i] + p_x + x_star[i + n:])
+                x_hats.append(switch(x_star, p_x, i))
         found.append((reasons, spans, x_hats))
     scores = lm.logprob([x_hat for _, _, x_hats in found for x_hat in x_hats])
     results, start = [], 0

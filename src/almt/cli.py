@@ -51,7 +51,7 @@ def _cmd_select(args):
                        seed=args.seed, k=args.k, max_n=args.max_n, dist_mode=args.dist_mode)
     _check(config, {"budgets": "--budget-words", "k": "--k", "max_n": "--max-n"})
     result = RunContext(config, args.budget_words).selection
-    result.write_jsonl(args.output)
+    write_text(args.output, select.rank_lines(map(select.encode_pick, result.sentences + result.phrases)))
     print(json.dumps(result.summary()))
     return 0
 
@@ -77,15 +77,15 @@ def _cmd_mix(args):
     if not 0 <= args.size <= len(context.L):
         raise ConfigError(f"--size {args.size} is not between 0 and the {len(context.L)} pairs "
                           f"of {args.labeled}")
-    rows, skipped = mix_pairs(context, args.size)
-    if len(rows) < args.size:
-        raise ConfigError(f"--size {args.size} exceeds the usable pool of {len(rows)} pairs "
+    ids, skipped = mix_pairs(context, args.size)
+    if len(ids) < args.size:
+        raise ConfigError(f"--size {args.size} exceeds the usable pool of {len(ids)} pairs "
                           f"({skipped} skipped as degenerate)")
     if skipped:
         print(f"skipped {skipped} degenerate pairs", file=sys.stderr)
-    mix.write_freeze(rows, args.output)
-    write_text(args.output + ".tsv", "".join(tsv for _, tsv in mix.assemble([], [], rows)[0]))
-    print(f"{len(rows)} pairs -> {args.output}")
+    write_text(args.output, "".join(map(mix.encode_id, ids)))
+    write_text(args.output + ".tsv", "".join(tsv for _, tsv in mix.assemble(context.L, [], [], ids)[0]))
+    print(f"{len(ids)} pairs -> {args.output}")
     return 0
 
 

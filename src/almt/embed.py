@@ -65,9 +65,6 @@ class EmbeddingStore:
     def __len__(self):
         return len(self.ids)
 
-    def __contains__(self, sid):
-        return sid in self.row
-
     def subset(self, ids, tag=None):
         """The store of ``ids``, its rows taken from this store's unit rows as
         they are (normalising a unit row again can move it by one ulp)."""

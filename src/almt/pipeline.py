@@ -286,11 +286,11 @@ class RunContext:
     member. ``rankings`` ranks once per strategy, with no budget, and every
     budget is one ``select.cut`` of them; ``selection``, the cut at the run's
     largest budget, holds every phrase of any cut, and ``translations`` the
-    oracle's answer for each. ``pool`` ranks L once for the mix stage; every
-    budget takes a prefix. ``lines`` encodes each artifact record once, manifest
-    entries included (``mix.assemble`` reads it). ``almt select``,
-    ``oracle`` and ``mix`` build one from their flags, so a stage run alone takes
-    the pipeline's code path."""
+    oracle's answer for each. ``pool`` orders L's pair ids once for the mix
+    stage; every budget takes a prefix. ``lines`` encodes each artifact record
+    once, manifest entries included (``mix.assemble`` reads it). ``almt
+    select``, ``oracle`` and ``mix`` build one from their flags, so a stage run
+    alone takes the pipeline's code path."""
 
     def __init__(self, config: RunConfig, top_budget: int = None):
         self.config, self.top_budget = config, top_budget
@@ -412,11 +412,11 @@ class RunContext:
 
     @cached_property
     def pool(self):
-        """(every L row in the order the mix stage takes them, the count of pairs
-        that retrieval skipped as degenerate): ranked once, and each budget takes a prefix."""
+        """(L's pair ids in the order the mix stage takes them, the count of pairs
+        that retrieval skipped as degenerate): ordered once, and each budget takes a prefix."""
         if self.config.mix_policy == "sample":
-            return mix.sample_random(self.L, self.config.seed), 0
-        return mix.retrieve_similar(self.L, self.scorer.T)
+            return select.shuffled(self.L, self.config.seed), 0
+        return mix.retrieve_similar(self.scorer.T)
 
     rankings = cached_property(lambda self: [strategy.rank(self) for strategy in self.strategies])
     selection = cached_property(lambda self: select.cut(self.rankings, self.top_budget))
@@ -483,7 +483,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
             report.dropped["mix:degenerate"] = skipped
-        save("freeze", "".join(context.lines("mix rows", l_r, mix.encode_row)))
+        save("freeze", "".join(context.lines("mix ids", l_r, mix.encode_id)))
         report.counts["mixed_pairs"] = len(l_r)
 
     synthetic = []
@@ -503,7 +503,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     with _stage(report, "assemble"):
         l_s_rows = [(context.reference[r.source][0], r.target, r.source) for r in l_s_resp]
-        entries, counts = mix.assemble(l_s_rows, l_p_resp, l_r, synthetic,
+        entries, counts = mix.assemble(context.L, l_s_rows, l_p_resp, l_r, synthetic,
                                        config.mix_policy == "retrieve", context.lines)
         save_columns(["manifest_jsonl", "manifest_tsv"], entries)
         report.counts["manifest_entries"] = len(entries)
@@ -531,11 +531,11 @@ def respond(context: RunContext, cut, save_columns):
 
 
 def mix_pairs(context: RunContext, m: int):
-    """The mix stage: the freeze file's out-of-domain pairs if the config names
-    one, else the first m of ``context.pool``, fewer if fewer are usable. Returns
-    (rows, the count of pairs that retrieval skipped as degenerate)."""
+    """The mix stage: the freeze file's out-of-domain pair ids, all of them, if the
+    config names one, else the first m of ``context.pool``, fewer if fewer are
+    usable. Returns (pair ids, the count of pairs that retrieval skipped as degenerate)."""
     if context.config.freeze_file is not None:
         return context.frozen, 0
-    rows, skipped = context.pool
-    return rows[:m], skipped
+    ids, skipped = context.pool
+    return ids[:m], skipped
 

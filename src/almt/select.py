@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .corpus import Corpus, Phrase, read_records, record_id, record_tokens, write_text
+from .corpus import Corpus, Phrase, read_records, record_id, record_tokens
 from .ngrams import OccurrenceIndex, semi_maximal_set
 
 
@@ -53,9 +53,6 @@ class SelectionResult:
     phrases: list[SelectedPhrase] = field(default_factory=list)
     exhausted: bool = False
     skipped: dict = field(default_factory=dict)
-
-    def write_jsonl(self, path):
-        write_text(path, rank_lines(map(encode_pick, self.sentences + self.phrases)))
 
     def summary(self):
         d = asdict(self)

@@ -42,7 +42,7 @@ def _unit(store: EmbeddingStore, sid):
 def _pool_cosines(query_unit, pool: EmbeddingStore, exclude_id=None):
     cos = pool.unit @ query_unit
     keep = pool.usable.copy()
-    if exclude_id is not None and exclude_id in pool:
+    if exclude_id is not None and exclude_id in pool.row:
         keep[pool.row[exclude_id]] = False
     return cos, keep
 
@@ -56,7 +56,7 @@ def knn(query, pool: EmbeddingStore, k: int, query_store: EmbeddingStore = None)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     store = query_store or pool
-    if query not in store:
+    if query not in store.row:
         raise KeyError(f"query id {query} not in store {store.tag!r}")
     q = _unit(store, query)
     exclude = query if store is pool else None

@@ -223,18 +223,17 @@ def test_criterion_05_ratio_score_algebra():
     U = corpus_of(*(f"u{i} v{i}" for i in range(25)))
     mat_U = rng.normal(size=(25, 6))
     mat_L = rng.normal(size=(12, 6))
-    L = parallel_of(*((f"l{i}", f"T_l{i}") for i in range(12)))
     lam = float(rng.uniform(0.01, 250.0))
     base_csse = cut([select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U, "U"),
                                                 EmbeddingStore(range(12), mat_L, "L"), 3))], 30)
     scaled_csse = cut([select_csse(U, RatioScorer(EmbeddingStore(range(25), mat_U * lam, "U"),
                                                   EmbeddingStore(range(12), mat_L * lam, "L"), 3))], 30)
     assert [s.id for s in base_csse.sentences] == [s.id for s in scaled_csse.sentences]
-    base_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L, "L"),
-                                                  EmbeddingStore(range(25), mat_U, "U"), 3))
-    scaled_ret, _ = retrieve_similar(L, RatioScorer(EmbeddingStore(range(12), mat_L * lam, "L"),
-                                                    EmbeddingStore(range(25), mat_U * lam, "U"), 3))
-    assert [r[0] for r in base_ret] == [r[0] for r in scaled_ret]
+    base_ret, _ = retrieve_similar(RatioScorer(EmbeddingStore(range(12), mat_L, "L"),
+                                               EmbeddingStore(range(25), mat_U, "U"), 3))
+    scaled_ret, _ = retrieve_similar(RatioScorer(EmbeddingStore(range(12), mat_L * lam, "L"),
+                                                 EmbeddingStore(range(25), mat_U * lam, "U"), 3))
+    assert base_ret == scaled_ret
     verdict(5, "equal-cosine ratio is 1.0; scaling leaves orders intact", True,
             f"lambda={lam:.3f}")
 

@@ -436,9 +436,9 @@ def test_pipeline_builds_one_scorer_when_l_prime_is_all_of_l(toy_dir, tmp_path, 
         built.append(self)
         init(self, *args, **kwargs)
 
-    def spying(parallel, scorer):
+    def spying(scorer):
         ranked_by.append(scorer)
-        return retrieve(parallel, scorer)
+        return retrieve(scorer)
     monkeypatch.setattr(RatioScorer, "__init__", counting)
     monkeypatch.setattr(mix, "retrieve_similar", spying)
     config = toy_config(toy_dir, budgets=[40, 120], labeled_subset_size=200,
@@ -1000,6 +1000,13 @@ def test_validate_names_a_freeze_id_that_is_not_an_integer(record, toy_dir, tmp_
     assert out.startswith(f"FAIL: {freeze}:2: malformed freeze record") and "Traceback" not in out + err
 
 
+def _manifest_tsv_lines(run_dir, origin):
+    """The manifest.tsv lines of a budget's manifest entries of ``origin``."""
+    return [tsv for tsv, entry in zip((run_dir / "manifest.tsv").read_text().splitlines(True),
+                                      (run_dir / "manifest.jsonl").read_text().splitlines())
+            if json.loads(entry)["origin"] == origin]
+
+
 def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
     toy_dir = tmp_path / "toy"
     config = RunConfig(**toy.generate(toy_dir, seed=7))  # the stock toy
@@ -1023,9 +1030,7 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
                  "--embeddings-unlabeled", config.embeddings_unlabeled,
                  "--output", str(freeze)]) == 0
     assert freeze.read_bytes() == (run_dir / "retrieved.freeze.jsonl").read_bytes()
-    retrieved = [tsv for tsv, entry in zip((run_dir / "manifest.tsv").read_text().splitlines(True),
-                                           (run_dir / "manifest.jsonl").read_text().splitlines())
-                 if json.loads(entry)["origin"] == "retrieved"]
+    retrieved = _manifest_tsv_lines(run_dir, "retrieved")
     assert len(retrieved) == report.counts["mixed_pairs"] > 0
     assert Path(f"{freeze}.tsv").read_text() == "".join(retrieved)
 
@@ -1036,6 +1041,63 @@ def test_cli_oracle_and_mix_write_the_pipeline_files(tmp_path, capsys):
     config.output_dir = str(tmp_path / "ngf-smp")
     run_pipeline(config, budget=200)
     assert selection.read_bytes() == (tmp_path / "ngf-smp" / "budget-200" / "selection.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_cli_mix_sample_writes_the_pipeline_files(toy_dir, tmp_path, capsys, seed):
+    """almt mix --policy sample writes the freeze file of a sample-policy budget of
+    the same size and seed, and its .tsv is that budget's sampled manifest lines;
+    without --seed, it takes RunConfig's default seed."""
+    config = toy_config(toy_dir, strategy="ngf-smp", mix_policy="sample", augment_recipe=None,
+                        seed=RunConfig.seed if seed is None else seed, budgets=[120],
+                        output_dir=str(tmp_path / "runs"))
+    [report] = run_pipeline(config)
+    run_dir = tmp_path / "runs" / "budget-120"
+    freeze = tmp_path / "sample.jsonl"
+    assert main(["mix", "--labeled", config.labeled, "--policy", "sample",
+                 "--size", str(report.counts["mixed_pairs"]), "--output", str(freeze)]
+                + ([] if seed is None else ["--seed", str(seed)])) == 0
+    assert capsys.readouterr().out == f"{report.counts['mixed_pairs']} pairs -> {freeze}\n"
+    assert freeze.read_bytes() == (run_dir / "retrieved.freeze.jsonl").read_bytes()
+    sampled = _manifest_tsv_lines(run_dir, "sampled")
+    assert len(sampled) == report.counts["mixed_pairs"] > 0
+    assert Path(f"{freeze}.tsv").read_text() == "".join(sampled)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"mix_policy": "sample"}, {"freeze_file": "freeze.jsonl"}])
+def test_the_mix_pool_is_an_id_order_and_each_entry_is_its_l_pair(toy_dir, tmp_path, overrides):
+    """Each budget's freeze file is a prefix of the run's pool: L's ids ranked by
+    their max ratio to U (retrieve) or in the seeded shuffle (sample), or the
+    freeze file's ids, all of them at every budget. Every retrieved or sampled
+    manifest entry is the L pair its provenance names."""
+    from almt.corpus import load_parallel
+    from almt.embed import EmbeddingStore, RatioScorer
+    from almt.select import rank, shuffled
+    if "freeze_file" in overrides:
+        frozen = [17, 3, 150, 42]
+        (tmp_path / "freeze.jsonl").write_text("".join(f'{{"id": {i}}}\n' for i in frozen))
+        overrides = dict(overrides, freeze_file=str(tmp_path / "freeze.jsonl"))
+    config = toy_config(toy_dir, budgets=[40, 120], output_dir=str(tmp_path / "runs"), **overrides)
+    L = load_parallel(config.labeled)
+    if config.freeze_file:
+        pool = frozen
+    elif config.mix_policy == "sample":
+        pool = shuffled(L, config.seed)
+    else:
+        scorer = RatioScorer(EmbeddingStore.load(config.embeddings_unlabeled),
+                             EmbeddingStore.load(config.embeddings_labeled), config.k).T
+        pool = rank(scorer.a.ids, scorer.max_over_b(), descending=True)
+    origin = "retrieved" if config.mix_policy == "retrieve" else "sampled"
+    for report in run_pipeline(config):
+        run_dir = tmp_path / "runs" / f"budget-{report.budget}"
+        ids = [json.loads(line)["id"]
+               for line in (run_dir / "retrieved.freeze.jsonl").read_text().splitlines()]
+        m = len(pool) if config.freeze_file else report.counts["translated_phrases"]
+        assert ids and ids == pool[:m]
+        mixed = [e for e in map(json.loads, (run_dir / "manifest.jsonl").read_text().splitlines())
+                 if e["origin"] == origin]
+        assert [e["provenance"] for e in mixed] == ids
+        assert all((tuple(e["source"]), tuple(e["target"])) == L[e["provenance"]] for e in mixed)
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -1436,15 +1498,15 @@ def test_cli_oracle_iterations_flag_is_gone(toy_dir, tmp_path, capsys):
 def test_pipeline_samples_l_once_and_each_budget_takes_the_seeded_draw(toy_dir, tmp_path,
                                                                        monkeypatch):
     import random
-    from almt import mix
+    from almt import select
     from almt.corpus import load_parallel
     calls = []
-    sample = mix.sample_random
+    shuffled = select.shuffled
 
     def spy(*args):
         calls.append(args)
-        return sample(*args)
-    monkeypatch.setattr(mix, "sample_random", spy)
+        return shuffled(*args)
+    monkeypatch.setattr(select, "shuffled", spy)
     config = toy_config(toy_dir, strategy="ngf-smp", mix_policy="sample", augment_recipe=None,
                         budgets=[40, 120, 80], output_dir=str(tmp_path / "runs"))
     reports = run_pipeline(config)
@@ -1658,7 +1720,7 @@ def test_a_sweep_encodes_each_record_once(toy_dir, tmp_path, monkeypatch):
     from almt import mix, oracle, select
     calls = Counter()
     for module, name in [(select, "encode_pick"), (oracle, "encode_response"),
-                         (mix, "encode_row"), (mix, "encode_entry")]:
+                         (mix, "encode_id"), (mix, "encode_entry")]:
         def counted(*args, _encode=getattr(module, name), _name=name):
             calls[_name] += 1
             return _encode(*args)

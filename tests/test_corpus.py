@@ -158,7 +158,7 @@ _READERS = {
     "corpus": lambda path: list(load_corpus(path)),
     "parallel": lambda path: list(load_parallel(path)),
     "rttl": load_rttl_scores,
-    "freeze": lambda path: [sid for sid, _, _ in load_freeze(path, _FREEZE_POOL)],
+    "freeze": lambda path: load_freeze(path, _FREEZE_POOL),
     "selection": _read_selection,
     "table": _read_table,
     "embeddings": lambda path: EmbeddingStore.load(path).ids,

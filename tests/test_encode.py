@@ -7,7 +7,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from almt.corpus import ParallelCorpus
-from almt.mix import ORIGINS, encode_entry, encode_row
+from almt.mix import ORIGINS, encode_entry, encode_id
 from almt.oracle import OracleResponse, encode_response
 from almt.select import SelectedPhrase, SelectedSentence, encode_pick, rank_lines
 
@@ -55,10 +55,10 @@ def test_encode_response_is_the_tsv_and_json_dumps_lines(pairs, phrase, target, 
 @settings(max_examples=150, deadline=None)
 @given(source=_tokens, target=_tokens, origin=st.sampled_from(ORIGINS),
        provenance=st.one_of(_ids, st.lists(_ids, max_size=3)))
-def test_encode_entry_and_row_are_the_json_dumps_and_tsv_lines(source, target, origin, provenance):
+def test_encode_entry_and_id_are_the_json_dumps_and_tsv_lines(source, target, origin, provenance):
     assert encode_entry(source, target, origin, provenance) == (
         json.dumps({"source": list(source), "target": list(target), "origin": origin,
                     "provenance": provenance}) + "\n",
         f"{' '.join(source)}\t{' '.join(target)}\n")
     if isinstance(provenance, int):
-        assert encode_row((provenance, source, target)) == json.dumps({"id": provenance}) + "\n"
+        assert encode_id(provenance) == json.dumps({"id": provenance}) + "\n"

@@ -1,5 +1,4 @@
 import json
-import random
 
 import numpy as np
 import pytest
@@ -8,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from almt.corpus import ParallelCorpus, write_columns
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError, ParseError
-from almt.mix import (ORIGINS, assemble, encode_entry, load_freeze, retrieve_similar,
-                      sample_random, write_freeze)
+from almt.mix import ORIGINS, assemble, encode_entry, encode_id, load_freeze, retrieve_similar
 from almt.oracle import OracleResponse
+from almt.select import shuffled
 
 
 def parallel_of(*pairs):
@@ -18,24 +17,6 @@ def parallel_of(*pairs):
 
 
 FOUR = parallel_of(("a a", "x x"), ("b b", "y y"), ("c c", "z z"), ("d d", "w w"))
-
-
-def test_sample_random_orders_every_pair():
-    rows = sample_random(FOUR, seed=0)
-    assert sorted(rows) == [(sid, src, tgt) for sid, (src, tgt) in FOUR.items()]
-
-
-def test_sample_random_deterministic():
-    assert sample_random(FOUR, seed=5) == sample_random(FOUR, seed=5)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 5])
-def test_sample_random_prefix_is_the_seeded_draw(seed):
-    """A prefix of the order is the draw of that many pairs that a seeded shuffle
-    followed by a cut makes."""
-    ids = list(FOUR)
-    random.Random(seed).shuffle(ids)
-    assert [r[0] for r in sample_random(FOUR, seed)] == ids
 
 
 def _scorer():
@@ -46,9 +27,8 @@ def _scorer():
 
 
 def test_retrieve_similar_ranking():
-    rows, skipped = retrieve_similar(FOUR, _scorer())
+    got, skipped = retrieve_similar(_scorer())
     assert not skipped
-    got = [r[0] for r in rows]
     # exact duplicate of a U vector must rank first, then the near one
     assert got[0] == 2 and got[1] == 1
     assert set(got[2:]) == {0, 3}
@@ -59,8 +39,8 @@ def test_retrieve_similar_prefix_stability():
     # call ranks alike, ties (pairs 1 and 3 here) by ascending id.
     mat_L = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 1.0], [0.0, 1.0]])
     mat_U = np.array([[0.0, 1.0], [0.1, 1.0]])
-    orders = [[r[0] for r in retrieve_similar(FOUR, RatioScorer(
-        EmbeddingStore([0, 1, 2, 3], mat_L, "L"), EmbeddingStore([0, 1], mat_U, "U"), 1))[0]]
+    orders = [retrieve_similar(RatioScorer(
+        EmbeddingStore([0, 1, 2, 3], mat_L, "L"), EmbeddingStore([0, 1], mat_U, "U"), 1))[0]
         for _ in range(2)]
     assert orders[0] == orders[1] == [1, 3, 2, 0]
 
@@ -69,9 +49,9 @@ def test_retrieve_similar_skips_degenerate():
     mat_L = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     store_L = EmbeddingStore([0, 1, 2, 3], mat_L, "L")
     store_U = EmbeddingStore([0], np.array([[0.0, 1.0]]), "U")
-    rows, skipped = retrieve_similar(FOUR, RatioScorer(store_L, store_U, 1))
+    ids, skipped = retrieve_similar(RatioScorer(store_L, store_U, 1))
     assert skipped == 1
-    assert 1 not in [r[0] for r in rows]
+    assert ids == [2, 3, 0]
 
 
 # Zero rows and rows pointing away from the rest, whose neighbourhood means can
@@ -83,19 +63,18 @@ _row = st.sampled_from([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 0
 @given(l_rows=st.lists(_row, min_size=1, max_size=8), u_rows=st.lists(_row, min_size=1, max_size=5),
        k=st.integers(1, 3))
 def test_retrieve_similar_skips_exactly_the_rows_without_a_max_ratio(l_rows, u_rows, k):
-    parallel = parallel_of(*[("s", "t")] * len(l_rows))
     scorer = RatioScorer(EmbeddingStore(range(len(l_rows)), l_rows, "L"),
                          EmbeddingStore(range(len(u_rows)), u_rows, "U"), k)
-    rows, skipped = retrieve_similar(parallel, scorer)
+    ids, skipped = retrieve_similar(scorer)
     no_ratio = np.isnan(scorer.max_over_b())
     assert skipped == np.count_nonzero(no_ratio)
-    assert sorted(r[0] for r in rows) == np.flatnonzero(~no_ratio).tolist()
+    assert sorted(ids) == np.flatnonzero(~no_ratio).tolist()
 
 
 def test_freeze_roundtrip(tmp_path):
-    rows = sample_random(FOUR, seed=1)[:3]
-    write_freeze(rows, tmp_path / "freeze.jsonl")
-    assert load_freeze(tmp_path / "freeze.jsonl", FOUR) == rows
+    ids = shuffled(FOUR, seed=1)[:3]
+    (tmp_path / "freeze.jsonl").write_text("".join(map(encode_id, ids)))
+    assert load_freeze(tmp_path / "freeze.jsonl", FOUR) == ids
 
 
 def _resp(src, tgt, prov):
@@ -105,8 +84,7 @@ def _resp(src, tgt, prov):
 def test_assemble_order_and_counts():
     l_s = [(("a", "a"), ("x", "x"), 0)]
     l_p = [_resp("p", "T_p", [3])]
-    l_r = [(7, ("r",), ("T_r",))]
-    entries, counts = assemble(l_s, l_p, l_r)
+    entries, counts = assemble(parallel_of(*[("r", "T_r")] * 8), l_s, l_p, [7])
     assert [json.loads(jsonl)["origin"] for jsonl, _ in entries] == [
         "annotated-sentence", "annotated-phrase", "retrieved"]
     assert counts["annotated-sentence"] == 1
@@ -114,28 +92,28 @@ def test_assemble_order_and_counts():
 
 
 def test_assemble_sampled_flag():
-    entries, _ = assemble([], [], [(0, ("r",), ("T_r",))], retrieved=False)
+    entries, _ = assemble(FOUR, [], [], [0], retrieved=False)
     assert json.loads(entries[0][0])["origin"] == "sampled"
 
 
 def test_assemble_keeps_same_source_different_target():
     l_s = [(("a",), ("x",), 0), (("a",), ("y",), 1)]
-    entries, _ = assemble(l_s, [], [])
+    entries, _ = assemble(FOUR, l_s, [], [])
     assert len(entries) == 2
 
 
 def test_assemble_empty_inputs_give_zero_counts():
-    entries, counts = assemble([], [], [], [])
+    entries, counts = assemble(FOUR, [], [], [], [])
     assert entries == []
     assert counts == dict.fromkeys(ORIGINS, 0)
 
 
 def test_manifest_files(tmp_path):
-    entries, _ = assemble([(("a", "b"), ("x", "y"), 0)], [], [(1, ("c",), ("z",))])
+    entries, _ = assemble(FOUR, [(("a", "b"), ("x", "y"), 0)], [], [1])
     write_columns([tmp_path / "mix.jsonl", tmp_path / "mix.tsv"], entries)
     assert entries == [encode_entry(("a", "b"), ("x", "y"), "annotated-sentence", 0),
-                       encode_entry(("c",), ("z",), "retrieved", 1)]
-    assert (tmp_path / "mix.tsv").read_text() == "a b\tx y\nc\tz\n"
+                       encode_entry(("b", "b"), ("y", "y"), "retrieved", 1)]
+    assert (tmp_path / "mix.tsv").read_text() == "a b\tx y\nb b\ty y\n"
     recs = [json.loads(l) for l in (tmp_path / "mix.jsonl").read_text().splitlines()]
     assert recs[0]["origin"] == "annotated-sentence"
     assert recs[1]["provenance"] == 1

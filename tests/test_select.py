@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -11,9 +12,9 @@ from ngrams_reference import decode
 from almt.corpus import Corpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.ngrams import extract_ngrams, semi_maximal_set
-from almt.select import (cut, rank, select_csse, select_hybrid, select_ngf, select_ngf_smp,
-                         select_random_phrases, select_random_sentences, select_rttl,
-                         shuffled, split_budget, load_rttl_scores)
+from almt.select import (cut, encode_pick, rank, rank_lines, select_csse, select_hybrid, select_ngf,
+                         select_ngf_smp, select_random_phrases, select_random_sentences,
+                         select_rttl, shuffled, split_budget, load_rttl_scores)
 
 
 def corpus_of(*lines):
@@ -245,13 +246,11 @@ def test_ngf_scores_non_increasing():
     assert scores == sorted(scores, reverse=True)
 
 
-def test_selection_jsonl_output(tmp_path):
+def test_selection_jsonl_output():
     U = corpus_of("a b", "c d")
     result = cut([select_random_sentences(U, seed=0)], 3)
-    out = tmp_path / "sel.jsonl"
-    result.write_jsonl(out)
-    import json
-    recs = [json.loads(l) for l in out.read_text().splitlines()]
+    text = rank_lines(map(encode_pick, result.sentences + result.phrases))
+    recs = [json.loads(l) for l in text.splitlines()]
     assert all(r["kind"] == "sentence" for r in recs)
     assert [r["rank"] for r in recs] == list(range(len(recs)))
 
