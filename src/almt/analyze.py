@@ -3,17 +3,12 @@ in-domain word statistics, length ratio."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
 from .ngrams import OccurrenceIndex
-
-
-@dataclass
-class CoverageReport:
-    per_n: dict  # n -> percentage of test n-gram types covered
 
 
 @dataclass
@@ -32,8 +27,8 @@ class InDomainWordStats:
         return 100.0 * self.idwc / self.wc if self.wc else 0.0
 
 
-def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> CoverageReport:
-    """Percentage of test n-grams present in the covering text, per n.
+def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> dict:
+    """{n: percentage of test n-grams present in the covering text}.
 
     covering/test are iterables of token sequences. Default counts n-gram
     types; token_level weights each by its test occurrences.
@@ -52,7 +47,7 @@ def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> Cov
         weights = test.counts[level] if token_level else np.ones_like(test.counts[level])
         total, hit = int(weights.sum()), int(weights[covered[level]].sum())
         per_n[n] = 100.0 * hit / total if total else 0.0
-    return CoverageReport(per_n)
+    return per_n
 
 
 def pearson(xs, ys) -> float:

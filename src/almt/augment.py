@@ -2,7 +2,10 @@
 
 Two recipes: switch an annotated phrase into a retrieved out-of-domain pair
 (target side substituted via word alignment), or append the phrase to the
-retrieved pair. An in-domain n-gram LM ranks the candidates.
+retrieved pair. Each U sentence with an annotated phrase is one (annotated
+pairs, L pair id) entry; a recipe lists its entries' candidates, and one
+search scores a block of them with an in-domain n-gram LM and keeps each
+entry's best.
 """
 
 import json
@@ -21,22 +24,12 @@ class SyntheticPair:
     source: tuple[str, ...]
     target: tuple[str, ...]
     recipe: str  # "switch" | "contextualize"
-    origin_id: int  # retrieved L' pair id
+    origin_id: int  # the retrieved L pair's id
     phrase_src: Phrase
     phrase_tgt: Phrase
     position: int | None  # source switch position; None for contextualize
     target_span: tuple[int, int] | None
     lm_score: float
-
-    def to_json(self):
-        return json.dumps({
-            "source": list(self.source), "target": list(self.target),
-            "recipe": self.recipe, "origin_id": self.origin_id,
-            "phrase_src": list(self.phrase_src), "phrase_tgt": list(self.phrase_tgt),
-            "position": self.position,
-            "target_span": list(self.target_span) if self.target_span else None,
-            "lm_score": self.lm_score,
-        })
 
 
 def switch(x_star, p, i: int):
@@ -74,66 +67,64 @@ def phrases_in_sentence(sentences, phrase_pairs):
     return [[pairs[i] for i in sorted(hits)] for hits in found]
 
 
-def best_switch(retrieved, lm: NGramLM):
+def best_switch(block, lm: NGramLM, alignments: Alignments):
     """LM-argmax over all (annotated phrase, position) switch candidates of each
-    retrieved pair, all scored by one ``lm.logprob`` call.
-
-    ``retrieved`` holds (annotated pairs, x_star, y_star, links, origin_id) per
-    pair, ``links`` its alignment and the phrases tuples. Candidates without a
-    target span (``align.target_span``) are skipped and counted by its reason. A
-    pair's winner is its first highest-scoring candidate in (phrase, position)
-    order. Returns (SyntheticPair or None, reason counts) per pair.
+    entry of ``block``, an (annotated pairs, L pair id) list whose pairs and links
+    ``alignments`` holds. Candidates without a target span (``align.target_span``)
+    are skipped and counted by its reason. An entry's winner is its first
+    highest-scoring candidate in (phrase, position) order. Returns (SyntheticPair
+    or None, reason counts) per entry.
     """
-    found = []  # per pair: its reason counts, its (p_x, p_y, i, span) and x_hat per candidate
-    for annotated, x_star, _, links, _ in retrieved:
-        reasons = {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
-        spans, x_hats = [], []
+    candidates, reasons = [], []
+    for annotated, pair_id in block:
+        x_star, links = alignments.parallel[pair_id][0], alignments[pair_id]
+        found, counts = [], {"no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
         for p_x, p_y in annotated:
             n = len(p_x)
             if len(x_star) - n <= 0:
-                reasons["no-position"] += 1
+                counts["no-position"] += 1
                 continue
             for i in range(len(x_star) - n):  # final window excluded per the position bound
                 span = target_span(links, i, i + n)
                 if isinstance(span, str):
-                    reasons[span] += 1
+                    counts[span] += 1
                     continue
-                spans.append((p_x, p_y, i, span))
-                x_hats.append(switch(x_star, p_x, i))
-        found.append((reasons, spans, x_hats))
-    scores = lm.logprob([x_hat for _, _, x_hats in found for x_hat in x_hats])
-    results, start = [], 0
-    for (_, _, y_star, _, origin_id), (reasons, spans, x_hats) in zip(retrieved, found):
-        best = None
-        if spans:  # argmax: the first maximum, as a scan keeping only higher scores finds
-            k = int(scores[start:start + len(spans)].argmax())
-            p_x, p_y, i, (j_min, j_max) = spans[k]
-            y_star = tuple(y_star)
-            best = SyntheticPair(x_hats[k], y_star[:j_min] + p_y + y_star[j_max + 1:], "switch",
-                                 origin_id, p_x, p_y, i, (j_min, j_max), float(scores[start + k]))
-            start += len(spans)
-        results.append((best, reasons))
-    return results
+                found.append((p_x, p_y, i, span, switch(x_star, p_x, i)))
+        candidates.append(found)
+        reasons.append(counts)
+    return _winners(block, candidates, reasons, lm, alignments, "switch")
 
 
-def best_contextualize(retrieved, lm: NGramLM):
-    """LM-argmax over the annotated phrases appended to each retrieved pair, all
-    scored by one ``lm.logprob`` call. ``retrieved`` holds (annotated pairs,
-    x_star, y_star, origin_id) per pair. A pair's winner is its first
-    highest-scoring phrase. Returns one SyntheticPair per pair."""
-    if not all(annotated for annotated, *_ in retrieved):
+def best_contextualize(block, lm: NGramLM, alignments: Alignments):
+    """LM-argmax over the annotated phrases appended to the L pair of each
+    (annotated pairs, L pair id) entry of ``block``. An entry's winner is its
+    first highest-scoring phrase. Returns (SyntheticPair, {}) per entry."""
+    if not all(annotated for annotated, _ in block):
         raise ValueError("no annotated phrase pairs to contextualize")
-    x_hats = [contextualize(x_star, p_x) for annotated, x_star, _, _ in retrieved
-              for p_x, _ in annotated]
-    scores = lm.logprob(x_hats)
-    pairs, start = [], 0
-    for annotated, _, y_star, origin_id in retrieved:
-        k = int(scores[start:start + len(annotated)].argmax())  # the first maximum
-        p_x, p_y = annotated[k]
-        pairs.append(SyntheticPair(x_hats[start + k], contextualize(y_star, p_y), "contextualize",
-                                   origin_id, p_x, p_y, None, None, float(scores[start + k])))
-        start += len(annotated)
-    return pairs
+    candidates = [[(p_x, p_y, None, None, contextualize(alignments.parallel[pair_id][0], p_x))
+                   for p_x, p_y in annotated] for annotated, pair_id in block]
+    return _winners(block, candidates, [{} for _ in block], lm, alignments, "contextualize")
+
+
+def _winners(block, candidates, reasons, lm, alignments, recipe):
+    """Score every (p_x, p_y, position, span, x_hat) candidate of ``block`` in one
+    ``lm.logprob`` call and build each entry's winner, its first maximum, with
+    the target of the recipe: y_star with ``span`` replaced by p_y, or with p_y
+    appended when there is no span. (winner or None, reason counts) per entry."""
+    scores = lm.logprob([c[-1] for found in candidates for c in found])
+    results, start = [], 0
+    for (_, pair_id), found, counts in zip(block, candidates, reasons):
+        best = None
+        if found:  # argmax: the first maximum, as a scan keeping only higher scores finds
+            k = int(scores[start:start + len(found)].argmax())
+            p_x, p_y, i, span, x_hat = found[k]
+            y = alignments.parallel[pair_id][1]
+            y_hat = contextualize(y, p_y) if span is None else y[:span[0]] + p_y + y[span[1] + 1:]
+            best = SyntheticPair(x_hat, y_hat, recipe, pair_id, p_x, p_y, i, span,
+                                 float(scores[start + k]))
+            start += len(found)
+        results.append((best, counts))
+    return results
 
 
 def _blocks(weighted):
@@ -156,42 +147,37 @@ def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM,
     ``alignments`` holds L, the out-of-domain pairs, and their links; ``scorer``
     is a U × L RatioScorer over L's ids. One ``alignments`` passed to every call,
     as the pipeline does, aligns each pair once however many U sentences and
-    budgets retrieve it. The retrieved pairs go to ``best_switch`` or
-    ``best_contextualize`` in blocks of about BLOCK_CANDIDATES candidates, so
-    memory does not grow with their number. A U sentence with no finite ratio
-    to any L pair retrieves nothing (``scorer.argmax_over_b`` gives None) and
-    counts as "retrieval-degenerate". Returns (pairs, report), report counting
-    drops per reason.
+    budgets retrieve it. Each U sentence's (annotated pairs, L pair id) entry
+    goes to ``best_switch`` or ``best_contextualize`` in blocks of about
+    BLOCK_CANDIDATES candidates, so memory does not grow with their number. A U
+    sentence with no finite ratio to any L pair retrieves nothing
+    (``scorer.argmax_over_b`` gives None) and counts as "retrieval-degenerate".
+    Returns (pairs, report), report counting drops per reason.
     """
     if recipe not in ("switch", "contextualize"):
         raise ValueError(f"unknown recipe {recipe!r}")
+    search = best_switch if recipe == "switch" else best_contextualize
     report = {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
               "no-aligned-span": 0, "span-overlap": 0, "no-position": 0}
 
-    def retrieved():
-        """(candidate count, block entry) of each U sentence that holds an
-        annotated phrase and retrieves a pair."""
+    def entries():
+        """(candidate count, (annotated pairs, L pair id)) of each U sentence that
+        holds an annotated phrase and retrieves a pair."""
         for sid, annotated in zip(U, phrases_in_sentence(list(U.values()), phrase_pairs)):
             if not annotated:
                 report["no-annotated-phrase"] += 1
                 continue
-            pair_id = scorer.argmax_over_b(sid)  # the most ratio-similar L' pair
+            pair_id = scorer.argmax_over_b(sid)  # the most ratio-similar L pair
             if pair_id is None:
                 report["retrieval-degenerate"] += 1
                 continue
-            x_star, y_star = alignments.parallel[pair_id]
-            if recipe == "switch":
-                yield (sum(max(0, len(x_star) - len(p_x)) for p_x, _ in annotated),
-                       (annotated, x_star, y_star, alignments[pair_id], pair_id))
-            else:
-                yield len(annotated), (annotated, x_star, y_star, pair_id)
+            x_star = alignments.parallel[pair_id][0]
+            yield (sum(max(0, len(x_star) - len(p_x)) for p_x, _ in annotated)
+                   if recipe == "switch" else len(annotated)), (annotated, pair_id)
 
     pairs = []
-    for block in _blocks(retrieved()):
-        if recipe == "contextualize":
-            pairs += best_contextualize(block, lm)
-            continue
-        for best, reasons in best_switch(block, lm):
+    for block in _blocks(entries()):
+        for best, reasons in search(block, lm, alignments):
             if best is None:
                 report[max(reasons, key=reasons.get)] += 1  # the dominant reason
             else:
@@ -200,5 +186,6 @@ def augment_corpus(U, phrase_pairs, scorer, alignments: Alignments, lm: NGramLM,
 
 
 def encode_synthetic(pair):
-    """(synthetic.tsv line, synthetic.recipes.jsonl line) of a SyntheticPair."""
-    return f"{' '.join(pair.source)}\t{' '.join(pair.target)}\n", pair.to_json() + "\n"
+    """(synthetic.tsv line, synthetic.recipes.jsonl line) of a SyntheticPair: the
+    recipe line's keys are its fields in declaration order, tuples as lists."""
+    return f"{' '.join(pair.source)}\t{' '.join(pair.target)}\n", json.dumps(vars(pair)) + "\n"

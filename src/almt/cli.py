@@ -134,10 +134,10 @@ def _cmd_analyze(args):
     if args.mode == "coverage":
         _check(args, {"max_n": "--max-n"})
         try:
-            report = analyze.ngram_coverage(*tokens, args.max_n, token_level=args.token_level)
+            per_n = analyze.ngram_coverage(*tokens, args.max_n, token_level=args.token_level)
         except ValueError as exc:  # an empty test corpus
             raise ParseError(f"{args.test}: {exc}") from None
-        print(json.dumps({str(n): round(v, 4) for n, v in report.per_n.items()}))
+        print(json.dumps({str(n): round(v, 4) for n, v in per_n.items()}))
     elif args.mode == "bleu":
         hyp, ref = corpora
         for sid, tokens in ref.items():

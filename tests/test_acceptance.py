@@ -324,8 +324,8 @@ def test_criterion_09_coverage_monotonicity():
         covering = list(random_corpus(rng, 20, 8).values())
         test = list(random_corpus(rng, 20, 8).values())
         extra = list(random_corpus(rng, 10, 8).values())
-        before = analyze.ngram_coverage(covering, test, 4).per_n
-        after = analyze.ngram_coverage(covering + extra, test, 4).per_n
+        before = analyze.ngram_coverage(covering, test, 4)
+        after = analyze.ngram_coverage(covering + extra, test, 4)
         for n in range(1, 5):
             assert after[n] >= before[n], n
     verdict(9, "coverage never decreases when covering text grows", True,
@@ -367,7 +367,7 @@ def test_criterion_11_ngf_smp_beats_random_phrase_coverage(toy_dir):
             cut([select_random_phrases(index_U, index_L, seed=0)], budget).phrases]
     # the published metric covers the test set with OoD data PLUS the selection
     ood = list(L_src.values())
-    cov_smp = analyze.ngram_coverage(ood + smp, test_src, 1).per_n[1]
-    cov_rand = analyze.ngram_coverage(ood + rand, test_src, 1).per_n[1]
+    cov_smp = analyze.ngram_coverage(ood + smp, test_src, 1)[1]
+    cov_rand = analyze.ngram_coverage(ood + rand, test_src, 1)[1]
     verdict(11, "NGF-SMP coverage beats random phrase selection",
             cov_smp > cov_rand, f"{cov_smp:.2f} vs {cov_rand:.2f} unigram coverage")

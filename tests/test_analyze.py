@@ -48,26 +48,26 @@ def oracle_bleu(hyp, ref, max_n=4):
 # --- coverage ---
 
 def test_coverage_full():
-    report = ngram_coverage([("a", "b", "c")], [("a", "b", "c")], 3)
-    assert report.per_n == {1: 100.0, 2: 100.0, 3: 100.0}
+    coverage = ngram_coverage([("a", "b", "c")], [("a", "b", "c")], 3)
+    assert coverage == {1: 100.0, 2: 100.0, 3: 100.0}
 
 
 def test_coverage_zero():
-    report = ngram_coverage([("x",)], [("a", "b")], 2)
-    assert report.per_n == {1: 0.0, 2: 0.0}
+    coverage = ngram_coverage([("x",)], [("a", "b")], 2)
+    assert coverage == {1: 0.0, 2: 0.0}
 
 
 def test_coverage_partial_types():
     # test types at n=1: a, b, c; covering has a, b -> 2/3
-    report = ngram_coverage([("a", "b")], [("a", "b", "c"), ("a",)], 1)
-    assert report.per_n[1] == pytest.approx(200.0 / 3)
+    coverage = ngram_coverage([("a", "b")], [("a", "b", "c"), ("a",)], 1)
+    assert coverage[1] == pytest.approx(200.0 / 3)
 
 
 def test_coverage_type_vs_token_level():
     covering = [("a",)]
     test = [("a", "a", "a", "b")]
-    assert ngram_coverage(covering, test, 1).per_n[1] == 50.0
-    assert ngram_coverage(covering, test, 1, token_level=True).per_n[1] == 75.0
+    assert ngram_coverage(covering, test, 1)[1] == 50.0
+    assert ngram_coverage(covering, test, 1, token_level=True)[1] == 75.0
 
 
 def test_coverage_matches_oracle_random():
@@ -77,9 +77,9 @@ def test_coverage_matches_oracle_random():
         mk = lambda: [tuple(rng.choice(vocab) for _ in range(rng.randint(1, 9)))
                       for _ in range(rng.randint(1, 12))]
         covering, test = mk(), mk()
-        report = ngram_coverage(covering, test, 4)
+        coverage = ngram_coverage(covering, test, 4)
         for n in range(1, 5):
-            assert report.per_n[n] == pytest.approx(oracle_coverage(covering, test, n))
+            assert coverage[n] == pytest.approx(oracle_coverage(covering, test, n))
 
 
 def test_coverage_empty_test_rejected():
@@ -97,7 +97,7 @@ def sentences(own):
 @given(covering=sentences("x"), test=sentences("t").filter(bool), max_n=st.integers(1, 6),
        token_level=st.booleans())
 def test_coverage_matches_the_tuple_reference(covering, test, max_n, token_level):
-    got = ngram_coverage(covering, test, max_n, token_level=token_level).per_n
+    got = ngram_coverage(covering, test, max_n, token_level=token_level)
     assert repr(got) == repr(analyze_reference.ngram_coverage(covering, test, max_n, token_level))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from almt import toy
+from almt.augment import switch
 from almt.cli import main
 from almt.pipeline import STRATEGIES, RunConfig, run_pipeline, validate_config
 
@@ -1283,6 +1284,29 @@ def test_contextualize_appends_an_annotated_phrase_pair_to_its_retrieved_pair(st
         src, tgt = L[entry["provenance"]]
         assert entry["source"] == src + recipe["phrase_src"]
         assert entry["target"] == tgt + recipe["phrase_tgt"]
+
+
+def test_switch_replaces_a_window_of_its_retrieved_pair_with_an_annotated_phrase_pair(stock_toy, tmp_path):
+    config = toy_config(stock_toy, augment_recipe="switch", output_dir=str(tmp_path / "runs"))
+    [report] = run_pipeline(config)
+    run_dir = tmp_path / "runs" / f"budget-{report.budget}"
+    L = {i: tuple(tuple(side.split()) for side in line.split("\t"))
+         for i, line in enumerate((stock_toy / "L.tsv").read_text().splitlines())}
+    annotated = {tuple(tuple(side.split()) for side in line.split("\t"))
+                 for line in (run_dir / "phrases.tsv").read_text().splitlines()}
+    entries = [json.loads(line) for line in (run_dir / "manifest.jsonl").read_text().splitlines()]
+    synthetic = [e for e in entries if e["origin"].startswith("synthetic")]
+    recipes = [json.loads(line) for line in (run_dir / "synthetic.recipes.jsonl").read_text().splitlines()]
+    assert synthetic and len(synthetic) == len(recipes) == report.counts["manifest:synthetic-switch"]
+    for entry, recipe in zip(synthetic, recipes):
+        assert entry["origin"] == "synthetic-switch" and entry["provenance"] == recipe["origin_id"]
+        phrase_src, phrase_tgt = tuple(recipe["phrase_src"]), tuple(recipe["phrase_tgt"])
+        assert (phrase_src, phrase_tgt) in annotated
+        x, y = L[entry["provenance"]]
+        assert 0 <= recipe["position"] < len(x) - len(phrase_src)
+        assert tuple(entry["source"]) == switch(x, phrase_src, recipe["position"])
+        j_min, j_max = recipe["target_span"]
+        assert tuple(entry["target"]) == y[:j_min] + phrase_tgt + y[j_max + 1:]
 
 
 def test_an_empty_labeled_file_fails_the_phrase_oracle_naming_it(toy_dir, tmp_path, capsys):

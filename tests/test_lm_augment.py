@@ -316,10 +316,10 @@ def test_a_run_scores_augmentation_candidates_in_blocks(monkeypatch, tmp_path):
     monkeypatch.setattr(NGramLM, "logprob", lambda lm, sentences: calls.append(len(sentences))
                         or logprob(lm, sentences))
 
-    def counting(retrieved, lm):
-        blocks.append([sum(max(0, len(x) - len(p)) for p, _ in annotated)
-                       for annotated, x, *_ in retrieved])
-        return search(retrieved, lm)
+    def counting(block, lm, alignments):
+        blocks.append([sum(max(0, len(alignments.parallel[pair_id][0]) - len(p)) for p, _ in annotated)
+                       for annotated, pair_id in block])
+        return search(block, lm, alignments)
 
     monkeypatch.setattr(almt.augment, "best_switch", counting)
     config = toy.generate(tmp_path / "toy")
@@ -359,13 +359,20 @@ def test_augment_peak_memory_does_not_grow_with_candidates(monkeypatch):
 
 # --- best_switch / best_contextualize ---
 
+def _one_pair(x_star, y_star, table=None):
+    """Alignments over L = {0: (x_star, y_star)} under ``table``."""
+    return Alignments(ParallelCorpus([(0, (x_star, y_star))]), table)
+
+
 def _best_switch(annotated, x_star, y_star, lm, table):
-    [result] = best_switch([(annotated, x_star, y_star, align_pair(x_star, y_star, table), -1)], lm)
+    [result] = best_switch([(annotated, 0)], lm, _one_pair(x_star, y_star, table))
     return result
 
 
 def _best_contextualize(annotated, x_star, y_star, lm):
-    [pair] = best_contextualize([(annotated, x_star, y_star, -1)], lm)
+    """The winner of one entry; contextualize reads no links, so no table is given."""
+    [(pair, reasons)] = best_contextualize([(annotated, 0)], lm, _one_pair(x_star, y_star))
+    assert reasons == {}
     return pair
 
 
@@ -416,9 +423,9 @@ def test_best_switch_breaks_a_tie_to_the_first_candidate():
     twice, gives the same sentence: the first phrase at the first position wins."""
     lm = train_lm(corpus_of("a b"), order=2)
     annotated = [(("a",), ("T_a",)), (("a",), ("T_a2",))]
-    diagonal = {(i, i) for i in range(4)}
-    x_star, y_star = ("a", "a", "a", "b"), ("T_a",) * 3 + ("T_b",)
-    [(best, _)] = best_switch([(annotated, x_star, y_star, diagonal, 0)], lm)
+    alignments = _one_pair(("a", "a", "a", "b"), ("T_a",) * 3 + ("T_b",))
+    alignments[0] = {(i, i) for i in range(4)}
+    [(best, _)] = best_switch([(annotated, 0)], lm, alignments)
     assert (best.position, best.phrase_tgt, best.target) == (0, ("T_a",), ("T_a",) * 3 + ("T_b",))
 
 
@@ -446,7 +453,7 @@ def test_best_contextualize_lm_prefers_pair():
 def test_best_contextualize_requires_phrases():
     lm = train_lm(corpus_of("a"), order=1)
     with pytest.raises(ValueError):
-        best_contextualize([((("P",), ("T_P",)), ("a",), ("T_a",), 0), ([], ("a",), ("T_a",), 1)], lm)
+        best_contextualize([([(("P",), ("T_P",))], 0), ([], 0)], lm, _one_pair(("a",), ("T_a",)))
 
 
 def test_synthetic_pair_replay_from_recipe():
@@ -478,6 +485,14 @@ def _retrieved(draw):
     return annotated, x_star, y_star, links
 
 
+def _entries(block):
+    """The (annotated pairs, L pair id) entries of ``block``, pair i of L being
+    its i-th drawn pair, and Alignments over that L holding the drawn links."""
+    alignments = Alignments(ParallelCorpus((i, (x, y)) for i, (_, x, y, _) in enumerate(block)), None)
+    alignments.update({i: links for i, (*_, links) in enumerate(block)})
+    return [(annotated, i) for i, (annotated, *_) in enumerate(block)], alignments
+
+
 def _same(pair, expected):
     """Equal SyntheticPairs, their scores float.hex-equal; or both None."""
     if expected is None:
@@ -491,7 +506,8 @@ def _same(pair, expected):
 def test_best_switch_matches_the_per_candidate_reference(order, sentences, block):
     corpus = corpus_of(*map(" ".join, sentences))
     lm, reference = NGramLM(corpus, order), lm_reference.NGramLM(corpus, order)
-    results = best_switch([(*entry, origin) for origin, entry in enumerate(block)], lm)
+    entries, alignments = _entries(block)
+    results = best_switch(entries, lm, alignments)
     assert len(results) == len(block)
     for origin, ((best, reasons), entry) in enumerate(zip(results, block)):
         expected, expected_reasons = augment_reference.best_switch(*entry, reference, origin_id=origin)
@@ -504,8 +520,9 @@ def test_best_switch_matches_the_per_candidate_reference(order, sentences, block
 def test_best_contextualize_matches_the_per_candidate_reference(order, sentences, block):
     corpus = corpus_of(*map(" ".join, sentences))
     lm, reference = NGramLM(corpus, order), lm_reference.NGramLM(corpus, order)
-    pairs = best_contextualize([(annotated, x, y, origin)
-                                for origin, (annotated, x, y, _) in enumerate(block)], lm)
-    assert len(pairs) == len(block)
-    for origin, (pair, (annotated, x, y, _)) in enumerate(zip(pairs, block)):
+    entries, alignments = _entries(block)
+    results = best_contextualize(entries, lm, alignments)
+    assert len(results) == len(block)
+    for origin, ((pair, reasons), (annotated, x, y, _)) in enumerate(zip(results, block)):
         assert _same(pair, augment_reference.best_contextualize(annotated, x, y, reference, origin))
+        assert reasons == {}
