@@ -18,14 +18,6 @@ NULL_TOKEN = "<NULL>"
 BLOCK_TERMS = 1 << 14
 
 
-class TranslationTable:
-    """t(target | source) with per-source rows summing to 1."""
-
-    def __init__(self, probs, log_likelihoods=None):
-        self.probs = probs  # src -> {tgt: p}
-        self.log_likelihoods = log_likelihoods or []
-
-
 def _code_bitext(parallel: ParallelCorpus, reverse: bool):
     """Integer-code the bitext's EM terms, one per (target position, source
     position with NULL first), in pair, then target, then source order.
@@ -74,31 +66,26 @@ def _code_bitext(parallel: ParallelCorpus, reverse: bool):
     return (pair, src, group), blocks, np.array(list(pair_ids), np.int64), src_vocab, tgt_vocab
 
 
-def _sweep(p, codes, blocks, counts=None, totals=None) -> float:
-    """Corpus log-likelihood under ``p``; with ``counts`` and ``totals``, also
-    adds each term's E-step posterior to its pair's count and source's total.
+def _sweep(p, codes, blocks, counts, totals):
+    """The E-step under ``p``: adds each term's posterior to its pair's count
+    and its source's total.
 
     ``np.bincount`` and ``np.add.at`` add in input order, which is the loop
     order, so every denominator, count and total is the same float a
     term-by-term loop would reach.
     """
     pair, src, group = codes
-    ll = 0.0
     for lo, hi in blocks:
         g = group[lo:hi] - group[lo]
         tp = p[pair[lo:hi]]
-        denom = np.bincount(g, weights=tp)
-        with np.errstate(divide="ignore"):
-            ll += float(np.log(denom / np.bincount(g)).sum())
-        if counts is not None:
-            delta = tp / denom[g]
-            np.add.at(counts, pair[lo:hi], delta)
-            np.add.at(totals, src[lo:hi], delta)
-    return ll
+        delta = tp / np.bincount(g, weights=tp)[g]
+        np.add.at(counts, pair[lo:hi], delta)
+        np.add.at(totals, src[lo:hi], delta)
 
 
-def train_ibm1(parallel: ParallelCorpus, iterations: int = 5, reverse: bool = False) -> TranslationTable:
-    """EM with uniform initialization; records corpus log-likelihood per iteration."""
+def train_ibm1(parallel: ParallelCorpus, iterations: int = 5, reverse: bool = False) -> dict:
+    """EM from a uniform start: t(target | source) as source -> {target: p},
+    each source's row summing to 1."""
     if len(parallel) == 0:
         raise ValueError("parallel corpus is empty")
     if iterations < 1:
@@ -106,30 +93,26 @@ def train_ibm1(parallel: ParallelCorpus, iterations: int = 5, reverse: bool = Fa
     codes, blocks, pair_keys, src_vocab, tgt_vocab = _code_bitext(parallel, reverse)
     pair_src, pair_tgt = np.divmod(pair_keys, len(tgt_vocab))
     p = np.full(len(pair_keys), 1.0 / len(tgt_vocab))
-    log_likelihoods = []
-    for it in range(iterations):
+    for _ in range(iterations):
         counts, totals = np.zeros(len(pair_keys)), np.zeros(len(src_vocab))
-        ll = _sweep(p, codes, blocks, counts, totals)
-        if it:  # the sweep's denominators give p's log-likelihood; skip the uniform start's
-            log_likelihoods.append(ll)
+        _sweep(p, codes, blocks, counts, totals)
         p = counts / totals[pair_src]
-    log_likelihoods.append(_sweep(p, codes, blocks))
 
     probs = {}
     for s, t, value in zip(pair_src.tolist(), pair_tgt.tolist(), p.tolist()):
         probs.setdefault(src_vocab.tokens[s], {})[tgt_vocab.tokens[t]] = value
-    return TranslationTable(probs, log_likelihoods)
+    return probs
 
 
-def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int, int]]:
+def align_pair(src_tokens, tgt_tokens, table: dict) -> set[tuple[int, int]]:
     """Viterbi-style links: each target index to its argmax source index.
 
     Ties between real source tokens break to the lowest index; NULL wins only
     when strictly better than every real source, and OOV targets (all-zero
     probabilities) stay unlinked.
     """
-    rows = [table.probs.get(s, {}) for s in src_tokens]
-    null_row = table.probs.get(NULL_TOKEN, {})
+    rows = [table.get(s, {}) for s in src_tokens]
+    null_row = table.get(NULL_TOKEN, {})
     links = set()
     for j, tgt_tok in enumerate(tgt_tokens):
         best_i, best_p = None, 0.0
@@ -147,7 +130,7 @@ class Alignments(dict):
     """Pair id -> that pair of ``parallel``'s ``align_pair`` links under ``table``,
     aligned on the first lookup and kept."""
 
-    def __init__(self, parallel: ParallelCorpus, table: TranslationTable):
+    def __init__(self, parallel: ParallelCorpus, table: dict):
         self.parallel, self.table = parallel, table
 
     def __missing__(self, pair_id):

@@ -3,28 +3,11 @@ in-domain word statistics, length ratio."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Corpus
 from .ngrams import OccurrenceIndex
-
-
-@dataclass
-class InDomainWordStats:
-    idwt: int
-    wt: int
-    idwc: int
-    wc: int
-
-    @property
-    def type_ratio(self):
-        return 100.0 * self.idwt / self.wt if self.wt else 0.0
-
-    @property
-    def count_ratio(self):
-        return 100.0 * self.idwc / self.wc if self.wc else 0.0
 
 
 def ngram_coverage(covering, test, max_n: int, token_level: bool = False) -> dict:
@@ -115,8 +98,10 @@ def in_domain_vocab(test, ood) -> set:
     return set().union(*test) - set().union(*ood)
 
 
-def in_domain_word_stats(selected, ood, test) -> InDomainWordStats:
-    """Word type/count statistics of selected text restricted to in-domain words.
+def in_domain_word_stats(selected, ood, test) -> dict:
+    """Word type/count statistics of selected text restricted to in-domain words:
+    {"IDWT", "WT", "IDWC", "WC"}, the in-domain and all word types, then the
+    in-domain and all word tokens.
 
     All arguments are iterables of token sequences.
     """
@@ -129,7 +114,7 @@ def in_domain_word_stats(selected, ood, test) -> InDomainWordStats:
             if tok in id_vocab:
                 idwc += 1
     idwt = len(wt_set & id_vocab)
-    return InDomainWordStats(idwt, len(wt_set), idwc, wc)
+    return {"IDWT": idwt, "WT": len(wt_set), "IDWC": idwc, "WC": wc}
 
 
 def length_ratio(hypotheses: Corpus, references: Corpus) -> float:

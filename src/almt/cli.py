@@ -84,7 +84,7 @@ def _cmd_mix(args):
     if skipped:
         print(f"skipped {skipped} degenerate pairs", file=sys.stderr)
     write_text(args.output, "".join(map(mix.encode_id, ids)))
-    write_text(args.output + ".tsv", "".join(tsv for _, tsv in mix.assemble(context.L, [], [], ids)[0]))
+    write_text(args.output + ".tsv", "".join(mix.encode_entry(*context.L[sid], None, sid)[1] for sid in ids))
     print(f"{len(ids)} pairs -> {args.output}")
     return 0
 
@@ -145,9 +145,9 @@ def _cmd_analyze(args):
             print(f"{sid}\t{score:.4f}")
     elif args.mode == "wordstats":
         stats = analyze.in_domain_word_stats(*tokens)
-        print(json.dumps({"IDWT": stats.idwt, "WT": stats.wt, "IDWC": stats.idwc,
-                          "WC": stats.wc, "IDWT/WT": round(stats.type_ratio, 2),
-                          "IDWC/WC": round(stats.count_ratio, 2)}))
+        for part, whole in (("IDWT", "WT"), ("IDWC", "WC")):
+            stats[f"{part}/{whole}"] = round(100.0 * stats[part] / stats[whole], 2) if stats[whole] else 0.0
+        print(json.dumps(stats))
     elif args.mode == "length-ratio":
         try:
             ratio = analyze.length_ratio(*corpora)

@@ -170,7 +170,7 @@ class RatioScorer:
     """
 
     def __init__(self, store_a: EmbeddingStore, store_b: EmbeddingStore, k: int):
-        self.a, self.b, self.k = store_a, store_b, k
+        self.a, self.b = store_a, store_b
         use_a, use_b = store_a.usable, store_b.usable
         all_a, all_b, n = use_a.all(), use_b.all(), np.count_nonzero(use_b)
         kk = min(k, n)
@@ -197,8 +197,7 @@ class RatioScorer:
         """The B x A scorer: it shares this one's pass 1 (stores and means,
         swapped) and makes its own pass 2 over B x A cosines."""
         t = object.__new__(RatioScorer)
-        t.a, t.b, t.k, t.mean_a, t.mean_b = self.b, self.a, self.k, self.mean_b, self.mean_a
-        t.__dict__["T"] = self
+        t.a, t.b, t.mean_a, t.mean_b = self.b, self.a, self.mean_b, self.mean_a
         return t
 
     def _products(self, left, right):

@@ -55,12 +55,7 @@ def load_freeze(path, parallel: ParallelCorpus):
     return ids
 
 
-def _encode_each(section, records, encode):
-    return [encode(record) for record in records]
-
-
-def assemble(L: ParallelCorpus, l_s, l_p, l_r, synthetic=(), retrieved: bool = True,
-             lines=_encode_each):
+def assemble(L: ParallelCorpus, l_s, l_p, l_r, synthetic, retrieved: bool, lines):
     """The manifest's entries, each a (manifest.jsonl line, manifest.tsv line), and
     its count of entries per origin. The pools go in fixed order: L_s, L_p, L_r,
     synthetic.

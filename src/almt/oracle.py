@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .align import Alignments, target_span
 from .corpus import ParallelCorpus
-from .errors import OracleGapError
+from .errors import AlmtError
 from .ngrams import occurrences
 
 
@@ -26,9 +26,10 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
     ids = list(selected_ids)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate sentence ids in selection (upstream invariant violated)")
-    missing = [sid for sid in ids if sid not in reference]
+    missing = sorted(sid for sid in ids if sid not in reference)
     if missing:
-        raise OracleGapError(missing)
+        raise AlmtError(f"reference corpus is missing {len(missing)} selected ids: "
+                        f"{missing[:10]}{'...' if len(missing) > 10 else ''}")
     return [OracleResponse(sid, reference[sid][1], (sid,)) for sid in ids]
 
 

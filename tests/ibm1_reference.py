@@ -1,4 +1,5 @@
-"""Loop references for IBM Model 1 in `almt.align`: EM and Viterbi linking.
+"""Loop references for IBM Model 1 in `almt.align`: EM, its log-likelihood and
+Viterbi linking.
 
 `train_ibm1` works one target position at a time, over dicts keyed by
 (source, target) string pairs: the E-step sums each target's probabilities
@@ -6,6 +7,9 @@ over its source tokens (NULL first), then adds every posterior to the pair's
 count and the source's total. Every sum runs left to right from 0.0, in pair,
 then target position, then source position order, which is the order the
 array version adds in, so both give the same float for every table entry.
+
+`log_likelihood` scores a table on a bitext, the quantity each EM update never
+lowers.
 
 `align_pair` looks up every (source, target) probability in the table's
 nested dicts, one target token at a time, as `almt.align` did before it
@@ -15,7 +19,7 @@ fetched each source row once per pair. Slow, and used only by tests.
 import math
 from collections import defaultdict
 
-from almt.align import NULL_TOKEN, TranslationTable
+from almt.align import NULL_TOKEN
 
 
 def _sequential_sum(values):
@@ -26,22 +30,23 @@ def _sequential_sum(values):
     return total
 
 
-def train_ibm1(parallel, iterations: int, reverse: bool = False) -> TranslationTable:
-    """EM with uniform initialization; records corpus log-likelihood per iteration."""
+def _bitext(parallel, reverse):
+    """Each pair as (source tokens with NULL first, target tokens)."""
+    for src, tgt in parallel.values():
+        s, t = (tgt, src) if reverse else (src, tgt)
+        yield (NULL_TOKEN,) + s, t
+
+
+def train_ibm1(parallel, iterations: int, reverse: bool = False) -> dict:
+    """EM with uniform initialization: source -> {target: p}."""
     if len(parallel) == 0:
         raise ValueError("parallel corpus is empty")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    bitext = []
-    tgt_vocab = set()
-    for src, tgt in parallel.values():
-        s, t = (tgt, src) if reverse else (src, tgt)
-        bitext.append(((NULL_TOKEN,) + s, t))
-        tgt_vocab.update(t)
-    uniform = 1.0 / len(tgt_vocab)
+    bitext = list(_bitext(parallel, reverse))
+    uniform = 1.0 / len(set().union(*(t for _, t in bitext)))
 
     t_prob = defaultdict(lambda: uniform)  # (src, tgt) -> p
-    log_likelihoods = []
     for _ in range(iterations):
         counts = defaultdict(float)
         totals = defaultdict(float)
@@ -52,33 +57,38 @@ def train_ibm1(parallel, iterations: int, reverse: bool = False) -> TranslationT
                     delta = t_prob[(s, tgt_tok)] / denom
                     counts[(s, tgt_tok)] += delta
                     totals[s] += delta
-        t_prob = defaultdict(float, {pair: c / totals[pair[0]] for pair, c in counts.items()})
-        ll = 0.0
-        for src_tokens, tgt_tokens in bitext:
-            for tgt_tok in tgt_tokens:
-                inner = _sequential_sum(t_prob[(s, tgt_tok)] for s in src_tokens) / len(src_tokens)
-                ll += math.log(inner) if inner > 0 else float("-inf")
-        log_likelihoods.append(ll)
+        t_prob = {pair: c / totals[pair[0]] for pair, c in counts.items()}
 
     probs = defaultdict(dict)
     for (s, tgt_tok), p in t_prob.items():
         probs[s][tgt_tok] = p
-    return TranslationTable(dict(probs), log_likelihoods)
+    return dict(probs)
 
 
-def align_pair(src_tokens, tgt_tokens, table: TranslationTable) -> set[tuple[int, int]]:
+def log_likelihood(parallel, table: dict, reverse: bool = False) -> float:
+    """The bitext's log-likelihood under ``table``: over every target position,
+    the log of the mean, over NULL and the source tokens, of t(target | source)."""
+    ll = 0.0
+    for src_tokens, tgt_tokens in _bitext(parallel, reverse):
+        for tgt_tok in tgt_tokens:
+            inner = _sequential_sum(table.get(s, {}).get(tgt_tok, 0.0) for s in src_tokens) / len(src_tokens)
+            ll += math.log(inner) if inner > 0 else float("-inf")
+    return ll
+
+
+def align_pair(src_tokens, tgt_tokens, table: dict) -> set[tuple[int, int]]:
     """Each target index to its argmax source index: ties to the lowest index,
     NULL only on a strict win, OOV targets unlinked."""
     links = set()
     for j, tgt_tok in enumerate(tgt_tokens):
         best_i, best_p = None, 0.0
         for i, src_tok in enumerate(src_tokens):
-            p = table.probs.get(src_tok, {}).get(tgt_tok, 0.0)
+            p = table.get(src_tok, {}).get(tgt_tok, 0.0)
             if p > best_p:
                 best_i, best_p = i, p
         if best_i is None:
             continue
-        if table.probs.get(NULL_TOKEN, {}).get(tgt_tok, 0.0) > best_p:
+        if table.get(NULL_TOKEN, {}).get(tgt_tok, 0.0) > best_p:
             continue
         links.add((best_i, j))
     return links

@@ -26,6 +26,7 @@ from almt.pipeline import RunConfig, run_pipeline
 from almt.select import (cut, select_csse, select_ngf, select_ngf_smp,
                          select_random_phrases, select_random_sentences,
                          select_rttl)
+from ibm1_reference import log_likelihood
 from ngrams_reference import decode
 from ratio_reference import ratio_score
 
@@ -248,12 +249,11 @@ def test_criterion_06_ibm1_convergence():
             n = rng.randint(1, 6)
             pairs.append((" ".join(rng.choice(vocab_s) for _ in range(n)),
                           " ".join(rng.choice(vocab_t) for _ in range(n))))
-        table = train_ibm1(parallel_of(*pairs), iterations=10)
-        lls = table.log_likelihoods
-        assert len(lls) == 10
+        corpus = parallel_of(*pairs)
+        lls = [log_likelihood(corpus, train_ibm1(corpus, k)) for k in range(1, 11)]
         assert all(b - a >= -1e-9 for a, b in zip(lls, lls[1:])), trial
     table = train_ibm1(parallel_of(("hund", "dog")), iterations=5)
-    p = table.probs["hund"]["dog"]
+    p = table["hund"]["dog"]
     verdict(6, "EM log-likelihood non-decreasing; 1-pair corpus converges",
             p >= 1 - 1e-6, f"t(dog|hund)={p:.8f}")
 

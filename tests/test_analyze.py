@@ -191,9 +191,7 @@ def test_in_domain_word_stats_values():
         selected=[("d1", "g1"), ("d1", "g2", "g1")],
         ood=[("g1", "g2", "g3")],
         test=[("d1", "d2", "g1")])
-    assert (stats.idwt, stats.wt, stats.idwc, stats.wc) == (1, 3, 2, 5)
-    assert stats.type_ratio == pytest.approx(100.0 / 3)
-    assert stats.count_ratio == pytest.approx(40.0)
+    assert stats == {"IDWT": 1, "WT": 3, "IDWC": 2, "WC": 5}
 
 
 # --- length ratio ---

@@ -1664,12 +1664,26 @@ def test_cli_oracle_selection_with_a_repeated_line_exits_3_naming_it(strategy, n
     assert f"{selection}:2: {named}" in err and "Traceback" not in err
 
 
+def test_cli_oracle_against_a_reference_that_lacks_selected_ids_exits_3(toy_dir, tmp_path, capsys):
+    """The message lists the missing ids sorted, the first 10 of them, then "..."."""
+    missing = list(range(11, -1, -1))
+    selection = tmp_path / "sel.jsonl"
+    selection.write_text("".join(json.dumps({"kind": "sentence", "id": sid}) + "\n" for sid in missing))
+    lines = (toy_dir / "reference.tsv").read_text().splitlines(keepends=True)
+    reference = tmp_path / "reference.tsv"
+    reference.write_text("".join("\n" if i in missing else line for i, line in enumerate(lines)))
+    assert main(["oracle", "--selection", str(selection), "--reference", str(reference),
+                 "--labeled", str(toy_dir / "L.tsv"), "--output-prefix", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        "stage failure: reference corpus is missing 12 selected ids: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]...\n"
+
+
 # --- a sweep writes what single-budget runs write, encoding each record once ---
 
 def test_a_sweep_fails_at_the_first_budget_that_selects_a_sentence_the_reference_lacks(
         toy_dir, tmp_path):
     from almt import select
-    from almt.errors import OracleGapError
+    from almt.errors import AlmtError
     from almt.pipeline import RunContext
     config = toy_config(toy_dir, budgets=[40, 120, 200], output_dir=str(tmp_path / "runs"))
     rankings = RunContext(config).rankings
@@ -1679,9 +1693,9 @@ def test_a_sweep_fails_at_the_first_budget_that_selects_a_sentence_the_reference
     lines[gap] = "\n"  # ids are line numbers, so every other pair keeps its id
     config.oracle_reference = str(tmp_path / "reference.tsv")
     Path(config.oracle_reference).write_text("".join(lines))
-    with pytest.raises(OracleGapError) as exc:
+    with pytest.raises(AlmtError) as exc:
         run_pipeline(config)
-    assert exc.value.missing == [gap]
+    assert str(exc.value) == f"reference corpus is missing 1 selected ids: [{gap}]"
     runs = tmp_path / "runs"
     assert json.loads((runs / "budget-40" / "report.json").read_text())["counts"]["manifest_entries"]
     assert not (runs / "budget-40" / "failed").exists()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import augment_reference
 import lm_reference
 
-from almt.align import Alignments, TranslationTable, NULL_TOKEN, align_pair
+from almt.align import Alignments, NULL_TOKEN, align_pair
 from almt.corpus import Corpus, ParallelCorpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
@@ -20,7 +20,7 @@ def corpus_of(*lines):
 
 
 def identity_table(tokens):
-    return TranslationTable({w: {f"T_{w}": 1.0} for w in tokens} | {NULL_TOKEN: {}})
+    return {w: {f"T_{w}": 1.0} for w in tokens} | {NULL_TOKEN: {}}
 
 
 # --- language model ---
@@ -236,7 +236,7 @@ def test_augment_counts_a_sentence_without_a_switch_once_under_its_dominant_reas
     store_L = EmbeddingStore([0, 1], np.array([[1.0, 0.0], [0.6, 0.8]]), "L")
     annotated = [(("cat",), ("T_cat",)), (("x", "cat", "sat", "y"), ("T_x", "T_cat", "T_sat", "T_y"))]
     pairs, report = augment_corpus(U, annotated, RatioScorer(store_U, store_L, 1),
-                                   Alignments(L, TranslationTable({NULL_TOKEN: {"y": 1.0}})),
+                                   Alignments(L, {NULL_TOKEN: {"y": 1.0}}),
                                    train_lm(U, order=2), "switch")
     assert pairs == []
     assert report == {"no-annotated-phrase": 0, "retrieval-degenerate": 0,
@@ -400,7 +400,7 @@ def test_best_switch_lm_prefers_position():
 
 
 def test_best_switch_all_spans_unresolvable():
-    table = TranslationTable({NULL_TOKEN: {"y": 1.0}})  # nothing aligns
+    table = {NULL_TOKEN: {"y": 1.0}}  # nothing aligns
     lm = train_lm(corpus_of("a b"), order=2)
     best, reasons = _best_switch([(("P",), ("T_P",))], ("a", "b"), ("y", "y"), lm, table)
     assert best is None

@@ -9,6 +9,7 @@ from almt.embed import EmbeddingStore, RatioScorer
 from almt.errors import ConfigError, ParseError
 from almt.mix import ORIGINS, assemble, encode_entry, encode_id, load_freeze, retrieve_similar
 from almt.oracle import OracleResponse
+from almt.pipeline import RunConfig, RunContext
 from almt.select import shuffled
 
 
@@ -81,10 +82,15 @@ def _resp(src, tgt, prov):
     return OracleResponse(tuple(src.split()), tuple(tgt.split()), tuple(prov), 1)
 
 
+def _lines():
+    """A fresh run's ``lines``, the encoder the pipeline hands ``assemble``."""
+    return RunContext(RunConfig(None, None, None, [])).lines
+
+
 def test_assemble_order_and_counts():
     l_s = [(("a", "a"), ("x", "x"), 0)]
     l_p = [_resp("p", "T_p", [3])]
-    entries, counts = assemble(parallel_of(*[("r", "T_r")] * 8), l_s, l_p, [7])
+    entries, counts = assemble(parallel_of(*[("r", "T_r")] * 8), l_s, l_p, [7], [], True, _lines())
     assert [json.loads(jsonl)["origin"] for jsonl, _ in entries] == [
         "annotated-sentence", "annotated-phrase", "retrieved"]
     assert counts["annotated-sentence"] == 1
@@ -92,24 +98,24 @@ def test_assemble_order_and_counts():
 
 
 def test_assemble_sampled_flag():
-    entries, _ = assemble(FOUR, [], [], [0], retrieved=False)
+    entries, _ = assemble(FOUR, [], [], [0], [], False, _lines())
     assert json.loads(entries[0][0])["origin"] == "sampled"
 
 
 def test_assemble_keeps_same_source_different_target():
     l_s = [(("a",), ("x",), 0), (("a",), ("y",), 1)]
-    entries, _ = assemble(FOUR, l_s, [], [])
+    entries, _ = assemble(FOUR, l_s, [], [], [], True, _lines())
     assert len(entries) == 2
 
 
 def test_assemble_empty_inputs_give_zero_counts():
-    entries, counts = assemble(FOUR, [], [], [], [])
+    entries, counts = assemble(FOUR, [], [], [], [], True, _lines())
     assert entries == []
     assert counts == dict.fromkeys(ORIGINS, 0)
 
 
 def test_manifest_files(tmp_path):
-    entries, _ = assemble(FOUR, [(("a", "b"), ("x", "y"), 0)], [], [1])
+    entries, _ = assemble(FOUR, [(("a", "b"), ("x", "y"), 0)], [], [1], [], True, _lines())
     write_columns([tmp_path / "mix.jsonl", tmp_path / "mix.tsv"], entries)
     assert entries == [encode_entry(("a", "b"), ("x", "y"), "annotated-sentence", 0),
                        encode_entry(("b", "b"), ("y", "y"), "retrieved", 1)]

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import ngrams_reference
 import oracle_reference
-from almt.align import Alignments, TranslationTable, NULL_TOKEN, train_ibm1
+from almt.align import Alignments, NULL_TOKEN, train_ibm1
 from almt.corpus import ParallelCorpus, write_columns
-from almt.errors import OracleGapError
+from almt.errors import AlmtError
 from almt.oracle import encode_response, translate_phrases, translate_sentences
 
 
@@ -17,9 +17,7 @@ def parallel_of(*pairs):
 
 def identity_table(tokens):
     """Clean 1-1 table: src w -> tgt T_w with probability 1."""
-    probs = {w: {f"T_{w}": 1.0} for w in tokens}
-    probs[NULL_TOKEN] = {}
-    return TranslationTable(probs)
+    return {w: {f"T_{w}": 1.0} for w in tokens} | {NULL_TOKEN: {}}
 
 
 def test_translate_sentences_lookup():
@@ -34,7 +32,7 @@ def test_translate_sentences_empty():
 
 
 def test_translate_sentences_missing_id():
-    with pytest.raises(OracleGapError):
+    with pytest.raises(AlmtError, match=r"^reference corpus is missing 1 selected ids: \[5\]$"):
         translate_sentences([5], parallel_of(("a", "x")))
 
 
@@ -55,7 +53,7 @@ def test_translate_phrase_clean_alignment():
 def test_translate_phrase_majority_vote():
     # "a" aligns to T_a in three pairs and to V_a in one
     ref = parallel_of(("a", "T_a"), ("a", "T_a"), ("a", "T_a"), ("a", "V_a"))
-    table = TranslationTable({"a": {"T_a": 0.6, "V_a": 0.4}, NULL_TOKEN: {}})
+    table = {"a": {"T_a": 0.6, "V_a": 0.4}, NULL_TOKEN: {}}
     responses, drops = translate_phrases([("a",)], Alignments(ref, table))
     assert responses[0].target == ("T_a",)
     assert responses[0].votes == 3
@@ -71,7 +69,7 @@ def test_translate_phrase_not_in_reference():
 
 def test_translate_phrase_no_aligned_span():
     ref = parallel_of(("a", "x"))
-    table = TranslationTable({NULL_TOKEN: {"x": 1.0}, "a": {"x": 0.0}})
+    table = {NULL_TOKEN: {"x": 1.0}, "a": {"x": 0.0}}
     responses, drops = translate_phrases([("a",)], Alignments(ref, table))
     assert drops[("a",)] == "no-aligned-span"
 
