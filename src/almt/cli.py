@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import analyze, mix, select, toy
 from .corpus import load_corpus, read_records, write_columns, write_text
@@ -50,9 +51,11 @@ def _cmd_select(args):
                        embeddings_labeled=args.embeddings_labeled, rttl_scores=args.rttl_scores,
                        seed=args.seed, k=args.k, max_n=args.max_n, dist_mode=args.dist_mode)
     _check(config, {"budgets": "--budget-words", "k": "--k", "max_n": "--max-n"})
-    result = RunContext(config, args.budget_words).selection
+    context = RunContext(config, args.budget_words)
+    (ranking,), result = context.rankings, context.selection
     write_text(args.output, select.rank_lines(map(select.encode_pick, result.sentences + result.phrases)))
-    print(json.dumps(result.summary()))
+    print(json.dumps({"strategy": ranking.strategy, "seed": ranking.seed, **asdict(result),
+                      "sentences": len(result.sentences), "phrases": len(result.phrases)}))
     return 0
 
 

@@ -34,7 +34,8 @@ def translate_sentences(selected_ids, reference: ParallelCorpus) -> list[OracleR
 
 
 def translate_phrases(phrases, alignments: Alignments):
-    """Alignment-based phrase translation with majority vote over occurrences.
+    """Phrase translation by majority vote: each occurrence with an aligned target
+    span votes for it; ties go to the shorter target, then the first in token order.
 
     ``alignments`` holds the reference and aligns once each pair holding an
     occurrence.
@@ -46,30 +47,20 @@ def translate_phrases(phrases, alignments: Alignments):
     if len(set(phrases)) != len(phrases):
         raise ValueError("duplicate phrases in selection (upstream invariant violated)")
     ids = list(alignments.parallel)
-    phrase, sentence, start = occurrences(phrases, [src for src, _ in alignments.parallel.values()])
-    found = {}  # phrase index -> [(reference pair id, start)], in sentence order then by start
-    for k, s, i in zip(phrase.tolist(), sentence.tolist(), start.tolist()):
-        found.setdefault(k, []).append((ids[s], i))
-
-    responses, drops = [], {}
+    phrase, sentence, start = (a.tolist() for a in occurrences(
+        phrases, [src for src, _ in alignments.parallel.values()]))
+    votes = [{} for _ in phrases]  # phrase index -> target -> ids of the pairs voting for it
+    for k, sid, i in zip(phrase, (ids[s] for s in sentence), start):
+        span = target_span(alignments[sid], i, i + len(phrases[k]))
+        if not isinstance(span, str):
+            votes[k].setdefault(alignments.parallel[sid][1][span[0]:span[1] + 1], []).append(sid)
+    occurred, responses, drops = set(phrase), [], {}
     for k, p in enumerate(phrases):
-        if k not in found:
-            drops[p] = "not-in-reference"
+        if not votes[k]:
+            drops[p] = "no-aligned-span" if k in occurred else "not-in-reference"
             continue
-        votes = {}
-        for sid, start in found[k]:
-            span = target_span(alignments[sid], start, start + len(p))
-            if isinstance(span, str):
-                continue
-            target = alignments.parallel[sid][1][span[0]:span[1] + 1]
-            count, prov = votes.get(target, (0, []))
-            prov.append(sid)
-            votes[target] = (count + 1, prov)
-        if not votes:
-            drops[p] = "no-aligned-span"
-            continue
-        target, (count, prov) = min(votes.items(), key=lambda kv: (-kv[1][0], len(kv[0]), kv[0]))
-        responses.append(OracleResponse(p, target, tuple(sorted(set(prov))), votes=count))
+        target, prov = min(votes[k].items(), key=lambda kv: (-len(kv[1]), len(kv[0]), kv[0]))
+        responses.append(OracleResponse(p, target, tuple(sorted(set(prov))), votes=len(prov)))
     return responses, drops
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import random
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,19 +46,11 @@ class BudgetLedger:
 
 @dataclass
 class SelectionResult:
-    strategy: str
-    seed: int | None
     budget: BudgetLedger
     sentences: list[SelectedSentence] = field(default_factory=list)
     phrases: list[SelectedPhrase] = field(default_factory=list)
     exhausted: bool = False
     skipped: dict = field(default_factory=dict)
-
-    def summary(self):
-        d = asdict(self)
-        d["sentences"] = len(self.sentences)
-        d["phrases"] = len(self.phrases)
-        return d
 
 
 def encode_pick(pick) -> str:
@@ -87,7 +79,7 @@ def load_selection(path):
             return f"sentence {pick.id}", pick
         pick = SelectedPhrase(record_tokens(rec), None, None)
         return f"phrase {pick.tokens!r}", pick
-    result = SelectionResult(None, None, None)
+    result = SelectionResult(None)
     for _, (_, pick) in read_records(path, parse, key=lambda rec: rec[0], what="selection"):
         (result.sentences if isinstance(pick, SelectedSentence) else result.phrases).append(pick)
     return result
@@ -144,8 +136,7 @@ def cut(rankings, budget) -> SelectionResult:
         ledger, sentences, phrases = BudgetLedger(budget, budget, 0, spent, 0), picks[:n], []
     else:
         ledger, sentences, phrases = BudgetLedger(budget, 0, budget, 0, spent), [], picks[:n]
-    return SelectionResult(ranking.strategy, ranking.seed, ledger, sentences, phrases, exhausted,
-                           dict(ranking.skipped))
+    return SelectionResult(ledger, sentences, phrases, exhausted, dict(ranking.skipped))
 
 
 def _sentences(strategy, seed, U, order, score, skipped=None) -> Ranking:
@@ -258,9 +249,7 @@ def select_hybrid(total_budget: int, sentences: Ranking, phrases: Ranking) -> Se
     """Cut the ``sentences`` ranking at ceil(B/2) and the ``phrases`` ranking at floor(B/2)."""
     b_s, b_p = split_budget(total_budget)
     sent, phr = cut([sentences], b_s), cut([phrases], b_p)
-    return SelectionResult(f"hybrid({sent.strategy},{phr.strategy})",
-                           sent.seed if sent.seed is not None else phr.seed,
-                           BudgetLedger(total_budget, b_s, b_p,
+    return SelectionResult(BudgetLedger(total_budget, b_s, b_p,
                                         sent.budget.spent_sentences, phr.budget.spent_phrases),
                            sent.sentences, phr.phrases, sent.exhausted or phr.exhausted,
                            {key: sent.skipped.get(key, 0) + phr.skipped.get(key, 0)

@@ -270,6 +270,29 @@ def test_cli_select_ngf(toy_dir, tmp_path, capsys):
     assert recs and all(r["kind"] == "phrase" for r in recs)
 
 
+SELECT_SUMMARIES = [  # almt select's stdout on the seed-1 toy, --seed 3 --budget-words 150
+    '{"strategy": "random-sent", "seed": 3, "budget": {"total": 150, "sentence_share": 150, "phrase_share": 0, "spent_sentences": 156, "spent_phrases": 0}, "sentences": 20, "phrases": 0, "exhausted": false, "skipped": {}}',
+    '{"strategy": "csse-literal", "seed": null, "budget": {"total": 150, "sentence_share": 150, "phrase_share": 0, "spent_sentences": 156, "spent_phrases": 0}, "sentences": 22, "phrases": 0, "exhausted": false, "skipped": {"zero-norm": 0, "non-positive-margin": 0}}',
+    '{"strategy": "rttl", "seed": null, "budget": {"total": 150, "sentence_share": 150, "phrase_share": 0, "spent_sentences": 150, "spent_phrases": 0}, "sentences": 21, "phrases": 0, "exhausted": false, "skipped": {}}',
+    '{"strategy": "random-phrase", "seed": 3, "budget": {"total": 150, "sentence_share": 0, "phrase_share": 150, "spent_sentences": 0, "spent_phrases": 151}, "sentences": 0, "phrases": 47, "exhausted": false, "skipped": {}}',
+    '{"strategy": "ngf", "seed": null, "budget": {"total": 150, "sentence_share": 0, "phrase_share": 150, "spent_sentences": 0, "spent_phrases": 150}, "sentences": 0, "phrases": 71, "exhausted": false, "skipped": {}}',
+    '{"strategy": "ngf-smp", "seed": null, "budget": {"total": 150, "sentence_share": 0, "phrase_share": 150, "spent_sentences": 0, "spent_phrases": 151}, "sentences": 0, "phrases": 67, "exhausted": false, "skipped": {}}',
+]
+
+
+def test_cli_select_prints_each_strategys_summary_line(tmp_path, capsys):
+    toy.generate(tmp_path, seed=1)
+    inputs = [arg for flag, name in (("--unlabeled", "U.txt"), ("--labeled", "L.tsv"),
+                                     ("--embeddings-unlabeled", "emb_U.tsv"),
+                                     ("--embeddings-labeled", "emb_L.tsv"),
+                                     ("--rttl-scores", "rttl_scores.tsv"))
+              for arg in (flag, str(tmp_path / name))]
+    for strategy in STRATEGIES:
+        assert main(["select", "--strategy", strategy, *inputs, "--seed", "3", "--budget-words", "150",
+                     "--output", str(tmp_path / f"{strategy}.jsonl")]) == 0
+    assert capsys.readouterr().out.splitlines() == SELECT_SUMMARIES
+
+
 def test_cli_select_rttl_malformed_score_line_exits_3(toy_dir, tmp_path, capsys):
     scores = tmp_path / "rttl.tsv"
     scores.write_text("0\t-1.5\n1 -2.0\n")
@@ -1204,8 +1227,9 @@ def stock_toy_nn(tmp_path_factory):
 def test_select_csse_nn_order_matches_the_scalar_reference(stock_toy_nn):
     from almt.select import cut, select_csse
     config, context, order, scores = stock_toy_nn
-    result = cut([select_csse(context.U, context.csse_scorer, dist_mode="nn")], 10 ** 6)
-    assert result.strategy == "csse-nn" and result.exhausted
+    ranking = select_csse(context.U, context.csse_scorer, dist_mode="nn")
+    result = cut([ranking], 10 ** 6)
+    assert ranking.strategy == "csse-nn" and result.exhausted
     assert [s.id for s in result.sentences] == order
     assert [s.score for s in result.sentences] == pytest.approx([scores[sid] for sid in order])
     assert sum(result.skipped.values()) == len(context.U) - len(order)

@@ -302,8 +302,7 @@ def test_cut_equals_direct_selection(toy_run_config, every_phrase_in_L):
             ranking.build = counted
         for b in budgets:
             again, direct = cut(rankings, b), cut(_rankings(context, names), b)
-            for part in ("strategy", "seed", "sentences", "phrases", "budget", "exhausted",
-                         "skipped"):
+            for part in ("sentences", "phrases", "budget", "exhausted", "skipped"):
                 if getattr(again, part) != getattr(direct, part):
                     mismatches.append((names, b, part))
         assert set(builds.values()) <= {1}, names
