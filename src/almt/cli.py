@@ -51,7 +51,7 @@ def _cmd_select(args):
                        embeddings_labeled=args.embeddings_labeled, rttl_scores=args.rttl_scores,
                        seed=args.seed, k=args.k, max_n=args.max_n, dist_mode=args.dist_mode)
     _check(config, {"budgets": "--budget-words", "k": "--k", "max_n": "--max-n"})
-    context = RunContext(config, args.budget_words)
+    context = RunContext(config)
     (ranking,), result = context.rankings, context.selection
     write_text(args.output, select.rank_lines(map(select.encode_pick, result.sentences + result.phrases)))
     print(json.dumps({"strategy": ranking.strategy, "seed": ranking.seed, **asdict(result),
@@ -247,7 +247,7 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--budget", type=int, help="override the config's budget list with one budget")
+    p.add_argument("--budget", type=int, help="run this one budget in place of the config's budget list")
     p.add_argument("--simulate-only", action="store_true")
     p.set_defaults(func=_cmd_pipeline)
 

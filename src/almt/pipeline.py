@@ -15,7 +15,7 @@ import time
 import traceback
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -89,10 +89,6 @@ class RunConfig:
         if missing:
             raise ConfigError(f"{path}: missing required config keys: {missing}")
         return cls(**raw)
-
-
-def _write_json(obj, path):
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _pools(config) -> list[tuple]:
@@ -209,9 +205,6 @@ class RunReport:
     digests: dict = field(default_factory=dict)
     running = None  # the stage in progress, named in ``failed`` if it raises; not saved
 
-    def save(self, path):
-        _write_json(asdict(self), path)
-
 
 @contextmanager
 def _stage(report, name):
@@ -222,25 +215,26 @@ def _stage(report, name):
 
 
 def run_pipeline(config: RunConfig, budget: int = None) -> list[RunReport]:
-    """Run every configured budget (or just the override) in its own directory,
-    sharing one RunContext, so budget-independent work runs once. A budget that
-    completes removes the files an earlier run left in its directory and this
-    one did not write: a ``failed`` marker, and every artifact its report lacks."""
+    """Run each budget of ``config`` in its own directory, sharing one RunContext, so
+    budget-independent work runs once. ``budget`` replaces the config's list in a
+    copy, which is validated, runs and is each report's config. A budget that completes
+    writes its report.json and removes what an earlier run left in its directory and
+    this one did not write: a ``failed`` marker, and every artifact its report lacks."""
+    if budget is not None:
+        config = replace(config, budgets=[budget])
     failures = validate_config(config)
-    if budget is not None and not _positive_int(budget):
-        failures.append(f"budget must be an int >= 1, got {budget!r}")
     if failures:
         raise ConfigError("; ".join(failures))
-    budgets = [budget] if budget is not None else list(config.budgets)
-    context = RunContext(config, max(budgets))
+    context = RunContext(config)
     reports = []
-    for b in budgets:
+    for b in config.budgets:
         run_dir = Path(config.output_dir) / f"budget-{b}"
         run_dir.mkdir(parents=True, exist_ok=True)
         report = RunReport(asdict(config), b)
         lock = _lock(run_dir)
         try:
             reports.append(_run_budget(context, report, run_dir))
+            write_text(run_dir / "report.json", json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
         except BaseException:  # Ctrl-C too: the budget's files need not match its report.json
             write_text(run_dir / "failed", f"stage: {report.running}\n{traceback.format_exc()}")
             raise
@@ -284,16 +278,17 @@ class RunContext:
     """The budget-independent inputs of one run, each built once, on first use.
     ``load`` reads every input file of the run, each through its ``READERS``
     member. ``rankings`` ranks once per strategy, with no budget, and every
-    budget is one ``select.cut`` of them; ``selection``, the cut at the run's
-    largest budget, holds every phrase of any cut, and ``translations`` the
+    budget is one ``select.cut`` of them; ``selection``, the cut at the largest
+    of the config's budgets, holds every phrase of any cut, and ``translations`` the
     oracle's answer for each. ``pool`` orders L's pair ids once for the mix
     stage; every budget takes a prefix. ``lines`` encodes each artifact record
     once, manifest entries included (``mix.assemble`` reads it). ``almt
     select``, ``oracle`` and ``mix`` build one from their flags, so a stage run
-    alone takes the pipeline's code path."""
+    alone takes the pipeline's code path; ``almt oracle`` assigns ``selection``,
+    and ``almt mix`` reads none."""
 
-    def __init__(self, config: RunConfig, top_budget: int = None):
-        self.config, self.top_budget = config, top_budget
+    def __init__(self, config: RunConfig):
+        self.config = config
         self._lines = {}  # section -> the lines of its records that a budget has written
 
     def lines(self, section, records, encode):
@@ -419,7 +414,7 @@ class RunContext:
         return mix.retrieve_similar(self.scorer.T)
 
     rankings = cached_property(lambda self: [strategy.rank(self) for strategy in self.strategies])
-    selection = cached_property(lambda self: select.cut(self.rankings, self.top_budget))
+    selection = cached_property(lambda self: select.cut(self.rankings, max(self.config.budgets)))
 
     @cached_property
     def translations(self):
@@ -469,7 +464,6 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         report.dropped.update({f"select:{k}": v for k, v in result.skipped.items()})
 
     if config.simulate_only:
-        report.save(run_dir / "report.json")
         return report
 
     with _stage(report, "oracle"):
@@ -508,8 +502,6 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         save_columns(["manifest_jsonl", "manifest_tsv"], entries)
         report.counts["manifest_entries"] = len(entries)
         report.counts.update({f"manifest:{k}": v for k, v in counts.items()})
-
-    report.save(run_dir / "report.json")
     return report
 
 

@@ -98,6 +98,8 @@ def test_pipeline_full_run_artifacts(toy_dir, tmp_path):
     assert report.counts["manifest_entries"] > 0
     saved = json.loads((run_dir / "report.json").read_text())
     assert saved["digests"] == report.digests
+    # the override is the budget list of the config that ran, which the report holds
+    assert saved["budget"] == 100 and saved["config"]["budgets"] == [100]
     # budget is respected up to one overshooting item on each side
     assert report.ledger["spent_sentences"] < report.ledger["sentence_share"] + 50
     assert not (run_dir / "failed").exists()
@@ -485,19 +487,27 @@ def test_pipeline_lock_holds_owner_pid_and_reports_live_owner(toy_dir, tmp_path)
     assert (run_dir / "lock").read_text() == str(os.getpid())
 
 
-def test_pipeline_stale_lock_names_dead_owner(toy_dir, tmp_path):
+@pytest.mark.parametrize("content", ["dead", "", "0", "not-a-pid"],
+                         ids=["dead-pid", "empty", "zero", "not-a-pid"])
+def test_pipeline_stale_lock_names_dead_owner(content, toy_dir, tmp_path):
+    """A lock that holds no live pid: a dead process's, or none at all, as a writer
+    killed between creating the lock and writing its pid leaves it."""
     import subprocess
     import sys
-    dead = subprocess.Popen([sys.executable, "-c", "pass"])
-    dead.wait()
+    if content == "dead":
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()
+        content = str(dead.pid)
     config = toy_config(toy_dir, simulate_only=True, output_dir=str(tmp_path / "runs"))
     run_dir = tmp_path / "runs" / "budget-50"
     run_dir.mkdir(parents=True)
-    (run_dir / "lock").write_text(str(dead.pid))
+    (run_dir / "lock").write_text(content)
     from almt.errors import ConfigError
     with pytest.raises(ConfigError, match="locked") as info:
         run_pipeline(config, budget=50)
-    assert "not running" in str(info.value) and str(dead.pid) in str(info.value)
+    assert "not running" in str(info.value) and repr(content) in str(info.value)
+    assert (run_dir / "lock").read_text() == content
+    assert [p.name for p in run_dir.iterdir()] == ["lock"]
 
 
 def test_pipeline_failed_names_stage_and_traceback(toy_dir, tmp_path):
@@ -879,7 +889,7 @@ def test_run_pipeline_refuses_a_budget_override_that_is_not_a_positive_int(
     config = toy_config(toy_dir, strategy=strategy, output_dir=str(tmp_path / "runs"))
     with pytest.raises(ConfigError) as info:
         run_pipeline(config, budget=budget)
-    assert f"budget must be an int >= 1, got {budget!r}" in str(info.value)
+    assert f"budgets must be a non-empty list of positive ints, got [{budget!r}]" in str(info.value)
     assert not (tmp_path / "runs").exists()
 
 
@@ -1170,14 +1180,16 @@ def test_cli_select_csse_on_a_nan_row_or_repeated_id_exits_3_naming_the_line(fau
     ("extract", 2, "--max-n"),
     ("coverage", 2, "--max-n"),
     ("length-ratio", 3, "{hyp} against {u}: hypotheses missing id 5"),
+    ("length-ratio-empty", 3, "{empty} against {empty}: reference corpus is empty"),
     ("select-csse", 3, "{bad}:1: expected 'dim=D' header"),
     ("mix-retrieve", 3, "{bad}:1: expected 'dim=D' header"),
     ("validate", 2, "{bad}:1: expected 'dim=D' header"),
 ])
 def test_cli_bad_value_or_embedding_header_exits_without_traceback(command, code, named, toy_dir,
                                                                     tmp_path, capsys):
-    bad, hyp = tmp_path / "emb_bad.tsv", tmp_path / "hyp.txt"
+    bad, hyp, empty = tmp_path / "emb_bad.tsv", tmp_path / "hyp.txt", tmp_path / "empty.txt"
     bad.write_text("dim=eight\n0\t1.0\n")
+    empty.write_text("")
     hyp.write_text("".join((toy_dir / "U.txt").read_text().splitlines(keepends=True)[:5]))
     config = tmp_path / "c.json"
     config.write_text(json.dumps({**json.loads((toy_dir / "config.json").read_text()),
@@ -1187,6 +1199,8 @@ def test_cli_bad_value_or_embedding_header_exits_without_traceback(command, code
         "extract": ["extract", "--input", u, "--max-n", "0", "--output", str(tmp_path / "i.tsv")],
         "coverage": ["analyze", "coverage", "--covering", u, "--test", u, "--max-n", "0"],
         "length-ratio": ["analyze", "length-ratio", "--hypotheses", str(hyp), "--references", u],
+        "length-ratio-empty": ["analyze", "length-ratio", "--hypotheses", str(empty),
+                               "--references", str(empty)],
         "select-csse": ["select", "--strategy", "csse", "--unlabeled", u, "--labeled", l,
                         "--embeddings-unlabeled", emb_u, "--embeddings-labeled", str(bad),
                         "--budget-words", "20", "--output", str(tmp_path / "sel.jsonl")],
@@ -1198,7 +1212,7 @@ def test_cli_bad_value_or_embedding_header_exits_without_traceback(command, code
     out, err = capsys.readouterr()
     message = out if command == "validate" else err
     assert message.startswith("FAIL:" if code == 2 else "stage failure:"), message
-    assert named.format(bad=bad, hyp=hyp, u=u) in message and "Traceback" not in out + err
+    assert named.format(bad=bad, hyp=hyp, u=u, empty=empty) in message and "Traceback" not in out + err
 
 
 # --- dist_mode "nn" ---
@@ -1733,7 +1747,7 @@ def test_respond_raises_on_a_phrase_outside_the_largest_cut(toy_dir):
     beyond that cut has no answer, and it raises rather than vanish from the manifest."""
     from almt import select
     from almt.pipeline import RunContext, respond
-    context = RunContext(toy_config(toy_dir, strategy="ngf-smp"), 40)
+    context = RunContext(toy_config(toy_dir, strategy="ngf-smp", budgets=[40]))
     beyond = select.cut(context.rankings, 120)
     assert len(beyond.phrases) > len(context.selection.phrases)
     with pytest.raises(KeyError):
