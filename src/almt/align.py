@@ -104,25 +104,23 @@ def train_ibm1(parallel: ParallelCorpus, iterations: int = 5, reverse: bool = Fa
     return probs
 
 
-def align_pair(src_tokens, tgt_tokens, table: dict) -> set[tuple[int, int]]:
-    """Viterbi-style links: each target index to its argmax source index.
+def align_pair(src_tokens, tgt_tokens, table: dict) -> list[int]:
+    """Viterbi-style links: each target index's argmax source index, -1 when unlinked.
 
     Ties between real source tokens break to the lowest index; NULL wins only
-    when strictly better than every real source, and OOV targets (all-zero
-    probabilities) stay unlinked.
+    when strictly better than every real source; OOV targets (all-zero
+    probabilities) stay unlinked, and sources the table lacks never win.
     """
-    rows = [table.get(s, {}) for s in src_tokens]
+    rows = [(i, row) for i, s in enumerate(src_tokens) if (row := table.get(s))]
     null_row = table.get(NULL_TOKEN, {})
-    links = set()
-    for j, tgt_tok in enumerate(tgt_tokens):
-        best_i, best_p = None, 0.0
-        for i, row in enumerate(rows):
+    links = []
+    for tgt_tok in tgt_tokens:
+        best_i, best_p = -1, 0.0
+        for i, row in rows:
             p = row.get(tgt_tok, 0.0)
             if p > best_p:
                 best_i, best_p = i, p
-        if best_i is None or null_row.get(tgt_tok, 0.0) > best_p:
-            continue
-        links.add((best_i, j))
+        links.append(-1 if null_row.get(tgt_tok, 0.0) > best_p else best_i)
     return links
 
 
@@ -140,14 +138,16 @@ class Alignments(dict):
 
 def target_span(links, start: int, end: int):
     """The target span of source window [start, end) under the phrase-consistency
-    rule (Och & Ney 2004; Koehn et al. 2003): (j_min, j_max), the hull of the
-    targets the window links to, or the reason it has none: "no-aligned-span"
-    when no index in the window is linked, "span-overlap" when a source index
-    outside the window links into the hull."""
-    js = [j for i, j in links if start <= i < end]
-    if not js:
-        return "no-aligned-span"
-    j_min, j_max = min(js), max(js)
-    if any(j_min <= j <= j_max for i, j in links if not start <= i < end):
-        return "span-overlap"
-    return j_min, j_max
+    rule (Och & Ney 2004; Koehn et al. 2003), read in one pass over ``links``, one
+    source index per target index (-1 unlinked): (j_min, j_max), the hull of the
+    targets the window links to, or "no-aligned-span" when no index in the window
+    is linked, "span-overlap" when a source index outside it links into the hull."""
+    j_min = j_max = j_out = -1  # the window's first and last targets; the last one linked outside it
+    for j, i in enumerate(links):
+        if start <= i < end:
+            if j_out > j_min >= 0:
+                return "span-overlap"
+            j_min, j_max = j if j_min < 0 else j_min, j
+        elif i >= 0:
+            j_out = j
+    return "no-aligned-span" if j_min < 0 else (j_min, j_max)

@@ -6,13 +6,14 @@ augmentation did before it found the phrases of all U sentences in one scan
 of integer codes. `best_switch` and `best_contextualize` score one retrieved
 pair's candidates one `logprob` call each, keeping a strictly higher score, as
 augmentation did before it scored a block of pairs in one batch; they take a
-model whose `logprob` scores one sentence, such as `lm_reference.NGramLM`.
-Slow, and used only by tests, which require the same pairs per sentence, the
-same winners, float.hex-equal scores and the same reason counts.
+model whose `logprob` scores one sentence, such as `lm_reference.NGramLM`,
+and links as a set of (i, j) tuples, whose spans `ibm1_reference.target_span`
+finds. Slow, and used only by tests, which require the same pairs per
+sentence, the same winners, float.hex-equal scores and the same reason counts.
 """
 
-from almt.align import target_span
 from almt.augment import SyntheticPair, contextualize, switch
+from ibm1_reference import target_span
 
 
 class PhraseIndex:

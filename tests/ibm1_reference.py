@@ -1,5 +1,5 @@
-"""Loop references for IBM Model 1 in `almt.align`: EM, its log-likelihood and
-Viterbi linking.
+"""Loop references for IBM Model 1 in `almt.align`: EM, its log-likelihood,
+Viterbi linking and the phrase-consistency span rule.
 
 `train_ibm1` works one target position at a time, over dicts keyed by
 (source, target) string pairs: the E-step sums each target's probabilities
@@ -13,7 +13,11 @@ lowers.
 
 `align_pair` looks up every (source, target) probability in the table's
 nested dicts, one target token at a time, as `almt.align` did before it
-fetched each source row once per pair. Slow, and used only by tests.
+fetched each source row once per pair, and returns the links as a set of
+(source index, target index) tuples. `target_span` reads such a set, as
+`almt.align` did before it stored one source index per target token;
+`link_set` turns that per-target list into the set. Slow, and used only by
+tests.
 """
 
 import math
@@ -92,3 +96,23 @@ def align_pair(src_tokens, tgt_tokens, table: dict) -> set[tuple[int, int]]:
             continue
         links.add((best_i, j))
     return links
+
+
+def link_set(links) -> set[tuple[int, int]]:
+    """The (source index, target index) set of ``links``, one source index per
+    target index, -1 when unlinked (`almt.align.align_pair`'s format)."""
+    return {(i, j) for j, i in enumerate(links) if i >= 0}
+
+
+def target_span(links, start: int, end: int):
+    """The phrase-consistency span of source window [start, end) over a set of
+    (i, j) links: (j_min, j_max), the hull of the targets the window links to,
+    "no-aligned-span" when no index in the window is linked, or "span-overlap"
+    when a source index outside the window links into the hull."""
+    js = [j for i, j in links if start <= i < end]
+    if not js:
+        return "no-aligned-span"
+    j_min, j_max = min(js), max(js)
+    if any(j_min <= j <= j_max for i, j in links if not start <= i < end):
+        return "span-overlap"
+    return j_min, j_max

@@ -3,12 +3,14 @@
 One pass over the reference's source windows, each a tuple of strings
 looked up in the set of wanted phrases, finds every occurrence in sentence
 order and then by start, as the oracle did before it matched integer n-gram
-codes. The vote is the oracle's. Used only by tests, which require the same
-(responses, drops) from both.
+codes. The vote is the oracle's. Links come from the loop references in
+`tests/ibm1_reference.py`, as sets of (i, j) tuples, so no `almt.align` code
+checks itself. Used only by tests, which require the same (responses, drops)
+from both.
 """
 
-from almt.align import align_pair, target_span
 from almt.oracle import OracleResponse
+from ibm1_reference import align_pair, target_span
 
 
 def translate_phrases(phrases, reference, table):

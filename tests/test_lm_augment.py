@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import augment_reference
+import ibm1_reference
 import lm_reference
 
 from almt.align import Alignments, NULL_TOKEN, align_pair
@@ -424,7 +425,7 @@ def test_best_switch_breaks_a_tie_to_the_first_candidate():
     lm = train_lm(corpus_of("a b"), order=2)
     annotated = [(("a",), ("T_a",)), (("a",), ("T_a2",))]
     alignments = _one_pair(("a", "a", "a", "b"), ("T_a",) * 3 + ("T_b",))
-    alignments[0] = {(i, i) for i in range(4)}
+    alignments[0] = [0, 1, 2, 3]
     [(best, _)] = best_switch([(annotated, 0)], lm, alignments)
     assert (best.position, best.phrase_tgt, best.target) == (0, ("T_a",), ("T_a",) * 3 + ("T_b",))
 
@@ -476,12 +477,13 @@ _phrase = st.lists(_words, min_size=1, max_size=3).map(tuple)
 @st.composite
 def _retrieved(draw):
     """One retrieved pair: its annotated phrases (repeats included, so some
-    candidates tie), x_star, y_star and random links between them."""
+    candidates tie), x_star, y_star and random links between them: one x_star
+    index or -1 (unlinked) per y_star token."""
     x_star = tuple(draw(st.lists(_words, min_size=1, max_size=6)))
     y_star = tuple(f"T_{w}" for w in draw(st.lists(_words, min_size=1, max_size=6)))
     annotated = draw(st.lists(st.tuples(_phrase, _phrase.map(lambda p: tuple(f"T_{w}" for w in p))),
                               min_size=1, max_size=4))
-    links = draw(st.sets(st.tuples(st.integers(0, len(x_star) - 1), st.integers(0, len(y_star) - 1))))
+    links = draw(st.lists(st.integers(-1, len(x_star) - 1), min_size=len(y_star), max_size=len(y_star)))
     return annotated, x_star, y_star, links
 
 
@@ -509,8 +511,9 @@ def test_best_switch_matches_the_per_candidate_reference(order, sentences, block
     entries, alignments = _entries(block)
     results = best_switch(entries, lm, alignments)
     assert len(results) == len(block)
-    for origin, ((best, reasons), entry) in enumerate(zip(results, block)):
-        expected, expected_reasons = augment_reference.best_switch(*entry, reference, origin_id=origin)
+    for origin, ((best, reasons), (annotated, x, y, links)) in enumerate(zip(results, block)):
+        expected, expected_reasons = augment_reference.best_switch(
+            annotated, x, y, ibm1_reference.link_set(links), reference, origin_id=origin)
         assert _same(best, expected) and reasons == expected_reasons
 
 

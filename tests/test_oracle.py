@@ -99,9 +99,10 @@ def test_oracle_deterministic():
 
 
 def brute_force_translate(phrases, ref, table):
-    """The oracle over a list of every source window's occurrences, all lengths."""
-    from almt.align import align_pair, target_span
+    """The oracle over a list of every source window's occurrences, all lengths,
+    with the loop references' set links and span rule."""
     from almt.oracle import OracleResponse
+    from ibm1_reference import align_pair, target_span
     windows = {}
     for sid, (src, _) in ref.items():
         for n in range(1, len(src) + 1):
