@@ -50,21 +50,17 @@ def contextualize(x_star, p):
 
 def phrases_in_sentence(sentences, phrase_pairs):
     """For each of the token sequences ``sentences``, the annotated (p_x, p_y)
-    pairs whose source side occurs in it, in annotation order, duplicates included.
+    pairs whose source side occurs in it, in annotation order.
 
-    One scan finds every source side's occurrences (``ngrams.occurrences``).
+    One scan finds every source side's occurrences (``ngrams.occurrences``),
+    which takes distinct sources: a repeated one raises ValueError.
     """
     pairs = [(tuple(p_x), tuple(p_y)) for p_x, p_y in phrase_pairs]
-    found = [set() for _ in sentences]  # per sentence: indices in ``pairs``
-    if pairs:
-        by_source = {}
-        for i, (p_x, _) in enumerate(pairs):
-            by_source.setdefault(p_x, []).append(i)
-        sources = list(by_source)
-        phrase, sentence, _ = occurrences(sources, sentences)
-        for k, s in zip(phrase.tolist(), sentence.tolist()):
-            found[s].update(by_source[sources[k]])
-    return [[pairs[i] for i in sorted(hits)] for hits in found]
+    phrase, sentence, _ = occurrences([p_x for p_x, _ in pairs], sentences)
+    found = [[] for _ in sentences]
+    for s, k in sorted(set(zip(sentence.tolist(), phrase.tolist()))):
+        found[s].append(pairs[k])
+    return found
 
 
 def best_switch(block, lm: NGramLM, alignments: Alignments):

@@ -13,7 +13,7 @@ twice). All count comparisons are exact integer arithmetic.
 """
 
 import bisect
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,16 +31,12 @@ class Vocabulary:
         return len(self.tokens)
 
     def code(self, sentences):
-        """(token ids, sentence end offsets) of the list ``sentences`` laid end to end.
-        A token outside the vocabulary raises KeyError."""
+        """(token ids, sentence end offsets) of the list ``sentences`` laid end to end,
+        -1 for a token outside the vocabulary."""
         ends = np.cumsum(np.fromiter(map(len, sentences), np.int64, len(sentences)))
         count = int(ends[-1]) if len(ends) else 0
-        return np.fromiter(map(self.ids.__getitem__, chain.from_iterable(sentences)), np.int64,
+        return np.fromiter(map(self.ids.get, chain.from_iterable(sentences), repeat(-1)), np.int64,
                            count), ends
-
-    def ids_of(self, other):
-        """The id here of each token of the vocabulary ``other``, -1 where it has none."""
-        return np.array([self.ids.get(t, -1) for t in other.tokens], dtype=np.int64)
 
 
 def _room(ends):
@@ -54,14 +50,13 @@ class OccurrenceIndex:
     Level n holds the sorted codes of the n-grams of length n and their
     counts. An n-gram's id is its rank in its level plus the number of shorter
     n-grams, so ids run in (length, phrase) order; ``phrase`` and ``phrases``
-    decode them. ``vocab`` codes the sentences, which it must cover; by
-    default it is their own.
+    decode them. ``vocab`` is the sentences' own.
     """
 
-    def __init__(self, sentences, max_n: int, vocab: Vocabulary = None):
+    def __init__(self, sentences, max_n: int):
         if max_n < 1:
             raise ValueError(f"max_n must be >= 1, got {max_n}")
-        self.vocab = vocab if vocab is not None else Vocabulary(sentences)
+        self.vocab = Vocabulary(sentences)
         self.max_n, self.V = max_n, max(len(self.vocab), 1)
         tok, ends = self.vocab.code(sentences)
         room = _room(ends)
@@ -98,7 +93,7 @@ class OccurrenceIndex:
 
     def ids_of(self, other: "OccurrenceIndex"):
         """The id here of each n-gram of ``other``, by its id there; -1 where not stored."""
-        token = self.vocab.ids_of(other.vocab)
+        token, _ = self.vocab.code([other.vocab.tokens])
         out, rank = np.full(len(other), -1, np.int64), np.zeros(1, np.int64)
         for n in range(1, min(self.max_n, other.max_n) + 1):
             prefix, last = np.divmod(other.codes[other.level(n)], other.V)
@@ -137,17 +132,19 @@ def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:
 
 def occurrences(phrases, sentences):
     """Arrays (phrase, sentence, start), one entry per occurrence of the distinct
-    ``phrases`` in the list ``sentences``, by index in each list and in the
-    sentence, ordered by phrase length, then sentence, then start. A phrase that
-    is empty or has a token no sentence has occurs nowhere."""
-    vocab = Vocabulary(sentences)
-    known = [i for i, p in enumerate(phrases) if p and all(t in vocab.ids for t in p)]
-    wanted = OccurrenceIndex([phrases[i] for i in known],
-                             max((len(phrases[i]) for i in known), default=1), vocab)
+    tuples ``phrases`` in the list ``sentences``, by index in each list and in the
+    sentence, ordered by phrase length, then sentence, then start. The phrases
+    are indexed in their own vocabulary and the sentences coded in it, where a
+    token outside it is -1 and matches nothing. A phrase that is empty or has a
+    token no sentence has occurs nowhere; a repeated phrase raises ValueError."""
+    if len(set(phrases)) != len(phrases):
+        raise ValueError("repeated phrases (each is looked up once)")
+    wanted = OccurrenceIndex(phrases, max(map(len, phrases), default=0) or 1)
     id_of = {p: i for i, p in enumerate(wanted.phrases())}
     which = np.full(len(wanted), -1)  # id in ``wanted`` -> index in ``phrases``, of whole phrases
+    known = [i for i, p in enumerate(phrases) if p]
     which[[id_of[phrases[i]] for i in known]] = known
-    tok, ends = vocab.code(sentences)
+    tok, ends = wanted.vocab.code(sentences)
     room = _room(ends)
     at, rank, hits = np.arange(len(tok)), np.zeros(len(tok), np.int64), []
     for n in range(1, wanted.max_n + 1):  # each window extends its one-token-shorter prefix

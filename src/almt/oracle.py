@@ -38,14 +38,12 @@ def translate_phrases(phrases, alignments: Alignments):
     span votes for it; ties go to the shorter target, then the first in token order.
 
     ``alignments`` holds the reference and aligns once each pair holding an
-    occurrence.
+    occurrence. A repeated phrase raises ValueError (``ngrams.occurrences``).
 
     Returns (responses, drops) where drops maps phrase -> reason
     ("not-in-reference" or "no-aligned-span").
     """
     phrases = [tuple(p) for p in phrases]
-    if len(set(phrases)) != len(phrases):
-        raise ValueError("duplicate phrases in selection (upstream invariant violated)")
     ids = list(alignments.parallel)
     phrase, sentence, start = (a.tolist() for a in occurrences(
         phrases, [src for src, _ in alignments.parallel.values()]))

@@ -87,6 +87,11 @@ def test_coverage_empty_test_rejected():
         ngram_coverage([("a",)], [], 2)
 
 
+def test_coverage_rejects_max_n_0():
+    with pytest.raises(ValueError, match="max_n must be >= 1, got 0"):
+        ngram_coverage([("a",)], [("a",)], 0)
+
+
 # Sentences over shared tokens and one of each side's own, empty ones included,
 # so that test n-grams absent from the covering side are common.
 def sentences(own):
@@ -152,6 +157,11 @@ def test_bleu_zero_overlap():
 
 def test_bleu_empty_hypothesis():
     assert sentence_bleu((), ("a", "b")) == 0.0
+
+
+def test_bleu_rejects_an_empty_reference():
+    with pytest.raises(ValueError, match="reference is empty"):
+        sentence_bleu(("a",), ())
 
 
 def test_bleu_brevity_penalty():

@@ -564,6 +564,12 @@ def test_store_rejects_nan():
         store([[float("nan"), 1.0]])
 
 
+@pytest.mark.parametrize("ids", [[0], [0, 1, 2]])
+def test_store_rejects_a_matrix_whose_rows_do_not_match_its_ids(ids):
+    with pytest.raises(ValueError, match="matrix shape does not match id count"):
+        EmbeddingStore(ids, [[1.0, 0.0], [0.0, 1.0]])
+
+
 @pytest.mark.filterwarnings("error")
 def test_store_normalises_rows_whose_plain_norm_overflows_or_underflows():
     s = EmbeddingStore([1, 2, 3, 4, 5, 6], [[1e200, -1e200], [1.0, -1.0], [1e-200, -1e-200], [0.0, 0.0],

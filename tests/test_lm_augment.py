@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from almt.align import Alignments, NULL_TOKEN, align_pair
 from almt.corpus import Corpus, ParallelCorpus
 from almt.embed import EmbeddingStore, RatioScorer
 from almt.lm import NGramLM, train_lm, EOS, UNK
+from almt.ngrams import occurrences
 from almt.augment import (augment_corpus, best_contextualize, best_switch, contextualize,
                           phrases_in_sentence, switch)
 
@@ -78,6 +80,11 @@ def test_lm_order_sensitive():
 def test_lm_rejects_bad_order():
     with pytest.raises(ValueError):
         NGramLM(corpus_of("a"), order=0)
+
+
+def test_lm_rejects_an_empty_corpus():
+    with pytest.raises(ValueError, match="training corpus is empty"):
+        train_lm(Corpus(), order=2)
 
 
 def test_lm_logprob_of_no_sentence_is_an_empty_array():
@@ -178,20 +185,22 @@ def test_phrases_in_sentence():
     assert found == [[(("cat", "sat"), ("T_cat", "T_sat"))]]
 
 
-def test_phrases_in_sentence_keeps_annotation_order_and_duplicates():
+def test_phrases_in_sentence_keeps_annotation_order_and_rejects_repeated_sources():
     pairs = [(["sat"], ["T_sat"]), (["the", "cat"], ["T_the", "T_cat"]), (["dog"], ["T_dog"]),
-             (["sat"], ["T_sat2"]), (["cat"], ["T_cat"]), (["sat"], ["T_sat"])]
+             (["cat", "sat"], ["T_cat", "T_sat"]), (["cat"], ["T_cat"])]
     found = phrases_in_sentence([["the", "cat", "sat", "cat"]], pairs)
     assert found == [[(("sat",), ("T_sat",)), (("the", "cat"), ("T_the", "T_cat")),
-                      (("sat",), ("T_sat2",)), (("cat",), ("T_cat",)), (("sat",), ("T_sat",))]]
+                      (("cat", "sat"), ("T_cat", "T_sat")), (("cat",), ("T_cat",))]]
+    with pytest.raises(ValueError, match="repeated"):
+        phrases_in_sentence([["the", "cat"]], [*pairs, (["sat"], ["T_sat2"])])
 
 
 @settings(max_examples=200, deadline=None)
 @given(sentences=st.lists(st.lists(st.sampled_from("aab"), max_size=8), max_size=6),
        max_n=st.integers(1, 6), rng=st.randoms(use_true_random=False))
 def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, rng):
-    """Sources are windows of the sentences (repeats such as "a a a" included) or
-    hold a token no sentence has; some repeat, with a target of their own."""
+    """Sources are distinct windows of the sentences (repeats such as "a a a"
+    included) or hold a token no sentence has."""
     sources = []
     for _ in range(rng.randint(0, 10)):
         n = rng.randint(1, max_n)
@@ -201,12 +210,39 @@ def test_phrases_in_sentence_matches_the_window_reference(sentences, max_n, rng)
             sources.append(tuple(tokens[start:start + n]))
         else:
             sources.append(tuple(rng.choice("abz") for _ in range(n)))
-    sources += rng.sample(sources, min(len(sources), 3))
-    pairs = [(p_x, tuple(f"T{i}" for i in range(len(p_x) + rng.randint(0, 1)))) for p_x in sources]
+    pairs = [(p_x, tuple(f"T{i}" for i in range(len(p_x) + rng.randint(0, 1))))
+             for p_x in dict.fromkeys(sources)]
     rng.shuffle(pairs)
     index = augment_reference.PhraseIndex(pairs)
     assert phrases_in_sentence(sentences, pairs) == [
         augment_reference.phrases_in_sentence(tokens, index) for tokens in sentences]
+
+
+def _peak(f, *args):
+    """tracemalloc's peak over one call of ``f``."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_phrases_in_sentence_peaks_with_its_scan(n):
+    """The per-sentence lists are built after the scan, so the lookup's peak is
+    the scan's own: nothing per sentence is held while the scan runs."""
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(300)]
+    sentences = [tuple(rng.choices(words, k=rng.randint(3, 15))) for _ in range(n)]
+    sources = set()
+    while len(sources) < 60:
+        tokens, k = rng.choice(sentences), rng.randint(1, 3)
+        start = rng.randrange(len(tokens) - k + 1)
+        sources.add(tokens[start:start + k])
+    pairs = [(p_x, tuple(f"T_{t}" for t in p_x)) for p_x in sorted(sources)]
+    rise = _peak(phrases_in_sentence, sentences, pairs) - _peak(occurrences, sorted(sources), sentences)
+    assert rise < 50 * n
 
 
 # --- augment_corpus ---

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import ngrams_reference
 import select_reference
 from almt.corpus import Corpus
-from almt.ngrams import extract_ngrams, occurrences, semi_maximal_set
+from almt.ngrams import Vocabulary, extract_ngrams, occurrences, semi_maximal_set
 from almt import select
 from almt.select import select_ngf
 from ngrams_reference import decode
@@ -76,6 +76,11 @@ def test_occ_absent_is_zero():
     assert decode(index)[("a", "b")] == 1
     assert index.ids_of(extract_ngrams(corpus_of("z a"), 1)).tolist() == [0, -1]  # "z" has no id
     assert len(index) == 3
+
+
+def test_vocabulary_codes_a_token_outside_it_as_minus_1():
+    tok, ends = Vocabulary([("b", "a")]).code([("a", "z"), (), ("b",)])
+    assert tok.tolist() == [0, -1, 1] and ends.tolist() == [2, 2, 3]
 
 
 def test_counts_match_brute_force_slicing():

@@ -67,6 +67,12 @@ def test_translate_phrase_not_in_reference():
     assert drops[("zzz",)] == "not-in-reference"
 
 
+def test_translate_phrases_rejects_a_repeated_phrase():
+    ref = parallel_of(("a b", "x y"))
+    with pytest.raises(ValueError, match="repeated"):
+        translate_phrases([("a",), ("b",), ["a"]], Alignments(ref, identity_table("ab")))
+
+
 def test_translate_phrase_no_aligned_span():
     ref = parallel_of(("a", "x"))
     table = {NULL_TOKEN: {"x": 1.0}, "a": {"x": 0.0}}
