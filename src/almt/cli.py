@@ -86,8 +86,8 @@ def _cmd_mix(args):
                           f"({skipped} skipped as degenerate)")
     if skipped:
         print(f"skipped {skipped} degenerate pairs", file=sys.stderr)
-    write_text(args.output, "".join(map(mix.encode_id, ids)))
-    write_text(args.output + ".tsv", "".join(mix.encode_entry(*context.L[sid], None, sid)[1] for sid in ids))
+    write_columns([args.output, args.output + ".tsv"],
+                  ((mix.encode_id(sid), mix.encode_entry(*context.L[sid], None, sid)[1]) for sid in ids))
     print(f"{len(ids)} pairs -> {args.output}")
     return 0
 

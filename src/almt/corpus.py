@@ -17,6 +17,14 @@ from pathlib import Path
 
 from .errors import ParseError
 
+try:  # CPython's built-in SHA-256, which maps no OpenSSL: _sha2 from 3.12, _sha256 before
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a Python built without it
+        from hashlib import sha256
+
 # A phrase is just a contiguous token sequence, kept as a hashable tuple.
 Phrase = tuple[str, ...]
 
@@ -112,28 +120,68 @@ def record_tokens(record) -> tuple:
     return tuple(tokens)
 
 
-def write_text(path, text):
-    """Write ``text``, a str or its UTF-8 bytes, to ``path``: into a temporary
-    file of this process beside it, then os.replace onto it, so that ``path``
-    holds either its old bytes or all of the new ones, even when the writer is
-    killed midway. An OSError about the temporary file is raised naming ``path``."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+# The chunk an artifact writer buffers, in characters: each column's lines are
+# encoded, hashed and written in chunks of about this size, so a writer's
+# memory does not grow with its file.
+CHUNK_CHARS = 1 << 16
+
+
+def _chunks(records):
+    """``records`` in lists of about ``CHUNK_CHARS`` characters."""
+    chunk, size = [], 0
+    for record in records:
+        chunk.append(record)
+        size += sum(map(len, record))
+        if size >= CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _write_chunk(file, digest, lines):
+    """Write ``lines`` to ``file`` as one UTF-8 chunk and add its bytes to ``digest``."""
+    data = "".join(lines).encode("utf-8")
+    digest.update(data)
+    file.write(data)
+
+
+def write_columns(paths, records) -> list[str]:
+    """Write to each of ``paths`` its column of ``records``, an iterable of tuples
+    of one line per path, and return the sha256 hex digest of each file's bytes.
+
+    The columns go to one temporary file of this process beside each path, in
+    chunks of about ``CHUNK_CHARS`` characters, each hashed as it is written.
+    Once every record is written, each is renamed onto its path (os.replace), so
+    a path holds either its old bytes or all of the new ones, even when the
+    writer is killed midway; a fault before the renames removes every temporary
+    file. An OSError about a temporary file is raised naming its path."""
+    paths = [Path(path) for path in paths]
+    tmps = {str(path.with_name(f".{path.name}.{os.getpid()}.tmp")): path for path in paths}
+    digests = [sha256() for _ in paths]
     try:
-        tmp.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(tmp, "wb")) for tmp in tmps]
+            for chunk in _chunks(records):  # a record of the wrong width raises ValueError
+                for file, digest, lines in zip(files, digests, zip(*chunk, strict=True), strict=True):
+                    _write_chunk(file, digest, lines)
+        for tmp, path in tmps.items():
+            os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):  # no tmp to remove if its directory cannot hold one
-            tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and str(exc.filename) == str(tmp):
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        for tmp in tmps:
+            with contextlib.suppress(OSError):  # gone, or its directory cannot hold one
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in tmps:
+            raise OSError(exc.errno, exc.strerror, str(tmps[exc.filename])) from exc
         raise
+    return [digest.hexdigest() for digest in digests]
 
 
-def write_columns(paths, records):
-    """Write to each of ``paths`` its column of ``records``, tuples of one line per path."""
-    for i, path in enumerate(paths):
-        write_text(path, "".join(record[i] for record in records))
+def write_text(path, text) -> str:
+    """``write_columns`` of one path: write ``text``, a str or an iterable of
+    str, to ``path`` and return the sha256 hex digest of its bytes."""
+    [digest] = write_columns([path], zip([text] if isinstance(text, str) else text))
+    return digest
 
 
 def load_corpus(path, name="") -> Corpus:

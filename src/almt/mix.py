@@ -5,7 +5,9 @@ by selection's two rules, ``select.shuffled`` (sample) or ``select.rank``
 (retrieve); each budget takes a prefix, and only ``assemble`` reads the pairs'
 tokens."""
 
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from .select import rank
 # Every entry origin, each counted by assemble even when absent.
 ORIGINS = ("annotated-sentence", "annotated-phrase", "retrieved", "sampled",
            "synthetic-switch", "synthetic-context")
+# A synthetic pair's origin, by its recipe.
+SYNTHETIC_ORIGINS = {"switch": "synthetic-switch", "contextualize": "synthetic-context"}
 
 
 def encode_entry(source, target, origin, provenance) -> tuple[str, str]:
@@ -56,9 +60,9 @@ def load_freeze(path, parallel: ParallelCorpus):
 
 
 def assemble(L: ParallelCorpus, l_s, l_p, l_r, synthetic, retrieved: bool, lines):
-    """The manifest's entries, each a (manifest.jsonl line, manifest.tsv line), and
-    its count of entries per origin. The pools go in fixed order: L_s, L_p, L_r,
-    synthetic.
+    """An iterator over the manifest's entries, each a (manifest.jsonl line,
+    manifest.tsv line), and its count of entries per origin, counted without
+    encoding an entry. The pools go in fixed order: L_s, L_p, L_r, synthetic.
 
     l_s is a list of (tokens, target, id), its sources resolved upstream; l_p is
     an OracleResponse list; l_r is a list of pair ids of ``L``, whose tokens its
@@ -69,15 +73,15 @@ def assemble(L: ParallelCorpus, l_s, l_p, l_r, synthetic, retrieved: bool, lines
     origin is counted, so empty inputs give no entries and zero counts.
     """
     r_origin = "retrieved" if retrieved else "sampled"
-    entries = (lines("annotated sentence entries", l_s,
-                     lambda row: encode_entry(row[0], row[1], "annotated-sentence", row[2]))
-               + lines("annotated phrase entries", l_p, lambda resp: encode_entry(
-                   resp.source, resp.target, "annotated-phrase", list(resp.provenance)))
-               + lines("mix entries", l_r, lambda sid: encode_entry(*L[sid], r_origin, sid)))
     counts = dict.fromkeys(ORIGINS, 0)
     counts.update({"annotated-sentence": len(l_s), "annotated-phrase": len(l_p), r_origin: len(l_r)})
-    for pair in synthetic:
-        origin = f"synthetic-{'switch' if pair.recipe == 'switch' else 'context'}"
-        entries.append(encode_entry(pair.source, pair.target, origin, pair.origin_id))
-        counts[origin] += 1
+    counts.update(Counter(SYNTHETIC_ORIGINS[pair.recipe] for pair in synthetic))
+    entries = itertools.chain(
+        lines("annotated sentence entries", l_s,
+              lambda row: encode_entry(row[0], row[1], "annotated-sentence", row[2])),
+        lines("annotated phrase entries", l_p, lambda resp: encode_entry(
+            resp.source, resp.target, "annotated-phrase", list(resp.provenance))),
+        lines("mix entries", l_r, lambda sid: encode_entry(*L[sid], r_origin, sid)),
+        (encode_entry(pair.source, pair.target, SYNTHETIC_ORIGINS[pair.recipe], pair.origin_id)
+         for pair in synthetic))
     return entries, counts

@@ -122,7 +122,7 @@ class OccurrenceIndex:
     def export_tsv(self, path):
         """Write the index as "phrase TAB count" lines, count descending then lexicographic."""
         rows = sorted(zip(self.phrases(), self.counts.tolist()), key=lambda kv: (-kv[1], kv[0]))
-        write_text(path, "".join(f"{' '.join(p)}\t{c}\n" for p, c in rows))
+        write_text(path, (f"{' '.join(p)}\t{c}\n" for p, c in rows))
 
 
 def extract_ngrams(corpus: Corpus, max_n: int) -> OccurrenceIndex:

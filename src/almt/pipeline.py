@@ -7,7 +7,7 @@ which no stage reads back: every intermediate is there to inspect. Fine-tuning
 itself is out of scope: the pipeline emits manifests for downstream toolkits.
 """
 
-import hashlib
+import itertools
 import json
 import os
 import random
@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import align, augment, mix, oracle, select
-from .corpus import load_corpus, load_parallel, write_text
+from .corpus import load_corpus, load_parallel, write_columns, write_text
 from .embed import EmbeddingStore, RatioScorer
 from .errors import AlmtError, ConfigError, describe
 from .lm import train_lm
@@ -292,12 +292,12 @@ class RunContext:
         self._lines = {}  # section -> the lines of its records that a budget has written
 
     def lines(self, section, records, encode):
-        """The lines ``encode`` gives for ``records``, a budget's prefix of the
-        run-wide list of records that ``section`` names. A record is encoded by
-        the first budget that writes it; later budgets reuse its line."""
+        """An iterator over the lines ``encode`` gives for ``records``, a budget's
+        prefix of the run-wide list of records that ``section`` names. A record is
+        encoded by the first budget that writes it; later budgets reuse its line."""
         lines = self._lines.setdefault(section, [])
         lines += map(encode, records[len(lines):])
-        return lines[:len(records)]
+        return itertools.islice(lines, len(records))
 
     def load(self, failures: list = None):
         """Read the file of each key of ``inputs``. A failure raises, or, given
@@ -430,18 +430,16 @@ class RunContext:
 def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunReport:
     config = context.config
 
-    def save(name, text):
-        """Write artifact ``name`` of this budget; the report carries the sha256 of
-        the bytes written, so no artifact is read back to hash it."""
-        data = text.encode("utf-8")
-        write_text(run_dir / ARTIFACTS[name], data)
-        report.digests[name] = hashlib.sha256(data).hexdigest()
-
     def save_columns(names, records):
-        """Save to each artifact of ``names`` its column of ``records``, tuples of
-        one line per artifact."""
-        for i, name in enumerate(names):
-            save(name, "".join(record[i] for record in records))
+        """Write to each artifact of ``names`` of this budget its column of
+        ``records``, tuples of one line per artifact; the report carries the sha256
+        of each file's bytes, hashed as they are written, so no artifact is read back."""
+        report.digests.update(zip(names, write_columns([run_dir / ARTIFACTS[name] for name in names],
+                                                       records)))
+
+    def save(name, lines):
+        """``save_columns`` of one artifact, given an iterable of its lines."""
+        save_columns([name], zip(lines))
 
     # A context property is built the first time a stage touches it, so build
     # time lands in the first budget's report under that stage.
@@ -454,9 +452,9 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
 
     with _stage(report, "select"):
         result = select.cut(context.rankings, report.budget)
-        save("selection", select.rank_lines(
-            context.lines("selected sentences", result.sentences, select.encode_pick)
-            + context.lines("selected phrases", result.phrases, select.encode_pick)))
+        save("selection", select.rank_lines(itertools.chain(
+            context.lines("selected sentences", result.sentences, select.encode_pick),
+            context.lines("selected phrases", result.phrases, select.encode_pick))))
         report.counts["selected_sentences"] = len(result.sentences)
         report.counts["selected_phrases"] = len(result.phrases)
         report.ledger = asdict(result.budget)
@@ -477,7 +475,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         l_r, skipped = mix_pairs(context, len(l_p_resp))
         if skipped:
             report.dropped["mix:degenerate"] = skipped
-        save("freeze", "".join(context.lines("mix ids", l_r, mix.encode_id)))
+        save("freeze", context.lines("mix ids", l_r, mix.encode_id))
         report.counts["mixed_pairs"] = len(l_r)
 
     synthetic = []
@@ -490,8 +488,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
                     config.augment_recipe)
             else:  # no U sentence holds an annotated phrase: train no LM and no IBM-1
                 aug_report = {"no-annotated-phrase": len(context.U)}
-            save_columns(["synthetic", "synthetic_recipes"],
-                         [augment.encode_synthetic(pair) for pair in synthetic])
+            save_columns(["synthetic", "synthetic_recipes"], map(augment.encode_synthetic, synthetic))
             report.counts["synthetic_pairs"] = len(synthetic)
             report.dropped.update({f"augment:{k}": v for k, v in aug_report.items() if v})
 
@@ -500,7 +497,7 @@ def _run_budget(context: RunContext, report: RunReport, run_dir: Path) -> RunRep
         entries, counts = mix.assemble(context.L, l_s_rows, l_p_resp, l_r, synthetic,
                                        config.mix_policy == "retrieve", context.lines)
         save_columns(["manifest_jsonl", "manifest_tsv"], entries)
-        report.counts["manifest_entries"] = len(entries)
+        report.counts["manifest_entries"] = sum(counts.values())
         report.counts.update({f"manifest:{k}": v for k, v in counts.items()})
     return report
 
@@ -509,8 +506,8 @@ def respond(context: RunContext, cut, save_columns):
     """The oracle stage: translate the sentences and phrases of ``cut``, a cut of
     ``context.selection`` (a phrase outside it raises KeyError), and write them
     with ``save_columns(names, records)``, each name a key of ``ARTIFACTS`` and
-    each record a tuple of one line per artifact. Returns (sentence responses,
-    phrase responses, drops by phrase)."""
+    ``records`` an iterable of tuples of one line per artifact. Returns (sentence
+    responses, phrase responses, drops by phrase)."""
     l_s = oracle.translate_sentences([s.id for s in cut.sentences], context.reference)
     responses, drops = context.translations
     l_p = [responses[p.tokens] for p in cut.phrases if p.tokens not in drops]

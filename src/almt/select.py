@@ -62,10 +62,10 @@ def encode_pick(pick) -> str:
     return json.dumps({**unit, "score": pick.score, "cost": pick.cost})[:-1]
 
 
-def rank_lines(heads) -> str:
-    """selection.jsonl's text: each of ``heads``, ``encode_pick``'s records in rank
-    order, closed by its rank."""
-    return "".join(f'{head}, "rank": {rank}}}\n' for rank, head in enumerate(heads))
+def rank_lines(heads):
+    """selection.jsonl's lines, lazily: each of ``heads``, ``encode_pick``'s records
+    in rank order, closed by its rank."""
+    return (f'{head}, "rank": {rank}}}\n' for rank, head in enumerate(heads))
 
 
 def load_selection(path):

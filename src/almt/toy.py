@@ -7,6 +7,7 @@ The "translation" of a token w is simply T_w, which lets IBM Model 1 recover
 a near-perfect table on a corpus this small.
 """
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -57,7 +58,7 @@ def _translated(src):
 
 
 def _tsv(pairs):
-    return "".join(f"{' '.join(src)}\t{' '.join(tgt)}\n" for src, tgt in pairs)
+    return (f"{' '.join(src)}\t{' '.join(tgt)}\n" for src, tgt in pairs)
 
 
 def _sentence_means(sentences, vecs):
@@ -85,8 +86,9 @@ def _write_embeddings(path, sentences, vecs, dim):
     """One vector per sentence, its id the sentence's index: the mean of its
     token vectors, each component printed as ``%.8f``."""
     row = "%d\t" + " ".join(["%.8f"] * dim) + "\n"
-    means = _sentence_means(sentences, vecs).tolist()
-    write_text(path, f"dim={dim}\n" + "".join(row % (i, *vec) for i, vec in enumerate(means)))
+    means = _sentence_means(sentences, vecs)
+    write_text(path, itertools.chain([f"dim={dim}\n"],
+                                     (row % (i, *vec.tolist()) for i, vec in enumerate(means))))
 
 
 def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 500,
@@ -104,15 +106,15 @@ def generate(out_dir, seed: int = 7, n_unlabeled: int = 200, n_labeled: int = 50
     l_pairs = [_translated(_general_sentence(rng)) for _ in range(n_labeled)]
     test_pairs = [_translated(_domain_sentence(rng)) for _ in range(n_test)]
 
-    write_text(out / "U.txt", "".join(" ".join(tokens) + "\n" for tokens in u_sentences))
+    write_text(out / "U.txt", (" ".join(tokens) + "\n" for tokens in u_sentences))
     write_text(out / "L.tsv", _tsv(l_pairs))
     # oracle reference: the "professional translator" answer for every U sentence
     write_text(out / "reference.tsv", _tsv(map(_translated, u_sentences)))
     write_text(out / "test.tsv", _tsv(test_pairs))
     _write_embeddings(out / "emb_U.tsv", u_sentences, vecs, dim)
     _write_embeddings(out / "emb_L.tsv", [src for src, _ in l_pairs], vecs, dim)
-    write_text(out / "rttl_scores.tsv", "".join(f"{i}\t{-rng.uniform(0.5, 12.0):.6f}\n"
-                                                for i in range(n_unlabeled)))
+    write_text(out / "rttl_scores.tsv", (f"{i}\t{-rng.uniform(0.5, 12.0):.6f}\n"
+                                         for i in range(n_unlabeled)))
 
     config = {
         "unlabeled": str(out / "U.txt"),

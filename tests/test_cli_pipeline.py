@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from almt import toy
+from almt import corpus, toy
 from almt.augment import switch
 from almt.cli import main
 from almt.pipeline import STRATEGIES, RunConfig, run_pipeline, validate_config
@@ -841,14 +841,15 @@ def test_pipeline_rerun_failing_while_writing_manifest_keeps_the_first_run_bytes
     first = manifest.read_bytes()
     assert first and hashlib.sha256(first).hexdigest() == report.digests["manifest_jsonl"]
 
-    write_bytes = Path.write_bytes
+    write_chunk = corpus._write_chunk
 
-    def torn(path, data):  # half of the manifest reaches the disk, then the write fails
-        if "manifest.jsonl" in path.name:
-            write_bytes(path, data[:len(data) // 2])
+    def torn(file, digest, lines):  # half of a manifest chunk reaches the disk, then the write fails
+        if "manifest.jsonl" in file.name:
+            data = "".join(lines).encode("utf-8")
+            file.write(data[:len(data) // 2])
             raise OSError(28, "No space left on device")
-        return write_bytes(path, data)
-    monkeypatch.setattr(Path, "write_bytes", torn)
+        return write_chunk(file, digest, lines)
+    monkeypatch.setattr(corpus, "_write_chunk", torn)
     with pytest.raises(OSError, match="No space left"):
         run_pipeline(config, budget=40)
     monkeypatch.undo()
@@ -895,13 +896,13 @@ def test_run_pipeline_refuses_a_budget_override_that_is_not_a_positive_int(
 
 def test_pipeline_interrupted_while_writing_manifest_leaves_failed(toy_dir, tmp_path, monkeypatch):
     config = toy_config(toy_dir, output_dir=str(tmp_path / "runs"))
-    write_bytes = Path.write_bytes
+    write_chunk = corpus._write_chunk
 
-    def interrupted(path, data):  # Ctrl-C arrives during the manifest write
-        if "manifest.jsonl" in path.name:
+    def interrupted(file, digest, lines):  # Ctrl-C arrives during a manifest chunk write
+        if "manifest.jsonl" in file.name:
             raise KeyboardInterrupt
-        return write_bytes(path, data)
-    monkeypatch.setattr(Path, "write_bytes", interrupted)
+        return write_chunk(file, digest, lines)
+    monkeypatch.setattr(corpus, "_write_chunk", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_pipeline(config, budget=40)
     run_dir = tmp_path / "runs" / "budget-40"
@@ -1266,6 +1267,29 @@ def stock_toy(tmp_path_factory):
     out = tmp_path_factory.mktemp("stock-toy")
     toy.generate(out, seed=7)
     return out
+
+
+def test_a_run_hashes_its_artifacts_without_loading_openssl(stock_toy, tmp_path):
+    """The artifact writer hashes with CPython's built-in SHA-256, so a run never
+    imports _hashlib, which maps OpenSSL's libcrypto (about 3.6 MB of RSS). The
+    fixture is made in this process: toy.generate reaches numpy.random, whose
+    import loads _hashlib."""
+    import importlib.util
+    import os
+    import subprocess
+    import sys
+    if not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
+        pytest.skip("this Python has no built-in SHA-256 module")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(asdict(toy_config(stock_toy, output_dir=str(tmp_path / "runs")))))
+    src = str(Path(corpus.__file__).resolve().parent.parent)
+    code = ("import sys; from almt.pipeline import RunConfig, run_pipeline; "
+            "[report] = run_pipeline(RunConfig.load(sys.argv[1])); "
+            "print(len(report.digests), '_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(config)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{len(ARTIFACTS)} False\n"
 
 
 @pytest.mark.parametrize("strategy", [*STRATEGIES, "hybrid"])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import tracemalloc
@@ -5,9 +6,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from almt import toy
+from almt import corpus, toy
 from almt.cli import _read_table
-from almt.corpus import ParallelCorpus, load_corpus, load_parallel, tokenize
+from almt.corpus import CHUNK_CHARS, ParallelCorpus, load_corpus, load_parallel, tokenize, write_columns, write_text
 from almt.embed import EmbeddingStore
 from almt.errors import ParseError
 from almt.mix import load_freeze
@@ -144,6 +145,96 @@ def test_a_corpus_keeps_its_token_tuples_and_no_object_per_sentence(tmp_path):
     pair_tuples = 2 * sentence_tuples + len(sentences) * sys.getsizeof(((), ()))
     assert _retained(load_corpus, tmp_path / "U.txt") < sentence_tuples + ENTRY_ALLOWANCE * len(sentences)
     assert _retained(load_parallel, tmp_path / "L.tsv") < pair_tuples + ENTRY_ALLOWANCE * len(sentences)
+
+
+# --- the artifact writer ---
+
+def _lines(n):
+    """n two-column records of a few dozen characters each, made as they are read."""
+    return ((f"{i}\tw{i % 97} w{i % 13}\n", f'{{"id": {i}, "origin": "r\u00e9"}}\n') for i in range(n))
+
+
+@pytest.mark.parametrize("records", [
+    pytest.param([], id="no-records"),
+    pytest.param([("a b\n", "x\n")], id="one-record"),
+    pytest.param([("é中😀 \x00\n", "ß\t\u2028\n"), ("naïve\n", "\n")], id="non-ascii"),
+    pytest.param(list(_lines(20_000)), id="many-chunks"),
+    pytest.param([("x" * (3 * CHUNK_CHARS) + "\n", "y\n")], id="a-line-past-a-chunk"),
+])
+def test_each_column_digest_is_the_sha256_of_its_file(records, tmp_path):
+    paths = [tmp_path / "a.tsv", tmp_path / "b.jsonl"]
+    digests = write_columns(paths, iter(records))
+    for i, (path, digest) in enumerate(zip(paths, digests)):
+        assert path.read_text(encoding="utf-8") == "".join(record[i] for record in records)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.tsv", "b.jsonl"]
+
+
+@pytest.mark.parametrize("text", ["", "é中😀\n", ["a\n", "", "b c\n"]], ids=["empty", "str", "lines"])
+def test_write_text_is_the_one_column_form(text, tmp_path):
+    path = tmp_path / "out.txt"
+    digest = write_text(path, text)
+    assert path.read_text(encoding="utf-8") == "".join(text)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_python_without_a_builtin_sha256_hashes_through_hashlib(tmp_path):
+    """Some builds leave out _sha2 and _sha256 and hash through OpenSSL alone:
+    the writer then takes hashlib's sha256, with the same digest."""
+    import os
+    import subprocess
+    from pathlib import Path
+    pytest.importorskip("_hashlib", reason="this Python has no OpenSSL to fall back to")
+    code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+            "from almt.corpus import write_text; "
+            "print(write_text(sys.argv[1], 'naïve\\n'), '_hashlib' in sys.modules)")
+    src = str(Path(corpus.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out.txt")], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              [src, os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == hashlib.sha256("naïve\n".encode()).hexdigest() + " True\n"
+
+
+def _peak_writing(n, tmp_path):
+    """The tracemalloc peak of writing ``_lines(n)`` to two files."""
+    paths = [tmp_path / f"{n}.tsv", tmp_path / f"{n}.jsonl"]
+    records = _lines(n)
+    tracemalloc.start()
+    try:
+        write_columns(paths, records)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_writer_holds_one_chunk_whatever_the_record_count(tmp_path):
+    """100,000 records, about 5 MB of text, peak within one chunk of 10,000:
+    nothing but the chunk in hand grows with the records."""
+    small, large = _peak_writing(10_000, tmp_path), _peak_writing(100_000, tmp_path)
+    assert large - small < CHUNK_CHARS, (small, large)
+
+
+def test_a_fault_in_the_second_column_keeps_both_old_files_and_names_its_target(tmp_path, monkeypatch):
+    paths = [tmp_path / "manifest.jsonl", tmp_path / "manifest.tsv"]
+    for path in paths:
+        path.write_text(f"old {path.name}\n")
+    write_chunk = corpus._write_chunk
+    calls = []
+
+    def full(file, digest, lines):  # the second file's first chunk finds the disk full
+        calls.append(file.name)
+        if "manifest.tsv" in file.name:
+            raise OSError(28, "No space left on device", file.name)
+        return write_chunk(file, digest, lines)
+    monkeypatch.setattr(corpus, "_write_chunk", full)
+    with pytest.raises(OSError) as info:
+        write_columns(paths, _lines(20_000))
+    assert "manifest.jsonl" in calls[0] and "manifest.tsv" in calls[1]  # the first column's chunk is written
+    assert info.value.filename == str(paths[1]) and info.value.errno == 28
+    assert str(info.value) == f"[Errno 28] No space left on device: '{paths[1]}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl", "manifest.tsv"]
+    assert [p.read_text() for p in paths] == ["old manifest.jsonl\n", "old manifest.tsv\n"]
 
 
 def _read_selection(path):

@@ -33,7 +33,7 @@ def _old_selection(picks):
 @given(picks=st.lists(_picks, max_size=6))
 def test_encode_pick_with_its_rank_is_the_json_dumps_line(picks):
     """NaN and ±inf scores included: json.dumps writes NaN, Infinity and -Infinity."""
-    assert rank_lines(map(encode_pick, picks)) == _old_selection(picks)
+    assert "".join(rank_lines(map(encode_pick, picks))) == _old_selection(picks)
 
 
 @settings(max_examples=150, deadline=None)

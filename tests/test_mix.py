@@ -99,23 +99,24 @@ def test_assemble_order_and_counts():
 
 def test_assemble_sampled_flag():
     entries, _ = assemble(FOUR, [], [], [0], [], False, _lines())
-    assert json.loads(entries[0][0])["origin"] == "sampled"
+    assert json.loads(next(entries)[0])["origin"] == "sampled"
 
 
 def test_assemble_keeps_same_source_different_target():
     l_s = [(("a",), ("x",), 0), (("a",), ("y",), 1)]
     entries, _ = assemble(FOUR, l_s, [], [], [], True, _lines())
-    assert len(entries) == 2
+    assert len(list(entries)) == 2
 
 
 def test_assemble_empty_inputs_give_zero_counts():
     entries, counts = assemble(FOUR, [], [], [], [], True, _lines())
-    assert entries == []
+    assert list(entries) == []
     assert counts == dict.fromkeys(ORIGINS, 0)
 
 
 def test_manifest_files(tmp_path):
     entries, _ = assemble(FOUR, [(("a", "b"), ("x", "y"), 0)], [], [1], [], True, _lines())
+    entries = list(entries)
     write_columns([tmp_path / "mix.jsonl", tmp_path / "mix.tsv"], entries)
     assert entries == [encode_entry(("a", "b"), ("x", "y"), "annotated-sentence", 0),
                        encode_entry(("b", "b"), ("y", "y"), "retrieved", 1)]

@@ -249,7 +249,7 @@ def test_ngf_scores_non_increasing():
 def test_selection_jsonl_output():
     U = corpus_of("a b", "c d")
     result = cut([select_random_sentences(U, seed=0)], 3)
-    text = rank_lines(map(encode_pick, result.sentences + result.phrases))
+    text = "".join(rank_lines(map(encode_pick, result.sentences + result.phrases)))
     recs = [json.loads(l) for l in text.splitlines()]
     assert all(r["kind"] == "sentence" for r in recs)
     assert [r["rank"] for r in recs] == list(range(len(recs)))
